@@ -6,12 +6,11 @@ groups, and a catalog of benchmark algebras."""
 from .algebra import Algebra, BilinearForm, radical_axial
 from .catalog import CatalogEntry, build, default_params, list_catalog
 from .errors import (AxialError, CatalogError, DimensionMismatchError,
-                     ExtensionError, FieldMismatchError, NotIdempotentError,
-                     NotSemisimpleError, ScalarParseError)
+                     ExtensionError, FieldMismatchError, NotSemisimpleError,
+                     ScalarParseError)
 from .extension import (Cocycle, CocycleSpace, ExtensionReport, aut_action,
                         build_extension, coboundary, coboundary_space,
-                        cocycle_space, condition1_constraints,
-                        condition2_constraints, decompose_by_annihilator,
+                        cocycle_space, decompose_by_annihilator,
                         extension_axiality, is_split, normalize_on_axes)
 from .fusion import (C2Grading, FusionLaw, augment_with_zero,
                      find_c2_gradings, grading_is_valid, jordan_half_law,
@@ -29,11 +28,9 @@ __all__ = [
     "Algebra", "BilinearForm", "radical_axial",
     "CatalogEntry", "build", "default_params", "list_catalog",
     "AxialError", "CatalogError", "DimensionMismatchError", "ExtensionError",
-    "FieldMismatchError", "NotIdempotentError", "NotSemisimpleError",
-    "ScalarParseError",
+    "FieldMismatchError", "NotSemisimpleError", "ScalarParseError",
     "Cocycle", "CocycleSpace", "ExtensionReport", "aut_action",
     "build_extension", "coboundary", "coboundary_space", "cocycle_space",
-    "condition1_constraints", "condition2_constraints",
     "decompose_by_annihilator", "extension_axiality", "is_split",
     "normalize_on_axes",
     "C2Grading", "FusionLaw", "augment_with_zero", "find_c2_gradings",

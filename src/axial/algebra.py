@@ -9,8 +9,7 @@ Elements are tuples of Scalars in the fixed basis of the algebra.
 from __future__ import annotations
 
 from .errors import DimensionMismatchError, FieldMismatchError
-from .linalg import (Matrix, RowReducer, Subspace, unit_vector, vec_add,
-                     vec_is_zero, vec_scale, vec_zero)
+from .linalg import Matrix, RowReducer, Subspace, unit_vector, vec_zero
 from .scalars import Scalar
 
 
@@ -163,20 +162,6 @@ class Algebra:
                 m = d
         return Subspace(red.dense_rows(), self.dim, self.tag), m
 
-    def ideal_closure(self, generators):
-        """Smallest ideal containing the generators."""
-        red = RowReducer(self.dim, self.tag)
-        queue = [tuple(g) for g in generators]
-        for g in queue:
-            red.add_row({j: a for j, a in enumerate(g) if a})
-        while queue:
-            x = queue.pop()
-            for j in range(self.dim):
-                p = self.product(x, self.basis_element(j))
-                if not vec_is_zero(p) and red.add_row({k: a for k, a in enumerate(p) if a}):
-                    queue.append(p)
-        return Subspace(red.dense_rows(), self.dim, self.tag)
-
     def frobenius_space(self):
         """All symmetric bilinear forms with (xy, z) = (x, yz), as a list of
         BilinearForm, from the RREF basis of the solution space."""
@@ -251,10 +236,6 @@ class Algebra:
                     products[(n + i, n + j)] = {n + k: c for k, c in entry.items()}
         labels = self.labels + tuple(f"{lab}'" for lab in other.labels)
         return Algebra(n + other.dim, products, self.tag, labels)
-
-    def embed_first(self, x, total):
-        z = Scalar.zero(self.tag)
-        return tuple(x) + (z,) * (total - self.dim)
 
     def render_element(self, x):
         parts = []

@@ -43,7 +43,6 @@ class CatalogEntry:
     cocycle: Cocycle | None = None                       # canonical 1-dim cocycle
     frobenius: BilinearForm | None = None
     gradings: dict = field(default_factory=dict)         # law name -> C2Grading
-    idempotent_families: tuple = ()
     expected: dict = field(default_factory=dict)
 
     def law_for(self, axis_key):
@@ -617,7 +616,6 @@ def _build_jordan_full(n):
         axis_sets={"family": tuple(fam)},
         laws={"J12": jordan_half_law(tag)},
         axis_laws={"family": "J12"},
-        idempotent_families=tuple(fam),
         expected={"jordan": True, "quotient_dim": 0})
 
 
@@ -650,7 +648,6 @@ def _build_jordan_sym(n):
         axis_sets={"family": tuple(fam)},
         laws={"J12": jordan_half_law(tag)},
         axis_laws={"family": "J12"},
-        idempotent_families=tuple(fam),
         expected={"jordan": True, "quotient_dim": 0})
 
 
@@ -719,7 +716,6 @@ def _build_jordan_skew(n):
         axis_sets={"family": tuple(fam)},
         laws={"J12": jordan_half_law(tag)},
         axis_laws={"family": "J12"},
-        idempotent_families=tuple(fam),
         expected={"jordan": True, "quotient_dim": 0})
 
 
@@ -753,7 +749,6 @@ def _build_jordan_form(n):
         axis_sets={"family": tuple(fam)},
         laws={"J12": jordan_half_law(tag)},
         axis_laws={"family": "J12"},
-        idempotent_families=tuple(fam),
         expected={"jordan": True, "quotient_dim": 0})
 
 
@@ -858,7 +853,6 @@ def _herm_basis():
 def _herm_coords(mat, pairs):
     """Coordinates of a hermitian octonion matrix in the canonical basis;
     verifies hermiticity exactly."""
-    zero = Scalar.zero(QQ)
     coords = []
     for i in range(3):
         entry = mat[i][i]
@@ -869,7 +863,6 @@ def _herm_coords(mat, pairs):
         if mat[j][i] != oct_conj(mat[i][j]):
             raise CatalogError("matrix is not hermitian")
         coords.extend(mat[i][j][q] for q in range(8))
-    del zero
     return tuple(coords)
 
 
@@ -901,7 +894,6 @@ def _build_albert():
         axis_sets={"family": tuple(fam)},
         laws={"J12": jordan_half_law(QQ)},
         axis_laws={"family": "J12"},
-        idempotent_families=tuple(fam),
         expected={"jordan": True, "quotient_dim": 0})
 
 

@@ -640,6 +640,17 @@ def _add_source(p):
     p.add_argument("--file", help="algebra file path")
 
 
+def _cap(text):
+    """--cap value: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="axial",
@@ -660,7 +671,7 @@ def build_parser():
             p.add_argument("--cocycle",
                            help="cocycle name (default: canonical)")
         if cap:
-            p.add_argument("--cap", type=int, default=200)
+            p.add_argument("--cap", type=_cap, default=200)
         p.add_argument("--json", action="store_true",
                        help="emit stable-key JSON")
         p.set_defaults(fn=fn)

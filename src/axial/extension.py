@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .algebra import Algebra, _sym_index, _unflatten_sym
 from .errors import DimensionMismatchError, ExtensionError, NotSemisimpleError
-from .linalg import Matrix, RowReducer, Subspace, vec_zero
+from .linalg import Matrix, RowReducer, Subspace, sparse_add, vec_zero
 from .scalars import Scalar
 from .spectral import Eigenbasis, check_axis, eigen_decompose, minimal_law
 
@@ -162,18 +162,6 @@ def build_extension(algebra, theta, axes=()):
 # ---------------------------------------------------------------------------
 # constraint rows (one coordinate: unknowns are upper-triangle entries)
 
-def _sym_row_add(row, idx, p, q, coeff):
-    if not coeff:
-        return
-    col = idx[(p, q)] if p <= q else idx[(q, p)]
-    v = row.get(col)
-    v = v + coeff if v is not None else coeff
-    if v:
-        row[col] = v
-    elif col in row:
-        del row[col]
-
-
 def _pair_row(idx, x, y):
     """Row of theta(x, y) in the symmetric-form unknowns."""
     row = {}
@@ -182,7 +170,7 @@ def _pair_row(idx, x, y):
             continue
         for q, b in enumerate(y):
             if b:
-                _sym_row_add(row, idx, p, q, a * b)
+                sparse_add(row, idx[(p, q)] if p <= q else idx[(q, p)], a * b)
     return row
 
 
@@ -194,72 +182,35 @@ def condition1_rows(algebra, a):
     return [_pair_row(idx, a, k) for k in ker.basis]
 
 
-def condition1_constraints(algebra, a):
-    """Same as condition1_rows, as a dense Matrix (possibly 0 rows)."""
-    idx_len = len(_sym_index(algebra.dim))
-    rows = condition1_rows(algebra, a)
-    zero = Scalar.zero(algebra.tag)
-    dense = [tuple(r.get(c, zero) for c in range(idx_len)) for r in rows]
-    return Matrix(tuple(dense), algebra.tag, ncols=idx_len)
+def condition2_rows(algebra, a, law, products):
+    """Sparse rows of the eigenspace compatibility condition for axis a.
 
-
-def condition2_rows(algebra, a, law):
-    """Sparse rows of the eigenspace compatibility condition for axis a:
-    for (lam, mu) in Spec(a)^2 with 0 not in lam*mu, and eigenbasis pairs
-    (x, y) with xy = sum z_nu: theta(x,y) - sum nu^-1 theta(a, z_nu) = 0."""
+    products is the decomposed eigenvector products of a, as returned by
+    Eigenbasis.products() (or kept on a's AxisReport).  Each (lam, mu, x, y,
+    {nu: z_nu}) with 0 not in lam*mu gives the row of
+    theta(x, y) - sum nu^-1 theta(a, z_nu) = 0; a component outside the law
+    cell lam*mu raises ExtensionError."""
     a = tuple(a)
-    eigen = eigen_decompose(algebra, a, hints=law.values)
-    if not eigen.semisimple:
-        raise NotSemisimpleError(
-            f"axis candidate {algebra.render_element(a)} is not semisimple")
-    basis = Eigenbasis(algebra, eigen)
     idx = _sym_index(algebra.dim)
     zero = Scalar.zero(algebra.tag)
     rows = []
-    pairs = eigen.pairs
-    for s in range(len(pairs)):
-        lam, vspace = pairs[s]
-        for t in range(s, len(pairs)):
-            mu, wspace = pairs[t]
-            cell = law.star(lam, mu)
-            if zero in cell:
-                continue
-            for xv in vspace.basis:
-                for yv in wspace.basis:
-                    comps = basis.components(algebra.product(xv, yv))
-                    bad = [nu for nu in comps if nu not in cell]
-                    if bad:
-                        raise ExtensionError(
-                            f"eigenspace product escapes the law cell "
-                            f"({lam}, {mu}): components at {bad}")
-                    row = _pair_row(idx, xv, yv)
-                    for nu, z in comps.items():
-                        inv = nu.inverse()
-                        neg_row = _pair_row(idx, a, z)
-                        for col, c in neg_row.items():
-                            _sym_row_add_col(row, col, -(inv * c))
-                    if row:
-                        rows.append(row)
+    for lam, mu, xv, yv, comps in products:
+        cell = law.star(lam, mu)
+        if zero in cell:
+            continue
+        bad = [nu for nu in comps if nu not in cell]
+        if bad:
+            raise ExtensionError(
+                f"eigenspace product escapes the law cell "
+                f"({lam}, {mu}): components at {bad}")
+        row = _pair_row(idx, xv, yv)
+        for nu, z in comps.items():
+            inv = nu.inverse()
+            for col, c in _pair_row(idx, a, z).items():
+                sparse_add(row, col, -(inv * c))
+        if row:
+            rows.append(row)
     return rows
-
-
-def _sym_row_add_col(row, col, coeff):
-    if not coeff:
-        return
-    v = row.get(col)
-    v = v + coeff if v is not None else coeff
-    if v:
-        row[col] = v
-    elif col in row:
-        del row[col]
-
-
-def condition2_constraints(algebra, a, law):
-    idx_len = len(_sym_index(algebra.dim))
-    rows = condition2_rows(algebra, a, law)
-    zero = Scalar.zero(algebra.tag)
-    dense = [tuple(r.get(c, zero) for c in range(idx_len)) for r in rows]
-    return Matrix(tuple(dense), algebra.tag, ncols=idx_len)
 
 
 @dataclass
@@ -281,20 +232,20 @@ class CocycleSpace:
         return all(self.coboundaries.contains_vector(v) for v in theta.vectorize())
 
 
-def cocycle_space(algebra, axes, law, verify_axes=True):
-    """Z(A, F; axes) for one output coordinate, with coboundary comparison."""
-    if verify_axes:
-        for a in axes:
-            rep = check_axis(algebra, a, law)
-            if not rep.is_axis:
-                raise ExtensionError(
-                    f"{algebra.render_element(a)} fails the axis check: {rep.violations}")
+def cocycle_space(algebra, axes, law):
+    """Z(A, F; axes) for one output coordinate, with coboundary comparison.
+    Each axis is analysed once: check_axis first, then its constraint rows
+    from the products on the report."""
     idx_len = len(_sym_index(algebra.dim))
     red = RowReducer(idx_len, algebra.tag)
     for a in axes:
+        rep = check_axis(algebra, a, law)
+        if not rep.is_axis:
+            raise ExtensionError(
+                f"{algebra.render_element(a)} fails the axis check: {rep.violations}")
         for row in condition1_rows(algebra, a):
             red.add_row(dict(row))
-        for row in condition2_rows(algebra, a, law):
+        for row in condition2_rows(algebra, a, law, rep.products):
             red.add_row(dict(row))
     space = Subspace(red.kernel_basis(), idx_len, algebra.tag)
     cob = coboundary_space(algebra)
@@ -405,7 +356,14 @@ def extension_axiality(algebra, theta, axes, law):
     """Summary report: the extension is axial for the zero-augmented
     law iff condition (1) holds on every axis; the induced law is the minimal
     law of (A_theta, Y) and equals the base law exactly when theta is a
-    relative cocycle."""
+    relative cocycle.
+
+    theta_in_z says whether theta lies in Z(A, F; axes): every condition (1)
+    and (2) row of every axis vanishes on each coordinate of theta.  As for Z
+    itself, the axes need not pass the axis check here; each is analysed with
+    the law's values as eigenvalue hints and must be semisimple
+    (NotSemisimpleError) with its eigenvector products inside the law's
+    cells (ExtensionError)."""
     axes = [tuple(a) for a in axes]
     cond1 = {}
     all_ok = True
@@ -422,9 +380,27 @@ def extension_axiality(algebra, theta, axes, law):
     induced = None
     if all_ok:
         induced = minimal_law(ext, lifted)
-    zspace = cocycle_space(algebra, axes, law, verify_axes=False)
+    # the condition (1) rows of a vanish on theta exactly when cond1 holds
+    in_z = all_ok
+    vectors = theta.vectorize()
+    for a in axes:
+        eigen = eigen_decompose(algebra, a, hints=law.values)
+        if not eigen.semisimple:
+            raise NotSemisimpleError(
+                f"axis candidate {algebra.render_element(a)} is not semisimple")
+        products = Eigenbasis(algebra, eigen).products()
+        for row in condition2_rows(algebra, a, law, products):
+            in_z = in_z and all(_row_vanishes(row, v) for v in vectors)
     return ExtensionReport(ext, lifted, cond1, all_ok, induced,
-                           is_split(algebra, theta), zspace.contains(theta))
+                           is_split(algebra, theta), in_z)
+
+
+def _row_vanishes(row, v):
+    acc = None
+    for col, c in row.items():
+        if v[col]:
+            acc = acc + c * v[col] if acc is not None else c * v[col]
+    return not acc
 
 
 def decompose_by_annihilator(bigebra, axes=()):

@@ -27,7 +27,8 @@ from .algebra import Algebra
 from .errors import AxialError
 from .extension import Cocycle
 from .fusion import FusionLaw
-from .scalars import FieldTag, Scalar, parse_scalar, render_scalar
+from .scalars import (FieldTag, Scalar, ScalarParseError, parse_scalar,
+                      render_scalar, sort_key)
 
 
 class AlgebraFileError(AxialError):
@@ -52,6 +53,20 @@ class AlgebraFile:
         raise AlgebraFileError(f"unknown element name {name!r}")
 
 
+def _int(text, where):
+    try:
+        return int(text)
+    except ValueError:
+        raise AlgebraFileError(f"{where}: expected an integer, got {text!r}") from None
+
+
+def _scalar(text, tag, where):
+    try:
+        return parse_scalar(text, tag)
+    except ScalarParseError as ex:
+        raise AlgebraFileError(f"{where}: {ex}") from None
+
+
 def _split_combo(text):
     return [part.strip() for part in text.split(",") if part.strip()]
 
@@ -63,7 +78,7 @@ def _parse_combo(text, labels, tag, where):
         bits = part.split()
         if len(bits) != 2:
             raise AlgebraFileError(f"{where}: expected 'coeff name', got {part!r}")
-        coeff = parse_scalar(bits[0], tag)
+        coeff = _scalar(bits[0], tag, where)
         if bits[1] not in labels:
             raise AlgebraFileError(f"{where}: unknown basis name {bits[1]!r}")
         j = labels.index(bits[1])
@@ -97,7 +112,7 @@ def parse_algebra_file(text):
             else:
                 raise AlgebraFileError(f"{where}: unknown field tag {rest!r}")
         elif head == "dim":
-            dim = int(rest)
+            dim = _int(rest, where)
         elif head == "basis":
             labels = tuple(rest.split())
         elif head == "product":
@@ -133,11 +148,11 @@ def parse_algebra_file(text):
             bits = spec.split()
             if len(bits) != 3:
                 raise AlgebraFileError(f"{where}: cocycle wants name and two indices")
-            name, i, j = bits[0], int(bits[1]), int(bits[2])
+            name, i, j = bits[0], _int(bits[1], where), _int(bits[2], where)
             if dim is None or not (1 <= i <= j <= dim):
                 raise AlgebraFileError(f"{where}: cocycle indices out of range")
             raw_cocycles.setdefault(name, {})[(i - 1, j - 1)] = \
-                parse_scalar(value.strip(), tag)
+                _scalar(value.strip(), tag, where)
         else:
             raise AlgebraFileError(f"{where}: unknown directive {head!r}")
 
@@ -157,7 +172,7 @@ def parse_algebra_file(text):
         out.sets[name] = tuple(out.resolve(m) for m in members)
     one, zero = Scalar.one(tag), Scalar.zero(tag)
     for name, values, where in raw_laws:
-        vals = [parse_scalar(v, tag) for v in values]
+        vals = [_scalar(v, tag, where) for v in values]
         table = {(one, one): {one}} if one in vals else {}
         for v in vals:
             if v != one and v != zero:
@@ -167,8 +182,8 @@ def parse_algebra_file(text):
         if law_name not in out.laws:
             raise AlgebraFileError(f"{where}: unknown law {law_name!r}")
         law = out.laws[law_name]
-        va, vb = parse_scalar(a, tag), parse_scalar(b, tag)
-        cell = {parse_scalar(c, tag) for c in contents}
+        va, vb = _scalar(a, tag, where), _scalar(b, tag, where)
+        cell = {_scalar(c, tag, where) for c in contents}
         table = {k: set(v) for k, v in law.table.items()}
         key = (va, vb) if (va, vb) in table or (vb, va) not in table else (vb, va)
         table[key] = cell
@@ -181,6 +196,10 @@ def parse_algebra_file(text):
 def render_algebra_file(bundle):
     """Canonical text form of an AlgebraFile bundle; parse-render round-trips."""
     alg = bundle.algebra
+    for name, th in bundle.cocycles.items():
+        if th.s != 1:
+            raise AlgebraFileError(
+                f"cocycle {name!r} has {th.s} coordinates; the file format holds one")
     lines = [f"field {alg.tag.name}", f"dim {alg.dim}",
              "basis " + " ".join(alg.labels)]
 
@@ -213,8 +232,7 @@ def render_algebra_file(bundle):
                     f"set {name!r} member has no name; add an 'element' entry")
             names.append(label)
         lines.append(f"set {name}: " + " ".join(names))
-    one, zero = Scalar.one(alg.tag), Scalar.zero(alg.tag)
-    from .scalars import sort_key
+    one = Scalar.one(alg.tag)
     for name, law in bundle.laws.items():
         vals = sorted(law.values, key=sort_key)
         lines.append(f"law {name}: " + " ".join(render_scalar(v) for v in vals))
@@ -225,7 +243,6 @@ def render_algebra_file(bundle):
             body = " ".join(render_scalar(v) for v in sorted(cell, key=sort_key))
             lines.append(f"cell {name} {render_scalar(a)} {render_scalar(b)}: {body}")
         # non-unit rows that are empty need no line; absent cells are empty
-    del zero
     for name, th in bundle.cocycles.items():
         mat = th.mats[0]
         for i in range(alg.dim):

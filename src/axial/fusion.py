@@ -4,7 +4,7 @@ containment, zero-augmentation, and exhaustive C2-grading search."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 
 from .errors import AxialError, FieldMismatchError
 from .scalars import FieldTag, Scalar, sort_key
@@ -64,15 +64,6 @@ class FusionLaw:
 
     def __hash__(self):
         return hash((self.values, frozenset(self.table.items())))
-
-    def cells(self):
-        """All cells, including empty ones, keyed by sorted value pairs."""
-        out = {}
-        for a in range(len(self.values)):
-            for b in range(a, len(self.values)):
-                key = (self.values[a], self.values[b])
-                out[key] = self.table.get(key, frozenset())
-        return out
 
     def __repr__(self):
         vals = ", ".join(str(v) for v in self.values)

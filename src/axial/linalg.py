@@ -12,7 +12,7 @@ Conventions fixed for reproducibility:
 from __future__ import annotations
 
 from .errors import DimensionMismatchError, FieldMismatchError
-from .scalars import FieldTag, Scalar
+from .scalars import Scalar
 
 
 # ---------------------------------------------------------------------------
@@ -41,6 +41,17 @@ def vec_scale(c, x):
 
 def vec_is_zero(x):
     return all(a.is_zero() for a in x)
+
+
+def sparse_add(acc, k, c):
+    """acc[k] += c on a sparse vector {index: Scalar}; an entry that cancels
+    is dropped."""
+    v = acc.get(k)
+    v = v + c if v is not None else c
+    if v:
+        acc[k] = v
+    elif k in acc:
+        del acc[k]
 
 
 def unit_vector(n, j, tag):
@@ -167,12 +178,6 @@ class Matrix:
         return Matrix(tuple(a + b for a, b in zip(self.rows, other.rows)),
                       self.tag, ncols=self.ncols + other.ncols)
 
-    def stack(self, other):
-        self._shape_check(other)
-        if self.ncols != other.ncols:
-            raise DimensionMismatchError("column counts differ")
-        return Matrix(self.rows + other.rows, self.tag, ncols=self.ncols)
-
     def trace(self):
         if self.nrows != self.ncols:
             raise DimensionMismatchError("trace of a non-square matrix")
@@ -200,7 +205,7 @@ class Matrix:
         red = RowReducer(self.ncols, self.tag)
         for r in self.rows:
             red.add_row({j: a for j, a in enumerate(r) if a})
-        return Subspace._from_rref_rows(red.kernel_basis(), self.ncols, self.tag)
+        return Subspace(red.kernel_basis(), self.ncols, self.tag)
 
     def solve(self, rhs):
         """Solve M x = rhs for a single right-hand-side vector.
@@ -355,11 +360,6 @@ class Subspace:
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
-
-    @classmethod
-    def _from_rref_rows(cls, rows, ambient, tag):
-        # rows from a kernel_basis are independent but not RREF; normalize anyway
-        return cls(rows, ambient, tag)
 
     @classmethod
     def zero_space(cls, ambient, tag):

@@ -7,9 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AxialError, NotSemisimpleError
-from .linalg import Matrix, RowReducer
-from .scalars import Scalar
-from .spectral import eigen_decompose
+from .linalg import Matrix, RowReducer, sparse_add
+from .spectral import Eigenbasis, eigen_decompose
 
 
 @dataclass(frozen=True)
@@ -51,25 +50,22 @@ def tau_automorphism(algebra, a, law, grading):
     if not eigen.semisimple:
         raise NotSemisimpleError(
             f"{algebra.render_element(a)} is not semisimple; no eigenspace involution")
+    sign = {lam: grading.sign(lam) for lam, _ in eigen.pairs}
+    basis = Eigenbasis(algebra, eigen)
+    # column j is tau(e_j): the eigencomponents of e_j with their signs
     cols = []
-    signs = []
-    for lam, space in eigen.pairs:
-        sgn = grading.sign(lam)
-        for b in space.basis:
-            cols.append(b)
-            signs.append(sgn)
-    vmat = Matrix.from_columns(cols, algebra.tag, nrows=algebra.dim)
-    vinv = vmat.inverse()
-    one = Scalar.one(algebra.tag)
-    signed = Matrix.from_columns(
-        [tuple(c if s > 0 else -c for c in col) for col, s in zip(cols, signs)],
-        algebra.tag, nrows=algebra.dim)
-    m = signed * vinv
+    for j in range(algebra.dim):
+        col = {}
+        for lam, comp in basis.components(algebra.basis_element(j)).items():
+            for k, c in enumerate(comp):
+                if c:
+                    sparse_add(col, k, c if sign[lam] > 0 else -c)
+        cols.append(algebra.element(col))
+    m = Matrix.from_columns(cols, algebra.tag, nrows=algebra.dim)
     if not is_automorphism(algebra, m):
         raise AxialError(
             "eigenspace sign map is not an automorphism (grading incompatible "
             "with the observed products)")
-    del one
     return AutMatrix(m, "tau", (a,))
 
 

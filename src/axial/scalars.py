@@ -158,6 +158,13 @@ _SCALAR_RE = re.compile(
 _PURE_IM_RE = re.compile(rf"^\s*(?P<im>(?:{_RAT_RE})?|-)\s*i\s*$")
 
 
+def _rat(part, text):
+    try:
+        return Rat(part)
+    except ZeroDivisionError:
+        raise ScalarParseError(f"zero denominator in scalar literal: {text!r}") from None
+
+
 def parse_scalar(text, tag=FieldTag.QQ):
     """Parse 'a', 'a/b', 'a+b/ci', 'a-bi', 'bi' into a canonical Scalar.
 
@@ -167,10 +174,10 @@ def parse_scalar(text, tag=FieldTag.QQ):
         raise ScalarParseError(f"expected string, got {type(text).__name__}")
     m = _SCALAR_RE.match(text)
     if m:
-        re_part = Rat(m.group("re"))
+        re_part = _rat(m.group("re"), text)
         im_part = _RAT_ZERO
         if m.group("im") is not None:
-            im_part = Rat(m.group("im")) if m.group("im") else _RAT_ONE
+            im_part = _rat(m.group("im"), text) if m.group("im") else _RAT_ONE
             if m.group("sign") == "-":
                 im_part = -im_part
     else:
@@ -184,7 +191,7 @@ def parse_scalar(text, tag=FieldTag.QQ):
         elif raw == "-":
             im_part = -_RAT_ONE
         else:
-            im_part = Rat(raw)
+            im_part = _rat(raw, text)
     if im_part != 0 and tag is not FieldTag.QI:
         raise ScalarParseError(f"imaginary literal {text!r} in a plain-rational context")
     return Scalar._make(re_part, im_part, tag)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import DimensionMismatchError
 from .fusion import FusionLaw
-from .linalg import Matrix, Subspace, vec_add, vec_is_zero, vec_scale, vec_zero
+from .linalg import Matrix, sparse_add
 from .scalars import FieldTag, Scalar, scalar_sqrt, sort_key
 
 try:
@@ -209,47 +209,58 @@ def eigen_decompose(algebra, x, hints=()):
 
 
 class Eigenbasis:
-    """Concatenated eigenbasis of a semisimple element with a cached inverse,
-    for decomposing arbitrary elements into eigencomponents."""
+    """The one analysis of a semisimple element x (an axis) that the axis
+    check, the minimal law, the cocycle condition (2) and the Miyamoto map
+    share.  It is built from x's EigenData and keeps the concatenated
+    eigenbasis and the rows of its inverse as sparse vectors, so splitting an
+    element into eigencomponents touches only their nonzero entries."""
 
     def __init__(self, algebra, eigen):
         if not eigen.semisimple:
             raise DimensionMismatchError("eigenbasis of a non-semisimple element")
-        self.tag = algebra.tag
-        self.dim = algebra.dim
-        cols = []
-        self.slices = []  # (eigenvalue, start, stop)
+        self.algebra = algebra
+        self.pairs = eigen.pairs
+        cols = [b for _, space in eigen.pairs for b in space.basis]
+        inv = Matrix.from_columns(cols, algebra.tag, nrows=algebra.dim).inverse()
+        sparse = [({j: c for j, c in enumerate(r) if c},
+                   {k: c for k, c in enumerate(v) if c})
+                  for r, v in zip(inv.rows, cols)]
+        # (eigenvalue, [(sparse inverse row, sparse eigenvector)])
+        self.slices = []
         start = 0
         for lam, space in eigen.pairs:
-            for b in space.basis:
-                cols.append(b)
-            self.slices.append((lam, start, start + space.dim))
+            self.slices.append((lam, sparse[start:start + space.dim]))
             start += space.dim
-        self._inv = Matrix.from_columns(cols, self.tag, nrows=self.dim).inverse()
-        self._cols = cols
 
     def components(self, y):
         """Decompose y; returns {eigenvalue: component element} with zero
-        components omitted."""
-        coords = self._inv.apply(y)
+        components omitted, in eigenvalue order."""
         out = {}
-        for lam, start, stop in self.slices:
-            comp = vec_zero(self.dim, self.tag)
-            for t in range(start, stop):
-                if coords[t]:
-                    comp = vec_add(comp, vec_scale(coords[t], self._cols[t]))
-            if not vec_is_zero(comp):
-                out[lam] = comp
+        for lam, rows in self.slices:
+            comp = {}
+            for row, vec in rows:
+                c = None
+                for j, a in row.items():
+                    if y[j]:
+                        c = c + a * y[j] if c is not None else a * y[j]
+                if c:
+                    for k, b in vec.items():
+                        sparse_add(comp, k, c * b)
+            if comp:
+                out[lam] = self.algebra.element(comp)
         return out
 
-
-@dataclass
-class ProductDecomposition:
-    x: tuple
-    y: tuple
-    lam: Scalar
-    mu: Scalar
-    components: dict  # eigenvalue -> nonzero component (z_nu, z_0 included)
+    def products(self):
+        """[(lam, mu, x, y, components of xy)] for every pair of eigenbasis
+        vectors x of lam and y of mu with lam <= mu in eigenvalue order."""
+        out = []
+        for s, (lam, vspace) in enumerate(self.pairs):
+            for mu, wspace in self.pairs[s:]:
+                for x in vspace.basis:
+                    for y in wspace.basis:
+                        out.append((lam, mu, x, y,
+                                    self.components(self.algebra.product(x, y))))
+        return out
 
 
 @dataclass
@@ -261,6 +272,7 @@ class AxisReport:
     observed: dict = field(default_factory=dict)  # (lam, mu) -> frozenset of nu
     primitive: bool = False
     violations: list = field(default_factory=list)
+    products: list = field(default_factory=list)  # Eigenbasis.products(), if semisimple
 
     @property
     def is_axis(self):
@@ -285,44 +297,29 @@ def check_axis(algebra, a, law):
         report_violations.append(("spectrum_outside_law", extra))
     observed = {}
     primitive = False
+    products = []
     if eigen.semisimple:
-        one = Scalar.one(algebra.tag)
-        a1 = eigen.eigenspace(one)
+        a1 = eigen.eigenspace(Scalar.one(algebra.tag))
         primitive = a1 is not None and a1.dim == 1
-        basis = Eigenbasis(algebra, eigen)
-        pairs = eigen.pairs
-        for s in range(len(pairs)):
-            lam, vspace = pairs[s]
-            for t in range(s, len(pairs)):
-                mu, wspace = pairs[t]
-                seen = set()
-                for xv in vspace.basis:
-                    for yv in wspace.basis:
-                        comps = basis.components(algebra.product(xv, yv))
-                        seen.update(comps)
-                        if spectrum_ok:
-                            allowed = law.star(lam, mu)
-                            for nu in comps:
-                                if nu not in allowed:
-                                    report_violations.append(
-                                        ("fusion_violation", (lam, mu, nu, xv, yv)))
-                observed[(lam, mu)] = frozenset(seen)
+        products = Eigenbasis(algebra, eigen).products()
+        for lam, mu, xv, yv, comps in products:
+            observed.setdefault((lam, mu), set()).update(comps)
+            if spectrum_ok:
+                allowed = law.star(lam, mu)
+                for nu in comps:
+                    if nu not in allowed:
+                        report_violations.append(
+                            ("fusion_violation", (lam, mu, nu, xv, yv)))
+        observed = {key: frozenset(seen) for key, seen in observed.items()}
     return AxisReport(a, idem, eigen, spectrum_ok, observed, primitive,
-                      report_violations)
-
-
-def decompose_product(algebra, a, law, x, y):
-    """ProductDecomposition of x*y along the eigenbasis of axis a."""
-    eigen = eigen_decompose(algebra, a, hints=law.values)
-    basis = Eigenbasis(algebra, eigen)
-    comps = basis.components(algebra.product(x, y))
-    return ProductDecomposition(tuple(x), tuple(y), None, None, comps)
+                      report_violations, products)
 
 
 def minimal_law(algebra, axes):
     """The smallest fusion law making every member of axes an axis:
     values = union of spectra, cells = observed product components."""
-    reports = []
+    values = set()
+    table = {}
     for a in axes:
         eigen = eigen_decompose(algebra, tuple(a))
         if not algebra.is_idempotent(tuple(a)):
@@ -331,28 +328,11 @@ def minimal_law(algebra, axes):
             raise ValueError(
                 f"minimal_law requires semisimple elements; {algebra.render_element(a)} "
                 f"has eigenspace dimension sum {eigen.total_dim()} < {algebra.dim}")
-        reports.append(eigen)
-    values = sorted({lam for e in reports for lam in e.spectrum()}, key=sort_key)
-    table = {}
-    for eigen in reports:
-        basis = Eigenbasis(algebra, eigen)
-        pairs = eigen.pairs
-        for s in range(len(pairs)):
-            lam, vspace = pairs[s]
-            for t in range(s, len(pairs)):
-                mu, wspace = pairs[t]
-                key = _law_key(lam, mu)
-                cell = set(table.get(key, ()))
-                for xv in vspace.basis:
-                    for yv in wspace.basis:
-                        cell.update(basis.components(algebra.product(xv, yv)))
-                if cell:
-                    table[key] = frozenset(cell)
+        values.update(eigen.spectrum())
+        for lam, mu, _x, _y, comps in Eigenbasis(algebra, eigen).products():
+            if comps:
+                table[(lam, mu)] = table.get((lam, mu), frozenset()).union(comps)
     return FusionLaw(values, table, algebra.tag)
-
-
-def _law_key(lam, mu):
-    return (lam, mu) if sort_key(lam) <= sort_key(mu) else (mu, lam)
 
 
 @dataclass

@@ -1,9 +1,13 @@
 """Command-line interface: exit codes, JSON stability, file input."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import axial
 from axial.cli import main
 
 
@@ -42,6 +46,23 @@ class TestExitCodes:
                            "--axes", "X12")
         assert code == 1
 
+    @pytest.mark.parametrize("text", [
+        "dim x\n",
+        "dim 2\nbasis a b\ncocycle th a b: 1\n",
+        "dim 1\nbasis a\nproduct 1 1: 1/0 a\n",
+    ])
+    def test_bad_algebra_file_is_two(self, tmp_path, text):
+        path = tmp_path / "bad.alg"
+        path.write_text(text)
+        src = os.path.dirname(os.path.dirname(axial.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "axial.cli", "jordan",
+                               "--file", str(path)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "line " in proc.stderr
+
 
 class TestJson:
     def test_byte_identical(self, capsys):
@@ -70,6 +91,12 @@ class TestCap:
         doc = json.loads(out)
         assert doc["axes_completed"] is False
         assert doc["group_completed"] is False
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_cap_below_one_is_usage_error(self, capsys, cap):
+        code, _, err = run(capsys, "miyamoto", "--catalog", "I",
+                           "--axes", "Xab", "--law", "FI", f"--cap={cap}")
+        assert code == 2 and "--cap" in err
 
 
 class TestFileAndExport:

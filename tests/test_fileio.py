@@ -3,6 +3,7 @@
 import pytest
 
 from axial import catalog
+from axial.extension import Cocycle
 from axial.fileio import (AlgebraFile, AlgebraFileError, parse_algebra_file,
                           render_algebra_file)
 from axial.scalars import FieldTag, Scalar
@@ -74,6 +75,11 @@ class TestRoundTrip:
         assert render_algebra_file(second) == text
         assert second.laws["FB"] == first.laws["FB"]
         assert second.cocycles["th"] == first.cocycles["th"]
+        # one coordinate per cocycle name: s = 2 cannot be written
+        mat = first.cocycles["th"].mats[0]
+        first.cocycles["th2"] = Cocycle([mat, mat], FieldTag.QQ)
+        with pytest.raises(AlgebraFileError):
+            render_algebra_file(first)
 
     def test_catalog_entries_round_trip(self):
         for name in ("B", "D", "Monster4", "J25"):

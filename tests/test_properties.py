@@ -104,6 +104,8 @@ def run_eigenvalue_lift(count=100, seed=12):
         theta = _rand_theta(rng, entry.algebra.dim)
         rep = extension_axiality(entry.algebra, theta,
                                  entry.axis_sets[axkey], entry.law_for(axkey))
+        cs = cocycle_space(entry.algebra, entry.axis_sets[axkey], entry.law_for(axkey))
+        assert rep.theta_in_z == cs.contains(theta)
         if not rep.axial:
             continue
         for a, lifted in zip(entry.axis_sets[axkey], rep.lifted_axes):
@@ -219,6 +221,8 @@ def run_primitivity_transfer(count=100, seed=16):
         theta = _rand_theta(rng, entry.algebra.dim)
         rep = extension_axiality(entry.algebra, theta,
                                  entry.axis_sets[axkey], law)
+        assert rep.theta_in_z == cocycle_space(entry.algebra, entry.axis_sets[axkey],
+                                               law).contains(theta)
         if not rep.axial or rep.induced_law is None:
             continue
         for a, lifted in zip(entry.axis_sets[axkey], rep.lifted_axes):

@@ -5,8 +5,9 @@ import pytest
 from axial import catalog
 from axial.fusion import monster_law
 from axial.scalars import FieldTag, Scalar
-from axial.spectral import (check_axial_algebra, check_axis, eigen_decompose,
-                            minimal_law)
+from axial.linalg import vec_add
+from axial.spectral import (Eigenbasis, check_axial_algebra, check_axis,
+                            eigen_decompose, minimal_law)
 
 
 def q(n, d=1):
@@ -37,6 +38,16 @@ class TestEigenDecompose:
         assert ed.eigenspace(q(1, 2)).contains_vector(
             (q(1), q(0), q(0), q(-1)))
         assert ed.eigenspace(q(1)).dim == 1
+        # the sparse split sums back to y, one component per eigenspace
+        basis = Eigenbasis(alg, ed)
+        for y in [(q(3), q(-1), q(2, 5), q(7)), alg.basis_element(2),
+                  alg.product(entry.axis_sets["all"][0], (q(1), q(2), q(0), q(-3)))]:
+            comps = basis.components(y)
+            total = alg.zero()
+            for lam, comp in comps.items():
+                assert any(comp) and ed.eigenspace(lam).contains_vector(comp)
+                total = vec_add(total, comp)
+            assert total == y
 
     def test_non_semisimple_detected(self):
         # In the 2-dim nilpotent-part algebra T2, e n1 = n1 and n1^2 = 0:
