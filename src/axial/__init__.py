@@ -6,8 +6,8 @@ groups, and a catalog of benchmark algebras."""
 from .algebra import Algebra, BilinearForm, radical_axial
 from .catalog import CatalogEntry, build, default_params, list_catalog
 from .errors import (AxialError, CatalogError, DimensionMismatchError,
-                     ExtensionError, FieldMismatchError, NotSemisimpleError,
-                     ScalarParseError)
+                     ExtensionError, FieldMismatchError, NotIdempotentError,
+                     NotSemisimpleError, ScalarParseError)
 from .extension import (Cocycle, CocycleSpace, ExtensionReport, aut_action,
                         build_extension, coboundary, coboundary_space,
                         cocycle_space, decompose_by_annihilator,
@@ -28,7 +28,8 @@ __all__ = [
     "Algebra", "BilinearForm", "radical_axial",
     "CatalogEntry", "build", "default_params", "list_catalog",
     "AxialError", "CatalogError", "DimensionMismatchError", "ExtensionError",
-    "FieldMismatchError", "NotSemisimpleError", "ScalarParseError",
+    "FieldMismatchError", "NotIdempotentError", "NotSemisimpleError",
+    "ScalarParseError",
     "Cocycle", "CocycleSpace", "ExtensionReport", "aut_action",
     "build_extension", "coboundary", "coboundary_space", "cocycle_space",
     "decompose_by_annihilator", "extension_axiality", "is_split",

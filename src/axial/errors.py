@@ -17,6 +17,10 @@ class ScalarParseError(AxialError, ValueError):
     """A scalar literal could not be parsed."""
 
 
+class NotIdempotentError(AxialError):
+    """An element required to be idempotent is not."""
+
+
 class NotSemisimpleError(AxialError):
     """An element whose multiplication operator must be diagonalizable is not,
     or its spectrum could not be fully determined inside the base field."""

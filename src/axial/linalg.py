@@ -1,5 +1,8 @@
-"""Exact linear algebra: dense matrices, canonical subspaces, and an
+"""Exact linear algebra: sparse matrices, canonical subspaces, and an
 incremental sparse row reducer for large constraint systems.
+
+A Matrix stores, per row, the column-sorted nonzero (column, Scalar) pairs;
+its dense rows are derived on demand for rendering and entry lookups.
 
 Conventions fixed for reproducibility:
   * reduced row echelon form picks, for each column left to right, the first
@@ -27,20 +30,12 @@ def vec_add(x, y):
     return tuple(a + b for a, b in zip(x, y, strict=True))
 
 
-def vec_sub(x, y):
-    return tuple(a - b for a, b in zip(x, y, strict=True))
-
-
 def vec_neg(x):
     return tuple(-a for a in x)
 
 
 def vec_scale(c, x):
     return tuple(c * a for a in x)
-
-
-def vec_is_zero(x):
-    return all(a.is_zero() for a in x)
 
 
 def sparse_add(acc, k, c):
@@ -62,9 +57,17 @@ def unit_vector(n, j, tag):
 # ---------------------------------------------------------------------------
 
 class Matrix:
-    """Immutable dense matrix of Scalars over a single field."""
+    """Immutable matrix of Scalars over a single field, stored sparsely.
 
-    __slots__ = ("nrows", "ncols", "rows", "tag")
+    The stored form is ``sparse_rows``: for each row, the column-sorted tuple
+    of its nonzero ``(column, Scalar)`` pairs.  It is canonical, so equal
+    matrices have equal sparse rows (equality and hashing use them), and
+    products, applies, sums and row reduction walk only the nonzero entries.
+    The dense ``rows`` (tuples of Scalars) are derived from it on first access
+    and kept; a matrix constructed from dense rows keeps those instead.
+    """
+
+    __slots__ = ("nrows", "ncols", "sparse_rows", "tag", "_rows")
 
     def __init__(self, rows, tag, ncols=None):
         rows = tuple(tuple(r) for r in rows)
@@ -78,21 +81,51 @@ class Matrix:
             for a in r:
                 if a.tag is not tag:
                     raise FieldMismatchError("matrix entry from a different field")
-        object.__setattr__(self, "nrows", len(rows))
+        sparse = tuple(tuple((j, a) for j, a in enumerate(r) if a) for r in rows)
+        self._fill(sparse, ncols, tag, rows)
+
+    def _fill(self, sparse_rows, ncols, tag, rows):
+        object.__setattr__(self, "nrows", len(sparse_rows))
         object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "sparse_rows", sparse_rows)
         object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "_rows", rows)
+
+    @classmethod
+    def _sparse(cls, sparse_rows, ncols, tag):
+        """A matrix from canonical sparse rows (no zero entries, columns
+        increasing), taken as given."""
+        self = object.__new__(cls)
+        self._fill(sparse_rows, ncols, tag, None)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
+    @property
+    def rows(self):
+        """Dense rows, built from the sparse rows on first access."""
+        rows = self._rows
+        if rows is None:
+            zero = Scalar.zero(self.tag)
+            dense = []
+            for r in self.sparse_rows:
+                row = [zero] * self.ncols
+                for j, a in r:
+                    row[j] = a
+                dense.append(tuple(row))
+            rows = tuple(dense)
+            object.__setattr__(self, "_rows", rows)
+        return rows
+
     @classmethod
     def identity(cls, n, tag):
-        return cls(tuple(unit_vector(n, j, tag) for j in range(n)), tag)
+        one = Scalar.one(tag)
+        return cls._sparse(tuple(((j, one),) for j in range(n)), n, tag)
 
     @classmethod
     def zero(cls, nrows, ncols, tag):
-        return cls((vec_zero(ncols, tag),) * nrows, tag, ncols=ncols)
+        return cls._sparse(((),) * nrows, ncols, tag)
 
     @classmethod
     def from_columns(cls, cols, tag, nrows=None):
@@ -100,8 +133,16 @@ class Matrix:
             nrows = len(cols[0])
         elif nrows is None:
             raise DimensionMismatchError("empty matrix needs explicit nrows")
-        return cls(tuple(tuple(c[i] for c in cols) for i in range(nrows)),
-                   tag, ncols=len(cols))
+        sparse = [[] for _ in range(nrows)]
+        for j, c in enumerate(cols):
+            if len(c) != nrows:
+                raise DimensionMismatchError("ragged columns")
+            for i, a in enumerate(c):
+                if a.tag is not tag:
+                    raise FieldMismatchError("matrix entry from a different field")
+                if a:
+                    sparse[i].append((j, a))
+        return cls._sparse(tuple(map(tuple, sparse)), len(cols), tag)
 
     def column(self, j):
         return tuple(r[j] for r in self.rows)
@@ -110,28 +151,45 @@ class Matrix:
         return [self.column(j) for j in range(self.ncols)]
 
     def transpose(self):
-        return Matrix(self.columns(), self.tag, ncols=self.nrows)
+        cols = [[] for _ in range(self.ncols)]
+        for i, r in enumerate(self.sparse_rows):
+            for j, a in r:
+                cols[j].append((i, a))
+        return Matrix._sparse(tuple(map(tuple, cols)), self.nrows, self.tag)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.tag is other.tag and self.rows == other.rows and self.ncols == other.ncols
+        return (self.tag is other.tag and self.ncols == other.ncols
+                and self.sparse_rows == other.sparse_rows)
 
     def __hash__(self):
-        return hash((self.rows, self.ncols, self.tag))
+        return hash((self.sparse_rows, self.ncols, self.tag))
 
     def __add__(self, other):
         self._shape_check(other, same=True)
-        return Matrix(tuple(vec_add(a, b) for a, b in zip(self.rows, other.rows)),
-                      self.tag, ncols=self.ncols)
+        return self._plus(other.sparse_rows)
 
     def __sub__(self, other):
         self._shape_check(other, same=True)
-        return Matrix(tuple(vec_sub(a, b) for a, b in zip(self.rows, other.rows)),
-                      self.tag, ncols=self.ncols)
+        return self._plus(tuple((j, -b) for j, b in r) for r in other.sparse_rows)
+
+    def _plus(self, other_rows):
+        out = []
+        for r, s in zip(self.sparse_rows, other_rows):
+            acc = dict(r)
+            for j, b in s:
+                sparse_add(acc, j, b)
+            out.append(tuple(sorted(acc.items())))
+        return Matrix._sparse(tuple(out), self.ncols, self.tag)
 
     def scale(self, c):
-        return Matrix(tuple(vec_scale(c, r) for r in self.rows), self.tag, ncols=self.ncols)
+        if c.tag is not self.tag:
+            raise FieldMismatchError("scalar from a different field")
+        if not c:
+            return Matrix.zero(self.nrows, self.ncols, self.tag)
+        return Matrix._sparse(tuple(tuple((j, c * a) for j, a in r)
+                                    for r in self.sparse_rows), self.ncols, self.tag)
 
     def _shape_check(self, other, same=False):
         if self.tag is not other.tag:
@@ -143,69 +201,63 @@ class Matrix:
         self._shape_check(other)
         if self.ncols != other.nrows:
             raise DimensionMismatchError("inner dimensions differ")
-        zero = Scalar.zero(self.tag)
-        ocols = other.columns()
+        orows = other.sparse_rows
         out = []
-        for r in self.rows:
-            row = []
-            for c in ocols:
-                s = zero
-                for a, b in zip(r, c):
-                    if a and b:
-                        s = s + a * b
-                row.append(s)
-            out.append(tuple(row))
-        return Matrix(tuple(out), self.tag, ncols=other.ncols)
+        for r in self.sparse_rows:
+            acc = {}
+            for k, a in r:
+                for j, b in orows[k]:
+                    v = acc.get(j)
+                    acc[j] = a * b if v is None else v + a * b
+            out.append(tuple(sorted((j, v) for j, v in acc.items() if v)))
+        return Matrix._sparse(tuple(out), other.ncols, self.tag)
 
     def apply(self, x):
         """Matrix-vector product (x a length-ncols tuple)."""
         if len(x) != self.ncols:
             raise DimensionMismatchError("vector length mismatch")
+        sx = {j: b for j, b in enumerate(x) if b}
         zero = Scalar.zero(self.tag)
         out = []
-        for r in self.rows:
-            s = zero
-            for a, b in zip(r, x):
-                if a and b:
-                    s = s + a * b
-            out.append(s)
+        for r in self.sparse_rows:
+            s = None
+            for j, a in r:
+                b = sx.get(j)
+                if b is not None:
+                    s = a * b if s is None else s + a * b
+            out.append(zero if s is None else s)
         return tuple(out)
-
-    def augment(self, other):
-        self._shape_check(other)
-        if self.nrows != other.nrows:
-            raise DimensionMismatchError("row counts differ")
-        return Matrix(tuple(a + b for a, b in zip(self.rows, other.rows)),
-                      self.tag, ncols=self.ncols + other.ncols)
 
     def trace(self):
         if self.nrows != self.ncols:
             raise DimensionMismatchError("trace of a non-square matrix")
         s = Scalar.zero(self.tag)
-        for k in range(self.nrows):
-            s = s + self.rows[k][k]
+        for k, r in enumerate(self.sparse_rows):
+            for j, a in r:
+                if j == k:
+                    s = s + a
         return s
+
+    def _reducer(self):
+        red = RowReducer(self.ncols, self.tag)
+        for r in self.sparse_rows:
+            red.add_row(dict(r))
+        return red
 
     def rref(self):
         """Reduced row echelon form; returns (Matrix, pivot column tuple)."""
-        red = RowReducer(self.ncols, self.tag)
-        for r in self.rows:
-            red.add_row({j: a for j, a in enumerate(r) if a})
+        red = self._reducer()
         pivots = red.pivot_columns()
-        rows = [red.dense_row(p) for p in pivots]
-        while len(rows) < self.nrows:
-            rows.append(vec_zero(self.ncols, self.tag))
-        return Matrix(tuple(rows), self.tag, ncols=self.ncols), tuple(pivots)
+        rows = [tuple(sorted(red.rows[p].items())) for p in pivots]
+        rows += [()] * (self.nrows - len(rows))
+        return Matrix._sparse(tuple(rows), self.ncols, self.tag), tuple(pivots)
 
     def rank(self):
-        return len(self.rref()[1])
+        return self._reducer().rank()
 
     def kernel(self):
         """Null space {x : Mx = 0} as a canonical Subspace."""
-        red = RowReducer(self.ncols, self.tag)
-        for r in self.rows:
-            red.add_row({j: a for j, a in enumerate(r) if a})
-        return Subspace(red.kernel_basis(), self.ncols, self.tag)
+        return Subspace(self._reducer().kernel_basis(), self.ncols, self.tag)
 
     def solve(self, rhs):
         """Solve M x = rhs for a single right-hand-side vector.
@@ -217,8 +269,8 @@ class Matrix:
             raise DimensionMismatchError("rhs length mismatch")
         n = self.ncols
         red = RowReducer(n + 1, self.tag)
-        for r, b in zip(self.rows, rhs):
-            row = {j: a for j, a in enumerate(r) if a}
+        for r, b in zip(self.sparse_rows, rhs):
+            row = dict(r)
             if b:
                 row[n] = b
             red.add_row(row)
@@ -231,17 +283,25 @@ class Matrix:
         return tuple(x), self.kernel()
 
     def inverse(self):
+        """Row-reduce [M | I]; the right halves of the pivot rows are the
+        sparse rows of the inverse."""
         if self.nrows != self.ncols:
             raise DimensionMismatchError("inverse of a non-square matrix")
         n = self.nrows
-        aug = self.augment(Matrix.identity(n, self.tag))
-        r, pivots = aug.rref()
-        if tuple(pivots) != tuple(range(n)):
+        one = Scalar.one(self.tag)
+        red = RowReducer(2 * n, self.tag)
+        for i, r in enumerate(self.sparse_rows):
+            row = dict(r)
+            row[n + i] = one
+            red.add_row(row)
+        if red.pivot_columns() != list(range(n)):
             raise DimensionMismatchError("matrix is singular")
-        return Matrix(tuple(row[n:] for row in r.rows), self.tag, ncols=n)
+        return Matrix._sparse(
+            tuple(tuple(sorted((j - n, a) for j, a in red.rows[p].items() if j >= n))
+                  for p in range(n)), n, self.tag)
 
     def is_zero(self):
-        return all(vec_is_zero(r) for r in self.rows)
+        return not any(self.sparse_rows)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(a) for a in r) for r in self.rows)

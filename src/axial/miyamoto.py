@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AxialError, NotSemisimpleError
+from .errors import AxialError, DimensionMismatchError, NotSemisimpleError
 from .linalg import Matrix, RowReducer, sparse_add
 from .spectral import Eigenbasis, eigen_decompose
 
@@ -17,27 +17,27 @@ class AutMatrix:
     kind: str           # "tau" | "flip" | "external"
     source: tuple = ()  # axis or axis pair the map came from
 
-    def key(self):
-        return self.matrix.rows
-
     def apply(self, x):
         return self.matrix.apply(x)
 
 
 def is_automorphism(algebra, m):
-    """Exact check of multiplicativity on all basis pairs plus invertibility."""
+    """Exact check of invertibility plus m(b_i b_j) = m(b_i) m(b_j) on every
+    basis pair i <= j, on the sparse columns of m."""
     if m.nrows != algebra.dim or m.ncols != algebra.dim:
         return False
     try:
         m.inverse()
-    except Exception:
+    except DimensionMismatchError:  # singular
         return False
-    images = [m.apply(algebra.basis_element(j)) for j in range(algebra.dim)]
+    cols = [dict(c) for c in m.transpose().sparse_rows]
     for i in range(algebra.dim):
         for j in range(i, algebra.dim):
-            lhs = m.apply(algebra.element(algebra.basis_product(i, j)))
-            rhs = algebra.product(images[i], images[j])
-            if lhs != rhs:
+            lhs = {}
+            for k, c in algebra.basis_product(i, j).items():
+                for r, a in cols[k].items():
+                    sparse_add(lhs, r, c * a)
+            if lhs != algebra.product_sparse(cols[i], cols[j]):
                 return False
     return True
 
@@ -93,8 +93,8 @@ def group_closure(generators, cap=200):
     for g in generators:
         gens.append(g.matrix)
         gens.append(g.matrix.inverse())
-    seen = {ident.rows: AutMatrix(ident, "external")}
-    order_list = [seen[ident.rows]]
+    seen = {ident.sparse_rows: AutMatrix(ident, "external")}
+    order_list = [seen[ident.sparse_rows]]
     frontier = [ident]
     completed = True
     while frontier:
@@ -102,7 +102,7 @@ def group_closure(generators, cap=200):
         for m in frontier:
             for g in gens:
                 prod = m * g
-                if prod.rows in seen:
+                if prod.sparse_rows in seen:
                     continue
                 if len(seen) >= cap:
                     completed = False
@@ -110,7 +110,7 @@ def group_closure(generators, cap=200):
                     frontier = []
                     break
                 am = AutMatrix(prod, "external")
-                seen[prod.rows] = am
+                seen[prod.sparse_rows] = am
                 order_list.append(am)
                 nxt.append(prod)
             else:

@@ -120,7 +120,7 @@ class Scalar:
         return Scalar._make(self.re, -self.im, self.tag)
 
     def is_zero(self):
-        return self.re == 0 and self.im == 0
+        return not (self.re or self.im)
 
     def is_one(self):
         return self.re == 1 and self.im == 0
@@ -129,7 +129,7 @@ class Scalar:
         return self.im == 0
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self.re or self.im)
 
     def __eq__(self, other):
         if not isinstance(other, Scalar):

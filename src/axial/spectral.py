@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, NotIdempotentError, NotSemisimpleError
 from .fusion import FusionLaw
 from .linalg import Matrix, sparse_add
 from .scalars import FieldTag, Scalar, scalar_sqrt, sort_key
@@ -222,9 +222,8 @@ class Eigenbasis:
         self.pairs = eigen.pairs
         cols = [b for _, space in eigen.pairs for b in space.basis]
         inv = Matrix.from_columns(cols, algebra.tag, nrows=algebra.dim).inverse()
-        sparse = [({j: c for j, c in enumerate(r) if c},
-                   {k: c for k, c in enumerate(v) if c})
-                  for r, v in zip(inv.rows, cols)]
+        sparse = [(dict(r), {k: c for k, c in enumerate(v) if c})
+                  for r, v in zip(inv.sparse_rows, cols)]
         # (eigenvalue, [(sparse inverse row, sparse eigenvector)])
         self.slices = []
         start = 0
@@ -323,9 +322,10 @@ def minimal_law(algebra, axes):
     for a in axes:
         eigen = eigen_decompose(algebra, tuple(a))
         if not algebra.is_idempotent(tuple(a)):
-            raise ValueError(f"minimal_law requires idempotents; got {algebra.render_element(a)}")
+            raise NotIdempotentError(
+                f"minimal_law requires idempotents; got {algebra.render_element(a)}")
         if not eigen.semisimple:
-            raise ValueError(
+            raise NotSemisimpleError(
                 f"minimal_law requires semisimple elements; {algebra.render_element(a)} "
                 f"has eigenspace dimension sum {eigen.total_dim()} < {algebra.dim}")
         values.update(eigen.spectrum())

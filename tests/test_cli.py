@@ -64,6 +64,26 @@ class TestExitCodes:
         assert "line " in proc.stderr
 
 
+    @pytest.mark.parametrize("text, message", [
+        ("dim 2\nbasis a b\nproduct 1 1: 1 a\nproduct 2 2: 1 b\n"
+         "element a2: 2 a\nset S: a2\n", "requires idempotents"),
+        # a*b = a + b: L_a is a Jordan block with eigenvalue 1
+        ("dim 2\nbasis a b\nproduct 1 1: 1 a\nproduct 1 2: 1 a, 1 b\n"
+         "set S: a\n", "requires semisimple"),
+    ])
+    def test_fusion_min_non_axis_is_two(self, tmp_path, text, message):
+        path = tmp_path / "s.alg"
+        path.write_text(text)
+        src = os.path.dirname(os.path.dirname(axial.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "axial.cli", "fusion-min",
+                               "--file", str(path), "--axes", "S"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert message in proc.stderr
+
+
 class TestJson:
     def test_byte_identical(self, capsys):
         args = ("cocycles", "--catalog", "Monster4", "--axes", "X01",
@@ -124,6 +144,18 @@ class TestFileAndExport:
 class TestReproduce:
     def test_unknown_bundle(self, capsys):
         assert run(capsys, "reproduce", "nope")[0] == 2
+
+    def test_default_bundles_match_reference(self, capsys):
+        # the frozen answers of the benchmark's paper-suite workload
+        path = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                            "bench", "reference", "paper-suite.json")
+        with open(path) as fh:
+            reference = json.load(fh)
+        assert len(reference) == 7
+        for bundle, expected in reference.items():
+            code, out, _ = run(capsys, "reproduce", bundle, "--json")
+            assert code == 0
+            assert json.loads(out) == expected, bundle
 
     def test_table3_passes(self, capsys):
         code, out, _ = run(capsys, "reproduce", "table3")

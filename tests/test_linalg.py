@@ -1,9 +1,11 @@
 """Exact row reduction, kernels, inverses, and subspace arithmetic."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
+from axial.errors import DimensionMismatchError
 from axial.linalg import Matrix, RowReducer, Subspace
 from axial.scalars import FieldTag, Scalar
 
@@ -102,3 +104,132 @@ class TestSubspace:
             rank = sum(1 for r in rows if red.add_row(
                 {j: c for j, c in enumerate(r) if c}))
             assert rank + ker.dim == n
+
+
+# ---------------------------------------------------------------------------
+# sparse Matrix against naive dense references
+
+def _entry(rng, tag):
+    """A small entry that is zero about half the time, so rows vanish and
+    products cancel."""
+    if rng.random() < 0.5:
+        return Scalar.zero(tag)
+    re = Fraction(rng.choice([-2, -1, 1, 2]), rng.choice([1, 1, 3]))
+    im = rng.choice([0, 0, -1, 1]) if tag is FieldTag.QI else 0
+    return Scalar(re, im, tag)
+
+
+def _dense(rng, nrows, ncols, tag):
+    rows = [[_entry(rng, tag) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows and rng.random() < 0.5:
+        rows[rng.randrange(nrows)] = [Scalar.zero(tag)] * ncols
+    return rows
+
+
+def _naive_mul(a, b, tag):
+    zero = Scalar.zero(tag)
+    out = []
+    for i in range(len(a)):
+        row = []
+        for j in range(len(b[0])):
+            s = zero
+            for k in range(len(b)):
+                s = s + a[i][k] * b[k][j]
+            row.append(s)
+        out.append(row)
+    return out
+
+
+def _naive_rref(rows, ncols, tag):
+    """Dense Gauss-Jordan elimination; returns (nonzero rows, pivots)."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        p = next((i for i in range(r, len(rows)) if not rows[i][c].is_zero()), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [inv * x for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
+
+
+@pytest.mark.parametrize("tag", [FieldTag.QQ, FieldTag.QI])
+def test_sparse_matrix_matches_dense_reference(tag):
+    rng = random.Random(31 if tag is FieldTag.QQ else 37)
+    zero, one = Scalar.zero(tag), Scalar.one(tag)
+    singular = 0
+    for _ in range(60):
+        n, k, m = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a, b, c = _dense(rng, n, k, tag), _dense(rng, k, m, tag), _dense(rng, n, k, tag)
+        ma, mb, mc = Matrix(a, tag), Matrix(b, tag), Matrix(c, tag)
+        assert (ma * mb).rows == tuple(map(tuple, _naive_mul(a, b, tag)))
+        x = tuple(_entry(rng, tag) for _ in range(k))
+        assert ma.apply(x) == tuple(r[0] for r in _naive_mul(a, [[v] for v in x], tag))
+        assert (ma + mc).rows == tuple(tuple(u + v for u, v in zip(r, s))
+                                       for r, s in zip(a, c))
+        assert (ma - mc).rows == tuple(tuple(u - v for u, v in zip(r, s))
+                                       for r, s in zip(a, c))
+        assert (ma - ma).is_zero() and (ma - ma) == Matrix.zero(n, k, tag)
+        s = _entry(rng, tag)
+        assert ma.scale(s).rows == tuple(tuple(s * v for v in r) for r in a)
+        # rref and kernel
+        red, pivots = _naive_rref(a, k, tag)
+        r, piv = ma.rref()
+        assert piv == tuple(pivots)
+        assert r.rows == tuple(map(tuple, red)) + ((zero,) * k,) * (n - len(red))
+        ker = []
+        for f in (j for j in range(k) if j not in pivots):
+            v = [zero] * k
+            v[f] = one
+            for row, p in zip(red, pivots):
+                v[p] = -row[f]
+            ker.append(tuple(v))
+        assert ma.kernel() == Subspace(ker, k, tag)
+        assert ma.kernel().dim == len(ker)
+        # inverse of a square sample
+        sq = _dense(rng, n, n, tag)
+        msq = Matrix(sq, tag)
+        red, pivots = _naive_rref([r + [one if i == j else zero for j in range(n)]
+                                   for i, r in enumerate(sq)], 2 * n, tag)
+        if pivots[:n] != list(range(n)):
+            singular += 1
+            with pytest.raises(DimensionMismatchError):
+                msq.inverse()
+            continue
+        inv = msq.inverse()
+        assert inv.rows == tuple(tuple(r[n:]) for r in red)
+        assert msq * inv == Matrix.identity(n, tag) == inv * msq
+    assert 0 < singular < 60
+
+
+@pytest.mark.parametrize("tag", [FieldTag.QQ, FieldTag.QI])
+def test_equal_matrices_from_different_routes(tag):
+    rng = random.Random(41)
+    for _ in range(40):
+        n, k = rng.randint(1, 5), rng.randint(1, 5)
+        a = _dense(rng, n, k, tag)
+        ma = Matrix(a, tag)
+        cols = [tuple(r[j] for r in a) for j in range(k)]
+        routes = [
+            Matrix.from_columns(cols, tag, nrows=n),
+            ma.transpose().transpose(),
+            ma * Matrix.identity(k, tag),
+            Matrix.identity(n, tag) * ma,
+            ma + Matrix.zero(n, k, tag),
+            ma.scale(Scalar.one(tag)),
+            (ma + ma) - ma,
+            Matrix(ma.rows, tag, ncols=k),
+        ]
+        for other in routes:
+            assert other == ma and hash(other) == hash(ma)
+            assert other.rows == ma.rows
+        assert Matrix(ma.rref()[0].rows, tag) == ma.rref()[0]
+        assert ma.transpose().rows == tuple(cols)

@@ -26,6 +26,15 @@ class TestTau:
             ident = Matrix.identity(2, FieldTag.QQ)
             assert t.matrix * t.matrix == ident
 
+    def test_rejects_non_multiplicative_and_singular(self):
+        alg = catalog.build("B").algebra
+        ident = Matrix.identity(2, FieldTag.QQ)
+        assert is_automorphism(alg, ident)
+        # invertible, but m(xy) = 2xy while m(x)m(y) = 4xy
+        assert not is_automorphism(alg, ident.scale(q(2)))
+        # the zero map is multiplicative; only invertibility rejects it
+        assert not is_automorphism(alg, Matrix.zero(2, 2, FieldTag.QQ))
+
     def test_b_group_s3(self):
         entry = catalog.build("B")
         t1, t2 = _taus(entry, "X12", "FB")
