@@ -9,7 +9,7 @@ Elements are tuples of Scalars in the fixed basis of the algebra.
 from __future__ import annotations
 
 from .errors import DimensionMismatchError, FieldMismatchError
-from .linalg import Matrix, RowReducer, Subspace, unit_vector, vec_zero
+from .linalg import Matrix, RowReducer, Subspace, sparse_vector, unit_vector, vec_zero
 from .scalars import Scalar
 
 
@@ -73,35 +73,41 @@ class Algebra:
         return out
 
     def product_sparse(self, x, y):
-        """Product of sparse elements (dicts {index: Scalar}) as a sparse dict."""
+        """Product of sparse elements (dicts {index: Scalar} without zero
+        entries) as a sparse dict without zero entries."""
         acc = {}
         for i, a in x.items():
-            if not a:
-                continue
+            row = self._rows[i]
             for j, b in y.items():
-                if not b:
-                    continue
                 ab = a * b
-                for k, c in self._rows[i][j].items():
+                for k, c in row[j].items():
                     v = acc.get(k)
-                    v = v + ab * c if v is not None else ab * c
-                    if v:
-                        acc[k] = v
-                    elif k in acc:
-                        del acc[k]
-        return acc
+                    acc[k] = ab * c if v is None else v + ab * c
+        return {k: v for k, v in acc.items() if v}
 
     def product(self, x, y):
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionMismatchError("element length differs from dimension")
-        sx = {i: a for i, a in enumerate(x) if a}
-        sy = {j: b for j, b in enumerate(y) if b}
+        sx = sparse_vector(x)
+        sy = sparse_vector(y)
         return self.element(self.product_sparse(sx, sy))
 
     def left_mult_matrix(self, x):
-        """Matrix of y -> x*y in the algebra basis (columns are x*basis_j)."""
-        cols = [self.product(x, self.basis_element(j)) for j in range(self.dim)]
-        return Matrix.from_columns(cols, self.tag, nrows=self.dim)
+        """Matrix of y -> x*y in the algebra basis (columns are x*basis_j),
+        accumulated row by row from the nonzero entries of x."""
+        if len(x) != self.dim:
+            raise DimensionMismatchError("element length differs from dimension")
+        rows = [{} for _ in range(self.dim)]
+        for i, a in enumerate(x):
+            if not a:
+                continue
+            for j, entry in enumerate(self._rows[i]):
+                for k, c in entry.items():
+                    v = rows[k].get(j)
+                    rows[k][j] = a * c if v is None else v + a * c
+        return Matrix.from_sparse_rows(
+            tuple(tuple(sorted((j, v) for j, v in r.items() if v)) for r in rows),
+            self.dim, self.tag)
 
     def is_idempotent(self, x):
         return self.product(x, x) == tuple(x)
@@ -128,7 +134,7 @@ class Algebra:
         for s, x in enumerate(basis):
             for y in basis[s:]:
                 p = self.product(x, y)
-                if red.reduce_row({j: a for j, a in enumerate(p) if a}):
+                if red.reduce_row(sparse_vector(p)):
                     return False
         return True
 
@@ -146,7 +152,7 @@ class Algebra:
         layers = [[tuple(g) for g in generators]]
         red = RowReducer(self.dim, self.tag)
         for g in generators:
-            red.add_row({j: a for j, a in enumerate(g) if a})
+            red.add_row(sparse_vector(g))
         m = 1
         while not (red.rank() == self.dim or self._span_is_closed(red)):
             d = len(layers) + 1  # build words of length d
@@ -155,7 +161,7 @@ class Algebra:
                 for x in layers[split - 1]:
                     for y in layers[d - split - 1]:
                         p = self.product(x, y)
-                        if red.add_row({j: a for j, a in enumerate(p) if a}):
+                        if red.add_row(sparse_vector(p)):
                             new_layer.append(p)
             layers.append(new_layer)
             if new_layer:

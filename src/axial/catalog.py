@@ -20,7 +20,7 @@ from .algebra import Algebra, BilinearForm
 from .errors import CatalogError
 from .extension import Cocycle
 from .fusion import C2Grading, FusionLaw, jordan_half_law, monster_law
-from .linalg import Matrix
+from .linalg import Matrix, sparse_vector
 from .scalars import FieldTag, Scalar
 
 QQ = FieldTag.QQ
@@ -576,7 +576,7 @@ def algebra_from_matrix_basis(mats, tag, labels=None):
             sol, _ker = vmat.solve(_flatten(prod))
             if sol is None:
                 raise CatalogError("matrix basis is not closed under the product")
-            entry = {k: c for k, c in enumerate(sol) if c}
+            entry = sparse_vector(sol)
             if entry:
                 products[(i, j)] = entry
     return Algebra(dim, products, tag, labels)
@@ -773,29 +773,28 @@ def _oct_table():
 _OCT_MUL = _oct_table()
 
 
-def oct_mul(x, y):
-    """Product of two octonions given as 8-tuples of rational Scalars."""
-    zero = Scalar.zero(QQ)
-    out = [zero] * 8
-    for q in range(8):
-        a = x[q]
+def _oct_mul_into(acc, x, y):
+    """acc += x*y for octonions x, y given as 8-tuples of rational Scalars;
+    acc is {unit: Scalar} and only products of nonzero entries are added."""
+    for q, a in enumerate(x):
         if not a:
             continue
-        for r in range(8):
-            b = y[r]
+        for r, b in enumerate(y):
             if not b:
                 continue
             ab = a * b
             if q == 0:
-                out[r] = out[r] + ab
+                s = r
             elif r == 0:
-                out[q] = out[q] + ab
+                s = q
             elif q == r:
-                out[0] = out[0] - ab
+                s, ab = 0, -ab
             else:
                 s, sgn = _OCT_MUL[(q, r)]
-                out[s] = out[s] + ab if sgn > 0 else out[s] - ab
-    return tuple(out)
+                if sgn < 0:
+                    ab = -ab
+            v = acc.get(s)
+            acc[s] = ab if v is None else v + ab
 
 
 def oct_conj(x):
@@ -814,15 +813,15 @@ def _oct_unit(q):
 
 def _herm_mul(x, y):
     """Product of 3x3 octonion matrices (3x3 nested tuples of octonions)."""
+    zero = Scalar.zero(QQ)
     out = []
     for i in range(3):
         row = []
         for j in range(3):
-            acc = list(_oct_zero())
+            acc = {}
             for k in range(3):
-                p = oct_mul(x[i][k], y[k][j])
-                acc = [a + b for a, b in zip(acc, p)]
-            row.append(tuple(acc))
+                _oct_mul_into(acc, x[i][k], y[k][j])
+            row.append(tuple(acc.get(q, zero) for q in range(8)))
         out.append(tuple(row))
     return tuple(out)
 
@@ -878,7 +877,7 @@ def _build_albert():
                               for x, y in zip(rx, ry))
                         for rx, ry in zip(p, q))
             coords = _herm_coords(sym, pairs)
-            entry = {k: c for k, c in enumerate(coords) if c}
+            entry = sparse_vector(coords)
             if entry:
                 products[(i, j)] = entry
     alg = Algebra(27, products, QQ, tuple(labels))

@@ -22,7 +22,7 @@ from .fileio import AlgebraFileError, parse_algebra_file, render_algebra_file, A
 from .fusion import find_c2_gradings, jordan_half_law, law_contains, monster_law
 from .miyamoto import axis_closure, group_closure, tau_automorphism
 from .scalars import FieldTag, Scalar, parse_scalar, render_scalar, sort_key
-from .spectral import check_axial_algebra, eigen_decompose, minimal_law
+from .spectral import check_axial_algebra, eigen_decompose, minimal_law, render_violation
 
 
 class UsageError(AxialError):
@@ -135,7 +135,8 @@ def _grading_of(bundle, args, law):
     grads = find_c2_gradings(law)
     if not grads:
         raise UsageError("law admits no C2-grading")
-    return grads[0]
+    # the all-plus grading comes first and makes every tau the identity
+    return next((g for g in grads if g.minus), grads[0])
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +158,13 @@ def _cmd_check_axial(args):
     axes = _axes_of(bundle, args)
     law = _law_of(bundle, args)
     cert = check_axial_algebra(bundle.algebra, axes, law)
+    violations = [render_violation(bundle.algebra, v) for v in cert.violations]
     doc = {
         "command": "check-axial", "input": desc, "axes": args.axes,
         "law": args.law, "certified": cert.certified,
         "closure_dim": cert.closure_dim,
         "max_word_length": cert.max_word_length,
-        "violations": [list(map(str, v)) for v in cert.violations],
+        "violations": violations,
         "axes_report": [
             {"idempotent": r.idempotent, "semisimple": r.eigen.semisimple,
              "primitive": r.primitive, "is_axis": r.is_axis,
@@ -172,8 +174,8 @@ def _cmd_check_axial(args):
     lines = [f"check-axial {desc} axes={args.axes} law={args.law}",
              f"  certified: {cert.certified}",
              f"  closure dim: {cert.closure_dim} (m = {cert.max_word_length})"]
-    for v in cert.violations:
-        lines.append(f"  violation: {v}")
+    for v in violations:
+        lines.append("  violation: " + " ".join(v))
     _emit(args, doc, lines)
     return 0 if cert.certified else 1
 

@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 from .algebra import Algebra, _sym_index, _unflatten_sym
 from .errors import DimensionMismatchError, ExtensionError, NotSemisimpleError
-from .linalg import Matrix, RowReducer, Subspace, sparse_add, vec_zero
+from .linalg import Matrix, RowReducer, Subspace, sparse_vector, vec_zero
 from .scalars import Scalar
-from .spectral import Eigenbasis, check_axis, eigen_decompose, minimal_law
+from .spectral import (Eigenbasis, check_axis, eigen_decompose, minimal_law,
+                       render_violation)
 
 
 class Cocycle:
@@ -162,54 +163,73 @@ def build_extension(algebra, theta, axes=()):
 # ---------------------------------------------------------------------------
 # constraint rows (one coordinate: unknowns are upper-triangle entries)
 
-def _pair_row(idx, x, y):
-    """Row of theta(x, y) in the symmetric-form unknowns."""
-    row = {}
-    for p, a in enumerate(x):
-        if not a:
-            continue
-        for q, b in enumerate(y):
-            if b:
-                sparse_add(row, idx[(p, q)] if p <= q else idx[(q, p)], a * b)
-    return row
+def _sym_columns(n):
+    """cols[p][q]: the symmetric-form unknown of the pair (p, q), either order."""
+    idx = _sym_index(n)
+    return [[idx[(min(p, q), max(p, q))] for q in range(n)] for p in range(n)]
+
+
+def _add_pair(acc, cols, x, y):
+    """acc += the row of theta(x, y) for sparse x and y; entries that cancel
+    are left in acc as zeros."""
+    for p, a in x.items():
+        colp = cols[p]
+        for q, b in y.items():
+            col = colp[q]
+            v = acc.get(col)
+            acc[col] = a * b if v is None else v + a * b
 
 
 def condition1_rows(algebra, a):
     """Sparse rows enforcing theta(a, k) = 0 for kernel vectors k of L_a."""
-    a = tuple(a)
     ker = algebra.left_mult_matrix(a).kernel()
-    idx = _sym_index(algebra.dim)
-    return [_pair_row(idx, a, k) for k in ker.basis]
+    cols = _sym_columns(algebra.dim)
+    sa = sparse_vector(a)
+    rows = []
+    for k in ker.basis:
+        acc = {}
+        _add_pair(acc, cols, sa, sparse_vector(k))
+        rows.append({col: c for col, c in acc.items() if c})
+    return rows
 
 
 def condition2_rows(algebra, a, law, products):
     """Sparse rows of the eigenspace compatibility condition for axis a.
 
     products is the decomposed eigenvector products of a, as returned by
-    Eigenbasis.products() (or kept on a's AxisReport).  Each (lam, mu, x, y,
-    {nu: z_nu}) with 0 not in lam*mu gives the row of
-    theta(x, y) - sum nu^-1 theta(a, z_nu) = 0; a component outside the law
-    cell lam*mu raises ExtensionError."""
-    a = tuple(a)
-    idx = _sym_index(algebra.dim)
+    Eigenbasis.products() (or kept on a's AxisReport).  For each eigenvalue
+    pair (lam, mu) with 0 not in lam*mu, each (x, y, {nu: z_nu}) gives the
+    row of theta(x, y) - theta(a, sum nu^-1 z_nu) = 0; a component outside
+    the law cell lam*mu raises ExtensionError."""
+    cols = _sym_columns(algebra.dim)
+    sa = sparse_vector(a)
     zero = Scalar.zero(algebra.tag)
     rows = []
-    for lam, mu, xv, yv, comps in products:
+    for lam, mu, nus, items in products:
         cell = law.star(lam, mu)
         if zero in cell:
             continue
-        bad = [nu for nu in comps if nu not in cell]
-        if bad:
-            raise ExtensionError(
-                f"eigenspace product escapes the law cell "
-                f"({lam}, {mu}): components at {bad}")
-        row = _pair_row(idx, xv, yv)
-        for nu, z in comps.items():
-            inv = nu.inverse()
-            for col, c in _pair_row(idx, a, z).items():
-                sparse_add(row, col, -(inv * c))
-        if row:
-            rows.append(row)
+        if not nus <= cell:
+            for _x, _y, comps in items:
+                bad = [nu for nu in comps if nu not in cell]
+                if bad:
+                    raise ExtensionError(
+                        f"eigenspace product escapes the law cell "
+                        f"({lam}, {mu}): components at {bad}")
+        minus_inv = {nu: -nu.inverse() for nu in nus}
+        for xv, yv, comps in items:
+            acc = {}
+            _add_pair(acc, cols, xv, yv)
+            w = {}
+            for nu, z in comps.items():
+                s = minus_inv[nu]
+                for k, c in z.items():
+                    v = w.get(k)
+                    w[k] = s * c if v is None else v + s * c
+            _add_pair(acc, cols, sa, w)
+            row = {col: c for col, c in acc.items() if c}
+            if row:
+                rows.append(row)
     return rows
 
 
@@ -241,21 +261,23 @@ def cocycle_space(algebra, axes, law):
     for a in axes:
         rep = check_axis(algebra, a, law)
         if not rep.is_axis:
+            found = "; ".join(" ".join(render_violation(algebra, v))
+                              for v in rep.violations)
             raise ExtensionError(
-                f"{algebra.render_element(a)} fails the axis check: {rep.violations}")
+                f"{algebra.render_element(a)} fails the axis check: {found}")
         for row in condition1_rows(algebra, a):
-            red.add_row(dict(row))
+            red.add_row(row)
         for row in condition2_rows(algebra, a, law, rep.products):
-            red.add_row(dict(row))
+            red.add_row(row)
     space = Subspace(red.kernel_basis(), idx_len, algebra.tag)
     cob = coboundary_space(algebra)
     inter = space.intersect(cob)
     reps = []
     rep_red = RowReducer(idx_len, algebra.tag)
     for b in inter.basis:
-        rep_red.add_row({j: a for j, a in enumerate(b) if a})
+        rep_red.add_row(sparse_vector(b))
     for b in space.basis:
-        if rep_red.add_row({j: a for j, a in enumerate(b) if a}):
+        if rep_red.add_row(sparse_vector(b)):
             reps.append(b)
     return CocycleSpace(algebra, [tuple(a) for a in axes], law, space, cob,
                         inter, space.dim - inter.dim, reps)
@@ -271,7 +293,7 @@ def normalize_on_axes(algebra, theta, axes):
     # complete axes to a basis with standard vectors on non-pivot coordinates
     red = RowReducer(n, algebra.tag)
     for a in axes:
-        if not red.add_row({j: c for j, c in enumerate(a) if c}):
+        if not red.add_row(sparse_vector(a)):
             raise ExtensionError("normalize_on_axes requires independent axes")
     basis_rows = list(axes)
     for j in range(n):
@@ -320,10 +342,10 @@ def is_split(algebra, theta):
     cob = coboundary_space(algebra)
     red = RowReducer(idx_len, algebra.tag)
     for b in cob.basis:
-        red.add_row({j: a for j, a in enumerate(b) if a})
+        red.add_row(sparse_vector(b))
     independent = True
     for v in theta.vectorize():
-        if not red.add_row({j: a for j, a in enumerate(v) if a}):
+        if not red.add_row(sparse_vector(v)):
             independent = False
             break
     if not independent:
@@ -435,7 +457,7 @@ def decompose_by_annihilator(bigebra, axes=()):
             p = bigebra.product(bigebra.basis_element(comp_idx[a]),
                                 bigebra.basis_element(comp_idx[b]))
             comp, annc = split_coords(p)
-            entry = {k: c for k, c in enumerate(comp) if c}
+            entry = sparse_vector(comp)
             if entry:
                 products[(a, b)] = entry
             if any(annc):

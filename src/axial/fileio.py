@@ -27,6 +27,7 @@ from .algebra import Algebra
 from .errors import AxialError
 from .extension import Cocycle
 from .fusion import FusionLaw
+from .linalg import sparse_vector
 from .scalars import (FieldTag, Scalar, ScalarParseError, parse_scalar,
                       render_scalar, sort_key)
 
@@ -213,7 +214,7 @@ def render_algebra_file(bundle):
             if entry:
                 lines.append(f"product {i+1} {j+1}: {combo(entry)}")
     for name, el in bundle.elements.items():
-        entry = {j: c for j, c in enumerate(el) if c}
+        entry = sparse_vector(el)
         lines.append(f"element {name}: {combo(entry)}")
     for name, members in bundle.sets.items():
         names = []

@@ -49,6 +49,11 @@ def sparse_add(acc, k, c):
         del acc[k]
 
 
+def sparse_vector(x):
+    """The nonzero entries of a dense vector as {index: Scalar}."""
+    return {k: a for k, a in enumerate(x) if a}
+
+
 def unit_vector(n, j, tag):
     z, o = Scalar.zero(tag), Scalar.one(tag)
     return tuple(o if k == j else z for k in range(n))
@@ -92,7 +97,7 @@ class Matrix:
         object.__setattr__(self, "_rows", rows)
 
     @classmethod
-    def _sparse(cls, sparse_rows, ncols, tag):
+    def from_sparse_rows(cls, sparse_rows, ncols, tag):
         """A matrix from canonical sparse rows (no zero entries, columns
         increasing), taken as given."""
         self = object.__new__(cls)
@@ -121,11 +126,11 @@ class Matrix:
     @classmethod
     def identity(cls, n, tag):
         one = Scalar.one(tag)
-        return cls._sparse(tuple(((j, one),) for j in range(n)), n, tag)
+        return cls.from_sparse_rows(tuple(((j, one),) for j in range(n)), n, tag)
 
     @classmethod
     def zero(cls, nrows, ncols, tag):
-        return cls._sparse(((),) * nrows, ncols, tag)
+        return cls.from_sparse_rows(((),) * nrows, ncols, tag)
 
     @classmethod
     def from_columns(cls, cols, tag, nrows=None):
@@ -142,7 +147,7 @@ class Matrix:
                     raise FieldMismatchError("matrix entry from a different field")
                 if a:
                     sparse[i].append((j, a))
-        return cls._sparse(tuple(map(tuple, sparse)), len(cols), tag)
+        return cls.from_sparse_rows(tuple(map(tuple, sparse)), len(cols), tag)
 
     def column(self, j):
         return tuple(r[j] for r in self.rows)
@@ -155,7 +160,7 @@ class Matrix:
         for i, r in enumerate(self.sparse_rows):
             for j, a in r:
                 cols[j].append((i, a))
-        return Matrix._sparse(tuple(map(tuple, cols)), self.nrows, self.tag)
+        return Matrix.from_sparse_rows(tuple(map(tuple, cols)), self.nrows, self.tag)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -181,15 +186,16 @@ class Matrix:
             for j, b in s:
                 sparse_add(acc, j, b)
             out.append(tuple(sorted(acc.items())))
-        return Matrix._sparse(tuple(out), self.ncols, self.tag)
+        return Matrix.from_sparse_rows(tuple(out), self.ncols, self.tag)
 
     def scale(self, c):
         if c.tag is not self.tag:
             raise FieldMismatchError("scalar from a different field")
         if not c:
             return Matrix.zero(self.nrows, self.ncols, self.tag)
-        return Matrix._sparse(tuple(tuple((j, c * a) for j, a in r)
-                                    for r in self.sparse_rows), self.ncols, self.tag)
+        return Matrix.from_sparse_rows(
+            tuple(tuple((j, c * a) for j, a in r) for r in self.sparse_rows),
+            self.ncols, self.tag)
 
     def _shape_check(self, other, same=False):
         if self.tag is not other.tag:
@@ -210,13 +216,13 @@ class Matrix:
                     v = acc.get(j)
                     acc[j] = a * b if v is None else v + a * b
             out.append(tuple(sorted((j, v) for j, v in acc.items() if v)))
-        return Matrix._sparse(tuple(out), other.ncols, self.tag)
+        return Matrix.from_sparse_rows(tuple(out), other.ncols, self.tag)
 
     def apply(self, x):
         """Matrix-vector product (x a length-ncols tuple)."""
         if len(x) != self.ncols:
             raise DimensionMismatchError("vector length mismatch")
-        sx = {j: b for j, b in enumerate(x) if b}
+        sx = sparse_vector(x)
         zero = Scalar.zero(self.tag)
         out = []
         for r in self.sparse_rows:
@@ -250,7 +256,7 @@ class Matrix:
         pivots = red.pivot_columns()
         rows = [tuple(sorted(red.rows[p].items())) for p in pivots]
         rows += [()] * (self.nrows - len(rows))
-        return Matrix._sparse(tuple(rows), self.ncols, self.tag), tuple(pivots)
+        return Matrix.from_sparse_rows(tuple(rows), self.ncols, self.tag), tuple(pivots)
 
     def rank(self):
         return self._reducer().rank()
@@ -280,7 +286,8 @@ class Matrix:
         x = [zero] * n
         for p in red.pivot_columns():
             x[p] = red.rows[p].get(n, zero)
-        return tuple(x), self.kernel()
+        # left of the rhs column the pivot rows are the RREF of M
+        return tuple(x), Subspace(red.kernel_basis(n), n, self.tag)
 
     def inverse(self):
         """Row-reduce [M | I]; the right halves of the pivot rows are the
@@ -296,7 +303,7 @@ class Matrix:
             red.add_row(row)
         if red.pivot_columns() != list(range(n)):
             raise DimensionMismatchError("matrix is singular")
-        return Matrix._sparse(
+        return Matrix.from_sparse_rows(
             tuple(tuple(sorted((j - n, a) for j, a in red.rows[p].items() if j >= n))
                   for p in range(n)), n, self.tag)
 
@@ -386,13 +393,18 @@ class RowReducer:
     def dense_rows(self):
         return [self.dense_row(p) for p in self.pivot_columns()]
 
-    def kernel_basis(self):
-        """RREF-ordered basis of the solution space of (rows)x = 0."""
+    def kernel_basis(self, ncols=None):
+        """RREF-ordered basis of the solution space of (rows)x = 0; with
+        ncols, of the rows cut to their first ncols columns, which must hold
+        every pivot."""
+        ncols = self.ncols if ncols is None else ncols
         zero = Scalar.zero(self.tag)
         one = Scalar.one(self.tag)
         basis = []
         for f in self.free_columns():
-            v = [zero] * self.ncols
+            if f >= ncols:
+                break
+            v = [zero] * ncols
             v[f] = one
             for p, row in self.rows.items():
                 c = row.get(f)
@@ -412,7 +424,7 @@ class Subspace:
         for v in vectors:
             if len(v) != ambient:
                 raise DimensionMismatchError("vector length differs from ambient dimension")
-            red.add_row({j: a for j, a in enumerate(v) if a})
+            red.add_row(sparse_vector(v))
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "basis", tuple(red.dense_rows()))
@@ -442,8 +454,8 @@ class Subspace:
     def contains_vector(self, v):
         red = RowReducer(self.ambient, self.tag)
         for b in self.basis:
-            red.add_row({j: a for j, a in enumerate(b) if a})
-        return not red.reduce_row({j: a for j, a in enumerate(v) if a})
+            red.add_row(sparse_vector(b))
+        return not red.reduce_row(sparse_vector(v))
 
     def contains(self, other):
         return all(self.contains_vector(b) for b in other.basis)

@@ -7,7 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AxialError, DimensionMismatchError, NotSemisimpleError
-from .linalg import Matrix, RowReducer, sparse_add
+from .linalg import Matrix, RowReducer, sparse_add, sparse_vector
+from .scalars import Scalar
 from .spectral import Eigenbasis, eigen_decompose
 
 
@@ -50,18 +51,18 @@ def tau_automorphism(algebra, a, law, grading):
     if not eigen.semisimple:
         raise NotSemisimpleError(
             f"{algebra.render_element(a)} is not semisimple; no eigenspace involution")
-    sign = {lam: grading.sign(lam) for lam, _ in eigen.pairs}
+    negative = {lam for lam, _ in eigen.pairs if grading.sign(lam) < 0}
     basis = Eigenbasis(algebra, eigen)
+    one = Scalar.one(algebra.tag)
     # column j is tau(e_j): the eigencomponents of e_j with their signs
     cols = []
     for j in range(algebra.dim):
         col = {}
-        for lam, comp in basis.components(algebra.basis_element(j)).items():
-            for k, c in enumerate(comp):
-                if c:
-                    sparse_add(col, k, c if sign[lam] > 0 else -c)
-        cols.append(algebra.element(col))
-    m = Matrix.from_columns(cols, algebra.tag, nrows=algebra.dim)
+        for lam, comp in basis.components({j: one}).items():
+            for k, c in comp.items():
+                sparse_add(col, k, -c if lam in negative else c)
+        cols.append(tuple(sorted(col.items())))
+    m = Matrix.from_sparse_rows(tuple(cols), algebra.dim, algebra.tag).transpose()
     if not is_automorphism(algebra, m):
         raise AxialError(
             "eigenspace sign map is not an automorphism (grading incompatible "
@@ -173,7 +174,7 @@ def find_flip(algebra, a1, a2):
     kept = []  # (word vector, mirrored vector)
     layers = [[(a1, a2), (a2, a1)]]
     for w, mw in layers[0]:
-        if red.add_row({j: c for j, c in enumerate(w) if c}):
+        if red.add_row(sparse_vector(w)):
             kept.append((w, mw))
     while red.rank() < algebra.dim:
         d = len(layers) + 1
@@ -183,7 +184,7 @@ def find_flip(algebra, a1, a2):
                 for y, my in layers[d - split - 1]:
                     p = algebra.product(x, y)
                     mp = algebra.product(mx, my)
-                    if red.add_row({j: c for j, c in enumerate(p) if c}):
+                    if red.add_row(sparse_vector(p)):
                         new_layer.append((p, mp))
                         kept.append((p, mp))
         layers.append(new_layer)

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 from .errors import DimensionMismatchError, NotIdempotentError, NotSemisimpleError
 from .fusion import FusionLaw
-from .linalg import Matrix, sparse_add
-from .scalars import FieldTag, Scalar, scalar_sqrt, sort_key
+from .linalg import Matrix, sparse_vector
+from .scalars import FieldTag, Scalar, render_scalar, scalar_sqrt, sort_key
 
 try:
     from gmpy2 import mpq as Rat
@@ -211,54 +211,65 @@ def eigen_decompose(algebra, x, hints=()):
 class Eigenbasis:
     """The one analysis of a semisimple element x (an axis) that the axis
     check, the minimal law, the cocycle condition (2) and the Miyamoto map
-    share.  It is built from x's EigenData and keeps the concatenated
-    eigenbasis and the rows of its inverse as sparse vectors, so splitting an
-    element into eigencomponents touches only their nonzero entries."""
+    share.  It is built from x's EigenData and keeps the eigenbasis and the
+    columns of its inverse as sparse vectors ({index: Scalar}, no zero
+    entries), so products and splits touch only nonzero entries."""
 
     def __init__(self, algebra, eigen):
         if not eigen.semisimple:
             raise DimensionMismatchError("eigenbasis of a non-semisimple element")
         self.algebra = algebra
-        self.pairs = eigen.pairs
         cols = [b for _, space in eigen.pairs for b in space.basis]
         inv = Matrix.from_columns(cols, algebra.tag, nrows=algebra.dim).inverse()
-        sparse = [(dict(r), {k: c for k, c in enumerate(v) if c})
-                  for r, v in zip(inv.sparse_rows, cols)]
-        # (eigenvalue, [(sparse inverse row, sparse eigenvector)])
-        self.slices = []
-        start = 0
-        for lam, space in eigen.pairs:
-            self.slices.append((lam, sparse[start:start + space.dim]))
-            start += space.dim
+        # column j of the inverse, {eigenbasis position: entry}: the
+        # eigenbasis coordinates of y sum these over the nonzero y_j
+        self.inverse_columns = [dict(c) for c in inv.transpose().sparse_rows]
+        self.vectors = [sparse_vector(v) for v in cols]  # by position
+        self.owner = []   # position -> index of its eigenvalue in slices
+        self.slices = []  # (eigenvalue, its sparse eigenvectors)
+        for t, (lam, space) in enumerate(eigen.pairs):
+            start = len(self.owner)
+            self.owner.extend([t] * space.dim)
+            self.slices.append((lam, self.vectors[start:len(self.owner)]))
 
     def components(self, y):
-        """Decompose y; returns {eigenvalue: component element} with zero
-        components omitted, in eigenvalue order."""
+        """Split the sparse element y; returns {eigenvalue: sparse component}
+        with zero components omitted, in eigenvalue order."""
+        coords = {}
+        for j, b in y.items():
+            for r, a in self.inverse_columns[j].items():
+                v = coords.get(r)
+                coords[r] = a * b if v is None else v + a * b
+        accs = {}  # filled in eigenvalue order: owner grows with the position
+        for r in sorted(coords):
+            c = coords[r]
+            if not c:
+                continue
+            acc = accs.setdefault(self.owner[r], {})
+            for k, b in self.vectors[r].items():
+                v = acc.get(k)
+                acc[k] = c * b if v is None else v + c * b
         out = {}
-        for lam, rows in self.slices:
-            comp = {}
-            for row, vec in rows:
-                c = None
-                for j, a in row.items():
-                    if y[j]:
-                        c = c + a * y[j] if c is not None else a * y[j]
-                if c:
-                    for k, b in vec.items():
-                        sparse_add(comp, k, c * b)
+        for t, acc in accs.items():
+            comp = {k: v for k, v in acc.items() if v}
             if comp:
-                out[lam] = self.algebra.element(comp)
+                out[self.slices[t][0]] = comp
         return out
 
     def products(self):
-        """[(lam, mu, x, y, components of xy)] for every pair of eigenbasis
-        vectors x of lam and y of mu with lam <= mu in eigenvalue order."""
+        """[(lam, mu, nus, [(x, y, components of xy)])]: one entry per
+        eigenvalue pair lam <= mu in eigenvalue order, listing every pair of
+        sparse eigenvectors x of lam and y of mu; nus is the frozenset of
+        eigenvalues occurring in those components."""
+        product = self.algebra.product_sparse
         out = []
-        for s, (lam, vspace) in enumerate(self.pairs):
-            for mu, wspace in self.pairs[s:]:
-                for x in vspace.basis:
-                    for y in wspace.basis:
-                        out.append((lam, mu, x, y,
-                                    self.components(self.algebra.product(x, y))))
+        for s, (lam, xs) in enumerate(self.slices):
+            for mu, ys in self.slices[s:]:
+                items = [(x, y, self.components(product(x, y))) for x in xs for y in ys]
+                nus = set()
+                for _x, _y, comps in items:
+                    nus.update(comps)  # reuses the dicts' stored hashes
+                out.append((lam, mu, frozenset(nus), items))
         return out
 
 
@@ -301,17 +312,36 @@ def check_axis(algebra, a, law):
         a1 = eigen.eigenspace(Scalar.one(algebra.tag))
         primitive = a1 is not None and a1.dim == 1
         products = Eigenbasis(algebra, eigen).products()
-        for lam, mu, xv, yv, comps in products:
-            observed.setdefault((lam, mu), set()).update(comps)
-            if spectrum_ok:
-                allowed = law.star(lam, mu)
+        for lam, mu, nus, items in products:
+            observed[(lam, mu)] = nus
+            if not spectrum_ok:
+                continue
+            allowed = law.star(lam, mu)
+            if nus <= allowed:
+                continue
+            for xv, yv, comps in items:
                 for nu in comps:
                     if nu not in allowed:
                         report_violations.append(
-                            ("fusion_violation", (lam, mu, nu, xv, yv)))
-        observed = {key: frozenset(seen) for key, seen in observed.items()}
+                            ("fusion_violation",
+                             (lam, mu, nu, algebra.element(xv), algebra.element(yv))))
     return AxisReport(a, idem, eigen, spectrum_ok, observed, primitive,
                       report_violations, products)
+
+
+def render_violation(algebra, violation):
+    """A violation tuple as a list of strings: scalars by render_scalar,
+    algebra elements by render_element, other lists and tuples bracketed."""
+    def item(x):
+        if isinstance(x, Scalar):
+            return render_scalar(x)
+        if (isinstance(x, tuple) and len(x) == algebra.dim
+                and all(isinstance(c, Scalar) for c in x)):
+            return algebra.render_element(x)
+        if isinstance(x, (tuple, list)):
+            return "[" + ", ".join(item(c) for c in x) + "]"
+        return str(x)
+    return [item(x) for x in violation]
 
 
 def minimal_law(algebra, axes):
@@ -329,9 +359,9 @@ def minimal_law(algebra, axes):
                 f"minimal_law requires semisimple elements; {algebra.render_element(a)} "
                 f"has eigenspace dimension sum {eigen.total_dim()} < {algebra.dim}")
         values.update(eigen.spectrum())
-        for lam, mu, _x, _y, comps in Eigenbasis(algebra, eigen).products():
-            if comps:
-                table[(lam, mu)] = table.get((lam, mu), frozenset()).union(comps)
+        for lam, mu, nus, _items in Eigenbasis(algebra, eigen).products():
+            if nus:
+                table[(lam, mu)] = table.get((lam, mu), frozenset()).union(nus)
     return FusionLaw(values, table, algebra.tag)
 
 

@@ -102,6 +102,42 @@ class TestJson:
         assert doc["jordan"] is True
 
 
+VIOLATING_FILE = """field QQ
+dim 2
+basis e1 e2
+product 1 1: 1 e1
+product 1 2: -1 e1, -1 e2
+product 2 2: 1 e2
+element a: 2 e1
+set X: e1 a
+law FX: 1 -1
+"""
+
+
+class TestViolations:
+    def test_rendered_without_reprs(self, capsys, tmp_path):
+        # FX leaves the (-1, -1) cell empty, so e1 shows a fusion violation;
+        # 2e1 is not idempotent and has spectrum {-2, 2}
+        path = tmp_path / "v.alg"
+        path.write_text(VIOLATING_FILE)
+        code, out, _ = run(capsys, "check-axial", "--file", str(path),
+                           "--axes", "X", "--law", "FX")
+        assert code == 1 and "Scalar(" not in out
+        assert "violation: e1 fusion_violation [-1, -1, 1, e1 + (2)e2, e1 + (2)e2]" in out
+        assert "violation: (2)e1 not_idempotent (2)e1" in out
+        code, out, _ = run(capsys, "check-axial", "--file", str(path),
+                           "--axes", "X", "--law", "FX", "--json")
+        assert code == 1 and "Scalar(" not in out
+        assert ["(2)e1", "spectrum_outside_law", "[-2, 2]"] in json.loads(out)["violations"]
+        code, out, _ = run(capsys, "check-axial", "--catalog", "D",
+                           "--axes", "X12", "--law", "FD2")
+        assert code == 1 and "Scalar(" not in out
+        assert "violation: e2 spectrum_outside_law [0]" in out
+        code, _, err = run(capsys, "cocycles", "--catalog", "D",
+                           "--axes", "X12", "--law", "FD2")
+        assert code == 2 and "Scalar(" not in err
+
+
 class TestCap:
     def test_cap_exceeded_exit_zero_completed_false(self, capsys):
         code, out, _ = run(capsys, "miyamoto", "--catalog", "I",
@@ -111,6 +147,16 @@ class TestCap:
         doc = json.loads(out)
         assert doc["axes_completed"] is False
         assert doc["group_completed"] is False
+
+    def test_unnamed_grading_flips_something(self, capsys):
+        # J12 names no grading on JordanC; the all-plus grading would make
+        # every tau the identity and the group trivial
+        code, out, _ = run(capsys, "miyamoto", "--catalog", "JordanC",
+                           "--axes", "family", "--law", "J12",
+                           "--cap", "20", "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["group_order"] > 1
 
     @pytest.mark.parametrize("cap", ["0", "-5"])
     def test_cap_below_one_is_usage_error(self, capsys, cap):

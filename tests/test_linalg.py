@@ -233,3 +233,23 @@ def test_equal_matrices_from_different_routes(tag):
             assert other.rows == ma.rows
         assert Matrix(ma.rref()[0].rows, tag) == ma.rref()[0]
         assert ma.transpose().rows == tuple(cols)
+
+
+@pytest.mark.parametrize("tag", [FieldTag.QQ, FieldTag.QI])
+def test_solve_kernel_is_the_kernel(tag):
+    rng = random.Random(43 if tag is FieldTag.QQ else 47)
+    inconsistent = 0
+    for _ in range(60):
+        n, k = rng.randint(1, 5), rng.randint(1, 5)
+        m = Matrix(_dense(rng, n, k, tag), tag)
+        x0 = tuple(_entry(rng, tag) for _ in range(k))
+        sol, ker = m.solve(m.apply(x0))
+        assert ker == m.kernel()
+        assert m.apply(sol) == m.apply(x0)
+        rhs = tuple(_entry(rng, tag) for _ in range(n))
+        sol, extra = m.solve(rhs)
+        if sol is None:
+            inconsistent += 1
+        else:
+            assert extra == m.kernel() and m.apply(sol) == rhs
+    assert inconsistent > 0

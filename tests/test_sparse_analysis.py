@@ -1,0 +1,137 @@
+"""The sparse per-axis analysis against a naive dense reference: eigenvector
+products split with Matrix.apply by the eigenbasis inverse, dense constraint
+rows, and the Miyamoto map as the signed sum of dense eigencomponents."""
+
+import pytest
+
+from axial import catalog
+from axial.algebra import _sym_index
+from axial.extension import condition1_rows, condition2_rows
+from axial.fusion import find_c2_gradings
+from axial.linalg import Matrix, vec_add, vec_neg, vec_scale
+from axial.miyamoto import tau_automorphism
+from axial.scalars import FieldTag, Scalar
+from axial.spectral import Eigenbasis, eigen_decompose
+
+CASES = [("Monster4", {}, "all", "M2half"),
+         ("B", {}, "X12", "FB"),
+         ("JordanC", {"n": 2}, "family", "J12"),
+         ("JordanD", {"n": 4}, "family", "J12")]
+
+
+class DenseReference:
+    """Eigenbasis splitting by a dense apply of the eigenbasis inverse."""
+
+    def __init__(self, algebra, eigen):
+        self.algebra = algebra
+        self.pairs = eigen.pairs
+        cols = [b for _, space in eigen.pairs for b in space.basis]
+        self.inverse = Matrix.from_columns(cols, algebra.tag, nrows=algebra.dim).inverse()
+
+    def split(self, y):
+        coords = iter(self.inverse.apply(y))
+        out = {}
+        for lam, space in self.pairs:
+            comp = self.algebra.zero()
+            for b in space.basis:
+                comp = vec_add(comp, vec_scale(next(coords), b))
+            if any(comp):
+                out[lam] = comp
+        return out
+
+    def products(self):
+        out = []
+        for s, (lam, vspace) in enumerate(self.pairs):
+            for mu, wspace in self.pairs[s:]:
+                for x in vspace.basis:
+                    for y in wspace.basis:
+                        out.append((lam, mu, x, y, self.split(self.algebra.product(x, y))))
+        return out
+
+
+def _dense_pair_row(algebra, x, y):
+    """theta(x, y) as a dense vector in the upper-triangle unknowns."""
+    idx = _sym_index(algebra.dim)
+    row = [Scalar.zero(algebra.tag)] * len(idx)
+    for p, a in enumerate(x):
+        for q, b in enumerate(y):
+            col = idx[(min(p, q), max(p, q))]
+            row[col] = row[col] + a * b
+    return tuple(row)
+
+
+def _densify(algebra, row):
+    zero = Scalar.zero(algebra.tag)
+    return tuple(row.get(j, zero) for j in range(len(_sym_index(algebra.dim))))
+
+
+def _flatten(algebra, products):
+    """The sparse products as dense (lam, mu, x, y, {nu: z}), after checking
+    each pair's nus against its components."""
+    out = []
+    for lam, mu, nus, items in products:
+        assert nus == frozenset(nu for _x, _y, comps in items for nu in comps)
+        for x, y, comps in items:
+            assert all(v for comp in comps.values() for v in comp.values())
+            out.append((lam, mu, algebra.element(x), algebra.element(y),
+                        {nu: algebra.element(z) for nu, z in comps.items()}))
+    return out
+
+
+@pytest.mark.parametrize("name,params,axes,law", CASES)
+def test_products_and_rows_match_dense_reference(name, params, axes, law):
+    entry = catalog.build(name, params)
+    alg, law = entry.algebra, entry.laws[law]
+    zero = Scalar.zero(alg.tag)
+    nrows = 0
+    for a in entry.axis_sets[axes]:
+        eigen = eigen_decompose(alg, a, hints=law.values)
+        products = Eigenbasis(alg, eigen).products()
+        ref = DenseReference(alg, eigen).products()
+        flat = _flatten(alg, products)
+        assert flat == ref
+        assert [list(comps) for *_, comps in flat] == [list(c) for *_, c in ref]
+        # condition (1): theta(a, k) for the kernel basis of L_a
+        ker = alg.left_mult_matrix(a).kernel()
+        assert [_densify(alg, r) for r in condition1_rows(alg, a)] == \
+            [_dense_pair_row(alg, a, k) for k in ker.basis]
+        # condition (2): theta(x, y) - sum nu^-1 theta(a, z_nu), nonzero rows
+        expect = []
+        for lam, mu, x, y, comps in ref:
+            if zero in law.star(lam, mu):
+                continue
+            row = _dense_pair_row(alg, x, y)
+            for nu, z in comps.items():
+                row = vec_add(row, vec_neg(vec_scale(nu.inverse(),
+                                                     _dense_pair_row(alg, a, z))))
+            if any(row):
+                expect.append(row)
+        assert [_densify(alg, r) for r in condition2_rows(alg, a, law, products)] == expect
+        nrows += len(expect)
+    assert nrows > 0
+
+
+@pytest.mark.parametrize("name,params,axes,law", CASES)
+def test_tau_matches_dense_reference(name, params, axes, law):
+    entry = catalog.build(name, params)
+    alg, law = entry.algebra, entry.laws[law]
+    grading = next(g for g in find_c2_gradings(law) if g.minus)
+    for a in entry.axis_sets[axes]:
+        eigen = eigen_decompose(alg, a, hints=law.values)
+        ref = DenseReference(alg, eigen)
+        cols = []
+        for j in range(alg.dim):
+            col = alg.zero()
+            for lam, comp in ref.split(alg.basis_element(j)).items():
+                col = vec_add(col, comp if grading.sign(lam) > 0 else vec_neg(comp))
+            cols.append(col)
+        tau = tau_automorphism(alg, a, law, grading)
+        assert tau.matrix.columns() == cols
+
+
+def test_cases_cover_both_fields_and_kernels():
+    tags = {catalog.build(name, params).algebra.tag for name, params, *_ in CASES}
+    assert tags == {FieldTag.QQ, FieldTag.QI}
+    entry = catalog.build("Monster4")
+    assert any(not entry.algebra.left_mult_matrix(a).kernel().is_zero()
+               for a in entry.axis_sets["all"])

@@ -5,7 +5,7 @@ import pytest
 from axial import catalog
 from axial.fusion import monster_law
 from axial.scalars import FieldTag, Scalar
-from axial.linalg import vec_add
+from axial.linalg import sparse_vector, vec_add
 from axial.spectral import (Eigenbasis, check_axial_algebra, check_axis,
                             eigen_decompose, minimal_law)
 
@@ -42,11 +42,13 @@ class TestEigenDecompose:
         basis = Eigenbasis(alg, ed)
         for y in [(q(3), q(-1), q(2, 5), q(7)), alg.basis_element(2),
                   alg.product(entry.axis_sets["all"][0], (q(1), q(2), q(0), q(-3)))]:
-            comps = basis.components(y)
+            comps = basis.components(sparse_vector(y))
             total = alg.zero()
             for lam, comp in comps.items():
-                assert any(comp) and ed.eigenspace(lam).contains_vector(comp)
-                total = vec_add(total, comp)
+                assert comp and all(comp.values())
+                dense = alg.element(comp)
+                assert ed.eigenspace(lam).contains_vector(dense)
+                total = vec_add(total, dense)
             assert total == y
 
     def test_non_semisimple_detected(self):
