@@ -203,24 +203,47 @@ class Algebra:
     def jordan_check(self):
         """Check the Jordan identity (xy)x^2 = x(yx^2) by full linearization.
 
-        Returns None when the identity holds, else a witness (i, j, k, l) of
-        basis indices where the linearized identity fails.
+        The identity holds iff, for all basis indices i <= j <= k and l,
+
+            sum over (a, bc) in {(i, jk), (j, ik), (k, ij)} of
+                (b_a b_l)(b_b b_c) - b_a (b_l (b_b b_c)) = 0.
+
+        A term whose b_b b_c is zero vanishes, so a triple whose three pair
+        products are all zero is skipped; (b_a b_l)(b_b b_c) is formed only
+        when b_a b_l is nonzero.  Each inner product b_l (b_b b_c) is
+        computed once per call.
+
+        Returns None when the identity holds, else the witness (i, j, k, l)
+        of 0-based basis indices that fails first in the loop order: triples
+        i <= j <= k lexicographically, then l ascending.
         """
         n = self.dim
+        rows = self._rows
+        inner = {}  # (l, b, c) -> b_l (b_b b_c)
         for i in range(n):
             for j in range(i, n):
                 for k in range(j, n):
-                    pij, pik, pjk = self._rows[i][j], self._rows[i][k], self._rows[j][k]
+                    terms = [(a, b, c, rows[b][c])
+                             for a, b, c in ((i, j, k), (j, i, k), (k, i, j)) if rows[b][c]]
+                    if not terms:
+                        continue
                     for l in range(n):
                         acc = {}
-                        for (a, pbc) in ((i, pjk), (j, pik), (k, pij)):
-                            pal = self._rows[a][l]
-                            # (b_a b_l)(b_b b_c)
-                            _acc_add(acc, self.product_sparse(pal, pbc), 1)
-                            # b_a (b_l (b_b b_c))
-                            inner = self.product_sparse({l: Scalar.one(self.tag)}, pbc)
-                            _acc_add(acc, self.product_sparse({a: Scalar.one(self.tag)}, inner), -1)
-                        if acc:
+                        for a, b, c, pbc in terms:
+                            pal = rows[a][l]
+                            if pal:
+                                for m, v in self.product_sparse(pal, pbc).items():
+                                    w = acc.get(m)
+                                    acc[m] = v if w is None else w + v
+                            lbc = inner.get((l, b, c))
+                            if lbc is None:
+                                lbc = inner[(l, b, c)] = _basis_times(rows[l], pbc)
+                            row_a = rows[a]
+                            for m, c_m in lbc.items():
+                                for t, d in row_a[m].items():
+                                    w = acc.get(t)
+                                    acc[t] = -(c_m * d) if w is None else w - c_m * d
+                        if any(acc.values()):
                             return (i, j, k, l)
         return None
 
@@ -261,15 +284,15 @@ class Algebra:
         return f"Algebra(dim={self.dim}, field={self.tag.value})"
 
 
-def _acc_add(acc, sparse, sign):
-    for k, c in sparse.items():
-        v = acc.get(k)
-        d = c if sign > 0 else -c
-        v = v + d if v is not None else d
-        if v:
-            acc[k] = v
-        elif k in acc:
-            del acc[k]
+def _basis_times(row, y):
+    """b * y for a basis element b given by its structure-constant row
+    (row[m] = b b_m) and a sparse y; sparse, without zero entries."""
+    acc = {}
+    for m, c in y.items():
+        for t, d in row[m].items():
+            w = acc.get(t)
+            acc[t] = c * d if w is None else w + c * d
+    return {t: v for t, v in acc.items() if v}
 
 
 def _sym_index(n):

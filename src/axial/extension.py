@@ -180,13 +180,13 @@ def _add_pair(acc, cols, x, y):
             acc[col] = a * b if v is None else v + a * b
 
 
-def condition1_rows(algebra, a):
-    """Sparse rows enforcing theta(a, k) = 0 for kernel vectors k of L_a."""
-    ker = algebra.left_mult_matrix(a).kernel()
+def condition1_rows(algebra, a, kernel):
+    """Sparse rows enforcing theta(a, k) = 0 for the basis vectors k of
+    kernel, which is ker L_a as a Subspace (for an axis, its 0-eigenspace)."""
     cols = _sym_columns(algebra.dim)
     sa = sparse_vector(a)
     rows = []
-    for k in ker.basis:
+    for k in kernel.basis:
         acc = {}
         _add_pair(acc, cols, sa, sparse_vector(k))
         rows.append({col: c for col, c in acc.items() if c})
@@ -258,6 +258,7 @@ def cocycle_space(algebra, axes, law):
     from the products on the report."""
     idx_len = len(_sym_index(algebra.dim))
     red = RowReducer(idx_len, algebra.tag)
+    zero = Scalar.zero(algebra.tag)
     for a in axes:
         rep = check_axis(algebra, a, law)
         if not rep.is_axis:
@@ -265,7 +266,9 @@ def cocycle_space(algebra, axes, law):
                               for v in rep.violations)
             raise ExtensionError(
                 f"{algebra.render_element(a)} fails the axis check: {found}")
-        for row in condition1_rows(algebra, a):
+        # an axis is semisimple, so ker L_a is its 0-eigenspace, if any
+        kernel = rep.eigen.eigenspace(zero) or Subspace.zero_space(algebra.dim, algebra.tag)
+        for row in condition1_rows(algebra, a, kernel):
             red.add_row(row)
         for row in condition2_rows(algebra, a, law, rep.products):
             red.add_row(row)

@@ -481,14 +481,18 @@ class Subspace:
         cols = [list(b) for b in self.basis] + [list(vec_neg(b)) for b in other.basis]
         m = Matrix.from_columns(cols, self.tag, nrows=self.ambient)
         combos = m.kernel()
-        r = len(self.basis)
+        # the first len(self.basis) coordinates of a kernel vector combine
+        # the basis of U into a vector of U cap W
+        sparse_basis = [sparse_vector(b) for b in self.basis]
+        zero = Scalar.zero(self.tag)
         vecs = []
         for c in combos.basis:
-            v = vec_zero(self.ambient, self.tag)
-            for coef, b in zip(c[:r], self.basis):
+            v = {}
+            for coef, b in zip(c, sparse_basis):
                 if coef:
-                    v = vec_add(v, vec_scale(coef, b))
-            vecs.append(v)
+                    for k, a in b.items():
+                        sparse_add(v, k, coef * a)
+            vecs.append(tuple(v.get(k, zero) for k in range(self.ambient)))
         return Subspace(vecs, self.ambient, self.tag)
 
     def _compat(self, other):

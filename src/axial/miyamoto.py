@@ -6,7 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AxialError, DimensionMismatchError, NotSemisimpleError
+from .errors import (AxialError, DimensionMismatchError, NotIdempotentError,
+                     NotSemisimpleError)
 from .linalg import Matrix, RowReducer, sparse_add, sparse_vector
 from .scalars import Scalar
 from .spectral import Eigenbasis, eigen_decompose
@@ -45,8 +46,14 @@ def is_automorphism(algebra, m):
 
 def tau_automorphism(algebra, a, law, grading):
     """The involution acting as +1 on plus-graded and -1 on minus-graded
-    eigenspaces of the axis; verified multiplicative before returning."""
+    eigenspaces of the axis; verified multiplicative before returning.
+    Raises NotIdempotentError unless a is a nonzero idempotent, as an axis
+    is; the zero element would otherwise give the identity."""
     a = tuple(a)
+    if not any(a) or not algebra.is_idempotent(a):
+        raise NotIdempotentError(
+            f"{algebra.render_element(a)} is not a nonzero idempotent; "
+            f"no Miyamoto involution")
     eigen = eigen_decompose(algebra, a, hints=law.values)
     if not eigen.semisimple:
         raise NotSemisimpleError(

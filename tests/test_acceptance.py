@@ -41,7 +41,8 @@ def test_criterion_2_no_constraints_iff_zero_not_in_spectrum():
         entry = catalog.build(name)
         for axes in entry.axis_sets.values():
             for a in axes:
-                rows = condition1_rows(entry.algebra, a)
+                rows = condition1_rows(entry.algebra, a,
+                                       entry.algebra.left_mult_matrix(a).kernel())
                 spec = eigen_decompose(entry.algebra, a).spectrum()
                 assert (not rows) == (q(0) not in spec)
 

@@ -83,6 +83,23 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert message in proc.stderr
 
+    def test_miyamoto_zero_axis_is_two(self, tmp_path):
+        # the zero element is idempotent but not an axis; its sign map would
+        # be the identity
+        path = tmp_path / "z.alg"
+        path.write_text(
+            "dim 1\nbasis e\nproduct 1 1: 1 e\nelement z: 0 e\nset S: z\n"
+            "law J12: 0 1/2 1\ncell J12 0 0: 0\ncell J12 0 1/2: 1/2\n"
+            "cell J12 1/2 1/2: 0 1\ncell J12 1/2 1: 1/2\n")
+        src = os.path.dirname(os.path.dirname(axial.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "axial.cli", "miyamoto",
+                               "--file", str(path), "--axes", "S", "--law", "J12"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "not a nonzero idempotent" in proc.stderr
+
 
 class TestJson:
     def test_byte_identical(self, capsys):

@@ -26,12 +26,14 @@ class TestCondition1:
         # e1 e2 = 0, so ker L_{e1} = <e2> and the single constraint is
         # theta(e1, e2) = 0, i.e. symmetric coordinate (0,1) vanishes.
         alg = catalog.build("A").algebra
-        rows = condition1_rows(alg, alg.basis_element(0))
+        a = alg.basis_element(0)
+        rows = condition1_rows(alg, a, alg.left_mult_matrix(a).kernel())
         assert rows == [{1: q(1)}]
 
     def test_empty_when_kernel_zero(self):
         alg = catalog.build("B").algebra
-        assert condition1_rows(alg, alg.basis_element(0)) == []
+        a = alg.basis_element(0)
+        assert condition1_rows(alg, a, alg.left_mult_matrix(a).kernel()) == []
 
 
 class TestCocycleSpaceOracles:

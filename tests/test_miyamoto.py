@@ -1,6 +1,10 @@
 """Sign-flip automorphisms, group and axis closures, axis-swap maps."""
 
+import pytest
+
 from axial import catalog
+from axial.errors import NotIdempotentError
+from axial.fusion import find_c2_gradings
 from axial.linalg import Matrix
 from axial.miyamoto import (axis_closure, find_flip, group_closure,
                             is_automorphism, tau_automorphism)
@@ -34,6 +38,18 @@ class TestTau:
         assert not is_automorphism(alg, ident.scale(q(2)))
         # the zero map is multiplicative; only invertibility rejects it
         assert not is_automorphism(alg, Matrix.zero(2, 2, FieldTag.QQ))
+
+    def test_rejects_non_axes(self):
+        # JordanC n=2 under J12 with the grading {0, 1} | {1/2}: the zero
+        # element would give the identity, half the unit -id (not an
+        # automorphism); neither is a nonzero idempotent
+        entry = catalog.build("JordanC", {"n": 2})
+        alg, law = entry.algebra, entry.laws["J12"]
+        grading = next(g for g in find_c2_gradings(law) if g.minus)
+        half_unit = alg.element({0: q(1, 2), 3: q(1, 2)})
+        for x in (alg.zero(), half_unit):
+            with pytest.raises(NotIdempotentError, match="nonzero idempotent"):
+                tau_automorphism(alg, x, law, grading)
 
     def test_b_group_s3(self):
         entry = catalog.build("B")
