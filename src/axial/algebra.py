@@ -3,22 +3,24 @@ invariants needed downstream: annihilator, generated subalgebras and ideals,
 the space of invariant (Frobenius) bilinear forms, and a Jordan-identity
 checker based on full linearization.
 
-Elements are tuples of Scalars in the fixed basis of the algebra.
+Elements are tuples of field elements (see scalars) in the fixed basis of
+the algebra.
 """
 
 from __future__ import annotations
 
 from .errors import DimensionMismatchError, FieldMismatchError
 from .linalg import Matrix, RowReducer, Subspace, sparse_vector, unit_vector, vec_zero
-from .scalars import Scalar
+from .scalars import ONE, ZERO
 
 
 class Algebra:
     """Commutative algebra over QQ or QI with product given by structure
     constants: basis_i * basis_j = sum_k c[i][j][k] basis_k.
 
-    products: dict mapping (i, j) with i <= j to a sparse dict {k: Scalar};
-    missing pairs multiply to zero.
+    products: dict mapping (i, j) with i <= j to a sparse dict {k: element};
+    missing pairs multiply to zero.  Every structure constant must be an
+    element of the field tag.
     """
 
     def __init__(self, dim, products, tag, labels=None):
@@ -28,15 +30,14 @@ class Algebra:
         if len(self.labels) != dim:
             raise DimensionMismatchError("label count differs from dimension")
         rows = [[None] * dim for _ in range(dim)]
+        check = tag.check
         for (i, j), entry in products.items():
             if not (0 <= i < dim and 0 <= j < dim):
                 raise DimensionMismatchError(f"basis index out of range in pair {(i, j)}")
-            entry = {k: c for k, c in entry.items() if c}
-            for k, c in entry.items():
+            entry = {k: c for k, c in entry.items() if check(c)}
+            for k in entry:
                 if not (0 <= k < dim):
                     raise DimensionMismatchError(f"target index {k} out of range")
-                if c.tag is not tag:
-                    raise FieldMismatchError("structure constant from a different field")
             lo, hi = min(i, j), max(i, j)
             if rows[lo][hi] is not None and rows[lo][hi] != entry:
                 raise DimensionMismatchError(
@@ -53,27 +54,26 @@ class Algebra:
     # -- products -----------------------------------------------------------
 
     def basis_product(self, i, j):
-        """Sparse product of two basis elements: dict {k: Scalar}."""
+        """Sparse product of two basis elements: dict {k: element}."""
         return self._rows[i][j]
 
     def basis_element(self, k):
-        return unit_vector(self.dim, k, self.tag)
+        return unit_vector(self.dim, k)
 
     def zero(self):
-        return vec_zero(self.dim, self.tag)
+        return vec_zero(self.dim)
 
     def element(self, coeffs):
-        """Build an element from {index: Scalar} or a full sequence."""
+        """Build an element from {index: element} or a full sequence."""
         if isinstance(coeffs, dict):
-            z = Scalar.zero(self.tag)
-            return tuple(coeffs.get(k, z) for k in range(self.dim))
+            return tuple(coeffs.get(k, ZERO) for k in range(self.dim))
         out = tuple(coeffs)
         if len(out) != self.dim:
             raise DimensionMismatchError("element length differs from dimension")
         return out
 
     def product_sparse(self, x, y):
-        """Product of sparse elements (dicts {index: Scalar} without zero
+        """Product of sparse elements (dicts {index: element} without zero
         entries) as a sparse dict without zero entries."""
         acc = {}
         for i, a in x.items():
@@ -85,22 +85,22 @@ class Algebra:
                     acc[k] = ab * c if v is None else v + ab * c
         return {k: v for k, v in acc.items() if v}
 
-    def product(self, x, y):
-        if len(x) != self.dim or len(y) != self.dim:
+    def _sparse(self, x):
+        """The nonzero entries of the element x as {index: element}, after
+        checking its length and that they lie in the field."""
+        if len(x) != self.dim:
             raise DimensionMismatchError("element length differs from dimension")
-        sx = sparse_vector(x)
-        sy = sparse_vector(y)
-        return self.element(self.product_sparse(sx, sy))
+        check = self.tag.check
+        return {k: a for k, a in enumerate(x) if a and check(a)}
+
+    def product(self, x, y):
+        return self.element(self.product_sparse(self._sparse(x), self._sparse(y)))
 
     def left_mult_matrix(self, x):
         """Matrix of y -> x*y in the algebra basis (columns are x*basis_j),
         accumulated row by row from the nonzero entries of x."""
-        if len(x) != self.dim:
-            raise DimensionMismatchError("element length differs from dimension")
         rows = [{} for _ in range(self.dim)]
-        for i, a in enumerate(x):
-            if not a:
-                continue
+        for i, a in self._sparse(x).items():
             for j, entry in enumerate(self._rows[i]):
                 for k, c in entry.items():
                     v = rows[k].get(j)
@@ -327,7 +327,7 @@ class BilinearForm:
         self.tag = tag
 
     def evaluate(self, x, y):
-        s = Scalar.zero(self.tag)
+        s = ZERO
         for a, row in zip(x, self.gram.rows):
             if not a:
                 continue
@@ -366,8 +366,7 @@ def radical_axial(algebra, axes):
     # solve for a combination with (a, a) = 1 on each axis
     rows = [tuple(f.evaluate(a, a) for f in forms) for a in axes]
     m = Matrix(tuple(rows), algebra.tag, ncols=len(forms))
-    one = Scalar.one(algebra.tag)
-    sol, extra = m.solve(tuple(one for _ in axes))
+    sol, extra = m.solve(tuple(ONE for _ in axes))
     if sol is None:
         raise ValueError("no invariant form takes value 1 on every axis")
     gram = Matrix.zero(algebra.dim, algebra.dim, algebra.tag)

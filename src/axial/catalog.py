@@ -21,14 +21,14 @@ from .errors import CatalogError
 from .extension import Cocycle
 from .fusion import C2Grading, FusionLaw, jordan_half_law, monster_law
 from .linalg import Matrix, sparse_vector
-from .scalars import FieldTag, Scalar
+from .scalars import ONE, ZERO, FieldTag, Rat, Scalar
 
 QQ = FieldTag.QQ
 QI = FieldTag.QI
 
 
-def _q(a, b=1, tag=QQ):
-    return Scalar.rational(a, b, tag)
+def _q(a, b=1):
+    return Rat(a, b)
 
 
 @dataclass
@@ -55,13 +55,12 @@ class CatalogEntry:
 def _mk_law(values, cells, tag=QQ):
     """Law with the convention: full unit row (1*v = {v} for v not in {0, 1},
     1*1 = {1}, 1*0 empty) plus the supplied nonunit cells."""
-    one, zero = Scalar.one(tag), Scalar.zero(tag)
     if len(set(values)) != len(values):
         raise CatalogError("fusion-law values collide at these parameters")
-    table = {(one, one): {one}}
+    table = {(ONE, ONE): {ONE}}
     for v in values:
-        if v != one and v != zero:
-            table[(one, v)] = {v}
+        if v != ONE and v != ZERO:
+            table[(ONE, v)] = {v}
     table.update(cells)
     return FusionLaw(values, table, tag)
 
@@ -69,8 +68,7 @@ def _mk_law(values, cells, tag=QQ):
 def _two_dim(c1, c2, tag=QQ):
     """Two-dimensional commutative algebra: e1*e1 = e1, e2*e2 = e2,
     e1*e2 = c1*e1 + c2*e2."""
-    one = Scalar.one(tag)
-    prods = {(0, 0): {0: one}, (1, 1): {1: one}}
+    prods = {(0, 0): {0: ONE}, (1, 1): {1: ONE}}
     entry = {}
     if c1:
         entry[0] = c1
@@ -88,15 +86,16 @@ def _gram(entries, tag=QQ):
 
 def _theta_e1e2(tag=QQ):
     """The canonical cocycle with value 1 on (e1, e2) and 0 on the diagonal."""
-    return Cocycle.from_entries(2, {(0, 1): Scalar.one(tag)}, tag)
+    return Cocycle.from_entries(2, {(0, 1): ONE}, tag)
 
 
-def _as_scalar(v, tag=QQ):
+def _as_scalar(v):
+    """A rational parameter: a Rat, or an integer coerced to one."""
     if isinstance(v, Scalar):
-        if v.tag is not tag:
-            raise CatalogError("parameter from the wrong field")
+        raise CatalogError("parameter from the wrong field")
+    if isinstance(v, Rat):
         return v
-    return Scalar.rational(v, 1, tag)
+    return Rat(v, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +155,7 @@ def _build_C(alpha):
         raise CatalogError("parameter alpha of family C must avoid 0, 1, -1, 1/2, -1/2")
     alg = _two_dim(alpha, alpha)
     e1, e2 = alg.basis_element(0), alg.basis_element(1)
-    lam = (one + alpha + alpha).inverse()
+    lam = ONE / (one + alpha + alpha)
     a5 = (lam, lam)
     law1 = _mk_law([one, alpha], {(alpha, alpha): {one, alpha}})
     law2 = _mk_law([one, alpha, lam],
@@ -299,7 +298,7 @@ def _build_G(beta):
         axis_laws={"X12": "FG"},
         extension_laws={"X12": ext},
         cocycle=_theta_e1e2(),
-        frobenius=_gram(((two * (one - beta), one), (one, (two * beta).inverse()))),
+        frobenius=_gram(((two * (one - beta), one), (one, ONE / (two * beta)))),
         expected={
             "symmetric": {"X12": False},
             "primitive": {"X12": True},
@@ -312,7 +311,7 @@ def _build_H(gamma):
     one, zero, two = _q(1), _q(0), _q(2)
     if gamma in (zero, one, two):
         raise CatalogError("parameter gamma of family H must avoid 0, 1, 2")
-    v1 = (two * gamma).inverse()   # 1/(2*gamma)
+    v1 = ONE / (two * gamma)   # 1/(2*gamma)
     v2 = gamma / two
     alg = _two_dim(v2, v1)
     e1, e2 = alg.basis_element(0), alg.basis_element(1)
@@ -568,7 +567,7 @@ def algebra_from_matrix_basis(mats, tag, labels=None):
     vmat = Matrix.from_columns(cols, tag, nrows=size * size)
     if vmat.rank() != dim:
         raise CatalogError("matrix basis is linearly dependent")
-    half = Scalar.rational(1, 2, tag)
+    half = Rat(1, 2)
     products = {}
     for i in range(dim):
         for j in range(i, dim):
@@ -583,9 +582,7 @@ def algebra_from_matrix_basis(mats, tag, labels=None):
 
 
 def _unit_matrix(size, i, j, tag):
-    one = Scalar.one(tag)
-    zero = Scalar.zero(tag)
-    return Matrix(tuple(tuple(one if (r, c) == (i, j) else zero for c in range(size))
+    return Matrix(tuple(tuple(ONE if (r, c) == (i, j) else ZERO for c in range(size))
                         for r in range(size)), tag)
 
 
@@ -603,14 +600,13 @@ def _build_jordan_full(n):
             mats.append(_unit_matrix(n, i, j, tag))
             labels.append(f"E{i+1}{j+1}")
     alg = algebra_from_matrix_basis(mats, tag, tuple(labels))
-    one = Scalar.one(tag)
     fam = []
     for i in range(n):
-        fam.append(alg.element({index[(i, i)]: one}))
+        fam.append(alg.element({index[(i, i)]: ONE}))
     for i in range(n):
         for j in range(n):
             if i != j:
-                fam.append(alg.element({index[(i, i)]: one, index[(i, j)]: one}))
+                fam.append(alg.element({index[(i, i)]: ONE, index[(i, j)]: ONE}))
     return CatalogEntry(
         "JordanA", {"n": _q(n)}, alg,
         axis_sets={"family": tuple(fam)},
@@ -637,7 +633,7 @@ def _build_jordan_sym(n):
             mats.append(_unit_matrix(n, i, j, tag) + _unit_matrix(n, j, i, tag))
             labels.append(f"F{i+1}{j+1}")
     alg = algebra_from_matrix_basis(mats, tag, tuple(labels))
-    one, half = Scalar.one(tag), Scalar.rational(1, 2, tag)
+    one, half = ONE, Rat(1, 2)
     fam = [alg.element({index[(i, i)]: one}) for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -680,10 +676,9 @@ def _build_jordan_skew(n):
                         - _unit_matrix(size, n + j, i, tag))
             labels.append(f"L{i+1}{j+1}")
     # defining identity check: J^-1 X^T J = X for every basis matrix
-    zero = Scalar.zero(tag)
-    one = Scalar.one(tag)
+    one = ONE
     jmat = Matrix(tuple(
-        tuple(one if c == r + n else (-one if r == c + n else zero)
+        tuple(one if c == r + n else (-one if r == c + n else ZERO)
               for c in range(size))
         for r in range(size)), tag)
     jinv = jmat.inverse()
@@ -725,27 +720,26 @@ def _build_jordan_form(n):
     if n < 2:
         raise CatalogError("the bilinear-form algebra needs n >= 2")
     tag = QI
-    one = Scalar.one(tag)
     last = n - 1
     prods = {}
     for i in range(n):
         for j in range(i, n):
             entry = {}
             if i == last:
-                entry[j] = entry.get(j, Scalar.zero(tag)) + one
+                entry[j] = entry.get(j, ZERO) + ONE
             if j == last:
-                entry[i] = entry.get(i, Scalar.zero(tag)) + one
+                entry[i] = entry.get(i, ZERO) + ONE
             if i == j:
-                entry[last] = entry.get(last, Scalar.zero(tag)) - one
+                entry[last] = entry.get(last, ZERO) - ONE
             entry = {k: c for k, c in entry.items() if c}
             if entry:
                 prods[(i, j)] = entry
     alg = Algebra(n, prods, tag, tuple(f"e{i+1}" for i in range(n)))
-    half = Scalar.rational(1, 2, tag)
-    imag = Scalar.i(tag)
+    half = Rat(1, 2)
+    imag = Scalar.i()
     fam = [alg.element({i: half * imag, last: half}) for i in range(n - 1)]
     return CatalogEntry(
-        "JordanD", {"n": Scalar.rational(n, 1, tag)}, alg,
+        "JordanD", {"n": Rat(n)}, alg,
         axis_sets={"family": tuple(fam)},
         laws={"J12": jordan_half_law(tag)},
         axis_laws={"family": "J12"},
@@ -774,8 +768,8 @@ _OCT_MUL = _oct_table()
 
 
 def _oct_mul_into(acc, x, y):
-    """acc += x*y for octonions x, y given as 8-tuples of rational Scalars;
-    acc is {unit: Scalar} and only products of nonzero entries are added."""
+    """acc += x*y for octonions x, y given as 8-tuples of rationals; acc is
+    {unit: rational} and only products of nonzero entries are added."""
     for q, a in enumerate(x):
         if not a:
             continue
@@ -802,18 +796,15 @@ def oct_conj(x):
 
 
 def _oct_zero():
-    return (Scalar.zero(QQ),) * 8
+    return (ZERO,) * 8
 
 
 def _oct_unit(q):
-    zero = Scalar.zero(QQ)
-    one = Scalar.one(QQ)
-    return tuple(one if r == q else zero for r in range(8))
+    return tuple(ONE if r == q else ZERO for r in range(8))
 
 
 def _herm_mul(x, y):
     """Product of 3x3 octonion matrices (3x3 nested tuples of octonions)."""
-    zero = Scalar.zero(QQ)
     out = []
     for i in range(3):
         row = []
@@ -821,7 +812,7 @@ def _herm_mul(x, y):
             acc = {}
             for k in range(3):
                 _oct_mul_into(acc, x[i][k], y[k][j])
-            row.append(tuple(acc.get(q, zero) for q in range(8)))
+            row.append(tuple(acc.get(q, ZERO) for q in range(8)))
         out.append(tuple(row))
     return tuple(out)
 
@@ -881,8 +872,7 @@ def _build_albert():
             if entry:
                 products[(i, j)] = entry
     alg = Algebra(27, products, QQ, tuple(labels))
-    one = Scalar.one(QQ)
-    fam = [alg.element({i: one}) for i in range(3)]
+    fam = [alg.element({i: ONE}) for i in range(3)]
     offset = {pair: 3 + 8 * t for t, pair in enumerate(pairs)}
     for pair in pairs:
         i, j = pair
@@ -969,7 +959,7 @@ def build(name, params=None):
             merged[k] = v
     if name in ("S", "J", "T", "JordanA", "JordanB", "JordanC", "JordanD"):
         nval = merged["n"]
-        n = int(nval.re) if isinstance(nval, Scalar) else int(nval)
+        n = int(nval)
         builder = {
             "S": _build_S, "J": _build_J, "T": _build_T,
             "JordanA": _build_jordan_full, "JordanB": _build_jordan_sym,

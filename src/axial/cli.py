@@ -21,7 +21,7 @@ from .extension import (Cocycle, build_extension, cocycle_space,
 from .fileio import AlgebraFileError, parse_algebra_file, render_algebra_file, AlgebraFile
 from .fusion import find_c2_gradings, jordan_half_law, law_contains, monster_law
 from .miyamoto import axis_closure, group_closure, tau_automorphism
-from .scalars import FieldTag, Scalar, parse_scalar, render_scalar, sort_key
+from .scalars import ONE, ZERO, FieldTag, render_scalar, sort_key
 from .spectral import check_axial_algebra, eigen_decompose, minimal_law, render_violation
 
 
@@ -80,7 +80,7 @@ def _load(args):
             try:
                 params[key] = int(val)
             except ValueError:
-                params[key] = parse_scalar(val, FieldTag.QQ)
+                params[key] = FieldTag.QQ.parse(val)
         entry = _catalog.build(args.catalog, params)
         bundle = AlgebraFile(entry.algebra)
         bundle.sets = dict(entry.axis_sets)
@@ -382,7 +382,7 @@ def _cmd_catalog(args):
         for key, members in list(bundle.sets.items()):
             for t, m in enumerate(members):
                 nz = [(j, c) for j, c in enumerate(m) if c]
-                if len(nz) == 1 and nz[0][1].is_one():
+                if len(nz) == 1 and nz[0][1] == ONE:
                     continue
                 named.setdefault(tuple(m), f"{key}_{t+1}")
         bundle.elements = {name: list(vec) for vec, name in named.items()}
@@ -436,11 +436,10 @@ def _bundle_table1():
     d = _catalog.build("D")
     sub, _ = radical_axial(d.algebra, d.axis_sets["X16"])
     checks.append(("D(5) radical = <e2>",
-                   sub.basis == ((Scalar.zero(FieldTag.QQ), Scalar.one(FieldTag.QQ)),)))
+                   sub.basis == ((ZERO, ONE),)))
     i_e = _catalog.build("I")
     sub2, _ = radical_axial(i_e.algebra, i_e.axis_sets["Xab"])
-    one = Scalar.one(FieldTag.QQ)
-    checks.append(("I radical = <e1 - e2>", sub2.basis == ((one, -one),)))
+    checks.append(("I radical = <e1 - e2>", sub2.basis == ((ONE, -ONE),)))
     # Frobenius membership
     from .linalg import Subspace
     for name, params in _two_dim_cases(second_pair=False):
@@ -482,8 +481,7 @@ def _bundle_table3():
                        "theta outside Z", ok))
     for name in ("A", "F"):
         entry = _catalog.build(name)
-        theta = Cocycle.from_entries(2, {(0, 1): Scalar.one(FieldTag.QQ)},
-                                     FieldTag.QQ)
+        theta = Cocycle.from_entries(2, {(0, 1): ONE}, FieldTag.QQ)
         rep = extension_axiality(entry.algebra, theta, entry.axis_sets["X12"],
                                  entry.law_for("X12"))
         checks.append((f"{name} admits no axial 1-dim extension", not rep.axial))

@@ -13,9 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Algebra, _sym_index, _unflatten_sym
-from .errors import DimensionMismatchError, ExtensionError, NotSemisimpleError
+from .errors import (DimensionMismatchError, ExtensionError, FieldMismatchError,
+                     NotSemisimpleError)
 from .linalg import Matrix, RowReducer, Subspace, sparse_vector, vec_zero
-from .scalars import Scalar
+from .scalars import ONE, ZERO
 from .spectral import (Eigenbasis, check_axis, eigen_decompose, minimal_law,
                        render_violation)
 
@@ -28,6 +29,8 @@ class Cocycle:
             raise ExtensionError("a cocycle needs at least one coordinate")
         n = mats[0].nrows
         for m in mats:
+            if m.tag is not tag:
+                raise FieldMismatchError("cocycle coordinate matrix over a different field")
             if m.nrows != n or m.ncols != n:
                 raise DimensionMismatchError("cocycle coordinate matrices must share size")
             if m != m.transpose():
@@ -39,11 +42,10 @@ class Cocycle:
 
     @classmethod
     def from_entries(cls, n, entries, tag, s=1):
-        """entries: {(i, j): Scalar} or {(i, j): tuple of s Scalars}."""
-        zero = Scalar.zero(tag)
-        grids = [[[zero] * n for _ in range(n)] for _ in range(s)]
+        """entries: {(i, j): element} or {(i, j): tuple of s elements}."""
+        grids = [[[ZERO] * n for _ in range(n)] for _ in range(s)]
         for (i, j), val in entries.items():
-            vals = (val,) if isinstance(val, Scalar) else tuple(val)
+            vals = tuple(val) if isinstance(val, (tuple, list)) else (val,)
             if len(vals) != s:
                 raise DimensionMismatchError("entry arity differs from coordinate count")
             for g, v in zip(grids, vals):
@@ -52,10 +54,10 @@ class Cocycle:
         return cls([Matrix(tuple(tuple(r) for r in g), tag) for g in grids], tag)
 
     def evaluate(self, x, y):
-        """theta(x, y) as a tuple of s Scalars."""
+        """theta(x, y) as a tuple of s elements."""
         out = []
         for m in self.mats:
-            acc = Scalar.zero(self.tag)
+            acc = ZERO
             for a, row in zip(x, m.rows):
                 if not a:
                     continue
@@ -97,8 +99,7 @@ def coboundary(algebra, f):
     (rows = values on basis elements): delta f(x, y) = f(xy)."""
     n = algebra.dim
     s = f.ncols
-    zero = Scalar.zero(algebra.tag)
-    grids = [[[zero] * n for _ in range(n)] for _ in range(s)]
+    grids = [[[ZERO] * n for _ in range(n)] for _ in range(s)]
     for i in range(n):
         for j in range(i, n):
             for k, c in algebra.basis_product(i, j).items():
@@ -118,10 +119,9 @@ def coboundary_space(algebra):
     of delta(dual basis functionals)."""
     n = algebra.dim
     idx = _sym_index(n)
-    zero = Scalar.zero(algebra.tag)
     vecs = []
     for k in range(n):
-        v = [zero] * len(idx)
+        v = [ZERO] * len(idx)
         nonzero = False
         for i in range(n):
             for j in range(i, n):
@@ -203,11 +203,10 @@ def condition2_rows(algebra, a, law, products):
     the law cell lam*mu raises ExtensionError."""
     cols = _sym_columns(algebra.dim)
     sa = sparse_vector(a)
-    zero = Scalar.zero(algebra.tag)
     rows = []
     for lam, mu, nus, items in products:
         cell = law.star(lam, mu)
-        if zero in cell:
+        if ZERO in cell:
             continue
         if not nus <= cell:
             for _x, _y, comps in items:
@@ -216,7 +215,7 @@ def condition2_rows(algebra, a, law, products):
                     raise ExtensionError(
                         f"eigenspace product escapes the law cell "
                         f"({lam}, {mu}): components at {bad}")
-        minus_inv = {nu: -nu.inverse() for nu in nus}
+        minus_inv = {nu: -(ONE / nu) for nu in nus}
         for xv, yv, comps in items:
             acc = {}
             _add_pair(acc, cols, xv, yv)
@@ -258,7 +257,6 @@ def cocycle_space(algebra, axes, law):
     from the products on the report."""
     idx_len = len(_sym_index(algebra.dim))
     red = RowReducer(idx_len, algebra.tag)
-    zero = Scalar.zero(algebra.tag)
     for a in axes:
         rep = check_axis(algebra, a, law)
         if not rep.is_axis:
@@ -267,7 +265,7 @@ def cocycle_space(algebra, axes, law):
             raise ExtensionError(
                 f"{algebra.render_element(a)} fails the axis check: {found}")
         # an axis is semisimple, so ker L_a is its 0-eigenspace, if any
-        kernel = rep.eigen.eigenspace(zero) or Subspace.zero_space(algebra.dim, algebra.tag)
+        kernel = rep.eigen.eigenspace(ZERO) or Subspace.zero_space(algebra.dim, algebra.tag)
         for row in condition1_rows(algebra, a, kernel):
             red.add_row(row)
         for row in condition2_rows(algebra, a, law, rep.products):
@@ -300,7 +298,7 @@ def normalize_on_axes(algebra, theta, axes):
             raise ExtensionError("normalize_on_axes requires independent axes")
     basis_rows = list(axes)
     for j in range(n):
-        if red.add_row({j: Scalar.one(algebra.tag)}):
+        if red.add_row({j: ONE}):
             basis_rows.append(tuple(algebra.basis_element(j)))
     bmat = Matrix(tuple(basis_rows), algebra.tag, ncols=n).transpose()
     binv = bmat.inverse()
@@ -310,12 +308,12 @@ def normalize_on_axes(algebra, theta, axes):
         if k < len(axes):
             fvals.append(theta.evaluate(a, a))
         else:
-            fvals.append((Scalar.zero(algebra.tag),) * theta.s)
+            fvals.append((ZERO,) * theta.s)
     # f on the standard basis: f(e_j) = sum_k coords(e_j)_k * f(basis_k)
     frows = []
     for j in range(n):
         coords = binv.apply(algebra.basis_element(j))
-        row = [Scalar.zero(algebra.tag)] * theta.s
+        row = [ZERO] * theta.s
         for c, fv in zip(coords, fvals):
             if c:
                 for g in range(theta.s):
@@ -356,9 +354,7 @@ def is_split(algebra, theta):
     ext, _ = build_extension(algebra, theta)
     ann = ext.annihilator()
     adjoined = Subspace(
-        [tuple(vec_zero(n, algebra.tag)) + tuple(
-            Scalar.one(algebra.tag) if g == h else Scalar.zero(algebra.tag)
-            for h in range(theta.s))
+        [vec_zero(n) + tuple(ONE if g == h else ZERO for h in range(theta.s))
          for g in range(theta.s)],
         n + theta.s, algebra.tag)
     if ann == adjoined:

@@ -10,10 +10,11 @@ A file is a sequence of directives; blank lines and `#` comments are skipped.
     element a4: -1 e1, -1 e2    named element as a combination of basis names
     set X12: e1 e2              named element set; entries are basis or
                                  element names
-    law FB: 1 -1                fusion-law values; the unit row is filled in
-                                 automatically (1*1={1}, 1*v={v} for v not in
-                                 {0,1}, 1*0 empty)
-    cell FB -1 -1: 1            non-unit law cell contents (may be empty)
+    law FB: 1 -1                fusion-law values; when 1 is a value the unit
+                                 row is filled in automatically (1*1={1},
+                                 1*v={v} for v not in {0,1}, 1*0 empty)
+    cell FB -1 -1: 1            law cell contents (may be empty); a cell line
+                                 overrides the filled-in unit row
     cocycle th 1 2: 1           symmetric cocycle entries, 1-based, i <= j
 
 Scalars use the grammar of render_scalar / parse_scalar ('3', '-1/2', '1+2i').
@@ -28,8 +29,7 @@ from .errors import AxialError
 from .extension import Cocycle
 from .fusion import FusionLaw
 from .linalg import sparse_vector
-from .scalars import (FieldTag, Scalar, ScalarParseError, parse_scalar,
-                      render_scalar, sort_key)
+from .scalars import ONE, ZERO, FieldTag, ScalarParseError, render_scalar, sort_key
 
 
 class AlgebraFileError(AxialError):
@@ -63,7 +63,7 @@ def _int(text, where):
 
 def _scalar(text, tag, where):
     try:
-        return parse_scalar(text, tag)
+        return tag.parse(text)
     except ScalarParseError as ex:
         raise AlgebraFileError(f"{where}: {ex}") from None
 
@@ -73,7 +73,7 @@ def _split_combo(text):
 
 
 def _parse_combo(text, labels, tag, where):
-    """'c name, c name, ...' -> dict basis-index -> Scalar."""
+    """'c name, c name, ...' -> dict basis-index -> field element."""
     out = {}
     for part in _split_combo(text):
         bits = part.split()
@@ -83,7 +83,7 @@ def _parse_combo(text, labels, tag, where):
         if bits[1] not in labels:
             raise AlgebraFileError(f"{where}: unknown basis name {bits[1]!r}")
         j = labels.index(bits[1])
-        out[j] = out.get(j, Scalar.zero(tag)) + coeff
+        out[j] = out.get(j, ZERO) + coeff
     return {j: c for j, c in out.items() if c}
 
 
@@ -96,7 +96,8 @@ def parse_algebra_file(text):
     raw_sets = []
     raw_laws = []       # (name, values text)
     raw_cells = []      # (law, a, b, contents)
-    raw_cocycles = {}   # name -> {(i, j): Scalar}
+    raw_cocycles = {}   # name -> {(i, j): field element}
+    declared = set()    # field, dim and basis may each appear once
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -105,6 +106,10 @@ def parse_algebra_file(text):
         where = f"line {lineno}"
         head, _, rest = line.partition(" ")
         rest = rest.strip()
+        if head in ("field", "dim", "basis"):
+            if head in declared:
+                raise AlgebraFileError(f"{where}: repeated {head!r} directive")
+            declared.add(head)
         if head == "field":
             if rest == "QQ":
                 tag = FieldTag.QQ
@@ -171,14 +176,9 @@ def parse_algebra_file(text):
         out.elements[name] = algebra.element(entry)
     for name, members, where in raw_sets:
         out.sets[name] = tuple(out.resolve(m) for m in members)
-    one, zero = Scalar.one(tag), Scalar.zero(tag)
     for name, values, where in raw_laws:
         vals = [_scalar(v, tag, where) for v in values]
-        table = {(one, one): {one}} if one in vals else {}
-        for v in vals:
-            if v != one and v != zero:
-                table[(one, v)] = {v}
-        out.laws[name] = FusionLaw(vals, table, tag)
+        out.laws[name] = _law(vals, _unit_row(vals), tag, where)
     for law_name, a, b, contents, where in raw_cells:
         if law_name not in out.laws:
             raise AlgebraFileError(f"{where}: unknown law {law_name!r}")
@@ -188,10 +188,25 @@ def parse_algebra_file(text):
         table = {k: set(v) for k, v in law.table.items()}
         key = (va, vb) if (va, vb) in table or (vb, va) not in table else (vb, va)
         table[key] = cell
-        out.laws[law_name] = FusionLaw(law.values, table, tag)
+        out.laws[law_name] = _law(law.values, table, tag, where)
     for name, entries in raw_cocycles.items():
         out.cocycles[name] = Cocycle.from_entries(dim, entries, tag)
     return out
+
+
+def _law(values, table, tag, where):
+    try:
+        return FusionLaw(values, table, tag)
+    except AxialError as ex:  # no values, or a cell outside the values
+        raise AlgebraFileError(f"{where}: {ex}") from None
+
+
+def _unit_row(values):
+    """The cells a law line fills in: 1*1 = {1} and 1*v = {v} for v not in
+    {0, 1}, when 1 is a value; none otherwise."""
+    if ONE not in values:
+        return {}
+    return {(ONE, v): {v} for v in values if v != ZERO}
 
 
 def render_algebra_file(bundle):
@@ -226,24 +241,28 @@ def render_algebra_file(bundle):
                     break
             if label is None:
                 nz = [(j, c) for j, c in enumerate(m) if c]
-                if len(nz) == 1 and nz[0][1].is_one():
+                if len(nz) == 1 and nz[0][1] == ONE:
                     label = alg.labels[nz[0][0]]
             if label is None:
                 raise AlgebraFileError(
                     f"set {name!r} member has no name; add an 'element' entry")
             names.append(label)
         lines.append(f"set {name}: " + " ".join(names))
-    one = Scalar.one(alg.tag)
     for name, law in bundle.laws.items():
         vals = sorted(law.values, key=sort_key)
         lines.append(f"law {name}: " + " ".join(render_scalar(v) for v in vals))
-        for (a, b), cell in sorted(law.table.items(),
+        implied = {}  # the filled-in unit row, keyed like law.table
+        for (a, b), cell in _unit_row(law.values).items():
+            implied[(a, b) if sort_key(a) <= sort_key(b) else (b, a)] = cell
+        # an empty cell needs no line unless it overrides the unit row
+        cells = {key: frozenset() for key in implied}
+        cells.update(law.table)
+        for (a, b), cell in sorted(cells.items(),
                                    key=lambda kv: (sort_key(kv[0][0]), sort_key(kv[0][1]))):
-            if a == one:
-                continue  # unit row is implied
+            if a == ONE and cell == implied.get((a, b)):
+                continue  # implied by the law line
             body = " ".join(render_scalar(v) for v in sorted(cell, key=sort_key))
             lines.append(f"cell {name} {render_scalar(a)} {render_scalar(b)}: {body}")
-        # non-unit rows that are empty need no line; absent cells are empty
     for name, th in bundle.cocycles.items():
         mat = th.mats[0]
         for i in range(alg.dim):

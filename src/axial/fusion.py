@@ -6,8 +6,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import AxialError, FieldMismatchError
-from .scalars import FieldTag, Scalar, sort_key
+from .errors import AxialError
+from .scalars import ONE, ZERO, FieldTag, Rat, Scalar, sort_key
 
 
 def _cell_key(lam, mu):
@@ -17,8 +17,10 @@ def _cell_key(lam, mu):
 class FusionLaw:
     """(values, star): star maps unordered value pairs to subsets of values.
 
-    table: {(lam, mu): iterable of Scalars}; missing cells are empty. The
-    table is symmetrized on construction and membership is validated.
+    table: {(lam, mu): iterable of field elements}; missing cells are empty.
+    The table is symmetrized on construction and membership is validated.
+    Without a field tag, the law is over QI when a value has an imaginary
+    part and over QQ otherwise.
     """
 
     def __init__(self, values, table, tag=None):
@@ -26,10 +28,9 @@ class FusionLaw:
         if not values:
             raise AxialError("fusion law needs at least one value")
         if tag is None:
-            tag = values[0].tag
+            tag = FieldTag.QI if any(type(v) is Scalar for v in values) else FieldTag.QQ
         for v in values:
-            if v.tag is not tag:
-                raise FieldMismatchError("fusion-law value from a different field")
+            tag.check(v)
         vset = set(values)
         canon = {}
         for (lam, mu), cell in table.items():
@@ -84,16 +85,15 @@ def augment_with_zero(law, mode="empty_row"):
     mode 'absorbed': new cells involving 0 are {0}.
     A law already containing 0 is returned unchanged.
     """
-    zero = Scalar.zero(law.tag)
-    if law.has_value(zero):
+    if law.has_value(ZERO):
         return law
     if mode not in ("empty_row", "absorbed"):
         raise AxialError(f"unknown augmentation mode {mode!r}")
-    values = law.values + (zero,)
+    values = law.values + (ZERO,)
     table = dict(law.table)
     if mode == "absorbed":
         for v in values:
-            table[_cell_key(zero, v)] = frozenset({zero})
+            table[_cell_key(ZERO, v)] = frozenset({ZERO})
     return FusionLaw(values, table, law.tag)
 
 
@@ -127,20 +127,18 @@ def find_c2_gradings(law, size_cap=16):
     star(F_s, F_t) subset of F_{st}."""
     if len(law.values) > size_cap:
         raise AxialError(f"value set larger than the search cap {size_cap}")
-    one = Scalar.one(law.tag)
-    zero = Scalar.zero(law.tag)
-    rest = [v for v in law.values if v != one]
+    rest = [v for v in law.values if v != ONE]
     out = []
     for r in range(len(rest) + 1):
         for combo in combinations(rest, r):
             minus = frozenset(combo)
             plus = frozenset(v for v in law.values if v not in minus)
-            if one not in plus:
+            if ONE not in plus:
                 continue
             if grading_is_valid(law, plus, minus):
                 sigma0 = None
-                if law.has_value(zero):
-                    sigma0 = 1 if zero in plus else -1
+                if law.has_value(ZERO):
+                    sigma0 = 1 if ZERO in plus else -1
                 out.append(C2Grading(plus, minus, sigma0))
     return out
 
@@ -148,13 +146,9 @@ def find_c2_gradings(law, size_cap=16):
 # ---------------------------------------------------------------------------
 # canonical small laws
 
-def _q(a, b=1, tag=FieldTag.QQ):
-    return Scalar.rational(a, b, tag)
-
-
 def jordan_half_law(tag=FieldTag.QQ):
     """The law on {1, 0, 1/2} obeyed by Jordan-algebra idempotents."""
-    one, zero, half = _q(1, tag=tag), _q(0, tag=tag), _q(1, 2, tag)
+    one, zero, half = ONE, ZERO, Rat(1, 2)
     table = {
         (one, one): {one},
         (one, half): {half},
@@ -169,7 +163,7 @@ def monster_law(tag=FieldTag.QQ):
     """The law on {1, 0, 2, 1/2} of the four-dimensional highly symmetric
     example: 2*2={1,0}, 2*1/2={1/2}, 1/2*1/2={1,0,2}, 0*2={2}, 0*1/2={1/2},
     0*0={0}, plus unit rows."""
-    one, zero, two, half = _q(1, tag=tag), _q(0, tag=tag), _q(2, tag=tag), _q(1, 2, tag)
+    one, zero, two, half = ONE, ZERO, Rat(2), Rat(1, 2)
     table = {
         (one, one): {one},
         (one, two): {two},

@@ -1,8 +1,11 @@
 """Exact linear algebra: sparse matrices, canonical subspaces, and an
 incremental sparse row reducer for large constraint systems.
 
-A Matrix stores, per row, the column-sorted nonzero (column, Scalar) pairs;
-its dense rows are derived on demand for rendering and entry lookups.
+A Matrix stores, per row, the column-sorted nonzero (column, element) pairs;
+its dense rows are derived on demand for rendering and entry lookups.  Field
+elements are bare rationals or Gaussian pairs (see scalars).  Matrix,
+RowReducer and Subspace hold their field tag; a Matrix built from dense rows
+or columns and a Subspace check their entries against it once, when built.
 
 Conventions fixed for reproducibility:
   * reduced row echelon form picks, for each column left to right, the first
@@ -15,15 +18,14 @@ Conventions fixed for reproducibility:
 from __future__ import annotations
 
 from .errors import DimensionMismatchError, FieldMismatchError
-from .scalars import Scalar
+from .scalars import ONE, ZERO
 
 
 # ---------------------------------------------------------------------------
-# vector helpers (vectors are tuples of Scalar)
+# vector helpers (vectors are tuples of field elements)
 
-def vec_zero(n, tag):
-    z = Scalar.zero(tag)
-    return (z,) * n
+def vec_zero(n):
+    return (ZERO,) * n
 
 
 def vec_add(x, y):
@@ -39,7 +41,7 @@ def vec_scale(c, x):
 
 
 def sparse_add(acc, k, c):
-    """acc[k] += c on a sparse vector {index: Scalar}; an entry that cancels
+    """acc[k] += c on a sparse vector {index: element}; an entry that cancels
     is dropped."""
     v = acc.get(k)
     v = v + c if v is not None else c
@@ -50,25 +52,24 @@ def sparse_add(acc, k, c):
 
 
 def sparse_vector(x):
-    """The nonzero entries of a dense vector as {index: Scalar}."""
+    """The nonzero entries of a dense vector as {index: element}."""
     return {k: a for k, a in enumerate(x) if a}
 
 
-def unit_vector(n, j, tag):
-    z, o = Scalar.zero(tag), Scalar.one(tag)
-    return tuple(o if k == j else z for k in range(n))
+def unit_vector(n, j):
+    return tuple(ONE if k == j else ZERO for k in range(n))
 
 
 # ---------------------------------------------------------------------------
 
 class Matrix:
-    """Immutable matrix of Scalars over a single field, stored sparsely.
+    """Immutable matrix over a single field, stored sparsely.
 
     The stored form is ``sparse_rows``: for each row, the column-sorted tuple
-    of its nonzero ``(column, Scalar)`` pairs.  It is canonical, so equal
+    of its nonzero ``(column, element)`` pairs.  It is canonical, so equal
     matrices have equal sparse rows (equality and hashing use them), and
     products, applies, sums and row reduction walk only the nonzero entries.
-    The dense ``rows`` (tuples of Scalars) are derived from it on first access
+    The dense ``rows`` (tuples of elements) are derived from it on first access
     and kept; a matrix constructed from dense rows keeps those instead.
     """
 
@@ -80,12 +81,12 @@ class Matrix:
             ncols = len(rows[0])
         elif ncols is None:
             raise DimensionMismatchError("empty matrix needs explicit ncols")
+        check = tag.check
         for r in rows:
             if len(r) != ncols:
                 raise DimensionMismatchError("ragged rows")
             for a in r:
-                if a.tag is not tag:
-                    raise FieldMismatchError("matrix entry from a different field")
+                check(a)
         sparse = tuple(tuple((j, a) for j, a in enumerate(r) if a) for r in rows)
         self._fill(sparse, ncols, tag, rows)
 
@@ -112,10 +113,9 @@ class Matrix:
         """Dense rows, built from the sparse rows on first access."""
         rows = self._rows
         if rows is None:
-            zero = Scalar.zero(self.tag)
             dense = []
             for r in self.sparse_rows:
-                row = [zero] * self.ncols
+                row = [ZERO] * self.ncols
                 for j, a in r:
                     row[j] = a
                 dense.append(tuple(row))
@@ -125,8 +125,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, n, tag):
-        one = Scalar.one(tag)
-        return cls.from_sparse_rows(tuple(((j, one),) for j in range(n)), n, tag)
+        return cls.from_sparse_rows(tuple(((j, ONE),) for j in range(n)), n, tag)
 
     @classmethod
     def zero(cls, nrows, ncols, tag):
@@ -138,14 +137,13 @@ class Matrix:
             nrows = len(cols[0])
         elif nrows is None:
             raise DimensionMismatchError("empty matrix needs explicit nrows")
+        check = tag.check
         sparse = [[] for _ in range(nrows)]
         for j, c in enumerate(cols):
             if len(c) != nrows:
                 raise DimensionMismatchError("ragged columns")
             for i, a in enumerate(c):
-                if a.tag is not tag:
-                    raise FieldMismatchError("matrix entry from a different field")
-                if a:
+                if check(a):
                     sparse[i].append((j, a))
         return cls.from_sparse_rows(tuple(map(tuple, sparse)), len(cols), tag)
 
@@ -189,9 +187,7 @@ class Matrix:
         return Matrix.from_sparse_rows(tuple(out), self.ncols, self.tag)
 
     def scale(self, c):
-        if c.tag is not self.tag:
-            raise FieldMismatchError("scalar from a different field")
-        if not c:
+        if not self.tag.check(c):
             return Matrix.zero(self.nrows, self.ncols, self.tag)
         return Matrix.from_sparse_rows(
             tuple(tuple((j, c * a) for j, a in r) for r in self.sparse_rows),
@@ -223,7 +219,6 @@ class Matrix:
         if len(x) != self.ncols:
             raise DimensionMismatchError("vector length mismatch")
         sx = sparse_vector(x)
-        zero = Scalar.zero(self.tag)
         out = []
         for r in self.sparse_rows:
             s = None
@@ -231,13 +226,13 @@ class Matrix:
                 b = sx.get(j)
                 if b is not None:
                     s = a * b if s is None else s + a * b
-            out.append(zero if s is None else s)
+            out.append(ZERO if s is None else s)
         return tuple(out)
 
     def trace(self):
         if self.nrows != self.ncols:
             raise DimensionMismatchError("trace of a non-square matrix")
-        s = Scalar.zero(self.tag)
+        s = ZERO
         for k, r in enumerate(self.sparse_rows):
             for j, a in r:
                 if j == k:
@@ -282,10 +277,9 @@ class Matrix:
             red.add_row(row)
         if n in red.pivot_columns():
             return None, red.dense_row(n)
-        zero = Scalar.zero(self.tag)
-        x = [zero] * n
+        x = [ZERO] * n
         for p in red.pivot_columns():
-            x[p] = red.rows[p].get(n, zero)
+            x[p] = red.rows[p].get(n, ZERO)
         # left of the rhs column the pivot rows are the RREF of M
         return tuple(x), Subspace(red.kernel_basis(n), n, self.tag)
 
@@ -295,11 +289,10 @@ class Matrix:
         if self.nrows != self.ncols:
             raise DimensionMismatchError("inverse of a non-square matrix")
         n = self.nrows
-        one = Scalar.one(self.tag)
         red = RowReducer(2 * n, self.tag)
         for i, r in enumerate(self.sparse_rows):
             row = dict(r)
-            row[n + i] = one
+            row[n + i] = ONE
             red.add_row(row)
         if red.pivot_columns() != list(range(n)):
             raise DimensionMismatchError("matrix is singular")
@@ -316,7 +309,7 @@ class Matrix:
 
 
 class RowReducer:
-    """Incrementally maintained RREF over sparse rows (dicts column -> Scalar).
+    """Incrementally maintained RREF over sparse rows (dicts column -> element).
 
     Rows handed to add_row are consumed/copied; the reducer keeps one fully
     reduced unit-pivot row per pivot column.
@@ -358,9 +351,9 @@ class RowReducer:
         if not row:
             return False
         lead = min(row)
-        inv = row[lead].inverse()
+        inv = ONE / row[lead]
         row = {j: inv * a for j, a in row.items()}
-        row[lead] = Scalar.one(self.tag)
+        row[lead] = ONE
         # back-substitute into existing pivot rows
         for p, prow in self.rows.items():
             c = prow.get(lead)
@@ -387,8 +380,7 @@ class RowReducer:
 
     def dense_row(self, pivot):
         row = self.rows[pivot]
-        zero = Scalar.zero(self.tag)
-        return tuple(row.get(j, zero) for j in range(self.ncols))
+        return tuple(row.get(j, ZERO) for j in range(self.ncols))
 
     def dense_rows(self):
         return [self.dense_row(p) for p in self.pivot_columns()]
@@ -398,14 +390,12 @@ class RowReducer:
         ncols, of the rows cut to their first ncols columns, which must hold
         every pivot."""
         ncols = self.ncols if ncols is None else ncols
-        zero = Scalar.zero(self.tag)
-        one = Scalar.one(self.tag)
         basis = []
         for f in self.free_columns():
             if f >= ncols:
                 break
-            v = [zero] * ncols
-            v[f] = one
+            v = [ZERO] * ncols
+            v[f] = ONE
             for p, row in self.rows.items():
                 c = row.get(f)
                 if c is not None:
@@ -421,10 +411,11 @@ class Subspace:
 
     def __init__(self, vectors, ambient, tag):
         red = RowReducer(ambient, tag)
+        check = tag.check
         for v in vectors:
             if len(v) != ambient:
                 raise DimensionMismatchError("vector length differs from ambient dimension")
-            red.add_row(sparse_vector(v))
+            red.add_row({k: a for k, a in enumerate(v) if check(a)})
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "basis", tuple(red.dense_rows()))
@@ -439,7 +430,7 @@ class Subspace:
 
     @classmethod
     def full_space(cls, ambient, tag):
-        return cls(tuple(unit_vector(ambient, j, tag) for j in range(ambient)), ambient, tag)
+        return cls(tuple(unit_vector(ambient, j) for j in range(ambient)), ambient, tag)
 
     @property
     def dim(self):
@@ -484,7 +475,6 @@ class Subspace:
         # the first len(self.basis) coordinates of a kernel vector combine
         # the basis of U into a vector of U cap W
         sparse_basis = [sparse_vector(b) for b in self.basis]
-        zero = Scalar.zero(self.tag)
         vecs = []
         for c in combos.basis:
             v = {}
@@ -492,7 +482,7 @@ class Subspace:
                 if coef:
                     for k, a in b.items():
                         sparse_add(v, k, coef * a)
-            vecs.append(tuple(v.get(k, zero) for k in range(self.ambient)))
+            vecs.append(tuple(v.get(k, ZERO) for k in range(self.ambient)))
         return Subspace(vecs, self.ambient, self.tag)
 
     def _compat(self, other):

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from .errors import (AxialError, DimensionMismatchError, NotIdempotentError,
                      NotSemisimpleError)
 from .linalg import Matrix, RowReducer, sparse_add, sparse_vector
-from .scalars import Scalar
+from .scalars import ONE
 from .spectral import Eigenbasis, eigen_decompose
 
 
@@ -60,12 +60,11 @@ def tau_automorphism(algebra, a, law, grading):
             f"{algebra.render_element(a)} is not semisimple; no eigenspace involution")
     negative = {lam for lam, _ in eigen.pairs if grading.sign(lam) < 0}
     basis = Eigenbasis(algebra, eigen)
-    one = Scalar.one(algebra.tag)
     # column j is tau(e_j): the eigencomponents of e_j with their signs
     cols = []
     for j in range(algebra.dim):
         col = {}
-        for lam, comp in basis.components({j: one}).items():
+        for lam, comp in basis.components({j: ONE}).items():
             for k, c in comp.items():
                 sparse_add(col, k, -c if lam in negative else c)
         cols.append(tuple(sorted(col.items())))

@@ -1,11 +1,17 @@
-"""Exact scalars over the rationals and the Gaussian rationals.
+"""Exact field elements over the rationals and the Gaussian rationals.
 
-Every scalar is a pair of exact rationals (real and imaginary part) together
-with a field tag.  Plain-rational scalars must have zero imaginary part.
-Arithmetic between scalars with different tags raises FieldMismatchError.
+A rational, over either field, is a bare ``Rat``: ``gmpy2.mpq`` when gmpy2
+is importable, ``fractions.Fraction`` otherwise.  A Gaussian rational with a
+nonzero imaginary part is a ``Scalar``, a slotted (re, im) pair of Rats.  Every
+operation returns the canonical form: a result whose imaginary part is zero
+is a bare Rat, so equal elements are equal, hash alike and sort alike without
+special cases.
 
-Rationals are gmpy2.mpq when gmpy2 is importable, fractions.Fraction
-otherwise; both are arbitrary precision and expose numerator/denominator.
+Elements carry no field.  The field is a ``FieldTag`` held once by each
+object built from elements (an algebra, a matrix, a subspace, a fusion law);
+it supplies zero, one, inverse, parse, render, a sort key and the membership
+check, which runs when such an object is built rather than on every
+operation.
 """
 
 from __future__ import annotations
@@ -21,134 +27,154 @@ try:
 except ImportError:  # pragma: no cover - fallback when gmpy2 is absent
     from fractions import Fraction as Rat
 
-_RAT_ZERO = Rat(0)
-_RAT_ONE = Rat(1)
+ZERO = Rat(0)
+ONE = Rat(1)
 
 
 class FieldTag(enum.Enum):
+    """The base field, ℚ or ℚ(i), of the objects that hold it."""
+
     QQ = "rationals"
     QI = "gaussian-rationals"
 
     def __repr__(self):
         return f"FieldTag.{self.name}"
 
+    @property
+    def zero(self):
+        return ZERO
+
+    @property
+    def one(self):
+        return ONE
+
+    def check(self, x):
+        """x itself when it is an element of this field in canonical form,
+        else FieldMismatchError."""
+        t = type(x)
+        if t is Rat or (t is Scalar and self is FieldTag.QI and x.im):
+            return x
+        raise FieldMismatchError(
+            f"{x!r} ({t.__name__}) is not an element of the {self.value}")
+
+    def inverse(self, x):
+        return ONE / x
+
+    def parse(self, text):
+        return parse_scalar(text, self)
+
+    def render(self, x):
+        return render_scalar(x)
+
+    def sort_key(self, x):
+        return sort_key(x)
+
 
 class Scalar:
-    """Immutable exact scalar: re + im*i over the field named by tag."""
+    """A Gaussian rational re + im*i with im != 0.
 
-    __slots__ = ("re", "im", "tag")
+    Construct with ``Scalar(re, im)``, which returns a bare Rat when im is
+    zero, or with ``Scalar.rational`` and ``Scalar.i``; the arithmetic takes
+    Rats and pairs on either side.  The field's zero and one are the Rats
+    ``ZERO`` and ``ONE`` (also ``FieldTag.zero``/``one``).
+    """
 
-    def __init__(self, re, im=0, tag=FieldTag.QQ):
-        re = Rat(re)
-        im = Rat(im)
-        if tag is FieldTag.QQ and im != 0:
-            raise FieldMismatchError("nonzero imaginary part in a plain-rational scalar")
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-        object.__setattr__(self, "tag", tag)
+    __slots__ = ("re", "im")
+    tag = FieldTag.QI
 
-    # fast internal constructor: skips Rat() coercion and the QQ check
-    @classmethod
-    def _make(cls, re, im, tag):
-        self = object.__new__(cls)
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-        object.__setattr__(self, "tag", tag)
-        return self
+    def __new__(cls, re, im=0):
+        re, im = Rat(re), Rat(im)
+        return _pair(re, im) if im else re
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
+    @staticmethod
+    def rational(num, den=1):
+        return Rat(num, den)
 
-    @classmethod
-    def zero(cls, tag):
-        return cls._make(_RAT_ZERO, _RAT_ZERO, tag)
-
-    @classmethod
-    def one(cls, tag):
-        return cls._make(_RAT_ONE, _RAT_ZERO, tag)
-
-    @classmethod
-    def i(cls, tag=FieldTag.QI):
-        if tag is not FieldTag.QI:
-            raise FieldMismatchError("imaginary unit requires the Gaussian rationals")
-        return cls._make(_RAT_ZERO, _RAT_ONE, tag)
-
-    @classmethod
-    def rational(cls, num, den=1, tag=FieldTag.QQ):
-        return cls._make(Rat(num, den), _RAT_ZERO, tag)
-
-    def _check(self, other):
-        if not isinstance(other, Scalar):
-            raise TypeError(f"expected Scalar, got {type(other).__name__}")
-        if self.tag is not other.tag:
-            raise FieldMismatchError(f"mixed fields: {self.tag.value} vs {other.tag.value}")
+    @staticmethod
+    def i():
+        return _pair(ZERO, ONE)
 
     def __add__(self, other):
-        self._check(other)
-        return Scalar._make(self.re + other.re, self.im + other.im, self.tag)
+        if type(other) is Scalar:
+            im = self.im + other.im
+            return _pair(self.re + other.re, im) if im else self.re + other.re
+        return _pair(self.re + other, self.im)
+
+    __radd__ = __add__
 
     def __sub__(self, other):
-        self._check(other)
-        return Scalar._make(self.re - other.re, self.im - other.im, self.tag)
+        if type(other) is Scalar:
+            im = self.im - other.im
+            return _pair(self.re - other.re, im) if im else self.re - other.re
+        return _pair(self.re - other, self.im)
+
+    def __rsub__(self, other):
+        return _pair(other - self.re, -self.im)
 
     def __neg__(self):
-        return Scalar._make(-self.re, -self.im, self.tag)
+        return _pair(-self.re, -self.im)
 
     def __mul__(self, other):
-        self._check(other)
-        if self.im == 0 and other.im == 0:
-            return Scalar._make(self.re * other.re, _RAT_ZERO, self.tag)
-        return Scalar._make(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-            self.tag,
-        )
+        if type(other) is Scalar:
+            a, b, c, d = self.re, self.im, other.re, other.im
+            im = a * d + b * c
+            return _pair(a * c - b * d, im) if im else a * c - b * d
+        if not other:
+            return ZERO
+        return _pair(self.re * other, self.im * other)
+
+    __rmul__ = __mul__
 
     def inverse(self):
-        if self.im == 0:
-            if self.re == 0:
-                raise ZeroDivisionError("scalar inverse of zero")
-            return Scalar._make(1 / Rat(self.re), _RAT_ZERO, self.tag)
         nrm = self.re * self.re + self.im * self.im
-        return Scalar._make(self.re / nrm, -self.im / nrm, self.tag)
+        return _pair(self.re / nrm, -self.im / nrm)
 
     def __truediv__(self, other):
-        self._check(other)
-        return self * other.inverse()
+        if type(other) is Scalar:
+            return self * other.inverse()
+        return _pair(self.re / other, self.im / other)
+
+    def __rtruediv__(self, other):
+        return self.inverse() * other
 
     def conjugate(self):
-        return Scalar._make(self.re, -self.im, self.tag)
-
-    def is_zero(self):
-        return not (self.re or self.im)
-
-    def is_one(self):
-        return self.re == 1 and self.im == 0
-
-    def is_rational(self):
-        return self.im == 0
+        return _pair(self.re, -self.im)
 
     def __bool__(self):
-        return bool(self.re or self.im)
+        return True  # the imaginary part is nonzero
 
     def __eq__(self, other):
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.tag is other.tag and self.re == other.re and self.im == other.im
+        if type(other) is not Scalar:
+            return NotImplemented  # a rational is never equal to a pair
+        return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im, self.tag))
+        return hash((self.re, self.im))
 
     def __repr__(self):
-        return f"Scalar({render_scalar(self)!r}, {self.tag.name})"
+        return f"Scalar({render_scalar(self)!r})"
 
     def __str__(self):
         return render_scalar(self)
 
 
+_new = object.__new__
+
+
+def _pair(re, im):
+    """The pair re + im*i for Rats re and im != 0, unchecked."""
+    g = _new(Scalar)
+    g.re = re
+    g.im = im
+    return g
+
+
 def sort_key(s):
-    """Deterministic total order on scalars of one field (for canonical output)."""
-    return (s.re, s.im)
+    """Deterministic total order on field elements (for canonical output):
+    by real part, then imaginary part."""
+    if type(s) is Scalar:
+        return (s.re, s.im)
+    return (s, ZERO)
 
 
 _RAT_RE = r"-?\d+(?:/\d+)?"
@@ -166,41 +192,43 @@ def _rat(part, text):
 
 
 def parse_scalar(text, tag=FieldTag.QQ):
-    """Parse 'a', 'a/b', 'a+b/ci', 'a-bi', 'bi' into a canonical Scalar.
+    """Parse 'a', 'a/b', 'a+b/ci', 'a-bi', 'bi' into a canonical element.
 
-    parse_scalar(render_scalar(x), x.tag) == x for all x.
+    parse_scalar(render_scalar(x), tag) == x for every x of the field tag.
     """
     if not isinstance(text, str):
         raise ScalarParseError(f"expected string, got {type(text).__name__}")
     m = _SCALAR_RE.match(text)
     if m:
         re_part = _rat(m.group("re"), text)
-        im_part = _RAT_ZERO
+        im_part = ZERO
         if m.group("im") is not None:
-            im_part = _rat(m.group("im"), text) if m.group("im") else _RAT_ONE
+            im_part = _rat(m.group("im"), text) if m.group("im") else ONE
             if m.group("sign") == "-":
                 im_part = -im_part
     else:
         m = _PURE_IM_RE.match(text)
         if not m:
             raise ScalarParseError(f"malformed scalar literal: {text!r}")
-        re_part = _RAT_ZERO
+        re_part = ZERO
         raw = m.group("im")
         if raw in ("", None):
-            im_part = _RAT_ONE
+            im_part = ONE
         elif raw == "-":
-            im_part = -_RAT_ONE
+            im_part = -ONE
         else:
             im_part = _rat(raw, text)
-    if im_part != 0 and tag is not FieldTag.QI:
+    if not im_part:
+        return re_part
+    if tag is not FieldTag.QI:
         raise ScalarParseError(f"imaginary literal {text!r} in a plain-rational context")
-    return Scalar._make(re_part, im_part, tag)
+    return _pair(re_part, im_part)
 
 
 def render_scalar(s):
     """Canonical text form; lowest terms, '/1' omitted, 'i' suffix for the imaginary part."""
-    if s.im == 0:
-        return str(s.re)
+    if type(s) is not Scalar:
+        return str(s)
     im = "" if s.im == 1 else ("-" if s.im == -1 else str(s.im))
     if s.re == 0:
         return f"{im}i"
@@ -220,25 +248,25 @@ def _rat_sqrt(x):
     return Rat(rn, rd)
 
 
-def scalar_sqrt(s):
-    """A square root of s inside its own field, or None.
+def scalar_sqrt(s, tag):
+    """A square root of s inside the field tag, or None.
 
     Over QQ only perfect squares have roots.  Over QI, s = a+bi has a root
     c+di exactly when sqrt(a^2+b^2) is rational and the resulting c^2, d^2
     are perfect rational squares.
     """
-    if s.is_zero():
-        return Scalar.zero(s.tag)
-    if s.im == 0:
-        r = _rat_sqrt(s.re)
+    if not s:
+        return ZERO
+    if type(s) is not Scalar:
+        r = _rat_sqrt(s)
         if r is not None:
-            return Scalar._make(r, _RAT_ZERO, s.tag)
-        if s.tag is FieldTag.QI:
-            r = _rat_sqrt(-s.re)
+            return r
+        if tag is FieldTag.QI:
+            r = _rat_sqrt(-s)
             if r is not None:
-                return Scalar._make(_RAT_ZERO, r, s.tag)
+                return _pair(ZERO, r)
         return None
-    # s.im != 0, so tag is QI.  Want (c+di)^2 = a+bi.
+    # s.im != 0, so the field is QI.  Want (c+di)^2 = a+bi.
     nrm = _rat_sqrt(s.re * s.re + s.im * s.im)
     if nrm is None:
         return None
@@ -246,5 +274,4 @@ def scalar_sqrt(s):
     c = _rat_sqrt(c2)
     if c is None or c == 0:
         return None
-    d = s.im / (2 * c)
-    return Scalar._make(c, d, s.tag)
+    return _pair(c, s.im / (2 * c))

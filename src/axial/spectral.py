@@ -15,12 +15,7 @@ from dataclasses import dataclass, field
 from .errors import DimensionMismatchError, NotIdempotentError, NotSemisimpleError
 from .fusion import FusionLaw
 from .linalg import Matrix, sparse_vector
-from .scalars import FieldTag, Scalar, render_scalar, scalar_sqrt, sort_key
-
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as Rat
+from .scalars import ONE, ZERO, FieldTag, Rat, Scalar, render_scalar, scalar_sqrt, sort_key
 
 
 # ---------------------------------------------------------------------------
@@ -33,12 +28,11 @@ def char_poly(m):
     if m.nrows != m.ncols:
         raise DimensionMismatchError("characteristic polynomial of a non-square matrix")
     n = m.nrows
-    tag = m.tag
-    coeffs = [Scalar.one(tag)]
+    coeffs = [ONE]
     mk = m
-    ident = Matrix.identity(n, tag)
+    ident = Matrix.identity(n, m.tag)
     for k in range(1, n + 1):
-        ck = -(mk.trace() * Scalar.rational(1, k, tag))
+        ck = -(mk.trace() * Rat(1, k))
         coeffs.append(ck)
         if k < n:
             mk = m * (mk + ident.scale(ck))
@@ -46,7 +40,7 @@ def char_poly(m):
 
 
 def poly_eval(coeffs, x):
-    acc = Scalar.zero(x.tag)
+    acc = ZERO
     for c in coeffs:
         acc = acc * x + c
     return acc
@@ -55,7 +49,7 @@ def poly_eval(coeffs, x):
 def poly_deflate(coeffs, root):
     """Divide by (t - root); returns (quotient, remainder)."""
     out = []
-    acc = Scalar.zero(root.tag)
+    acc = ZERO
     for c in coeffs:
         acc = acc * root + c
         out.append(acc)
@@ -79,28 +73,28 @@ def _int_divisors(n):
 
 def rational_roots(coeffs):
     """All rational roots of a polynomial with rational coefficients
-    (given high degree first).  Roots are returned once each, sorted."""
-    tag = coeffs[0].tag
-    if any(not c.is_rational() for c in coeffs):
+    (given high degree first).  Roots are returned once each, sorted; a
+    coefficient with an imaginary part gives no roots."""
+    if any(type(c) is Scalar for c in coeffs):
         return []
     # strip trailing zero coefficients: t = 0 is a root
     roots = set()
     work = list(coeffs)
-    while len(work) > 1 and work[-1].is_zero():
+    while len(work) > 1 and not work[-1]:
         work.pop()
-        roots.add(Scalar.zero(tag))
+        roots.add(ZERO)
     if len(work) <= 1:
         return sorted(roots, key=sort_key)
     denoms = 1
     for c in work:
-        denoms = denoms * int(c.re.denominator) // _gcd(denoms, int(c.re.denominator))
-    ints = [int(c.re * Rat(denoms)) for c in work]
+        denoms = denoms * int(c.denominator) // _gcd(denoms, int(c.denominator))
+    ints = [int(c * Rat(denoms)) for c in work]
     lead, const = ints[0], ints[-1]
     for p in _int_divisors(const):
         for q in _int_divisors(lead):
             for sgn in (1, -1):
-                cand = Scalar.rational(sgn * p, q, tag)
-                if cand not in roots and poly_eval(work, cand).is_zero():
+                cand = Rat(sgn * p, q)
+                if cand not in roots and not poly_eval(work, cand):
                     roots.add(cand)
     return sorted(roots, key=sort_key)
 
@@ -111,34 +105,33 @@ def _gcd(a, b):
     return a
 
 
-def quadratic_roots(a, b, c):
-    """Roots of a t^2 + b t + c inside the coefficients' own field."""
-    disc = b * b - Scalar.rational(4, 1, a.tag) * a * c
-    r = scalar_sqrt(disc)
+def quadratic_roots(a, b, c, tag):
+    """Roots of a t^2 + b t + c inside the field tag."""
+    disc = b * b - Rat(4) * a * c
+    r = scalar_sqrt(disc, tag)
     if r is None:
         return []
-    two_a = (a + a).inverse()
+    two_a = ONE / (a + a)
     r1 = (-b + r) * two_a
     r2 = (-b - r) * two_a
     return sorted({r1, r2}, key=sort_key)
 
 
-def field_roots(coeffs, known=()):
-    """Best-effort root finding inside the base field.
+def field_roots(coeffs, tag, known=()):
+    """Best-effort root finding inside the field tag.
 
     Returns (roots, complete): complete means the polynomial certainly has no
     further roots in the field.
     """
-    tag = coeffs[0].tag
     roots = set(rational_roots(coeffs))
     complete = tag is FieldTag.QQ
     # deflate by every known root (with multiplicity) to expose small factors
     work = list(coeffs)
-    for r in sorted(roots | {k for k in known if poly_eval(coeffs, k).is_zero()},
+    for r in sorted(roots | {k for k in known if not poly_eval(coeffs, k)},
                     key=sort_key):
         while len(work) > 1:
             quo, rem = poly_deflate(work, r)
-            if not rem.is_zero():
+            if rem:
                 break
             work = quo
             roots.add(r)
@@ -148,7 +141,7 @@ def field_roots(coeffs, known=()):
         roots.add(-work[1] / work[0])
         complete = True
     elif len(work) == 3:
-        for r in quadratic_roots(*work):
+        for r in quadratic_roots(*work, tag):
             roots.add(r)
         complete = True
     return sorted(roots, key=sort_key), complete
@@ -195,7 +188,7 @@ def eigen_decompose(algebra, x, hints=()):
     total = sum(space.dim for _, space in pairs)
     complete = True
     if total < n:
-        roots, complete = field_roots(char_poly(lmat), known=seen)
+        roots, complete = field_roots(char_poly(lmat), algebra.tag, known=seen)
         for lam in roots:
             if lam in seen:
                 continue
@@ -212,7 +205,7 @@ class Eigenbasis:
     """The one analysis of a semisimple element x (an axis) that the axis
     check, the minimal law, the cocycle condition (2) and the Miyamoto map
     share.  It is built from x's EigenData and keeps the eigenbasis and the
-    columns of its inverse as sparse vectors ({index: Scalar}, no zero
+    columns of its inverse as sparse vectors ({index: element}, no zero
     entries), so products and splits touch only nonzero entries."""
 
     def __init__(self, algebra, eigen):
@@ -276,7 +269,7 @@ class Eigenbasis:
 @dataclass
 class AxisReport:
     element: tuple
-    idempotent: bool
+    idempotent: bool     # a is a nonzero idempotent
     eigen: EigenData
     spectrum_in_law: bool
     observed: dict = field(default_factory=dict)  # (lam, mu) -> frozenset of nu
@@ -290,11 +283,12 @@ class AxisReport:
 
 
 def check_axis(algebra, a, law):
-    """Verify that a is an axis for the law: idempotent, semisimple,
-    Spec inside the law values, and eigenspace products inside star cells."""
+    """Verify that a is an axis for the law: a nonzero idempotent (the zero
+    element is recorded as not_idempotent), semisimple, Spec inside the law
+    values, and eigenspace products inside star cells."""
     a = tuple(a)
     report_violations = []
-    idem = algebra.is_idempotent(a)
+    idem = any(a) and algebra.is_idempotent(a)
     if not idem:
         report_violations.append(("not_idempotent", a))
     eigen = eigen_decompose(algebra, a, hints=law.values)
@@ -309,7 +303,7 @@ def check_axis(algebra, a, law):
     primitive = False
     products = []
     if eigen.semisimple:
-        a1 = eigen.eigenspace(Scalar.one(algebra.tag))
+        a1 = eigen.eigenspace(ONE)
         primitive = a1 is not None and a1.dim == 1
         products = Eigenbasis(algebra, eigen).products()
         for lam, mu, nus, items in products:
@@ -333,10 +327,10 @@ def render_violation(algebra, violation):
     """A violation tuple as a list of strings: scalars by render_scalar,
     algebra elements by render_element, other lists and tuples bracketed."""
     def item(x):
-        if isinstance(x, Scalar):
+        if isinstance(x, (Rat, Scalar)):
             return render_scalar(x)
         if (isinstance(x, tuple) and len(x) == algebra.dim
-                and all(isinstance(c, Scalar) for c in x)):
+                and all(isinstance(c, (Rat, Scalar)) for c in x)):
             return algebra.render_element(x)
         if isinstance(x, (tuple, list)):
             return "[" + ", ".join(item(c) for c in x) + "]"

@@ -13,14 +13,14 @@ from axial.fusion import law_contains, monster_law
 from axial.linalg import Matrix
 from axial.miyamoto import axis_closure, find_flip, group_closure, \
     tau_automorphism
-from axial.scalars import FieldTag, Scalar
+from axial.scalars import FieldTag, Rat
 from axial.spectral import check_axial_algebra, eigen_decompose, minimal_law
 
 from test_properties import PROPERTY_SUITES
 
 
 def q(n, d=1):
-    return Scalar.rational(n, d, FieldTag.QQ)
+    return Rat(n, d)
 
 
 def _assert_bundle(name):

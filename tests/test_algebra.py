@@ -4,11 +4,11 @@ import pytest
 
 from axial import catalog
 from axial.algebra import Algebra, radical_axial
-from axial.scalars import FieldTag, Scalar
+from axial.scalars import FieldTag, Rat
 
 
 def q(n, d=1):
-    return Scalar.rational(n, d, FieldTag.QQ)
+    return Rat(n, d)
 
 
 class TestProducts:

@@ -100,6 +100,33 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert "not a nonzero idempotent" in proc.stderr
 
+    def test_zero_axis_is_refused(self, tmp_path):
+        # an axis is a nonzero idempotent: the zero element fails the axis
+        # check, so cocycles refuses it and check-axial reports it
+        path = tmp_path / "z.alg"
+        path.write_text(
+            "dim 1\nbasis e\nproduct 1 1: 1 e\nelement z: 0 e\nset S: z\n"
+            "law J12: 0 1/2 1\ncell J12 0 0: 0\ncell J12 0 1/2: 1/2\n"
+            "cell J12 1/2 1/2: 0 1\ncell J12 1/2 1: 1/2\n")
+        src = os.path.dirname(os.path.dirname(axial.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+
+        def axial_cli(*argv):
+            return subprocess.run([sys.executable, "-m", "axial.cli", *argv,
+                                   "--file", str(path), "--axes", "S", "--law", "J12"],
+                                  capture_output=True, text=True, env=env)
+
+        proc = axial_cli("cocycles")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "0 fails the axis check: not_idempotent 0" in proc.stderr
+        proc = axial_cli("check-axial", "--json")
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        doc = json.loads(proc.stdout)
+        assert ["0", "not_idempotent", "0"] in doc["violations"]
+        assert doc["axes_report"][0]["is_axis"] is False
+
 
 class TestJson:
     def test_byte_identical(self, capsys):

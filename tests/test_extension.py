@@ -9,12 +9,12 @@ from axial.extension import (Cocycle, aut_action, build_extension, coboundary,
                              decompose_by_annihilator, extension_axiality,
                              is_split, normalize_on_axes)
 from axial.linalg import Matrix
-from axial.scalars import FieldTag, Scalar
+from axial.scalars import FieldTag, Rat
 from axial.spectral import check_axial_algebra
 
 
 def q(n, d=1):
-    return Scalar.rational(n, d, FieldTag.QQ)
+    return Rat(n, d)
 
 
 def theta12():

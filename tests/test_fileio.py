@@ -6,11 +6,11 @@ from axial import catalog
 from axial.extension import Cocycle
 from axial.fileio import (AlgebraFile, AlgebraFileError, parse_algebra_file,
                           render_algebra_file)
-from axial.scalars import FieldTag, Scalar
+from axial.scalars import FieldTag, Rat
 
 
 def q(n, d=1):
-    return Scalar.rational(n, d, FieldTag.QQ)
+    return Rat(n, d)
 
 
 SAMPLE = """
@@ -91,7 +91,7 @@ class TestRoundTrip:
             for key, members in entry.axis_sets.items():
                 for t, m in enumerate(members):
                     nz = [(j, c) for j, c in enumerate(m) if c]
-                    if len(nz) == 1 and nz[0][1].is_one():
+                    if len(nz) == 1 and nz[0][1] == 1:
                         continue
                     bundle.elements.setdefault(f"{key}_{t + 1}", tuple(m))
                 bundle.sets[key] = members
@@ -102,3 +102,193 @@ class TestRoundTrip:
                 for j in range(i, entry.algebra.dim):
                     assert again.algebra.basis_product(i, j) == \
                         entry.algebra.basis_product(i, j)
+
+
+# ---------------------------------------------------------------------------
+# properties: every text either parses or raises AlgebraFileError, and every
+# renderable bundle renders back byte-identically after a parse
+
+from hypothesis import HealthCheck, example, given, settings, strategies as st  # noqa: E402
+
+from axial.algebra import Algebra  # noqa: E402
+from axial.fusion import FusionLaw  # noqa: E402
+from axial.scalars import Scalar, render_scalar  # noqa: E402
+
+QI_SAMPLE = """field QI
+dim 3
+basis e1 e2 e3
+product 1 1: 1 e1
+product 1 3: 1/2+i e2
+product 2 2: -i e3, 3 e1
+element a: 1/2 e1, -1/3i e2
+set X: e1 a
+law L: 1 0 i 1/2-2i
+cell L 0 i: 1/2-2i
+cell L i i: 1 0
+cocycle th 1 2: 2-i
+"""
+
+VALID_TEXTS = (SAMPLE, QI_SAMPLE)
+PROPERTY_SETTINGS = settings(max_examples=200, deadline=None, derandomize=True,
+                             suppress_health_check=[HealthCheck.too_slow])
+
+# characters and tokens of the grammar, so mutations reach past the lexer
+_GRAMMAR_PIECES = ["field", "QQ", "QI", "dim", "basis", "product", "element",
+                   "set", "law", "cell", "cocycle", "e1", "e2", "a", "X", "L",
+                   "FB", "th", "1", "2", "0", "-1", "1/2", "1/0", "i", "-i",
+                   "2+i", ":", ",", " ", "\n", "#", "-", "/", "+", "x"]
+
+
+def _parses_or_file_error(text):
+    try:
+        parse_algebra_file(text)
+    except AlgebraFileError:
+        pass
+
+
+@PROPERTY_SETTINGS
+@given(st.text(max_size=200))
+def test_arbitrary_text_parses_or_file_error(text):
+    _parses_or_file_error(text)
+
+
+@PROPERTY_SETTINGS
+@given(st.lists(st.sampled_from(_GRAMMAR_PIECES), max_size=40))
+def test_token_soup_parses_or_file_error(pieces):
+    _parses_or_file_error("".join(pieces))
+
+
+# texts whose directives contradict each other or a law's value set
+INCONSISTENT_TEXTS = (
+    "dim 2\nbasis a b\ncocycle th 2 2: 1\ndim 1\nbasis a\n",
+    "dim 2\nbasis a b\nproduct 2 2: 1 b\ndim 1\nbasis a\n",
+    "field QI\ndim 1\nbasis a\nproduct 1 1: i a\nfield QQ\n",
+    "dim 1\nbasis a\nlaw L:\n",
+    "dim 1\nbasis a\nlaw L: 1\ncell L 2 2: 1\n",
+    "dim 1\nbasis a\nlaw L: 1 2\ncell L 2 2: 3\n",
+)
+
+
+@pytest.mark.parametrize("text", INCONSISTENT_TEXTS)
+def test_inconsistent_directives_are_file_errors(text):
+    with pytest.raises(AlgebraFileError, match="line "):
+        parse_algebra_file(text)
+
+
+@st.composite
+def _mutated_texts(draw):
+    text = draw(st.sampled_from(VALID_TEXTS))
+    lines = text.splitlines(keepends=True)
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["delete", "insert", "replace", "line", "append"]))
+        if op == "append":  # a line of grammar pieces
+            line = " ".join(draw(st.lists(st.sampled_from(_GRAMMAR_PIECES[:25]),
+                                          min_size=1, max_size=5)))
+            lines.insert(draw(st.integers(0, len(lines))), line + "\n")
+            text = "".join(lines)
+        elif op == "line":  # drop, duplicate or move a whole line
+            k = draw(st.integers(0, len(lines) - 1))
+            line = lines.pop(k)
+            if draw(st.booleans()):
+                lines.insert(draw(st.integers(0, len(lines))), line)
+                if draw(st.booleans()):
+                    lines.insert(draw(st.integers(0, len(lines))), line)
+            text = "".join(lines)
+        else:
+            text = "".join(lines)
+            start = draw(st.integers(0, len(text)))
+            stop = start + (0 if op == "insert" else draw(st.integers(1, 4)))
+            new = "" if op == "delete" else draw(st.sampled_from(_GRAMMAR_PIECES))
+            text = text[:start] + new + text[stop:]
+        lines = text.splitlines(keepends=True) or [""]
+    return text
+
+
+@PROPERTY_SETTINGS
+@given(_mutated_texts())
+@example(INCONSISTENT_TEXTS[0])
+def test_mutated_files_parse_or_file_error(text):
+    _parses_or_file_error(text)
+
+
+_SMALL = st.integers(-3, 3)
+
+
+@st.composite
+def _elements(draw, tag):
+    re = Rat(draw(_SMALL), draw(st.integers(1, 3)))
+    im = Rat(draw(_SMALL), draw(st.integers(1, 3))) if tag is FieldTag.QI else 0
+    return Scalar(re, im)
+
+
+@st.composite
+def _bundles(draw):
+    tag = draw(st.sampled_from([FieldTag.QQ, FieldTag.QI]))
+    dim = draw(st.integers(1, 4))
+    labels = tuple(f"e{k + 1}" for k in range(dim))
+    elements = _elements(tag)
+
+    def sparse():
+        entry = {}
+        for k in draw(st.lists(st.integers(0, dim - 1), max_size=3)):
+            entry[k] = draw(elements)
+        return {k: c for k, c in entry.items() if c}
+
+    products = {}
+    for i in range(dim):
+        for j in range(i, dim):
+            if draw(st.booleans()):
+                products[(i, j)] = sparse()
+    algebra = Algebra(dim, products, tag, labels)
+    bundle = AlgebraFile(algebra)
+    for t in range(draw(st.integers(0, 3))):
+        bundle.elements[f"x{t + 1}"] = algebra.element(sparse())
+    named = list(bundle.elements.values()) + [algebra.basis_element(k) for k in range(dim)]
+    for t in range(draw(st.integers(0, 2))):
+        bundle.sets[f"S{t + 1}"] = tuple(draw(st.lists(st.sampled_from(named), max_size=4)))
+    for t in range(draw(st.integers(0, 2))):
+        values = draw(st.lists(elements, min_size=1, max_size=4, unique=True))
+        table = {}
+        for a in values:
+            for b in values:
+                table[(a, b)] = set(draw(st.lists(st.sampled_from(values), max_size=2)))
+        table = {key: cell for key, cell in table.items()}
+        # a symmetric table: keep the cell of the first ordered pair seen
+        sym = {}
+        for (a, b), cell in table.items():
+            if (b, a) not in sym:
+                sym[(a, b)] = cell
+        bundle.laws[f"L{t + 1}"] = FusionLaw(values, sym, tag)
+    for t in range(draw(st.integers(0, 2))):
+        entries = {}
+        for i in range(dim):
+            for j in range(i, dim):
+                if draw(st.booleans()):
+                    entries[(i, j)] = draw(elements)
+        bundle.cocycles[f"th{t + 1}"] = Cocycle.from_entries(dim, entries, tag)
+    return bundle
+
+
+@PROPERTY_SETTINGS
+@given(_bundles())
+def test_render_parse_render_is_identical(bundle):
+    text = render_algebra_file(bundle)
+    again = parse_algebra_file(text)
+    assert render_algebra_file(again) == text
+    alg = bundle.algebra
+    assert again.algebra.tag is alg.tag
+    for i in range(alg.dim):
+        for j in range(i, alg.dim):
+            assert again.algebra.basis_product(i, j) == alg.basis_product(i, j)
+    assert again.elements == bundle.elements
+    assert again.sets == bundle.sets
+    assert again.laws == bundle.laws
+    for name, th in bundle.cocycles.items():
+        if not th.is_zero():
+            assert again.cocycles[name] == th
+    # every element read back is canonical: a Rat, or a pair with im != 0
+    for i in range(alg.dim):
+        for j in range(i, alg.dim):
+            for c in again.algebra.basis_product(i, j).values():
+                assert again.algebra.tag.check(c) is c
+                assert render_scalar(c) in text

@@ -6,11 +6,11 @@ from axial import catalog
 from axial.fusion import (FusionLaw, augment_with_zero, find_c2_gradings,
                           grading_is_valid, jordan_half_law, law_contains,
                           monster_law)
-from axial.scalars import FieldTag, Scalar
+from axial.scalars import FieldTag, Rat
 
 
 def q(n, d=1):
-    return Scalar.rational(n, d, FieldTag.QQ)
+    return Rat(n, d)
 
 
 class TestStandardLaws:

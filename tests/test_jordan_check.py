@@ -36,9 +36,9 @@ def naive_jordan_witness(alg):
 def _random_algebra(rng, n, tag, density):
     """Each basis pair multiplies, with probability density, to one or two
     basis elements with small coefficients."""
-    coeffs = [Scalar.rational(c, d, tag) for c, d in ((1, 1), (-1, 1), (2, 1), (1, 2))]
+    coeffs = [Scalar.rational(c, d) for c, d in ((1, 1), (-1, 1), (2, 1), (1, 2))]
     if tag is FieldTag.QI:
-        coeffs += [Scalar.i(tag), Scalar.i(tag) + Scalar.one(tag)]
+        coeffs += [Scalar.i(), Scalar.i() + tag.one]
     products = {}
     for i in range(n):
         for j in range(i, n):
@@ -72,7 +72,7 @@ def _extensions_outside_z():
         cs = cocycle_space(alg, entry.axis_sets[key], law)
         for p in range(alg.dim):
             for q in range(p, alg.dim):
-                theta = Cocycle.from_entries(alg.dim, {(p, q): Scalar.one(alg.tag)}, alg.tag)
+                theta = Cocycle.from_entries(alg.dim, {(p, q): alg.tag.one}, alg.tag)
                 if not cs.contains(theta):
                     yield build_extension(alg, theta)[0]
 

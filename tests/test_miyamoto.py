@@ -8,11 +8,11 @@ from axial.fusion import find_c2_gradings
 from axial.linalg import Matrix
 from axial.miyamoto import (axis_closure, find_flip, group_closure,
                             is_automorphism, tau_automorphism)
-from axial.scalars import FieldTag, Scalar
+from axial.scalars import FieldTag, Rat
 
 
 def q(n, d=1):
-    return Scalar.rational(n, d, FieldTag.QQ)
+    return Rat(n, d)
 
 
 def _taus(entry, axes_key, law_key):

@@ -13,14 +13,14 @@ from axial.extension import (Cocycle, aut_action, build_extension, coboundary,
                              extension_axiality)
 from axial.linalg import Matrix
 from axial.miyamoto import tau_automorphism
-from axial.scalars import FieldTag, Scalar
+from axial.scalars import FieldTag, Rat
 from axial.spectral import check_axis, eigen_decompose
 
 TAG = FieldTag.QQ
 
 
 def q(n, d=1):
-    return Scalar.rational(n, d, TAG)
+    return Rat(n, d)
 
 
 def _rand_theta(rng, n, lo=-4, hi=4):
@@ -49,7 +49,7 @@ def _rand_param_entry(rng):
 
 
 def _lin_comb(basis, coeffs, n):
-    vec = [Scalar.zero(TAG)] * len(basis[0]) if basis else []
+    vec = [TAG.zero] * len(basis[0]) if basis else []
     for c, b in zip(coeffs, basis):
         for j in range(len(vec)):
             vec[j] = vec[j] + c * b[j]
@@ -110,10 +110,10 @@ def run_eigenvalue_lift(count=100, seed=12):
             continue
         for a, lifted in zip(entry.axis_sets[axkey], rep.lifted_axes):
             base = eigen_decompose(entry.algebra, a)
-            hints = base.spectrum() + [Scalar.zero(TAG)]
+            hints = base.spectrum() + [TAG.zero]
             ext = eigen_decompose(rep.extension, lifted, hints=hints)
             assert ext.semisimple
-            assert set(ext.spectrum()) == set(base.spectrum()) | {Scalar.zero(TAG)}
+            assert set(ext.spectrum()) == set(base.spectrum()) | {TAG.zero}
         done += 1
 
 
@@ -146,7 +146,7 @@ def run_frobenius_lift(count=100, seed=14):
     symmetric cocycle."""
     rng = random.Random(seed)
     pool = [catalog.build(n) for n in ("B", "C", "D", "E", "G", "H", "I")]
-    zero = Scalar.zero(TAG)
+    zero = TAG.zero
     for _ in range(count):
         entry = pool[rng.randrange(len(pool))]
         alg = entry.algebra

@@ -4,14 +4,14 @@ import pytest
 
 from axial import catalog
 from axial.fusion import monster_law
-from axial.scalars import FieldTag, Scalar
+from axial.scalars import FieldTag, Rat
 from axial.linalg import sparse_vector, vec_add
 from axial.spectral import (Eigenbasis, check_axial_algebra, check_axis,
                             eigen_decompose, minimal_law)
 
 
 def q(n, d=1):
-    return Scalar.rational(n, d, FieldTag.QQ)
+    return Rat(n, d)
 
 
 class TestEigenDecompose:
@@ -64,6 +64,15 @@ class TestCheckAxis:
         entry = catalog.build("B")
         rep = check_axis(entry.algebra, (q(2), q(0)), entry.laws["FB"])
         assert any(v[0] == "not_idempotent" for v in rep.violations)
+
+    def test_zero_is_not_an_axis(self):
+        # 0 is idempotent and L_0 = 0 is semisimple, but an axis is nonzero
+        for name, law in (("B", "FB"), ("JordanD", "J12")):
+            entry = catalog.build(name)
+            zero = entry.algebra.zero()
+            rep = check_axis(entry.algebra, zero, entry.laws[law])
+            assert not rep.is_axis and not rep.idempotent
+            assert ("not_idempotent", zero) in rep.violations
 
     def test_axis_passes(self):
         entry = catalog.build("B")

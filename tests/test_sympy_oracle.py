@@ -1,0 +1,147 @@
+"""Differential tests of the exact core against sympy, an independent
+implementation of exact linear algebra over the rationals and Q(i):
+characteristic polynomials, reduced row echelon forms, kernels and the
+eigenvalue multiplicities found by eigen_decompose."""
+
+import random
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+
+from axial import catalog  # noqa: E402
+from axial.scalars import FieldTag, Rat, Scalar  # noqa: E402
+from axial.spectral import char_poly, eigen_decompose  # noqa: E402
+
+T = sympy.Symbol("t")
+
+# (name, params): every entry over QQ up to dimension 9, and JordanD over QI
+CASES = [(name, {}) for name in ("A", "B", "C", "D", "E", "F", "G", "H", "I",
+                                 "Monster4", "J25", "J53", "J59")]
+CASES += [("S", {"n": 3}), ("J", {"n": 3}), ("T", {"n": 3}),
+          ("JordanA", {"n": 2}), ("JordanA", {"n": 3}), ("JordanB", {"n": 3}),
+          ("JordanC", {"n": 2}), ("JordanD", {"n": 3}), ("JordanD", {"n": 4})]
+
+
+def to_sympy(x):
+    if type(x) is Scalar:
+        return sympy.Rational(x.re.numerator, x.re.denominator) + \
+            sympy.Rational(x.im.numerator, x.im.denominator) * sympy.I
+    return sympy.Rational(x.numerator, x.denominator)
+
+
+def from_sympy(x):
+    re, im = sympy.re(x), sympy.im(x)
+    assert re.is_rational and im.is_rational
+    return Scalar(Rat(int(re.p), int(re.q)), Rat(int(im.p), int(im.q)))
+
+
+def sympy_matrix(m):
+    return sympy.Matrix([[to_sympy(a) for a in row] for row in m.rows])
+
+
+def same(ours, theirs):
+    return sympy.expand(to_sympy(ours) - theirs) == 0
+
+
+def _random_scalar(rng, tag):
+    re = Rat(rng.choice([-2, -1, 0, 0, 1, 2]), rng.choice([1, 1, 2, 3]))
+    im = Rat(rng.choice([-1, 0, 0, 1]), rng.choice([1, 2])) if tag is FieldTag.QI else 0
+    return Scalar(re, im)
+
+
+def _operators():
+    """(label, algebra, element, matrix of x -> element * x): for every
+    case, up to three axes, two seeded random elements, and random multiples
+    c a and combinations c a + d b of axes, whose eigenvalues lie in the
+    field more often than those of random elements."""
+    rng = random.Random(20221101)
+    for name, params in CASES:
+        entry = catalog.build(name, params)
+        alg = entry.algebra
+        axes = [a for axes in entry.axis_sets.values() for a in axes]
+        elements = axes[:3]
+        elements += [tuple(_random_scalar(rng, alg.tag) for _ in range(alg.dim))
+                     for _ in range(2)]
+        for _ in range(2):
+            (c, a), (d, b) = [(_random_scalar(rng, alg.tag) or Rat(1), rng.choice(axes))
+                              for _ in range(2)]
+            elements.append(tuple(c * p for p in a))
+            elements.append(tuple(c * p + d * q for p, q in zip(a, b)))
+        for k, x in enumerate(elements):
+            yield f"{name}{params} #{k}", alg, x, alg.left_mult_matrix(x)
+
+
+OPERATORS = list(_operators())
+
+
+def test_cases_cover_both_fields():
+    tags = {alg.tag for _label, alg, _x, _m in OPERATORS}
+    assert tags == {FieldTag.QQ, FieldTag.QI}
+    assert any(type(a) is Scalar for _l, _alg, _x, m in OPERATORS
+               for row in m.rows for a in row)
+    # some operators have eigenvalues with an imaginary part
+    assert sum(any(type(r) is Scalar for r in map(from_sympy, _field_roots(m, alg.tag)))
+               for _l, alg, _x, m in OPERATORS if alg.tag is FieldTag.QI) >= 5
+
+
+@pytest.mark.parametrize("label, alg, x, m", OPERATORS, ids=[o[0] for o in OPERATORS])
+def test_char_poly(label, alg, x, m):
+    theirs = sympy_matrix(m).charpoly(T).all_coeffs()
+    ours = char_poly(m)
+    assert len(ours) == len(theirs)
+    assert all(same(a, b) for a, b in zip(ours, theirs)), label
+
+
+@pytest.mark.parametrize("label, alg, x, m", OPERATORS, ids=[o[0] for o in OPERATORS])
+def test_rref_and_kernel(label, alg, x, m):
+    sm = sympy_matrix(m)
+    reduced, pivots = m.rref()
+    s_reduced, s_pivots = sm.rref()
+    assert tuple(pivots) == tuple(s_pivots)
+    assert all(same(a, b) for a, b in zip(
+        [a for row in reduced.rows for a in row], list(s_reduced)))
+    kernel = m.kernel()
+    nullspace = sm.nullspace()
+    assert kernel.dim == len(nullspace)
+    # the same span: sympy's kernel vectors lie in ours, and ours are killed
+    for v in nullspace:
+        assert kernel.contains_vector(tuple(from_sympy(c) for c in v))
+    for b in kernel.basis:
+        product = (sm * sympy.Matrix([to_sympy(c) for c in b])).expand()
+        assert product == sympy.zeros(m.nrows, 1)
+
+
+def _field_roots(m, tag):
+    """{root: algebraic multiplicity} of the characteristic polynomial of m
+    over the field, from sympy's factorization."""
+    domain = "QQ" if tag is FieldTag.QQ else "QQ<I>"
+    poly = sympy.Poly(sympy_matrix(m).charpoly(T).as_expr(), T, domain=domain)
+    roots = {}
+    for factor, mult in poly.factor_list()[1]:
+        if factor.degree() == 1:
+            a, b = factor.all_coeffs()
+            roots[sympy.nsimplify(sympy.expand(-b / a))] = mult
+    return roots
+
+
+@pytest.mark.parametrize("hinted", [False, True], ids=["found", "hinted"])
+@pytest.mark.parametrize("label, alg, x, m", OPERATORS, ids=[o[0] for o in OPERATORS])
+def test_eigen_multiplicities(label, alg, x, m, hinted):
+    # hinted: the field roots are passed as candidates, as a law's values
+    # are; over QI that is how eigenvalues off the real line are found
+    roots = _field_roots(m, alg.tag)
+    ed = eigen_decompose(alg, x, hints=[from_sympy(r) for r in roots] if hinted else ())
+    sm = sympy_matrix(m)
+    ours = {to_sympy(lam): space.dim for lam, space in ed.pairs}
+    # every eigenvalue found is a root in the field; its eigenspace has the
+    # geometric multiplicity, at most the algebraic one
+    for lam, dim in ours.items():
+        assert lam in roots, label
+        geometric = len((sm - lam * sympy.eye(alg.dim)).nullspace())
+        assert dim == geometric <= roots[lam]
+    if ed.spectrum_complete:
+        assert set(ours) == set(roots), label
+    assert ed.semisimple == (sum(ours.values()) == alg.dim)
+    if ed.semisimple:
+        assert ours == roots
