@@ -10,7 +10,7 @@ the algebra.
 from __future__ import annotations
 
 from .errors import DimensionMismatchError, FieldMismatchError
-from .linalg import Matrix, RowReducer, Subspace, sparse_vector, unit_vector, vec_zero
+from .linalg import Matrix, RowReducer, Subspace, sparse_add
 from .scalars import ONE, ZERO
 
 
@@ -58,10 +58,10 @@ class Algebra:
         return self._rows[i][j]
 
     def basis_element(self, k):
-        return unit_vector(self.dim, k)
+        return tuple(ONE if j == k else ZERO for j in range(self.dim))
 
     def zero(self):
-        return vec_zero(self.dim)
+        return (ZERO,) * self.dim
 
     def element(self, coeffs):
         """Build an element from {index: element} or a full sequence."""
@@ -127,14 +127,13 @@ class Algebra:
                         row[i] = c
                 if row:
                     constraints.add_row(row)
-        return Subspace(constraints.kernel_basis(), self.dim, self.tag)
+        return Subspace.spanned(constraints.kernel_basis(), self.dim, self.tag)
 
     def _span_is_closed(self, red):
-        basis = red.dense_rows()
+        basis = list(red.rows.values())
         for s, x in enumerate(basis):
             for y in basis[s:]:
-                p = self.product(x, y)
-                if red.reduce_row(sparse_vector(p)):
+                if red.reduce_row(self.product_sparse(x, y)):
                     return False
         return True
 
@@ -149,10 +148,10 @@ class Algebra:
         a combination of kept words of the same or shorter length, so spans of
         each word length are unaffected.
         """
-        layers = [[tuple(g) for g in generators]]
+        layers = [[self._sparse(g) for g in generators]]
         red = RowReducer(self.dim, self.tag)
-        for g in generators:
-            red.add_row(sparse_vector(g))
+        for g in layers[0]:
+            red.add_row(g)
         m = 1
         while not (red.rank() == self.dim or self._span_is_closed(red)):
             d = len(layers) + 1  # build words of length d
@@ -160,13 +159,13 @@ class Algebra:
             for split in range(1, d // 2 + 1):
                 for x in layers[split - 1]:
                     for y in layers[d - split - 1]:
-                        p = self.product(x, y)
-                        if red.add_row(sparse_vector(p)):
+                        p = self.product_sparse(x, y)
+                        if red.add_row(p):
                             new_layer.append(p)
             layers.append(new_layer)
             if new_layer:
                 m = d
-        return Subspace(red.dense_rows(), self.dim, self.tag), m
+        return Subspace.spanned(red.rows.values(), self.dim, self.tag), m
 
     def frobenius_space(self):
         """All symmetric bilinear forms with (xy, z) = (x, yz), as a list of
@@ -180,25 +179,14 @@ class Algebra:
                 for k in range(n):
                     row = {}
                     for l, c in self._rows[j][k].items():
-                        col = idx[(min(i, l), max(i, l))]
-                        v = row.get(col)
-                        v = v + c if v is not None else c
-                        if v:
-                            row[col] = v
-                        elif col in row:
-                            del row[col]
+                        sparse_add(row, idx[(min(i, l), max(i, l))], c)
                     for l, c in self._rows[i][j].items():
-                        col = idx[(min(l, k), max(l, k))]
-                        v = row.get(col)
-                        v = v - c if v is not None else -c
-                        if v:
-                            row[col] = v
-                        elif col in row:
-                            del row[col]
+                        sparse_add(row, idx[(min(l, k), max(l, k))], -c)
                     if row:
                         red.add_row(row)
-        basis = Subspace(red.kernel_basis(), len(idx), self.tag).basis
-        return [BilinearForm(_unflatten_sym(v, n, self.tag), self.tag) for v in basis]
+        space = Subspace.spanned(red.kernel_basis(), len(idx), self.tag)
+        return [BilinearForm(_unflatten_sym(v, n, self.tag), self.tag)
+                for v in space.rows]
 
     def jordan_check(self):
         """Check the Jordan identity (xy)x^2 = x(yx^2) by full linearization.
@@ -307,12 +295,17 @@ def _sym_index(n):
 
 
 def _unflatten_sym(v, n, tag):
-    idx = _sym_index(n)
-    rows = [[None] * n for _ in range(n)]
-    for (i, j), t in idx.items():
-        rows[i][j] = v[t]
-        rows[j][i] = v[t]
-    return Matrix(tuple(tuple(r) for r in rows), tag)
+    """The symmetric n x n Matrix of an upper-triangle vector given by its
+    nonzero (index, element) pairs in increasing index order."""
+    pairs = list(_sym_index(n))
+    rows = [[] for _ in range(n)]
+    for t, a in v:
+        # the row-major index order keeps every row column-sorted
+        i, j = pairs[t]
+        rows[i].append((j, a))
+        if i != j:
+            rows[j].append((i, a))
+    return Matrix.from_sparse_rows(tuple(map(tuple, rows)), n, tag)
 
 
 class BilinearForm:
@@ -378,11 +371,10 @@ def radical_axial(algebra, axes):
     if not extra.is_zero():
         # projectively unique normalization required: combinations in the
         # kernel must not change the radical
-        for v in extra.basis:
+        for v in extra.rows:
             g2 = gram
-            for c, f in zip(v, forms):
-                if c:
-                    g2 = g2 + f.gram.scale(c)
+            for t, c in v:
+                g2 = g2 + forms[t].gram.scale(c)
             if BilinearForm(g2, algebra.tag).radical() != rad:
                 raise ValueError("axis-normalized invariant form is not unique")
     for a in axes:

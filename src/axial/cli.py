@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import catalog as _catalog
-from .algebra import radical_axial
+from .algebra import _sym_index, radical_axial
 from .errors import AxialError
 from .extension import (Cocycle, build_extension, cocycle_space,
                         decompose_by_annihilator, extension_axiality,
@@ -488,25 +488,19 @@ def _bundle_table3():
     return checks
 
 
-def _sym_pair_index(i, j, n):
-    if i > j:
-        i, j = j, i
-    return i * n - i * (i - 1) // 2 + (j - i)
-
-
 def _bundle_monster():
     checks = []
     entry = _catalog.build("Monster4")
     alg, law = entry.algebra, entry.laws["M2half"]
     cs = cocycle_space(alg, entry.axis_sets["X01"], law)
     pattern_ok = True
+    idx = _sym_index(4)
     for v in cs.space.basis:
         th = Cocycle.from_vectors([v], alg.dim, alg.tag)
         w = normalize_on_axes(alg, th, entry.axis_sets["all"]).vectorize()[0]
-        diag0 = all(not w[_sym_pair_index(i, i, 4)] for i in range(4))
-        long0 = (not w[_sym_pair_index(0, 2, 4)]) and (not w[_sym_pair_index(1, 3, 4)])
-        short = {w[_sym_pair_index(0, 1, 4)], w[_sym_pair_index(0, 3, 4)],
-                 w[_sym_pair_index(1, 2, 4)], w[_sym_pair_index(2, 3, 4)]}
+        diag0 = all(not w[idx[(i, i)]] for i in range(4))
+        long0 = (not w[idx[(0, 2)]]) and (not w[idx[(1, 3)]])
+        short = {w[idx[(0, 1)]], w[idx[(0, 3)]], w[idx[(1, 2)]], w[idx[(2, 3)]]}
         pattern_ok = pattern_ok and diag0 and long0 and len(short) == 1
     checks.append(("normalized solutions vanish on (a-1,a1),(a0,a2) with "
                    "four-way equality", pattern_ok))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .algebra import Algebra, _sym_index, _unflatten_sym
 from .errors import (DimensionMismatchError, ExtensionError, FieldMismatchError,
                      NotSemisimpleError)
-from .linalg import Matrix, RowReducer, Subspace, sparse_vector, vec_zero
+from .linalg import Matrix, RowReducer, Subspace, sparse_vector
 from .scalars import ONE, ZERO
 from .spectral import (Eigenbasis, check_axis, eigen_decompose, minimal_law,
                        render_violation)
@@ -80,7 +80,14 @@ class Cocycle:
 
     @classmethod
     def from_vectors(cls, vectors, n, tag):
-        return cls([_unflatten_sym(v, n, tag) for v in vectors], tag)
+        """A cocycle from dense upper-triangle vectors, one per coordinate."""
+        mats = []
+        for v in vectors:
+            if len(v) != n * (n + 1) // 2:
+                raise DimensionMismatchError("vector length differs from n(n+1)/2")
+            pairs = [(t, tag.check(a)) for t, a in enumerate(v) if a]
+            mats.append(_unflatten_sym(pairs, n, tag))
+        return cls(mats, tag)
 
     def is_zero(self):
         return all(m.is_zero() for m in self.mats)
@@ -117,21 +124,12 @@ def coboundary(algebra, f):
 def coboundary_space(algebra):
     """Span of all coboundaries, vectorized: spanned by the n(n+1)/2-vectors
     of delta(dual basis functionals)."""
-    n = algebra.dim
-    idx = _sym_index(n)
-    vecs = []
-    for k in range(n):
-        v = [ZERO] * len(idx)
-        nonzero = False
-        for i in range(n):
-            for j in range(i, n):
-                c = algebra.basis_product(i, j).get(k)
-                if c:
-                    v[idx[(i, j)]] = c
-                    nonzero = True
-        if nonzero:
-            vecs.append(tuple(v))
-    return Subspace(vecs, len(idx), algebra.tag)
+    idx = _sym_index(algebra.dim)
+    vecs = {}  # k -> the vector of delta(b_k^*): c[i][j][k] at (i, j)
+    for (i, j), t in idx.items():
+        for k, c in algebra.basis_product(i, j).items():
+            vecs.setdefault(k, {})[t] = c
+    return Subspace.spanned(vecs.values(), len(idx), algebra.tag)
 
 
 def build_extension(algebra, theta, axes=()):
@@ -186,9 +184,9 @@ def condition1_rows(algebra, a, kernel):
     cols = _sym_columns(algebra.dim)
     sa = sparse_vector(a)
     rows = []
-    for k in kernel.basis:
+    for k in kernel.rows:
         acc = {}
-        _add_pair(acc, cols, sa, sparse_vector(k))
+        _add_pair(acc, cols, sa, dict(k))
         rows.append({col: c for col, c in acc.items() if c})
     return rows
 
@@ -270,18 +268,16 @@ def cocycle_space(algebra, axes, law):
             red.add_row(row)
         for row in condition2_rows(algebra, a, law, rep.products):
             red.add_row(row)
-    space = Subspace(red.kernel_basis(), idx_len, algebra.tag)
+    space = Subspace.spanned(red.kernel_basis(), idx_len, algebra.tag)
     cob = coboundary_space(algebra)
     inter = space.intersect(cob)
-    reps = []
     rep_red = RowReducer(idx_len, algebra.tag)
-    for b in inter.basis:
-        rep_red.add_row(sparse_vector(b))
-    for b in space.basis:
-        if rep_red.add_row(sparse_vector(b)):
-            reps.append(b)
+    for b in inter.rows:
+        rep_red.add_row(dict(b))
+    reps = tuple(b for b in space.rows if rep_red.add_row(dict(b)))
     return CocycleSpace(algebra, [tuple(a) for a in axes], law, space, cob,
-                        inter, space.dim - inter.dim, reps)
+                        inter, space.dim - inter.dim,
+                        list(Matrix.from_sparse_rows(reps, idx_len, algebra.tag).rows))
 
 
 def normalize_on_axes(algebra, theta, axes):
@@ -339,11 +335,9 @@ def is_split(algebra, theta):
     'indeterminate' is returned.
     """
     n = algebra.dim
-    idx_len = len(_sym_index(n))
-    cob = coboundary_space(algebra)
-    red = RowReducer(idx_len, algebra.tag)
-    for b in cob.basis:
-        red.add_row(sparse_vector(b))
+    red = RowReducer(len(_sym_index(n)), algebra.tag)
+    for b in coboundary_space(algebra).rows:
+        red.add_row(dict(b))
     independent = True
     for v in theta.vectorize():
         if not red.add_row(sparse_vector(v)):
@@ -353,10 +347,8 @@ def is_split(algebra, theta):
         return "split"
     ext, _ = build_extension(algebra, theta)
     ann = ext.annihilator()
-    adjoined = Subspace(
-        [vec_zero(n) + tuple(ONE if g == h else ZERO for h in range(theta.s))
-         for g in range(theta.s)],
-        n + theta.s, algebra.tag)
+    adjoined = Subspace.spanned([{n + g: ONE} for g in range(theta.s)],
+                                n + theta.s, algebra.tag)
     if ann == adjoined:
         return "non_split"
     return "indeterminate"
@@ -386,42 +378,44 @@ def extension_axiality(algebra, theta, axes, law):
     (NotSemisimpleError) with its eigenvector products inside the law's
     cells (ExtensionError)."""
     axes = [tuple(a) for a in axes]
+    # one decomposition per axis; its 0-eigenspace is ker L_a, since 0 is
+    # tried whenever the hinted eigenspaces do not fill the space
+    eigens = [eigen_decompose(algebra, a, hints=law.values) for a in axes]
+    ext, lifted = build_extension(algebra, theta, axes)
+    vectors = theta.vectorize()
+    no_kernel = Subspace.zero_space(algebra.dim, algebra.tag)
     cond1 = {}
     all_ok = True
-    for a in axes:
-        ok = True
-        ker = algebra.left_mult_matrix(a).kernel()
-        for k in ker.basis:
-            if any(v for v in theta.evaluate(a, k)):
-                ok = False
-                break
+    for a, eigen in zip(axes, eigens):
+        kernel = eigen.eigenspace(ZERO) or no_kernel
+        ok = _rows_vanish(condition1_rows(algebra, a, kernel), vectors)
         cond1[algebra.render_element(a)] = ok
         all_ok = all_ok and ok
-    ext, lifted = build_extension(algebra, theta, axes)
     induced = None
     if all_ok:
         induced = minimal_law(ext, lifted)
-    # the condition (1) rows of a vanish on theta exactly when cond1 holds
     in_z = all_ok
-    vectors = theta.vectorize()
-    for a in axes:
-        eigen = eigen_decompose(algebra, a, hints=law.values)
+    for a, eigen in zip(axes, eigens):
         if not eigen.semisimple:
             raise NotSemisimpleError(
                 f"axis candidate {algebra.render_element(a)} is not semisimple")
-        products = Eigenbasis(algebra, eigen).products()
-        for row in condition2_rows(algebra, a, law, products):
-            in_z = in_z and all(_row_vanishes(row, v) for v in vectors)
+        rows = condition2_rows(algebra, a, law, Eigenbasis(algebra, eigen).products())
+        in_z = in_z and _rows_vanish(rows, vectors)
     return ExtensionReport(ext, lifted, cond1, all_ok, induced,
                            is_split(algebra, theta), in_z)
 
 
-def _row_vanishes(row, v):
-    acc = None
-    for col, c in row.items():
-        if v[col]:
-            acc = acc + c * v[col] if acc is not None else c * v[col]
-    return not acc
+def _rows_vanish(rows, vectors):
+    """Does every sparse row vanish on every dense vector?"""
+    for v in vectors:
+        for row in rows:
+            acc = None
+            for col, c in row.items():
+                if v[col]:
+                    acc = acc + c * v[col] if acc is not None else c * v[col]
+            if acc:
+                return False
+    return True
 
 
 def decompose_by_annihilator(bigebra, axes=()):
@@ -439,8 +433,8 @@ def decompose_by_annihilator(bigebra, axes=()):
     tag = bigebra.tag
     comp_idx = [j for j in range(n) if j not in ann.pivots]
     # change of basis: complement standard vectors first, then Ann basis
-    basis_rows = [tuple(bigebra.basis_element(j)) for j in comp_idx] + list(ann.basis)
-    bmat = Matrix(tuple(basis_rows), tag, ncols=n).transpose()
+    basis_rows = tuple(((j, ONE),) for j in comp_idx) + ann.rows
+    bmat = Matrix.from_sparse_rows(basis_rows, n, tag).transpose()
     binv = bmat.inverse()
     m = len(comp_idx)
     s = ann.dim

@@ -2,17 +2,19 @@
 incremental sparse row reducer for large constraint systems.
 
 A Matrix stores, per row, the column-sorted nonzero (column, element) pairs;
-its dense rows are derived on demand for rendering and entry lookups.  Field
-elements are bare rationals or Gaussian pairs (see scalars).  Matrix,
+its dense rows are derived on demand for rendering and entry lookups.  A
+vector inside the package is sparse, {index: element} without zero entries.
+Field elements are bare rationals or Gaussian pairs (see scalars).  Matrix,
 RowReducer and Subspace hold their field tag; a Matrix built from dense rows
-or columns and a Subspace check their entries against it once, when built.
+or columns and a Subspace built from dense vectors check their entries
+against it once, when built.
 
 Conventions fixed for reproducibility:
   * reduced row echelon form picks, for each column left to right, the first
     row with a nonzero entry in that column;
   * kernel bases enumerate free columns in increasing order;
-  * a Subspace is stored as the RREF basis of its span, so equal subspaces
-    compare equal componentwise.
+  * a Subspace is stored as the RREF Matrix of its span, so equal subspaces
+    have equal matrices.
 """
 
 from __future__ import annotations
@@ -22,23 +24,7 @@ from .scalars import ONE, ZERO
 
 
 # ---------------------------------------------------------------------------
-# vector helpers (vectors are tuples of field elements)
-
-def vec_zero(n):
-    return (ZERO,) * n
-
-
-def vec_add(x, y):
-    return tuple(a + b for a, b in zip(x, y, strict=True))
-
-
-def vec_neg(x):
-    return tuple(-a for a in x)
-
-
-def vec_scale(c, x):
-    return tuple(c * a for a in x)
-
+# sparse vectors ({index: element}, no zero entries)
 
 def sparse_add(acc, k, c):
     """acc[k] += c on a sparse vector {index: element}; an entry that cancels
@@ -54,10 +40,6 @@ def sparse_add(acc, k, c):
 def sparse_vector(x):
     """The nonzero entries of a dense vector as {index: element}."""
     return {k: a for k, a in enumerate(x) if a}
-
-
-def unit_vector(n, j):
-    return tuple(ONE if k == j else ZERO for k in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -248,17 +230,16 @@ class Matrix:
     def rref(self):
         """Reduced row echelon form; returns (Matrix, pivot column tuple)."""
         red = self._reducer()
-        pivots = red.pivot_columns()
-        rows = [tuple(sorted(red.rows[p].items())) for p in pivots]
-        rows += [()] * (self.nrows - len(rows))
-        return Matrix.from_sparse_rows(tuple(rows), self.ncols, self.tag), tuple(pivots)
+        rows = red.sparse_rows() + ((),) * (self.nrows - red.rank())
+        return (Matrix.from_sparse_rows(rows, self.ncols, self.tag),
+                tuple(red.pivot_columns()))
 
     def rank(self):
         return self._reducer().rank()
 
     def kernel(self):
         """Null space {x : Mx = 0} as a canonical Subspace."""
-        return Subspace(self._reducer().kernel_basis(), self.ncols, self.tag)
+        return Subspace.spanned(self._reducer().kernel_basis(), self.ncols, self.tag)
 
     def solve(self, rhs):
         """Solve M x = rhs for a single right-hand-side vector.
@@ -275,13 +256,12 @@ class Matrix:
             if b:
                 row[n] = b
             red.add_row(row)
-        if n in red.pivot_columns():
-            return None, red.dense_row(n)
-        x = [ZERO] * n
-        for p in red.pivot_columns():
-            x[p] = red.rows[p].get(n, ZERO)
+        rows = red.rows
+        if n in rows:
+            return None, tuple(rows[n].get(j, ZERO) for j in range(n + 1))
+        x = tuple(rows[j].get(n, ZERO) if j in rows else ZERO for j in range(n))
         # left of the rhs column the pivot rows are the RREF of M
-        return tuple(x), Subspace(red.kernel_basis(n), n, self.tag)
+        return x, Subspace.spanned(red.kernel_basis(n), n, self.tag)
 
     def inverse(self):
         """Row-reduce [M | I]; the right halves of the pivot rows are the
@@ -378,112 +358,126 @@ class RowReducer:
     def free_columns(self):
         return [j for j in range(self.ncols) if j not in self.rows]
 
-    def dense_row(self, pivot):
-        row = self.rows[pivot]
-        return tuple(row.get(j, ZERO) for j in range(self.ncols))
-
-    def dense_rows(self):
-        return [self.dense_row(p) for p in self.pivot_columns()]
+    def sparse_rows(self):
+        """The pivot rows in pivot order, as column-sorted (column, element)
+        pairs: the canonical sparse rows of the RREF."""
+        return tuple(tuple(sorted(self.rows[p].items())) for p in self.pivot_columns())
 
     def kernel_basis(self, ncols=None):
-        """RREF-ordered basis of the solution space of (rows)x = 0; with
-        ncols, of the rows cut to their first ncols columns, which must hold
-        every pivot."""
+        """Basis of the solution space of (rows)x = 0 as sparse vectors, one
+        per free column in increasing order; with ncols, of the rows cut to
+        their first ncols columns, which must hold every pivot."""
         ncols = self.ncols if ncols is None else ncols
-        basis = []
-        for f in self.free_columns():
-            if f >= ncols:
-                break
-            v = [ZERO] * ncols
-            v[f] = ONE
-            for p, row in self.rows.items():
-                c = row.get(f)
-                if c is not None:
+        basis = {f: {f: ONE} for f in self.free_columns() if f < ncols}
+        for p, row in self.rows.items():
+            for f, c in row.items():
+                v = basis.get(f)
+                if v is not None:
                     v[p] = -c
-            basis.append(tuple(v))
-        return basis
+        return list(basis.values())
 
 
 class Subspace:
-    """A subspace of tag^ambient stored via the canonical RREF basis."""
+    """A subspace of tag^ambient, stored as the canonical RREF of its span: a
+    Matrix whose sparse rows are the unit-pivot rows in pivot order.  The
+    RowReducer that built it is kept for membership tests."""
 
-    __slots__ = ("ambient", "tag", "basis", "pivots")
+    __slots__ = ("matrix", "_reducer")
 
     def __init__(self, vectors, ambient, tag):
-        red = RowReducer(ambient, tag)
+        """The span of dense vectors, checked against ambient and tag."""
         check = tag.check
+        sparse = []
         for v in vectors:
             if len(v) != ambient:
                 raise DimensionMismatchError("vector length differs from ambient dimension")
-            red.add_row({k: a for k, a in enumerate(v) if check(a)})
-        object.__setattr__(self, "ambient", ambient)
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "basis", tuple(red.dense_rows()))
-        object.__setattr__(self, "pivots", tuple(red.pivot_columns()))
+            sparse.append({k: a for k, a in enumerate(v) if check(a)})
+        self._span(sparse, ambient, tag)
+
+    @classmethod
+    def spanned(cls, vectors, ambient, tag):
+        """The span of sparse vectors over tag, taken as given."""
+        self = object.__new__(cls)
+        self._span(vectors, ambient, tag)
+        return self
+
+    def _span(self, vectors, ambient, tag):
+        red = RowReducer(ambient, tag)
+        for v in vectors:
+            red.add_row(v)
+        object.__setattr__(self, "matrix",
+                           Matrix.from_sparse_rows(red.sparse_rows(), ambient, tag))
+        object.__setattr__(self, "_reducer", red)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
     @classmethod
     def zero_space(cls, ambient, tag):
-        return cls((), ambient, tag)
+        return cls.spanned((), ambient, tag)
 
-    @classmethod
-    def full_space(cls, ambient, tag):
-        return cls(tuple(unit_vector(ambient, j) for j in range(ambient)), ambient, tag)
+    @property
+    def ambient(self):
+        return self.matrix.ncols
+
+    @property
+    def tag(self):
+        return self.matrix.tag
+
+    @property
+    def rows(self):
+        """The RREF basis as column-sorted (column, element) pairs."""
+        return self.matrix.sparse_rows
+
+    @property
+    def basis(self):
+        """The RREF basis as dense tuples, built on first access."""
+        return self.matrix.rows
+
+    @property
+    def pivots(self):
+        return tuple(r[0][0] for r in self.rows)
 
     @property
     def dim(self):
-        return len(self.basis)
+        return self.matrix.nrows
 
     def is_zero(self):
-        return not self.basis
+        return not self.dim
 
     def is_full(self):
-        return len(self.basis) == self.ambient
+        return self.dim == self.ambient
 
     def contains_vector(self, v):
-        red = RowReducer(self.ambient, self.tag)
-        for b in self.basis:
-            red.add_row(sparse_vector(b))
-        return not red.reduce_row(sparse_vector(v))
-
-    def contains(self, other):
-        return all(self.contains_vector(b) for b in other.basis)
+        return not self._reducer.reduce_row(sparse_vector(v))
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return (self.tag is other.tag and self.ambient == other.ambient
-                and self.basis == other.basis)
+        return self.matrix == other.matrix
 
     def __hash__(self):
-        return hash((self.basis, self.ambient, self.tag))
-
-    def add(self, other):
-        self._compat(other)
-        return Subspace(self.basis + other.basis, self.ambient, self.tag)
+        return hash(self.matrix)
 
     def intersect(self, other):
         """U cap W via the kernel of [U^T | -W^T]."""
         self._compat(other)
         if self.is_zero() or other.is_zero():
             return Subspace.zero_space(self.ambient, self.tag)
-        cols = [list(b) for b in self.basis] + [list(vec_neg(b)) for b in other.basis]
-        m = Matrix.from_columns(cols, self.tag, nrows=self.ambient)
-        combos = m.kernel()
-        # the first len(self.basis) coordinates of a kernel vector combine
-        # the basis of U into a vector of U cap W
-        sparse_basis = [sparse_vector(b) for b in self.basis]
+        cols = self.rows + tuple(tuple((k, -a) for k, a in r) for r in other.rows)
+        combos = Matrix.from_sparse_rows(cols, self.ambient, self.tag).transpose().kernel()
+        # the first dim U coordinates of a kernel vector combine the basis
+        # of U into a vector of U cap W
         vecs = []
-        for c in combos.basis:
+        for c in combos.rows:
             v = {}
-            for coef, b in zip(c, sparse_basis):
-                if coef:
-                    for k, a in b.items():
-                        sparse_add(v, k, coef * a)
-            vecs.append(tuple(v.get(k, ZERO) for k in range(self.ambient)))
-        return Subspace(vecs, self.ambient, self.tag)
+            for t, coef in c:
+                if t >= self.dim:
+                    break
+                for k, a in self.rows[t]:
+                    sparse_add(v, k, coef * a)
+            vecs.append(v)
+        return Subspace.spanned(vecs, self.ambient, self.tag)
 
     def _compat(self, other):
         if self.tag is not other.tag:

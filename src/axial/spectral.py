@@ -2,8 +2,8 @@
 
 Eigenvalue discovery: candidate values from the fusion law plus a rational
 root scan of the characteristic polynomial.  Over the Gaussian rationals the
-scan covers rational roots of real-coefficient polynomials and roots of the
-linear/quadratic factor left after deflating by already-found eigenvalues;
+scan covers its rational roots and the roots of the linear/quadratic factor
+left after deflating by already-found eigenvalues;
 when the eigenspaces found still do not fill the space, the spectrum is
 reported as undetermined (and the element as not semisimple).
 """
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 from .errors import DimensionMismatchError, NotIdempotentError, NotSemisimpleError
 from .fusion import FusionLaw
-from .linalg import Matrix, sparse_vector
+from .linalg import Matrix
 from .scalars import ONE, ZERO, FieldTag, Rat, Scalar, render_scalar, scalar_sqrt, sort_key
 
 
@@ -72,11 +72,14 @@ def _int_divisors(n):
 
 
 def rational_roots(coeffs):
-    """All rational roots of a polynomial with rational coefficients
-    (given high degree first).  Roots are returned once each, sorted; a
-    coefficient with an imaginary part gives no roots."""
+    """All rational roots of a polynomial over the rationals or the Gaussian
+    rationals (given high degree first), once each, sorted."""
     if any(type(c) is Scalar for c in coeffs):
-        return []
+        # a rational root of P + iQ, P and Q rational, is a common root of P
+        # and Q; Q is nonzero here
+        im = [c.im if type(c) is Scalar else ZERO for c in coeffs]
+        lead = next(k for k, c in enumerate(im) if c)
+        return [r for r in rational_roots(im[lead:]) if not poly_eval(coeffs, r)]
     # strip trailing zero coefficients: t = 0 is a root
     roots = set()
     work = list(coeffs)
@@ -212,12 +215,13 @@ class Eigenbasis:
         if not eigen.semisimple:
             raise DimensionMismatchError("eigenbasis of a non-semisimple element")
         self.algebra = algebra
-        cols = [b for _, space in eigen.pairs for b in space.basis]
-        inv = Matrix.from_columns(cols, algebra.tag, nrows=algebra.dim).inverse()
-        # column j of the inverse, {eigenbasis position: entry}: the
-        # eigenbasis coordinates of y sum these over the nonzero y_j
-        self.inverse_columns = [dict(c) for c in inv.transpose().sparse_rows]
-        self.vectors = [sparse_vector(v) for v in cols]  # by position
+        rows = tuple(r for _, space in eigen.pairs for r in space.rows)
+        # the eigenvectors are the rows of P^T, so row j of its inverse is
+        # column j of P^-1, {eigenbasis position: entry}: the eigenbasis
+        # coordinates of y sum these over the nonzero y_j
+        inv = Matrix.from_sparse_rows(rows, algebra.dim, algebra.tag).inverse()
+        self.inverse_columns = [dict(r) for r in inv.sparse_rows]
+        self.vectors = [dict(r) for r in rows]  # by position
         self.owner = []   # position -> index of its eigenvalue in slices
         self.slices = []  # (eigenvalue, its sparse eigenvectors)
         for t, (lam, space) in enumerate(eigen.pairs):
@@ -340,14 +344,17 @@ def render_violation(algebra, violation):
 
 def minimal_law(algebra, axes):
     """The smallest fusion law making every member of axes an axis:
-    values = union of spectra, cells = observed product components."""
+    values = union of spectra, cells = observed product components.  Raises
+    NotIdempotentError unless every member is a nonzero idempotent."""
     values = set()
     table = {}
     for a in axes:
-        eigen = eigen_decompose(algebra, tuple(a))
-        if not algebra.is_idempotent(tuple(a)):
+        a = tuple(a)
+        if not any(a) or not algebra.is_idempotent(a):
             raise NotIdempotentError(
-                f"minimal_law requires idempotents; got {algebra.render_element(a)}")
+                f"minimal_law requires idempotents that are nonzero; "
+                f"got {algebra.render_element(a)}")
+        eigen = eigen_decompose(algebra, a)
         if not eigen.semisimple:
             raise NotSemisimpleError(
                 f"minimal_law requires semisimple elements; {algebra.render_element(a)} "

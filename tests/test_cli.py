@@ -67,6 +67,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("text, message", [
         ("dim 2\nbasis a b\nproduct 1 1: 1 a\nproduct 2 2: 1 b\n"
          "element a2: 2 a\nset S: a2\n", "requires idempotents"),
+        # the zero element is idempotent but not an axis
+        ("dim 1\nbasis e\nproduct 1 1: 1 e\nelement z: 0 e\nset S: z\n",
+         "requires idempotents"),
         # a*b = a + b: L_a is a Jordan block with eigenvalue 1
         ("dim 2\nbasis a b\nproduct 1 1: 1 a\nproduct 1 2: 1 a, 1 b\n"
          "set S: a\n", "requires semisimple"),

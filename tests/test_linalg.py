@@ -253,3 +253,44 @@ def test_solve_kernel_is_the_kernel(tag):
         else:
             assert extra == m.kernel() and m.apply(sol) == rhs
     assert inconsistent > 0
+
+
+def _sparse_rows(rows):
+    return tuple(tuple((k, a) for k, a in enumerate(r) if a) for r in rows)
+
+
+@pytest.mark.parametrize("tag", [FieldTag.QQ, FieldTag.QI])
+def test_subspace_matches_dense_reference(tag):
+    rng = random.Random(53 if tag is FieldTag.QQ else 59)
+    outside = 0
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        u = _dense(rng, rng.randint(0, 4), n, tag)
+        w = _dense(rng, rng.randint(0, 4), n, tag)
+        red, pivots = _naive_rref(u, n, tag)
+        # the dense public constructor and the sparse one give one RREF
+        su = Subspace(u, n, tag)
+        sparse = Subspace.spanned([dict(r) for r in _sparse_rows(u)], n, tag)
+        for s in (su, sparse):
+            assert s.basis == tuple(map(tuple, red))
+            assert s.rows == _sparse_rows(red)
+            assert s.pivots == tuple(pivots)
+            assert s.dim == len(red) and s.ambient == n and s.tag is tag
+        assert su == sparse and hash(su) == hash(sparse)
+        # intersect: inside both spaces, dim(U + W) = dim U + dim W - dim(U cap W)
+        sw = Subspace(w, n, tag)
+        inter = su.intersect(sw)
+        assert all(su.contains_vector(b) and sw.contains_vector(b) for b in inter.basis)
+        assert inter.dim == su.dim + sw.dim - len(_naive_rref(u + w, n, tag)[0])
+        assert inter == sw.intersect(su)
+        # contains_vector: combinations of u are members; another vector is
+        # one exactly when it leaves the naive rank unchanged
+        coeffs = [_entry(rng, tag) for _ in u]
+        member = tuple(sum((c * r[k] for c, r in zip(coeffs, u)), tag.zero)
+                       for k in range(n))
+        assert su.contains_vector(member)
+        x = tuple(_entry(rng, tag) for _ in range(n))
+        inside = len(_naive_rref(u + [list(x)], n, tag)[0]) == len(red)
+        assert su.contains_vector(x) == inside
+        outside += not inside
+    assert outside > 0

@@ -13,7 +13,7 @@ from axial.extension import (Cocycle, aut_action, build_extension, coboundary,
                              extension_axiality)
 from axial.linalg import Matrix
 from axial.miyamoto import tau_automorphism
-from axial.scalars import FieldTag, Rat
+from axial.scalars import FieldTag, Rat, Scalar
 from axial.spectral import check_axis, eigen_decompose
 
 TAG = FieldTag.QQ
@@ -46,6 +46,14 @@ def _rand_param_entry(rng):
         return catalog.build(name, params)
     except CatalogError:
         return None
+
+
+def _naive_condition1(algebra, theta, axes):
+    """Condition (1) by its definition: theta(a, k) = 0 for every k in a
+    basis of ker L_a."""
+    return {algebra.render_element(a): all(
+        not any(theta.evaluate(a, k)) for k in algebra.left_mult_matrix(a).kernel().basis)
+        for a in axes}
 
 
 def _lin_comb(basis, coeffs, n):
@@ -90,7 +98,10 @@ def run_class_invariance(count=100, seed=11):
 
 
 def run_eigenvalue_lift(count=100, seed=12):
-    """In an axial extension, each lifted axis has spectrum Spec(a) + {0}."""
+    """In an axial extension, each lifted axis has spectrum Spec(a) + {0}.
+    Along the way, extension_axiality's theta_in_z and condition (1) agree
+    with membership in Z and with the definition of condition (1), over Q
+    here and over Q(i) below."""
     rng = random.Random(seed)
     done = 0
     guard = 0
@@ -106,6 +117,8 @@ def run_eigenvalue_lift(count=100, seed=12):
                                  entry.axis_sets[axkey], entry.law_for(axkey))
         cs = cocycle_space(entry.algebra, entry.axis_sets[axkey], entry.law_for(axkey))
         assert rep.theta_in_z == cs.contains(theta)
+        assert rep.condition1 == _naive_condition1(entry.algebra, theta,
+                                                   entry.axis_sets[axkey])
         if not rep.axial:
             continue
         for a, lifted in zip(entry.axis_sets[axkey], rep.lifted_axes):
@@ -115,6 +128,30 @@ def run_eigenvalue_lift(count=100, seed=12):
             assert ext.semisimple
             assert set(ext.spectrum()) == set(base.spectrum()) | {TAG.zero}
         done += 1
+    # over Q(i): JordanD, whose axes have imaginary coordinates, with
+    # Gaussian cocycles inside Z, outside it, and a Z cocycle plus one entry
+    gaussian = []
+    for n in (3, 4):
+        entry = catalog.build("JordanD", {"n": n})
+        axes, law = entry.axis_sets["family"], entry.laws["J12"]
+        gaussian.append((entry.algebra, axes, law, cocycle_space(entry.algebra, axes, law)))
+    axial = 0
+    for _ in range(count // 4):
+        alg, axes, law, cs = gaussian[rng.randrange(len(gaussian))]
+        n = alg.dim
+        coeffs = [Scalar(rng.randint(-3, 3), rng.randint(-2, 2)) for _ in cs.space.basis]
+        vec = list(_lin_comb(cs.space.basis, coeffs, n))
+        kind = rng.randrange(3)
+        if kind:
+            vec[rng.randrange(len(vec))] += Scalar(rng.randint(-3, 3), rng.randint(1, 2))
+        if kind == 2:
+            vec = [Scalar(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in vec]
+        theta = Cocycle.from_vectors([vec], n, FieldTag.QI)
+        rep = extension_axiality(alg, theta, axes, law)
+        assert rep.theta_in_z == cs.contains(theta)
+        assert rep.condition1 == _naive_condition1(alg, theta, axes)
+        axial += rep.axial
+    assert 0 < axial < count // 4
 
 
 def run_round_trip(count=100, seed=13):

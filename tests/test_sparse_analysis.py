@@ -8,10 +8,23 @@ from axial import catalog
 from axial.algebra import _sym_index
 from axial.extension import condition1_rows, condition2_rows
 from axial.fusion import find_c2_gradings
-from axial.linalg import Matrix, Subspace, vec_add, vec_neg, vec_scale
+from axial.linalg import Matrix, Subspace
 from axial.miyamoto import tau_automorphism
 from axial.scalars import FieldTag
 from axial.spectral import Eigenbasis, check_axis, eigen_decompose
+
+
+# dense vector arithmetic for the reference
+def vec_add(x, y):
+    return tuple(a + b for a, b in zip(x, y, strict=True))
+
+
+def vec_neg(x):
+    return tuple(-a for a in x)
+
+
+def vec_scale(c, x):
+    return tuple(c * a for a in x)
 
 CASES = [("Monster4", {}, "all", "M2half"),
          ("B", {}, "X12", "FB"),

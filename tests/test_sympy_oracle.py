@@ -140,6 +140,9 @@ def test_eigen_multiplicities(label, alg, x, m, hinted):
         assert lam in roots, label
         geometric = len((sm - lam * sympy.eye(alg.dim)).nullspace())
         assert dim == geometric <= roots[lam]
+    # every rational root is found: rational_roots covers Gaussian
+    # coefficients, with or without hints
+    assert {r for r in roots if sympy.im(r) == 0} <= set(ours), label
     if ed.spectrum_complete:
         assert set(ours) == set(roots), label
     assert ed.semisimple == (sum(ours.values()) == alg.dim)
