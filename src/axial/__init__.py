@@ -12,9 +12,8 @@ from .extension import (Cocycle, CocycleSpace, ExtensionReport, aut_action,
                         build_extension, coboundary, coboundary_space,
                         cocycle_space, decompose_by_annihilator,
                         extension_axiality, is_split, normalize_on_axes)
-from .fusion import (C2Grading, FusionLaw, augment_with_zero,
-                     find_c2_gradings, grading_is_valid, jordan_half_law,
-                     law_contains, monster_law)
+from .fusion import (C2Grading, FusionLaw, find_c2_gradings, grading_is_valid,
+                     jordan_half_law, law_contains, monster_law)
 from .linalg import Matrix, RowReducer, Subspace
 from .miyamoto import (AutMatrix, axis_closure, find_flip, group_closure,
                        is_automorphism, tau_automorphism)
@@ -34,7 +33,7 @@ __all__ = [
     "build_extension", "coboundary", "coboundary_space", "cocycle_space",
     "decompose_by_annihilator", "extension_axiality", "is_split",
     "normalize_on_axes",
-    "C2Grading", "FusionLaw", "augment_with_zero", "find_c2_gradings",
+    "C2Grading", "FusionLaw", "find_c2_gradings",
     "grading_is_valid", "jordan_half_law", "law_contains", "monster_law",
     "Matrix", "RowReducer", "Subspace",
     "AutMatrix", "axis_closure", "find_flip", "group_closure",

@@ -17,8 +17,7 @@ from .errors import (DimensionMismatchError, ExtensionError, FieldMismatchError,
                      NotSemisimpleError)
 from .linalg import Matrix, RowReducer, Subspace, sparse_vector
 from .scalars import ONE, ZERO
-from .spectral import (Eigenbasis, check_axis, eigen_decompose, minimal_law,
-                       render_violation)
+from .spectral import check_axis, eigen_decompose, minimal_law, render_violation
 
 
 class Cocycle:
@@ -55,6 +54,8 @@ class Cocycle:
 
     def evaluate(self, x, y):
         """theta(x, y) as a tuple of s elements."""
+        if len(x) != self.dim or len(y) != self.dim:
+            raise DimensionMismatchError("vector length mismatch")
         out = []
         for m in self.mats:
             acc = ZERO
@@ -195,10 +196,10 @@ def condition2_rows(algebra, a, law, products):
     """Sparse rows of the eigenspace compatibility condition for axis a.
 
     products is the decomposed eigenvector products of a, as returned by
-    Eigenbasis.products() (or kept on a's AxisReport).  For each eigenvalue
-    pair (lam, mu) with 0 not in lam*mu, each (x, y, {nu: z_nu}) gives the
-    row of theta(x, y) - theta(a, sum nu^-1 z_nu) = 0; a component outside
-    the law cell lam*mu raises ExtensionError."""
+    Eigenbasis.products().  For each eigenvalue pair (lam, mu) with 0 not in
+    lam*mu, each (x, y, {nu: z_nu}) gives the row of
+    theta(x, y) - theta(a, sum nu^-1 z_nu) = 0; a component outside the law
+    cell lam*mu raises ExtensionError."""
     cols = _sym_columns(algebra.dim)
     sa = sparse_vector(a)
     rows = []
@@ -252,7 +253,7 @@ class CocycleSpace:
 def cocycle_space(algebra, axes, law):
     """Z(A, F; axes) for one output coordinate, with coboundary comparison.
     Each axis is analysed once: check_axis first, then its constraint rows
-    from the products on the report."""
+    from the Eigenbasis on the report."""
     idx_len = len(_sym_index(algebra.dim))
     red = RowReducer(idx_len, algebra.tag)
     for a in axes:
@@ -266,7 +267,7 @@ def cocycle_space(algebra, axes, law):
         kernel = rep.eigen.eigenspace(ZERO) or Subspace.zero_space(algebra.dim, algebra.tag)
         for row in condition1_rows(algebra, a, kernel):
             red.add_row(row)
-        for row in condition2_rows(algebra, a, law, rep.products):
+        for row in condition2_rows(algebra, a, law, rep.eigen.products()):
             red.add_row(row)
     space = Subspace.spanned(red.kernel_basis(), idx_len, algebra.tag)
     cob = coboundary_space(algebra)
@@ -399,7 +400,7 @@ def extension_axiality(algebra, theta, axes, law):
         if not eigen.semisimple:
             raise NotSemisimpleError(
                 f"axis candidate {algebra.render_element(a)} is not semisimple")
-        rows = condition2_rows(algebra, a, law, Eigenbasis(algebra, eigen).products())
+        rows = condition2_rows(algebra, a, law, eigen.products())
         in_z = in_z and _rows_vanish(rows, vectors)
     return ExtensionReport(ext, lifted, cond1, all_ok, induced,
                            is_split(algebra, theta), in_z)

@@ -3,7 +3,7 @@
 A file is a sequence of directives; blank lines and `#` comments are skipped.
 
     field QQ                     rational (default) or QI for Gaussian rationals
-    dim 2
+    dim 2                        at most MAX_DIM (1024)
     basis e1 e2
     product 1 2: -1 e1, -1 e2   sparse products, 1-based indices i <= j;
                                  omitted products are zero
@@ -30,6 +30,11 @@ from .extension import Cocycle
 from .fusion import FusionLaw
 from .linalg import sparse_vector
 from .scalars import ONE, ZERO, FieldTag, ScalarParseError, render_scalar, sort_key
+
+
+# The largest dim a file may declare, checked before anything is allocated
+# (the Albert algebra, the largest in the catalog, has dim 27).
+MAX_DIM = 1024
 
 
 class AlgebraFileError(AxialError):
@@ -119,6 +124,8 @@ def parse_algebra_file(text):
                 raise AlgebraFileError(f"{where}: unknown field tag {rest!r}")
         elif head == "dim":
             dim = _int(rest, where)
+            if dim > MAX_DIM:
+                raise AlgebraFileError(f"{where}: dim {dim} exceeds the limit {MAX_DIM}")
         elif head == "basis":
             labels = tuple(rest.split())
         elif head == "product":
@@ -212,6 +219,8 @@ def _unit_row(values):
 def render_algebra_file(bundle):
     """Canonical text form of an AlgebraFile bundle; parse-render round-trips."""
     alg = bundle.algebra
+    if alg.dim > MAX_DIM:
+        raise AlgebraFileError(f"dim {alg.dim} exceeds the file format's limit {MAX_DIM}")
     for name, th in bundle.cocycles.items():
         if th.s != 1:
             raise AlgebraFileError(

@@ -1,5 +1,5 @@
 """Fusion laws: a finite value set with a symmetric set-valued product,
-containment, zero-augmentation, and exhaustive C2-grading search."""
+containment, and exhaustive C2-grading search."""
 
 from __future__ import annotations
 
@@ -78,25 +78,6 @@ def law_contains(small, big):
     return all(cell <= big.star(*key) for key, cell in small.table.items())
 
 
-def augment_with_zero(law, mode="empty_row"):
-    """Adjoin 0 to the value set.
-
-    mode 'empty_row': new cells involving 0 are empty.
-    mode 'absorbed': new cells involving 0 are {0}.
-    A law already containing 0 is returned unchanged.
-    """
-    if law.has_value(ZERO):
-        return law
-    if mode not in ("empty_row", "absorbed"):
-        raise AxialError(f"unknown augmentation mode {mode!r}")
-    values = law.values + (ZERO,)
-    table = dict(law.table)
-    if mode == "absorbed":
-        for v in values:
-            table[_cell_key(ZERO, v)] = frozenset({ZERO})
-    return FusionLaw(values, table, law.tag)
-
-
 @dataclass(frozen=True)
 class C2Grading:
     plus: frozenset
@@ -122,11 +103,15 @@ def grading_is_valid(law, plus, minus):
     return True
 
 
-def find_c2_gradings(law, size_cap=16):
+# find_c2_gradings tries all 2^(values - 1) sign partitions
+GRADING_SEARCH_CAP = 16
+
+
+def find_c2_gradings(law):
     """All sign partitions with 1 in the plus part satisfying
     star(F_s, F_t) subset of F_{st}."""
-    if len(law.values) > size_cap:
-        raise AxialError(f"value set larger than the search cap {size_cap}")
+    if len(law.values) > GRADING_SEARCH_CAP:
+        raise AxialError(f"value set larger than the search cap {GRADING_SEARCH_CAP}")
     rest = [v for v in law.values if v != ONE]
     out = []
     for r in range(len(rest) + 1):

@@ -129,12 +129,6 @@ class Matrix:
                     sparse[i].append((j, a))
         return cls.from_sparse_rows(tuple(map(tuple, sparse)), len(cols), tag)
 
-    def column(self, j):
-        return tuple(r[j] for r in self.rows)
-
-    def columns(self):
-        return [self.column(j) for j in range(self.ncols)]
-
     def transpose(self):
         cols = [[] for _ in range(self.ncols)]
         for i, r in enumerate(self.sparse_rows):
@@ -449,6 +443,8 @@ class Subspace:
         return self.dim == self.ambient
 
     def contains_vector(self, v):
+        if len(v) != self.ambient:
+            raise DimensionMismatchError("vector length mismatch")
         return not self._reducer.reduce_row(sparse_vector(v))
 
     def __eq__(self, other):

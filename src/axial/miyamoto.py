@@ -10,7 +10,7 @@ from .errors import (AxialError, DimensionMismatchError, NotIdempotentError,
                      NotSemisimpleError)
 from .linalg import Matrix, RowReducer, sparse_add, sparse_vector
 from .scalars import ONE
-from .spectral import Eigenbasis, eigen_decompose
+from .spectral import eigen_decompose
 
 
 @dataclass(frozen=True)
@@ -59,12 +59,11 @@ def tau_automorphism(algebra, a, law, grading):
         raise NotSemisimpleError(
             f"{algebra.render_element(a)} is not semisimple; no eigenspace involution")
     negative = {lam for lam, _ in eigen.pairs if grading.sign(lam) < 0}
-    basis = Eigenbasis(algebra, eigen)
     # column j is tau(e_j): the eigencomponents of e_j with their signs
     cols = []
     for j in range(algebra.dim):
         col = {}
-        for lam, comp in basis.components({j: ONE}).items():
+        for lam, comp in eigen.components({j: ONE}).items():
             for k, c in comp.items():
                 sparse_add(col, k, -c if lam in negative else c)
         cols.append(tuple(sorted(col.items())))

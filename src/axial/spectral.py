@@ -152,12 +152,68 @@ def field_roots(coeffs, tag, known=()):
 
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EigenData:
-    element: tuple
-    pairs: list          # [(eigenvalue, Subspace)] sorted by eigenvalue
-    semisimple: bool
-    spectrum_complete: bool  # False when root finding over QI may have missed values
+def eigen_decompose(algebra, x, hints=()):
+    """The Eigenbasis of the multiplication operator of x.
+
+    Candidates: hints, then (if they do not already fill the space) all roots
+    of the characteristic polynomial discoverable in the base field.
+    """
+    n = algebra.dim
+    lmat = algebra.left_mult_matrix(x)
+    ident = Matrix.identity(n, algebra.tag)
+    pairs = []
+    seen = set()
+    complete = True
+    candidates = sorted(set(hints), key=sort_key)
+    for roots_scanned in (False, True):
+        for lam in candidates:
+            if lam in seen:
+                continue
+            seen.add(lam)
+            ker = (lmat - ident.scale(lam)).kernel()
+            if not ker.is_zero():
+                pairs.append((lam, ker))
+        if roots_scanned or sum(space.dim for _, space in pairs) == n:
+            break
+        candidates, complete = field_roots(char_poly(lmat), algebra.tag, known=seen)
+    pairs.sort(key=lambda p: sort_key(p[0]))
+    return Eigenbasis(algebra, tuple(x), pairs, complete)
+
+
+class Eigenbasis:
+    """The one analysis of an element x that the axis check, the minimal
+    law, the cocycle conditions and the Miyamoto map share: x's eigenvalues
+    with their eigenspaces, pairs = [(eigenvalue, Subspace)] in eigenvalue
+    order.  spectrum_complete is False when root finding over the Gaussian
+    rationals may have missed values.
+
+    When x is semisimple it also keeps the eigenbasis and the columns of its
+    inverse as sparse vectors ({index: element}, no zero entries), so
+    products and splits touch only nonzero entries; products() is computed
+    once, on first use."""
+
+    def __init__(self, algebra, element, pairs, complete):
+        self.algebra = algebra
+        self.element = element
+        self.pairs = pairs
+        self.semisimple = self.total_dim() == algebra.dim
+        self.spectrum_complete = complete or self.semisimple
+        self._products = None
+        if not self.semisimple:
+            return
+        rows = tuple(r for _, space in pairs for r in space.rows)
+        # the eigenvectors are the rows of P^T, so row j of its inverse is
+        # column j of P^-1, {eigenbasis position: entry}: the eigenbasis
+        # coordinates of y sum these over the nonzero y_j
+        inv = Matrix.from_sparse_rows(rows, algebra.dim, algebra.tag).inverse()
+        self.inverse_columns = [dict(r) for r in inv.sparse_rows]
+        self.vectors = [dict(r) for r in rows]  # by position
+        self.owner = []   # position -> index of its eigenvalue in slices
+        self.slices = []  # (eigenvalue, its sparse eigenvectors)
+        for t, (lam, space) in enumerate(pairs):
+            start = len(self.owner)
+            self.owner.extend([t] * space.dim)
+            self.slices.append((lam, self.vectors[start:len(self.owner)]))
 
     def spectrum(self):
         return [lam for lam, _ in self.pairs]
@@ -171,67 +227,14 @@ class EigenData:
     def total_dim(self):
         return sum(space.dim for _, space in self.pairs)
 
-
-def eigen_decompose(algebra, x, hints=()):
-    """Eigenvalues/eigenspaces of the multiplication operator of x.
-
-    Candidates: hints, then (if they do not already fill the space) all roots
-    of the characteristic polynomial discoverable in the base field.
-    """
-    n = algebra.dim
-    lmat = algebra.left_mult_matrix(x)
-    ident = Matrix.identity(n, algebra.tag)
-    pairs = []
-    seen = set()
-    for lam in sorted(set(hints), key=sort_key):
-        ker = (lmat - ident.scale(lam)).kernel()
-        seen.add(lam)
-        if not ker.is_zero():
-            pairs.append((lam, ker))
-    total = sum(space.dim for _, space in pairs)
-    complete = True
-    if total < n:
-        roots, complete = field_roots(char_poly(lmat), algebra.tag, known=seen)
-        for lam in roots:
-            if lam in seen:
-                continue
-            ker = (lmat - ident.scale(lam)).kernel()
-            seen.add(lam)
-            if not ker.is_zero():
-                pairs.append((lam, ker))
-        total = sum(space.dim for _, space in pairs)
-    pairs.sort(key=lambda p: sort_key(p[0]))
-    return EigenData(tuple(x), pairs, total == n, complete or total == n)
-
-
-class Eigenbasis:
-    """The one analysis of a semisimple element x (an axis) that the axis
-    check, the minimal law, the cocycle condition (2) and the Miyamoto map
-    share.  It is built from x's EigenData and keeps the eigenbasis and the
-    columns of its inverse as sparse vectors ({index: element}, no zero
-    entries), so products and splits touch only nonzero entries."""
-
-    def __init__(self, algebra, eigen):
-        if not eigen.semisimple:
+    def _require_semisimple(self):
+        if not self.semisimple:
             raise DimensionMismatchError("eigenbasis of a non-semisimple element")
-        self.algebra = algebra
-        rows = tuple(r for _, space in eigen.pairs for r in space.rows)
-        # the eigenvectors are the rows of P^T, so row j of its inverse is
-        # column j of P^-1, {eigenbasis position: entry}: the eigenbasis
-        # coordinates of y sum these over the nonzero y_j
-        inv = Matrix.from_sparse_rows(rows, algebra.dim, algebra.tag).inverse()
-        self.inverse_columns = [dict(r) for r in inv.sparse_rows]
-        self.vectors = [dict(r) for r in rows]  # by position
-        self.owner = []   # position -> index of its eigenvalue in slices
-        self.slices = []  # (eigenvalue, its sparse eigenvectors)
-        for t, (lam, space) in enumerate(eigen.pairs):
-            start = len(self.owner)
-            self.owner.extend([t] * space.dim)
-            self.slices.append((lam, self.vectors[start:len(self.owner)]))
 
     def components(self, y):
         """Split the sparse element y; returns {eigenvalue: sparse component}
         with zero components omitted, in eigenvalue order."""
+        self._require_semisimple()
         coords = {}
         for j, b in y.items():
             for r, a in self.inverse_columns[j].items():
@@ -257,7 +260,11 @@ class Eigenbasis:
         """[(lam, mu, nus, [(x, y, components of xy)])]: one entry per
         eigenvalue pair lam <= mu in eigenvalue order, listing every pair of
         sparse eigenvectors x of lam and y of mu; nus is the frozenset of
-        eigenvalues occurring in those components."""
+        eigenvalues occurring in those components.  Computed on first call
+        and kept."""
+        self._require_semisimple()
+        if self._products is not None:
+            return self._products
         product = self.algebra.product_sparse
         out = []
         for s, (lam, xs) in enumerate(self.slices):
@@ -267,6 +274,7 @@ class Eigenbasis:
                 for _x, _y, comps in items:
                     nus.update(comps)  # reuses the dicts' stored hashes
                 out.append((lam, mu, frozenset(nus), items))
+        self._products = out
         return out
 
 
@@ -274,12 +282,9 @@ class Eigenbasis:
 class AxisReport:
     element: tuple
     idempotent: bool     # a is a nonzero idempotent
-    eigen: EigenData
-    spectrum_in_law: bool
-    observed: dict = field(default_factory=dict)  # (lam, mu) -> frozenset of nu
+    eigen: Eigenbasis
     primitive: bool = False
     violations: list = field(default_factory=list)
-    products: list = field(default_factory=list)  # Eigenbasis.products(), if semisimple
 
     @property
     def is_axis(self):
@@ -299,21 +304,13 @@ def check_axis(algebra, a, law):
     if not eigen.semisimple:
         kind = "spectrum_undetermined" if not eigen.spectrum_complete else "not_semisimple"
         report_violations.append((kind, eigen.total_dim()))
-    spectrum_ok = all(law.has_value(lam) for lam in eigen.spectrum())
-    if not spectrum_ok:
-        extra = [lam for lam in eigen.spectrum() if not law.has_value(lam)]
+    extra = [lam for lam in eigen.spectrum() if not law.has_value(lam)]
+    if extra:
         report_violations.append(("spectrum_outside_law", extra))
-    observed = {}
-    primitive = False
-    products = []
-    if eigen.semisimple:
-        a1 = eigen.eigenspace(ONE)
-        primitive = a1 is not None and a1.dim == 1
-        products = Eigenbasis(algebra, eigen).products()
-        for lam, mu, nus, items in products:
-            observed[(lam, mu)] = nus
-            if not spectrum_ok:
-                continue
+    a1 = eigen.eigenspace(ONE)
+    primitive = eigen.semisimple and a1 is not None and a1.dim == 1
+    if eigen.semisimple and not extra:
+        for lam, mu, nus, items in eigen.products():
             allowed = law.star(lam, mu)
             if nus <= allowed:
                 continue
@@ -323,8 +320,7 @@ def check_axis(algebra, a, law):
                         report_violations.append(
                             ("fusion_violation",
                              (lam, mu, nu, algebra.element(xv), algebra.element(yv))))
-    return AxisReport(a, idem, eigen, spectrum_ok, observed, primitive,
-                      report_violations, products)
+    return AxisReport(a, idem, eigen, primitive, report_violations)
 
 
 def render_violation(algebra, violation):
@@ -360,7 +356,7 @@ def minimal_law(algebra, axes):
                 f"minimal_law requires semisimple elements; {algebra.render_element(a)} "
                 f"has eigenspace dimension sum {eigen.total_dim()} < {algebra.dim}")
         values.update(eigen.spectrum())
-        for lam, mu, nus, _items in Eigenbasis(algebra, eigen).products():
+        for lam, mu, nus, _items in eigen.products():
             if nus:
                 table[(lam, mu)] = table.get((lam, mu), frozenset()).union(nus)
     return FusionLaw(values, table, algebra.tag)

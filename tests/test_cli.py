@@ -8,7 +8,9 @@ import sys
 import pytest
 
 import axial
-from axial.cli import main
+from axial import catalog
+from axial.cli import _all_basis_cocycles_jordan, main
+from axial.extension import Cocycle, build_extension, cocycle_space
 
 
 def run(capsys, *argv):
@@ -254,3 +256,18 @@ class TestReproduce:
         code, out, _ = run(capsys, "reproduce", "table3")
         assert code == 0
         assert "FAIL" not in out and "all checks passed" in out
+
+    @pytest.mark.parametrize("name,axes,law", [
+        ("B", "X12", "FB"), ("Monster4", "all", "M2half"), ("S", "standard", "J12"),
+        ("J25", "no_unity", "J12"), ("JordanD", "family", "J12")])
+    def test_jordan_verdict_matches_per_basis_loop(self, name, axes, law):
+        # one extension by a basis of Z against one extension per basis
+        # cocycle; B and Monster4 have a non-Jordan extension
+        entry = catalog.build(name)
+        alg, axes, law = entry.algebra, entry.axis_sets[axes], entry.laws[law]
+        per_basis = all(
+            build_extension(alg, Cocycle.from_vectors([v], alg.dim, alg.tag))[0]
+            .jordan_check() is None
+            for v in cocycle_space(alg, axes, law).space.basis)
+        assert _all_basis_cocycles_jordan(alg, axes, law) == per_basis
+        assert per_basis == (name not in ("B", "Monster4"))

@@ -3,7 +3,7 @@
 import pytest
 
 from axial import catalog
-from axial.errors import ExtensionError
+from axial.errors import DimensionMismatchError, ExtensionError
 from axial.extension import (Cocycle, aut_action, build_extension, coboundary,
                              cocycle_space, condition1_rows,
                              decompose_by_annihilator, extension_axiality,
@@ -77,6 +77,13 @@ class TestBuildAndSplit:
         x, y = lifted
         # (e1 e2, theta(e1,e2)) = (-e1 - e2, 1)
         assert ext.product(x, y) == (q(-1), q(-1), q(1))
+
+    def test_evaluate_checks_length(self):
+        th = theta12()
+        assert th.evaluate((q(1), q(0)), (q(0), q(1))) == (q(1),)
+        for x, y in [((q(1),), (q(0), q(1))), ((q(1), q(0)), (q(0), q(1), q(1)))]:
+            with pytest.raises(DimensionMismatchError):
+                th.evaluate(x, y)
 
     def test_coboundary_is_split(self):
         alg = catalog.build("B").algebra

@@ -1,8 +1,13 @@
 """Text format for algebras: parsing, rendering, round trips."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
-from axial import catalog
+import axial
+from axial import catalog, fileio
 from axial.extension import Cocycle
 from axial.fileio import (AlgebraFile, AlgebraFileError, parse_algebra_file,
                           render_algebra_file)
@@ -65,6 +70,28 @@ class TestParse:
             parse_algebra_file("dim 1\nbasis a\nbogus directive\n")
         with pytest.raises(AlgebraFileError):
             parse_algebra_file("dim 1\nbasis a\nset S: missing\n")
+
+    def test_dim_limit(self, monkeypatch):
+        # parse and render refuse the same dims, so whatever renders parses
+        monkeypatch.setattr(fileio, "MAX_DIM", 3)
+        assert parse_algebra_file("dim 3\n").algebra.dim == 3
+        with pytest.raises(AlgebraFileError, match="line 1: dim 4 exceeds the limit 3"):
+            parse_algebra_file("dim 4\n")
+        with pytest.raises(AlgebraFileError, match="limit 3"):
+            render_algebra_file(AlgebraFile(catalog.build("Monster4").algebra))
+
+    @pytest.mark.parametrize("dim", ["1025", "3000", "1000000000"])
+    def test_oversized_dim_exits_two(self, tmp_path, dim):
+        # refused before the algebra's product table is allocated
+        path = tmp_path / "big.alg"
+        path.write_text(f"dim {dim}\n")
+        src = os.path.dirname(os.path.dirname(axial.__file__))
+        proc = subprocess.run([sys.executable, "-m", "axial.cli", "jordan", "--file", str(path)],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"dim {dim} exceeds the limit 1024" in proc.stderr
 
 
 class TestRoundTrip:

@@ -3,7 +3,8 @@
 import pytest
 
 from axial import catalog
-from axial.fusion import (FusionLaw, augment_with_zero, find_c2_gradings,
+from axial.errors import AxialError
+from axial.fusion import (GRADING_SEARCH_CAP, FusionLaw, find_c2_gradings,
                           grading_is_valid, jordan_half_law, law_contains,
                           monster_law)
 from axial.scalars import FieldTag, Rat
@@ -34,10 +35,6 @@ class TestStandardLaws:
         assert law.star(be, be) == frozenset({one, zero, al})
         assert law.star(zero, al) == frozenset({al})
         assert law.star(zero, be) == frozenset({be})
-
-    def test_jordan_law_already_has_zero(self):
-        law = jordan_half_law(FieldTag.QQ)
-        assert augment_with_zero(law) == law
 
 
 class TestContainment:
@@ -73,3 +70,9 @@ class TestGradings:
         # 1/2 * 1/2 = {1, 0} straddles the parts: not a grading
         assert not grading_is_valid(law, frozenset({q(1), q(1, 2)}),
                                     frozenset({q(0)}))
+
+    def test_search_cap(self):
+        # refused before any of the 2^cap sign partitions is tried
+        values = [q(k) for k in range(1, GRADING_SEARCH_CAP + 2)]
+        with pytest.raises(AxialError, match="search cap"):
+            find_c2_gradings(FusionLaw(values, {}, FieldTag.QQ))

@@ -85,6 +85,13 @@ class TestSubspace:
         assert inter.dim == 1
         assert inter.contains_vector((q(1), q(1), q(1)))
 
+    def test_membership_checks_length(self):
+        # neither truncated nor padded: a vector of another length is refused
+        s = Subspace([(q(1), q(0))], 2, FieldTag.QQ)
+        for v in [(q(1),), (q(1), q(0), q(0)), (q(1), q(0), q(5))]:
+            with pytest.raises(DimensionMismatchError):
+                s.contains_vector(v)
+
     def test_full_and_zero(self):
         assert Subspace([(q(1), q(0)), (q(1), q(1))], 2, FieldTag.QQ).is_full()
         assert Subspace([], 2, FieldTag.QQ).is_zero()

@@ -9,6 +9,7 @@ from axial.linalg import Matrix
 from axial.miyamoto import (axis_closure, find_flip, group_closure,
                             is_automorphism, tau_automorphism)
 from axial.scalars import FieldTag, Rat
+from axial.spectral import Eigenbasis
 
 
 def q(n, d=1):
@@ -29,6 +30,18 @@ class TestTau:
             assert is_automorphism(entry.algebra, t.matrix)
             ident = Matrix.identity(2, FieldTag.QQ)
             assert t.matrix * t.matrix == ident
+
+    def test_tau_reads_components_not_products(self, monkeypatch):
+        # the sign map needs only the split of each basis vector; the
+        # eigenvector products are work for the axis check alone
+        def refuse(self):
+            raise AssertionError("tau_automorphism computed the products")
+        monkeypatch.setattr(Eigenbasis, "products", refuse)
+        entry = catalog.build("JordanC", {"n": 2})
+        law = entry.laws["J12"]
+        grading = next(g for g in find_c2_gradings(law) if g.minus)
+        for a in entry.axis_sets["family"]:
+            tau_automorphism(entry.algebra, a, law, grading)
 
     def test_rejects_non_multiplicative_and_singular(self):
         alg = catalog.build("B").algebra

@@ -3,11 +3,11 @@
 import pytest
 
 from axial import catalog
+from axial.errors import DimensionMismatchError
 from axial.fusion import monster_law
 from axial.scalars import FieldTag, Rat
 from axial.linalg import sparse_vector
-from axial.spectral import (Eigenbasis, check_axial_algebra, check_axis,
-                            eigen_decompose, minimal_law)
+from axial.spectral import check_axial_algebra, check_axis, eigen_decompose, minimal_law
 
 
 def q(n, d=1):
@@ -44,10 +44,9 @@ class TestEigenDecompose:
             (q(1), q(0), q(0), q(-1)))
         assert ed.eigenspace(q(1)).dim == 1
         # the sparse split sums back to y, one component per eigenspace
-        basis = Eigenbasis(alg, ed)
         for y in [(q(3), q(-1), q(2, 5), q(7)), alg.basis_element(2),
                   alg.product(entry.axis_sets["all"][0], (q(1), q(2), q(0), q(-3)))]:
-            comps = basis.components(sparse_vector(y))
+            comps = ed.components(sparse_vector(y))
             total = alg.zero()
             for lam, comp in comps.items():
                 assert comp and all(comp.values())
@@ -62,6 +61,17 @@ class TestEigenDecompose:
         alg = catalog.build("T", {"n": 2}).algebra
         ed = eigen_decompose(alg, alg.basis_element(1))
         assert not ed.semisimple
+        # no eigenbasis to split by
+        with pytest.raises(DimensionMismatchError):
+            ed.components({0: q(1)})
+        with pytest.raises(DimensionMismatchError):
+            ed.products()
+
+    def test_products_computed_once(self):
+        entry = catalog.build("Monster4")
+        a = entry.axis_sets["all"][0]
+        ed = eigen_decompose(entry.algebra, a, hints=monster_law(FieldTag.QQ).values)
+        assert ed.products() is ed.products()
 
 
 class TestCheckAxis:
@@ -117,3 +127,25 @@ class TestMinimalLaw:
                                    entry.laws["J12"])
         assert not cert.certified
         assert any(v[0] == "generation_fails" for v in cert.violations)
+
+
+@pytest.mark.parametrize("name", [
+    pytest.param(item["name"], marks=pytest.mark.slow) if item["name"] == "Albert"
+    else item["name"]
+    for item in catalog.list_catalog() if not item["stub"]])
+def test_hints_do_not_change_a_complete_decomposition(name):
+    # with or without a law's values as hints, a semisimple decomposition
+    # finds the same eigenspaces, in the same bases, and so the same products
+    entry = catalog.build(name)
+    alg = entry.algebra
+    compared = 0
+    for axes in entry.axis_sets.values():
+        for a in axes:
+            plain = eigen_decompose(alg, a)
+            for law in entry.laws.values():
+                hinted = eigen_decompose(alg, a, hints=law.values)
+                if plain.semisimple and hinted.semisimple:
+                    assert hinted.pairs == plain.pairs
+                    assert hinted.products() == plain.products()
+                    compared += 1
+    assert compared
