@@ -13,6 +13,11 @@ from .errors import DimensionMismatchError, FieldMismatchError
 from .linalg import Matrix, RowReducer, Subspace, sparse_add
 from .scalars import ONE, ZERO
 
+# The largest dimension an algebra file may declare or a catalog series may
+# build, checked before anything is allocated (the Albert algebra, the
+# largest fixed catalog entry, has dim 27).
+MAX_DIM = 1024
+
 
 class Algebra:
     """Commutative algebra over QQ or QI with product given by structure
@@ -332,9 +337,6 @@ class BilinearForm:
     def radical(self):
         """{x : (x, A) = 0}."""
         return self.gram.kernel()
-
-    def scale(self, c):
-        return BilinearForm(self.gram.scale(c), self.tag)
 
     def __eq__(self, other):
         if not isinstance(other, BilinearForm):

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import Algebra, BilinearForm
+from .algebra import MAX_DIM, Algebra, BilinearForm
 from .errors import CatalogError
 from .extension import Cocycle
 from .fusion import C2Grading, FusionLaw, jordan_half_law, monster_law
@@ -938,6 +938,18 @@ STUB_ENTRIES = {
 }
 
 
+# The series: builder and algebra dimension for each n.
+_SERIES = {
+    "S": (_build_S, lambda n: n),
+    "J": (_build_J, lambda n: n),
+    "T": (_build_T, lambda n: n),
+    "JordanA": (_build_jordan_full, lambda n: n * n),
+    "JordanB": (_build_jordan_sym, lambda n: n * (n + 1) // 2),
+    "JordanC": (_build_jordan_skew, lambda n: n * (2 * n - 1)),
+    "JordanD": (_build_jordan_form, lambda n: n),
+}
+
+
 def default_params(name):
     return dict(_DEFAULTS.get(name, {}))
 
@@ -957,14 +969,17 @@ def build(name, params=None):
             if k not in _PARAM_SLOTS[name]:
                 raise CatalogError(f"entry {name!r} takes no parameter {k!r}")
             merged[k] = v
-    if name in ("S", "J", "T", "JordanA", "JordanB", "JordanC", "JordanD"):
+    if name in _SERIES:
+        builder, size = _SERIES[name]
         nval = merged["n"]
-        n = int(nval)
-        builder = {
-            "S": _build_S, "J": _build_J, "T": _build_T,
-            "JordanA": _build_jordan_full, "JordanB": _build_jordan_sym,
-            "JordanC": _build_jordan_skew, "JordanD": _build_jordan_form,
-        }[name]
+        try:
+            n = int(nval)
+        except (TypeError, ValueError, OverflowError):
+            n = None
+        if n is None or n != nval:
+            raise CatalogError(f"entry {name!r} needs an integer n, got {nval}")
+        if n > 0 and size(n) > MAX_DIM:
+            raise CatalogError(f"{name} n={n} has dim {size(n)}, above the limit {MAX_DIM}")
         return builder(n)
     scal = {k: _as_scalar(v) for k, v in merged.items()}
     if name == "A":

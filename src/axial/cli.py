@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import catalog as _catalog
-from .algebra import _sym_index, radical_axial
+from .algebra import radical_axial
 from .errors import AxialError
 from .extension import (Cocycle, build_extension, cocycle_space,
                         decompose_by_annihilator, extension_axiality,
@@ -494,13 +494,15 @@ def _bundle_monster():
     alg, law = entry.algebra, entry.laws["M2half"]
     cs = cocycle_space(alg, entry.axis_sets["X01"], law)
     pattern_ok = True
-    idx = _sym_index(4)
-    for v in cs.space.basis:
-        th = Cocycle.from_vectors([v], alg.dim, alg.tag)
-        w = normalize_on_axes(alg, th, entry.axis_sets["all"]).vectorize()[0]
-        diag0 = all(not w[idx[(i, i)]] for i in range(4))
-        long0 = (not w[idx[(0, 2)]]) and (not w[idx[(1, 3)]])
-        short = {w[idx[(0, 1)]], w[idx[(0, 3)]], w[idx[(1, 2)]], w[idx[(2, 3)]]}
+    basis = [alg.basis_element(k) for k in range(4)]
+    for v in cs.space.rows:
+        th = Cocycle([dict(v)], alg.dim, alg.tag)
+        nm = normalize_on_axes(alg, th, entry.axis_sets["all"])
+        w = {(i, j): nm.evaluate(basis[i], basis[j])[0]
+             for i in range(4) for j in range(i, 4)}
+        diag0 = all(not w[(i, i)] for i in range(4))
+        long0 = (not w[(0, 2)]) and (not w[(1, 3)])
+        short = {w[(0, 1)], w[(0, 3)], w[(1, 2)], w[(2, 3)]}
         pattern_ok = pattern_ok and diag0 and long0 and len(short) == 1
     checks.append(("normalized solutions vanish on (a-1,a1),(a0,a2) with "
                    "four-way equality", pattern_ok))
@@ -541,10 +543,10 @@ def _all_basis_cocycles_jordan(alg, axes, law):
     """Is A_theta Jordan for every theta in Z(A, F; axes)?  The central part
     of the Jordan identity is linear in theta and taken coordinatewise, so
     the one extension by a basis of Z (dim Z coordinates) decides it."""
-    basis = cocycle_space(alg, axes, law).space.basis
+    basis = cocycle_space(alg, axes, law).space.rows
     if not basis:
         return True
-    ext, _ = build_extension(alg, Cocycle.from_vectors(basis, alg.dim, alg.tag))
+    ext, _ = build_extension(alg, Cocycle([dict(v) for v in basis], alg.dim, alg.tag))
     return ext.jordan_check() is None
 
 

@@ -26,7 +26,7 @@ class NotSemisimpleError(AxialError):
     or its spectrum could not be fully determined inside the base field."""
 
 
-class CatalogError(AxialError, KeyError):
+class CatalogError(AxialError):
     """Unknown catalog entry or invalid parameters."""
 
 

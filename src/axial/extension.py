@@ -5,7 +5,8 @@ fusion law of an extension, and the inverse decomposition of an algebra with
 nonzero annihilator.
 
 Symmetric forms on an n-dimensional algebra are vectorized by the n(n+1)/2
-upper-triangle entries in row-major order.
+upper-triangle entries in row-major order (see _sym_index): a cocycle
+coordinate, a vector of Z or B, and a constraint row all index them alike.
 """
 
 from __future__ import annotations
@@ -13,90 +14,102 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import Algebra, _sym_index, _unflatten_sym
-from .errors import (DimensionMismatchError, ExtensionError, FieldMismatchError,
-                     NotSemisimpleError)
-from .linalg import Matrix, RowReducer, Subspace, sparse_vector
+from .errors import DimensionMismatchError, ExtensionError, NotSemisimpleError
+from .linalg import Matrix, RowReducer, Subspace, sparse_add, sparse_vector
 from .scalars import ONE, ZERO
 from .spectral import check_axis, eigen_decompose, minimal_law, render_violation
 
 
-class Cocycle:
-    """Symmetric bilinear map A x A -> F^s given by s symmetric matrices."""
+def _sym_col(n, p, q):
+    """The upper-triangle index of the pair (p, q), in either order."""
+    if p > q:
+        p, q = q, p
+    return p * (2 * n - p + 1) // 2 + q - p
 
-    def __init__(self, mats, tag):
-        if not mats:
+
+class Cocycle:
+    """Symmetric bilinear map A x A -> F^s on an n-dimensional algebra.
+
+    Coordinate g is stored as vectors[g], the sparse upper-triangle vector
+    {t: theta_g(b_i, b_j)} over the pairs i <= j in _sym_index order, without
+    zero entries.  The constructor checks each index and each entry's field.
+    """
+
+    def __init__(self, vectors, n, tag):
+        size = n * (n + 1) // 2
+        check = tag.check
+        out = []
+        for v in vectors:
+            for t in v:
+                if not 0 <= t < size:
+                    raise DimensionMismatchError(f"cocycle index {t} out of range")
+            out.append({t: check(a) for t, a in v.items() if a})
+        if not out:
             raise ExtensionError("a cocycle needs at least one coordinate")
-        n = mats[0].nrows
-        for m in mats:
-            if m.tag is not tag:
-                raise FieldMismatchError("cocycle coordinate matrix over a different field")
-            if m.nrows != n or m.ncols != n:
-                raise DimensionMismatchError("cocycle coordinate matrices must share size")
-            if m != m.transpose():
-                raise ExtensionError("cocycle coordinate matrix is not symmetric")
-        self.mats = tuple(mats)
+        self.vectors = tuple(out)
         self.dim = n
-        self.s = len(mats)
+        self.s = len(out)
         self.tag = tag
 
     @classmethod
     def from_entries(cls, n, entries, tag, s=1):
-        """entries: {(i, j): element} or {(i, j): tuple of s elements}."""
-        grids = [[[ZERO] * n for _ in range(n)] for _ in range(s)]
+        """entries: {(i, j): element} or {(i, j): tuple of s elements}, in
+        either index order; a later entry for the same pair wins."""
+        idx = _sym_index(n)
+        vectors = [{} for _ in range(s)]
         for (i, j), val in entries.items():
             vals = tuple(val) if isinstance(val, (tuple, list)) else (val,)
             if len(vals) != s:
                 raise DimensionMismatchError("entry arity differs from coordinate count")
-            for g, v in zip(grids, vals):
-                g[i][j] = v
-                g[j][i] = v
-        return cls([Matrix(tuple(tuple(r) for r in g), tag) for g in grids], tag)
-
-    def evaluate(self, x, y):
-        """theta(x, y) as a tuple of s elements."""
-        if len(x) != self.dim or len(y) != self.dim:
-            raise DimensionMismatchError("vector length mismatch")
-        out = []
-        for m in self.mats:
-            acc = ZERO
-            for a, row in zip(x, m.rows):
-                if not a:
-                    continue
-                for b, g in zip(y, row):
-                    if b and g:
-                        acc = acc + a * b * g
-            out.append(acc)
-        return tuple(out)
-
-    def vectorize(self):
-        """Each coordinate as an upper-triangle row vector."""
-        idx = _sym_index(self.dim)
-        out = []
-        for m in self.mats:
-            v = [None] * len(idx)
-            for (i, j), t in idx.items():
-                v[t] = m.rows[i][j]
-            out.append(tuple(v))
-        return out
+            t = idx.get((min(i, j), max(i, j)))
+            if t is None:
+                raise DimensionMismatchError(f"cocycle entry {(i, j)} outside dim {n}")
+            for vec, a in zip(vectors, vals):
+                vec[t] = a
+        return cls(vectors, n, tag)
 
     @classmethod
     def from_vectors(cls, vectors, n, tag):
         """A cocycle from dense upper-triangle vectors, one per coordinate."""
-        mats = []
+        sparse = []
         for v in vectors:
             if len(v) != n * (n + 1) // 2:
                 raise DimensionMismatchError("vector length differs from n(n+1)/2")
-            pairs = [(t, tag.check(a)) for t, a in enumerate(v) if a]
-            mats.append(_unflatten_sym(pairs, n, tag))
-        return cls(mats, tag)
+            sparse.append(sparse_vector(v))
+        return cls(sparse, n, tag)
+
+    @property
+    def mats(self):
+        """The symmetric n x n Gram matrices, one per coordinate, built on
+        each access."""
+        return tuple(_unflatten_sym(sorted(v.items()), self.dim, self.tag)
+                     for v in self.vectors)
+
+    def evaluate(self, x, y):
+        """theta(x, y) as a tuple of s elements."""
+        n = self.dim
+        if len(x) != n or len(y) != n:
+            raise DimensionMismatchError("vector length mismatch")
+        terms = [(_sym_col(n, p, q), a * b)
+                 for p, a in enumerate(x) if a for q, b in enumerate(y) if b]
+        out = []
+        for v in self.vectors:
+            acc = ZERO
+            for t, ab in terms:
+                g = v.get(t)
+                if g is not None:
+                    acc = acc + ab * g
+            out.append(acc)
+        return tuple(out)
 
     def is_zero(self):
-        return all(m.is_zero() for m in self.mats)
+        return not any(self.vectors)
 
     def __eq__(self, other):
         if not isinstance(other, Cocycle):
             return NotImplemented
-        return self.mats == other.mats
+        return (self.tag is other.tag and self.dim == other.dim
+                and self.vectors == other.vectors)
 
     def __repr__(self):
         return f"Cocycle(dim={self.dim}, s={self.s})"
@@ -106,31 +119,22 @@ def coboundary(algebra, f):
     """delta f for a linear map f: A -> F^s given as an n x s matrix
     (rows = values on basis elements): delta f(x, y) = f(xy)."""
     n = algebra.dim
-    s = f.ncols
-    grids = [[[ZERO] * n for _ in range(n)] for _ in range(s)]
-    for i in range(n):
-        for j in range(i, n):
-            for k, c in algebra.basis_product(i, j).items():
-                for g in range(s):
-                    fv = f.rows[k][g]
-                    if fv:
-                        v = grids[g][i][j] + c * fv
-                        grids[g][i][j] = v
-                        if i != j:
-                            grids[g][j][i] = v
-    return Cocycle([Matrix(tuple(tuple(r) for r in g), algebra.tag) for g in grids],
-                   algebra.tag)
+    if f.nrows != n:
+        raise DimensionMismatchError("coboundary map has a row count other than dim")
+    vectors = [{} for _ in range(f.ncols)]
+    for (i, j), t in _sym_index(n).items():
+        for k, c in algebra.basis_product(i, j).items():
+            for g, fv in f.sparse_rows[k]:
+                sparse_add(vectors[g], t, c * fv)
+    return Cocycle(vectors, n, algebra.tag)
 
 
 def coboundary_space(algebra):
-    """Span of all coboundaries, vectorized: spanned by the n(n+1)/2-vectors
-    of delta(dual basis functionals)."""
-    idx = _sym_index(algebra.dim)
-    vecs = {}  # k -> the vector of delta(b_k^*): c[i][j][k] at (i, j)
-    for (i, j), t in idx.items():
-        for k, c in algebra.basis_product(i, j).items():
-            vecs.setdefault(k, {})[t] = c
-    return Subspace.spanned(vecs.values(), len(idx), algebra.tag)
+    """B, the span of all coboundaries: spanned by the coordinates of
+    delta(identity), the coboundaries of the dual basis functionals."""
+    n = algebra.dim
+    delta = coboundary(algebra, Matrix.identity(n, algebra.tag))
+    return Subspace.spanned(delta.vectors, n * (n + 1) // 2, algebra.tag)
 
 
 def build_extension(algebra, theta, axes=()):
@@ -138,24 +142,18 @@ def build_extension(algebra, theta, axes=()):
     (extension, Y) where Y lifts the given axes to a + theta(a,a)."""
     if theta.dim != algebra.dim:
         raise DimensionMismatchError("cocycle size differs from algebra dimension")
-    n, s = algebra.dim, theta.s
-    products = {}
-    for i in range(n):
-        for j in range(i, n):
-            entry = {k: c for k, c in algebra.basis_product(i, j).items()}
-            for g in range(s):
-                v = theta.mats[g].rows[i][j]
-                if v:
-                    entry[n + g] = v
-            if entry:
-                products[(i, j)] = entry
-    labels = algebra.labels + tuple(f"v{g+1}" for g in range(s))
-    ext = Algebra(n + s, products, algebra.tag, labels)
+    n = algebra.dim
+    pairs = list(_sym_index(n))
+    products = {p: dict(algebra.basis_product(*p)) for p in pairs}
+    for g, v in enumerate(theta.vectors):
+        for t, c in v.items():
+            products[pairs[t]][n + g] = c
+    labels = algebra.labels + tuple(f"v{g+1}" for g in range(theta.s))
+    ext = Algebra(n + theta.s, products, algebra.tag, labels)
     lifted = []
     for a in axes:
         a = tuple(a)
-        w = theta.evaluate(a, a)
-        lifted.append(a + w)
+        lifted.append(a + theta.evaluate(a, a))
     return ext, lifted
 
 
@@ -164,8 +162,7 @@ def build_extension(algebra, theta, axes=()):
 
 def _sym_columns(n):
     """cols[p][q]: the symmetric-form unknown of the pair (p, q), either order."""
-    idx = _sym_index(n)
-    return [[idx[(min(p, q), max(p, q))] for q in range(n)] for p in range(n)]
+    return [[_sym_col(n, p, q) for q in range(n)] for p in range(n)]
 
 
 def _add_pair(acc, cols, x, y):
@@ -244,10 +241,15 @@ class CocycleSpace:
 
     def contains(self, theta):
         """Is every coordinate of theta a relative cocycle?"""
-        return all(self.space.contains_vector(v) for v in theta.vectorize())
+        return self._holds_all(self.space, theta)
 
     def class_is_zero(self, theta):
-        return all(self.coboundaries.contains_vector(v) for v in theta.vectorize())
+        return self._holds_all(self.coboundaries, theta)
+
+    def _holds_all(self, subspace, theta):
+        if theta.dim != self.algebra.dim:
+            raise DimensionMismatchError("cocycle size differs from algebra dimension")
+        return all(subspace.contains_sparse(v) for v in theta.vectors)
 
 
 def cocycle_space(algebra, axes, law):
@@ -297,29 +299,19 @@ def normalize_on_axes(algebra, theta, axes):
     for j in range(n):
         if red.add_row({j: ONE}):
             basis_rows.append(tuple(algebra.basis_element(j)))
-    bmat = Matrix(tuple(basis_rows), algebra.tag, ncols=n).transpose()
-    binv = bmat.inverse()
-    # f(a_k) = theta(a_k, a_k), f = 0 on the completion
-    fvals = []
-    for k, a in enumerate(basis_rows):
-        if k < len(axes):
-            fvals.append(theta.evaluate(a, a))
-        else:
-            fvals.append((ZERO,) * theta.s)
-    # f on the standard basis: f(e_j) = sum_k coords(e_j)_k * f(basis_k)
-    frows = []
-    for j in range(n):
-        coords = binv.apply(algebra.basis_element(j))
-        row = [ZERO] * theta.s
-        for c, fv in zip(coords, fvals):
-            if c:
-                for g in range(theta.s):
-                    row[g] = row[g] + c * fv[g]
-        frows.append(tuple(row))
-    f = Matrix(tuple(frows), algebra.tag, ncols=theta.s)
-    delta = coboundary(algebra, f)
-    mats = [m - d for m, d in zip(theta.mats, delta.mats)]
-    out = Cocycle(mats, algebra.tag)
+    # f(r_k) = theta(a_k, a_k) on the axes and 0 on the completion: with the
+    # basis as the rows of R and those values as the rows of F, R f = F
+    fvals = [theta.evaluate(a, a) for a in axes]
+    fvals += [(ZERO,) * theta.s] * (n - len(axes))
+    f = (Matrix(tuple(basis_rows), algebra.tag, ncols=n).inverse()
+         * Matrix(tuple(fvals), algebra.tag, ncols=theta.s))
+    vectors = []
+    for v, d in zip(theta.vectors, coboundary(algebra, f).vectors):
+        v = dict(v)
+        for t, c in d.items():
+            sparse_add(v, t, -c)
+        vectors.append(v)
+    out = Cocycle(vectors, n, algebra.tag)
     for a in axes:
         if any(v for v in out.evaluate(a, a)):
             raise ExtensionError("normalization failed to vanish on an axis")
@@ -336,15 +328,12 @@ def is_split(algebra, theta):
     'indeterminate' is returned.
     """
     n = algebra.dim
+    if theta.dim != n:
+        raise DimensionMismatchError("cocycle size differs from algebra dimension")
     red = RowReducer(len(_sym_index(n)), algebra.tag)
     for b in coboundary_space(algebra).rows:
         red.add_row(dict(b))
-    independent = True
-    for v in theta.vectorize():
-        if not red.add_row(sparse_vector(v)):
-            independent = False
-            break
-    if not independent:
+    if not all(red.add_row(v) for v in theta.vectors):
         return "split"
     ext, _ = build_extension(algebra, theta)
     ann = ext.annihilator()
@@ -383,7 +372,7 @@ def extension_axiality(algebra, theta, axes, law):
     # tried whenever the hinted eigenspaces do not fill the space
     eigens = [eigen_decompose(algebra, a, hints=law.values) for a in axes]
     ext, lifted = build_extension(algebra, theta, axes)
-    vectors = theta.vectorize()
+    vectors = theta.vectors
     no_kernel = Subspace.zero_space(algebra.dim, algebra.tag)
     cond1 = {}
     all_ok = True
@@ -407,13 +396,14 @@ def extension_axiality(algebra, theta, axes, law):
 
 
 def _rows_vanish(rows, vectors):
-    """Does every sparse row vanish on every dense vector?"""
+    """Does every sparse row vanish on every sparse vector?"""
     for v in vectors:
         for row in rows:
-            acc = None
+            acc = ZERO
             for col, c in row.items():
-                if v[col]:
-                    acc = acc + c * v[col] if acc is not None else c * v[col]
+                a = v.get(col)
+                if a is not None:
+                    acc = acc + c * a
             if acc:
                 return False
     return True
@@ -458,8 +448,7 @@ def decompose_by_annihilator(bigebra, axes=()):
                 theta_entries[(a, b)] = tuple(annc)
     labels = tuple(bigebra.labels[j] for j in comp_idx)
     small = Algebra(m, products, tag, labels)
-    theta = Cocycle.from_entries(m, theta_entries, tag, s=s) if theta_entries else \
-        Cocycle([Matrix.zero(m, m, tag)] * s, tag)
+    theta = Cocycle.from_entries(m, theta_entries, tag, s=s)
     projected = []
     for y in axes:
         comp, _annc = split_coords(tuple(y))
@@ -469,7 +458,10 @@ def decompose_by_annihilator(bigebra, axes=()):
 
 def aut_action(theta, phi):
     """Pullback of theta along an invertible matrix: (phi.theta)(x,y) =
-    theta(phi x, phi y), i.e. each Gram matrix becomes phi^T G phi."""
+    theta(phi x, phi y), read on the columns of phi."""
     phi.inverse()  # raises when singular
-    pt = phi.transpose()
-    return Cocycle([pt * m * phi for m in theta.mats], theta.tag)
+    cols = phi.transpose().rows
+    n = theta.dim
+    entries = {(i, j): theta.evaluate(cols[i], cols[j])
+               for i in range(n) for j in range(i, n)}
+    return Cocycle.from_entries(n, entries, theta.tag, s=theta.s)

@@ -24,17 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import Algebra
+from .algebra import MAX_DIM, Algebra
 from .errors import AxialError
 from .extension import Cocycle
 from .fusion import FusionLaw
 from .linalg import sparse_vector
 from .scalars import ONE, ZERO, FieldTag, ScalarParseError, render_scalar, sort_key
-
-
-# The largest dim a file may declare, checked before anything is allocated
-# (the Albert algebra, the largest in the catalog, has dim 27).
-MAX_DIM = 1024
 
 
 class AlgebraFileError(AxialError):
@@ -128,6 +123,8 @@ def parse_algebra_file(text):
                 raise AlgebraFileError(f"{where}: dim {dim} exceeds the limit {MAX_DIM}")
         elif head == "basis":
             labels = tuple(rest.split())
+            if len(set(labels)) != len(labels):
+                raise AlgebraFileError(f"{where}: repeated basis name")
         elif head == "product":
             if dim is None or labels is None:
                 raise AlgebraFileError(f"{where}: product before dim/basis")
@@ -216,11 +213,29 @@ def _unit_row(values):
     return {(ONE, v): {v} for v in values if v != ZERO}
 
 
+def _check_names(kind, names):
+    """Refuse names that would not parse back as written: empty, repeated,
+    or holding whitespace, ',', ':' or '#'."""
+    seen = set()
+    for name in names:
+        if not name or name in seen or any(c.isspace() or c in ",:#" for c in name):
+            raise AlgebraFileError(
+                f"{kind} name {name!r} cannot be written: names must be distinct, "
+                f"nonempty and free of whitespace, ',', ':' and '#'")
+        seen.add(name)
+
+
 def render_algebra_file(bundle):
     """Canonical text form of an AlgebraFile bundle; parse-render round-trips."""
     alg = bundle.algebra
     if alg.dim > MAX_DIM:
         raise AlgebraFileError(f"dim {alg.dim} exceeds the file format's limit {MAX_DIM}")
+    # a set member resolves an element name before a basis name, so the two
+    # share one namespace
+    _check_names("basis or element", alg.labels + tuple(bundle.elements))
+    _check_names("set", bundle.sets)
+    _check_names("law", bundle.laws)
+    _check_names("cocycle", bundle.cocycles)
     for name, th in bundle.cocycles.items():
         if th.s != 1:
             raise AlgebraFileError(
@@ -273,10 +288,8 @@ def render_algebra_file(bundle):
             body = " ".join(render_scalar(v) for v in sorted(cell, key=sort_key))
             lines.append(f"cell {name} {render_scalar(a)} {render_scalar(b)}: {body}")
     for name, th in bundle.cocycles.items():
-        mat = th.mats[0]
-        for i in range(alg.dim):
-            for j in range(i, alg.dim):
-                v = mat.rows[i][j]
-                if v:
+        for i, row in enumerate(th.mats[0].sparse_rows):
+            for j, v in row:
+                if j >= i:
                     lines.append(f"cocycle {name} {i+1} {j+1}: {render_scalar(v)}")
     return "\n".join(lines) + "\n"

@@ -442,10 +442,16 @@ class Subspace:
     def is_full(self):
         return self.dim == self.ambient
 
+    def contains_sparse(self, v):
+        """Is the sparse vector {index: element} in the subspace?  It is
+        reduced against the kept RowReducer, taken as given."""
+        return not self._reducer.reduce_row(v)
+
     def contains_vector(self, v):
+        """Is the dense vector v in the subspace?"""
         if len(v) != self.ambient:
             raise DimensionMismatchError("vector length mismatch")
-        return not self._reducer.reduce_row(sparse_vector(v))
+        return self.contains_sparse(sparse_vector(v))
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):

@@ -133,6 +133,23 @@ class TestExitCodes:
         assert doc["axes_report"][0]["is_axis"] is False
 
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--catalog", "Nope"), "unknown catalog name 'Nope'"),
+        (("--catalog", "S", "--param", "n=5/2"), "entry 'S' needs an integer n, got 5/2"),
+        (("--catalog", "JordanD", "--param", "n=1025"),
+         "JordanD n=1025 has dim 1025, above the limit 1024"),
+    ])
+    def test_catalog_error_is_two(self, argv, message):
+        # the message prints as written: no traceback, no quotes around it
+        src = os.path.dirname(os.path.dirname(axial.__file__))
+        proc = subprocess.run([sys.executable, "-m", "axial.cli", "jordan", *argv, "--json"],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: {message}\n"
+
+
 class TestJson:
     def test_byte_identical(self, capsys):
         args = ("cocycles", "--catalog", "Monster4", "--axes", "X01",

@@ -3,13 +3,13 @@
 import pytest
 
 from axial import catalog
-from axial.errors import DimensionMismatchError, ExtensionError
+from axial.errors import DimensionMismatchError, ExtensionError, FieldMismatchError
 from axial.extension import (Cocycle, aut_action, build_extension, coboundary,
                              cocycle_space, condition1_rows,
                              decompose_by_annihilator, extension_axiality,
                              is_split, normalize_on_axes)
-from axial.linalg import Matrix
-from axial.scalars import FieldTag, Rat
+from axial.linalg import Matrix, sparse_add
+from axial.scalars import FieldTag, Rat, Scalar
 from axial.spectral import check_axial_algebra
 
 
@@ -85,6 +85,28 @@ class TestBuildAndSplit:
             with pytest.raises(DimensionMismatchError):
                 th.evaluate(x, y)
 
+    def test_constructor_checks_indices_and_field(self):
+        tag = FieldTag.QQ
+        assert Cocycle([{0: q(0), 2: q(2)}], 2, tag).vectors == ({2: q(2)},)
+        with pytest.raises(DimensionMismatchError):
+            Cocycle([{3: q(1)}], 2, tag)  # dim 2 has the pairs 0, 1, 2
+        with pytest.raises(DimensionMismatchError):
+            Cocycle.from_entries(2, {(0, 2): q(1)}, tag)
+        with pytest.raises(FieldMismatchError):
+            Cocycle([{0: Scalar(q(1), q(1))}], 2, tag)
+        with pytest.raises(ExtensionError):
+            Cocycle([], 2, tag)
+
+    def test_cocycle_of_another_dimension_is_refused(self):
+        entry = catalog.build("B")
+        alg = entry.algebra
+        cs = cocycle_space(alg, entry.axis_sets["X12"], entry.law_for("X12"))
+        th = Cocycle.from_entries(3, {}, FieldTag.QQ)
+        for call in (lambda: is_split(alg, th), lambda: build_extension(alg, th),
+                     lambda: cs.contains(th), lambda: cs.class_is_zero(th)):
+            with pytest.raises(DimensionMismatchError):
+                call()
+
     def test_coboundary_is_split(self):
         alg = catalog.build("B").algebra
         f = Matrix(((q(2),), (q(-1),)), FieldTag.QQ, ncols=1)
@@ -119,8 +141,10 @@ class TestNormalizeAndAction:
         nm = normalize_on_axes(entry.algebra, th, axes)
         for a in axes:
             assert all(not v for v in nm.evaluate(a, a))
-        diff = Cocycle([m - n for m, n in zip(th.mats, nm.mats)], FieldTag.QQ)
-        assert cs.coboundaries.contains_vector(diff.vectorize()[0])
+        diff = dict(th.vectors[0])
+        for t, c in nm.vectors[0].items():
+            sparse_add(diff, t, -c)
+        assert cs.coboundaries.contains_sparse(diff)
 
     def test_flip_fixes_canonical_cocycle(self):
         from axial.miyamoto import find_flip

@@ -71,6 +71,37 @@ class TestParse:
         with pytest.raises(AlgebraFileError):
             parse_algebra_file("dim 1\nbasis a\nset S: missing\n")
 
+    def test_repeated_basis_name(self):
+        with pytest.raises(AlgebraFileError, match="line 2: repeated basis name"):
+            parse_algebra_file("dim 2\nbasis e e\nproduct 2 2: 1 e\n")
+
+    @pytest.mark.parametrize("labels", [("e", "e"), ("a b", "c"), ("x#", "y"), ("p,", "q"),
+                                        ("r:", "s"), ("", "t")])
+    def test_unwritable_basis_names(self, labels):
+        # each would render text that parses back differently, or not at all
+        alg = Algebra(2, {(1, 1): {1: Rat(1)}}, FieldTag.QQ, labels)
+        with pytest.raises(AlgebraFileError, match="cannot be written"):
+            render_algebra_file(AlgebraFile(alg))
+
+    def test_unwritable_other_names(self):
+        bundle = parse_algebra_file(SAMPLE)
+        # an element named like a basis vector would capture it in a set
+        bundle.elements["e1"] = bundle.elements.pop("a4")
+        with pytest.raises(AlgebraFileError, match="'e1' cannot be written"):
+            render_algebra_file(bundle)
+        bundle = parse_algebra_file(SAMPLE)
+        bundle.laws["F B"] = bundle.laws.pop("FB")
+        with pytest.raises(AlgebraFileError, match="law name 'F B'"):
+            render_algebra_file(bundle)
+        bundle = parse_algebra_file(SAMPLE)
+        bundle.cocycles["t:h"] = bundle.cocycles.pop("th")
+        with pytest.raises(AlgebraFileError, match="cocycle name 't:h'"):
+            render_algebra_file(bundle)
+        bundle = parse_algebra_file(SAMPLE)
+        bundle.sets["X#"] = bundle.sets.pop("X12")
+        with pytest.raises(AlgebraFileError, match="set name 'X#'"):
+            render_algebra_file(bundle)
+
     def test_dim_limit(self, monkeypatch):
         # parse and render refuse the same dims, so whatever renders parses
         monkeypatch.setattr(fileio, "MAX_DIM", 3)
@@ -103,8 +134,8 @@ class TestRoundTrip:
         assert second.laws["FB"] == first.laws["FB"]
         assert second.cocycles["th"] == first.cocycles["th"]
         # one coordinate per cocycle name: s = 2 cannot be written
-        mat = first.cocycles["th"].mats[0]
-        first.cocycles["th2"] = Cocycle([mat, mat], FieldTag.QQ)
+        vec = first.cocycles["th"].vectors[0]
+        first.cocycles["th2"] = Cocycle([vec, vec], 2, FieldTag.QQ)
         with pytest.raises(AlgebraFileError):
             render_algebra_file(first)
 
@@ -252,7 +283,13 @@ def _elements(draw, tag):
 def _bundles(draw):
     tag = draw(st.sampled_from([FieldTag.QQ, FieldTag.QI]))
     dim = draw(st.integers(1, 4))
-    labels = tuple(f"e{k + 1}" for k in range(dim))
+    # mostly well-formed labels; else short ones that may be empty, repeated,
+    # hold a character of the grammar or clash with an element name
+    if draw(st.integers(0, 3)):
+        labels = tuple(f"e{k + 1}" for k in range(dim))
+    else:
+        labels = tuple(draw(st.lists(st.text("ex1 ,:#", max_size=2),
+                                     min_size=dim, max_size=dim)))
     elements = _elements(tag)
 
     def sparse():
@@ -296,10 +333,29 @@ def _bundles(draw):
     return bundle
 
 
+def _writable(bundle):
+    """Are all names of the bundle ones the file format can write back?"""
+    kinds = (bundle.algebra.labels + tuple(bundle.elements), bundle.sets,
+             bundle.laws, bundle.cocycles)
+    for names in kinds:
+        names = list(names)
+        if len(set(names)) != len(names):
+            return False
+        if any(not n or any(c in " \t\n,:#" for c in n) for n in names):
+            return False
+    return True
+
+
 @PROPERTY_SETTINGS
 @given(_bundles())
 def test_render_parse_render_is_identical(bundle):
-    text = render_algebra_file(bundle)
+    # a bundle either round-trips or is refused by render, as its names say
+    try:
+        text = render_algebra_file(bundle)
+    except AlgebraFileError:
+        assert not _writable(bundle)
+        return
+    assert _writable(bundle)
     again = parse_algebra_file(text)
     assert render_algebra_file(again) == text
     alg = bundle.algebra
