@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import DimensionMismatchError, FieldMismatchError
 from .linalg import Matrix, RowReducer, Subspace, sparse_add
-from .scalars import ONE, ZERO
+from .scalars import ONE, ZERO, FieldTag, Rat, clear_denominators, common_denominator
 
 # The largest dimension an algebra file may declare or a catalog series may
 # build, checked before anything is allocated (the Albert algebra, the
@@ -25,7 +25,8 @@ class Algebra:
 
     products: dict mapping (i, j) with i <= j to a sparse dict {k: element};
     missing pairs multiply to zero.  Every structure constant must be an
-    element of the field tag.
+    element of the field tag.  Over QQ the structure constants are also kept
+    as integers over one common denominator, for product_sparse.
     """
 
     def __init__(self, dim, products, tag, labels=None):
@@ -55,6 +56,14 @@ class Algebra:
                 if rows[i][j] is None:
                     rows[i][j] = empty
         self._rows = rows
+        self._int_rows = None  # over QQ: [i][j] -> {k: int}, over _int_den
+        if tag is FieldTag.QQ:
+            pairs = [(i, j) for i in range(dim) for j in range(i, dim) if rows[i][j]]
+            nums, self._int_den = common_denominator([rows[i][j] for i, j in pairs])
+            irows = [[empty] * dim for _ in range(dim)]
+            for (i, j), num in zip(pairs, nums):
+                irows[i][j] = irows[j][i] = num
+            self._int_rows = irows
 
     # -- products -----------------------------------------------------------
 
@@ -79,16 +88,27 @@ class Algebra:
 
     def product_sparse(self, x, y):
         """Product of sparse elements (dicts {index: element} without zero
-        entries) as a sparse dict without zero entries."""
+        entries) as a sparse dict without zero entries.  Over QQ the sums
+        run on integer numerators over dx * dy * _int_den, and a Rat is
+        built for each returned entry only."""
+        if self._int_rows is None:
+            rows, den = self._rows, None
+        else:
+            rows = self._int_rows
+            x, dx = clear_denominators(x)
+            y, dy = clear_denominators(y)
+            den = dx * dy * self._int_den
         acc = {}
         for i, a in x.items():
-            row = self._rows[i]
+            row = rows[i]
             for j, b in y.items():
                 ab = a * b
                 for k, c in row[j].items():
                     v = acc.get(k)
                     acc[k] = ab * c if v is None else v + ab * c
-        return {k: v for k, v in acc.items() if v}
+        if den is None:
+            return {k: v for k, v in acc.items() if v}
+        return {k: Rat(v, den) for k, v in acc.items() if v}
 
     def _sparse(self, x):
         """The nonzero entries of the element x as {index: element}, after
@@ -135,10 +155,10 @@ class Algebra:
         return Subspace.spanned(constraints.kernel_basis(), self.dim, self.tag)
 
     def _span_is_closed(self, red):
-        basis = list(red.rows.values())
+        basis = list(red.unit_rows().values())
         for s, x in enumerate(basis):
             for y in basis[s:]:
-                if red.reduce_row(self.product_sparse(x, y)):
+                if not red.contains(self.product_sparse(x, y)):
                     return False
         return True
 
@@ -170,7 +190,7 @@ class Algebra:
             layers.append(new_layer)
             if new_layer:
                 m = d
-        return Subspace.spanned(red.rows.values(), self.dim, self.tag), m
+        return Subspace.spanned(red.unit_rows().values(), self.dim, self.tag), m
 
     def frobenius_space(self):
         """All symmetric bilinear forms with (xy, z) = (x, yz), as a list of

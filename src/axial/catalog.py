@@ -20,7 +20,7 @@ from .algebra import MAX_DIM, Algebra, BilinearForm
 from .errors import CatalogError
 from .extension import Cocycle
 from .fusion import C2Grading, FusionLaw, jordan_half_law, monster_law
-from .linalg import Matrix, sparse_vector
+from .linalg import Matrix, RowReducer, sparse_vector
 from .scalars import ONE, ZERO, FieldTag, Rat, Scalar
 
 QQ = FieldTag.QQ
@@ -552,32 +552,42 @@ def _build_J59():
 # Jordan matrix algebras
 
 def _flatten(mat):
-    return tuple(a for row in mat.rows for a in row)
+    """The entries of a size x size matrix as a sparse vector of length
+    size * size, row by row."""
+    n = mat.ncols
+    return {i * n + j: a for i, r in enumerate(mat.sparse_rows) for j, a in r}
 
 
 def algebra_from_matrix_basis(mats, tag, labels=None):
     """Commutative algebra on a basis of square matrices closed under the
     symmetrized product (XY + YX)/2; raises when the basis is not closed or
-    not independent."""
+    not independent.
+
+    The flattened basis is reduced once, each vector tagged by its own unit
+    vector after the size * size matrix entries: a product reduces to
+    (0 | -c) exactly when it is sum c_i * mats[i]."""
     if not mats:
         raise CatalogError("matrix basis must be nonempty")
     size = mats[0].nrows
     dim = len(mats)
-    cols = [_flatten(m) for m in mats]
-    vmat = Matrix.from_columns(cols, tag, nrows=size * size)
-    if vmat.rank() != dim:
+    width = size * size
+    red = RowReducer(width + dim, tag)
+    for i, m in enumerate(mats):
+        v = _flatten(m)
+        v[width + i] = ONE
+        red.add_row(v)
+    if red.pivot_columns()[-1] >= width:
         raise CatalogError("matrix basis is linearly dependent")
     half = Rat(1, 2)
     products = {}
     for i in range(dim):
         for j in range(i, dim):
             prod = (mats[i] * mats[j] + mats[j] * mats[i]).scale(half)
-            sol, _ker = vmat.solve(_flatten(prod))
-            if sol is None:
+            residue = red.reduce_row(_flatten(prod))
+            if any(k < width for k in residue):
                 raise CatalogError("matrix basis is not closed under the product")
-            entry = sparse_vector(sol)
-            if entry:
-                products[(i, j)] = entry
+            if residue:
+                products[(i, j)] = {k - width: -c for k, c in sorted(residue.items())}
     return Algebra(dim, products, tag, labels)
 
 

@@ -19,8 +19,10 @@ Conventions fixed for reproducibility:
 
 from __future__ import annotations
 
+from math import gcd
+
 from .errors import DimensionMismatchError, FieldMismatchError
-from .scalars import ONE, ZERO
+from .scalars import ONE, ZERO, FieldTag, Rat, clear_denominators
 
 
 # ---------------------------------------------------------------------------
@@ -40,6 +42,13 @@ def sparse_add(acc, k, c):
 def sparse_vector(x):
     """The nonzero entries of a dense vector as {index: element}."""
     return {k: a for k, a in enumerate(x) if a}
+
+
+def _checked_sparse(x, tag):
+    """sparse_vector(x) for a vector from outside the package, after checking
+    that its entries lie in the field tag (else FieldMismatchError)."""
+    check = tag.check
+    return {k: a for k, a in enumerate(x) if check(a)}
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +200,10 @@ class Matrix:
         return Matrix.from_sparse_rows(tuple(out), other.ncols, self.tag)
 
     def apply(self, x):
-        """Matrix-vector product (x a length-ncols tuple)."""
+        """Matrix-vector product (x a length-ncols tuple of field elements)."""
         if len(x) != self.ncols:
             raise DimensionMismatchError("vector length mismatch")
-        sx = sparse_vector(x)
+        sx = _checked_sparse(x, self.tag)
         out = []
         for r in self.sparse_rows:
             s = None
@@ -243,14 +252,15 @@ class Matrix:
         """
         if len(rhs) != self.nrows:
             raise DimensionMismatchError("rhs length mismatch")
+        check = self.tag.check
         n = self.ncols
         red = RowReducer(n + 1, self.tag)
         for r, b in zip(self.sparse_rows, rhs):
             row = dict(r)
-            if b:
+            if check(b):
                 row[n] = b
             red.add_row(row)
-        rows = red.rows
+        rows = red.unit_rows()
         if n in rows:
             return None, tuple(rows[n].get(j, ZERO) for j in range(n + 1))
         x = tuple(rows[j].get(n, ZERO) if j in rows else ZERO for j in range(n))
@@ -270,8 +280,9 @@ class Matrix:
             red.add_row(row)
         if red.pivot_columns() != list(range(n)):
             raise DimensionMismatchError("matrix is singular")
+        rows = red.unit_rows()
         return Matrix.from_sparse_rows(
-            tuple(tuple(sorted((j - n, a) for j, a in red.rows[p].items() if j >= n))
+            tuple(tuple(sorted((j - n, a) for j, a in rows[p].items() if j >= n))
                   for p in range(n)), n, self.tag)
 
     def is_zero(self):
@@ -285,29 +296,50 @@ class Matrix:
 class RowReducer:
     """Incrementally maintained RREF over sparse rows (dicts column -> element).
 
-    Rows handed to add_row are consumed/copied; the reducer keeps one fully
-    reduced unit-pivot row per pivot column.
+    Rows handed to add_row are copied, never changed.  The reducer keeps one
+    fully reduced row per pivot column in ``rows``: over QQ a primitive
+    integer row (content removed) with a positive pivot entry, reduced
+    fraction-free with gcd-scaled elimination and back-substitution; over QI
+    a row scaled to a unit pivot.  The canonical unit-pivot rows are built
+    by unit_rows(), sparse_rows() and kernel_basis().
     """
 
     def __init__(self, ncols, tag):
         self.ncols = ncols
         self.tag = tag
-        self.rows = {}  # pivot column -> sparse row, row[pivot] == 1
+        self.integral = tag is FieldTag.QQ
+        self.rows = {}  # pivot column -> stored row, see the class docstring
 
-    def reduce_row(self, row):
-        """Return the residue of row after elimination by the current pivots.
+    def _residue(self, row):
+        """(residue, scale): row reduced by the current pivots, with zero
+        entries dropped, is residue / scale.
 
         Every pivot column occurring in the row is eliminated, not just the
         leading one; pivot rows contain no pivot columns other than their own,
         so elimination only ever introduces free-column entries and one pass
-        suffices.
+        suffices.  Over QQ the row is cleared of denominators first, and
+        before c/p times a pivot row with pivot entry p is subtracted the row
+        is scaled by p / gcd(p, c), so every step stays integral.
         """
+        rows = self.rows
+        integral = self.integral
+        if integral:
+            row, scale = clear_denominators(row)
+        else:
+            scale = ONE
         row = {j: a for j, a in row.items() if a}
-        for lead in [j for j in sorted(row) if j in self.rows]:
-            c = row.pop(lead, None)
-            if not c:
-                continue
-            piv = self.rows[lead]
+        for lead in [j for j in sorted(row) if j in rows]:
+            c = row.pop(lead)
+            piv = rows[lead]
+            if integral:
+                p = piv[lead]
+                if p != 1:
+                    g = gcd(p, c)
+                    s, c = p // g, c // g
+                    if s != 1:
+                        scale *= s
+                        for j in row:
+                            row[j] *= s
             for j, a in piv.items():
                 if j == lead:
                     continue
@@ -317,29 +349,54 @@ class RowReducer:
                     row[j] = v
                 elif j in row:
                     del row[j]
+        return row, scale
+
+    def reduce_row(self, row):
+        """The residue of row after elimination by the current pivots, as a
+        sparse row without zero entries."""
+        row, scale = self._residue(row)
+        if self.integral:
+            return {j: Rat(a, scale) for j, a in row.items()}
         return row
+
+    def contains(self, row):
+        """Is the sparse row in the span of the rows added so far?"""
+        return not self._residue(row)[0]
 
     def add_row(self, row):
         """Reduce and insert; returns True when the rank increased."""
-        row = self.reduce_row(row)
+        row = self._residue(row)[0]
         if not row:
             return False
         lead = min(row)
-        inv = ONE / row[lead]
-        row = {j: inv * a for j, a in row.items()}
-        row[lead] = ONE
+        integral = self.integral
+        if integral:
+            row = _primitive(row, lead)
+        else:
+            inv = ONE / row[lead]
+            row = {j: inv * a for j, a in row.items()}
+            row[lead] = ONE
+        p = row[lead]
         # back-substitute into existing pivot rows
-        for p, prow in self.rows.items():
-            c = prow.get(lead)
+        for q, qrow in self.rows.items():
+            c = qrow.get(lead)
             if c is None:
                 continue
+            if integral and p != 1:
+                g = gcd(p, c)
+                s, c = p // g, c // g
+                if s != 1:
+                    for j in qrow:
+                        qrow[j] *= s
             for j, a in row.items():
-                v = prow.get(j)
+                v = qrow.get(j)
                 v = (v - c * a) if v is not None else -(c * a)
                 if v:
-                    prow[j] = v
-                elif j in prow:
-                    del prow[j]
+                    qrow[j] = v
+                elif j in qrow:
+                    del qrow[j]
+            if integral:
+                self.rows[q] = _primitive(qrow, q)
         self.rows[lead] = row
         return True
 
@@ -352,10 +409,20 @@ class RowReducer:
     def free_columns(self):
         return [j for j in range(self.ncols) if j not in self.rows]
 
+    def unit_rows(self):
+        """The RREF as {pivot column: sparse row with entry 1 at the pivot},
+        in the order the pivots were found.  Over QI these are the stored
+        rows, which the caller must not change."""
+        if not self.integral:
+            return self.rows
+        return {p: {j: Rat(a, row[p]) for j, a in row.items()}
+                for p, row in self.rows.items()}
+
     def sparse_rows(self):
         """The pivot rows in pivot order, as column-sorted (column, element)
         pairs: the canonical sparse rows of the RREF."""
-        return tuple(tuple(sorted(self.rows[p].items())) for p in self.pivot_columns())
+        rows = self.unit_rows()
+        return tuple(tuple(sorted(rows[p].items())) for p in self.pivot_columns())
 
     def kernel_basis(self, ncols=None):
         """Basis of the solution space of (rows)x = 0 as sparse vectors, one
@@ -364,11 +431,22 @@ class RowReducer:
         ncols = self.ncols if ncols is None else ncols
         basis = {f: {f: ONE} for f in self.free_columns() if f < ncols}
         for p, row in self.rows.items():
+            piv = row[p]
             for f, c in row.items():
                 v = basis.get(f)
                 if v is not None:
-                    v[p] = -c
+                    v[p] = Rat(-c, piv) if self.integral else -c
         return list(basis.values())
+
+
+def _primitive(row, lead):
+    """The integer row divided by its content, signed so row[lead] > 0."""
+    g = gcd(*row.values())
+    if row[lead] < 0:
+        g = -g
+    if g == 1:
+        return row
+    return {j: a // g for j, a in row.items()}
 
 
 class Subspace:
@@ -445,13 +523,13 @@ class Subspace:
     def contains_sparse(self, v):
         """Is the sparse vector {index: element} in the subspace?  It is
         reduced against the kept RowReducer, taken as given."""
-        return not self._reducer.reduce_row(v)
+        return self._reducer.contains(v)
 
     def contains_vector(self, v):
-        """Is the dense vector v in the subspace?"""
+        """Is the dense vector v, of field elements, in the subspace?"""
         if len(v) != self.ambient:
             raise DimensionMismatchError("vector length mismatch")
-        return self.contains_sparse(sparse_vector(v))
+        return self.contains_sparse(_checked_sparse(v, self.tag))
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):

@@ -169,6 +169,30 @@ def _pair(re, im):
     return g
 
 
+def clear_denominators(v):
+    """(nums, den) for a sparse rational vector {k: Rat}: den is the lcm of
+    its denominators and v[k] == nums[k] / den, nums[k] an integer.  The
+    ℚ kernels of algebra, spectral and linalg run on such integer vectors
+    and build a Rat only for each entry they return."""
+    den = 1
+    for a in v.values():
+        d = a.denominator
+        if d != 1:
+            den = den * d // math.gcd(den, d)
+    if den == 1:
+        return {k: a.numerator for k, a in v.items()}, 1
+    return {k: a.numerator * (den // a.denominator) for k, a in v.items()}, den
+
+
+def common_denominator(vectors):
+    """(nums, den): the sparse rational vectors as integer vectors over one
+    common denominator den, vectors[t][k] == nums[t][k] / den."""
+    cleared = [clear_denominators(v) for v in vectors]
+    den = math.lcm(1, *(d for _, d in cleared))
+    return [nums if d == den else {k: a * (den // d) for k, a in nums.items()}
+            for nums, d in cleared], den
+
+
 def sort_key(s):
     """Deterministic total order on field elements (for canonical output):
     by real part, then imaginary part."""

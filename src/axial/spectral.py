@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from .errors import DimensionMismatchError, NotIdempotentError, NotSemisimpleError
 from .fusion import FusionLaw
 from .linalg import Matrix
-from .scalars import ONE, ZERO, FieldTag, Rat, Scalar, render_scalar, scalar_sqrt, sort_key
+from .scalars import (ONE, ZERO, FieldTag, Rat, Scalar, clear_denominators, common_denominator,
+                      render_scalar, scalar_sqrt, sort_key)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +190,9 @@ class Eigenbasis:
 
     When x is semisimple it also keeps the eigenbasis and the columns of its
     inverse as sparse vectors ({index: element}, no zero entries), so
-    products and splits touch only nonzero entries; products() is computed
-    once, on first use."""
+    products and splits touch only nonzero entries; over QQ each of the two
+    is also kept as integer vectors over one common denominator, on which
+    components() runs.  products() is computed once, on first use."""
 
     def __init__(self, algebra, element, pairs, complete):
         self.algebra = algebra
@@ -208,6 +210,10 @@ class Eigenbasis:
         inv = Matrix.from_sparse_rows(rows, algebra.dim, algebra.tag).inverse()
         self.inverse_columns = [dict(r) for r in inv.sparse_rows]
         self.vectors = [dict(r) for r in rows]  # by position
+        self._int_inverse = self._int_vectors = None  # (nums, den) over QQ
+        if algebra.tag is FieldTag.QQ:
+            self._int_inverse = common_denominator(self.inverse_columns)
+            self._int_vectors = common_denominator(self.vectors)
         self.owner = []   # position -> index of its eigenvalue in slices
         self.slices = []  # (eigenvalue, its sparse eigenvectors)
         for t, (lam, space) in enumerate(pairs):
@@ -233,11 +239,21 @@ class Eigenbasis:
 
     def components(self, y):
         """Split the sparse element y; returns {eigenvalue: sparse component}
-        with zero components omitted, in eigenvalue order."""
+        with zero components omitted, in eigenvalue order.  Over QQ the sums
+        run on integer numerators, and a Rat is built for each returned
+        entry only."""
         self._require_semisimple()
+        if self._int_inverse is None:
+            inverse, vectors, den = self.inverse_columns, self.vectors, None
+        else:
+            # the coordinates are integers over dinv * dy, the components
+            # integers over dinv * dy * dvec
+            (inverse, dinv), (vectors, dvec) = self._int_inverse, self._int_vectors
+            y, dy = clear_denominators(y)
+            den = dinv * dy * dvec
         coords = {}
         for j, b in y.items():
-            for r, a in self.inverse_columns[j].items():
+            for r, a in inverse[j].items():
                 v = coords.get(r)
                 coords[r] = a * b if v is None else v + a * b
         accs = {}  # filled in eigenvalue order: owner grows with the position
@@ -246,12 +262,15 @@ class Eigenbasis:
             if not c:
                 continue
             acc = accs.setdefault(self.owner[r], {})
-            for k, b in self.vectors[r].items():
+            for k, b in vectors[r].items():
                 v = acc.get(k)
                 acc[k] = c * b if v is None else v + c * b
         out = {}
         for t, acc in accs.items():
-            comp = {k: v for k, v in acc.items() if v}
+            if den is None:
+                comp = {k: v for k, v in acc.items() if v}
+            else:
+                comp = {k: Rat(v, den) for k, v in acc.items() if v}
             if comp:
                 out[self.slices[t][0]] = comp
         return out

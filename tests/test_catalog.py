@@ -5,7 +5,8 @@ import pytest
 from axial import catalog
 from axial.algebra import MAX_DIM
 from axial.errors import CatalogError
-from axial.scalars import Rat, Scalar
+from axial.linalg import Matrix
+from axial.scalars import FieldTag, Rat, Scalar
 
 SERIES = ("S", "J", "T", "JordanA", "JordanB", "JordanC", "JordanD")
 
@@ -45,3 +46,33 @@ def test_catalog_error_message_is_unquoted():
     with pytest.raises(CatalogError) as info:
         catalog.build("Nope")
     assert str(info.value) == "unknown catalog name 'Nope'"
+
+
+# algebra_from_matrix_basis: one reduction of the basis serves every product
+
+def _m(rows):
+    return Matrix(tuple(tuple(Rat(x) for x in r) for r in rows), FieldTag.QQ)
+
+
+def test_matrix_basis_products_are_expressed_in_the_basis():
+    # diag(1, 0), diag(0, 1) and the symmetric off-diagonal unit F
+    e1, e2, f = _m([[1, 0], [0, 0]]), _m([[0, 0], [0, 1]]), _m([[0, 1], [1, 0]])
+    alg = catalog.algebra_from_matrix_basis([e1, e2, f], FieldTag.QQ)
+    half = Rat(1, 2)
+    assert alg.basis_product(0, 0) == {0: Rat(1)}
+    assert alg.basis_product(0, 1) == {}
+    assert alg.basis_product(0, 2) == {2: half}
+    assert alg.basis_product(2, 2) == {0: Rat(1), 1: Rat(1)}
+
+
+def test_matrix_basis_that_is_dependent_is_refused():
+    e1, e2 = _m([[1, 0], [0, 0]]), _m([[0, 0], [0, 1]])
+    with pytest.raises(CatalogError, match="linearly dependent"):
+        catalog.algebra_from_matrix_basis([e1, e2, _m([[2, 0], [0, -3]])], FieldTag.QQ)
+
+
+def test_matrix_basis_that_is_not_closed_is_refused():
+    # E12 squares to 0, but E12 * E21 + E21 * E12 is the identity
+    e12, e21 = _m([[0, 1], [0, 0]]), _m([[0, 0], [1, 0]])
+    with pytest.raises(CatalogError, match="not closed"):
+        catalog.algebra_from_matrix_basis([e12, e21], FieldTag.QQ)

@@ -1,11 +1,12 @@
 """Exact row reduction, kernels, inverses, and subspace arithmetic."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from axial.errors import DimensionMismatchError
+from axial.errors import DimensionMismatchError, FieldMismatchError
 from axial.linalg import Matrix, RowReducer, Subspace
 from axial.scalars import FieldTag, Rat, Scalar
 
@@ -301,3 +302,174 @@ def test_subspace_matches_dense_reference(tag):
         assert su.contains_vector(x) == inside
         outside += not inside
     assert outside > 0
+
+
+# ---------------------------------------------------------------------------
+# vectors from outside are checked against the field, as entries are
+
+class TestOutsideVectorsAreChecked:
+    def test_solve_refuses_a_float_rhs(self):
+        with pytest.raises(FieldMismatchError):
+            mat([[1, 0], [0, 2]]).solve((0.5, q(1)))
+
+    def test_apply_refuses_a_gaussian_over_the_rationals(self):
+        with pytest.raises(FieldMismatchError):
+            mat([[1, 0], [0, 2]]).apply((Scalar(1, 1), q(0)))
+
+    def test_contains_vector_refuses_a_gaussian_over_the_rationals(self):
+        s = Subspace([(q(1), q(0))], 2, FieldTag.QQ)
+        with pytest.raises(FieldMismatchError):
+            s.contains_vector((Scalar(1, 1), q(0)))
+
+    def test_elements_of_the_field_still_pass(self):
+        m = Matrix([[Scalar(1, 1), q(0)], [q(0), q(2)]], FieldTag.QI)
+        assert m.apply((Scalar(0, 1), q(1))) == (Scalar(-1, 1), q(2))
+        sol, _ker = m.solve((q(1), q(1)))
+        assert m.apply(sol) == (q(1), q(1))
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free reducer over QQ against the dense reference
+
+BIG_PRIMES = (7919, 104729, 2 ** 31 - 1)
+ORACLE_PRIME = 2 ** 61 - 1  # divides no denominator drawn here
+
+
+def _qq_entry(rng):
+    """Zero a third of the time, else a small numerator over 1, a small
+    denominator or a large prime."""
+    if rng.random() < 0.35:
+        return q(0)
+    return q(rng.choice([-9, -4, -3, -2, -1, 1, 2, 3, 5, 9]),
+             rng.choice((1, 1, 2, 3, 6) + BIG_PRIMES))
+
+
+def _qq_rows(rng, nrows, ncols):
+    """Random rows with negative leads, a cancelling combination of two
+    rows and a zero row mixed in."""
+    rows = [[_qq_entry(rng) for _ in range(ncols)] for _ in range(nrows)]
+    for r in rows:
+        lead = next((j for j, a in enumerate(r) if a), None)
+        if lead is not None and rng.random() < 0.5:
+            r[lead] = -abs(r[lead])
+    if nrows >= 2 and rng.random() < 0.6:
+        i, j = rng.sample(range(nrows), 2)
+        c = _qq_entry(rng) or q(1)
+        rows.append([a - c * b for a, b in zip(rows[i], rows[j])])
+    if rng.random() < 0.3:
+        rows.append([q(0)] * ncols)
+    rng.shuffle(rows)
+    return rows
+
+
+def _rank_mod_p(rows, p):
+    """Rank of rational rows over GF(p), p dividing no denominator: at most
+    the rank over QQ, and equal to it unless p divides every maximal
+    nonzero minor."""
+    work = [[a.numerator * pow(a.denominator, -1, p) % p for a in r] for r in rows]
+    rank = 0
+    for c in range(len(work[0]) if work else 0):
+        piv = next((i for i in range(rank, len(work)) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        inv = pow(work[rank][c], -1, p)
+        work[rank] = [x * inv % p for x in work[rank]]
+        for i in range(len(work)):
+            if i != rank and work[i][c]:
+                f = work[i][c]
+                work[i] = [(x - f * y) % p for x, y in zip(work[i], work[rank])]
+        rank += 1
+    return rank
+
+
+def _naive_kernel(red, pivots, ncols):
+    ker = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        v = [q(0)] * ncols
+        v[f] = q(1)
+        for row, p in zip(red, pivots):
+            v[p] = -row[f]
+        ker.append(tuple(v))
+    return ker
+
+
+def _dict(v):
+    return {k: a for k, a in enumerate(v) if a}
+
+
+def test_fraction_free_reducer_matches_dense_reference():
+    rng = random.Random(61)
+    tag = FieldTag.QQ
+    seen = {"cancel": 0, "outside": 0, "singular": 0, "inconsistent": 0}
+    for _ in range(150):
+        n, m = rng.randint(1, 6), rng.randint(0, 6)
+        rows = _qq_rows(rng, m, n)
+        red, pivots = _naive_rref(rows, n, tag)
+        mtx = Matrix(rows, tag, ncols=n)
+        # rank, with the mod-p oracle; rref; kernel
+        assert mtx.rank() == len(red) == _rank_mod_p(rows, ORACLE_PRIME)
+        seen["cancel"] += len(red) < len(rows)
+        r, piv = mtx.rref()
+        assert piv == tuple(pivots)
+        assert r.rows == tuple(map(tuple, red)) + ((q(0),) * n,) * (len(rows) - len(red))
+        assert mtx.kernel() == Subspace(_naive_kernel(red, pivots, n), n, tag)
+        # the stored rows: primitive integer rows with a positive pivot
+        reducer = RowReducer(n, tag)
+        for row in rows:
+            reducer.add_row(_dict(row))
+        for p, row in reducer.rows.items():
+            assert row[p] > 0 and all(a == int(a) for a in row.values())
+            assert math.gcd(*(int(a) for a in row.values())) == 1
+        assert reducer.sparse_rows() == _sparse_rows(red)
+        # membership and residues: x less x_p times the unit pivot row p
+        span = Subspace(rows, n, tag)
+        coeffs = [_qq_entry(rng) for _ in rows]
+        member = [sum((c * row[k] for c, row in zip(coeffs, rows)), q(0)) for k in range(n)]
+        assert span.contains_sparse(_dict(member))
+        x = [_qq_entry(rng) for _ in range(n)]
+        residue = list(x)
+        for row, p in zip(red, pivots):
+            residue = [a - x[p] * b for a, b in zip(residue, row)]
+        assert reducer.reduce_row(_dict(x)) == _dict(residue)
+        assert span.contains_sparse(_dict(x)) == (not any(residue))
+        seen["outside"] += any(residue)
+        # solve: against the RREF of the augmented rows
+        for rhs in (mtx.apply(x), tuple(_qq_entry(rng) for _ in rows)):
+            aug, apiv = _naive_rref([row + [b] for row, b in zip(rows, rhs)], n + 1, tag)
+            sol, extra = mtx.solve(rhs)
+            if n in apiv:
+                seen["inconsistent"] += 1
+                assert sol is None and extra == tuple(aug[apiv.index(n)])
+                continue
+            want = [q(0)] * n
+            for row, p in zip(aug, apiv):
+                want[p] = row[n]
+            assert sol == tuple(want) and extra == mtx.kernel()
+        # inverse of a square sample
+        sq = _qq_rows(rng, n, n)[:n]
+        sq += [[q(0)] * n] * (n - len(sq))
+        aug, apiv = _naive_rref([row + [q(int(i == j)) for j in range(n)]
+                                 for i, row in enumerate(sq)], 2 * n, tag)
+        if apiv[:n] != list(range(n)):
+            seen["singular"] += 1
+            with pytest.raises(DimensionMismatchError):
+                Matrix(sq, tag).inverse()
+        else:
+            assert Matrix(sq, tag).inverse().rows == tuple(tuple(row[n:]) for row in aug)
+    assert all(seen.values()), seen
+
+
+def test_mod_p_rank_oracle_on_larger_systems():
+    # wider and taller systems than above, every denominator a large prime
+    rng = random.Random(71)
+    for _ in range(12):
+        n, m = rng.randint(8, 20), rng.randint(8, 24)
+        rows = [[q(rng.randint(-30, 30), rng.choice(BIG_PRIMES)) if rng.random() < 0.4
+                 else q(0) for _ in range(n)] for _ in range(m)]
+        for _ in range(3):  # dependent rows lower the rank
+            i, j = rng.sample(range(m), 2)
+            rows.append([a + q(rng.randint(-3, 3), 5) * b for a, b in zip(rows[i], rows[j])])
+        mtx = Matrix(rows, FieldTag.QQ, ncols=n)
+        assert mtx.rank() == _rank_mod_p(rows, ORACLE_PRIME)
+        assert mtx.rank() + mtx.kernel().dim == n

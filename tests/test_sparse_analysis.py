@@ -2,16 +2,18 @@
 products split with Matrix.apply by the eigenbasis inverse, dense constraint
 rows, and the Miyamoto map as the signed sum of dense eigencomponents."""
 
+import random
+
 import pytest
 
 from axial import catalog
-from axial.algebra import _sym_index
+from axial.algebra import Algebra, _sym_index
 from axial.extension import condition1_rows, condition2_rows
 from axial.fusion import find_c2_gradings
 from axial.linalg import Matrix, Subspace
 from axial.miyamoto import tau_automorphism
-from axial.scalars import FieldTag
-from axial.spectral import check_axis, eigen_decompose
+from axial.scalars import FieldTag, Rat
+from axial.spectral import Eigenbasis, check_axis, eigen_decompose
 
 
 # dense vector arithmetic for the reference
@@ -151,3 +153,81 @@ def test_cases_cover_both_fields_and_kernels():
     entry = catalog.build("Monster4")
     assert any(not entry.algebra.left_mult_matrix(a).kernel().is_zero()
                for a in entry.axis_sets["all"])
+
+
+# ---------------------------------------------------------------------------
+# the integer kernels over QQ on random algebras with non-unit denominators
+
+def _qq_entry(rng):
+    if rng.random() < 0.4:
+        return Rat(0)
+    return Rat(rng.choice([-5, -3, -2, -1, 1, 2, 4, 7]), rng.choice([1, 2, 3, 5, 9, 7919]))
+
+
+def _random_qq_algebra(rng, dim):
+    products = {}
+    for i in range(dim):
+        for j in range(i, dim):
+            entry = {k: c for k in range(dim) if (c := _qq_entry(rng))}
+            if entry and rng.random() < 0.7:
+                products[(i, j)] = entry
+    return Algebra(dim, products, FieldTag.QQ), products
+
+
+def _naive_product(products, dim, x, y):
+    """x * y summed over all structure constants, dense."""
+    out = [Rat(0)] * dim
+    for i in range(dim):
+        for j in range(dim):
+            for k, c in products.get((min(i, j), max(i, j)), {}).items():
+                out[k] = out[k] + x[i] * y[j] * c
+    return tuple(out)
+
+
+def _random_eigenbasis(rng, alg):
+    """An Eigenbasis of made-up eigenvalues over a random basis of QQ^dim
+    cut into groups: components() is the split along that decomposition,
+    whatever the algebra."""
+    dim = alg.dim
+    while True:
+        vecs = [[_qq_entry(rng) for _ in range(dim)] for _ in range(dim)]
+        if Matrix(vecs, FieldTag.QQ).rank() == dim:
+            break
+    cuts = sorted(rng.sample(range(1, dim), rng.randint(0, dim - 1)))
+    groups = [vecs[a:b] for a, b in zip([0] + cuts, cuts + [dim])]
+    pairs = [(Rat(t - 1, 2), Subspace(g, dim, FieldTag.QQ)) for t, g in enumerate(groups)]
+    return Eigenbasis(alg, alg.zero(), pairs, True)
+
+
+def test_product_sparse_matches_naive_product_on_random_qq_algebras():
+    rng = random.Random(67)
+    cancelled = 0
+    for _ in range(60):
+        dim = rng.randint(1, 6)
+        alg, products = _random_qq_algebra(rng, dim)
+        for _ in range(6):
+            x = tuple(_qq_entry(rng) for _ in range(dim))
+            y = tuple(_qq_entry(rng) for _ in range(dim))
+            want = _naive_product(products, dim, x, y)
+            got = alg.product_sparse({k: a for k, a in enumerate(x) if a},
+                                     {k: a for k, a in enumerate(y) if a})
+            assert got == {k: a for k, a in enumerate(want) if a}
+            assert all(type(a) is Rat for a in got.values())
+            assert alg.product(x, y) == want
+            cancelled += any(x) and any(y) and not any(want)
+    assert cancelled > 0
+
+
+def test_components_match_dense_reference_on_random_qq_algebras():
+    rng = random.Random(73)
+    for _ in range(40):
+        alg, _products = _random_qq_algebra(rng, rng.randint(1, 6))
+        eigen = _random_eigenbasis(rng, alg)
+        ref = DenseReference(alg, eigen)
+        for _ in range(6):
+            y = tuple(_qq_entry(rng) for _ in range(alg.dim))
+            comps = eigen.components({k: a for k, a in enumerate(y) if a})
+            assert {lam: alg.element(z) for lam, z in comps.items()} == ref.split(y)
+            assert list(comps) == list(ref.split(y))
+            assert all(type(a) is Rat for z in comps.values() for a in z.values())
+        assert _flatten(alg, eigen.products()) == ref.products()
