@@ -20,7 +20,7 @@ from .algebra import MAX_DIM, Algebra, BilinearForm
 from .errors import CatalogError
 from .extension import Cocycle
 from .fusion import C2Grading, FusionLaw, jordan_half_law, monster_law
-from .linalg import Matrix, RowReducer, sparse_vector
+from .linalg import Matrix
 from .scalars import ONE, ZERO, FieldTag, Rat, Scalar
 
 QQ = FieldTag.QQ
@@ -102,8 +102,7 @@ def _as_scalar(v):
 # two-dimensional families
 
 def _build_A():
-    one, zero, half = _q(1), _q(0), _q(1, 2)
-    del half
+    one, zero = _q(1), _q(0)
     alg = _two_dim(zero, zero)
     e1, e2 = alg.basis_element(0), alg.basis_element(1)
     a3 = (one, one)
@@ -551,49 +550,90 @@ def _build_J59():
 # ---------------------------------------------------------------------------
 # Jordan matrix algebras
 
-def _flatten(mat):
-    """The entries of a size x size matrix as a sparse vector of length
-    size * size, row by row."""
-    n = mat.ncols
-    return {i * n + j: a for i, r in enumerate(mat.sparse_rows) for j, a in r}
+# The octonion units e_1..e_7: e_q e_r = e_s for each triple (q, r, s) and its
+# cyclic shifts, e_r e_q = -e_s, and e_q e_q = -1.
+_OCT_TRIPLES = ((1, 2, 3), (1, 4, 5), (1, 7, 6), (2, 4, 6),
+                (2, 5, 7), (3, 4, 7), (3, 6, 5))
 
 
-def algebra_from_matrix_basis(mats, tag, labels=None):
-    """Commutative algebra on a basis of square matrices closed under the
-    symmetrized product (XY + YX)/2; raises when the basis is not closed or
-    not independent.
+def _unit_table():
+    """(q, r) -> (s, sign) with e_q e_r = sign * e_s, for the real unit
+    e_0 = 1 and the imaginary octonion units e_1..e_7."""
+    t = {}
+    for q in range(8):
+        t[(0, q)] = t[(q, 0)] = (q, 1)
+    for q in range(1, 8):
+        t[(q, q)] = (0, -1)
+    for (a, b, c) in _OCT_TRIPLES:
+        for (q, r, s) in ((a, b, c), (b, c, a), (c, a, b)):
+            t[(q, r)] = (s, 1)
+            t[(r, q)] = (s, -1)
+    if len(t) != 64:
+        raise CatalogError("inconsistent octonion sign table")
+    return t
 
-    The flattened basis is reduced once, each vector tagged by its own unit
-    vector after the size * size matrix entries: a product reduces to
-    (0 | -c) exactly when it is sum c_i * mats[i]."""
-    if not mats:
+
+_UNITS = _unit_table()
+
+
+def matrix_model(basis, labels):
+    """Commutative algebra on a basis of matrices over the reals or the
+    octonions, with the product (XY + YX)/2.
+
+    A basis matrix is a sparse dict {(row, col, unit): coefficient} with
+    integer or rational coefficients; unit 0 is the real unit and units 1..7
+    the imaginary octonion units, so a real matrix uses unit 0 only.  The
+    supports must be disjoint: a product's coordinate on basis[k] is read off
+    the first entry of basis[k], and the whole product is then compared
+    exactly with the combination read off; raises when it differs (the basis
+    is not closed) or when two supports overlap."""
+    if not basis:
         raise CatalogError("matrix basis must be nonempty")
-    size = mats[0].nrows
-    dim = len(mats)
-    width = size * size
-    red = RowReducer(width + dim, tag)
-    for i, m in enumerate(mats):
-        v = _flatten(m)
-        v[width + i] = ONE
-        red.add_row(v)
-    if red.pivot_columns()[-1] >= width:
-        raise CatalogError("matrix basis is linearly dependent")
-    half = Rat(1, 2)
+    owner = {}  # key -> (k, entry of basis[k], lead key of basis[k], lead entry)
+    rows = []  # per basis matrix: {row: [(col, unit, coefficient)]}
+    for k, x in enumerate(basis):
+        if not x or not all(x.values()):
+            raise CatalogError("basis matrix is zero or has a zero entry")
+        lead = next(iter(x.items()))
+        by_row = {}
+        for (i, j, q), a in x.items():
+            if (i, j, q) in owner:
+                raise CatalogError("matrix basis supports overlap")
+            owner[(i, j, q)] = (k, a) + lead
+            by_row.setdefault(i, []).append((j, q, a))
+        rows.append(by_row)
+
+    def mul_into(acc, x, y_rows):
+        for (i, m, q), a in x.items():
+            for j, r, b in y_rows.get(m, ()):
+                s, sign = _UNITS[(q, r)]
+                key = (i, j, s)
+                acc[key] = acc.get(key, 0) + sign * a * b
+
     products = {}
-    for i in range(dim):
-        for j in range(i, dim):
-            prod = (mats[i] * mats[j] + mats[j] * mats[i]).scale(half)
-            residue = red.reduce_row(_flatten(prod))
-            if any(k < width for k in residue):
+    for i, x in enumerate(basis):
+        for j in range(i, len(basis)):
+            acc = {}
+            mul_into(acc, x, rows[j])
+            mul_into(acc, basis[j], rows[i])
+            acc = {key: v for key, v in acc.items() if v}
+            # acc is XY + YX; its entry at a key of basis[k] must be the
+            # coordinate on basis[k] (read at the lead key) times the entry
+            coords = {}
+            covered = 0
+            for key, v in acc.items():
+                k, a, lead_key, lead = owner.get(key, (None, 0, None, 0))
+                w = acc.get(lead_key)  # None also when key lies in no support
+                if w is None or v * lead != w * a:
+                    raise CatalogError("matrix basis is not closed under the product")
+                if k not in coords:
+                    coords[k] = Rat(w) / (2 * lead)
+                    covered += len(basis[k])
+            if covered != len(acc):
                 raise CatalogError("matrix basis is not closed under the product")
-            if residue:
-                products[(i, j)] = {k - width: -c for k, c in sorted(residue.items())}
-    return Algebra(dim, products, tag, labels)
-
-
-def _unit_matrix(size, i, j, tag):
-    return Matrix(tuple(tuple(ONE if (r, c) == (i, j) else ZERO for c in range(size))
-                        for r in range(size)), tag)
+            if coords:
+                products[(i, j)] = dict(sorted(coords.items()))
+    return Algebra(len(basis), products, QQ, labels)
 
 
 def _build_jordan_full(n):
@@ -601,22 +641,16 @@ def _build_jordan_full(n):
     if n < 1:
         raise CatalogError("matrix algebras need n >= 1")
     tag = QQ
-    mats = []
-    labels = []
-    index = {}
-    for i in range(n):
-        for j in range(n):
-            index[(i, j)] = len(mats)
-            mats.append(_unit_matrix(n, i, j, tag))
-            labels.append(f"E{i+1}{j+1}")
-    alg = algebra_from_matrix_basis(mats, tag, tuple(labels))
+    basis = [{(i, j, 0): 1} for i in range(n) for j in range(n)]
+    labels = [f"E{i+1}{j+1}" for i in range(n) for j in range(n)]
+    alg = matrix_model(basis, labels)
     fam = []
     for i in range(n):
-        fam.append(alg.element({index[(i, i)]: ONE}))
+        fam.append(alg.element({i * n + i: ONE}))
     for i in range(n):
         for j in range(n):
             if i != j:
-                fam.append(alg.element({index[(i, i)]: ONE, index[(i, j)]: ONE}))
+                fam.append(alg.element({i * n + i: ONE, i * n + j: ONE}))
     return CatalogEntry(
         "JordanA", {"n": _q(n)}, alg,
         axis_sets={"family": tuple(fam)},
@@ -630,19 +664,19 @@ def _build_jordan_sym(n):
     if n < 1:
         raise CatalogError("matrix algebras need n >= 1")
     tag = QQ
-    mats = []
+    basis = []
     labels = []
     index = {}
     for i in range(n):
-        index[(i, i)] = len(mats)
-        mats.append(_unit_matrix(n, i, i, tag))
+        index[(i, i)] = len(basis)
+        basis.append({(i, i, 0): 1})
         labels.append(f"E{i+1}{i+1}")
     for i in range(n):
         for j in range(i + 1, n):
-            index[(i, j)] = len(mats)
-            mats.append(_unit_matrix(n, i, j, tag) + _unit_matrix(n, j, i, tag))
+            index[(i, j)] = len(basis)
+            basis.append({(i, j, 0): 1, (j, i, 0): 1})
             labels.append(f"F{i+1}{j+1}")
-    alg = algebra_from_matrix_basis(mats, tag, tuple(labels))
+    alg = matrix_model(basis, labels)
     one, half = ONE, Rat(1, 2)
     fam = [alg.element({index[(i, i)]: one}) for i in range(n)]
     for i in range(n):
@@ -657,50 +691,48 @@ def _build_jordan_sym(n):
         expected={"jordan": True, "quotient_dim": 0})
 
 
+def _skew_mirror(x, n):
+    """J^-1 X^T J for J = [[0, I], [-I, 0]] of size 2n, on a sparse matrix:
+    the entry at (a, b) moves to (b + n, a + n) mod 2n, negated when exactly
+    one of a, b lies in the second half."""
+    size = 2 * n
+    return {((b + n) % size, (a + n) % size, q): -c if (a < n) != (b < n) else c
+            for (a, b, q), c in x.items()}
+
+
 def _build_jordan_skew(n):
     """2n x 2n matrices fixed by X -> J^-1 X^T J for the standard skew form,
     with the symmetrized product."""
     if n < 1:
         raise CatalogError("matrix algebras need n >= 1")
     tag = QQ
-    size = 2 * n
-    mats = []
+    basis = []
     labels = []
     idx_d = {}
     idx_u = {}
     for i in range(n):
         for j in range(n):
-            idx_d[(i, j)] = len(mats)
-            mats.append(_unit_matrix(size, i, j, tag)
-                        + _unit_matrix(size, n + j, n + i, tag))
+            idx_d[(i, j)] = len(basis)
+            basis.append({(i, j, 0): 1, (n + j, n + i, 0): 1})
             labels.append(f"D{i+1}{j+1}")
     for i in range(n):
         for j in range(i + 1, n):
-            idx_u[(i, j)] = len(mats)
-            mats.append(_unit_matrix(size, i, n + j, tag)
-                        - _unit_matrix(size, j, n + i, tag))
+            idx_u[(i, j)] = len(basis)
+            basis.append({(i, n + j, 0): 1, (j, n + i, 0): -1})
             labels.append(f"U{i+1}{j+1}")
     for i in range(n):
         for j in range(i + 1, n):
-            mats.append(_unit_matrix(size, n + i, j, tag)
-                        - _unit_matrix(size, n + j, i, tag))
+            basis.append({(n + i, j, 0): 1, (n + j, i, 0): -1})
             labels.append(f"L{i+1}{j+1}")
-    # defining identity check: J^-1 X^T J = X for every basis matrix
-    one = ONE
-    jmat = Matrix(tuple(
-        tuple(one if c == r + n else (-one if r == c + n else ZERO)
-              for c in range(size))
-        for r in range(size)), tag)
-    jinv = jmat.inverse()
-    for m in mats:
-        if jinv * m.transpose() * jmat != m:
-            raise CatalogError("skew-fixed basis matrix fails the defining identity")
-    alg = algebra_from_matrix_basis(mats, tag, tuple(labels))
+    if any(_skew_mirror(x, n) != x for x in basis):
+        raise CatalogError("skew-fixed basis matrix fails the defining identity")
+    alg = matrix_model(basis, labels)
     # Diagonal idempotents a_i, then for each ordered pair (i, j) the
     # idempotents a_i + D_ij +/- (upper or lower skew unit); both the upper
     # and the mirrored lower variant are needed to pin the cocycle space down
     # to coboundaries.  The sign making each variant idempotent is selected
     # exactly.
+    one = ONE
     fam = [alg.element({idx_d[(i, i)]: one}) for i in range(n)]
     nu = n * (n - 1) // 2
     for i in range(n):
@@ -759,129 +791,19 @@ def _build_jordan_form(n):
 # ---------------------------------------------------------------------------
 # the 27-dimensional octonion-hermitian algebra
 
-_OCT_TRIPLES = ((1, 2, 3), (1, 4, 5), (1, 7, 6), (2, 4, 6),
-                (2, 5, 7), (3, 4, 7), (3, 6, 5))
-
-
-def _oct_table():
-    t = {}
-    for (a, b, c) in _OCT_TRIPLES:
-        for (q, r, s) in ((a, b, c), (b, c, a), (c, a, b)):
-            t[(q, r)] = (s, 1)
-            t[(r, q)] = (s, -1)
-    if len(t) != 42:
-        raise CatalogError("inconsistent octonion sign table")
-    return t
-
-
-_OCT_MUL = _oct_table()
-
-
-def _oct_mul_into(acc, x, y):
-    """acc += x*y for octonions x, y given as 8-tuples of rationals; acc is
-    {unit: rational} and only products of nonzero entries are added."""
-    for q, a in enumerate(x):
-        if not a:
-            continue
-        for r, b in enumerate(y):
-            if not b:
-                continue
-            ab = a * b
-            if q == 0:
-                s = r
-            elif r == 0:
-                s = q
-            elif q == r:
-                s, ab = 0, -ab
-            else:
-                s, sgn = _OCT_MUL[(q, r)]
-                if sgn < 0:
-                    ab = -ab
-            v = acc.get(s)
-            acc[s] = ab if v is None else v + ab
-
-
-def oct_conj(x):
-    return (x[0],) + tuple(-a for a in x[1:])
-
-
-def _oct_zero():
-    return (ZERO,) * 8
-
-
-def _oct_unit(q):
-    return tuple(ONE if r == q else ZERO for r in range(8))
-
-
-def _herm_mul(x, y):
-    """Product of 3x3 octonion matrices (3x3 nested tuples of octonions)."""
-    out = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            acc = {}
-            for k in range(3):
-                _oct_mul_into(acc, x[i][k], y[k][j])
-            row.append(tuple(acc.get(q, ZERO) for q in range(8)))
-        out.append(tuple(row))
-    return tuple(out)
-
-
-def _herm_basis():
-    """The 27 canonical hermitian matrices: three diagonal units, then for
-    each index pair (i < j) the eight elements with octonion unit q at (i, j)
-    and its conjugate at (j, i)."""
-    basis = []
-    labels = []
+def _build_albert():
+    """Hermitian 3 x 3 octonion matrices: three diagonal units, then for each
+    index pair (i < j) the eight elements with octonion unit q at (i, j) and
+    its conjugate at (j, i)."""
     pairs = ((0, 1), (0, 2), (1, 2))
-    zero_mat = tuple(tuple(_oct_zero() for _ in range(3)) for _ in range(3))
-    for i in range(3):
-        m = [list(r) for r in zero_mat]
-        m[i][i] = _oct_unit(0)
-        basis.append(tuple(tuple(r) for r in m))
-        labels.append(f"D{i+1}")
+    basis = [{(i, i, 0): 1} for i in range(3)]
+    labels = [f"D{i+1}" for i in range(3)]
     for (i, j) in pairs:
         for q in range(8):
-            m = [list(r) for r in zero_mat]
-            m[i][j] = _oct_unit(q)
-            m[j][i] = oct_conj(_oct_unit(q))
-            basis.append(tuple(tuple(r) for r in m))
+            basis.append({(i, j, q): 1, (j, i, q): 1 if q == 0 else -1})
             labels.append(f"F{q}_{i+1}{j+1}")
-    return basis, labels, pairs
-
-
-def _herm_coords(mat, pairs):
-    """Coordinates of a hermitian octonion matrix in the canonical basis;
-    verifies hermiticity exactly."""
-    coords = []
-    for i in range(3):
-        entry = mat[i][i]
-        if any(entry[q] for q in range(1, 8)):
-            raise CatalogError("diagonal entry is not real")
-        coords.append(entry[0])
-    for (i, j) in pairs:
-        if mat[j][i] != oct_conj(mat[i][j]):
-            raise CatalogError("matrix is not hermitian")
-        coords.extend(mat[i][j][q] for q in range(8))
-    return tuple(coords)
-
-
-def _build_albert():
-    basis, labels, pairs = _herm_basis()
+    alg = matrix_model(basis, labels)
     half = _q(1, 2)
-    products = {}
-    for i in range(27):
-        for j in range(i, 27):
-            p = _herm_mul(basis[i], basis[j])
-            q = _herm_mul(basis[j], basis[i])
-            sym = tuple(tuple(tuple(half * (a + b) for a, b in zip(x, y))
-                              for x, y in zip(rx, ry))
-                        for rx, ry in zip(p, q))
-            coords = _herm_coords(sym, pairs)
-            entry = sparse_vector(coords)
-            if entry:
-                products[(i, j)] = entry
-    alg = Algebra(27, products, QQ, tuple(labels))
     fam = [alg.element({i: ONE}) for i in range(3)]
     offset = {pair: 3 + 8 * t for t, pair in enumerate(pairs)}
     for pair in pairs:

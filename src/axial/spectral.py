@@ -10,6 +10,7 @@ reported as undetermined (and the element as not semisimple).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import DimensionMismatchError, NotIdempotentError, NotSemisimpleError
@@ -89,9 +90,7 @@ def rational_roots(coeffs):
         roots.add(ZERO)
     if len(work) <= 1:
         return sorted(roots, key=sort_key)
-    denoms = 1
-    for c in work:
-        denoms = denoms * int(c.denominator) // _gcd(denoms, int(c.denominator))
+    denoms = math.lcm(*(int(c.denominator) for c in work))
     ints = [int(c * Rat(denoms)) for c in work]
     lead, const = ints[0], ints[-1]
     for p in _int_divisors(const):
@@ -101,12 +100,6 @@ def rational_roots(coeffs):
                 if cand not in roots and not poly_eval(work, cand):
                     roots.add(cand)
     return sorted(roots, key=sort_key)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def quadratic_roots(a, b, c, tag):

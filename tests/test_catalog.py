@@ -1,12 +1,12 @@
-"""Catalog parameters: series sizes, integer n and the dimension bound."""
+"""Catalog parameters (series sizes, integer n, the dimension bound) and the
+matrix-model builder of the simple Jordan matrix algebras."""
 
 import pytest
 
 from axial import catalog
 from axial.algebra import MAX_DIM
 from axial.errors import CatalogError
-from axial.linalg import Matrix
-from axial.scalars import FieldTag, Rat, Scalar
+from axial.scalars import Rat, Scalar
 
 SERIES = ("S", "J", "T", "JordanA", "JordanB", "JordanC", "JordanD")
 
@@ -48,16 +48,13 @@ def test_catalog_error_message_is_unquoted():
     assert str(info.value) == "unknown catalog name 'Nope'"
 
 
-# algebra_from_matrix_basis: one reduction of the basis serves every product
-
-def _m(rows):
-    return Matrix(tuple(tuple(Rat(x) for x in r) for r in rows), FieldTag.QQ)
-
+# matrix_model: coordinates are read off one entry per basis matrix, and the
+# whole product is checked against them
 
 def test_matrix_basis_products_are_expressed_in_the_basis():
     # diag(1, 0), diag(0, 1) and the symmetric off-diagonal unit F
-    e1, e2, f = _m([[1, 0], [0, 0]]), _m([[0, 0], [0, 1]]), _m([[0, 1], [1, 0]])
-    alg = catalog.algebra_from_matrix_basis([e1, e2, f], FieldTag.QQ)
+    basis = [{(0, 0, 0): 1}, {(1, 1, 0): 1}, {(0, 1, 0): 1, (1, 0, 0): 1}]
+    alg = catalog.matrix_model(basis, ("e1", "e2", "f"))
     half = Rat(1, 2)
     assert alg.basis_product(0, 0) == {0: Rat(1)}
     assert alg.basis_product(0, 1) == {}
@@ -65,14 +62,47 @@ def test_matrix_basis_products_are_expressed_in_the_basis():
     assert alg.basis_product(2, 2) == {0: Rat(1), 1: Rat(1)}
 
 
-def test_matrix_basis_that_is_dependent_is_refused():
-    e1, e2 = _m([[1, 0], [0, 0]]), _m([[0, 0], [0, 1]])
-    with pytest.raises(CatalogError, match="linearly dependent"):
-        catalog.algebra_from_matrix_basis([e1, e2, _m([[2, 0], [0, -3]])], FieldTag.QQ)
+def test_matrix_basis_with_overlapping_supports_is_refused():
+    # diag(1, 0) and diag(2, -3) share the entry (0, 0)
+    basis = [{(0, 0, 0): 1}, {(1, 1, 0): 1}, {(0, 0, 0): 2, (1, 1, 0): -3}]
+    with pytest.raises(CatalogError, match="supports overlap"):
+        catalog.matrix_model(basis, ("a", "b", "c"))
 
 
 def test_matrix_basis_that_is_not_closed_is_refused():
     # E12 squares to 0, but E12 * E21 + E21 * E12 is the identity
-    e12, e21 = _m([[0, 1], [0, 0]]), _m([[0, 0], [1, 0]])
     with pytest.raises(CatalogError, match="not closed"):
-        catalog.algebra_from_matrix_basis([e12, e21], FieldTag.QQ)
+        catalog.matrix_model([{(0, 1, 0): 1}, {(1, 0, 0): 1}], ("e12", "e21"))
+
+
+# F = E12 + E21 squares to diag(1, 1, 0). Its (0, 0) entry reads as 1 on
+# diag(1, 2, 0), whose (1, 1) entry then does not match; or as 1 on
+# diag(1, 0, 1), whose (2, 2) entry the square lacks.
+@pytest.mark.parametrize("diagonal, other", [
+    ({(0, 0, 0): 1, (1, 1, 0): 2}, {(2, 2, 0): 1}),
+    ({(0, 0, 0): 1, (2, 2, 0): 1}, {(1, 1, 0): 1})])
+def test_matrix_basis_product_off_the_combination_is_refused(diagonal, other):
+    basis = [diagonal, other, {(0, 1, 0): 1, (1, 0, 0): 1}]
+    with pytest.raises(CatalogError, match="not closed"):
+        catalog.matrix_model(basis, ("d", "e", "f"))
+
+
+def test_skew_mirror_fixes_the_jordan_c_basis_and_not_a_wrong_sign():
+    n = 3
+    # U13 = E(1, n+3) - E(3, n+1) is fixed; with a plus sign it is negated
+    u13 = {(0, n + 2, 0): 1, (2, n, 0): -1}
+    assert catalog._skew_mirror(u13, n) == u13
+    wrong = {(0, n + 2, 0): 1, (2, n, 0): 1}
+    assert catalog._skew_mirror(wrong, n) != wrong
+    assert catalog._skew_mirror(wrong, n) == {k: -c for k, c in wrong.items()}
+    # D12 and L12 are fixed too
+    d12 = {(0, 1, 0): 1, (n + 1, n, 0): 1}
+    l12 = {(n, 1, 0): 1, (n + 1, 0, 0): -1}
+    assert catalog._skew_mirror(d12, n) == d12
+    assert catalog._skew_mirror(l12, n) == l12
+
+
+@pytest.mark.slow
+def test_albert_satisfies_the_jordan_identity():
+    # the octonion unit table and the hermitian basis give a Jordan algebra
+    assert catalog.build("Albert").algebra.jordan_check() is None

@@ -1,7 +1,9 @@
 """Differential tests of the exact core against sympy, an independent
 implementation of exact linear algebra over the rationals and Q(i):
 characteristic polynomials, reduced row echelon forms, kernels and the
-eigenvalue multiplicities found by eigen_decompose."""
+eigenvalue multiplicities found by eigen_decompose; and the structure
+constants of the matrix series JordanA/B/C against matrices multiplied in
+sympy."""
 
 import random
 
@@ -148,3 +150,108 @@ def test_eigen_multiplicities(label, alg, x, m, hinted):
     assert ed.semisimple == (sum(ours.values()) == alg.dim)
     if ed.semisimple:
         assert ours == roots
+
+
+# ---------------------------------------------------------------------------
+# the matrix series against sympy matrices built from their definitions
+
+MATRIX_SERIES = [(name, n) for name in ("JordanA", "JordanB", "JordanC")
+                 for n in (1, 2, 3)]
+
+
+def _series_units(name, n):
+    """(kind, i, j) per basis element, in basis order: E_ij in JordanA;
+    E_ii then F_ij (i < j) in JordanB; D_ij, then U_ij and L_ij (i < j) in
+    JordanC."""
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if name == "JordanA":
+        return [("E", i, j) for i in range(n) for j in range(n)]
+    if name == "JordanB":
+        return [("E", i, i) for i in range(n)] + [("F", i, j) for i, j in upper]
+    return ([("D", i, j) for i in range(n) for j in range(n)]
+            + [("U", i, j) for i, j in upper] + [("L", i, j) for i, j in upper])
+
+
+def _series_matrix(name, n, kind, i, j):
+    """The sparse sympy matrix of a basis element: E_ij and F_ij = E_ij + E_ji
+    in JordanA/B; in JordanC, of size 2n, D_ij = E_(i,j) + E_(n+j,n+i),
+    U_ij = E_(i,n+j) - E_(j,n+i) and L_ij = E_(n+i,j) - E_(n+j,i)."""
+    entries = {"E": {(i, j): 1}, "F": {(i, j): 1, (j, i): 1},
+               "D": {(i, j): 1, (n + j, n + i): 1},
+               "U": {(i, n + j): 1, (j, n + i): -1},
+               "L": {(n + i, j): 1, (n + j, i): -1}}[kind]
+    size = 2 * n if name == "JordanC" else n
+    return sympy.SparseMatrix(size, size, entries)
+
+
+@pytest.mark.parametrize("name, n", MATRIX_SERIES)
+def test_matrix_series_products_match_dense_matrices(name, n):
+    # coordinates of (XY + YX)/2 solved for in sympy
+    alg = catalog.build(name, {"n": n}).algebra
+    units = _series_units(name, n)
+    assert alg.labels == tuple(f"{kind}{i+1}{j+1}" for kind, i, j in units)
+    mats = [sympy.Matrix(_series_matrix(name, n, *u)) for u in units]
+    if name == "JordanC":
+        # the defining identity J^-1 X^T J = X for J = [[0, I], [-I, 0]]
+        j = sympy.Matrix(sympy.BlockMatrix([[sympy.zeros(n, n), sympy.eye(n)],
+                                            [-sympy.eye(n), sympy.zeros(n, n)]]))
+        assert all(j.inv() * m.T * j == m for m in mats)
+    flat = sympy.Matrix.hstack(*[m.reshape(m.rows * m.cols, 1) for m in mats])
+    assert flat.rank() == alg.dim
+    left = (flat.T * flat).inv() * flat.T
+    for a in range(alg.dim):
+        for b in range(a, alg.dim):
+            prod = (mats[a] * mats[b] + mats[b] * mats[a]) / 2
+            vec = prod.reshape(prod.rows * prod.cols, 1)
+            coords = left * vec
+            assert flat * coords == vec, (name, n, a, b)
+            ours = alg.basis_product(a, b)
+            assert [to_sympy(ours.get(k, Rat(0))) for k in range(alg.dim)] == list(coords)
+
+
+def _jordan_a_closed_form(n, i, j, k, l):
+    """E_ij o E_kl = 1/2 (delta_jk E_il + delta_li E_kj), as {index: Rat}."""
+    half = Rat(1, 2)
+    out = {}
+    if j == k:
+        out[i * n + l] = half
+    if l == i:
+        out[k * n + j] = out.get(k * n + j, Rat(0)) + half
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_jordan_a_closed_form(n):
+    alg = catalog.build("JordanA", {"n": n}).algebra
+    units = [(i, j) for i in range(n) for j in range(n)]
+    for a, (i, j) in enumerate(units):
+        for b, (k, l) in enumerate(units):
+            assert alg.basis_product(a, b) == _jordan_a_closed_form(n, i, j, k, l)
+
+
+# the largest n of each series within the dimension bound builds, and a
+# sample of its products matches sympy: (XY + YX)/2 equals the combination of
+# basis matrices given by the product's coordinates
+@pytest.mark.slow
+@pytest.mark.parametrize("name, n, dim", [("JordanA", 32, 1024), ("JordanB", 44, 990),
+                                          ("JordanC", 22, 946)])
+def test_matrix_series_at_the_dimension_bound(name, n, dim):
+    alg = catalog.build(name, {"n": n}).algebra
+    assert alg.dim == dim == catalog._SERIES[name][1](n)
+    units = _series_units(name, n)
+    mats = [_series_matrix(name, n, *u) for u in units]
+    rng = random.Random(n)
+    nonzero = zero = 0
+    while nonzero < 60:
+        a, b = rng.randrange(dim), rng.randrange(dim)
+        ours = alg.basis_product(a, b)
+        if not ours and zero == 60:
+            continue
+        if name == "JordanA":
+            assert ours == _jordan_a_closed_form(n, *units[a][1:], *units[b][1:])
+        prod = (mats[a] * mats[b] + mats[b] * mats[a]) / 2
+        combo = sympy.SparseMatrix(mats[a].rows, mats[a].cols, {})
+        for k, c in ours.items():
+            combo += to_sympy(c) * mats[k]
+        assert prod == combo, (name, a, b)
+        nonzero, zero = nonzero + bool(ours), zero + (not ours)
