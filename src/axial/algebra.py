@@ -88,27 +88,21 @@ class Algebra:
 
     def product_sparse(self, x, y):
         """Product of sparse elements (dicts {index: element} without zero
-        entries) as a sparse dict without zero entries.  Over QQ the sums
-        run on integer numerators over dx * dy * _int_den, and a Rat is
-        built for each returned entry only."""
+        entries) as a sparse dict without zero entries.  Over QQ it clears
+        x and y to integers over dx and dy, runs product_int and builds a
+        Rat over dx * dy * _int_den for each returned entry only."""
         if self._int_rows is None:
-            rows, den = self._rows, None
-        else:
-            rows = self._int_rows
-            x, dx = clear_denominators(x)
-            y, dy = clear_denominators(y)
-            den = dx * dy * self._int_den
-        acc = {}
-        for i, a in x.items():
-            row = rows[i]
-            for j, b in y.items():
-                ab = a * b
-                for k, c in row[j].items():
-                    v = acc.get(k)
-                    acc[k] = ab * c if v is None else v + ab * c
-        if den is None:
-            return {k: v for k, v in acc.items() if v}
-        return {k: Rat(v, den) for k, v in acc.items() if v}
+            return {k: v for k, v in _accumulate(self._rows, x, y).items() if v}
+        x, dx = clear_denominators(x)
+        y, dy = clear_denominators(y)
+        den = dx * dy * self._int_den
+        return {k: Rat(v, den) for k, v in _accumulate(self._int_rows, x, y).items() if v}
+
+    def product_int(self, x, y):
+        """The integer kernel of product_sparse over QQ: for sparse integer
+        vectors x and y, the zero-free integer vector p with
+        x * y = p / _int_den.  Only integer operators touch the entries."""
+        return {k: v for k, v in _accumulate(self._int_rows, x, y).items() if v}
 
     def _sparse(self, x):
         """The nonzero entries of the element x as {index: element}, after
@@ -222,16 +216,19 @@ class Algebra:
                 (b_a b_l)(b_b b_c) - b_a (b_l (b_b b_c)) = 0.
 
         A term whose b_b b_c is zero vanishes, so a triple whose three pair
-        products are all zero is skipped; (b_a b_l)(b_b b_c) is formed only
-        when b_a b_l is nonzero.  Each inner product b_l (b_b b_c) is
-        computed once per call.
+        products are all zero is skipped; (b_a b_l)(b_b b_c) is summed
+        straight into the accumulator by _accumulate.  Each
+        inner product b_l (b_b b_c) is computed once per call.
 
         Returns None when the identity holds, else the witness (i, j, k, l)
         of 0-based basis indices that fails first in the loop order: triples
         i <= j <= k lexicographically, then l ascending.
         """
         n = self.dim
-        rows = self._rows
+        # over QQ the integer constants, D times the rational ones: every
+        # term has degree 3 in them, so the sums are D^3 times the rational
+        # sums and vanish exactly when those do
+        rows = self._rows if self._int_rows is None else self._int_rows
         inner = {}  # (l, b, c) -> b_l (b_b b_c)
         for i in range(n):
             for j in range(i, n):
@@ -243,11 +240,7 @@ class Algebra:
                     for l in range(n):
                         acc = {}
                         for a, b, c, pbc in terms:
-                            pal = rows[a][l]
-                            if pal:
-                                for m, v in self.product_sparse(pal, pbc).items():
-                                    w = acc.get(m)
-                                    acc[m] = v if w is None else w + v
+                            _accumulate(rows, rows[a][l], pbc, acc)
                             lbc = inner.get((l, b, c))
                             if lbc is None:
                                 lbc = inner[(l, b, c)] = _basis_times(rows[l], pbc)
@@ -295,6 +288,22 @@ class Algebra:
 
     def __repr__(self):
         return f"Algebra(dim={self.dim}, field={self.tag.value})"
+
+
+def _accumulate(rows, x, y, acc=None):
+    """acc + x * y for sparse x and y over the structure-constant rows
+    (rows[i][j] = b_i b_j as {k: constant}), acc a fresh dict when not given;
+    sparse, with the entries that cancel kept as zeros."""
+    if acc is None:
+        acc = {}
+    for i, a in x.items():
+        row = rows[i]
+        for j, b in y.items():
+            ab = a * b
+            for k, c in row[j].items():
+                v = acc.get(k)
+                acc[k] = ab * c if v is None else v + ab * c
+    return acc
 
 
 def _basis_times(row, y):

@@ -586,9 +586,12 @@ def matrix_model(basis, labels):
     supports must be disjoint: a product's coordinate on basis[k] is read off
     the first entry of basis[k], and the whole product is then compared
     exactly with the combination read off; raises when it differs (the basis
-    is not closed) or when two supports overlap."""
+    is not closed), when two supports overlap or when two labels are
+    equal."""
     if not basis:
         raise CatalogError("matrix basis must be nonempty")
+    if len(set(labels)) != len(labels):
+        raise CatalogError("matrix basis labels must be distinct")
     owner = {}  # key -> (k, entry of basis[k], lead key of basis[k], lead entry)
     rows = []  # per basis matrix: {row: [(col, unit, coefficient)]}
     for k, x in enumerate(basis):
@@ -636,13 +639,20 @@ def matrix_model(basis, labels):
     return Algebra(len(basis), products, QQ, labels)
 
 
+def _pair_label(kind, i, j, n):
+    """The label of the basis matrix of kind at the 0-based pair (i, j):
+    kind, then i + 1 and j + 1, joined by "_" from n = 10 on, where the
+    bare digits of (1, 11) and (11, 1) would collide."""
+    return f"{kind}{i+1}_{j+1}" if n >= 10 else f"{kind}{i+1}{j+1}"
+
+
 def _build_jordan_full(n):
     """All n x n matrices with the symmetrized product."""
     if n < 1:
         raise CatalogError("matrix algebras need n >= 1")
     tag = QQ
     basis = [{(i, j, 0): 1} for i in range(n) for j in range(n)]
-    labels = [f"E{i+1}{j+1}" for i in range(n) for j in range(n)]
+    labels = [_pair_label("E", i, j, n) for i in range(n) for j in range(n)]
     alg = matrix_model(basis, labels)
     fam = []
     for i in range(n):
@@ -670,12 +680,12 @@ def _build_jordan_sym(n):
     for i in range(n):
         index[(i, i)] = len(basis)
         basis.append({(i, i, 0): 1})
-        labels.append(f"E{i+1}{i+1}")
+        labels.append(_pair_label("E", i, i, n))
     for i in range(n):
         for j in range(i + 1, n):
             index[(i, j)] = len(basis)
             basis.append({(i, j, 0): 1, (j, i, 0): 1})
-            labels.append(f"F{i+1}{j+1}")
+            labels.append(_pair_label("F", i, j, n))
     alg = matrix_model(basis, labels)
     one, half = ONE, Rat(1, 2)
     fam = [alg.element({index[(i, i)]: one}) for i in range(n)]
@@ -714,16 +724,16 @@ def _build_jordan_skew(n):
         for j in range(n):
             idx_d[(i, j)] = len(basis)
             basis.append({(i, j, 0): 1, (n + j, n + i, 0): 1})
-            labels.append(f"D{i+1}{j+1}")
+            labels.append(_pair_label("D", i, j, n))
     for i in range(n):
         for j in range(i + 1, n):
             idx_u[(i, j)] = len(basis)
             basis.append({(i, n + j, 0): 1, (j, n + i, 0): -1})
-            labels.append(f"U{i+1}{j+1}")
+            labels.append(_pair_label("U", i, j, n))
     for i in range(n):
         for j in range(i + 1, n):
             basis.append({(n + i, j, 0): 1, (n + j, i, 0): -1})
-            labels.append(f"L{i+1}{j+1}")
+            labels.append(_pair_label("L", i, j, n))
     if any(_skew_mirror(x, n) != x for x in basis):
         raise CatalogError("skew-fixed basis matrix fails the defining identity")
     alg = matrix_model(basis, labels)

@@ -11,12 +11,14 @@ coordinate, a vector of Z or B, and a constraint row all index them alike.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 from .algebra import Algebra, _sym_index, _unflatten_sym
 from .errors import DimensionMismatchError, ExtensionError, NotSemisimpleError
 from .linalg import Matrix, RowReducer, Subspace, sparse_add, sparse_vector
-from .scalars import ONE, ZERO
+from .scalars import ONE, ZERO, FieldTag, clear_denominators
 from .spectral import check_axis, eigen_decompose, minimal_law, render_violation
 
 
@@ -160,9 +162,11 @@ def build_extension(algebra, theta, axes=()):
 # ---------------------------------------------------------------------------
 # constraint rows (one coordinate: unknowns are upper-triangle entries)
 
+@functools.lru_cache(maxsize=8)
 def _sym_columns(n):
-    """cols[p][q]: the symmetric-form unknown of the pair (p, q), either order."""
-    return [[_sym_col(n, p, q) for q in range(n)] for p in range(n)]
+    """cols[p][q]: the symmetric-form unknown of the pair (p, q), either order;
+    built once per n."""
+    return tuple(tuple(_sym_col(n, p, q) for q in range(n)) for p in range(n))
 
 
 def _add_pair(acc, cols, x, y):
@@ -178,43 +182,78 @@ def _add_pair(acc, cols, x, y):
 
 def condition1_rows(algebra, a, kernel):
     """Sparse rows enforcing theta(a, k) = 0 for the basis vectors k of
-    kernel, which is ker L_a as a Subspace (for an axis, its 0-eigenspace)."""
+    kernel, which is ker L_a as a Subspace (for an axis, its 0-eigenspace).
+    Over QQ the rows are integer rows, each a positive multiple of the
+    rational row: a and k are cleared of denominators first."""
     cols = _sym_columns(algebra.dim)
+    integral = algebra.tag is FieldTag.QQ
     sa = sparse_vector(a)
+    if integral:
+        sa = clear_denominators(sa)[0]
     rows = []
     for k in kernel.rows:
+        k = dict(k)
+        if integral:
+            k = clear_denominators(k)[0]
         acc = {}
-        _add_pair(acc, cols, sa, dict(k))
+        _add_pair(acc, cols, sa, k)
         rows.append({col: c for col, c in acc.items() if c})
     return rows
 
 
-def condition2_rows(algebra, a, law, products):
+def condition2_rows(algebra, a, law, eigen):
     """Sparse rows of the eigenspace compatibility condition for axis a.
 
-    products is the decomposed eigenvector products of a, as returned by
-    Eigenbasis.products().  For each eigenvalue pair (lam, mu) with 0 not in
-    lam*mu, each (x, y, {nu: z_nu}) gives the row of
-    theta(x, y) - theta(a, sum nu^-1 z_nu) = 0; a component outside the law
-    cell lam*mu raises ExtensionError."""
+    eigen is the Eigenbasis of a; its products() are read.  For each
+    eigenvalue pair (lam, mu) with 0 not in lam*mu, each eigenvector pair
+    (x, y) with the components {nu: z_nu} of xy gives the row of
+    theta(x, y) - theta(a, sum nu^-1 z_nu) = 0, if nonzero; a component
+    outside the law cell lam*mu raises ExtensionError.
+
+    Over QQ the rows are integer rows, each da * D * L times the rational
+    row: a is cleared to integers over da, the components are integers over
+    D = eigen.product_den, the eigenvectors over dvec, and L is the lcm of
+    the numerators of the cell's nus, so nu^-1 = q/p is the integer
+    q * L / p over L, once per cell.  theta(x, y) of the integer
+    eigenvectors is then scaled by da * D * L / dvec^2."""
+    products = eigen.products()
     cols = _sym_columns(algebra.dim)
+    integral = algebra.tag is FieldTag.QQ
     sa = sparse_vector(a)
+    if integral:
+        sa, da = clear_denominators(sa)
+        vectors, dvec = eigen._int_vectors
+        base = da * eigen.product_den // (dvec * dvec)
+    else:
+        vectors = eigen.vectors
     rows = []
     for lam, mu, nus, items in products:
         cell = law.star(lam, mu)
         if ZERO in cell:
             continue
         if not nus <= cell:
-            for _x, _y, comps in items:
+            for _r, _q, comps in items:
                 bad = [nu for nu in comps if nu not in cell]
                 if bad:
                     raise ExtensionError(
                         f"eigenspace product escapes the law cell "
                         f"({lam}, {mu}): components at {bad}")
-        minus_inv = {nu: -(ONE / nu) for nu in nus}
-        for xv, yv, comps in items:
+        if integral:
+            lcm = math.lcm(1, *(abs(nu.numerator) for nu in nus))
+            minus_inv = {nu: -(nu.denominator * lcm // nu.numerator) for nu in nus}
+            scale = base * lcm
+            scaled = {}  # position -> its eigenvector times scale
+        else:
+            minus_inv = {nu: -(ONE / nu) for nu in nus}
+        for r, q, comps in items:
+            if integral:
+                x = scaled.get(r)
+                if x is None:
+                    x = scaled[r] = {p: scale * c for p, c in vectors[r].items()}
+            else:
+                x = vectors[r]
             acc = {}
-            _add_pair(acc, cols, xv, yv)
+            _add_pair(acc, cols, x, vectors[q])
             w = {}
             for nu, z in comps.items():
                 s = minus_inv[nu]
@@ -258,6 +297,8 @@ def cocycle_space(algebra, axes, law):
     from the Eigenbasis on the report."""
     idx_len = len(_sym_index(algebra.dim))
     red = RowReducer(idx_len, algebra.tag)
+    # over QQ the condition rows are integer rows
+    add = red.add_int_row if red.integral else red.add_row
     for a in axes:
         rep = check_axis(algebra, a, law)
         if not rep.is_axis:
@@ -268,9 +309,9 @@ def cocycle_space(algebra, axes, law):
         # an axis is semisimple, so ker L_a is its 0-eigenspace, if any
         kernel = rep.eigen.eigenspace(ZERO) or Subspace.zero_space(algebra.dim, algebra.tag)
         for row in condition1_rows(algebra, a, kernel):
-            red.add_row(row)
-        for row in condition2_rows(algebra, a, law, rep.eigen.products()):
-            red.add_row(row)
+            add(row)
+        for row in condition2_rows(algebra, a, law, rep.eigen):
+            add(row)
     space = Subspace.spanned(red.kernel_basis(), idx_len, algebra.tag)
     cob = coboundary_space(algebra)
     inter = space.intersect(cob)
@@ -389,7 +430,7 @@ def extension_axiality(algebra, theta, axes, law):
         if not eigen.semisimple:
             raise NotSemisimpleError(
                 f"axis candidate {algebra.render_element(a)} is not semisimple")
-        rows = condition2_rows(algebra, a, law, eigen.products())
+        rows = condition2_rows(algebra, a, law, eigen)
         in_z = in_z and _rows_vanish(rows, vectors)
     return ExtensionReport(ext, lifted, cond1, all_ok, induced,
                            is_split(algebra, theta), in_z)

@@ -321,12 +321,15 @@ class RowReducer:
         before c/p times a pivot row with pivot entry p is subtracted the row
         is scaled by p / gcd(p, c), so every step stays integral.
         """
+        if self.integral:
+            return self._eliminate(*clear_denominators(row))
+        return self._eliminate(row, ONE)
+
+    def _eliminate(self, row, scale):
+        """_residue of row / scale: over QQ row holds integers, over QI
+        field elements with scale 1."""
         rows = self.rows
         integral = self.integral
-        if integral:
-            row, scale = clear_denominators(row)
-        else:
-            scale = ONE
         row = {j: a for j, a in row.items() if a}
         for lead in [j for j in sorted(row) if j in rows]:
             c = row.pop(lead)
@@ -365,7 +368,16 @@ class RowReducer:
 
     def add_row(self, row):
         """Reduce and insert; returns True when the rank increased."""
-        row = self._residue(row)[0]
+        return self._insert(self._residue(row)[0])
+
+    def add_int_row(self, row):
+        """add_row over QQ for a sparse row of integers, which needs no
+        denominators cleared.  Any nonzero multiple of a row adds the same
+        stored row, since what is stored is made primitive."""
+        return self._insert(self._eliminate(row, 1)[0])
+
+    def _insert(self, row):
+        """Insert the residue row, back-substituting into the pivot rows."""
         if not row:
             return False
         lead = min(row)

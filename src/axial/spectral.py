@@ -185,7 +185,8 @@ class Eigenbasis:
     inverse as sparse vectors ({index: element}, no zero entries), so
     products and splits touch only nonzero entries; over QQ each of the two
     is also kept as integer vectors over one common denominator, on which
-    components() runs.  products() is computed once, on first use."""
+    components() and products() run.  products() is computed once, on first
+    use."""
 
     def __init__(self, algebra, element, pairs, complete):
         self.algebra = algebra
@@ -204,15 +205,18 @@ class Eigenbasis:
         self.inverse_columns = [dict(r) for r in inv.sparse_rows]
         self.vectors = [dict(r) for r in rows]  # by position
         self._int_inverse = self._int_vectors = None  # (nums, den) over QQ
+        self.product_den = 1  # the denominator of the components in products()
         if algebra.tag is FieldTag.QQ:
             self._int_inverse = common_denominator(self.inverse_columns)
             self._int_vectors = common_denominator(self.vectors)
-        self.owner = []   # position -> index of its eigenvalue in slices
-        self.slices = []  # (eigenvalue, its sparse eigenvectors)
+            self.product_den = (self._int_inverse[1] * self._int_vectors[1] ** 3
+                                * algebra._int_den)
+        self.owner = []   # position -> index of its eigenvalue in blocks
+        self.blocks = []  # (eigenvalue, range of its positions)
         for t, (lam, space) in enumerate(pairs):
             start = len(self.owner)
             self.owner.extend([t] * space.dim)
-            self.slices.append((lam, self.vectors[start:len(self.owner)]))
+            self.blocks.append((lam, range(start, len(self.owner))))
 
     def spectrum(self):
         return [lam for lam, _ in self.pairs]
@@ -232,18 +236,24 @@ class Eigenbasis:
 
     def components(self, y):
         """Split the sparse element y; returns {eigenvalue: sparse component}
-        with zero components omitted, in eigenvalue order.  Over QQ the sums
-        run on integer numerators, and a Rat is built for each returned
-        entry only."""
+        with zero components omitted, in eigenvalue order.  Over QQ it clears
+        y to integers over dy, runs _split on the integer vectors and builds
+        a Rat over dinv * dy * dvec for each returned entry only."""
         self._require_semisimple()
         if self._int_inverse is None:
-            inverse, vectors, den = self.inverse_columns, self.vectors, None
-        else:
-            # the coordinates are integers over dinv * dy, the components
-            # integers over dinv * dy * dvec
-            (inverse, dinv), (vectors, dvec) = self._int_inverse, self._int_vectors
-            y, dy = clear_denominators(y)
-            den = dinv * dy * dvec
+            return self._split(y, self.inverse_columns, self.vectors)
+        (inverse, dinv), (vectors, dvec) = self._int_inverse, self._int_vectors
+        y, dy = clear_denominators(y)
+        den = dinv * dy * dvec
+        return {lam: {k: Rat(v, den) for k, v in comp.items()}
+                for lam, comp in self._split(y, inverse, vectors).items()}
+
+    def _split(self, y, inverse, vectors):
+        """The kernel of components: y's eigenbasis coordinates are the sums
+        of inverse[j] over its entries y_j, and each eigenvalue's component
+        sums coordinate times vectors[r] over its positions r.  Over QQ
+        with integer y over dy, inverse over dinv and vectors over dvec, the
+        components are integers over dinv * dy * dvec."""
         coords = {}
         for j, b in y.items():
             for r, a in inverse[j].items():
@@ -260,30 +270,54 @@ class Eigenbasis:
                 acc[k] = c * b if v is None else v + c * b
         out = {}
         for t, acc in accs.items():
-            if den is None:
-                comp = {k: v for k, v in acc.items() if v}
-            else:
-                comp = {k: Rat(v, den) for k, v in acc.items() if v}
+            comp = {k: v for k, v in acc.items() if v}
             if comp:
-                out[self.slices[t][0]] = comp
+                out[self.blocks[t][0]] = comp
         return out
 
     def products(self):
-        """[(lam, mu, nus, [(x, y, components of xy)])]: one entry per
-        eigenvalue pair lam <= mu in eigenvalue order, listing every pair of
-        sparse eigenvectors x of lam and y of mu; nus is the frozenset of
-        eigenvalues occurring in those components.  Computed on first call
-        and kept."""
+        """[(lam, mu, nus, [(r, q, comps)])]: one entry per eigenvalue pair
+        lam <= mu in eigenvalue order, listing every pair of eigenbasis
+        positions r of lam and q of mu (the eigenvectors vectors[r] and
+        vectors[q]) with comps, the components {nu: sparse vector} of their
+        product over the denominator product_den; nus is the frozenset of
+        eigenvalues occurring in those components.
+
+        Over QQ the components are integers, computed by product_int and
+        _split on the integer eigenvectors and inverse columns, over
+        product_den = dinv * dvec^3 * _int_den (the eigenvectors are over
+        dvec, their product over dvec^2 * _int_den); over QI they are field
+        elements and product_den is 1.  The product is commutative, so
+        within a block lam = mu each unordered pair is computed once and
+        both orders share its components.  Computed on first call and
+        kept."""
         self._require_semisimple()
         if self._products is not None:
             return self._products
-        product = self.algebra.product_sparse
+        if self._int_inverse is None:
+            inverse, vectors = self.inverse_columns, self.vectors
+            product = self.algebra.product_sparse
+        else:
+            (inverse, _), (vectors, _) = self._int_inverse, self._int_vectors
+            product = self.algebra.product_int
+        split = self._split
         out = []
-        for s, (lam, xs) in enumerate(self.slices):
-            for mu, ys in self.slices[s:]:
-                items = [(x, y, self.components(product(x, y))) for x in xs for y in ys]
+        for s, (lam, rs) in enumerate(self.blocks):
+            for mu, qs in self.blocks[s:]:
+                items = []
+                seen = {}  # (r, q) -> components, when lam = mu
+                same = mu == lam
+                for r in rs:
+                    x = vectors[r]
+                    for q in qs:
+                        if same and q < r:  # the pair (q, r), split already
+                            comps = seen[(q, r)]
+                        else:
+                            comps = seen[(r, q)] = split(product(x, vectors[q]),
+                                                         inverse, vectors)
+                        items.append((r, q, comps))
                 nus = set()
-                for _x, _y, comps in items:
+                for _r, _q, comps in items:
                     nus.update(comps)  # reuses the dicts' stored hashes
                 out.append((lam, mu, frozenset(nus), items))
         self._products = out
@@ -326,12 +360,13 @@ def check_axis(algebra, a, law):
             allowed = law.star(lam, mu)
             if nus <= allowed:
                 continue
-            for xv, yv, comps in items:
+            for r, q, comps in items:
                 for nu in comps:
                     if nu not in allowed:
                         report_violations.append(
                             ("fusion_violation",
-                             (lam, mu, nu, algebra.element(xv), algebra.element(yv))))
+                             (lam, mu, nu, algebra.element(eigen.vectors[r]),
+                              algebra.element(eigen.vectors[q]))))
     return AxisReport(a, idem, eigen, primitive, report_violations)
 
 

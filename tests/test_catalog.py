@@ -6,6 +6,7 @@ import pytest
 from axial import catalog
 from axial.algebra import MAX_DIM
 from axial.errors import CatalogError
+from axial.fileio import AlgebraFile, parse_algebra_file, render_algebra_file
 from axial.scalars import Rat, Scalar
 
 SERIES = ("S", "J", "T", "JordanA", "JordanB", "JordanC", "JordanD")
@@ -85,6 +86,29 @@ def test_matrix_basis_product_off_the_combination_is_refused(diagonal, other):
     basis = [diagonal, other, {(0, 1, 0): 1, (1, 0, 0): 1}]
     with pytest.raises(CatalogError, match="not closed"):
         catalog.matrix_model(basis, ("d", "e", "f"))
+
+
+def test_matrix_basis_with_repeated_labels_is_refused():
+    with pytest.raises(CatalogError, match="labels must be distinct"):
+        catalog.matrix_model([{(0, 0, 0): 1}, {(1, 1, 0): 1}], ("E111", "E111"))
+
+
+@pytest.mark.parametrize("name, n, first, last", [
+    ("JordanA", 9, ("E11", "E12"), ("E98", "E99")),
+    ("JordanC", 9, ("D11", "D12"), ("L79", "L89")),
+    ("JordanA", 11, ("E1_1", "E1_2"), ("E11_10", "E11_11")),
+    ("JordanC", 11, ("D1_1", "D1_2"), ("L9_11", "L10_11"))])
+def test_matrix_series_labels_are_distinct_and_round_trip(name, n, first, last):
+    # from n = 10 on the indices are joined by "_": E1_11 and E11_1, not E111
+    alg = catalog.build(name, {"n": n}).algebra
+    assert alg.labels[:2] == first and alg.labels[-2:] == last
+    assert len(set(alg.labels)) == alg.dim
+    text = render_algebra_file(AlgebraFile(alg))
+    back = parse_algebra_file(text).algebra
+    assert back.labels == alg.labels
+    assert all(back.basis_product(i, j) == alg.basis_product(i, j)
+               for i in range(alg.dim) for j in range(i, alg.dim))
+    assert render_algebra_file(AlgebraFile(back)) == text
 
 
 def test_skew_mirror_fixes_the_jordan_c_basis_and_not_a_wrong_sign():

@@ -269,6 +269,22 @@ class TestReproduce:
             assert code == 0
             assert json.loads(out) == expected, bundle
 
+    @pytest.mark.parametrize("name", [
+        "table1", "table2", "table3", "monster", "jordan-simple", "jordan-small",
+        "jordan-dim4", "jordan-simple-extended"])
+    def test_output_bytes_match_the_frozen_run(self, capsys, name):
+        # stdout bytes and exit code of reproduce --json, frozen in tests/data
+        data = os.path.join(os.path.dirname(__file__), "data")
+        with open(os.path.join(data, "reproduce-exit-codes.json")) as fh:
+            codes = json.load(fh)
+        with open(os.path.join(data, f"reproduce-{name}.json"), "rb") as fh:
+            frozen = fh.read()
+        bundle, extended = name.removesuffix("-extended"), name.endswith("-extended")
+        code, out, _ = run(capsys, "reproduce", bundle, "--json",
+                           *(["--extended"] if extended else []))
+        assert out.encode() == frozen
+        assert code == codes[name]
+
     def test_table3_passes(self, capsys):
         code, out, _ = run(capsys, "reproduce", "table3")
         assert code == 0

@@ -460,6 +460,29 @@ def test_fraction_free_reducer_matches_dense_reference():
     assert all(seen.values()), seen
 
 
+def test_integer_row_entry_matches_add_row():
+    # add_int_row takes each row as integers times a nonzero factor, either
+    # sign; the stored rows, the returned gains and every reading agree
+    # with add_row on the rational rows
+    rng = random.Random(89)
+    scaled = 0
+    for _ in range(150):
+        n, m = rng.randint(1, 7), rng.randint(0, 8)
+        rows = _qq_rows(rng, m, n)
+        plain, cleared = RowReducer(n, FieldTag.QQ), RowReducer(n, FieldTag.QQ)
+        for row in rows:
+            den = math.lcm(1, *(a.denominator for a in row))
+            factor = rng.choice([1, 1, 2, 6, 35, 7919]) * rng.choice([1, -1])
+            scaled += factor != 1
+            ints = {k: int(a * den) * factor for k, a in enumerate(row) if a}
+            assert cleared.add_int_row(ints) == plain.add_row(_dict(row))
+            assert cleared.rows == plain.rows
+        assert cleared.rank() == plain.rank() == _rank_mod_p(rows, ORACLE_PRIME)
+        assert cleared.sparse_rows() == plain.sparse_rows()
+        assert cleared.kernel_basis() == plain.kernel_basis()
+    assert scaled > 100
+
+
 def test_mod_p_rank_oracle_on_larger_systems():
     # wider and taller systems than above, every denominator a large prime
     rng = random.Random(71)

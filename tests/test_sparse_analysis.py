@@ -1,7 +1,10 @@
 """The sparse per-axis analysis against a naive dense reference: eigenvector
 products split with Matrix.apply by the eigenbasis inverse, dense constraint
-rows, and the Miyamoto map as the signed sum of dense eigencomponents."""
+rows (over QQ the integer rows are positive multiples of them), and the
+Miyamoto map as the signed sum of dense eigencomponents; products() also
+against a full double loop over the pairs of eigenbasis positions."""
 
+import math
 import random
 
 import pytest
@@ -9,7 +12,7 @@ import pytest
 from axial import catalog
 from axial.algebra import Algebra, _sym_index
 from axial.extension import condition1_rows, condition2_rows
-from axial.fusion import find_c2_gradings
+from axial.fusion import FusionLaw, find_c2_gradings
 from axial.linalg import Matrix, Subspace
 from axial.miyamoto import tau_automorphism
 from axial.scalars import FieldTag, Rat
@@ -80,17 +83,88 @@ def _densify(algebra, row):
     return tuple(row.get(j, zero) for j in range(len(_sym_index(algebra.dim))))
 
 
-def _flatten(algebra, products):
-    """The sparse products as dense (lam, mu, x, y, {nu: z}), after checking
-    each pair's nus against its components."""
+def _flatten(algebra, eigen):
+    """eigen.products() as dense (lam, mu, x, y, {nu: z}), after checking
+    each pair's nus against its components; over QQ the components are
+    integers over eigen.product_den."""
+    den = eigen.product_den
     out = []
-    for lam, mu, nus, items in products:
-        assert nus == frozenset(nu for _x, _y, comps in items for nu in comps)
-        for x, y, comps in items:
+    for lam, mu, nus, items in eigen.products():
+        assert nus == frozenset(nu for _r, _q, comps in items for nu in comps)
+        for r, q, comps in items:
             assert all(v for comp in comps.values() for v in comp.values())
-            out.append((lam, mu, algebra.element(x), algebra.element(y),
+            if algebra.tag is FieldTag.QQ:
+                assert all(type(v) is not Rat for comp in comps.values() for v in comp.values())
+                comps = {nu: {k: Rat(v, den) for k, v in z.items()} for nu, z in comps.items()}
+            out.append((lam, mu, algebra.element(eigen.vectors[r]),
+                        algebra.element(eigen.vectors[q]),
                         {nu: algebra.element(z) for nu, z in comps.items()}))
     return out
+
+
+def _dense_condition2_rows(algebra, a, law, ref):
+    """theta(x, y) - sum nu^-1 theta(a, z_nu) for the dense reference
+    products ref, nonzero rows only, skipping cells that hold 0."""
+    zero = algebra.tag.zero
+    expect = []
+    for lam, mu, x, y, comps in ref:
+        if zero in law.star(lam, mu):
+            continue
+        row = _dense_pair_row(algebra, x, y)
+        for nu, z in comps.items():
+            row = vec_add(row, vec_neg(vec_scale(algebra.tag.inverse(nu),
+                                                 _dense_pair_row(algebra, a, z))))
+        if any(row):
+            expect.append(row)
+    return expect
+
+
+def _assert_positive_multiples(algebra, rows, expect):
+    """The sparse rows, in order, are the dense reference rows over QI, and
+    integer rows that are positive multiples of them over QQ."""
+    assert len(rows) == len(expect)
+    for row, ref in zip(rows, expect):
+        dense = _densify(algebra, row)
+        if algebra.tag is FieldTag.QI:
+            assert dense == ref
+            continue
+        assert all(type(c) is not Rat for c in row.values())
+        if not any(ref):  # condition (1) keeps a zero row
+            assert not row
+            continue
+        j = next(j for j, c in enumerate(ref) if c)
+        factor = Rat(dense[j]) / ref[j]
+        assert factor > 0
+        assert dense == tuple(factor * c for c in ref)
+
+
+def _full_double_loop(eigen):
+    """eigen.products() recomputed with every ordered pair of positions
+    multiplied and split on its own, by the same kernels."""
+    alg = eigen.algebra
+    if alg.tag is FieldTag.QQ:
+        (inverse, _), (vectors, _) = eigen._int_inverse, eigen._int_vectors
+        product = alg.product_int
+    else:
+        inverse, vectors, product = eigen.inverse_columns, eigen.vectors, alg.product_sparse
+    out = []
+    for s, (lam, rs) in enumerate(eigen.blocks):
+        for mu, qs in eigen.blocks[s:]:
+            items = [(r, q, eigen._split(product(vectors[r], vectors[q]), inverse, vectors))
+                     for r in rs for q in qs]
+            out.append((lam, mu, frozenset(nu for *_, comps in items for nu in comps), items))
+    return out
+
+
+def _assert_deduplicated(eigen):
+    """products() equals the full double loop, and within each block
+    lam = mu both orders of a pair share one components dict."""
+    products = eigen.products()
+    assert products == _full_double_loop(eigen)
+    for lam, mu, _nus, items in products:
+        if lam == mu:
+            size = math.isqrt(len(items))
+            assert len({id(comps) for *_, comps in items}) == size * (size + 1) // 2
 
 
 @pytest.mark.parametrize("name,params,axes,law", CASES)
@@ -101,32 +175,42 @@ def test_products_and_rows_match_dense_reference(name, params, axes, law):
     nrows = 0
     for a in entry.axis_sets[axes]:
         eigen = eigen_decompose(alg, a, hints=law.values)
-        products = eigen.products()
         ref = DenseReference(alg, eigen).products()
-        flat = _flatten(alg, products)
+        flat = _flatten(alg, eigen)
         assert flat == ref
         assert [list(comps) for *_, comps in flat] == [list(c) for *_, c in ref]
+        _assert_deduplicated(eigen)
         # condition (1): theta(a, k) for the kernel basis of L_a, which is
         # the 0-eigenspace on the axis report that cocycle_space passes
         ker = alg.left_mult_matrix(a).kernel()
         report_ker = check_axis(alg, a, law).eigen.eigenspace(zero)
         assert (report_ker or Subspace.zero_space(alg.dim, alg.tag)) == ker
-        assert [_densify(alg, r) for r in condition1_rows(alg, a, ker)] == \
-            [_dense_pair_row(alg, a, k) for k in ker.basis]
+        _assert_positive_multiples(alg, condition1_rows(alg, a, ker),
+                                   [_dense_pair_row(alg, a, k) for k in ker.basis])
         # condition (2): theta(x, y) - sum nu^-1 theta(a, z_nu), nonzero rows
-        expect = []
-        for lam, mu, x, y, comps in ref:
-            if zero in law.star(lam, mu):
-                continue
-            row = _dense_pair_row(alg, x, y)
-            for nu, z in comps.items():
-                row = vec_add(row, vec_neg(vec_scale(alg.tag.inverse(nu),
-                                                     _dense_pair_row(alg, a, z))))
-            if any(row):
-                expect.append(row)
-        assert [_densify(alg, r) for r in condition2_rows(alg, a, law, products)] == expect
+        expect = _dense_condition2_rows(alg, a, law, ref)
+        _assert_positive_multiples(alg, condition2_rows(alg, a, law, eigen), expect)
         nrows += len(expect)
     assert nrows > 0
+
+
+@pytest.mark.slow
+def test_integer_rows_match_dense_reference_on_an_albert_axis():
+    # the last family axis has entries 1/2, so a is cleared over da = 2
+    entry = catalog.build("Albert")
+    alg, law = entry.algebra, entry.laws["J12"]
+    a = entry.axis_sets["family"][-1]
+    assert any(c.denominator == 2 for c in a)
+    eigen = eigen_decompose(alg, a, hints=law.values)
+    ref = DenseReference(alg, eigen).products()
+    assert _flatten(alg, eigen) == ref
+    _assert_deduplicated(eigen)
+    ker = eigen.eigenspace(alg.tag.zero)
+    _assert_positive_multiples(alg, condition1_rows(alg, a, ker),
+                               [_dense_pair_row(alg, a, k) for k in ker.basis])
+    expect = _dense_condition2_rows(alg, a, law, ref)
+    assert len(expect) > 100
+    _assert_positive_multiples(alg, condition2_rows(alg, a, law, eigen), expect)
 
 
 @pytest.mark.parametrize("name,params,axes,law", CASES)
@@ -184,10 +268,10 @@ def _naive_product(products, dim, x, y):
     return tuple(out)
 
 
-def _random_eigenbasis(rng, alg):
-    """An Eigenbasis of made-up eigenvalues over a random basis of QQ^dim
-    cut into groups: components() is the split along that decomposition,
-    whatever the algebra."""
+def _random_eigenbasis(rng, alg, values=None):
+    """An Eigenbasis of made-up eigenvalues (values[t] for group t, else
+    (t - 1)/2) over a random basis of QQ^dim cut into groups: components()
+    is the split along that decomposition, whatever the algebra."""
     dim = alg.dim
     while True:
         vecs = [[_qq_entry(rng) for _ in range(dim)] for _ in range(dim)]
@@ -195,7 +279,8 @@ def _random_eigenbasis(rng, alg):
             break
     cuts = sorted(rng.sample(range(1, dim), rng.randint(0, dim - 1)))
     groups = [vecs[a:b] for a, b in zip([0] + cuts, cuts + [dim])]
-    pairs = [(Rat(t - 1, 2), Subspace(g, dim, FieldTag.QQ)) for t, g in enumerate(groups)]
+    pairs = [(values[t] if values else Rat(t - 1, 2), Subspace(g, dim, FieldTag.QQ))
+             for t, g in enumerate(groups)]
     return Eigenbasis(alg, alg.zero(), pairs, True)
 
 
@@ -230,4 +315,30 @@ def test_components_match_dense_reference_on_random_qq_algebras():
             assert {lam: alg.element(z) for lam, z in comps.items()} == ref.split(y)
             assert list(comps) == list(ref.split(y))
             assert all(type(a) is Rat for z in comps.values() for a in z.values())
-        assert _flatten(alg, eigen.products()) == ref.products()
+        assert _flatten(alg, eigen) == ref.products()
+        _assert_deduplicated(eigen)
+
+
+def test_integer_rows_match_dense_reference_on_random_qq_algebras():
+    # nonzero made-up eigenvalues in increasing order, with numerators
+    # other than 1, in a law whose every cell holds all of them: every
+    # product gives a condition (2) row, and nu^-1 needs the lcm of the
+    # numerators
+    values = [Rat(-5, 7), Rat(2, 3), Rat(6, 5), Rat(9, 4), Rat(3), Rat(10)]
+    rng = random.Random(83)
+    nrows = 0
+    for _ in range(30):
+        alg, _products = _random_qq_algebra(rng, rng.randint(1, 6))
+        eigen = _random_eigenbasis(rng, alg, values)
+        spectrum = eigen.spectrum()
+        law = FusionLaw(spectrum, {(lam, mu): spectrum for lam in spectrum for mu in spectrum},
+                        FieldTag.QQ)
+        a = tuple(_qq_entry(rng) for _ in range(alg.dim))
+        ref = DenseReference(alg, eigen).products()
+        expect = _dense_condition2_rows(alg, a, law, ref)
+        _assert_positive_multiples(alg, condition2_rows(alg, a, law, eigen), expect)
+        nrows += len(expect)
+        ker = eigen.pairs[0][1]
+        _assert_positive_multiples(alg, condition1_rows(alg, a, ker),
+                                   [_dense_pair_row(alg, a, k) for k in ker.basis])
+    assert nrows > 100

@@ -189,7 +189,8 @@ def test_matrix_series_products_match_dense_matrices(name, n):
     # coordinates of (XY + YX)/2 solved for in sympy
     alg = catalog.build(name, {"n": n}).algebra
     units = _series_units(name, n)
-    assert alg.labels == tuple(f"{kind}{i+1}{j+1}" for kind, i, j in units)
+    sep = "_" if n >= 10 else ""
+    assert alg.labels == tuple(f"{kind}{i+1}{sep}{j+1}" for kind, i, j in units)
     mats = [sympy.Matrix(_series_matrix(name, n, *u)) for u in units]
     if name == "JordanC":
         # the defining identity J^-1 X^T J = X for J = [[0, I], [-I, 0]]
