@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import DimensionMismatchError, FieldMismatchError
 from .linalg import Matrix, RowReducer, Subspace, sparse_add
-from .scalars import ONE, ZERO, FieldTag, Rat, clear_denominators, common_denominator
+from .scalars import ONE, ZERO, clear_denominators, common_denominator, over
 
 # The largest dimension an algebra file may declare or a catalog series may
 # build, checked before anything is allocated (the Albert algebra, the
@@ -25,8 +25,9 @@ class Algebra:
 
     products: dict mapping (i, j) with i <= j to a sparse dict {k: element};
     missing pairs multiply to zero.  Every structure constant must be an
-    element of the field tag.  Over QQ the structure constants are also kept
-    as integers over one common denominator, for product_sparse.
+    element of the field tag.  The structure constants are also kept as
+    integers (Gaussian integers over QI) over one common denominator, for
+    product_sparse.
     """
 
     def __init__(self, dim, products, tag, labels=None):
@@ -56,14 +57,13 @@ class Algebra:
                 if rows[i][j] is None:
                     rows[i][j] = empty
         self._rows = rows
-        self._int_rows = None  # over QQ: [i][j] -> {k: int}, over _int_den
-        if tag is FieldTag.QQ:
-            pairs = [(i, j) for i in range(dim) for j in range(i, dim) if rows[i][j]]
-            nums, self._int_den = common_denominator([rows[i][j] for i, j in pairs])
-            irows = [[empty] * dim for _ in range(dim)]
-            for (i, j), num in zip(pairs, nums):
-                irows[i][j] = irows[j][i] = num
-            self._int_rows = irows
+        # [i][j] -> {k: integer numerator}, over the common denominator _int_den
+        pairs = [(i, j) for i in range(dim) for j in range(i, dim) if rows[i][j]]
+        nums, self._int_den = common_denominator([rows[i][j] for i, j in pairs])
+        irows = [[empty] * dim for _ in range(dim)]
+        for (i, j), num in zip(pairs, nums):
+            irows[i][j] = irows[j][i] = num
+        self._int_rows = irows
 
     # -- products -----------------------------------------------------------
 
@@ -88,20 +88,19 @@ class Algebra:
 
     def product_sparse(self, x, y):
         """Product of sparse elements (dicts {index: element} without zero
-        entries) as a sparse dict without zero entries.  Over QQ it clears
-        x and y to integers over dx and dy, runs product_int and builds a
-        Rat over dx * dy * _int_den for each returned entry only."""
-        if self._int_rows is None:
-            return {k: v for k, v in _accumulate(self._rows, x, y).items() if v}
+        entries) as a sparse dict without zero entries.  It clears x and y
+        to integers over dx and dy, runs product_int and builds an element
+        over dx * dy * _int_den for each returned entry only."""
         x, dx = clear_denominators(x)
         y, dy = clear_denominators(y)
         den = dx * dy * self._int_den
-        return {k: Rat(v, den) for k, v in _accumulate(self._int_rows, x, y).items() if v}
+        return {k: over(v, den) for k, v in _accumulate(self._int_rows, x, y).items() if v}
 
     def product_int(self, x, y):
-        """The integer kernel of product_sparse over QQ: for sparse integer
-        vectors x and y, the zero-free integer vector p with
-        x * y = p / _int_den.  Only integer operators touch the entries."""
+        """The integer kernel of product_sparse: for sparse vectors x and y
+        of integers or Gaussian integers, the zero-free integer vector p
+        with x * y = p / _int_den.  Only integer operators touch the
+        entries."""
         return {k: v for k, v in _accumulate(self._int_rows, x, y).items() if v}
 
     def _sparse(self, x):
@@ -225,10 +224,10 @@ class Algebra:
         i <= j <= k lexicographically, then l ascending.
         """
         n = self.dim
-        # over QQ the integer constants, D times the rational ones: every
-        # term has degree 3 in them, so the sums are D^3 times the rational
-        # sums and vanish exactly when those do
-        rows = self._rows if self._int_rows is None else self._int_rows
+        # the integer constants, D times the field ones: every term has
+        # degree 3 in them, so the sums are D^3 times the field sums and
+        # vanish exactly when those do
+        rows = self._int_rows
         inner = {}  # (l, b, c) -> b_l (b_b b_c)
         for i in range(n):
             for j in range(i, n):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .algebra import Algebra, _sym_index, _unflatten_sym
 from .errors import DimensionMismatchError, ExtensionError, NotSemisimpleError
 from .linalg import Matrix, RowReducer, Subspace, sparse_add, sparse_vector
-from .scalars import ONE, ZERO, FieldTag, clear_denominators
+from .scalars import ONE, ZERO, clear_denominators
 from .spectral import check_axis, eigen_decompose, minimal_law, render_violation
 
 
@@ -183,20 +183,15 @@ def _add_pair(acc, cols, x, y):
 def condition1_rows(algebra, a, kernel):
     """Sparse rows enforcing theta(a, k) = 0 for the basis vectors k of
     kernel, which is ker L_a as a Subspace (for an axis, its 0-eigenspace).
-    Over QQ the rows are integer rows, each a positive multiple of the
-    rational row: a and k are cleared of denominators first."""
+    The rows are integer rows (Gaussian integer rows over QI), each a
+    positive multiple of the field row: a and k are cleared of denominators
+    first."""
     cols = _sym_columns(algebra.dim)
-    integral = algebra.tag is FieldTag.QQ
-    sa = sparse_vector(a)
-    if integral:
-        sa = clear_denominators(sa)[0]
+    sa = clear_denominators(sparse_vector(a))[0]
     rows = []
     for k in kernel.rows:
-        k = dict(k)
-        if integral:
-            k = clear_denominators(k)[0]
         acc = {}
-        _add_pair(acc, cols, sa, k)
+        _add_pair(acc, cols, sa, clear_denominators(dict(k))[0])
         rows.append({col: c for col, c in acc.items() if c})
     return rows
 
@@ -210,22 +205,18 @@ def condition2_rows(algebra, a, law, eigen):
     theta(x, y) - theta(a, sum nu^-1 z_nu) = 0, if nonzero; a component
     outside the law cell lam*mu raises ExtensionError.
 
-    Over QQ the rows are integer rows, each da * D * L times the rational
-    row: a is cleared to integers over da, the components are integers over
-    D = eigen.product_den, the eigenvectors over dvec, and L is the lcm of
-    the numerators of the cell's nus, so nu^-1 = q/p is the integer
-    q * L / p over L, once per cell.  theta(x, y) of the integer
-    eigenvectors is then scaled by da * D * L / dvec^2."""
+    The rows are integer rows (Gaussian integer rows over QI), each
+    da * D * L times the field row: a is cleared to integers over da, the
+    components are integers over D = eigen.product_den, the eigenvectors
+    over dvec, and L is the lcm of the denominators of the cell's nu^-1,
+    so nu^-1 = q/p is the integer q * L / p over L, once per cell.
+    theta(x, y) of the integer eigenvectors is then scaled by
+    da * D * L / dvec^2."""
     products = eigen.products()
     cols = _sym_columns(algebra.dim)
-    integral = algebra.tag is FieldTag.QQ
-    sa = sparse_vector(a)
-    if integral:
-        sa, da = clear_denominators(sa)
-        vectors, dvec = eigen._int_vectors
-        base = da * eigen.product_den // (dvec * dvec)
-    else:
-        vectors = eigen.vectors
+    sa, da = clear_denominators(sparse_vector(a))
+    vectors, dvec = eigen._int_vectors
+    base = da * eigen.product_den // (dvec * dvec)
     rows = []
     for lam, mu, nus, items in products:
         cell = law.star(lam, mu)
@@ -238,20 +229,16 @@ def condition2_rows(algebra, a, law, eigen):
                     raise ExtensionError(
                         f"eigenspace product escapes the law cell "
                         f"({lam}, {mu}): components at {bad}")
-        if integral:
-            lcm = math.lcm(1, *(abs(nu.numerator) for nu in nus))
-            minus_inv = {nu: -(nu.denominator * lcm // nu.numerator) for nu in nus}
-            scale = base * lcm
-            scaled = {}  # position -> its eigenvector times scale
-        else:
-            minus_inv = {nu: -(ONE / nu) for nu in nus}
+        inverses = {nu: ONE / nu for nu in nus}
+        lcm = math.lcm(1, *(inv.denominator for inv in inverses.values()))
+        minus_inv = {nu: -(inv.numerator * (lcm // inv.denominator))
+                     for nu, inv in inverses.items()}
+        scale = base * lcm
+        scaled = {}  # position -> its eigenvector times scale
         for r, q, comps in items:
-            if integral:
-                x = scaled.get(r)
-                if x is None:
-                    x = scaled[r] = {p: scale * c for p, c in vectors[r].items()}
-            else:
-                x = vectors[r]
+            x = scaled.get(r)
+            if x is None:
+                x = scaled[r] = {p: scale * c for p, c in vectors[r].items()}
             acc = {}
             _add_pair(acc, cols, x, vectors[q])
             w = {}
@@ -297,8 +284,6 @@ def cocycle_space(algebra, axes, law):
     from the Eigenbasis on the report."""
     idx_len = len(_sym_index(algebra.dim))
     red = RowReducer(idx_len, algebra.tag)
-    # over QQ the condition rows are integer rows
-    add = red.add_int_row if red.integral else red.add_row
     for a in axes:
         rep = check_axis(algebra, a, law)
         if not rep.is_axis:
@@ -308,10 +293,11 @@ def cocycle_space(algebra, axes, law):
                 f"{algebra.render_element(a)} fails the axis check: {found}")
         # an axis is semisimple, so ker L_a is its 0-eigenspace, if any
         kernel = rep.eigen.eigenspace(ZERO) or Subspace.zero_space(algebra.dim, algebra.tag)
+        # the condition rows are integer rows
         for row in condition1_rows(algebra, a, kernel):
-            add(row)
+            red.add_int_row(row)
         for row in condition2_rows(algebra, a, law, rep.eigen):
-            add(row)
+            red.add_int_row(row)
     space = Subspace.spanned(red.kernel_basis(), idx_len, algebra.tag)
     cob = coboundary_space(algebra)
     inter = space.intersect(cob)

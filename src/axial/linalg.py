@@ -22,7 +22,7 @@ from __future__ import annotations
 from math import gcd
 
 from .errors import DimensionMismatchError, FieldMismatchError
-from .scalars import ONE, ZERO, FieldTag, Rat, clear_denominators
+from .scalars import ONE, ZERO, Scalar, clear_denominators, over
 
 
 # ---------------------------------------------------------------------------
@@ -297,17 +297,17 @@ class RowReducer:
     """Incrementally maintained RREF over sparse rows (dicts column -> element).
 
     Rows handed to add_row are copied, never changed.  The reducer keeps one
-    fully reduced row per pivot column in ``rows``: over QQ a primitive
-    integer row (content removed) with a positive pivot entry, reduced
-    fraction-free with gcd-scaled elimination and back-substitution; over QI
-    a row scaled to a unit pivot.  The canonical unit-pivot rows are built
-    by unit_rows(), sparse_rows() and kernel_basis().
+    fully reduced row per pivot column in ``rows``: a primitive row of
+    integers or Gaussian integers (content removed: the gcd of all their
+    integer parts is 1) with a positive integer pivot entry, reduced
+    fraction-free with gcd-scaled elimination and back-substitution.  The
+    canonical unit-pivot rows are built by unit_rows(), sparse_rows() and
+    kernel_basis().
     """
 
     def __init__(self, ncols, tag):
         self.ncols = ncols
         self.tag = tag
-        self.integral = tag is FieldTag.QQ
         self.rows = {}  # pivot column -> stored row, see the class docstring
 
     def _residue(self, row):
@@ -317,32 +317,29 @@ class RowReducer:
         Every pivot column occurring in the row is eliminated, not just the
         leading one; pivot rows contain no pivot columns other than their own,
         so elimination only ever introduces free-column entries and one pass
-        suffices.  Over QQ the row is cleared of denominators first, and
-        before c/p times a pivot row with pivot entry p is subtracted the row
-        is scaled by p / gcd(p, c), so every step stays integral.
+        suffices.  The row is cleared of denominators first, and before c/p
+        times a pivot row with pivot entry p is subtracted the row is scaled
+        by p / g, g the gcd of p and the parts of c, so every step stays
+        integral.
         """
-        if self.integral:
-            return self._eliminate(*clear_denominators(row))
-        return self._eliminate(row, ONE)
+        return self._eliminate(*clear_denominators(row))
 
     def _eliminate(self, row, scale):
-        """_residue of row / scale: over QQ row holds integers, over QI
-        field elements with scale 1."""
+        """_residue of row / scale, for row a sparse row of integers or
+        Gaussian integers."""
         rows = self.rows
-        integral = self.integral
         row = {j: a for j, a in row.items() if a}
         for lead in [j for j in sorted(row) if j in rows]:
             c = row.pop(lead)
             piv = rows[lead]
-            if integral:
-                p = piv[lead]
-                if p != 1:
-                    g = gcd(p, c)
-                    s, c = p // g, c // g
-                    if s != 1:
-                        scale *= s
-                        for j in row:
-                            row[j] *= s
+            p = piv[lead]
+            if p != 1:
+                g = _gcd(p, c)
+                s, c = p // g, c // g
+                if s != 1:
+                    scale *= s
+                    for j in row:
+                        row[j] *= s
             for j, a in piv.items():
                 if j == lead:
                     continue
@@ -354,14 +351,6 @@ class RowReducer:
                     del row[j]
         return row, scale
 
-    def reduce_row(self, row):
-        """The residue of row after elimination by the current pivots, as a
-        sparse row without zero entries."""
-        row, scale = self._residue(row)
-        if self.integral:
-            return {j: Rat(a, scale) for j, a in row.items()}
-        return row
-
     def contains(self, row):
         """Is the sparse row in the span of the rows added so far?"""
         return not self._residue(row)[0]
@@ -371,9 +360,9 @@ class RowReducer:
         return self._insert(self._residue(row)[0])
 
     def add_int_row(self, row):
-        """add_row over QQ for a sparse row of integers, which needs no
-        denominators cleared.  Any nonzero multiple of a row adds the same
-        stored row, since what is stored is made primitive."""
+        """add_row for a sparse row of integers or Gaussian integers, which
+        needs no denominators cleared.  Any nonzero multiple of a row adds
+        the same stored row, since what is stored is made primitive."""
         return self._insert(self._eliminate(row, 1)[0])
 
     def _insert(self, row):
@@ -381,21 +370,18 @@ class RowReducer:
         if not row:
             return False
         lead = min(row)
-        integral = self.integral
-        if integral:
-            row = _primitive(row, lead)
-        else:
-            inv = ONE / row[lead]
-            row = {j: inv * a for j, a in row.items()}
-            row[lead] = ONE
+        if type(row[lead]) is Scalar:  # times the conjugate: the pivot is the norm
+            conj = row[lead].conjugate()
+            row = {j: conj * a for j, a in row.items()}
+        row = _primitive(row, lead)
         p = row[lead]
         # back-substitute into existing pivot rows
         for q, qrow in self.rows.items():
             c = qrow.get(lead)
             if c is None:
                 continue
-            if integral and p != 1:
-                g = gcd(p, c)
+            if p != 1:
+                g = _gcd(p, c)
                 s, c = p // g, c // g
                 if s != 1:
                     for j in qrow:
@@ -407,8 +393,7 @@ class RowReducer:
                     qrow[j] = v
                 elif j in qrow:
                     del qrow[j]
-            if integral:
-                self.rows[q] = _primitive(qrow, q)
+            self.rows[q] = _primitive(qrow, q)
         self.rows[lead] = row
         return True
 
@@ -423,11 +408,8 @@ class RowReducer:
 
     def unit_rows(self):
         """The RREF as {pivot column: sparse row with entry 1 at the pivot},
-        in the order the pivots were found.  Over QI these are the stored
-        rows, which the caller must not change."""
-        if not self.integral:
-            return self.rows
-        return {p: {j: Rat(a, row[p]) for j, a in row.items()}
+        in the order the pivots were found."""
+        return {p: {j: over(a, row[p]) for j, a in row.items()}
                 for p, row in self.rows.items()}
 
     def sparse_rows(self):
@@ -447,13 +429,23 @@ class RowReducer:
             for f, c in row.items():
                 v = basis.get(f)
                 if v is not None:
-                    v[p] = Rat(-c, piv) if self.integral else -c
+                    v[p] = over(-c, piv)
         return list(basis.values())
 
 
+def _gcd(*nums):
+    """The gcd of the integer parts of integers and Gaussian integers."""
+    try:
+        return gcd(*nums)
+    except TypeError:  # a Gaussian integer among them
+        return gcd(*(b for a in nums
+                     for b in ((a.re, a.im) if type(a) is Scalar else (a,))))
+
+
 def _primitive(row, lead):
-    """The integer row divided by its content, signed so row[lead] > 0."""
-    g = gcd(*row.values())
+    """The row divided by its content, signed so row[lead] > 0; a Gaussian
+    row must have a positive integer lead already."""
+    g = _gcd(*row.values())
     if row[lead] < 0:
         g = -g
     if g == 1:

@@ -140,6 +140,22 @@ class Scalar:
     def conjugate(self):
         return _pair(self.re, -self.im)
 
+    # numerator / denominator as for a Rat: the numerator is a Gaussian
+    # integer, a Scalar with integer parts, which only the kernels hold
+
+    @property
+    def denominator(self):
+        return math.lcm(self.re.denominator, self.im.denominator)
+
+    @property
+    def numerator(self):
+        re, im, d = self.re, self.im, self.denominator
+        return _pair(re.numerator * (d // re.denominator), im.numerator * (d // im.denominator))
+
+    def __floordiv__(self, other):
+        """A Gaussian integer divided by an integer that divides both parts."""
+        return _pair(self.re // other, self.im // other)
+
     def __bool__(self):
         return True  # the imaginary part is nonzero
 
@@ -169,11 +185,20 @@ def _pair(re, im):
     return g
 
 
+def over(num, den):
+    """The canonical element num / den for an integer or Gaussian-integer
+    numerator num and a positive integer den."""
+    if type(num) is Scalar:
+        return _pair(Rat(num.re, den), Rat(num.im, den))
+    return Rat(num, den)
+
+
 def clear_denominators(v):
-    """(nums, den) for a sparse rational vector {k: Rat}: den is the lcm of
-    its denominators and v[k] == nums[k] / den, nums[k] an integer.  The
-    ℚ kernels of algebra, spectral and linalg run on such integer vectors
-    and build a Rat only for each entry they return."""
+    """(nums, den) for a sparse vector {k: element}: den is the lcm of its
+    denominators and v[k] == nums[k] / den, nums[k] an integer or a Gaussian
+    integer.  The kernels of algebra, spectral and linalg run on such
+    integer vectors and build an element, by over, only for each entry they
+    return."""
     den = 1
     for a in v.values():
         d = a.denominator
@@ -185,8 +210,8 @@ def clear_denominators(v):
 
 
 def common_denominator(vectors):
-    """(nums, den): the sparse rational vectors as integer vectors over one
-    common denominator den, vectors[t][k] == nums[t][k] / den."""
+    """(nums, den): the sparse vectors as integer vectors over one common
+    denominator den, vectors[t][k] == nums[t][k] / den."""
     cleared = [clear_denominators(v) for v in vectors]
     den = math.lcm(1, *(d for _, d in cleared))
     return [nums if d == den else {k: a * (den // d) for k, a in nums.items()}

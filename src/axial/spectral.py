@@ -17,7 +17,7 @@ from .errors import DimensionMismatchError, NotIdempotentError, NotSemisimpleErr
 from .fusion import FusionLaw
 from .linalg import Matrix
 from .scalars import (ONE, ZERO, FieldTag, Rat, Scalar, clear_denominators, common_denominator,
-                      render_scalar, scalar_sqrt, sort_key)
+                      over, render_scalar, scalar_sqrt, sort_key)
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +181,11 @@ class Eigenbasis:
     order.  spectrum_complete is False when root finding over the Gaussian
     rationals may have missed values.
 
-    When x is semisimple it also keeps the eigenbasis and the columns of its
-    inverse as sparse vectors ({index: element}, no zero entries), so
-    products and splits touch only nonzero entries; over QQ each of the two
-    is also kept as integer vectors over one common denominator, on which
-    components() and products() run.  products() is computed once, on first
-    use."""
+    When x is semisimple it also keeps the eigenbasis as sparse vectors
+    ({index: element}, no zero entries), and the eigenbasis and the columns
+    of its inverse each as integer vectors over one common denominator, on
+    which components() and products() run, so products and splits touch only
+    nonzero entries.  products() is computed once, on first use."""
 
     def __init__(self, algebra, element, pairs, complete):
         self.algebra = algebra
@@ -202,15 +201,13 @@ class Eigenbasis:
         # column j of P^-1, {eigenbasis position: entry}: the eigenbasis
         # coordinates of y sum these over the nonzero y_j
         inv = Matrix.from_sparse_rows(rows, algebra.dim, algebra.tag).inverse()
-        self.inverse_columns = [dict(r) for r in inv.sparse_rows]
         self.vectors = [dict(r) for r in rows]  # by position
-        self._int_inverse = self._int_vectors = None  # (nums, den) over QQ
-        self.product_den = 1  # the denominator of the components in products()
-        if algebra.tag is FieldTag.QQ:
-            self._int_inverse = common_denominator(self.inverse_columns)
-            self._int_vectors = common_denominator(self.vectors)
-            self.product_den = (self._int_inverse[1] * self._int_vectors[1] ** 3
-                                * algebra._int_den)
+        # (nums, den) each; product_den is the denominator of the components
+        # in products()
+        self._int_inverse = common_denominator([dict(r) for r in inv.sparse_rows])
+        self._int_vectors = common_denominator(self.vectors)
+        self.product_den = (self._int_inverse[1] * self._int_vectors[1] ** 3
+                            * algebra._int_den)
         self.owner = []   # position -> index of its eigenvalue in blocks
         self.blocks = []  # (eigenvalue, range of its positions)
         for t, (lam, space) in enumerate(pairs):
@@ -236,24 +233,22 @@ class Eigenbasis:
 
     def components(self, y):
         """Split the sparse element y; returns {eigenvalue: sparse component}
-        with zero components omitted, in eigenvalue order.  Over QQ it clears
-        y to integers over dy, runs _split on the integer vectors and builds
-        a Rat over dinv * dy * dvec for each returned entry only."""
+        with zero components omitted, in eigenvalue order.  It clears y to
+        integers over dy, runs _split on the integer vectors and builds an
+        element over dinv * dy * dvec for each returned entry only."""
         self._require_semisimple()
-        if self._int_inverse is None:
-            return self._split(y, self.inverse_columns, self.vectors)
         (inverse, dinv), (vectors, dvec) = self._int_inverse, self._int_vectors
         y, dy = clear_denominators(y)
         den = dinv * dy * dvec
-        return {lam: {k: Rat(v, den) for k, v in comp.items()}
+        return {lam: {k: over(v, den) for k, v in comp.items()}
                 for lam, comp in self._split(y, inverse, vectors).items()}
 
     def _split(self, y, inverse, vectors):
         """The kernel of components: y's eigenbasis coordinates are the sums
         of inverse[j] over its entries y_j, and each eigenvalue's component
-        sums coordinate times vectors[r] over its positions r.  Over QQ
-        with integer y over dy, inverse over dinv and vectors over dvec, the
-        components are integers over dinv * dy * dvec."""
+        sums coordinate times vectors[r] over its positions r.  With integer
+        y over dy, inverse over dinv and vectors over dvec, the components
+        are integers over dinv * dy * dvec."""
         coords = {}
         for j, b in y.items():
             for r, a in inverse[j].items():
@@ -283,23 +278,18 @@ class Eigenbasis:
         product over the denominator product_den; nus is the frozenset of
         eigenvalues occurring in those components.
 
-        Over QQ the components are integers, computed by product_int and
-        _split on the integer eigenvectors and inverse columns, over
-        product_den = dinv * dvec^3 * _int_den (the eigenvectors are over
-        dvec, their product over dvec^2 * _int_den); over QI they are field
-        elements and product_den is 1.  The product is commutative, so
-        within a block lam = mu each unordered pair is computed once and
-        both orders share its components.  Computed on first call and
-        kept."""
+        The components are integers (Gaussian integers over QI), computed by
+        product_int and _split on the integer eigenvectors and inverse
+        columns, over product_den = dinv * dvec^3 * _int_den (the
+        eigenvectors are over dvec, their product over dvec^2 * _int_den).
+        The product is commutative, so within a block lam = mu each
+        unordered pair is computed once and both orders share its
+        components.  Computed on first call and kept."""
         self._require_semisimple()
         if self._products is not None:
             return self._products
-        if self._int_inverse is None:
-            inverse, vectors = self.inverse_columns, self.vectors
-            product = self.algebra.product_sparse
-        else:
-            (inverse, _), (vectors, _) = self._int_inverse, self._int_vectors
-            product = self.algebra.product_int
+        (inverse, _), (vectors, _) = self._int_inverse, self._int_vectors
+        product = self.algebra.product_int
         split = self._split
         out = []
         for s, (lam, rs) in enumerate(self.blocks):

@@ -8,7 +8,7 @@ import pytest
 
 from axial.errors import DimensionMismatchError, FieldMismatchError
 from axial.linalg import Matrix, RowReducer, Subspace
-from axial.scalars import FieldTag, Rat, Scalar
+from axial.scalars import FieldTag, Rat, Scalar, sort_key
 
 
 def q(n, d=1):
@@ -329,10 +329,17 @@ class TestOutsideVectorsAreChecked:
 
 
 # ---------------------------------------------------------------------------
-# the fraction-free reducer over QQ against the dense reference
+# the fraction-free reducer over QQ and QI against the dense reference
 
 BIG_PRIMES = (7919, 104729, 2 ** 31 - 1)
-ORACLE_PRIME = 2 ** 61 - 1  # divides no denominator drawn here
+ORACLE_PRIME = 2 ** 64 - 59  # divides no denominator drawn here; 1 mod 4
+# a square root of -1 mod ORACLE_PRIME: the image of i in the oracle
+ORACLE_I = next(r for c in range(2, 50)
+                if (r := pow(c, (ORACLE_PRIME - 1) // 4, ORACLE_PRIME)) ** 2 % ORACLE_PRIME
+                == ORACLE_PRIME - 1)
+# Gaussian-integer factors: Scalars with integer parts, as the kernels
+# carry them
+GAUSSIAN_FACTORS = (Scalar(1, 1).numerator, Scalar(2, -3).numerator, Scalar(0, -1).numerator)
 
 
 def _qq_entry(rng):
@@ -344,17 +351,22 @@ def _qq_entry(rng):
              rng.choice((1, 1, 2, 3, 6) + BIG_PRIMES))
 
 
-def _qq_rows(rng, nrows, ncols):
-    """Random rows with negative leads, a cancelling combination of two
-    rows and a zero row mixed in."""
-    rows = [[_qq_entry(rng) for _ in range(ncols)] for _ in range(nrows)]
+def _qi_entry(rng):
+    """A Gaussian rational whose two parts are drawn by _qq_entry."""
+    return Scalar(_qq_entry(rng), _qq_entry(rng))
+
+
+def _random_rows(rng, nrows, ncols, entry):
+    """Random rows with negative leads (over QI, leads with a negative first
+    part), a cancelling combination of two rows and a zero row mixed in."""
+    rows = [[entry(rng) for _ in range(ncols)] for _ in range(nrows)]
     for r in rows:
         lead = next((j for j, a in enumerate(r) if a), None)
-        if lead is not None and rng.random() < 0.5:
-            r[lead] = -abs(r[lead])
+        if lead is not None and rng.random() < 0.5 and sort_key(r[lead]) > (0, 0):
+            r[lead] = -r[lead]
     if nrows >= 2 and rng.random() < 0.6:
         i, j = rng.sample(range(nrows), 2)
-        c = _qq_entry(rng) or q(1)
+        c = entry(rng) or q(1)
         rows.append([a - c * b for a, b in zip(rows[i], rows[j])])
     if rng.random() < 0.3:
         rows.append([q(0)] * ncols)
@@ -362,11 +374,26 @@ def _qq_rows(rng, nrows, ncols):
     return rows
 
 
-def _rank_mod_p(rows, p):
-    """Rank of rational rows over GF(p), p dividing no denominator: at most
-    the rank over QQ, and equal to it unless p divides every maximal
-    nonzero minor."""
-    work = [[a.numerator * pow(a.denominator, -1, p) % p for a in r] for r in rows]
+def _parts(a):
+    return (a.re, a.im) if type(a) is Scalar else (a,)
+
+
+def _mod_p(a):
+    """The image of a rational or Gaussian rational in GF(ORACLE_PRIME),
+    with i sent to ORACLE_I."""
+    p = ORACLE_PRIME
+    if type(a) is Scalar:
+        return (_mod_p(a.re) + _mod_p(a.im) * ORACLE_I) % p
+    return a.numerator * pow(a.denominator, -1, p) % p
+
+
+def _rank_mod_p(rows):
+    """Rank of the rows over GF(p), p = ORACLE_PRIME dividing no
+    denominator: the image under a ring map, so at most the rank over QQ or
+    QI, and equal to it unless p divides every maximal nonzero minor (over
+    QI, a prime above p does)."""
+    p = ORACLE_PRIME
+    work = [[_mod_p(a) for a in r] for r in rows]
     rank = 0
     for c in range(len(work[0]) if work else 0):
         piv = next((i for i in range(rank, len(work)) if work[i][c]), None)
@@ -398,44 +425,56 @@ def _dict(v):
     return {k: a for k, a in enumerate(v) if a}
 
 
-def test_fraction_free_reducer_matches_dense_reference():
-    rng = random.Random(61)
-    tag = FieldTag.QQ
+def _int_row(row, factor):
+    """The row cleared of denominators, as integers or Gaussian integers,
+    times factor."""
+    den = math.lcm(1, *(a.denominator for a in row))
+    return {k: a.numerator * (den // a.denominator) * factor for k, a in enumerate(row) if a}
+
+
+def _reducer_matches_dense_reference(tag):
+    rng = random.Random(61 if tag is FieldTag.QQ else 62)
+    entry = _qq_entry if tag is FieldTag.QQ else _qi_entry
     seen = {"cancel": 0, "outside": 0, "singular": 0, "inconsistent": 0}
+    nonreal = 0  # rows whose leading entry is not real
     for _ in range(150):
         n, m = rng.randint(1, 6), rng.randint(0, 6)
-        rows = _qq_rows(rng, m, n)
+        rows = _random_rows(rng, m, n, entry)
+        nonreal += sum(type(next((a for a in r if a), q(0))) is Scalar for r in rows)
         red, pivots = _naive_rref(rows, n, tag)
         mtx = Matrix(rows, tag, ncols=n)
         # rank, with the mod-p oracle; rref; kernel
-        assert mtx.rank() == len(red) == _rank_mod_p(rows, ORACLE_PRIME)
+        assert mtx.rank() == len(red) == _rank_mod_p(rows)
         seen["cancel"] += len(red) < len(rows)
         r, piv = mtx.rref()
         assert piv == tuple(pivots)
         assert r.rows == tuple(map(tuple, red)) + ((q(0),) * n,) * (len(rows) - len(red))
         assert mtx.kernel() == Subspace(_naive_kernel(red, pivots, n), n, tag)
-        # the stored rows: primitive integer rows with a positive pivot
+        # the stored rows: primitive rows of integers or Gaussian integers
+        # (content 1 over all parts) with a positive integer pivot
         reducer = RowReducer(n, tag)
         for row in rows:
             reducer.add_row(_dict(row))
         for p, row in reducer.rows.items():
-            assert row[p] > 0 and all(a == int(a) for a in row.values())
-            assert math.gcd(*(int(a) for a in row.values())) == 1
+            parts = [b for a in row.values() for b in _parts(a)]
+            assert type(row[p]) is not Scalar and row[p] > 0
+            assert all(b == int(b) for b in parts)
+            assert math.gcd(*(int(b) for b in parts)) == 1
         assert reducer.sparse_rows() == _sparse_rows(red)
-        # membership and residues: x less x_p times the unit pivot row p
+        # membership: combinations of the rows are members; x is one exactly
+        # when its residue, x less x_p times the unit pivot row p, vanishes
         span = Subspace(rows, n, tag)
-        coeffs = [_qq_entry(rng) for _ in rows]
+        coeffs = [entry(rng) for _ in rows]
         member = [sum((c * row[k] for c, row in zip(coeffs, rows)), q(0)) for k in range(n)]
         assert span.contains_sparse(_dict(member))
-        x = [_qq_entry(rng) for _ in range(n)]
+        x = [entry(rng) for _ in range(n)]
         residue = list(x)
         for row, p in zip(red, pivots):
             residue = [a - x[p] * b for a, b in zip(residue, row)]
-        assert reducer.reduce_row(_dict(x)) == _dict(residue)
         assert span.contains_sparse(_dict(x)) == (not any(residue))
         seen["outside"] += any(residue)
         # solve: against the RREF of the augmented rows
-        for rhs in (mtx.apply(x), tuple(_qq_entry(rng) for _ in rows)):
+        for rhs in (mtx.apply(x), tuple(entry(rng) for _ in rows)):
             aug, apiv = _naive_rref([row + [b] for row, b in zip(rows, rhs)], n + 1, tag)
             sol, extra = mtx.solve(rhs)
             if n in apiv:
@@ -447,7 +486,7 @@ def test_fraction_free_reducer_matches_dense_reference():
                 want[p] = row[n]
             assert sol == tuple(want) and extra == mtx.kernel()
         # inverse of a square sample
-        sq = _qq_rows(rng, n, n)[:n]
+        sq = _random_rows(rng, n, n, entry)[:n]
         sq += [[q(0)] * n] * (n - len(sq))
         aug, apiv = _naive_rref([row + [q(int(i == j)) for j in range(n)]
                                  for i, row in enumerate(sq)], 2 * n, tag)
@@ -458,29 +497,41 @@ def test_fraction_free_reducer_matches_dense_reference():
         else:
             assert Matrix(sq, tag).inverse().rows == tuple(tuple(row[n:]) for row in aug)
     assert all(seen.values()), seen
+    assert (nonreal > 0) == (tag is FieldTag.QI)
 
 
-def test_integer_row_entry_matches_add_row():
+def test_fraction_free_reducer_matches_dense_reference():
+    for tag in (FieldTag.QQ, FieldTag.QI):
+        _reducer_matches_dense_reference(tag)
+
+
+def _integer_row_entry_matches_add_row(tag):
     # add_int_row takes each row as integers times a nonzero factor, either
-    # sign; the stored rows, the returned gains and every reading agree
-    # with add_row on the rational rows
-    rng = random.Random(89)
+    # sign, and over QI also times a Gaussian factor; the stored rows, the
+    # returned gains and every reading agree with add_row on the field rows
+    rng = random.Random(89 if tag is FieldTag.QQ else 90)
+    entry, signs = _qq_entry, (1, -1)
+    if tag is FieldTag.QI:
+        entry, signs = _qi_entry, (1, -1) + GAUSSIAN_FACTORS
     scaled = 0
     for _ in range(150):
         n, m = rng.randint(1, 7), rng.randint(0, 8)
-        rows = _qq_rows(rng, m, n)
-        plain, cleared = RowReducer(n, FieldTag.QQ), RowReducer(n, FieldTag.QQ)
+        rows = _random_rows(rng, m, n, entry)
+        plain, cleared = RowReducer(n, tag), RowReducer(n, tag)
         for row in rows:
-            den = math.lcm(1, *(a.denominator for a in row))
-            factor = rng.choice([1, 1, 2, 6, 35, 7919]) * rng.choice([1, -1])
+            factor = rng.choice([1, 1, 2, 6, 35, 7919]) * rng.choice(signs)
             scaled += factor != 1
-            ints = {k: int(a * den) * factor for k, a in enumerate(row) if a}
-            assert cleared.add_int_row(ints) == plain.add_row(_dict(row))
+            assert cleared.add_int_row(_int_row(row, factor)) == plain.add_row(_dict(row))
             assert cleared.rows == plain.rows
-        assert cleared.rank() == plain.rank() == _rank_mod_p(rows, ORACLE_PRIME)
+        assert cleared.rank() == plain.rank() == _rank_mod_p(rows)
         assert cleared.sparse_rows() == plain.sparse_rows()
         assert cleared.kernel_basis() == plain.kernel_basis()
     assert scaled > 100
+
+
+def test_integer_row_entry_matches_add_row():
+    for tag in (FieldTag.QQ, FieldTag.QI):
+        _integer_row_entry_matches_add_row(tag)
 
 
 def test_mod_p_rank_oracle_on_larger_systems():
@@ -494,5 +545,5 @@ def test_mod_p_rank_oracle_on_larger_systems():
             i, j = rng.sample(range(m), 2)
             rows.append([a + q(rng.randint(-3, 3), 5) * b for a, b in zip(rows[i], rows[j])])
         mtx = Matrix(rows, FieldTag.QQ, ncols=n)
-        assert mtx.rank() == _rank_mod_p(rows, ORACLE_PRIME)
+        assert mtx.rank() == _rank_mod_p(rows)
         assert mtx.rank() + mtx.kernel().dim == n

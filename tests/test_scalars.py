@@ -1,9 +1,12 @@
 """Scalar field arithmetic and the text grammar."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
-from axial.scalars import FieldTag, Rat, Scalar, parse_scalar, render_scalar, sort_key
+from axial.scalars import (FieldTag, Rat, Scalar, clear_denominators, over, parse_scalar,
+                           render_scalar, sort_key)
 from axial.errors import FieldMismatchError, ScalarParseError
 
 
@@ -107,6 +110,20 @@ def test_gaussian_results_are_canonical(a, b):
         assert _canonical(r)
     assert hash((a + b) - b) == hash(a) and (a + b) - b == a
     assert sort_key(a) == (a.re, a.im) if type(a) is Scalar else sort_key(a) == (a, 0)
+
+
+@given(scalars_qi, scalars_qi, st.integers(min_value=1, max_value=10**4))
+def test_numerator_over_denominator(a, b, k):
+    # the integer kernels carry an element as a numerator, an integer or a
+    # Gaussian integer, over a positive integer denominator, in lowest terms
+    num, den = a.numerator, a.denominator
+    parts = (num.re, num.im) if type(num) is Scalar else (num,)
+    assert all(type(p) is not Rat and p == int(p) for p in parts)
+    assert den > 0 and math.gcd(den, *(int(p) for p in parts)) == 1
+    assert _canonical(over(num, den)) and over(num, den) == a
+    assert over(num * k, den * k) == a and (num * k) // k == num
+    nums, d = clear_denominators({0: a, 1: b} if b else {0: a})
+    assert over(nums[0], d) == a and (not b or over(nums[1], d) == b)
 
 
 def test_canonical_constructors_and_membership():

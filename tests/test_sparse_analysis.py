@@ -1,8 +1,9 @@
 """The sparse per-axis analysis against a naive dense reference: eigenvector
 products split with Matrix.apply by the eigenbasis inverse, dense constraint
-rows (over QQ the integer rows are positive multiples of them), and the
-Miyamoto map as the signed sum of dense eigencomponents; products() also
-against a full double loop over the pairs of eigenbasis positions."""
+rows (the integer rows, Gaussian integer rows over QI, are positive
+multiples of them), and the Miyamoto map as the signed sum of dense
+eigencomponents; products() also against a full double loop over the pairs
+of eigenbasis positions."""
 
 import math
 import random
@@ -15,7 +16,7 @@ from axial.extension import condition1_rows, condition2_rows
 from axial.fusion import FusionLaw, find_c2_gradings
 from axial.linalg import Matrix, Subspace
 from axial.miyamoto import tau_automorphism
-from axial.scalars import FieldTag, Rat
+from axial.scalars import FieldTag, Rat, Scalar, over, sort_key
 from axial.spectral import Eigenbasis, check_axis, eigen_decompose
 
 
@@ -83,19 +84,33 @@ def _densify(algebra, row):
     return tuple(row.get(j, zero) for j in range(len(_sym_index(algebra.dim))))
 
 
+def _parts(a):
+    return (a.re, a.im) if type(a) is Scalar else (a,)
+
+
+def _integral(a):
+    """Is a an integer or a Gaussian integer, as the kernels carry them?"""
+    return all(type(b) is not Rat for b in _parts(a))
+
+
+def _canonical(a):
+    """Is a a field element as the package returns them: a Rat, or a Scalar
+    whose parts are Rats?"""
+    return type(a) is Rat or (type(a) is Scalar and type(a.re) is Rat and type(a.im) is Rat)
+
+
 def _flatten(algebra, eigen):
     """eigen.products() as dense (lam, mu, x, y, {nu: z}), after checking
-    each pair's nus against its components; over QQ the components are
-    integers over eigen.product_den."""
+    each pair's nus against its components, which are integers (Gaussian
+    integers over QI) over eigen.product_den."""
     den = eigen.product_den
     out = []
     for lam, mu, nus, items in eigen.products():
         assert nus == frozenset(nu for _r, _q, comps in items for nu in comps)
         for r, q, comps in items:
             assert all(v for comp in comps.values() for v in comp.values())
-            if algebra.tag is FieldTag.QQ:
-                assert all(type(v) is not Rat for comp in comps.values() for v in comp.values())
-                comps = {nu: {k: Rat(v, den) for k, v in z.items()} for nu, z in comps.items()}
+            assert all(_integral(v) for comp in comps.values() for v in comp.values())
+            comps = {nu: {k: over(v, den) for k, v in z.items()} for nu, z in comps.items()}
             out.append((lam, mu, algebra.element(eigen.vectors[r]),
                         algebra.element(eigen.vectors[q]),
                         {nu: algebra.element(z) for nu, z in comps.items()}))
@@ -120,33 +135,27 @@ def _dense_condition2_rows(algebra, a, law, ref):
 
 
 def _assert_positive_multiples(algebra, rows, expect):
-    """The sparse rows, in order, are the dense reference rows over QI, and
-    integer rows that are positive multiples of them over QQ."""
+    """The sparse rows, in order, are integer rows (Gaussian integer rows
+    over QI) that are positive rational multiples of the dense reference
+    rows."""
     assert len(rows) == len(expect)
     for row, ref in zip(rows, expect):
         dense = _densify(algebra, row)
-        if algebra.tag is FieldTag.QI:
-            assert dense == ref
-            continue
-        assert all(type(c) is not Rat for c in row.values())
+        assert all(_integral(c) for c in row.values())
         if not any(ref):  # condition (1) keeps a zero row
             assert not row
             continue
         j = next(j for j, c in enumerate(ref) if c)
-        factor = Rat(dense[j]) / ref[j]
-        assert factor > 0
+        factor = over(dense[j], 1) / ref[j]
+        assert type(factor) is Rat and factor > 0
         assert dense == tuple(factor * c for c in ref)
 
 
 def _full_double_loop(eigen):
     """eigen.products() recomputed with every ordered pair of positions
     multiplied and split on its own, by the same kernels."""
-    alg = eigen.algebra
-    if alg.tag is FieldTag.QQ:
-        (inverse, _), (vectors, _) = eigen._int_inverse, eigen._int_vectors
-        product = alg.product_int
-    else:
-        inverse, vectors, product = eigen.inverse_columns, eigen.vectors, alg.product_sparse
+    (inverse, _), (vectors, _) = eigen._int_inverse, eigen._int_vectors
+    product = eigen.algebra.product_int
     out = []
     for s, (lam, rs) in enumerate(eigen.blocks):
         for mu, qs in eigen.blocks[s:]:
@@ -240,7 +249,8 @@ def test_cases_cover_both_fields_and_kernels():
 
 
 # ---------------------------------------------------------------------------
-# the integer kernels over QQ on random algebras with non-unit denominators
+# the integer kernels on random algebras with non-unit denominators, over QQ
+# and over QI with Gaussian entries
 
 def _qq_entry(rng):
     if rng.random() < 0.4:
@@ -248,14 +258,22 @@ def _qq_entry(rng):
     return Rat(rng.choice([-5, -3, -2, -1, 1, 2, 4, 7]), rng.choice([1, 2, 3, 5, 9, 7919]))
 
 
-def _random_qq_algebra(rng, dim):
+def _qi_entry(rng):
+    return Scalar(_qq_entry(rng), _qq_entry(rng))
+
+
+ENTRIES = {FieldTag.QQ: _qq_entry, FieldTag.QI: _qi_entry}
+
+
+def _random_algebra(rng, dim, tag):
+    entry = ENTRIES[tag]
     products = {}
     for i in range(dim):
         for j in range(i, dim):
-            entry = {k: c for k in range(dim) if (c := _qq_entry(rng))}
-            if entry and rng.random() < 0.7:
-                products[(i, j)] = entry
-    return Algebra(dim, products, FieldTag.QQ), products
+            entry_ij = {k: c for k in range(dim) if (c := entry(rng))}
+            if entry_ij and rng.random() < 0.7:
+                products[(i, j)] = entry_ij
+    return Algebra(dim, products, tag), products
 
 
 def _naive_product(products, dim, x, y):
@@ -270,70 +288,89 @@ def _naive_product(products, dim, x, y):
 
 def _random_eigenbasis(rng, alg, values=None):
     """An Eigenbasis of made-up eigenvalues (values[t] for group t, else
-    (t - 1)/2) over a random basis of QQ^dim cut into groups: components()
-    is the split along that decomposition, whatever the algebra."""
-    dim = alg.dim
+    (t - 1)/2) over a random basis of the field^dim cut into groups:
+    components() is the split along that decomposition, whatever the
+    algebra."""
+    dim, tag = alg.dim, alg.tag
+    entry = ENTRIES[tag]
     while True:
-        vecs = [[_qq_entry(rng) for _ in range(dim)] for _ in range(dim)]
-        if Matrix(vecs, FieldTag.QQ).rank() == dim:
+        vecs = [[entry(rng) for _ in range(dim)] for _ in range(dim)]
+        if Matrix(vecs, tag).rank() == dim:
             break
     cuts = sorted(rng.sample(range(1, dim), rng.randint(0, dim - 1)))
     groups = [vecs[a:b] for a, b in zip([0] + cuts, cuts + [dim])]
-    pairs = [(values[t] if values else Rat(t - 1, 2), Subspace(g, dim, FieldTag.QQ))
+    pairs = [(values[t] if values else Rat(t - 1, 2), Subspace(g, dim, tag))
              for t, g in enumerate(groups)]
     return Eigenbasis(alg, alg.zero(), pairs, True)
 
 
-def test_product_sparse_matches_naive_product_on_random_qq_algebras():
-    rng = random.Random(67)
+def _product_sparse_matches_naive_product(tag, seed):
+    rng = random.Random(seed)
+    entry = ENTRIES[tag]
     cancelled = 0
     for _ in range(60):
         dim = rng.randint(1, 6)
-        alg, products = _random_qq_algebra(rng, dim)
+        alg, products = _random_algebra(rng, dim, tag)
         for _ in range(6):
-            x = tuple(_qq_entry(rng) for _ in range(dim))
-            y = tuple(_qq_entry(rng) for _ in range(dim))
+            x = tuple(entry(rng) for _ in range(dim))
+            y = tuple(entry(rng) for _ in range(dim))
             want = _naive_product(products, dim, x, y)
             got = alg.product_sparse({k: a for k, a in enumerate(x) if a},
                                      {k: a for k, a in enumerate(y) if a})
             assert got == {k: a for k, a in enumerate(want) if a}
-            assert all(type(a) is Rat for a in got.values())
+            assert all(_canonical(a) for a in got.values())
             assert alg.product(x, y) == want
             cancelled += any(x) and any(y) and not any(want)
-    assert cancelled > 0
+    return cancelled
 
 
-def test_components_match_dense_reference_on_random_qq_algebras():
-    rng = random.Random(73)
+def test_product_sparse_matches_naive_product_on_random_qq_algebras():
+    assert _product_sparse_matches_naive_product(FieldTag.QQ, 67) > 0
+
+
+def test_product_sparse_matches_naive_product_on_random_qi_algebras():
+    _product_sparse_matches_naive_product(FieldTag.QI, 68)
+
+
+def _components_match_dense_reference(tag, seed):
+    rng = random.Random(seed)
+    entry = ENTRIES[tag]
     for _ in range(40):
-        alg, _products = _random_qq_algebra(rng, rng.randint(1, 6))
+        alg, _products = _random_algebra(rng, rng.randint(1, 6), tag)
         eigen = _random_eigenbasis(rng, alg)
         ref = DenseReference(alg, eigen)
         for _ in range(6):
-            y = tuple(_qq_entry(rng) for _ in range(alg.dim))
+            y = tuple(entry(rng) for _ in range(alg.dim))
             comps = eigen.components({k: a for k, a in enumerate(y) if a})
             assert {lam: alg.element(z) for lam, z in comps.items()} == ref.split(y)
             assert list(comps) == list(ref.split(y))
-            assert all(type(a) is Rat for z in comps.values() for a in z.values())
+            assert all(_canonical(a) for z in comps.values() for a in z.values())
         assert _flatten(alg, eigen) == ref.products()
         _assert_deduplicated(eigen)
 
 
-def test_integer_rows_match_dense_reference_on_random_qq_algebras():
-    # nonzero made-up eigenvalues in increasing order, with numerators
-    # other than 1, in a law whose every cell holds all of them: every
-    # product gives a condition (2) row, and nu^-1 needs the lcm of the
-    # numerators
-    values = [Rat(-5, 7), Rat(2, 3), Rat(6, 5), Rat(9, 4), Rat(3), Rat(10)]
-    rng = random.Random(83)
+def test_components_match_dense_reference_on_random_qq_algebras():
+    _components_match_dense_reference(FieldTag.QQ, 73)
+
+
+def test_components_match_dense_reference_on_random_qi_algebras():
+    _components_match_dense_reference(FieldTag.QI, 74)
+
+
+def _integer_rows_match_dense_reference(tag, seed, values):
+    """The condition rows on 30 random algebras for made-up eigenvalues in a
+    law whose every cell holds all of them, so every product gives a
+    condition (2) row; returns the number of those rows."""
+    rng = random.Random(seed)
+    entry = ENTRIES[tag]
     nrows = 0
     for _ in range(30):
-        alg, _products = _random_qq_algebra(rng, rng.randint(1, 6))
+        alg, _products = _random_algebra(rng, rng.randint(1, 6), tag)
         eigen = _random_eigenbasis(rng, alg, values)
         spectrum = eigen.spectrum()
         law = FusionLaw(spectrum, {(lam, mu): spectrum for lam in spectrum for mu in spectrum},
-                        FieldTag.QQ)
-        a = tuple(_qq_entry(rng) for _ in range(alg.dim))
+                        tag)
+        a = tuple(entry(rng) for _ in range(alg.dim))
         ref = DenseReference(alg, eigen).products()
         expect = _dense_condition2_rows(alg, a, law, ref)
         _assert_positive_multiples(alg, condition2_rows(alg, a, law, eigen), expect)
@@ -341,4 +378,19 @@ def test_integer_rows_match_dense_reference_on_random_qq_algebras():
         ker = eigen.pairs[0][1]
         _assert_positive_multiples(alg, condition1_rows(alg, a, ker),
                                    [_dense_pair_row(alg, a, k) for k in ker.basis])
-    assert nrows > 100
+    return nrows
+
+
+def test_integer_rows_match_dense_reference_on_random_qq_algebras():
+    # nonzero eigenvalues in increasing order with numerators other than 1:
+    # nu^-1 needs the lcm of the numerators
+    values = [Rat(-5, 7), Rat(2, 3), Rat(6, 5), Rat(9, 4), Rat(3), Rat(10)]
+    assert _integer_rows_match_dense_reference(FieldTag.QQ, 83, values) > 100
+
+
+def test_integer_rows_match_dense_reference_on_random_qi_algebras():
+    # non-real eigenvalues, in increasing order, besides two rational ones:
+    # nu^-1 of a non-real nu has the norm of nu in its denominator
+    values = sorted([Scalar(1, 1), Scalar(0, -2), Scalar(Rat(3, 2), Rat(-1, 2)),
+                     Scalar(Rat(2, 3), Rat(6, 5)), Rat(-5, 7), Rat(10)], key=sort_key)
+    assert _integer_rows_match_dense_reference(FieldTag.QI, 84, values) > 100
