@@ -10,7 +10,7 @@ the algebra.
 from __future__ import annotations
 
 from .errors import DimensionMismatchError, FieldMismatchError
-from .linalg import Matrix, RowReducer, Subspace, sparse_add
+from .linalg import Matrix, RowReducer, Subspace, sparse_add, sparse_combine
 from .scalars import ONE, ZERO, clear_denominators, common_denominator, over
 
 # The largest dimension an algebra file may declare or a catalog series may
@@ -242,7 +242,7 @@ class Algebra:
                             _accumulate(rows, rows[a][l], pbc, acc)
                             lbc = inner.get((l, b, c))
                             if lbc is None:
-                                lbc = inner[(l, b, c)] = _basis_times(rows[l], pbc)
+                                lbc = inner[(l, b, c)] = sparse_combine(rows[l], pbc)
                             row_a = rows[a]
                             for m, c_m in lbc.items():
                                 for t, d in row_a[m].items():
@@ -303,17 +303,6 @@ def _accumulate(rows, x, y, acc=None):
                 v = acc.get(k)
                 acc[k] = ab * c if v is None else v + ab * c
     return acc
-
-
-def _basis_times(row, y):
-    """b * y for a basis element b given by its structure-constant row
-    (row[m] = b b_m) and a sparse y; sparse, without zero entries."""
-    acc = {}
-    for m, c in y.items():
-        for t, d in row[m].items():
-            w = acc.get(t)
-            acc[t] = c * d if w is None else w + c * d
-    return {t: v for t, v in acc.items() if v}
 
 
 def _sym_index(n):

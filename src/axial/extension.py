@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .algebra import Algebra, _sym_index, _unflatten_sym
 from .errors import DimensionMismatchError, ExtensionError, NotSemisimpleError
-from .linalg import Matrix, RowReducer, Subspace, sparse_add, sparse_vector
+from .linalg import Matrix, RowReducer, Subspace, sparse_add, sparse_combine, sparse_vector
 from .scalars import ONE, ZERO, clear_denominators
 from .spectral import check_axis, eigen_decompose, minimal_law, render_violation
 
@@ -124,10 +124,10 @@ def coboundary(algebra, f):
     if f.nrows != n:
         raise DimensionMismatchError("coboundary map has a row count other than dim")
     vectors = [{} for _ in range(f.ncols)]
+    frows = [dict(r) for r in f.sparse_rows]
     for (i, j), t in _sym_index(n).items():
-        for k, c in algebra.basis_product(i, j).items():
-            for g, fv in f.sparse_rows[k]:
-                sparse_add(vectors[g], t, c * fv)
+        for g, v in sparse_combine(frows, algebra.basis_product(i, j)).items():
+            vectors[g][t] = v
     return Cocycle(vectors, n, algebra.tag)
 
 

@@ -9,6 +9,12 @@ RowReducer and Subspace hold their field tag; a Matrix built from dense rows
 or columns and a Subspace built from dense vectors check their entries
 against it once, when built.
 
+The kernels take vectors of integers or Gaussian integers over one
+denominator as readily as field elements: sparse_combine, the one sparse
+linear combination of rows, uses only + and *, and RowReducer reduces
+fraction-free, so add_int_row feeds it integer rows with nothing to clear.
+The eigen-analysis (spectral) runs on such rows from L_x to the eigenspaces.
+
 Conventions fixed for reproducibility:
   * reduced row echelon form picks, for each column left to right, the first
     row with a nonzero entry in that column;
@@ -37,6 +43,18 @@ def sparse_add(acc, k, c):
         acc[k] = v
     elif k in acc:
         del acc[k]
+
+
+def sparse_combine(rows, x):
+    """The sum of x[k] * rows[k] over the sparse vector x, each rows[k] a
+    sparse vector; sparse, without zero entries.  Only + and * touch the
+    entries, so they may be field elements, integers or Gaussian integers."""
+    acc = {}
+    for k, c in x.items():
+        for j, a in rows[k].items():
+            v = acc.get(j)
+            acc[j] = c * a if v is None else v + c * a
+    return {j: v for j, v in acc.items() if v}
 
 
 def sparse_vector(x):
@@ -156,15 +174,8 @@ class Matrix:
 
     def __add__(self, other):
         self._shape_check(other, same=True)
-        return self._plus(other.sparse_rows)
-
-    def __sub__(self, other):
-        self._shape_check(other, same=True)
-        return self._plus(tuple((j, -b) for j, b in r) for r in other.sparse_rows)
-
-    def _plus(self, other_rows):
         out = []
-        for r, s in zip(self.sparse_rows, other_rows):
+        for r, s in zip(self.sparse_rows, other.sparse_rows):
             acc = dict(r)
             for j, b in s:
                 sparse_add(acc, j, b)
@@ -213,16 +224,6 @@ class Matrix:
                     s = a * b if s is None else s + a * b
             out.append(ZERO if s is None else s)
         return tuple(out)
-
-    def trace(self):
-        if self.nrows != self.ncols:
-            raise DimensionMismatchError("trace of a non-square matrix")
-        s = ZERO
-        for k, r in enumerate(self.sparse_rows):
-            for j, a in r:
-                if j == k:
-                    s = s + a
-        return s
 
     def _reducer(self):
         red = RowReducer(self.ncols, self.tag)
@@ -330,25 +331,7 @@ class RowReducer:
         rows = self.rows
         row = {j: a for j, a in row.items() if a}
         for lead in [j for j in sorted(row) if j in rows]:
-            c = row.pop(lead)
-            piv = rows[lead]
-            p = piv[lead]
-            if p != 1:
-                g = _gcd(p, c)
-                s, c = p // g, c // g
-                if s != 1:
-                    scale *= s
-                    for j in row:
-                        row[j] *= s
-            for j, a in piv.items():
-                if j == lead:
-                    continue
-                v = row.get(j)
-                v = (v - c * a) if v is not None else -(c * a)
-                if v:
-                    row[j] = v
-                elif j in row:
-                    del row[j]
+            scale *= _eliminate_step(row, lead, rows[lead])
         return row, scale
 
     def contains(self, row):
@@ -374,26 +357,11 @@ class RowReducer:
             conj = row[lead].conjugate()
             row = {j: conj * a for j, a in row.items()}
         row = _primitive(row, lead)
-        p = row[lead]
         # back-substitute into existing pivot rows
         for q, qrow in self.rows.items():
-            c = qrow.get(lead)
-            if c is None:
-                continue
-            if p != 1:
-                g = _gcd(p, c)
-                s, c = p // g, c // g
-                if s != 1:
-                    for j in qrow:
-                        qrow[j] *= s
-            for j, a in row.items():
-                v = qrow.get(j)
-                v = (v - c * a) if v is not None else -(c * a)
-                if v:
-                    qrow[j] = v
-                elif j in qrow:
-                    del qrow[j]
-            self.rows[q] = _primitive(qrow, q)
+            if lead in qrow:
+                _eliminate_step(qrow, lead, row)
+                self.rows[q] = _primitive(qrow, q)
         self.rows[lead] = row
         return True
 
@@ -431,6 +399,30 @@ class RowReducer:
                 if v is not None:
                     v[p] = over(-c, piv)
         return list(basis.values())
+
+
+def _eliminate_step(row, lead, piv):
+    """Clear column lead of row, in place, with the pivot row piv: with
+    p = piv[lead], c = row[lead] and g the gcd of p and the parts of c, scale
+    row by p / g and subtract c / g times piv, dropping the entries that
+    cancel.  Returns the scale p / g."""
+    c = row[lead]
+    p = piv[lead]
+    s = 1
+    if p != 1:
+        g = _gcd(p, c)
+        s, c = p // g, c // g
+        if s != 1:
+            for j in row:
+                row[j] *= s
+    for j, a in piv.items():
+        v = row.get(j)
+        v = (v - c * a) if v is not None else -(c * a)
+        if v:
+            row[j] = v
+        elif j in row:
+            del row[j]
+    return s
 
 
 def _gcd(*nums):
@@ -552,15 +544,9 @@ class Subspace:
         combos = Matrix.from_sparse_rows(cols, self.ambient, self.tag).transpose().kernel()
         # the first dim U coordinates of a kernel vector combine the basis
         # of U into a vector of U cap W
-        vecs = []
-        for c in combos.rows:
-            v = {}
-            for t, coef in c:
-                if t >= self.dim:
-                    break
-                for k, a in self.rows[t]:
-                    sparse_add(v, k, coef * a)
-            vecs.append(v)
+        rows = [dict(r) for r in self.rows]
+        vecs = [sparse_combine(rows, {t: coef for t, coef in c if t < self.dim})
+                for c in combos.rows]
         return Subspace.spanned(vecs, self.ambient, self.tag)
 
     def _compat(self, other):

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .errors import (AxialError, DimensionMismatchError, NotIdempotentError,
                      NotSemisimpleError)
-from .linalg import Matrix, RowReducer, sparse_add, sparse_vector
+from .linalg import Matrix, RowReducer, sparse_add, sparse_combine, sparse_vector
 from .scalars import ONE
 from .spectral import eigen_decompose
 
@@ -35,10 +35,7 @@ def is_automorphism(algebra, m):
     cols = [dict(c) for c in m.transpose().sparse_rows]
     for i in range(algebra.dim):
         for j in range(i, algebra.dim):
-            lhs = {}
-            for k, c in algebra.basis_product(i, j).items():
-                for r, a in cols[k].items():
-                    sparse_add(lhs, r, c * a)
+            lhs = sparse_combine(cols, algebra.basis_product(i, j))
             if lhs != algebra.product_sparse(cols[i], cols[j]):
                 return False
     return True

@@ -52,7 +52,8 @@ class FieldTag(enum.Enum):
         """x itself when it is an element of this field in canonical form,
         else FieldMismatchError."""
         t = type(x)
-        if t is Rat or (t is Scalar and self is FieldTag.QI and x.im):
+        if t is Rat or (t is Scalar and self is FieldTag.QI
+                        and type(x.re) is Rat and type(x.im) is Rat and x.im):
             return x
         raise FieldMismatchError(
             f"{x!r} ({t.__name__}) is not an element of the {self.value}")

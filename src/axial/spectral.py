@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import DimensionMismatchError, NotIdempotentError, NotSemisimpleError
 from .fusion import FusionLaw
-from .linalg import Matrix
+from .linalg import Matrix, RowReducer, Subspace, sparse_add, sparse_combine
 from .scalars import (ONE, ZERO, FieldTag, Rat, Scalar, clear_denominators, common_denominator,
                       over, render_scalar, scalar_sqrt, sort_key)
 
@@ -26,18 +26,27 @@ from .scalars import (ONE, ZERO, FieldTag, Rat, Scalar, clear_denominators, comm
 def char_poly(m):
     """Monic characteristic polynomial of a square matrix via the
     Faddeev-LeVerrier recursion; returns [1, c1, ..., cn] with
-    p(t) = t^n + c1 t^(n-1) + ... + cn."""
+    p(t) = t^n + c1 t^(n-1) + ... + cn.
+
+    The recursion runs on the integer (Gaussian-integer) rows N = s m:
+    M_1 = N, c_k = -tr(M_k) / k and M_(k+1) = N (M_k + c_k I).  The c_k are
+    the coefficients of the characteristic polynomial of N, which are
+    integers (Gaussian integers), so the division by k is exact; the
+    coefficients of m are c_k / s^k."""
     if m.nrows != m.ncols:
         raise DimensionMismatchError("characteristic polynomial of a non-square matrix")
     n = m.nrows
+    rows, s = common_denominator([dict(r) for r in m.sparse_rows])
     coeffs = [ONE]
-    mk = m
-    ident = Matrix.identity(n, m.tag)
+    mk = rows
     for k in range(1, n + 1):
-        ck = -(mk.trace() * Rat(1, k))
-        coeffs.append(ck)
+        ck = -sum(r.get(i, 0) for i, r in enumerate(mk)) // k
+        coeffs.append(over(ck, s ** k))
         if k < n:
-            mk = m * (mk + ident.scale(ck))
+            mk = [dict(r) for r in mk]
+            for i, r in enumerate(mk):
+                sparse_add(r, i, ck)
+            mk = [sparse_combine(mk, r) for r in rows]
     return coeffs
 
 
@@ -153,8 +162,11 @@ def eigen_decompose(algebra, x, hints=()):
     of the characteristic polynomial discoverable in the base field.
     """
     n = algebra.dim
+    tag = algebra.tag
     lmat = algebra.left_mult_matrix(x)
-    ident = Matrix.identity(n, algebra.tag)
+    # L_x = N / den; ker(L_x - (p/q) I) is the kernel of the integer rows
+    # q N_k - p den e_k
+    rows, den = common_denominator([dict(r) for r in lmat.sparse_rows])
     pairs = []
     seen = set()
     complete = True
@@ -164,12 +176,18 @@ def eigen_decompose(algebra, x, hints=()):
             if lam in seen:
                 continue
             seen.add(lam)
-            ker = (lmat - ident.scale(lam)).kernel()
-            if not ker.is_zero():
-                pairs.append((lam, ker))
+            tag.check(lam)
+            q, shift = lam.denominator, lam.numerator * den
+            red = RowReducer(n, tag)
+            for k, row in enumerate(rows):
+                row = {j: q * a for j, a in row.items()}
+                row[k] = row.get(k, 0) - shift
+                red.add_int_row(row)
+            if red.rank() < n:
+                pairs.append((lam, Subspace.spanned(red.kernel_basis(), n, tag)))
         if roots_scanned or sum(space.dim for _, space in pairs) == n:
             break
-        candidates, complete = field_roots(char_poly(lmat), algebra.tag, known=seen)
+        candidates, complete = field_roots(char_poly(lmat), tag, known=seen)
     pairs.sort(key=lambda p: sort_key(p[0]))
     return Eigenbasis(algebra, tuple(x), pairs, complete)
 

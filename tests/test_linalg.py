@@ -183,9 +183,10 @@ def test_sparse_matrix_matches_dense_reference(tag):
         assert ma.apply(x) == tuple(r[0] for r in _naive_mul(a, [[v] for v in x], tag))
         assert (ma + mc).rows == tuple(tuple(u + v for u, v in zip(r, s))
                                        for r, s in zip(a, c))
-        assert (ma - mc).rows == tuple(tuple(u - v for u, v in zip(r, s))
-                                       for r, s in zip(a, c))
-        assert (ma - ma).is_zero() and (ma - ma) == Matrix.zero(n, k, tag)
+        assert (ma + mc.scale(-one)).rows == tuple(tuple(u - v for u, v in zip(r, s))
+                                                   for r, s in zip(a, c))
+        assert (ma + ma.scale(-one)).is_zero()
+        assert ma + ma.scale(-one) == Matrix.zero(n, k, tag)
         s = _entry(rng, tag)
         assert ma.scale(s).rows == tuple(tuple(s * v for v in r) for r in a)
         # rref and kernel
@@ -233,7 +234,7 @@ def test_equal_matrices_from_different_routes(tag):
             Matrix.identity(n, tag) * ma,
             ma + Matrix.zero(n, k, tag),
             ma.scale(tag.one),
-            (ma + ma) - ma,
+            (ma + ma) + ma.scale(-tag.one),
             Matrix(ma.rows, tag, ncols=k),
         ]
         for other in routes:

@@ -142,6 +142,21 @@ def test_canonical_constructors_and_membership():
         FieldTag.QI.check(1)
 
 
+def test_kernel_forms_are_not_field_elements():
+    # a Gaussian integer, a pair with integer parts, is a kernel form: no
+    # object takes it as an element of the Gaussian rationals
+    from axial.algebra import Algebra
+    from axial.linalg import Matrix
+    g = Scalar(1, 1).numerator
+    assert type(g) is Scalar and g == Scalar(1, 1)
+    with pytest.raises(FieldMismatchError):
+        FieldTag.QI.check(g)
+    with pytest.raises(FieldMismatchError):
+        Matrix([[g]], FieldTag.QI)
+    with pytest.raises(FieldMismatchError):
+        Algebra(1, {(0, 0): {0: g}}, FieldTag.QI)
+
+
 def _canonical(x):
     """A bare Rat, or a Gaussian pair of Rats with a nonzero imaginary part."""
     if type(x) is Rat:

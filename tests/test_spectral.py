@@ -1,13 +1,18 @@
 """Eigen-decomposition, axis checks, minimal fusion laws."""
 
+import random
+
 import pytest
 
 from axial import catalog
-from axial.errors import DimensionMismatchError
-from axial.fusion import monster_law
-from axial.scalars import FieldTag, Rat
-from axial.linalg import sparse_vector
-from axial.spectral import check_axial_algebra, check_axis, eigen_decompose, minimal_law
+from axial.errors import DimensionMismatchError, FieldMismatchError
+from axial.extension import cocycle_space
+from axial.fusion import FusionLaw, monster_law
+from axial.scalars import ONE, ZERO, FieldTag, Rat, Scalar
+from axial.linalg import Matrix, sparse_vector
+from axial.spectral import (char_poly, check_axial_algebra, check_axis, eigen_decompose,
+                            minimal_law)
+from test_jordan_check import _random_algebra
 
 
 def q(n, d=1):
@@ -149,3 +154,108 @@ def test_hints_do_not_change_a_complete_decomposition(name):
                     assert hinted.products() == plain.products()
                     compared += 1
     assert compared
+
+
+# ---------------------------------------------------------------------------
+# the integer eigen-analysis against field arithmetic
+
+def _field_char_poly(m):
+    """The Faddeev-LeVerrier recursion in field arithmetic on Matrix
+    objects, c_k = -tr(M_k) / k and M_(k+1) = m (M_k + c_k I): the reference
+    for char_poly's integer recursion."""
+    n = m.nrows
+    coeffs = [ONE]
+    mk = m
+    ident = Matrix.identity(n, m.tag)
+    for k in range(1, n + 1):
+        trace = sum((a for i, r in enumerate(mk.sparse_rows) for j, a in r if j == i), ZERO)
+        ck = -(trace * Rat(1, k))
+        coeffs.append(ck)
+        if k < n:
+            mk = m * (mk + ident.scale(ck))
+    return coeffs
+
+
+def _random_rat(rng):
+    if rng.random() < 0.4:
+        return ZERO
+    return Rat(rng.randint(-40, 40), rng.choice((1, 2, 3, 7, 7919, rng.randint(1, 7919))))
+
+
+def _random_matrices(rng, tag):
+    """Square matrices of sizes 1-8 over tag: random ones with denominators
+    up to 7919 (over QI with non-real entries), zero matrices and strictly
+    upper triangular (nilpotent) ones."""
+    def entry():
+        x = _random_rat(rng)
+        return Scalar(x, _random_rat(rng)) if tag is FieldTag.QI else x
+    for n in range(1, 9):
+        for _ in range(4):
+            yield Matrix([[entry() for _ in range(n)] for _ in range(n)], tag)
+        yield Matrix.zero(n, n, tag)
+        yield Matrix([[entry() if j > i else ZERO for j in range(n)] for i in range(n)], tag)
+
+
+@pytest.mark.parametrize("tag", [FieldTag.QQ, FieldTag.QI])
+def test_char_poly_matches_the_field_recursion(tag):
+    rng = random.Random(7919 if tag is FieldTag.QQ else 7907)
+    nonreal = 0
+    for m in _random_matrices(rng, tag):
+        ours = char_poly(m)
+        assert ours == _field_char_poly(m)
+        assert all(type(c) is Rat or (type(c) is Scalar and type(c.re) is Rat) for c in ours)
+        nonreal += any(type(c) is Scalar for c in ours)
+    assert (nonreal > 20) == (tag is FieldTag.QI)
+
+
+def assert_eigenspaces_are_field_kernels(alg, x, hints):
+    """eigen_decompose(alg, x, hints) finds, for every hint and for every
+    eigenvalue it reports, exactly the kernel of L_x - lam I taken in field
+    arithmetic, the same canonical subspace; returns the number of nonzero
+    eigenspaces compared."""
+    n, tag = alg.dim, alg.tag
+    lmat = alg.left_mult_matrix(x)
+    found = dict(eigen_decompose(alg, x, hints=hints).pairs)
+    for lam in set(hints) | set(found):
+        ref = (lmat + Matrix.identity(n, tag).scale(-lam)).kernel()
+        if ref.is_zero():
+            assert lam not in found
+        else:
+            assert found[lam] == ref and repr(found[lam]) == repr(ref)
+    return len(found)
+
+
+# hints that are no eigenvalue of most operators: denominators, and values
+# off the real line for the Gaussian rationals
+OFF_SPECTRUM = {FieldTag.QQ: (Rat(7, 3), Rat(-5, 11), Rat(2, 7919)),
+                FieldTag.QI: (Rat(7, 3), Scalar(Rat(1, 2), Rat(-2, 3)), Scalar(0, 1))}
+
+
+def test_eigenspaces_match_the_field_kernels_on_random_algebras():
+    rng = random.Random(1968)
+    compared = 0
+    for _ in range(60):
+        tag = rng.choice((FieldTag.QQ, FieldTag.QI))
+        alg = _random_algebra(rng, rng.randint(1, 6), tag, rng.choice((0.2, 0.35, 0.6)))
+        for _ in range(2):
+            x = tuple(rng.choice((ZERO, ZERO, ONE, -ONE, Rat(1, 2), Rat(3, 5)))
+                      for _ in range(alg.dim))
+            spectrum = eigen_decompose(alg, x).spectrum()
+            compared += assert_eigenspaces_are_field_kernels(alg, x, ())
+            compared += assert_eigenspaces_are_field_kernels(
+                alg, x, (ZERO, *spectrum, *OFF_SPECTRUM[tag]))
+    assert compared > 100
+
+
+def test_a_hint_outside_the_field_is_refused():
+    # a QI law with the value i on a QQ algebra: the value is a hint of the
+    # decomposition, which refuses it before any kernel is taken
+    entry = catalog.build("JordanA", {"n": 2})
+    alg, axes = entry.algebra, entry.axis_sets["family"]
+    law = FusionLaw((ZERO, Rat(1, 2), ONE, Scalar.i()), {}, FieldTag.QI)
+    with pytest.raises(FieldMismatchError):
+        eigen_decompose(alg, axes[0], hints=law.values)
+    with pytest.raises(FieldMismatchError):
+        check_axis(alg, axes[0], law)
+    with pytest.raises(FieldMismatchError):
+        cocycle_space(alg, axes, law)

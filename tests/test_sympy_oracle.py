@@ -14,6 +14,7 @@ sympy = pytest.importorskip("sympy")
 from axial import catalog  # noqa: E402
 from axial.scalars import FieldTag, Rat, Scalar  # noqa: E402
 from axial.spectral import char_poly, eigen_decompose  # noqa: E402
+from test_spectral import OFF_SPECTRUM, assert_eigenspaces_are_field_kernels  # noqa: E402
 
 T = sympy.Symbol("t")
 
@@ -150,6 +151,15 @@ def test_eigen_multiplicities(label, alg, x, m, hinted):
     assert ed.semisimple == (sum(ours.values()) == alg.dim)
     if ed.semisimple:
         assert ours == roots
+
+
+@pytest.mark.parametrize("label, alg, x, m", OPERATORS, ids=[o[0] for o in OPERATORS])
+def test_eigenspaces_are_the_field_kernels(label, alg, x, m):
+    # the integer kernels of q N - p den I against L_x - lam I in field
+    # arithmetic, with the field roots, 0 and values off the spectrum as hints
+    roots = [from_sympy(r) for r in _field_roots(m, alg.tag)]
+    assert_eigenspaces_are_field_kernels(alg, x, ())
+    assert_eigenspaces_are_field_kernels(alg, x, (Rat(0), *roots, *OFF_SPECTRUM[alg.tag]))
 
 
 # ---------------------------------------------------------------------------
