@@ -115,17 +115,25 @@ class Algebra:
         return self.element(self.product_sparse(self._sparse(x), self._sparse(y)))
 
     def left_mult_matrix(self, x):
-        """Matrix of y -> x*y in the algebra basis (columns are x*basis_j),
-        accumulated row by row from the nonzero entries of x."""
+        """Matrix of y -> x*y in the algebra basis (columns are x*basis_j).
+        It clears x to integers over dx, runs left_mult_int and builds an
+        element over dx * _int_den for each entry."""
+        x, dx = clear_denominators(self._sparse(x))
+        return Matrix.from_int_rows(self.left_mult_int(x), dx * self._int_den, self.dim,
+                                    self.tag)
+
+    def left_mult_int(self, x):
+        """The integer kernel of left_mult_matrix: for a sparse vector x of
+        integers or Gaussian integers, the zero-free integer rows N with
+        L_x = N / _int_den (row k holds the k-th coordinates of the x*b_j),
+        accumulated from the nonzero entries of x."""
         rows = [{} for _ in range(self.dim)]
-        for i, a in self._sparse(x).items():
-            for j, entry in enumerate(self._rows[i]):
+        for i, a in x.items():
+            for j, entry in enumerate(self._int_rows[i]):
                 for k, c in entry.items():
                     v = rows[k].get(j)
                     rows[k][j] = a * c if v is None else v + a * c
-        return Matrix.from_sparse_rows(
-            tuple(tuple(sorted((j, v) for j, v in r.items() if v)) for r in rows),
-            self.dim, self.tag)
+        return [{j: v for j, v in r.items() if v} for r in rows]
 
     def is_idempotent(self, x):
         return self.product(x, x) == tuple(x)

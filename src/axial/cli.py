@@ -20,6 +20,7 @@ from .extension import (Cocycle, build_extension, cocycle_space,
                         is_split, normalize_on_axes)
 from .fileio import AlgebraFileError, parse_algebra_file, render_algebra_file, AlgebraFile
 from .fusion import find_c2_gradings, jordan_half_law, law_contains, monster_law
+from .linalg import canonical_product, canonical_rows
 from .miyamoto import axis_closure, group_closure, tau_automorphism
 from .scalars import ONE, ZERO, FieldTag, render_scalar, sort_key
 from .spectral import check_axial_algebra, eigen_decompose, minimal_law, render_violation
@@ -338,21 +339,22 @@ def _cmd_miyamoto(args):
     taus = [tau_automorphism(bundle.algebra, a, law, grading) for a in axes]
     gc = group_closure(taus, cap=args.cap)
     ac = axis_closure(bundle.algebra, axes, law, grading, cap=args.cap)
-    from .linalg import Matrix
-    ident = Matrix.identity(bundle.algebra.dim, bundle.algebra.tag)
+    # the relations run on the canonical integer forms of the tau maps
+    forms = [canonical_rows(*t.matrix.int_rows()) for t in taus]
+    ident = canonical_rows([{j: 1} for j in range(bundle.algebra.dim)], 1)
     relations = [{"relation": f"tau{k+1}^2 = id",
-                  "holds": (t.matrix * t.matrix) == ident}
-                 for k, t in enumerate(taus)]
+                  "holds": canonical_product(t, t) == ident}
+                 for k, t in enumerate(forms)]
     for i in range(len(taus)):
         for j in range(i + 1, len(taus)):
-            prod = taus[i].matrix * taus[j].matrix
+            prod = canonical_product(forms[i], forms[j])
             power = prod
             order = None
             for k in range(1, min(args.cap, 24) + 1):
                 if power == ident:
                     order = k
                     break
-                power = power * prod
+                power = canonical_product(power, prod)
             relations.append({"relation": f"(tau{i+1} tau{j+1}) order",
                               "holds": order is not None, "order": order})
     doc = {"command": "miyamoto", "input": desc, "axes": args.axes,

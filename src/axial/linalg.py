@@ -25,10 +25,10 @@ Conventions fixed for reproducibility:
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
 from .errors import DimensionMismatchError, FieldMismatchError
-from .scalars import ONE, ZERO, Scalar, clear_denominators, over
+from .scalars import ONE, ZERO, Scalar, clear_denominators, common_denominator, over
 
 
 # ---------------------------------------------------------------------------
@@ -55,6 +55,25 @@ def sparse_combine(rows, x):
             v = acc.get(j)
             acc[j] = c * a if v is None else v + c * a
     return {j: v for j, v in acc.items() if v}
+
+
+def canonical_rows(rows, den):
+    """The canonical form (rows, den) of the matrix rows / den, for sparse
+    rows {column: entry} of integers or Gaussian integers and an integer
+    den > 0: den and every entry are divided by the gcd of den and all
+    integer parts, and each row becomes its column-sorted tuple of
+    (column, entry) pairs.  A matrix has exactly one canonical form, so
+    equal matrices have equal, hashable forms."""
+    rows, den = _lowest_terms(rows, den)
+    return tuple(tuple(sorted(r.items())) for r in rows), den
+
+
+def canonical_product(x, y):
+    """The canonical form of the product of the matrices whose canonical
+    forms are x and y, row by row through sparse_combine."""
+    (xrows, xden), (yrows, yden) = x, y
+    yrows = [dict(r) for r in yrows]
+    return canonical_rows([sparse_combine(yrows, dict(r)) for r in xrows], xden * yden)
 
 
 def sparse_vector(x):
@@ -113,6 +132,23 @@ class Matrix:
         self = object.__new__(cls)
         self._fill(sparse_rows, ncols, tag, None)
         return self
+
+    @classmethod
+    def from_int_rows(cls, rows, den, ncols, tag):
+        """The matrix rows / den, for sparse rows {column: entry} of integers
+        or Gaussian integers and an integer den > 0 (see int_rows).  One
+        element is built per distinct entry: the entries of integer matrices
+        repeat."""
+        elements = {}
+
+        def element(a):
+            e = elements.get(a)
+            if e is None:
+                e = elements[a] = over(a, den)
+            return e
+        return cls.from_sparse_rows(
+            tuple(tuple(sorted((j, element(a)) for j, a in r.items())) for r in rows),
+            ncols, tag)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -268,23 +304,18 @@ class Matrix:
         # left of the rhs column the pivot rows are the RREF of M
         return x, Subspace.spanned(red.kernel_basis(n), n, self.tag)
 
+    def int_rows(self):
+        """(rows, den): the rows as sparse integer (Gaussian-integer) dicts
+        over den, the lcm of the entry denominators, so rows / den is the
+        matrix in lowest terms."""
+        return common_denominator([dict(r) for r in self.sparse_rows])
+
     def inverse(self):
-        """Row-reduce [M | I]; the right halves of the pivot rows are the
-        sparse rows of the inverse."""
+        """The inverse, from inverse_int on the integer rows."""
         if self.nrows != self.ncols:
             raise DimensionMismatchError("inverse of a non-square matrix")
-        n = self.nrows
-        red = RowReducer(2 * n, self.tag)
-        for i, r in enumerate(self.sparse_rows):
-            row = dict(r)
-            row[n + i] = ONE
-            red.add_row(row)
-        if red.pivot_columns() != list(range(n)):
-            raise DimensionMismatchError("matrix is singular")
-        rows = red.unit_rows()
-        return Matrix.from_sparse_rows(
-            tuple(tuple(sorted((j - n, a) for j, a in rows[p].items() if j >= n))
-                  for p in range(n)), n, self.tag)
+        return Matrix.from_int_rows(*inverse_int(*self.int_rows(), self.tag), self.ncols,
+                                    self.tag)
 
     def is_zero(self):
         return not any(self.sparse_rows)
@@ -399,6 +430,40 @@ class RowReducer:
                 if v is not None:
                     v[p] = over(-c, piv)
         return list(basis.values())
+
+
+def inverse_int(rows, den, tag):
+    """The inverse of the n x n matrix M = rows / den, for n sparse rows of
+    integers or Gaussian integers over tag, as (rows, den) in lowest terms
+    (the gcd of den and every integer part is 1); DimensionMismatchError
+    when M is singular.
+
+    [rows | I] is reduced with add_int_row.  The stored row of pivot i is
+    p (e_i | row i of rows^-1), p its positive integer pivot entry, so
+    M^-1 = den rows^-1 is read off the right halves over the lcm of the
+    pivot entries."""
+    n = len(rows)
+    red = RowReducer(2 * n, tag)
+    for i, r in enumerate(rows):
+        row = dict(r)
+        row[n + i] = 1
+        red.add_int_row(row)
+    if red.pivot_columns() != list(range(n)):
+        raise DimensionMismatchError("matrix is singular")
+    stored = [red.rows[i] for i in range(n)]
+    common = lcm(*(r[i] for i, r in enumerate(stored)))
+    inv = [{j - n: a * (den * common // r[i]) for j, a in r.items() if j >= n}
+           for i, r in enumerate(stored)]
+    return _lowest_terms(inv, common)
+
+
+def _lowest_terms(rows, den):
+    """rows / den with den and the entries divided by the gcd of den and
+    every integer part of the entries."""
+    g = _gcd(den, *(a for r in rows for a in r.values()))
+    if g == 1:
+        return rows, den
+    return [{j: a // g for j, a in r.items()} for r in rows], den // g
 
 
 def _eliminate_step(row, lead, piv):

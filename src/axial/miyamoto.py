@@ -6,10 +6,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (AxialError, DimensionMismatchError, NotIdempotentError,
-                     NotSemisimpleError)
-from .linalg import Matrix, RowReducer, sparse_add, sparse_combine, sparse_vector
-from .scalars import ONE
+from .errors import (AxialError, DimensionMismatchError, FieldMismatchError,
+                     NotIdempotentError, NotSemisimpleError)
+from .linalg import (Matrix, RowReducer, canonical_product, canonical_rows, inverse_int,
+                     sparse_add, sparse_combine, sparse_vector)
 from .spectral import eigen_decompose
 
 
@@ -25,18 +25,29 @@ class AutMatrix:
 
 def is_automorphism(algebra, m):
     """Exact check of invertibility plus m(b_i b_j) = m(b_i) m(b_j) on every
-    basis pair i <= j, on the sparse columns of m."""
+    basis pair i <= j, on the integer columns of m over one denominator."""
     if m.nrows != algebra.dim or m.ncols != algebra.dim:
         return False
-    try:
-        m.inverse()
-    except DimensionMismatchError:  # singular
+    return _is_automorphism_int(algebra, *m.transpose().int_rows())
+
+
+def _is_automorphism_int(algebra, cols, d):
+    """is_automorphism of the square matrix with integer (Gaussian-integer)
+    columns cols over d > 0: rank n, and with the structure constants
+    C / _int_den, d * sum_k C_ijk cols[k] == cols[i] cols[j] (product_int)
+    on every pair i <= j, both sides zero-free integer vectors."""
+    n = algebra.dim
+    red = RowReducer(n, algebra.tag)
+    for c in cols:
+        red.add_int_row(c)
+    if red.rank() < n:
         return False
-    cols = [dict(c) for c in m.transpose().sparse_rows]
-    for i in range(algebra.dim):
-        for j in range(i, algebra.dim):
-            lhs = sparse_combine(cols, algebra.basis_product(i, j))
-            if lhs != algebra.product_sparse(cols[i], cols[j]):
+    rows = algebra._int_rows
+    product = algebra.product_int
+    for i in range(n):
+        for j in range(i, n):
+            lhs = sparse_combine(cols, rows[i][j])
+            if {k: d * v for k, v in lhs.items()} != product(cols[i], cols[j]):
                 return False
     return True
 
@@ -56,20 +67,26 @@ def tau_automorphism(algebra, a, law, grading):
         raise NotSemisimpleError(
             f"{algebra.render_element(a)} is not semisimple; no eigenspace involution")
     negative = {lam for lam, _ in eigen.pairs if grading.sign(lam) < 0}
-    # column j is tau(e_j): the eigencomponents of e_j with their signs
+    # column j is tau(e_j): the eigencomponents of e_j with their signs, as
+    # integers over dinv * dvec
+    (inverse, dinv), (vectors, dvec) = eigen._int_inverse, eigen._int_vectors
     cols = []
     for j in range(algebra.dim):
         col = {}
-        for lam, comp in eigen.components({j: ONE}).items():
+        for lam, comp in eigen._split({j: 1}, inverse, vectors).items():
             for k, c in comp.items():
                 sparse_add(col, k, -c if lam in negative else c)
-        cols.append(tuple(sorted(col.items())))
-    m = Matrix.from_sparse_rows(tuple(cols), algebra.dim, algebra.tag).transpose()
-    if not is_automorphism(algebra, m):
+        cols.append(col)
+    den = dinv * dvec
+    if not _is_automorphism_int(algebra, cols, den):
         raise AxialError(
             "eigenspace sign map is not an automorphism (grading incompatible "
             "with the observed products)")
-    return AutMatrix(m, "tau", (a,))
+    rows = [{} for _ in range(algebra.dim)]
+    for j, col in enumerate(cols):
+        for k, c in col.items():
+            rows[k][j] = c
+    return AutMatrix(Matrix.from_int_rows(rows, den, algebra.dim, algebra.tag), "tau", (a,))
 
 
 @dataclass
@@ -86,34 +103,52 @@ class GroupClosure:
 
 def group_closure(generators, cap=200):
     """Breadth-first closure of the generated matrix group, up to cap
-    elements; completed=False when the cap is hit."""
+    elements; completed=False when the cap is hit.
+
+    The search runs on canonical integer forms (rows, den) (see
+    linalg.canonical_rows), which are also the keys of the elements seen;
+    a Matrix is built only for an element that joins the group."""
     if not generators:
         raise AxialError("group closure needs at least one generator")
     tag = generators[0].matrix.tag
     n = generators[0].matrix.nrows
-    ident = Matrix.identity(n, tag)
-    gens = []
+    # each generator and its inverse; the errors are those of inverting
+    # every generator and then multiplying by each, as with Matrix
+    forms = []
     for g in generators:
-        gens.append(g.matrix)
-        gens.append(g.matrix.inverse())
-    seen = {ident.sparse_rows: AutMatrix(ident, "external")}
-    order_list = [seen[ident.sparse_rows]]
+        m = g.matrix
+        if m.nrows != m.ncols:
+            raise DimensionMismatchError("inverse of a non-square matrix")
+        rows, den = m.int_rows()
+        forms.append((canonical_rows(rows, den), canonical_rows(*inverse_int(rows, den, m.tag))))
+    for g in generators:
+        if g.matrix.tag is not tag:
+            raise FieldMismatchError("matrices over different fields")
+        if g.matrix.nrows != n:
+            raise DimensionMismatchError("inner dimensions differ")
+    # a repeated generator (an involution is its own inverse) only repeats
+    # products already seen
+    gens = list(dict.fromkeys(f for pair in forms for f in pair))
+    ident = canonical_rows([{j: 1} for j in range(n)], 1)
+    seen = {ident: AutMatrix(Matrix.identity(n, tag), "external")}
+    order_list = [seen[ident]]
     frontier = [ident]
     completed = True
     while frontier:
         nxt = []
         for m in frontier:
             for g in gens:
-                prod = m * g
-                if prod.sparse_rows in seen:
+                prod = canonical_product(m, g)
+                if prod in seen:
                     continue
                 if len(seen) >= cap:
                     completed = False
                     nxt = []
                     frontier = []
                     break
-                am = AutMatrix(prod, "external")
-                seen[prod.sparse_rows] = am
+                rows, den = prod
+                am = AutMatrix(Matrix.from_int_rows(map(dict, rows), den, n, tag), "external")
+                seen[prod] = am
                 order_list.append(am)
                 nxt.append(prod)
             else:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import DimensionMismatchError, NotIdempotentError, NotSemisimpleError
 from .fusion import FusionLaw
-from .linalg import Matrix, RowReducer, Subspace, sparse_add, sparse_combine
+from .linalg import RowReducer, Subspace, inverse_int, sparse_add, sparse_combine
 from .scalars import (ONE, ZERO, FieldTag, Rat, Scalar, clear_denominators, common_denominator,
                       over, render_scalar, scalar_sqrt, sort_key)
 
@@ -36,7 +36,7 @@ def char_poly(m):
     if m.nrows != m.ncols:
         raise DimensionMismatchError("characteristic polynomial of a non-square matrix")
     n = m.nrows
-    rows, s = common_denominator([dict(r) for r in m.sparse_rows])
+    rows, s = m.int_rows()
     coeffs = [ONE]
     mk = rows
     for k in range(1, n + 1):
@@ -163,10 +163,10 @@ def eigen_decompose(algebra, x, hints=()):
     """
     n = algebra.dim
     tag = algebra.tag
-    lmat = algebra.left_mult_matrix(x)
     # L_x = N / den; ker(L_x - (p/q) I) is the kernel of the integer rows
     # q N_k - p den e_k
-    rows, den = common_denominator([dict(r) for r in lmat.sparse_rows])
+    xs, dx = clear_denominators(algebra._sparse(x))
+    rows, den = algebra.left_mult_int(xs), dx * algebra._int_den
     pairs = []
     seen = set()
     complete = True
@@ -187,7 +187,8 @@ def eigen_decompose(algebra, x, hints=()):
                 pairs.append((lam, Subspace.spanned(red.kernel_basis(), n, tag)))
         if roots_scanned or sum(space.dim for _, space in pairs) == n:
             break
-        candidates, complete = field_roots(char_poly(lmat), tag, known=seen)
+        candidates, complete = field_roots(char_poly(algebra.left_mult_matrix(x)), tag,
+                                           known=seen)
     pairs.sort(key=lambda p: sort_key(p[0]))
     return Eigenbasis(algebra, tuple(x), pairs, complete)
 
@@ -214,16 +215,13 @@ class Eigenbasis:
         self._products = None
         if not self.semisimple:
             return
-        rows = tuple(r for _, space in pairs for r in space.rows)
-        # the eigenvectors are the rows of P^T, so row j of its inverse is
-        # column j of P^-1, {eigenbasis position: entry}: the eigenbasis
-        # coordinates of y sum these over the nonzero y_j
-        inv = Matrix.from_sparse_rows(rows, algebra.dim, algebra.tag).inverse()
-        self.vectors = [dict(r) for r in rows]  # by position
+        self.vectors = [dict(r) for _, space in pairs for r in space.rows]  # by position
         # (nums, den) each; product_den is the denominator of the components
-        # in products()
-        self._int_inverse = common_denominator([dict(r) for r in inv.sparse_rows])
+        # in products().  The eigenvectors are the rows of P^T, so row j of
+        # its inverse is column j of P^-1, {eigenbasis position: entry}: the
+        # eigenbasis coordinates of y sum these over the nonzero y_j
         self._int_vectors = common_denominator(self.vectors)
+        self._int_inverse = inverse_int(*self._int_vectors, algebra.tag)
         self.product_den = (self._int_inverse[1] * self._int_vectors[1] ** 3
                             * algebra._int_den)
         self.owner = []   # position -> index of its eigenvalue in blocks

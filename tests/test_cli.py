@@ -285,6 +285,25 @@ class TestReproduce:
         assert out.encode() == frozen
         assert code == codes[name]
 
+    @pytest.mark.parametrize("name,args", [
+        ("miyamoto-jordanc3", ["--catalog", "JordanC", "--param", "n=3", "--axes", "family",
+                               "--law", "J12", "--cap", "20"]),
+        ("miyamoto-jordand16", ["--catalog", "JordanD", "--param", "n=16",
+                                "--axes", "family", "--law", "J12"]),
+        ("miyamoto-i", ["--catalog", "I", "--axes", "Xab", "--law", "FI", "--cap", "50"])])
+    def test_miyamoto_bytes_match_the_frozen_run(self, capsys, name, args):
+        # stdout bytes and exit code of miyamoto --json, frozen in tests/data:
+        # a group capped inside the closure, one over QI and one whose pair
+        # orders all pass the power limit
+        data = os.path.join(os.path.dirname(__file__), "data")
+        with open(os.path.join(data, "miyamoto-exit-codes.json")) as fh:
+            codes = json.load(fh)
+        with open(os.path.join(data, f"{name}.json"), "rb") as fh:
+            frozen = fh.read()
+        code, out, _ = run(capsys, "miyamoto", *args, "--json")
+        assert out.encode() == frozen
+        assert code == codes[name]
+
     def test_table3_passes(self, capsys):
         code, out, _ = run(capsys, "reproduce", "table3")
         assert code == 0

@@ -1,14 +1,17 @@
 """Sign-flip automorphisms, group and axis closures, axis-swap maps."""
 
+import random
+
 import pytest
 
 from axial import catalog
-from axial.errors import NotIdempotentError
+from axial.algebra import Algebra
+from axial.errors import DimensionMismatchError, FieldMismatchError, NotIdempotentError
 from axial.fusion import find_c2_gradings
 from axial.linalg import Matrix
-from axial.miyamoto import (axis_closure, find_flip, group_closure,
+from axial.miyamoto import (AutMatrix, axis_closure, find_flip, group_closure,
                             is_automorphism, tau_automorphism)
-from axial.scalars import FieldTag, Rat
+from axial.scalars import FieldTag, Rat, Scalar
 from axial.spectral import Eigenbasis
 
 
@@ -117,3 +120,215 @@ class TestFlips:
         flip = find_flip(hm1.algebra, *hm1.axis_sets["X12"])
         assert flip is not None
         assert is_automorphism(hm1.algebra, flip.matrix)
+
+
+# The integer Miyamoto path against the definitions on field elements
+
+def _naive_rref(rows, tag):
+    """Dense Gauss-Jordan elimination; returns (nonzero rows, pivots)."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        inv = tag.inverse(rows[r][c])
+        rows[r] = [inv * x for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
+
+
+def _naive_inverse(rows, tag):
+    """The inverse of a square dense matrix as a tuple of tuples, or None."""
+    n = len(rows)
+    aug = [list(r) + [q(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
+    red, pivots = _naive_rref(aug, tag)
+    if pivots[:n] != list(range(n)):
+        return None
+    return tuple(tuple(r[n:]) for r in red)
+
+
+def _naive_mul(a, b):
+    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(len(b))), q(0))
+                       for j in range(len(b[0]))) for i in range(len(a)))
+
+
+def _naive_product(alg, x, y):
+    out = [q(0)] * alg.dim
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            if a and b:
+                for k, c in alg.basis_product(i, j).items():
+                    out[k] = out[k] + a * b * c
+    return tuple(out)
+
+
+def _rat_is_automorphism(alg, m):
+    """The definition: square of size dim, rank dim, and m(b_i b_j) =
+    m(b_i) m(b_j) on every pair, in field elements on dense columns."""
+    n = alg.dim
+    if (m.nrows, m.ncols) != (n, n) or len(_naive_rref(m.rows, alg.tag)[1]) < n:
+        return False
+    cols = list(zip(*m.rows))
+    for i in range(n):
+        for j in range(i, n):
+            lhs = [q(0)] * n
+            for k, c in alg.basis_product(i, j).items():
+                lhs = [s + c * t for s, t in zip(lhs, cols[k])]
+            if tuple(lhs) != _naive_product(alg, cols[i], cols[j]):
+                return False
+    return True
+
+
+def _random_invertible(rng, n, tag):
+    while True:
+        rows = tuple(tuple(
+            Scalar(q(rng.randint(-3, 3), rng.choice([1, 2, 3, 5])),
+                   rng.randint(-1, 1) if tag is FieldTag.QI else 0)
+            for _ in range(n)) for _ in range(n))
+        inv = _naive_inverse(rows, tag)
+        if inv is not None:
+            return rows, inv
+
+
+def _rebased(alg, p, pinv):
+    """The algebra alg in the basis of the columns of p (p^-1 its inverse):
+    its automorphisms are p^-1 phi p for the automorphisms phi of alg."""
+    cols = list(zip(*p))
+    products = {}
+    for i in range(alg.dim):
+        for j in range(i, alg.dim):
+            img = _naive_mul(pinv, tuple((c,) for c in _naive_product(alg, cols[i], cols[j])))
+            products[(i, j)] = {k: r[0] for k, r in enumerate(img) if r[0]}
+    return Algebra(alg.dim, products, alg.tag)
+
+
+def _tau_cases(seed):
+    """(algebra, law, grading, axes, tag) over QQ and QI: catalog algebras
+    whose tau maps are integer matrices, and copies in a random rational
+    basis, whose tau maps have denominators."""
+    rng = random.Random(seed)
+    cases = []
+    for name, params, axes_key, law_key in [("B", {}, "X12", "FB"),
+                                            ("JordanC", {"n": 2}, "family", "J12"),
+                                            ("JordanD", {"n": 3}, "family", "J12")]:
+        entry = catalog.build(name, params)
+        alg, law = entry.algebra, entry.laws[law_key]
+        grading = entry.gradings.get(law_key) or next(
+            g for g in find_c2_gradings(law) if g.minus)
+        axes = list(entry.axis_sets[axes_key])
+        cases.append((alg, law, grading, axes))
+        p, pinv = _random_invertible(rng, alg.dim, alg.tag)
+        moved = [tuple(r[0] for r in _naive_mul(pinv, tuple((c,) for c in a))) for a in axes]
+        cases.append((_rebased(alg, p, pinv), law, grading, moved))
+    return cases
+
+
+def test_is_automorphism_matches_the_rat_definition():
+    rng = random.Random(1501)
+    fractional = 0
+    for alg, law, grading, axes in _tau_cases(1500):
+        n, tag = alg.dim, alg.tag
+        ident = Matrix.identity(n, tag)
+        mats = [ident, ident.scale(q(2)), Matrix.zero(n, n, tag),
+                Matrix.zero(n, n + 1, tag), Matrix.zero(n + 1, n, tag),
+                Matrix.identity(n + 1, tag)]
+        for a in axes:
+            t = tau_automorphism(alg, a, law, grading).matrix
+            rows = [list(r) for r in t.rows]
+            flipped = [r[:1] + [-r[1]] + r[2:] for r in rows]   # column 1 negated
+            copied = [r[:1] + [r[0]] + r[2:] for r in rows]     # singular
+            mats += [t, t.scale(q(2)), Matrix(flipped, tag), Matrix(copied, tag),
+                     Matrix(_random_invertible(rng, n, tag)[0], tag)]
+        for m in mats:
+            expect = _rat_is_automorphism(alg, m)
+            assert is_automorphism(alg, m) == expect, (alg, m)
+            fractional += expect and m.int_rows()[1] > 1
+    # the d factor of the check only shows on automorphisms with denominators
+    assert fractional >= 4
+
+
+def _naive_closure(generators, cap):
+    """Breadth-first closure on dense matrices of field elements, keyed by
+    their rows: (elements in order, completed)."""
+    tag = generators[0].tag
+    gens = []
+    for g in generators:
+        gens += [g.rows, _naive_inverse(g.rows, tag)]
+    ident = Matrix.identity(generators[0].nrows, tag).rows
+    seen, order, frontier = {ident}, [ident], [ident]
+    while frontier:
+        nxt = []
+        for m in frontier:
+            for g in gens:
+                prod = _naive_mul(m, g)
+                if prod in seen:
+                    continue
+                if len(seen) >= cap:
+                    return order, False
+                seen.add(prod)
+                order.append(prod)
+                nxt.append(prod)
+        frontier = nxt
+    return order, True
+
+
+def test_group_closure_matches_a_naive_rat_bfs():
+    qq = FieldTag.QQ
+    diag = Matrix([[q(2), q(0)], [q(0), q(1, 2)]], qq)
+    runs = [([diag], 9), ([diag, diag.inverse()], 9), ([diag, diag.inverse()], 1)]
+    for alg, law, grading, axes in _tau_cases(1502):
+        taus = [tau_automorphism(alg, a, law, grading).matrix for a in axes]
+        runs += [(taus, 60), (taus, 5)]
+    completed = 0
+    for mats, cap in runs:
+        gc = group_closure([AutMatrix(m, "tau") for m in mats], cap=cap)
+        order, done = _naive_closure(mats, cap)
+        assert [e.matrix.rows for e in gc.elements] == order
+        assert all(e.kind == "external" for e in gc.elements)
+        assert (gc.completed, gc.order, gc.cap) == (done, len(order), cap)
+        completed += done
+    assert completed >= 3
+
+
+class TestGroupClosureErrors:
+    # each as with Matrix: every generator is inverted first, then the
+    # identity is multiplied by each
+    def _tau(self, name, params, axes_key, law_key):
+        entry = catalog.build(name, params)
+        law = entry.laws[law_key]
+        grading = entry.gradings.get(law_key) or next(
+            g for g in find_c2_gradings(law) if g.minus)
+        return tau_automorphism(entry.algebra, entry.axis_sets[axes_key][0], law, grading)
+
+    def test_mixed_sizes(self):
+        small = self._tau("B", {}, "X12", "FB")
+        large = self._tau("JordanC", {"n": 2}, "family", "J12")
+        with pytest.raises(DimensionMismatchError, match="inner dimensions differ"):
+            group_closure([small, large])
+
+    def test_mixed_fields(self):
+        qq = self._tau("JordanC", {"n": 2}, "family", "J12")
+        qi = AutMatrix(Matrix.identity(6, FieldTag.QI).scale(Scalar(0, 1)), "external")
+        with pytest.raises(FieldMismatchError, match="different fields"):
+            group_closure([qq, qi])
+
+    def test_singular_and_non_square(self):
+        tau = self._tau("B", {}, "X12", "FB")
+        singular = AutMatrix(Matrix([[q(1), q(1)], [q(1), q(1)]], FieldTag.QQ), "external")
+        wide = AutMatrix(Matrix.zero(2, 3, FieldTag.QQ), "external")
+        with pytest.raises(DimensionMismatchError, match="singular"):
+            group_closure([tau, singular])
+        with pytest.raises(DimensionMismatchError, match="non-square"):
+            group_closure([tau, wide])
+        # the inverses come before any product
+        qi = AutMatrix(Matrix.identity(2, FieldTag.QI), "external")
+        with pytest.raises(DimensionMismatchError, match="singular"):
+            group_closure([tau, qi, singular])
