@@ -144,22 +144,23 @@ class Algebra:
         """{x : x*A = 0} as a Subspace."""
         # x in Ann iff for all j, k: sum_i x_i c[i][j][k] = 0
         constraints = RowReducer(self.dim, self.tag)
+        rows = self._int_rows
         for j in range(self.dim):
             for k in range(self.dim):
                 row = {}
                 for i in range(self.dim):
-                    c = self._rows[i][j].get(k)
+                    c = rows[i][j].get(k)
                     if c:
                         row[i] = c
                 if row:
-                    constraints.add_row(row)
+                    constraints.add_int_row(row)
         return Subspace.spanned(constraints.kernel_basis(), self.dim, self.tag)
 
     def _span_is_closed(self, red):
-        basis = list(red.unit_rows().values())
+        basis = list(red.rows.values())
         for s, x in enumerate(basis):
             for y in basis[s:]:
-                if not red.contains(self.product_sparse(x, y)):
+                if not red.contains_int(self.product_int(x, y)):
                     return False
         return True
 
@@ -172,12 +173,13 @@ class Algebra:
 
         Word layers keep only words that enlarged the span; a dropped word is
         a combination of kept words of the same or shorter length, so spans of
-        each word length are unaffected.
+        each word length are unaffected.  The words are kept as integer
+        vectors, nonzero multiples of the words.
         """
-        layers = [[self._sparse(g) for g in generators]]
+        layers = [[clear_denominators(self._sparse(g))[0] for g in generators]]
         red = RowReducer(self.dim, self.tag)
         for g in layers[0]:
-            red.add_row(g)
+            red.add_int_row(g)
         m = 1
         while not (red.rank() == self.dim or self._span_is_closed(red)):
             d = len(layers) + 1  # build words of length d
@@ -185,13 +187,13 @@ class Algebra:
             for split in range(1, d // 2 + 1):
                 for x in layers[split - 1]:
                     for y in layers[d - split - 1]:
-                        p = self.product_sparse(x, y)
-                        if red.add_row(p):
+                        p = self.product_int(x, y)
+                        if red.add_int_row(p):
                             new_layer.append(p)
             layers.append(new_layer)
             if new_layer:
                 m = d
-        return Subspace.spanned(red.unit_rows().values(), self.dim, self.tag), m
+        return Subspace.of(red), m
 
     def frobenius_space(self):
         """All symmetric bilinear forms with (xy, z) = (x, yz), as a list of
@@ -199,17 +201,18 @@ class Algebra:
         n = self.dim
         idx = _sym_index(n)
         red = RowReducer(len(idx), self.tag)
+        rows = self._int_rows
         # (b_i b_j, b_k) = (b_i, b_j b_k) for all i, j, k
         for i in range(n):
             for j in range(n):
                 for k in range(n):
                     row = {}
-                    for l, c in self._rows[j][k].items():
+                    for l, c in rows[j][k].items():
                         sparse_add(row, idx[(min(i, l), max(i, l))], c)
-                    for l, c in self._rows[i][j].items():
+                    for l, c in rows[i][j].items():
                         sparse_add(row, idx[(min(l, k), max(l, k))], -c)
                     if row:
-                        red.add_row(row)
+                        red.add_int_row(row)
         space = Subspace.spanned(red.kernel_basis(), len(idx), self.tag)
         return [BilinearForm(_unflatten_sym(v, n, self.tag), self.tag)
                 for v in space.rows]

@@ -20,8 +20,8 @@ from .extension import (Cocycle, build_extension, cocycle_space,
                         is_split, normalize_on_axes)
 from .fileio import AlgebraFileError, parse_algebra_file, render_algebra_file, AlgebraFile
 from .fusion import find_c2_gradings, jordan_half_law, law_contains, monster_law
-from .linalg import canonical_product, canonical_rows
-from .miyamoto import axis_closure, group_closure, tau_automorphism
+from .linalg import Matrix, Subspace
+from .miyamoto import axis_closure, group_closure
 from .scalars import ONE, ZERO, FieldTag, render_scalar, sort_key
 from .spectral import check_axial_algebra, eigen_decompose, minimal_law, render_violation
 
@@ -336,25 +336,24 @@ def _cmd_miyamoto(args):
     axes = _axes_of(bundle, args)
     law = _law_of(bundle, args)
     grading = _grading_of(bundle, args, law)
-    taus = [tau_automorphism(bundle.algebra, a, law, grading) for a in axes]
-    gc = group_closure(taus, cap=args.cap)
+    # the maps of the given axes are built first, in list order
     ac = axis_closure(bundle.algebra, axes, law, grading, cap=args.cap)
-    # the relations run on the canonical integer forms of the tau maps
-    forms = [canonical_rows(*t.matrix.int_rows()) for t in taus]
-    ident = canonical_rows([{j: 1} for j in range(bundle.algebra.dim)], 1)
-    relations = [{"relation": f"tau{k+1}^2 = id",
-                  "holds": canonical_product(t, t) == ident}
-                 for k, t in enumerate(forms)]
+    generators = [ac.taus[tuple(a)] for a in axes]
+    gc = group_closure(generators, cap=args.cap)
+    taus = [g.matrix for g in generators]
+    ident = Matrix.identity(bundle.algebra.dim, bundle.algebra.tag)
+    relations = [{"relation": f"tau{k+1}^2 = id", "holds": t * t == ident}
+                 for k, t in enumerate(taus)]
     for i in range(len(taus)):
         for j in range(i + 1, len(taus)):
-            prod = canonical_product(forms[i], forms[j])
+            prod = taus[i] * taus[j]
             power = prod
             order = None
             for k in range(1, min(args.cap, 24) + 1):
                 if power == ident:
                     order = k
                     break
-                power = canonical_product(power, prod)
+                power = power * prod
             relations.append({"relation": f"(tau{i+1} tau{j+1}) order",
                               "holds": order is not None, "order": order})
     doc = {"command": "miyamoto", "input": desc, "axes": args.axes,
@@ -443,7 +442,6 @@ def _bundle_table1():
     sub2, _ = radical_axial(i_e.algebra, i_e.axis_sets["Xab"])
     checks.append(("I radical = <e1 - e2>", sub2.basis == ((ONE, -ONE),)))
     # Frobenius membership
-    from .linalg import Subspace
     for name, params in _two_dim_cases(second_pair=False):
         entry = _catalog.build(name, params)
         forms = entry.algebra.frobenius_space()

@@ -133,10 +133,15 @@ def coboundary(algebra, f):
 
 def coboundary_space(algebra):
     """B, the span of all coboundaries: spanned by the coordinates of
-    delta(identity), the coboundaries of the dual basis functionals."""
+    delta(identity), the coboundaries of the dual basis functionals, here
+    in the integer structure constants."""
     n = algebra.dim
-    delta = coboundary(algebra, Matrix.identity(n, algebra.tag))
-    return Subspace.spanned(delta.vectors, n * (n + 1) // 2, algebra.tag)
+    vectors = [{} for _ in range(n)]
+    rows = algebra._int_rows
+    for (i, j), t in _sym_index(n).items():
+        for g, c in rows[i][j].items():
+            vectors[g][t] = c
+    return Subspace.spanned(vectors, n * (n + 1) // 2, algebra.tag)
 
 
 def build_extension(algebra, theta, axes=()):
@@ -184,14 +189,14 @@ def condition1_rows(algebra, a, kernel):
     """Sparse rows enforcing theta(a, k) = 0 for the basis vectors k of
     kernel, which is ker L_a as a Subspace (for an axis, its 0-eigenspace).
     The rows are integer rows (Gaussian integer rows over QI), each a
-    positive multiple of the field row: a and k are cleared of denominators
-    first."""
+    positive multiple of the field row: a is cleared of denominators, and
+    the k are the rows of the kernel's integer form."""
     cols = _sym_columns(algebra.dim)
     sa = clear_denominators(sparse_vector(a))[0]
     rows = []
-    for k in kernel.rows:
+    for k in kernel.matrix.num:
         acc = {}
-        _add_pair(acc, cols, sa, clear_denominators(dict(k))[0])
+        _add_pair(acc, cols, sa, dict(k))
         rows.append({col: c for col, c in acc.items() if c})
     return rows
 
@@ -302,12 +307,13 @@ def cocycle_space(algebra, axes, law):
     cob = coboundary_space(algebra)
     inter = space.intersect(cob)
     rep_red = RowReducer(idx_len, algebra.tag)
-    for b in inter.rows:
-        rep_red.add_row(dict(b))
-    reps = tuple(b for b in space.rows if rep_red.add_row(dict(b)))
+    for b in inter.matrix.num:
+        rep_red.add_int_row(dict(b))
+    reps = [dict(b) for b in space.matrix.num if rep_red.add_int_row(dict(b))]
     return CocycleSpace(algebra, [tuple(a) for a in axes], law, space, cob,
                         inter, space.dim - inter.dim,
-                        list(Matrix.from_sparse_rows(reps, idx_len, algebra.tag).rows))
+                        list(Matrix.from_int_rows(reps, space.matrix.den, idx_len,
+                                                  algebra.tag).rows))
 
 
 def normalize_on_axes(algebra, theta, axes):
@@ -358,13 +364,13 @@ def is_split(algebra, theta):
     if theta.dim != n:
         raise DimensionMismatchError("cocycle size differs from algebra dimension")
     red = RowReducer(len(_sym_index(n)), algebra.tag)
-    for b in coboundary_space(algebra).rows:
-        red.add_row(dict(b))
+    for b in coboundary_space(algebra).matrix.num:
+        red.add_int_row(dict(b))
     if not all(red.add_row(v) for v in theta.vectors):
         return "split"
     ext, _ = build_extension(algebra, theta)
     ann = ext.annihilator()
-    adjoined = Subspace.spanned([{n + g: ONE} for g in range(theta.s)],
+    adjoined = Subspace.spanned([{n + g: 1} for g in range(theta.s)],
                                 n + theta.s, algebra.tag)
     if ann == adjoined:
         return "non_split"

@@ -1,19 +1,21 @@
 """Exact linear algebra: sparse matrices, canonical subspaces, and an
 incremental sparse row reducer for large constraint systems.
 
-A Matrix stores, per row, the column-sorted nonzero (column, element) pairs;
-its dense rows are derived on demand for rendering and entry lookups.  A
-vector inside the package is sparse, {index: element} without zero entries.
-Field elements are bare rationals or Gaussian pairs (see scalars).  Matrix,
-RowReducer and Subspace hold their field tag; a Matrix built from dense rows
-or columns and a Subspace built from dense vectors check their entries
-against it once, when built.
+A Matrix is its canonical integer form: per row, the column-sorted nonzero
+(column, numerator) pairs, integers or Gaussian integers, over one positive
+denominator, in lowest terms.  Its field-element rows, sparse and dense, are
+views built on demand for rendering and entry lookups.  A vector inside the
+package is sparse, {index: entry} without zero entries.  Field elements are
+bare rationals or Gaussian pairs (see scalars).  Matrix, RowReducer and
+Subspace hold their field tag; a Matrix built from dense rows or columns and
+a Subspace built from dense vectors check their entries against it once,
+when built.
 
-The kernels take vectors of integers or Gaussian integers over one
-denominator as readily as field elements: sparse_combine, the one sparse
-linear combination of rows, uses only + and *, and RowReducer reduces
-fraction-free, so add_int_row feeds it integer rows with nothing to clear.
-The eigen-analysis (spectral) runs on such rows from L_x to the eigenspaces.
+The kernels run on integer vectors: sparse_combine, the one sparse linear
+combination of rows, uses only + and *, and RowReducer reduces fraction-free,
+so add_int_row takes integer rows with nothing to clear.  Matrix products,
+sums, inverses and row reduction, the kernel bases and the eigen-analysis
+(spectral) all run on such rows.
 
 Conventions fixed for reproducibility:
   * reduced row echelon form picks, for each column left to right, the first
@@ -28,7 +30,7 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from .errors import DimensionMismatchError, FieldMismatchError
-from .scalars import ONE, ZERO, Scalar, clear_denominators, common_denominator, over
+from .scalars import ZERO, Scalar, clear_denominators, common_denominator, over
 
 
 # ---------------------------------------------------------------------------
@@ -57,25 +59,6 @@ def sparse_combine(rows, x):
     return {j: v for j, v in acc.items() if v}
 
 
-def canonical_rows(rows, den):
-    """The canonical form (rows, den) of the matrix rows / den, for sparse
-    rows {column: entry} of integers or Gaussian integers and an integer
-    den > 0: den and every entry are divided by the gcd of den and all
-    integer parts, and each row becomes its column-sorted tuple of
-    (column, entry) pairs.  A matrix has exactly one canonical form, so
-    equal matrices have equal, hashable forms."""
-    rows, den = _lowest_terms(rows, den)
-    return tuple(tuple(sorted(r.items())) for r in rows), den
-
-
-def canonical_product(x, y):
-    """The canonical form of the product of the matrices whose canonical
-    forms are x and y, row by row through sparse_combine."""
-    (xrows, xden), (yrows, yden) = x, y
-    yrows = [dict(r) for r in yrows]
-    return canonical_rows([sparse_combine(yrows, dict(r)) for r in xrows], xden * yden)
-
-
 def sparse_vector(x):
     """The nonzero entries of a dense vector as {index: element}."""
     return {k: a for k, a in enumerate(x) if a}
@@ -91,17 +74,16 @@ def _checked_sparse(x, tag):
 # ---------------------------------------------------------------------------
 
 class Matrix:
-    """Immutable matrix over a single field, stored sparsely.
-
-    The stored form is ``sparse_rows``: for each row, the column-sorted tuple
-    of its nonzero ``(column, element)`` pairs.  It is canonical, so equal
-    matrices have equal sparse rows (equality and hashing use them), and
-    products, applies, sums and row reduction walk only the nonzero entries.
-    The dense ``rows`` (tuples of elements) are derived from it on first access
-    and kept; a matrix constructed from dense rows keeps those instead.
+    """Immutable matrix over a single field, stored as its canonical integer
+    form: ``num``, per row the column-sorted tuple of its nonzero
+    ``(column, numerator)`` pairs (integers or Gaussian integers), over one
+    integer ``den`` > 0 that has gcd 1 with the integer parts of ``num``.
+    Equal matrices have equal forms; equality, hashing and the arithmetic use
+    them.  The field-element views ``sparse_rows`` (column-sorted
+    ``(column, element)`` pairs) and dense ``rows`` are built on first access.
     """
 
-    __slots__ = ("nrows", "ncols", "sparse_rows", "tag", "_rows")
+    __slots__ = ("nrows", "ncols", "num", "den", "tag", "_sparse", "_rows")
 
     def __init__(self, rows, tag, ncols=None):
         rows = tuple(tuple(r) for r in rows)
@@ -116,42 +98,51 @@ class Matrix:
             for a in r:
                 check(a)
         sparse = tuple(tuple((j, a) for j, a in enumerate(r) if a) for r in rows)
-        self._fill(sparse, ncols, tag, rows)
+        self._fill(*_form_of(sparse), ncols, tag, sparse, rows)
 
-    def _fill(self, sparse_rows, ncols, tag, rows):
-        object.__setattr__(self, "nrows", len(sparse_rows))
+    def _fill(self, num, den, ncols, tag, sparse=None, rows=None):
+        object.__setattr__(self, "nrows", len(num))
         object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "sparse_rows", sparse_rows)
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
         object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "_sparse", sparse)
         object.__setattr__(self, "_rows", rows)
 
     @classmethod
-    def from_sparse_rows(cls, sparse_rows, ncols, tag):
-        """A matrix from canonical sparse rows (no zero entries, columns
-        increasing), taken as given."""
+    def _of_form(cls, num, den, ncols, tag, sparse=None):
+        """The matrix whose canonical form is (num, den), taken as given."""
         self = object.__new__(cls)
-        self._fill(sparse_rows, ncols, tag, None)
+        self._fill(num, den, ncols, tag, sparse)
         return self
+
+    @classmethod
+    def from_sparse_rows(cls, sparse_rows, ncols, tag):
+        """A matrix from sparse rows of field elements, each a column-sorted
+        tuple of (column, element) pairs without zero entries, taken as
+        given."""
+        return cls._of_form(*_form_of(sparse_rows), ncols, tag, sparse_rows)
 
     @classmethod
     def from_int_rows(cls, rows, den, ncols, tag):
         """The matrix rows / den, for sparse rows {column: entry} of integers
-        or Gaussian integers and an integer den > 0 (see int_rows).  One
-        element is built per distinct entry: the entries of integer matrices
-        repeat."""
-        elements = {}
-
-        def element(a):
-            e = elements.get(a)
-            if e is None:
-                e = elements[a] = over(a, den)
-            return e
-        return cls.from_sparse_rows(
-            tuple(tuple(sorted((j, element(a)) for j, a in r.items())) for r in rows),
-            ncols, tag)
+        or Gaussian integers without zero entries and an integer den > 0."""
+        rows, den = _lowest_terms(rows, den)
+        return cls._of_form(tuple(tuple(sorted(r.items())) for r in rows), den, ncols, tag)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
+
+    @property
+    def sparse_rows(self):
+        """Per row, the column-sorted (column, element) pairs, built from the
+        form on first access."""
+        sparse = self._sparse
+        if sparse is None:
+            den = self.den
+            sparse = tuple(tuple((j, over(a, den)) for j, a in r) for r in self.num)
+            object.__setattr__(self, "_sparse", sparse)
+        return sparse
 
     @property
     def rows(self):
@@ -170,11 +161,11 @@ class Matrix:
 
     @classmethod
     def identity(cls, n, tag):
-        return cls.from_sparse_rows(tuple(((j, ONE),) for j in range(n)), n, tag)
+        return cls._of_form(tuple(((j, 1),) for j in range(n)), 1, n, tag)
 
     @classmethod
     def zero(cls, nrows, ncols, tag):
-        return cls.from_sparse_rows(((),) * nrows, ncols, tag)
+        return cls._of_form(((),) * nrows, 1, ncols, tag)
 
     @classmethod
     def from_columns(cls, cols, tag, nrows=None):
@@ -194,36 +185,38 @@ class Matrix:
 
     def transpose(self):
         cols = [[] for _ in range(self.ncols)]
-        for i, r in enumerate(self.sparse_rows):
+        for i, r in enumerate(self.num):
             for j, a in r:
                 cols[j].append((i, a))
-        return Matrix.from_sparse_rows(tuple(map(tuple, cols)), self.nrows, self.tag)
+        return Matrix._of_form(tuple(map(tuple, cols)), self.den, self.nrows, self.tag)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         return (self.tag is other.tag and self.ncols == other.ncols
-                and self.sparse_rows == other.sparse_rows)
+                and self.den == other.den and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.sparse_rows, self.ncols, self.tag))
+        return hash((self.num, self.den, self.ncols, self.tag))
 
     def __add__(self, other):
         self._shape_check(other, same=True)
+        den = lcm(self.den, other.den)
+        s, t = den // self.den, den // other.den
         out = []
-        for r, s in zip(self.sparse_rows, other.sparse_rows):
-            acc = dict(r)
-            for j, b in s:
-                sparse_add(acc, j, b)
-            out.append(tuple(sorted(acc.items())))
-        return Matrix.from_sparse_rows(tuple(out), self.ncols, self.tag)
+        for r, q in zip(self.num, other.num):
+            acc = {j: s * a for j, a in r}
+            for j, b in q:
+                sparse_add(acc, j, t * b)
+            out.append(acc)
+        return Matrix.from_int_rows(out, den, self.ncols, self.tag)
 
     def scale(self, c):
         if not self.tag.check(c):
             return Matrix.zero(self.nrows, self.ncols, self.tag)
-        return Matrix.from_sparse_rows(
-            tuple(tuple((j, c * a) for j, a in r) for r in self.sparse_rows),
-            self.ncols, self.tag)
+        c, d = c.numerator, c.denominator
+        return Matrix.from_int_rows([{j: c * a for j, a in r} for r in self.num],
+                                    d * self.den, self.ncols, self.tag)
 
     def _shape_check(self, other, same=False):
         if self.tag is not other.tag:
@@ -235,43 +228,38 @@ class Matrix:
         self._shape_check(other)
         if self.ncols != other.nrows:
             raise DimensionMismatchError("inner dimensions differ")
-        orows = other.sparse_rows
-        out = []
-        for r in self.sparse_rows:
-            acc = {}
-            for k, a in r:
-                for j, b in orows[k]:
-                    v = acc.get(j)
-                    acc[j] = a * b if v is None else v + a * b
-            out.append(tuple(sorted((j, v) for j, v in acc.items() if v)))
-        return Matrix.from_sparse_rows(tuple(out), other.ncols, self.tag)
+        orows = [dict(r) for r in other.num]
+        return Matrix.from_int_rows([sparse_combine(orows, dict(r)) for r in self.num],
+                                    self.den * other.den, other.ncols, self.tag)
 
     def apply(self, x):
         """Matrix-vector product (x a length-ncols tuple of field elements)."""
         if len(x) != self.ncols:
             raise DimensionMismatchError("vector length mismatch")
-        sx = _checked_sparse(x, self.tag)
+        sx, dx = clear_denominators(_checked_sparse(x, self.tag))
+        den = self.den * dx
         out = []
-        for r in self.sparse_rows:
+        for r in self.num:
             s = None
             for j, a in r:
                 b = sx.get(j)
                 if b is not None:
                     s = a * b if s is None else s + a * b
-            out.append(ZERO if s is None else s)
+            out.append(over(s, den) if s else ZERO)
         return tuple(out)
 
     def _reducer(self):
         red = RowReducer(self.ncols, self.tag)
-        for r in self.sparse_rows:
-            red.add_row(dict(r))
+        for r in self.num:
+            red.add_int_row(dict(r))
         return red
 
     def rref(self):
         """Reduced row echelon form; returns (Matrix, pivot column tuple)."""
         red = self._reducer()
-        rows = red.sparse_rows() + ((),) * (self.nrows - red.rank())
-        return (Matrix.from_sparse_rows(rows, self.ncols, self.tag),
+        form = red.rref_form()
+        return (Matrix._of_form(form.num + ((),) * (self.nrows - form.nrows), form.den,
+                                self.ncols, self.tag),
                 tuple(red.pivot_columns()))
 
     def rank(self):
@@ -289,40 +277,52 @@ class Matrix:
         """
         if len(rhs) != self.nrows:
             raise DimensionMismatchError("rhs length mismatch")
-        check = self.tag.check
         n = self.ncols
-        red = RowReducer(n + 1, self.tag)
-        for r, b in zip(self.sparse_rows, rhs):
-            row = dict(r)
-            if check(b):
-                row[n] = b
-            red.add_row(row)
-        rows = red.unit_rows()
+        b, db = clear_denominators(_checked_sparse(rhs, self.tag))
+        red = RowReducer(n + 1, self.tag)  # [db num | den b], for rhs = b / db
+        for i, r in enumerate(self.num):
+            row = {j: db * a for j, a in r}
+            if i in b:
+                row[n] = self.den * b[i]
+            red.add_int_row(row)
+        rows = red.rows
         if n in rows:
-            return None, tuple(rows[n].get(j, ZERO) for j in range(n + 1))
-        x = tuple(rows[j].get(n, ZERO) if j in rows else ZERO for j in range(n))
+            return None, tuple(over(rows[n].get(j, 0), rows[n][n]) for j in range(n + 1))
+        x = tuple(over(rows[j].get(n, 0), rows[j][j]) if j in rows else ZERO
+                  for j in range(n))
         # left of the rhs column the pivot rows are the RREF of M
         return x, Subspace.spanned(red.kernel_basis(n), n, self.tag)
 
-    def int_rows(self):
-        """(rows, den): the rows as sparse integer (Gaussian-integer) dicts
-        over den, the lcm of the entry denominators, so rows / den is the
-        matrix in lowest terms."""
-        return common_denominator([dict(r) for r in self.sparse_rows])
-
     def inverse(self):
-        """The inverse, from inverse_int on the integer rows."""
-        if self.nrows != self.ncols:
+        """The inverse; DimensionMismatchError when singular.  The stored row
+        of pivot i of [num | I] is p (e_i | row i of num^-1), p > 0, so
+        den num^-1 is read off the right halves over the lcm of the p."""
+        n = self.nrows
+        if n != self.ncols:
             raise DimensionMismatchError("inverse of a non-square matrix")
-        return Matrix.from_int_rows(*inverse_int(*self.int_rows(), self.tag), self.ncols,
-                                    self.tag)
+        red = RowReducer(2 * n, self.tag)
+        for i, r in enumerate(self.num):
+            red.add_int_row({**dict(r), n + i: 1})
+        if red.pivot_columns() != list(range(n)):
+            raise DimensionMismatchError("matrix is singular")
+        stored = [red.rows[i] for i in range(n)]
+        common = lcm(1, *(r[i] for i, r in enumerate(stored)))
+        return Matrix.from_int_rows(
+            [{j - n: a * (self.den * common // r[i]) for j, a in r.items() if j >= n}
+             for i, r in enumerate(stored)], common, n, self.tag)
 
     def is_zero(self):
-        return not any(self.sparse_rows)
+        return not any(self.num)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(a) for a in r) for r in self.rows)
         return f"Matrix[{self.nrows}x{self.ncols}]({body})"
+
+
+def _form_of(sparse_rows):
+    """(num, den): the canonical form of sparse rows of field elements."""
+    nums, den = common_denominator([dict(r) for r in sparse_rows])
+    return tuple(tuple(r.items()) for r in nums), den
 
 
 class RowReducer:
@@ -332,9 +332,9 @@ class RowReducer:
     fully reduced row per pivot column in ``rows``: a primitive row of
     integers or Gaussian integers (content removed: the gcd of all their
     integer parts is 1) with a positive integer pivot entry, reduced
-    fraction-free with gcd-scaled elimination and back-substitution.  The
-    canonical unit-pivot rows are built by unit_rows(), sparse_rows() and
-    kernel_basis().
+    fraction-free with gcd-scaled elimination and back-substitution.  These
+    rows are a canonical form of the RREF: rref_form() divides each by its
+    pivot entry, and kernel_basis() reads the integer kernel off them.
     """
 
     def __init__(self, ncols, tag):
@@ -342,42 +342,39 @@ class RowReducer:
         self.tag = tag
         self.rows = {}  # pivot column -> stored row, see the class docstring
 
-    def _residue(self, row):
-        """(residue, scale): row reduced by the current pivots, with zero
-        entries dropped, is residue / scale.
+    def _eliminate(self, row):
+        """The sparse integer (Gaussian-integer) row reduced by the current
+        pivots to a multiple of its residue, with zero entries dropped.
 
         Every pivot column occurring in the row is eliminated, not just the
         leading one; pivot rows contain no pivot columns other than their own,
         so elimination only ever introduces free-column entries and one pass
-        suffices.  The row is cleared of denominators first, and before c/p
-        times a pivot row with pivot entry p is subtracted the row is scaled
-        by p / g, g the gcd of p and the parts of c, so every step stays
-        integral.
-        """
-        return self._eliminate(*clear_denominators(row))
-
-    def _eliminate(self, row, scale):
-        """_residue of row / scale, for row a sparse row of integers or
-        Gaussian integers."""
+        suffices."""
         rows = self.rows
         row = {j: a for j, a in row.items() if a}
         for lead in [j for j in sorted(row) if j in rows]:
-            scale *= _eliminate_step(row, lead, rows[lead])
-        return row, scale
+            _eliminate_step(row, lead, rows[lead])
+        return row
 
     def contains(self, row):
-        """Is the sparse row in the span of the rows added so far?"""
-        return not self._residue(row)[0]
+        """Is the sparse row of field elements in the span of the rows added
+        so far?"""
+        return self.contains_int(clear_denominators(row)[0])
+
+    def contains_int(self, row):
+        """contains for a sparse row of integers or Gaussian integers."""
+        return not self._eliminate(row)
 
     def add_row(self, row):
-        """Reduce and insert; returns True when the rank increased."""
-        return self._insert(self._residue(row)[0])
+        """Reduce and insert a sparse row of field elements; returns True
+        when the rank increased."""
+        return self.add_int_row(clear_denominators(row)[0])
 
     def add_int_row(self, row):
-        """add_row for a sparse row of integers or Gaussian integers, which
-        needs no denominators cleared.  Any nonzero multiple of a row adds
-        the same stored row, since what is stored is made primitive."""
-        return self._insert(self._eliminate(row, 1)[0])
+        """add_row for a sparse row of integers or Gaussian integers.  Any
+        nonzero multiple of a row adds the same stored row, since what is
+        stored is made primitive."""
+        return self._insert(self._eliminate(row))
 
     def _insert(self, row):
         """Insert the residue row, back-substituting into the pivot rows."""
@@ -405,56 +402,37 @@ class RowReducer:
     def free_columns(self):
         return [j for j in range(self.ncols) if j not in self.rows]
 
-    def unit_rows(self):
-        """The RREF as {pivot column: sparse row with entry 1 at the pivot},
-        in the order the pivots were found."""
-        return {p: {j: over(a, row[p]) for j, a in row.items()}
-                for p, row in self.rows.items()}
-
-    def sparse_rows(self):
-        """The pivot rows in pivot order, as column-sorted (column, element)
-        pairs: the canonical sparse rows of the RREF."""
-        rows = self.unit_rows()
-        return tuple(tuple(sorted(rows[p].items())) for p in self.pivot_columns())
+    def rref_form(self):
+        """The RREF as a Matrix: the unit-pivot rows in pivot order, the stored
+        rows times L / p over L, p the pivot entry and L their lcm.  The rows
+        are primitive, so the contents L / p have gcd 1: lowest terms."""
+        rows = self.rows
+        pivots = self.pivot_columns()
+        den = lcm(1, *(rows[p][p] for p in pivots))
+        num = []
+        for p in pivots:
+            row, s = rows[p], den // rows[p][p]
+            num.append(tuple(sorted(row.items() if s == 1
+                                    else ((j, s * a) for j, a in row.items()))))
+        return Matrix._of_form(tuple(num), den, self.ncols, self.tag)
 
     def kernel_basis(self, ncols=None):
-        """Basis of the solution space of (rows)x = 0 as sparse vectors, one
-        per free column in increasing order; with ncols, of the rows cut to
-        their first ncols columns, which must hold every pivot."""
+        """Basis of the solution space of (rows)x = 0 as sparse integer vectors,
+        one per free column f in increasing order: L at f and -c L / p at the
+        pivot of each row with entry c at f and pivot entry p, L the lcm of
+        those p.  With ncols, of the rows cut to their first ncols columns,
+        which must hold every pivot."""
         ncols = self.ncols if ncols is None else ncols
-        basis = {f: {f: ONE} for f in self.free_columns() if f < ncols}
+        holders = {f: {} for f in self.free_columns() if f < ncols}
         for p, row in self.rows.items():
-            piv = row[p]
-            for f, c in row.items():
-                v = basis.get(f)
-                if v is not None:
-                    v[p] = over(-c, piv)
-        return list(basis.values())
-
-
-def inverse_int(rows, den, tag):
-    """The inverse of the n x n matrix M = rows / den, for n sparse rows of
-    integers or Gaussian integers over tag, as (rows, den) in lowest terms
-    (the gcd of den and every integer part is 1); DimensionMismatchError
-    when M is singular.
-
-    [rows | I] is reduced with add_int_row.  The stored row of pivot i is
-    p (e_i | row i of rows^-1), p its positive integer pivot entry, so
-    M^-1 = den rows^-1 is read off the right halves over the lcm of the
-    pivot entries."""
-    n = len(rows)
-    red = RowReducer(2 * n, tag)
-    for i, r in enumerate(rows):
-        row = dict(r)
-        row[n + i] = 1
-        red.add_int_row(row)
-    if red.pivot_columns() != list(range(n)):
-        raise DimensionMismatchError("matrix is singular")
-    stored = [red.rows[i] for i in range(n)]
-    common = lcm(*(r[i] for i, r in enumerate(stored)))
-    inv = [{j - n: a * (den * common // r[i]) for j, a in r.items() if j >= n}
-           for i, r in enumerate(stored)]
-    return _lowest_terms(inv, common)
+            for f in row:
+                if f in holders:
+                    holders[f][p] = row
+        basis = []
+        for f, rows in holders.items():
+            m = lcm(1, *(row[p] for p, row in rows.items()))
+            basis.append({f: m} | {p: -row[f] * (m // row[p]) for p, row in rows.items()})
+        return basis
 
 
 def _lowest_terms(rows, den):
@@ -470,10 +448,9 @@ def _eliminate_step(row, lead, piv):
     """Clear column lead of row, in place, with the pivot row piv: with
     p = piv[lead], c = row[lead] and g the gcd of p and the parts of c, scale
     row by p / g and subtract c / g times piv, dropping the entries that
-    cancel.  Returns the scale p / g."""
+    cancel, so every step stays integral."""
     c = row[lead]
     p = piv[lead]
-    s = 1
     if p != 1:
         g = _gcd(p, c)
         s, c = p // g, c // g
@@ -487,7 +464,6 @@ def _eliminate_step(row, lead, piv):
             row[j] = v
         elif j in row:
             del row[j]
-    return s
 
 
 def _gcd(*nums):
@@ -512,42 +488,49 @@ def _primitive(row, lead):
 
 class Subspace:
     """A subspace of tag^ambient, stored as the canonical RREF of its span: a
-    Matrix whose sparse rows are the unit-pivot rows in pivot order.  The
-    RowReducer that built it is kept for membership tests."""
+    Matrix whose rows are the unit-pivot rows in pivot order (see
+    RowReducer.rref_form).  The RowReducer that built it is kept for
+    membership tests."""
 
     __slots__ = ("matrix", "_reducer")
 
     def __init__(self, vectors, ambient, tag):
-        """The span of dense vectors, checked against ambient and tag."""
-        check = tag.check
-        sparse = []
+        """The span of dense vectors of field elements, checked against
+        ambient and tag."""
+        red = RowReducer(ambient, tag)
         for v in vectors:
             if len(v) != ambient:
                 raise DimensionMismatchError("vector length differs from ambient dimension")
-            sparse.append({k: a for k, a in enumerate(v) if check(a)})
-        self._span(sparse, ambient, tag)
+            red.add_row(_checked_sparse(v, tag))
+        self._wrap(red)
+
+    def _wrap(self, red):
+        object.__setattr__(self, "matrix", red.rref_form())
+        object.__setattr__(self, "_reducer", red)
+
+    @classmethod
+    def of(cls, reducer):
+        """The span of the rows of a RowReducer, which the subspace keeps:
+        no row may be added to it afterwards."""
+        self = object.__new__(cls)
+        self._wrap(reducer)
+        return self
 
     @classmethod
     def spanned(cls, vectors, ambient, tag):
-        """The span of sparse vectors over tag, taken as given."""
-        self = object.__new__(cls)
-        self._span(vectors, ambient, tag)
-        return self
-
-    def _span(self, vectors, ambient, tag):
+        """The span of sparse vectors of integers or Gaussian integers over
+        tag, taken as given."""
         red = RowReducer(ambient, tag)
         for v in vectors:
-            red.add_row(v)
-        object.__setattr__(self, "matrix",
-                           Matrix.from_sparse_rows(red.sparse_rows(), ambient, tag))
-        object.__setattr__(self, "_reducer", red)
+            red.add_int_row(v)
+        return cls.of(red)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
     @classmethod
     def zero_space(cls, ambient, tag):
-        return cls.spanned((), ambient, tag)
+        return cls.of(RowReducer(ambient, tag))
 
     @property
     def ambient(self):
@@ -569,7 +552,7 @@ class Subspace:
 
     @property
     def pivots(self):
-        return tuple(r[0][0] for r in self.rows)
+        return tuple(r[0][0] for r in self.matrix.num)
 
     @property
     def dim(self):
@@ -601,17 +584,18 @@ class Subspace:
         return hash(self.matrix)
 
     def intersect(self, other):
-        """U cap W via the kernel of [U^T | -W^T]."""
+        """U cap W via the kernel of [U^T | -W^T], on the integer forms: the
+        first dim U coordinates of a kernel vector combine the rows of U's
+        form into a multiple of a vector of U cap W."""
         self._compat(other)
         if self.is_zero() or other.is_zero():
             return Subspace.zero_space(self.ambient, self.tag)
-        cols = self.rows + tuple(tuple((k, -a) for k, a in r) for r in other.rows)
-        combos = Matrix.from_sparse_rows(cols, self.ambient, self.tag).transpose().kernel()
-        # the first dim U coordinates of a kernel vector combine the basis
-        # of U into a vector of U cap W
-        rows = [dict(r) for r in self.rows]
-        vecs = [sparse_combine(rows, {t: coef for t, coef in c if t < self.dim})
-                for c in combos.rows]
+        u = self.matrix.num
+        cols = u + tuple(tuple((k, -a) for k, a in r) for r in other.matrix.num)
+        combos = Matrix._of_form(cols, 1, self.ambient, self.tag).transpose()._reducer()
+        rows = [dict(r) for r in u]
+        vecs = [sparse_combine(rows, {t: c for t, c in x.items() if t < self.dim})
+                for x in combos.kernel_basis()]
         return Subspace.spanned(vecs, self.ambient, self.tag)
 
     def _compat(self, other):

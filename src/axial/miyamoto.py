@@ -8,8 +8,7 @@ from dataclasses import dataclass
 
 from .errors import (AxialError, DimensionMismatchError, FieldMismatchError,
                      NotIdempotentError, NotSemisimpleError)
-from .linalg import (Matrix, RowReducer, canonical_product, canonical_rows, inverse_int,
-                     sparse_add, sparse_combine, sparse_vector)
+from .linalg import Matrix, RowReducer, sparse_add, sparse_combine, sparse_vector
 from .spectral import eigen_decompose
 
 
@@ -25,18 +24,14 @@ class AutMatrix:
 
 def is_automorphism(algebra, m):
     """Exact check of invertibility plus m(b_i b_j) = m(b_i) m(b_j) on every
-    basis pair i <= j, on the integer columns of m over one denominator."""
-    if m.nrows != algebra.dim or m.ncols != algebra.dim:
-        return False
-    return _is_automorphism_int(algebra, *m.transpose().int_rows())
-
-
-def _is_automorphism_int(algebra, cols, d):
-    """is_automorphism of the square matrix with integer (Gaussian-integer)
-    columns cols over d > 0: rank n, and with the structure constants
-    C / _int_den, d * sum_k C_ijk cols[k] == cols[i] cols[j] (product_int)
-    on every pair i <= j, both sides zero-free integer vectors."""
+    basis pair i <= j: on the integer columns cols of m over d, rank n and
+    d * sum_k C_ijk cols[k] == cols[i] cols[j] (product_int), for the
+    integer structure constants C."""
     n = algebra.dim
+    if m.nrows != n or m.ncols != n:
+        return False
+    cols = [dict(c) for c in m.transpose().num]
+    d = m.den
     red = RowReducer(n, algebra.tag)
     for c in cols:
         red.add_int_row(c)
@@ -77,16 +72,12 @@ def tau_automorphism(algebra, a, law, grading):
             for k, c in comp.items():
                 sparse_add(col, k, -c if lam in negative else c)
         cols.append(col)
-    den = dinv * dvec
-    if not _is_automorphism_int(algebra, cols, den):
+    m = Matrix.from_int_rows(cols, dinv * dvec, algebra.dim, algebra.tag).transpose()
+    if not is_automorphism(algebra, m):
         raise AxialError(
             "eigenspace sign map is not an automorphism (grading incompatible "
             "with the observed products)")
-    rows = [{} for _ in range(algebra.dim)]
-    for j, col in enumerate(cols):
-        for k, c in col.items():
-            rows[k][j] = c
-    return AutMatrix(Matrix.from_int_rows(rows, den, algebra.dim, algebra.tag), "tau", (a,))
+    return AutMatrix(m, "tau", (a,))
 
 
 @dataclass
@@ -103,24 +94,15 @@ class GroupClosure:
 
 def group_closure(generators, cap=200):
     """Breadth-first closure of the generated matrix group, up to cap
-    elements; completed=False when the cap is hit.
-
-    The search runs on canonical integer forms (rows, den) (see
-    linalg.canonical_rows), which are also the keys of the elements seen;
-    a Matrix is built only for an element that joins the group."""
+    elements; completed=False when the cap is hit.  The matrices, keyed by
+    their canonical integer forms, are multiplied on those forms."""
     if not generators:
         raise AxialError("group closure needs at least one generator")
     tag = generators[0].matrix.tag
     n = generators[0].matrix.nrows
-    # each generator and its inverse; the errors are those of inverting
-    # every generator and then multiplying by each, as with Matrix
-    forms = []
-    for g in generators:
-        m = g.matrix
-        if m.nrows != m.ncols:
-            raise DimensionMismatchError("inverse of a non-square matrix")
-        rows, den = m.int_rows()
-        forms.append((canonical_rows(rows, den), canonical_rows(*inverse_int(rows, den, m.tag))))
+    # each generator and its inverse: the errors are those of inverting
+    # every generator and then multiplying by each
+    pairs = [(g.matrix, g.matrix.inverse()) for g in generators]
     for g in generators:
         if g.matrix.tag is not tag:
             raise FieldMismatchError("matrices over different fields")
@@ -128,9 +110,9 @@ def group_closure(generators, cap=200):
             raise DimensionMismatchError("inner dimensions differ")
     # a repeated generator (an involution is its own inverse) only repeats
     # products already seen
-    gens = list(dict.fromkeys(f for pair in forms for f in pair))
-    ident = canonical_rows([{j: 1} for j in range(n)], 1)
-    seen = {ident: AutMatrix(Matrix.identity(n, tag), "external")}
+    gens = list(dict.fromkeys(m for pair in pairs for m in pair))
+    ident = Matrix.identity(n, tag)
+    seen = {ident: AutMatrix(ident, "external")}
     order_list = [seen[ident]]
     frontier = [ident]
     completed = True
@@ -138,7 +120,7 @@ def group_closure(generators, cap=200):
         nxt = []
         for m in frontier:
             for g in gens:
-                prod = canonical_product(m, g)
+                prod = m * g
                 if prod in seen:
                     continue
                 if len(seen) >= cap:
@@ -146,9 +128,7 @@ def group_closure(generators, cap=200):
                     nxt = []
                     frontier = []
                     break
-                rows, den = prod
-                am = AutMatrix(Matrix.from_int_rows(map(dict, rows), den, n, tag), "external")
-                seen[prod] = am
+                am = seen[prod] = AutMatrix(prod, "external")
                 order_list.append(am)
                 nxt.append(prod)
             else:
@@ -165,11 +145,13 @@ class AxisClosure:
     axes: list
     completed: bool
     cap: int
+    taus: dict  # axis -> its AutMatrix, for every axis whose map was built
 
 
 def axis_closure(algebra, axes, law, grading, cap=200):
     """Repeatedly apply the Miyamoto maps of the current axes to the current
-    axes until stable, or report cap_exceeded with the partial set."""
+    axes until stable, or report cap_exceeded with the partial set.  The
+    maps of the given axes are built first, in list order."""
     current = []
     seen = set()
     for a in axes:
@@ -189,12 +171,12 @@ def axis_closure(algebra, axes, law, grading, cap=200):
                 img = t.apply(a)
                 if img not in seen:
                     if len(seen) >= cap:
-                        return AxisClosure(current, False, cap)
+                        return AxisClosure(current, False, cap, taus)
                     seen.add(img)
                     current.append(img)
                     new.append(img)
         frontier = new
-    return AxisClosure(current, True, cap)
+    return AxisClosure(current, True, cap, taus)
 
 
 def find_flip(algebra, a1, a2):

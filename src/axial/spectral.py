@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 from .errors import DimensionMismatchError, NotIdempotentError, NotSemisimpleError
 from .fusion import FusionLaw
-from .linalg import RowReducer, Subspace, inverse_int, sparse_add, sparse_combine
-from .scalars import (ONE, ZERO, FieldTag, Rat, Scalar, clear_denominators, common_denominator,
-                      over, render_scalar, scalar_sqrt, sort_key)
+from .linalg import Matrix, RowReducer, Subspace, sparse_add, sparse_combine
+from .scalars import (ONE, ZERO, FieldTag, Rat, Scalar, clear_denominators, over,
+                      render_scalar, scalar_sqrt, sort_key)
 
 
 # ---------------------------------------------------------------------------
@@ -28,7 +28,7 @@ def char_poly(m):
     Faddeev-LeVerrier recursion; returns [1, c1, ..., cn] with
     p(t) = t^n + c1 t^(n-1) + ... + cn.
 
-    The recursion runs on the integer (Gaussian-integer) rows N = s m:
+    The recursion runs on the integer (Gaussian-integer) form N = s m:
     M_1 = N, c_k = -tr(M_k) / k and M_(k+1) = N (M_k + c_k I).  The c_k are
     the coefficients of the characteristic polynomial of N, which are
     integers (Gaussian integers), so the division by k is exact; the
@@ -36,7 +36,7 @@ def char_poly(m):
     if m.nrows != m.ncols:
         raise DimensionMismatchError("characteristic polynomial of a non-square matrix")
     n = m.nrows
-    rows, s = m.int_rows()
+    rows, s = [dict(r) for r in m.num], m.den
     coeffs = [ONE]
     mk = rows
     for k in range(1, n + 1):
@@ -219,11 +219,15 @@ class Eigenbasis:
         # (nums, den) each; product_den is the denominator of the components
         # in products().  The eigenvectors are the rows of P^T, so row j of
         # its inverse is column j of P^-1, {eigenbasis position: entry}: the
-        # eigenbasis coordinates of y sum these over the nonzero y_j
-        self._int_vectors = common_denominator(self.vectors)
-        self._int_inverse = inverse_int(*self._int_vectors, algebra.tag)
-        self.product_den = (self._int_inverse[1] * self._int_vectors[1] ** 3
-                            * algebra._int_den)
+        # eigenbasis coordinates of y sum these over the nonzero y_j.  The
+        # integer eigenvectors are the eigenspace forms over their lcm.
+        dvec = math.lcm(1, *(space.matrix.den for _, space in pairs))
+        vectors = [{j: a * (dvec // space.matrix.den) for j, a in r}
+                   for _, space in pairs for r in space.matrix.num]
+        self._int_vectors = vectors, dvec
+        inverse = Matrix.from_int_rows(vectors, dvec, algebra.dim, algebra.tag).inverse()
+        self._int_inverse = [dict(r) for r in inverse.num], inverse.den
+        self.product_den = inverse.den * dvec ** 3 * algebra._int_den
         self.owner = []   # position -> index of its eigenvalue in blocks
         self.blocks = []  # (eigenvalue, range of its positions)
         for t, (lam, space) in enumerate(pairs):

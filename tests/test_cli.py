@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import axial
-from axial import catalog
+from axial import catalog, cli, miyamoto
 from axial.cli import _all_basis_cocycles_jordan, main
 from axial.extension import Cocycle, build_extension, cocycle_space
 
@@ -223,6 +223,29 @@ class TestCap:
         assert code == 0
         doc = json.loads(out)
         assert doc["group_order"] > 1
+
+    @pytest.mark.parametrize("name,params,key,law,cap", [
+        ("JordanC", {"n": 3}, "family", "J12", 20), ("I", None, "Xab", "FI", 50)])
+    def test_each_tau_map_is_built_once(self, capsys, monkeypatch, name, params, key,
+                                        law, cap):
+        # the generators of the group are the closure's own maps: one
+        # tau_automorphism call per closure axis, the given axes first
+        built = []
+        real = miyamoto.tau_automorphism
+
+        def counting(algebra, a, law, grading):
+            built.append(tuple(a))
+            return real(algebra, a, law, grading)
+        monkeypatch.setattr(miyamoto, "tau_automorphism", counting)
+        monkeypatch.setattr(cli, "tau_automorphism", counting, raising=False)
+        argv = ["--catalog", name, "--axes", key, "--law", law, "--cap", str(cap)]
+        if params:
+            argv += ["--param", ",".join(f"{k}={v}" for k, v in params.items())]
+        code, out, _ = run(capsys, "miyamoto", *argv, "--json")
+        assert code == 0
+        given = list(dict.fromkeys(map(tuple, catalog.build(name, params).axis_sets[key])))
+        assert len(built) == len(set(built)) <= json.loads(out)["axis_count"]
+        assert built[:len(given)] == given
 
     @pytest.mark.parametrize("cap", ["0", "-5"])
     def test_cap_below_one_is_usage_error(self, capsys, cap):

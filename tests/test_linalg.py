@@ -8,7 +8,7 @@ import pytest
 
 from axial.errors import DimensionMismatchError, FieldMismatchError
 from axial.linalg import Matrix, RowReducer, Subspace
-from axial.scalars import FieldTag, Rat, Scalar, sort_key
+from axial.scalars import FieldTag, Rat, Scalar, clear_denominators, sort_key
 
 
 def q(n, d=1):
@@ -178,6 +178,30 @@ def test_sparse_matrix_matches_dense_reference(tag):
         n, k, m = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
         a, b, c = _dense(rng, n, k, tag), _dense(rng, k, m, tag), _dense(rng, n, k, tag)
         ma, mb, mc = Matrix(a, tag), Matrix(b, tag), Matrix(c, tag)
+        # one canonical integer form from every constructor: the integer
+        # rows over their lcm denominator, times a factor, come back in lowest
+        # terms
+        den = math.lcm(1, *(x.denominator for r in a for x in r))
+        factor = rng.choice([2, 3, 6, 35])
+        scaled = [{j: factor * x.numerator * (den // x.denominator)
+                   for j, x in enumerate(r) if x} for r in a]
+        for other in (Matrix.from_columns(a, tag, nrows=k).transpose(),
+                      Matrix.from_sparse_rows(_sparse_rows(a), k, tag),
+                      Matrix.from_int_rows(scaled, factor * den, k, tag)):
+            assert other == ma and hash(other) == hash(ma) and other.rows == ma.rows
+        # the integer kernel basis: integral, positive at its own free column,
+        # zero at the other free columns, and inside the kernel
+        red = RowReducer(k, tag)
+        for r in a:
+            red.add_row(_dict(r))
+        free = red.free_columns()
+        basis = red.kernel_basis()
+        assert len(basis) == len(free)
+        for f, v in zip(free, basis):
+            assert all(b == int(b) for x in v.values() for b in _parts(x))
+            assert type(v[f]) is not Scalar and v[f] > 0
+            assert all(g == f or g not in v for g in free)
+            assert all(not sum((r[j] * x for j, x in v.items()), zero) for r in a)
         assert (ma * mb).rows == tuple(map(tuple, _naive_mul(a, b, tag)))
         x = tuple(_entry(rng, tag) for _ in range(k))
         assert ma.apply(x) == tuple(r[0] for r in _naive_mul(a, [[v] for v in x], tag))
@@ -279,7 +303,8 @@ def test_subspace_matches_dense_reference(tag):
         red, pivots = _naive_rref(u, n, tag)
         # the dense public constructor and the sparse one give one RREF
         su = Subspace(u, n, tag)
-        sparse = Subspace.spanned([dict(r) for r in _sparse_rows(u)], n, tag)
+        sparse = Subspace.spanned([clear_denominators(dict(r))[0] for r in _sparse_rows(u)],
+                                  n, tag)
         for s in (su, sparse):
             assert s.basis == tuple(map(tuple, red))
             assert s.rows == _sparse_rows(red)
@@ -392,23 +417,37 @@ def _rank_mod_p(rows):
     """Rank of the rows over GF(p), p = ORACLE_PRIME dividing no
     denominator: the image under a ring map, so at most the rank over QQ or
     QI, and equal to it unless p divides every maximal nonzero minor (over
-    QI, a prime above p does)."""
+    QI, a prime above p does).  A row is a dense sequence or a sparse dict
+    {column: entry}; each is reduced against a reduced echelon basis mod p,
+    kept sparse, so a row costs one step per basis pivot it holds."""
     p = ORACLE_PRIME
-    work = [[_mod_p(a) for a in r] for r in rows]
-    rank = 0
-    for c in range(len(work[0]) if work else 0):
-        piv = next((i for i in range(rank, len(work)) if work[i][c]), None)
-        if piv is None:
+    basis = {}  # pivot column -> row with 1 there and 0 at the other pivots
+
+    def subtract(row, f, piv):
+        for j, b in piv.items():
+            v = (row.get(j, 0) - f * b) % p
+            if v:
+                row[j] = v
+            else:
+                row.pop(j, None)
+
+    for r in rows:
+        row = {}
+        for k, a in (r.items() if isinstance(r, dict) else enumerate(r)):
+            if v := _mod_p(a):
+                row[k] = v
+        for c in [c for c in row if c in basis]:
+            subtract(row, row[c], basis[c])
+        if not row:
             continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = pow(work[rank][c], -1, p)
-        work[rank] = [x * inv % p for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][c]:
-                f = work[i][c]
-                work[i] = [(x - f * y) % p for x, y in zip(work[i], work[rank])]
-        rank += 1
-    return rank
+        lead = min(row)
+        inv = pow(row[lead], -1, p)
+        row = {j: v * inv % p for j, v in row.items()}
+        for other in basis.values():
+            if lead in other:
+                subtract(other, other[lead], row)
+        basis[lead] = row
+    return len(basis)
 
 
 def _naive_kernel(red, pivots, ncols):
@@ -461,7 +500,7 @@ def _reducer_matches_dense_reference(tag):
             assert type(row[p]) is not Scalar and row[p] > 0
             assert all(b == int(b) for b in parts)
             assert math.gcd(*(int(b) for b in parts)) == 1
-        assert reducer.sparse_rows() == _sparse_rows(red)
+        assert Subspace.of(reducer).rows == _sparse_rows(red)
         # membership: combinations of the rows are members; x is one exactly
         # when its residue, x less x_p times the unit pivot row p, vanishes
         span = Subspace(rows, n, tag)
@@ -525,7 +564,7 @@ def _integer_row_entry_matches_add_row(tag):
             assert cleared.add_int_row(_int_row(row, factor)) == plain.add_row(_dict(row))
             assert cleared.rows == plain.rows
         assert cleared.rank() == plain.rank() == _rank_mod_p(rows)
-        assert cleared.sparse_rows() == plain.sparse_rows()
+        assert cleared.rref_form() == plain.rref_form()
         assert cleared.kernel_basis() == plain.kernel_basis()
     assert scaled > 100
 

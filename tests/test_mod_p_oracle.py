@@ -1,0 +1,61 @@
+"""Mod-p oracle for the cocycle space Z and the coboundaries B.
+
+For every catalog entry, axis set and law on which cocycle_space returns,
+the integer condition (1) and (2) rows of every axis and the coboundary
+generators are reduced mod ORACLE_PRIME (i sent to ORACLE_I, see
+test_linalg): dim Z is the number of unknowns less the rank of the
+condition rows, and dim B the rank of the generators.
+"""
+
+import pytest
+
+from axial import catalog
+from axial.algebra import _sym_index
+from axial.errors import ExtensionError
+from axial.extension import cocycle_space, condition1_rows, condition2_rows
+from axial.linalg import Subspace
+from axial.scalars import ZERO
+from axial.spectral import check_axis
+
+from test_linalg import _rank_mod_p
+
+
+def _condition_rows(algebra, axes, law):
+    rows = []
+    for a in axes:
+        rep = check_axis(algebra, a, law)
+        kernel = rep.eigen.eigenspace(ZERO) or Subspace.zero_space(algebra.dim, algebra.tag)
+        rows += condition1_rows(algebra, a, kernel)
+        rows += condition2_rows(algebra, a, law, rep.eigen)
+    return rows
+
+
+def _coboundary_generators(algebra):
+    """The coordinates of delta(identity): vector g holds the g-th structure
+    constant of every pair i <= j, read off basis_product."""
+    vectors = [{} for _ in range(algebra.dim)]
+    for (i, j), t in _sym_index(algebra.dim).items():
+        for g, c in algebra.basis_product(i, j).items():
+            vectors[g][t] = c
+    return vectors
+
+
+@pytest.mark.parametrize("name", [item["name"] for item in catalog.list_catalog()
+                                  if not item["stub"]])
+def test_cocycle_and_coboundary_dims_match_mod_p_ranks(name):
+    entry = catalog.build(name)
+    alg = entry.algebra
+    unknowns = len(_sym_index(alg.dim))
+    b_rank = _rank_mod_p(_coboundary_generators(alg))
+    covered = 0
+    for axes in entry.axis_sets.values():
+        for law in entry.laws.values():
+            try:
+                cs = cocycle_space(alg, axes, law)
+            except ExtensionError:
+                continue  # no cocycle space for this law on these axes
+            covered += 1
+            rows = _condition_rows(alg, axes, law)
+            assert unknowns - _rank_mod_p(rows) == cs.space.dim
+            assert b_rank == cs.coboundaries.dim
+    assert covered
