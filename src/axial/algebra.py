@@ -9,6 +9,8 @@ the algebra.
 
 from __future__ import annotations
 
+import functools
+
 from .errors import DimensionMismatchError, FieldMismatchError
 from .linalg import Matrix, RowReducer, Subspace, sparse_add, sparse_combine
 from .scalars import ONE, ZERO, clear_denominators, common_denominator, over
@@ -199,8 +201,9 @@ class Algebra:
         """All symmetric bilinear forms with (xy, z) = (x, yz), as a list of
         BilinearForm, from the RREF basis of the solution space."""
         n = self.dim
-        idx = _sym_index(n)
-        red = RowReducer(len(idx), self.tag)
+        cols = _sym_columns(n)
+        size = len(_sym_pairs(n))
+        red = RowReducer(size, self.tag)
         rows = self._int_rows
         # (b_i b_j, b_k) = (b_i, b_j b_k) for all i, j, k
         for i in range(n):
@@ -208,12 +211,12 @@ class Algebra:
                 for k in range(n):
                     row = {}
                     for l, c in rows[j][k].items():
-                        sparse_add(row, idx[(min(i, l), max(i, l))], c)
+                        sparse_add(row, cols[i][l], c)
                     for l, c in rows[i][j].items():
-                        sparse_add(row, idx[(min(l, k), max(l, k))], -c)
+                        sparse_add(row, cols[l][k], -c)
                     if row:
                         red.add_int_row(row)
-        space = Subspace.spanned(red.kernel_basis(), len(idx), self.tag)
+        space = Subspace.spanned(red.kernel_basis(), size, self.tag)
         return [BilinearForm(_unflatten_sym(v, n, self.tag), self.tag)
                 for v in space.rows]
 
@@ -316,21 +319,28 @@ def _accumulate(rows, x, y, acc=None):
     return acc
 
 
-def _sym_index(n):
-    """Column index for the upper triangle (i <= j), row-major."""
-    idx = {}
-    t = 0
-    for i in range(n):
-        for j in range(i, n):
-            idx[(i, j)] = t
-            t += 1
-    return idx
+@functools.lru_cache(maxsize=8)
+def _sym_pairs(n):
+    """The upper-triangle pairs (i, j), i <= j, in row-major order: the pair
+    at position t is the t-th coordinate of a symmetric form on an
+    n-dimensional algebra."""
+    return tuple((i, j) for i in range(n) for j in range(i, n))
+
+
+@functools.lru_cache(maxsize=8)
+def _sym_columns(n):
+    """cols[p][q]: the position in _sym_pairs(n) of the pair (p, q), in
+    either order."""
+    cols = [[0] * n for _ in range(n)]
+    for t, (i, j) in enumerate(_sym_pairs(n)):
+        cols[i][j] = cols[j][i] = t
+    return tuple(map(tuple, cols))
 
 
 def _unflatten_sym(v, n, tag):
     """The symmetric n x n Matrix of an upper-triangle vector given by its
     nonzero (index, element) pairs in increasing index order."""
-    pairs = list(_sym_index(n))
+    pairs = _sym_pairs(n)
     rows = [[] for _ in range(n)]
     for t, a in v:
         # the row-major index order keeps every row column-sorted

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .algebra import MAX_DIM, Algebra, BilinearForm
 from .errors import CatalogError
 from .extension import Cocycle
-from .fusion import C2Grading, FusionLaw, jordan_half_law, monster_law
+from .fusion import C2Grading, FusionLaw, jordan_half_law, monster_law, unit_row
 from .linalg import Matrix
 from .scalars import ONE, ZERO, FieldTag, Rat, Scalar
 
@@ -52,17 +52,22 @@ class CatalogEntry:
 # ---------------------------------------------------------------------------
 # helpers
 
-def _mk_law(values, cells, tag=QQ):
-    """Law with the convention: full unit row (1*v = {v} for v not in {0, 1},
-    1*1 = {1}, 1*0 empty) plus the supplied nonunit cells."""
+def _mk_law(values, cells):
+    """Law over QQ with the unit row of fusion.unit_row plus the supplied
+    nonunit cells."""
     if len(set(values)) != len(values):
         raise CatalogError("fusion-law values collide at these parameters")
-    table = {(ONE, ONE): {ONE}}
-    for v in values:
-        if v != ONE and v != ZERO:
-            table[(ONE, v)] = {v}
-    table.update(cells)
-    return FusionLaw(values, table, tag)
+    return FusionLaw(values, {**unit_row(values), **cells}, QQ)
+
+
+def _jordan_entry(name, params, alg, axis_sets, **expected):
+    """An entry of a Jordan algebra: every axis set obeys the law J12 of
+    Jordan-algebra idempotents."""
+    return CatalogEntry(
+        name, params, alg, axis_sets=axis_sets,
+        laws={"J12": jordan_half_law(alg.tag)},
+        axis_laws={key: "J12" for key in axis_sets},
+        expected={"jordan": True, **expected})
 
 
 def _two_dim(c1, c2, tag=QQ):
@@ -427,12 +432,8 @@ def _build_S(n):
                   tuple(f"e{i+1}" for i in range(n)))
     standard = tuple(alg.basis_element(i) for i in range(n))
     stair = tuple(tuple(one if j <= i else _q(0) for j in range(n)) for i in range(n))
-    return CatalogEntry(
-        "S", {"n": _q(n)}, alg,
-        axis_sets={"standard": standard, "staircase": stair},
-        laws={"J12": jordan_half_law(QQ)},
-        axis_laws={"standard": "J12", "staircase": "J12"},
-        expected={"jordan": True})
+    return _jordan_entry("S", {"n": _q(n)}, alg,
+                         {"standard": standard, "staircase": stair})
 
 
 def _build_J(n):
@@ -447,12 +448,7 @@ def _build_J(n):
     axes = [e]
     for i in range(1, n):
         axes.append(tuple(one if j in (0, i) else _q(0) for j in range(n)))
-    return CatalogEntry(
-        "J", {"n": _q(n)}, alg,
-        axis_sets={"standard": tuple(axes)},
-        laws={"J12": jordan_half_law(QQ)},
-        axis_laws={"standard": "J12"},
-        expected={"jordan": True})
+    return _jordan_entry("J", {"n": _q(n)}, alg, {"standard": tuple(axes)})
 
 
 def _build_T(n):
@@ -477,12 +473,8 @@ def _build_T(n):
             axes.append(tuple(one if j in (0, i) else _q(0) for j in range(n)))
         axes = tuple(axes)
         generates = True
-    return CatalogEntry(
-        "T", {"n": _q(n)}, alg,
-        axis_sets={"standard": axes},
-        laws={"J12": jordan_half_law(QQ)},
-        axis_laws={"standard": "J12"},
-        expected={"jordan": True, "axes_generate": generates})
+    return _jordan_entry("T", {"n": _q(n)}, alg, {"standard": axes},
+                         axes_generate=generates)
 
 
 # ---------------------------------------------------------------------------
@@ -505,13 +497,8 @@ def _build_J25():
         return (_q(0), one, t, t * t)
 
     unity = (one, one, _q(0), _q(0))
-    return CatalogEntry(
-        "J25", {}, alg,
-        axis_sets={"with_unity": (unity, a_of(1), a_of(2)),
-                   "no_unity": (a_of(1), b_of(1))},
-        laws={"J12": jordan_half_law(QQ)},
-        axis_laws={"with_unity": "J12", "no_unity": "J12"},
-        expected={"jordan": True})
+    return _jordan_entry("J25", {}, alg, {"with_unity": (unity, a_of(1), a_of(2)),
+                                          "no_unity": (a_of(1), b_of(1))})
 
 
 def _build_J53():
@@ -522,12 +509,7 @@ def _build_J53():
     }, QQ, ("e", "n1", "n2", "n3"))
     e = alg.basis_element(0)
     a1 = (one, one, -one, one)  # e + n1 - n2 + n3
-    return CatalogEntry(
-        "J53", {}, alg,
-        axis_sets={"standard": (e, a1)},
-        laws={"J12": jordan_half_law(QQ)},
-        axis_laws={"standard": "J12"},
-        expected={"jordan": True, "quotient_dim": 0})
+    return _jordan_entry("J53", {}, alg, {"standard": (e, a1)}, quotient_dim=0)
 
 
 def _build_J59():
@@ -539,12 +521,7 @@ def _build_J59():
     e = alg.basis_element(0)
     ax2 = (one, _q(0), one, _q(0))     # e + n2       (alpha=1, beta=0)
     ax3 = (one, -one, _q(0), one)      # e - n1 + n3  (alpha=0, beta=1)
-    return CatalogEntry(
-        "J59", {}, alg,
-        axis_sets={"standard": (e, ax2, ax3)},
-        laws={"J12": jordan_half_law(QQ)},
-        axis_laws={"standard": "J12"},
-        expected={"jordan": True})
+    return _jordan_entry("J59", {}, alg, {"standard": (e, ax2, ax3)})
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +627,6 @@ def _build_jordan_full(n):
     """All n x n matrices with the symmetrized product."""
     if n < 1:
         raise CatalogError("matrix algebras need n >= 1")
-    tag = QQ
     basis = [{(i, j, 0): 1} for i in range(n) for j in range(n)]
     labels = [_pair_label("E", i, j, n) for i in range(n) for j in range(n)]
     alg = matrix_model(basis, labels)
@@ -661,19 +637,14 @@ def _build_jordan_full(n):
         for j in range(n):
             if i != j:
                 fam.append(alg.element({i * n + i: ONE, i * n + j: ONE}))
-    return CatalogEntry(
-        "JordanA", {"n": _q(n)}, alg,
-        axis_sets={"family": tuple(fam)},
-        laws={"J12": jordan_half_law(tag)},
-        axis_laws={"family": "J12"},
-        expected={"jordan": True, "quotient_dim": 0})
+    return _jordan_entry("JordanA", {"n": _q(n)}, alg, {"family": tuple(fam)},
+                         quotient_dim=0)
 
 
 def _build_jordan_sym(n):
     """Symmetric n x n matrices with the symmetrized product."""
     if n < 1:
         raise CatalogError("matrix algebras need n >= 1")
-    tag = QQ
     basis = []
     labels = []
     index = {}
@@ -693,12 +664,8 @@ def _build_jordan_sym(n):
         for j in range(i + 1, n):
             fam.append(alg.element({index[(i, i)]: half, index[(j, j)]: half,
                                     index[(i, j)]: half}))
-    return CatalogEntry(
-        "JordanB", {"n": _q(n)}, alg,
-        axis_sets={"family": tuple(fam)},
-        laws={"J12": jordan_half_law(tag)},
-        axis_laws={"family": "J12"},
-        expected={"jordan": True, "quotient_dim": 0})
+    return _jordan_entry("JordanB", {"n": _q(n)}, alg, {"family": tuple(fam)},
+                         quotient_dim=0)
 
 
 def _skew_mirror(x, n):
@@ -715,7 +682,6 @@ def _build_jordan_skew(n):
     with the symmetrized product."""
     if n < 1:
         raise CatalogError("matrix algebras need n >= 1")
-    tag = QQ
     basis = []
     labels = []
     idx_d = {}
@@ -758,12 +724,8 @@ def _build_jordan_skew(n):
                     el = alg.element(cand)
                     if alg.is_idempotent(el):
                         fam.append(el)
-    return CatalogEntry(
-        "JordanC", {"n": _q(n)}, alg,
-        axis_sets={"family": tuple(fam)},
-        laws={"J12": jordan_half_law(tag)},
-        axis_laws={"family": "J12"},
-        expected={"jordan": True, "quotient_dim": 0})
+    return _jordan_entry("JordanC", {"n": _q(n)}, alg, {"family": tuple(fam)},
+                         quotient_dim=0)
 
 
 def _build_jordan_form(n):
@@ -771,7 +733,6 @@ def _build_jordan_form(n):
     xy = (x^T e_n) y + (y^T e_n) x - (x^T y) e_n."""
     if n < 2:
         raise CatalogError("the bilinear-form algebra needs n >= 2")
-    tag = QI
     last = n - 1
     prods = {}
     for i in range(n):
@@ -786,16 +747,12 @@ def _build_jordan_form(n):
             entry = {k: c for k, c in entry.items() if c}
             if entry:
                 prods[(i, j)] = entry
-    alg = Algebra(n, prods, tag, tuple(f"e{i+1}" for i in range(n)))
+    alg = Algebra(n, prods, QI, tuple(f"e{i+1}" for i in range(n)))
     half = Rat(1, 2)
     imag = Scalar.i()
     fam = [alg.element({i: half * imag, last: half}) for i in range(n - 1)]
-    return CatalogEntry(
-        "JordanD", {"n": Rat(n)}, alg,
-        axis_sets={"family": tuple(fam)},
-        laws={"J12": jordan_half_law(tag)},
-        axis_laws={"family": "J12"},
-        expected={"jordan": True, "quotient_dim": 0})
+    return _jordan_entry("JordanD", {"n": _q(n)}, alg, {"family": tuple(fam)},
+                         quotient_dim=0)
 
 
 # ---------------------------------------------------------------------------
@@ -820,42 +777,11 @@ def _build_albert():
         i, j = pair
         for q in range(8):
             fam.append(alg.element({i: half, j: half, offset[pair] + q: half}))
-    return CatalogEntry(
-        "Albert", {}, alg,
-        axis_sets={"family": tuple(fam)},
-        laws={"J12": jordan_half_law(QQ)},
-        axis_laws={"family": "J12"},
-        expected={"jordan": True, "quotient_dim": 0})
+    return _jordan_entry("Albert", {}, alg, {"family": tuple(fam)}, quotient_dim=0)
 
 
 # ---------------------------------------------------------------------------
 # registry
-
-_DEFAULTS = {
-    "C": {"alpha": 3},
-    "D": {"beta": 5},
-    "E": {"alpha": 3, "beta": 5},
-    "G": {"beta": 5},
-    "H": {"gamma": 3},
-    "I": {"alpha": 1, "beta": 2},
-    "S": {"n": 4},
-    "J": {"n": 4},
-    "T": {"n": 4},
-    "J25": {}, "J53": {}, "J59": {},
-    "JordanA": {"n": 3},
-    "JordanB": {"n": 3},
-    "JordanC": {"n": 2},
-    "JordanD": {"n": 4},
-}
-
-_PARAM_SLOTS = {
-    "A": (), "B": (), "F": (), "Monster4": (), "Albert": (),
-    "J25": (), "J53": (), "J59": (),
-    "C": ("alpha",), "D": ("beta",), "G": ("beta",), "H": ("gamma",),
-    "E": ("alpha", "beta"), "I": ("alpha", "beta"),
-    "S": ("n",), "J": ("n",), "T": ("n",),
-    "JordanA": ("n",), "JordanB": ("n",), "JordanC": ("n",), "JordanD": ("n",),
-}
 
 # Entries whose product tables are defined only in the external classification
 # these names point to; included so the names resolve, but not buildable.
@@ -880,20 +806,36 @@ STUB_ENTRIES = {
 }
 
 
-# The series: builder and algebra dimension for each n.
-_SERIES = {
-    "S": (_build_S, lambda n: n),
-    "J": (_build_J, lambda n: n),
-    "T": (_build_T, lambda n: n),
-    "JordanA": (_build_jordan_full, lambda n: n * n),
-    "JordanB": (_build_jordan_sym, lambda n: n * (n + 1) // 2),
-    "JordanC": (_build_jordan_skew, lambda n: n * (2 * n - 1)),
-    "JordanD": (_build_jordan_form, lambda n: n),
+# Each buildable entry: its builder and parameter defaults, and for a series
+# (whose one parameter is n) also its algebra dimension at n.
+_ENTRIES = {
+    "A": (_build_A, {}),
+    "B": (_build_B, {}),
+    "C": (_build_C, {"alpha": 3}),
+    "D": (_build_D, {"beta": 5}),
+    "E": (_build_E, {"alpha": 3, "beta": 5}),
+    "F": (_build_F, {}),
+    "G": (_build_G, {"beta": 5}),
+    "H": (_build_H, {"gamma": 3}),
+    "I": (_build_I, {"alpha": 1, "beta": 2}),
+    "Monster4": (_build_monster4, {}),
+    "S": (_build_S, {"n": 4}, lambda n: n),
+    "J": (_build_J, {"n": 4}, lambda n: n),
+    "T": (_build_T, {"n": 4}, lambda n: n),
+    "J25": (_build_J25, {}),
+    "J53": (_build_J53, {}),
+    "J59": (_build_J59, {}),
+    "JordanA": (_build_jordan_full, {"n": 3}, lambda n: n * n),
+    "JordanB": (_build_jordan_sym, {"n": 3}, lambda n: n * (n + 1) // 2),
+    "JordanC": (_build_jordan_skew, {"n": 2}, lambda n: n * (2 * n - 1)),
+    "JordanD": (_build_jordan_form, {"n": 4}, lambda n: n),
+    "Albert": (_build_albert, {}),
 }
 
 
 def default_params(name):
-    return dict(_DEFAULTS.get(name, {}))
+    entry = _ENTRIES.get(name)
+    return dict(entry[1]) if entry else {}
 
 
 def build(name, params=None):
@@ -903,64 +845,34 @@ def build(name, params=None):
         raise CatalogError(
             f"entry {name!r} is a named stub (products not available); "
             f"published generating axes: {STUB_ENTRIES[name]}")
-    if name not in _PARAM_SLOTS:
+    if name not in _ENTRIES:
         raise CatalogError(f"unknown catalog name {name!r}")
-    merged = default_params(name)
-    if params:
-        for k, v in params.items():
-            if k not in _PARAM_SLOTS[name]:
-                raise CatalogError(f"entry {name!r} takes no parameter {k!r}")
-            merged[k] = v
-    if name in _SERIES:
-        builder, size = _SERIES[name]
-        nval = merged["n"]
-        try:
-            n = int(nval)
-        except (TypeError, ValueError, OverflowError):
-            n = None
-        if n is None or n != nval:
-            raise CatalogError(f"entry {name!r} needs an integer n, got {nval}")
-        if n > 0 and size(n) > MAX_DIM:
-            raise CatalogError(f"{name} n={n} has dim {size(n)}, above the limit {MAX_DIM}")
-        return builder(n)
-    scal = {k: _as_scalar(v) for k, v in merged.items()}
-    if name == "A":
-        return _build_A()
-    if name == "B":
-        return _build_B()
-    if name == "C":
-        return _build_C(scal["alpha"])
-    if name == "D":
-        return _build_D(scal["beta"])
-    if name == "E":
-        return _build_E(scal["alpha"], scal["beta"])
-    if name == "F":
-        return _build_F()
-    if name == "G":
-        return _build_G(scal["beta"])
-    if name == "H":
-        return _build_H(scal["gamma"])
-    if name == "I":
-        return _build_I(scal["alpha"], scal["beta"])
-    if name == "Monster4":
-        return _build_monster4()
-    if name == "J25":
-        return _build_J25()
-    if name == "J53":
-        return _build_J53()
-    if name == "J59":
-        return _build_J59()
-    if name == "Albert":
-        return _build_albert()
-    raise CatalogError(f"unknown catalog name {name!r}")  # pragma: no cover
+    builder, defaults, *size = _ENTRIES[name]
+    merged = dict(defaults)
+    for k, v in (params or {}).items():
+        if k not in defaults:
+            raise CatalogError(f"entry {name!r} takes no parameter {k!r}")
+        merged[k] = v
+    if not size:
+        return builder(**{k: _as_scalar(v) for k, v in merged.items()})
+    nval = merged["n"]
+    try:
+        n = int(nval)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != nval:
+        raise CatalogError(f"entry {name!r} needs an integer n, got {nval}")
+    dim = size[0](n)
+    if n > 0 and dim > MAX_DIM:
+        raise CatalogError(f"{name} n={n} has dim {dim}, above the limit {MAX_DIM}")
+    return builder(n)
 
 
 def list_catalog():
     """All names with their parameter slots; stubs are flagged."""
     out = []
-    for name in sorted(_PARAM_SLOTS):
-        out.append({"name": name, "params": list(_PARAM_SLOTS[name]),
-                    "stub": False})
+    for name in sorted(_ENTRIES):
+        out.append({"name": name, "params": list(_ENTRIES[name][1]), "stub": False})
     for name in sorted(STUB_ENTRIES):
         out.append({"name": name, "params": [], "stub": True,
                     "note": "products not available; "

@@ -18,7 +18,7 @@ from .errors import AxialError
 from .extension import (Cocycle, build_extension, cocycle_space,
                         decompose_by_annihilator, extension_axiality,
                         is_split, normalize_on_axes)
-from .fileio import AlgebraFileError, parse_algebra_file, render_algebra_file, AlgebraFile
+from .fileio import AlgebraFile, parse_algebra_file, render_algebra_file
 from .fusion import find_c2_gradings, jordan_half_law, law_contains, monster_law
 from .linalg import Matrix, Subspace
 from .miyamoto import axis_closure, group_closure
@@ -61,6 +61,17 @@ def _law_lines(law):
 # ---------------------------------------------------------------------------
 # input loading
 
+def _entry_bundle(entry):
+    """An AlgebraFile of a catalog entry: its algebra, axis sets and laws,
+    and its cocycle as "canonical" when it has one."""
+    bundle = AlgebraFile(entry.algebra)
+    bundle.sets = dict(entry.axis_sets)
+    bundle.laws = dict(entry.laws)
+    if entry.cocycle is not None:
+        bundle.cocycles["canonical"] = entry.cocycle
+    return bundle
+
+
 def _load(args):
     """Return (bundle-like, description).  Catalog entries are wrapped so that
     axis sets, laws and the canonical cocycle resolve by name."""
@@ -83,16 +94,12 @@ def _load(args):
             except ValueError:
                 params[key] = FieldTag.QQ.parse(val)
         entry = _catalog.build(args.catalog, params)
-        bundle = AlgebraFile(entry.algebra)
-        bundle.sets = dict(entry.axis_sets)
-        bundle.laws = dict(entry.laws)
+        bundle = _entry_bundle(entry)
         for key, law in entry.extension_laws.items():
             bundle.laws.setdefault(f"ext:{key}", law)
         bundle.laws.setdefault("J12", jordan_half_law(entry.algebra.tag))
         if entry.algebra.tag is FieldTag.QQ:
             bundle.laws.setdefault("M2half", monster_law(FieldTag.QQ))
-        if entry.cocycle is not None:
-            bundle.cocycles["canonical"] = entry.cocycle
         bundle.entry = entry
         desc = args.catalog
         if entry.params:
@@ -373,12 +380,7 @@ def _cmd_miyamoto(args):
 def _cmd_catalog(args):
     listing = _catalog.list_catalog()
     if getattr(args, "export", None):
-        entry = _catalog.build(args.export)
-        bundle = AlgebraFile(entry.algebra)
-        bundle.sets = dict(entry.axis_sets)
-        bundle.laws = dict(entry.laws)
-        if entry.cocycle is not None:
-            bundle.cocycles["canonical"] = entry.cocycle
+        bundle = _entry_bundle(_catalog.build(args.export))
         named = {}
         for key, members in list(bundle.sets.items()):
             for t, m in enumerate(members):
@@ -702,9 +704,6 @@ def main(argv=None):
         return 2 if ex.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (UsageError, AlgebraFileError) as ex:
-        sys.stderr.write(f"error: {ex}\n")
-        return 2
     except AxialError as ex:
         sys.stderr.write(f"error: {ex}\n")
         return 2

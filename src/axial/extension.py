@@ -5,40 +5,32 @@ fusion law of an extension, and the inverse decomposition of an algebra with
 nonzero annihilator.
 
 Symmetric forms on an n-dimensional algebra are vectorized by the n(n+1)/2
-upper-triangle entries in row-major order (see _sym_index): a cocycle
+upper-triangle entries in row-major order (see _sym_pairs): a cocycle
 coordinate, a vector of Z or B, and a constraint row all index them alike.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
-from .algebra import Algebra, _sym_index, _unflatten_sym
+from .algebra import Algebra, _sym_columns, _sym_pairs, _unflatten_sym
 from .errors import DimensionMismatchError, ExtensionError, NotSemisimpleError
 from .linalg import Matrix, RowReducer, Subspace, sparse_add, sparse_combine, sparse_vector
 from .scalars import ONE, ZERO, clear_denominators
 from .spectral import check_axis, eigen_decompose, minimal_law, render_violation
 
 
-def _sym_col(n, p, q):
-    """The upper-triangle index of the pair (p, q), in either order."""
-    if p > q:
-        p, q = q, p
-    return p * (2 * n - p + 1) // 2 + q - p
-
-
 class Cocycle:
     """Symmetric bilinear map A x A -> F^s on an n-dimensional algebra.
 
     Coordinate g is stored as vectors[g], the sparse upper-triangle vector
-    {t: theta_g(b_i, b_j)} over the pairs i <= j in _sym_index order, without
+    {t: theta_g(b_i, b_j)} over the pairs i <= j in _sym_pairs order, without
     zero entries.  The constructor checks each index and each entry's field.
     """
 
     def __init__(self, vectors, n, tag):
-        size = n * (n + 1) // 2
+        size = len(_sym_pairs(n))
         check = tag.check
         out = []
         for v in vectors:
@@ -57,17 +49,16 @@ class Cocycle:
     def from_entries(cls, n, entries, tag, s=1):
         """entries: {(i, j): element} or {(i, j): tuple of s elements}, in
         either index order; a later entry for the same pair wins."""
-        idx = _sym_index(n)
+        cols = _sym_columns(n)
         vectors = [{} for _ in range(s)]
         for (i, j), val in entries.items():
             vals = tuple(val) if isinstance(val, (tuple, list)) else (val,)
             if len(vals) != s:
                 raise DimensionMismatchError("entry arity differs from coordinate count")
-            t = idx.get((min(i, j), max(i, j)))
-            if t is None:
+            if not (0 <= i < n and 0 <= j < n):
                 raise DimensionMismatchError(f"cocycle entry {(i, j)} outside dim {n}")
             for vec, a in zip(vectors, vals):
-                vec[t] = a
+                vec[cols[i][j]] = a
         return cls(vectors, n, tag)
 
     @classmethod
@@ -75,7 +66,7 @@ class Cocycle:
         """A cocycle from dense upper-triangle vectors, one per coordinate."""
         sparse = []
         for v in vectors:
-            if len(v) != n * (n + 1) // 2:
+            if len(v) != len(_sym_pairs(n)):
                 raise DimensionMismatchError("vector length differs from n(n+1)/2")
             sparse.append(sparse_vector(v))
         return cls(sparse, n, tag)
@@ -92,7 +83,8 @@ class Cocycle:
         n = self.dim
         if len(x) != n or len(y) != n:
             raise DimensionMismatchError("vector length mismatch")
-        terms = [(_sym_col(n, p, q), a * b)
+        cols = _sym_columns(n)
+        terms = [(cols[p][q], a * b)
                  for p, a in enumerate(x) if a for q, b in enumerate(y) if b]
         out = []
         for v in self.vectors:
@@ -125,7 +117,7 @@ def coboundary(algebra, f):
         raise DimensionMismatchError("coboundary map has a row count other than dim")
     vectors = [{} for _ in range(f.ncols)]
     frows = [dict(r) for r in f.sparse_rows]
-    for (i, j), t in _sym_index(n).items():
+    for t, (i, j) in enumerate(_sym_pairs(n)):
         for g, v in sparse_combine(frows, algebra.basis_product(i, j)).items():
             vectors[g][t] = v
     return Cocycle(vectors, n, algebra.tag)
@@ -138,10 +130,10 @@ def coboundary_space(algebra):
     n = algebra.dim
     vectors = [{} for _ in range(n)]
     rows = algebra._int_rows
-    for (i, j), t in _sym_index(n).items():
+    for t, (i, j) in enumerate(_sym_pairs(n)):
         for g, c in rows[i][j].items():
             vectors[g][t] = c
-    return Subspace.spanned(vectors, n * (n + 1) // 2, algebra.tag)
+    return Subspace.spanned(vectors, len(_sym_pairs(n)), algebra.tag)
 
 
 def build_extension(algebra, theta, axes=()):
@@ -150,7 +142,7 @@ def build_extension(algebra, theta, axes=()):
     if theta.dim != algebra.dim:
         raise DimensionMismatchError("cocycle size differs from algebra dimension")
     n = algebra.dim
-    pairs = list(_sym_index(n))
+    pairs = _sym_pairs(n)
     products = {p: dict(algebra.basis_product(*p)) for p in pairs}
     for g, v in enumerate(theta.vectors):
         for t, c in v.items():
@@ -166,13 +158,6 @@ def build_extension(algebra, theta, axes=()):
 
 # ---------------------------------------------------------------------------
 # constraint rows (one coordinate: unknowns are upper-triangle entries)
-
-@functools.lru_cache(maxsize=8)
-def _sym_columns(n):
-    """cols[p][q]: the symmetric-form unknown of the pair (p, q), either order;
-    built once per n."""
-    return tuple(tuple(_sym_col(n, p, q) for q in range(n)) for p in range(n))
-
 
 def _add_pair(acc, cols, x, y):
     """acc += the row of theta(x, y) for sparse x and y; entries that cancel
@@ -287,7 +272,7 @@ def cocycle_space(algebra, axes, law):
     """Z(A, F; axes) for one output coordinate, with coboundary comparison.
     Each axis is analysed once: check_axis first, then its constraint rows
     from the Eigenbasis on the report."""
-    idx_len = len(_sym_index(algebra.dim))
+    idx_len = len(_sym_pairs(algebra.dim))
     red = RowReducer(idx_len, algebra.tag)
     for a in axes:
         rep = check_axis(algebra, a, law)
@@ -363,7 +348,7 @@ def is_split(algebra, theta):
     n = algebra.dim
     if theta.dim != n:
         raise DimensionMismatchError("cocycle size differs from algebra dimension")
-    red = RowReducer(len(_sym_index(n)), algebra.tag)
+    red = RowReducer(len(_sym_pairs(n)), algebra.tag)
     for b in coboundary_space(algebra).matrix.num:
         red.add_int_row(dict(b))
     if not all(red.add_row(v) for v in theta.vectors):

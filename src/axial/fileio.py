@@ -11,7 +11,7 @@ A file is a sequence of directives; blank lines and `#` comments are skipped.
     set X12: e1 e2              named element set; entries are basis or
                                  element names
     law FB: 1 -1                fusion-law values; when 1 is a value the unit
-                                 row is filled in automatically (1*1={1},
+                                 row of fusion.unit_row is filled in (1*1={1},
                                  1*v={v} for v not in {0,1}, 1*0 empty)
     cell FB -1 -1: 1            law cell contents (may be empty); a cell line
                                  overrides the filled-in unit row
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from .algebra import MAX_DIM, Algebra
 from .errors import AxialError
 from .extension import Cocycle
-from .fusion import FusionLaw
+from .fusion import FusionLaw, unit_row
 from .linalg import sparse_vector
 from .scalars import ONE, ZERO, FieldTag, ScalarParseError, render_scalar, sort_key
 
@@ -182,7 +182,7 @@ def parse_algebra_file(text):
         out.sets[name] = tuple(out.resolve(m) for m in members)
     for name, values, where in raw_laws:
         vals = [_scalar(v, tag, where) for v in values]
-        out.laws[name] = _law(vals, _unit_row(vals), tag, where)
+        out.laws[name] = _law(vals, unit_row(vals), tag, where)
     for law_name, a, b, contents, where in raw_cells:
         if law_name not in out.laws:
             raise AlgebraFileError(f"{where}: unknown law {law_name!r}")
@@ -203,14 +203,6 @@ def _law(values, table, tag, where):
         return FusionLaw(values, table, tag)
     except AxialError as ex:  # no values, or a cell outside the values
         raise AlgebraFileError(f"{where}: {ex}") from None
-
-
-def _unit_row(values):
-    """The cells a law line fills in: 1*1 = {1} and 1*v = {v} for v not in
-    {0, 1}, when 1 is a value; none otherwise."""
-    if ONE not in values:
-        return {}
-    return {(ONE, v): {v} for v in values if v != ZERO}
 
 
 def _check_names(kind, names):
@@ -276,7 +268,7 @@ def render_algebra_file(bundle):
         vals = sorted(law.values, key=sort_key)
         lines.append(f"law {name}: " + " ".join(render_scalar(v) for v in vals))
         implied = {}  # the filled-in unit row, keyed like law.table
-        for (a, b), cell in _unit_row(law.values).items():
+        for (a, b), cell in unit_row(law.values).items():
             implied[(a, b) if sort_key(a) <= sort_key(b) else (b, a)] = cell
         # an empty cell needs no line unless it overrides the unit row
         cells = {key: frozenset() for key in implied}

@@ -131,17 +131,26 @@ def find_c2_gradings(law):
 # ---------------------------------------------------------------------------
 # canonical small laws
 
+def unit_row(values):
+    """The unit row of a law on values, when 1 is a value: 1*1 = {1} and
+    1*v = {v} for each v not in {0, 1}, so 1*0 stays empty; no cells
+    otherwise."""
+    if ONE not in values:
+        return {}
+    return {(ONE, v): {v} for v in values if v != ZERO}
+
+
 def jordan_half_law(tag=FieldTag.QQ):
     """The law on {1, 0, 1/2} obeyed by Jordan-algebra idempotents."""
     one, zero, half = ONE, ZERO, Rat(1, 2)
-    table = {
-        (one, one): {one},
-        (one, half): {half},
+    values = (one, zero, half)
+    table = unit_row(values)
+    table.update({
         (zero, zero): {zero},
         (zero, half): {half},
         (half, half): {one, zero},
-    }
-    return FusionLaw((one, zero, half), table, tag)
+    })
+    return FusionLaw(values, table, tag)
 
 
 def monster_law(tag=FieldTag.QQ):
@@ -149,15 +158,14 @@ def monster_law(tag=FieldTag.QQ):
     example: 2*2={1,0}, 2*1/2={1/2}, 1/2*1/2={1,0,2}, 0*2={2}, 0*1/2={1/2},
     0*0={0}, plus unit rows."""
     one, zero, two, half = ONE, ZERO, Rat(2), Rat(1, 2)
-    table = {
-        (one, one): {one},
-        (one, two): {two},
-        (one, half): {half},
+    values = (one, zero, two, half)
+    table = unit_row(values)
+    table.update({
         (zero, zero): {zero},
         (zero, two): {two},
         (zero, half): {half},
         (two, two): {one, zero},
         (two, half): {half},
         (half, half): {one, zero, two},
-    }
-    return FusionLaw((one, zero, two, half), table, tag)
+    })
+    return FusionLaw(values, table, tag)

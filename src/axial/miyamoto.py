@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .errors import (AxialError, DimensionMismatchError, FieldMismatchError,
                      NotIdempotentError, NotSemisimpleError)
-from .linalg import Matrix, RowReducer, sparse_add, sparse_combine, sparse_vector
+from .linalg import Matrix, RowReducer, sparse_add, sparse_combine
 from .spectral import eigen_decompose
 
 
@@ -182,36 +182,27 @@ def axis_closure(algebra, axes, law, grading, cap=200):
 def find_flip(algebra, a1, a2):
     """Automorphism swapping two generating axes, or None.
 
-    Builds a basis of words in {a1, a2}; the mirror word (a1 and a2 swapped)
-    prescribes the image.  The resulting linear map is returned only when it
-    verifies as an automorphism.
+    A linear map phi is an automorphism iff its graph {(x, phi x)} is a
+    subalgebra of A + A.  The subalgebra S generated by (a1, a2) and
+    (a2, a1) is the set of pairs (w, mirror w), for w a combination of words
+    in a1 and a2 and mirror w the same combination with a1 and a2 swapped.
+    So a flip exists iff S is a graph: its projection to the first summand
+    is onto (else a1 and a2 do not generate A, and AxialError is raised) and
+    it meets the second summand in zero (else None).  Row i of the RREF of
+    S is then (e_i, phi e_i).  The map is verified before it is returned.
     """
     a1, a2 = tuple(a1), tuple(a2)
+    n = algebra.dim
     if a1 == a2:
-        return AutMatrix(Matrix.identity(algebra.dim, algebra.tag), "flip", (a1, a2))
-    red = RowReducer(algebra.dim, algebra.tag)
-    kept = []  # (word vector, mirrored vector)
-    layers = [[(a1, a2), (a2, a1)]]
-    for w, mw in layers[0]:
-        if red.add_row(sparse_vector(w)):
-            kept.append((w, mw))
-    while red.rank() < algebra.dim:
-        d = len(layers) + 1
-        new_layer = []
-        for split in range(1, d // 2 + 1):
-            for x, mx in layers[split - 1]:
-                for y, my in layers[d - split - 1]:
-                    p = algebra.product(x, y)
-                    mp = algebra.product(mx, my)
-                    if red.add_row(sparse_vector(p)):
-                        new_layer.append((p, mp))
-                        kept.append((p, mp))
-        layers.append(new_layer)
-        if not new_layer and algebra._span_is_closed(red):
-            raise AxialError("the two elements do not generate the algebra")
-    vmat = Matrix.from_columns([w for w, _ in kept], algebra.tag, nrows=algebra.dim)
-    wmat = Matrix.from_columns([mw for _, mw in kept], algebra.tag, nrows=algebra.dim)
-    m = wmat * vmat.inverse()
+        return AutMatrix(Matrix.identity(n, algebra.tag), "flip", (a1, a2))
+    span, _ = algebra.direct_sum(algebra).subalgebra_closure([a1 + a2, a2 + a1])
+    rows = span.matrix.num
+    if sum(row[0][0] < n for row in rows) < n:
+        raise AxialError("the two elements do not generate the algebra")
+    if len(rows) > n:
+        return None
+    images = [{j - n: c for j, c in row if j >= n} for row in rows]
+    m = Matrix.from_int_rows(images, span.matrix.den, n, algebra.tag).transpose()
     if not is_automorphism(algebra, m):
         return None
     if m.apply(a1) != a2 or m.apply(a2) != a1:

@@ -1,20 +1,25 @@
-"""Catalog parameters (series sizes, integer n, the dimension bound) and the
-matrix-model builder of the simple Jordan matrix algebras."""
+"""Catalog parameters (series sizes, integer n, the dimension bound), the
+registry's listing, the facts recorded on the entries, and the matrix-model
+builder of the simple Jordan matrix algebras."""
+
+import os
 
 import pytest
 
-from axial import catalog
+from axial import catalog, cli
 from axial.algebra import MAX_DIM
 from axial.errors import CatalogError
 from axial.fileio import AlgebraFile, parse_algebra_file, render_algebra_file
-from axial.scalars import Rat, Scalar
+from axial.miyamoto import find_flip, group_closure, tau_automorphism
+from axial.scalars import FieldTag, Rat, Scalar
+from axial.spectral import eigen_decompose
 
 SERIES = ("S", "J", "T", "JordanA", "JordanB", "JordanC", "JordanD")
 
 
 @pytest.mark.parametrize("name", SERIES)
 def test_series_size_matches_built_dim(name):
-    _builder, size = catalog._SERIES[name]
+    _builder, _defaults, size = catalog._ENTRIES[name]
     for n in (2, 3):
         assert catalog.build(name, {"n": n}).algebra.dim == size(n)
 
@@ -47,6 +52,103 @@ def test_catalog_error_message_is_unquoted():
     with pytest.raises(CatalogError) as info:
         catalog.build("Nope")
     assert str(info.value) == "unknown catalog name 'Nope'"
+
+
+def test_unknown_parameter_is_refused():
+    with pytest.raises(CatalogError) as info:
+        catalog.build("B", {"alpha": 1})
+    assert str(info.value) == "entry 'B' takes no parameter 'alpha'"
+
+
+@pytest.mark.parametrize("item", [item for item in catalog.list_catalog() if not item["stub"]],
+                         ids=lambda item: item["name"])
+def test_listed_params_are_the_defaults(item):
+    assert list(catalog.default_params(item["name"])) == item["params"]
+
+
+def test_catalog_json_matches_the_frozen_listing(capsys):
+    # stdout bytes of catalog --json, frozen in tests/data
+    path = os.path.join(os.path.dirname(__file__), "data", "catalog.json")
+    with open(path, "rb") as fh:
+        frozen = fh.read()
+    assert cli.main(["catalog", "--json"]) == 0
+    assert capsys.readouterr().out.encode() == frozen
+
+
+# The facts of the paper's tables recorded in CatalogEntry.expected.  The
+# recorded radical is not checked: radical_axial finds no axis-normalized
+# invariant form on seven axis sets recorded with radical "zero" (C X15 and
+# X25, E X12, X17 and X27, G X12, H X12), a disagreement left for its own
+# change.
+
+SYMMETRIC_CASES = [(name, {}) for name in catalog.TWO_DIM_FAMILIES] + [("H", {"gamma": -1})]
+
+# I records "symmetric" as alpha != -beta, but its algebra is spanned by e1
+# and n = e1 - e2 with e1 n = n/2 and n^2 = 0, every axis is e1 + t n, and
+# e1 -> e1 + (t1 + t2) n, n -> -n is an automorphism swapping e1 + t1 n and
+# e1 + t2 n: find_flip returns it for every pair
+_I_FLIP_DISAGREES = pytest.mark.xfail(
+    strict=True, reason="the recorded fact alpha != -beta of I disagrees with a verified flip")
+
+
+@pytest.mark.parametrize("name, params, key", [
+    (name, params, key) for name, params in SYMMETRIC_CASES
+    for key in catalog.build(name, params).axis_sets] + [
+    pytest.param("I", {"alpha": 1, "beta": -1}, "Xab", marks=_I_FLIP_DISAGREES)])
+def test_symmetric_is_a_flip_of_the_two_axes(name, params, key):
+    entry = catalog.build(name, params)
+    flip = find_flip(entry.algebra, *entry.axis_sets[key])
+    assert (flip is not None) == entry.expected["symmetric"][key]
+
+
+@pytest.mark.parametrize("name, order", [("B", 6), ("C", 2)])
+def test_miyamoto_order_is_the_order_of_the_tau_maps(name, order):
+    # the tau maps of the first axis set whose law carries the grading
+    entry = catalog.build(name)
+    (law_name, grading), = entry.gradings.items()
+    key = next(k for k in entry.axis_sets if entry.axis_laws[k] == law_name)
+    taus = [tau_automorphism(entry.algebra, a, entry.laws[law_name], grading)
+            for a in entry.axis_sets[key]]
+    closure = group_closure(taus)
+    assert closure.completed
+    assert closure.order == entry.expected["miyamoto_order"] == order
+
+
+JORDAN = ("S", "J", "T", "J25", "J53", "J59", "JordanA", "JordanB", "JordanC",
+          "JordanD", "Albert")
+
+
+@pytest.mark.parametrize("name", JORDAN)
+def test_jordan_entries_satisfy_the_jordan_identity(name):
+    entry = catalog.build(name)
+    assert entry.expected["jordan"] is True
+    assert set(entry.laws) == {"J12"} and set(entry.axis_laws.values()) == {"J12"}
+    assert entry.algebra.jordan_check() is None
+
+
+def test_jordan_entries_are_every_entry_recorded_jordan():
+    recorded = {item["name"] for item in catalog.list_catalog() if not item["stub"]
+                and catalog.build(item["name"]).expected.get("jordan")}
+    assert recorded == set(JORDAN)
+
+
+@pytest.mark.parametrize("n, generates", [(2, False), (4, True)])
+def test_axes_generate_matches_the_closure(n, generates):
+    entry = catalog.build("T", {"n": n})
+    closure, _ = entry.algebra.subalgebra_closure(entry.axis_sets["standard"])
+    assert closure.is_full() == entry.expected["axes_generate"] == generates
+
+
+@pytest.mark.parametrize("label, value", [(label, value) for label in ("a0", "a1")
+                                          for value in ("0", "2", "1/2")])
+def test_monster4_eigenvectors_lie_in_their_eigenspaces(label, value):
+    entry = catalog.build("Monster4")
+    alg = entry.algebra
+    axis = alg.basis_element(alg.labels.index(label))
+    vector = entry.expected["eigenvectors"][label][value]
+    assert any(vector)
+    space = eigen_decompose(alg, axis).eigenspace(FieldTag.QQ.parse(value))
+    assert space.contains_vector(vector)
 
 
 # matrix_model: coordinates are read off one entry per basis matrix, and the

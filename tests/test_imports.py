@@ -1,11 +1,14 @@
-"""Every module-level import of the package is used.
+"""Every module-level import of the package is used, and every private
+module-level name is read somewhere in the package.
 
 No linter runs on the sources, so this parses each module of src/axial and
 fails on an imported name that the module never reads and does not export
-in __all__.
+in __all__, and on a module-level _name (function, class or assignment)
+that no module of src/axial reads.
 """
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -51,3 +54,44 @@ def test_no_unused_module_imports(path):
     unused = {name: line for name, line in _module_imports(tree).items()
               if name not in read and name not in _exported(tree)}
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _private_definitions(tree):
+    """{name: line} of the module-level functions, classes and assigned
+    names that start with one underscore."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                names[name] = node.lineno
+    return names
+
+
+@functools.lru_cache(maxsize=1)
+def _package_reads():
+    """Every name the package reads: a loaded ast.Name or an attribute."""
+    read = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return read
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dead_private_helpers(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    read = _package_reads()
+    dead = {name: line for name, line in _private_definitions(tree).items()
+            if name not in read}
+    assert not dead, f"{path.name}: private names no module reads {dead}"

@@ -6,7 +6,8 @@ import pytest
 
 from axial import catalog
 from axial.algebra import Algebra
-from axial.errors import DimensionMismatchError, FieldMismatchError, NotIdempotentError
+from axial.errors import (AxialError, CatalogError, DimensionMismatchError,
+                          FieldMismatchError, NotIdempotentError)
 from axial.fusion import find_c2_gradings
 from axial.linalg import Matrix
 from axial.miyamoto import (AutMatrix, axis_closure, find_flip, group_closure,
@@ -120,6 +121,40 @@ class TestFlips:
         flip = find_flip(hm1.algebra, *hm1.axis_sets["X12"])
         assert flip is not None
         assert is_automorphism(hm1.algebra, flip.matrix)
+
+    def test_flip_matches_the_swap_of_the_two_axes(self):
+        # in dimension 2 the only linear map swapping independent a1 and a2
+        # is W V^-1 for V = [a1 a2] and W = [a2 a1]; a flip exists iff it is
+        # an automorphism
+        slots = {"C": ("alpha",), "D": ("beta",), "E": ("alpha", "beta"),
+                 "G": ("beta",), "H": ("gamma",), "I": ("alpha", "beta")}
+        rng = random.Random(20)
+        draws = 0
+        seen = set()
+        while draws < 200:
+            name = rng.choice(catalog.TWO_DIM_FAMILIES)
+            params = {k: q(rng.randint(-9, 9), rng.randint(1, 4)) for k in slots.get(name, ())}
+            try:
+                entry = catalog.build(name, params)
+            except CatalogError:
+                continue
+            draws += 1
+            alg = entry.algebra
+            for a1, a2 in entry.axis_sets.values():
+                v = Matrix.from_columns([a1, a2], alg.tag)
+                swap = Matrix.from_columns([a2, a1], alg.tag) * v.inverse()
+                flip = find_flip(alg, a1, a2)
+                exists = is_automorphism(alg, swap)
+                assert (flip is not None) == exists, (name, params)
+                assert flip is None or flip.matrix == swap, (name, params)
+                seen.add(exists)
+        assert seen == {True, False}
+
+    def test_flip_of_a_non_generating_pair_is_an_error(self):
+        s3 = catalog.build("S", {"n": 3})
+        e1, e2, _ = s3.axis_sets["standard"]
+        with pytest.raises(AxialError, match="do not generate"):
+            find_flip(s3.algebra, e1, e2)
 
 
 # The integer Miyamoto path against the definitions on field elements

@@ -10,7 +10,7 @@ condition rows, and dim B the rank of the generators.
 import pytest
 
 from axial import catalog
-from axial.algebra import _sym_index
+from axial.algebra import _sym_pairs
 from axial.errors import ExtensionError
 from axial.extension import cocycle_space, condition1_rows, condition2_rows
 from axial.linalg import Subspace
@@ -34,7 +34,7 @@ def _coboundary_generators(algebra):
     """The coordinates of delta(identity): vector g holds the g-th structure
     constant of every pair i <= j, read off basis_product."""
     vectors = [{} for _ in range(algebra.dim)]
-    for (i, j), t in _sym_index(algebra.dim).items():
+    for t, (i, j) in enumerate(_sym_pairs(algebra.dim)):
         for g, c in algebra.basis_product(i, j).items():
             vectors[g][t] = c
     return vectors
@@ -45,7 +45,7 @@ def _coboundary_generators(algebra):
 def test_cocycle_and_coboundary_dims_match_mod_p_ranks(name):
     entry = catalog.build(name)
     alg = entry.algebra
-    unknowns = len(_sym_index(alg.dim))
+    unknowns = len(_sym_pairs(alg.dim))
     b_rank = _rank_mod_p(_coboundary_generators(alg))
     covered = 0
     for axes in entry.axis_sets.values():

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from axial import catalog
-from axial.algebra import Algebra, _sym_index
+from axial.algebra import Algebra, _sym_pairs
 from axial.extension import condition1_rows, condition2_rows
 from axial.fusion import FusionLaw, find_c2_gradings
 from axial.linalg import Matrix, Subspace
@@ -70,7 +70,7 @@ class DenseReference:
 
 def _dense_pair_row(algebra, x, y):
     """theta(x, y) as a dense vector in the upper-triangle unknowns."""
-    idx = _sym_index(algebra.dim)
+    idx = {pair: t for t, pair in enumerate(_sym_pairs(algebra.dim))}
     row = [algebra.tag.zero] * len(idx)
     for p, a in enumerate(x):
         for q, b in enumerate(y):
@@ -81,7 +81,7 @@ def _dense_pair_row(algebra, x, y):
 
 def _densify(algebra, row):
     zero = algebra.tag.zero
-    return tuple(row.get(j, zero) for j in range(len(_sym_index(algebra.dim))))
+    return tuple(row.get(j, zero) for j in range(len(_sym_pairs(algebra.dim))))
 
 
 def _parts(a):

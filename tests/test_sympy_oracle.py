@@ -248,7 +248,7 @@ def test_jordan_a_closed_form(n):
                                           ("JordanC", 22, 946)])
 def test_matrix_series_at_the_dimension_bound(name, n, dim):
     alg = catalog.build(name, {"n": n}).algebra
-    assert alg.dim == dim == catalog._SERIES[name][1](n)
+    assert alg.dim == dim == catalog._ENTRIES[name][2](n)
     units = _series_units(name, n)
     mats = [_series_matrix(name, n, *u) for u in units]
     rng = random.Random(n)
