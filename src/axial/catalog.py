@@ -372,7 +372,9 @@ def _build_I(alpha, beta):
         frobenius=_gram(((one, one), (one, one))),
         gradings={"FI": grad},
         expected={
-            "symmetric": {"Xab": alpha != -beta},
+            # with n = e1 - e2, e1 -> e1 + (t1 + t2) n, n -> -n swaps the
+            # axes e1 + t n, t = alpha - 1 and beta - 1
+            "symmetric": {"Xab": True},
             "primitive": {"Xab": True},
             "radical": {"Xab": (one, -one)},
             "admits_extension": True,

@@ -271,8 +271,20 @@ class CocycleSpace:
 def cocycle_space(algebra, axes, law):
     """Z(A, F; axes) for one output coordinate, with coboundary comparison.
     Each axis is analysed once: check_axis first, then its constraint rows
-    from the Eigenbasis on the report."""
+    from the Eigenbasis on the report.
+
+    Every coboundary theta = delta f meets both conditions on every axis a:
+    theta(a, k) = f(ak) = f(0) = 0 for k in ker L_a, and when 0 is not in
+    lam*mu, theta(x, y) - theta(a, sum nu^-1 z_nu) = f(xy) - f(sum z_nu) = 0.
+    So B <= Z <= ker(rows so far), and once the rank of the rows reaches
+    N - dim B, N = n(n+1)/2, both ends have dimension dim B: Z = B, and no
+    later row can change the row space or its canonical RREF.  From then on
+    an axis gets only check_axis, so the errors and their order are those of
+    the full path (condition2_rows raises only on an axis that check_axis
+    refuses)."""
     idx_len = len(_sym_pairs(algebra.dim))
+    cob = coboundary_space(algebra)
+    full = idx_len - cob.dim
     red = RowReducer(idx_len, algebra.tag)
     for a in axes:
         rep = check_axis(algebra, a, law)
@@ -281,6 +293,8 @@ def cocycle_space(algebra, axes, law):
                               for v in rep.violations)
             raise ExtensionError(
                 f"{algebra.render_element(a)} fails the axis check: {found}")
+        if red.rank() == full:
+            continue
         # an axis is semisimple, so ker L_a is its 0-eigenspace, if any
         kernel = rep.eigen.eigenspace(ZERO) or Subspace.zero_space(algebra.dim, algebra.tag)
         # the condition rows are integer rows
@@ -289,7 +303,6 @@ def cocycle_space(algebra, axes, law):
         for row in condition2_rows(algebra, a, law, rep.eigen):
             red.add_int_row(row)
     space = Subspace.spanned(red.kernel_basis(), idx_len, algebra.tag)
-    cob = coboundary_space(algebra)
     inter = space.intersect(cob)
     rep_red = RowReducer(idx_len, algebra.tag)
     for b in inter.matrix.num:

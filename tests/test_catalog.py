@@ -81,20 +81,12 @@ def test_catalog_json_matches_the_frozen_listing(capsys):
 # X25, E X12, X17 and X27, G X12, H X12), a disagreement left for its own
 # change.
 
-SYMMETRIC_CASES = [(name, {}) for name in catalog.TWO_DIM_FAMILIES] + [("H", {"gamma": -1})]
-
-# I records "symmetric" as alpha != -beta, but its algebra is spanned by e1
-# and n = e1 - e2 with e1 n = n/2 and n^2 = 0, every axis is e1 + t n, and
-# e1 -> e1 + (t1 + t2) n, n -> -n is an automorphism swapping e1 + t1 n and
-# e1 + t2 n: find_flip returns it for every pair
-_I_FLIP_DISAGREES = pytest.mark.xfail(
-    strict=True, reason="the recorded fact alpha != -beta of I disagrees with a verified flip")
-
+SYMMETRIC_CASES = [(name, {}) for name in catalog.TWO_DIM_FAMILIES] + [
+    ("H", {"gamma": -1}), ("I", {"alpha": 1, "beta": -1})]
 
 @pytest.mark.parametrize("name, params, key", [
     (name, params, key) for name, params in SYMMETRIC_CASES
-    for key in catalog.build(name, params).axis_sets] + [
-    pytest.param("I", {"alpha": 1, "beta": -1}, "Xab", marks=_I_FLIP_DISAGREES)])
+    for key in catalog.build(name, params).axis_sets])
 def test_symmetric_is_a_flip_of_the_two_axes(name, params, key):
     entry = catalog.build(name, params)
     flip = find_flip(entry.algebra, *entry.axis_sets[key])

@@ -1,16 +1,19 @@
 """Cocycles, the two extension conditions, building and splitting."""
 
+import random
+
 import pytest
 
-from axial import catalog
+from axial import catalog, extension
+from axial.algebra import _sym_pairs
 from axial.errors import DimensionMismatchError, ExtensionError, FieldMismatchError
 from axial.extension import (Cocycle, aut_action, build_extension, coboundary,
-                             cocycle_space, condition1_rows,
-                             decompose_by_annihilator, extension_axiality,
-                             is_split, normalize_on_axes)
-from axial.linalg import Matrix, sparse_add
-from axial.scalars import FieldTag, Rat, Scalar
-from axial.spectral import check_axial_algebra
+                             coboundary_space, cocycle_space, condition1_rows,
+                             condition2_rows, decompose_by_annihilator,
+                             extension_axiality, is_split, normalize_on_axes)
+from axial.linalg import Matrix, RowReducer, Subspace, sparse_add
+from axial.scalars import ZERO, FieldTag, Rat, Scalar
+from axial.spectral import check_axial_algebra, check_axis, render_violation
 
 
 def q(n, d=1):
@@ -65,6 +68,159 @@ class TestCocycleSpaceOracles:
         bad_axes = [(q(2), q(0))]
         with pytest.raises(ExtensionError):
             cocycle_space(entry.algebra, bad_axes, entry.laws["FB"])
+
+
+# ---------------------------------------------------------------------------
+# the Z = B exit of cocycle_space
+
+BUILDABLE = [item["name"] for item in catalog.list_catalog() if not item["stub"]]
+
+
+def _laws(entry, key):
+    """The laws of an entry for an axis set: every law of the entry, then the
+    law of the extension, the law with 0 adjoined under which the table1
+    families and Monster4 have non-split extensions."""
+    laws = dict(entry.laws)
+    if key in entry.extension_laws:
+        laws["ext"] = entry.extension_laws[key]
+    return laws
+
+
+def _cases():
+    """(name, axis-set key, law name) of every buildable entry at its
+    default parameters, for every axis set and law."""
+    cases = []
+    for name in BUILDABLE:
+        entry = catalog.build(name)
+        cases += [(name, key, law) for key in entry.axis_sets for law in _laws(entry, key)]
+    return cases
+
+
+def _axis_rows(algebra, a, law):
+    """The report of check_axis on a, and the condition (1) and (2) rows of a
+    when it passes."""
+    rep = check_axis(algebra, a, law)
+    if not rep.is_axis:
+        return rep, None
+    kernel = rep.eigen.eigenspace(ZERO) or Subspace.zero_space(algebra.dim, algebra.tag)
+    return rep, (condition1_rows(algebra, a, kernel)
+                 + condition2_rows(algebra, a, law, rep.eigen))
+
+
+def _full_cocycle_space(algebra, axes, law):
+    """cocycle_space without the exit: the rows of every axis go into one
+    reducer; the result as a tuple of its fields."""
+    idx_len = len(_sym_pairs(algebra.dim))
+    red = RowReducer(idx_len, algebra.tag)
+    for a in axes:
+        rep, rows = _axis_rows(algebra, a, law)
+        if rows is None:
+            found = "; ".join(" ".join(render_violation(algebra, v))
+                              for v in rep.violations)
+            raise ExtensionError(
+                f"{algebra.render_element(a)} fails the axis check: {found}")
+        for row in rows:
+            red.add_int_row(row)
+    space = Subspace.spanned(red.kernel_basis(), idx_len, algebra.tag)
+    cob = coboundary_space(algebra)
+    inter = space.intersect(cob)
+    rep_red = RowReducer(idx_len, algebra.tag)
+    for b in inter.matrix.num:
+        rep_red.add_int_row(dict(b))
+    reps = [dict(b) for b in space.matrix.num if rep_red.add_int_row(dict(b))]
+    return (space, cob, inter, space.dim - inter.dim,
+            list(Matrix.from_int_rows(reps, space.matrix.den, idx_len,
+                                      algebra.tag).rows))
+
+
+def _fields(cs):
+    return (cs.space, cs.coboundaries, cs.intersection, cs.quotient_dim, cs.class_reps)
+
+
+@pytest.fixture
+def cond2_calls(monkeypatch):
+    """The axes on which cocycle_space calls condition2_rows."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1])
+        return condition2_rows(*args)
+
+    monkeypatch.setattr(extension, "condition2_rows", counting)
+    return calls
+
+
+class TestCoboundariesMeetTheConditions:
+    @pytest.mark.parametrize("name", BUILDABLE)
+    def test_coboundaries_vanish_on_every_condition_row(self, name):
+        # the lemma behind the exit: theta = delta f has theta(a, k) =
+        # f(ak) = 0, and theta(x, y) - theta(a, sum nu^-1 z_nu) = f(xy) -
+        # f(sum z_nu) = 0 when 0 is not in lam*mu
+        entry = catalog.build(name)
+        alg = entry.algebra
+        cob = [dict(b) for b in coboundary_space(alg).matrix.num]
+        covered = 0
+        for key, axes in entry.axis_sets.items():
+            for law in _laws(entry, key).values():
+                per_axis = [_axis_rows(alg, a, law)[1] for a in axes]
+                if any(rows is None for rows in per_axis):
+                    continue
+                covered += 1
+                for row in (row for rows in per_axis for row in rows):
+                    for b in cob:
+                        assert not sum((c * b[col] for col, c in row.items()
+                                        if col in b), 0)
+        assert covered
+
+
+class TestZEqualsBExit:
+    @pytest.mark.parametrize("name, key, law", _cases())
+    def test_equals_the_full_path_on_every_entry(self, name, key, law, cond2_calls):
+        entry = catalog.build(name)
+        alg, axes, fl = entry.algebra, entry.axis_sets[key], _laws(entry, key)[law]
+        try:
+            expected = _full_cocycle_space(alg, axes, fl)
+        except ExtensionError as exc:
+            with pytest.raises(ExtensionError) as got:
+                cocycle_space(alg, axes, fl)
+            assert str(got.value) == str(exc)
+            return
+        assert _fields(cocycle_space(alg, axes, fl)) == expected
+        if expected[3]:  # Z != B: the rank never reaches N - dim B
+            assert len(cond2_calls) == len(axes)
+
+    @pytest.mark.parametrize("name, params", [("Albert", {}), ("JordanC", {"n": 3})])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_equals_the_full_path_in_seeded_axis_orders(self, name, params, seed):
+        entry = catalog.build(name, params)
+        axes = list(entry.axis_sets["family"])
+        random.Random(seed).shuffle(axes)
+        alg, law = entry.algebra, entry.laws["J12"]
+        assert _fields(cocycle_space(alg, axes, law)) == _full_cocycle_space(alg, axes, law)
+
+    def test_albert_exits_before_its_last_axis(self, cond2_calls):
+        entry = catalog.build("Albert")
+        axes = entry.axis_sets["family"]
+        cs = cocycle_space(entry.algebra, axes, entry.laws["J12"])
+        assert cs.quotient_dim == 0
+        assert len(cond2_calls) < len(axes) == 27
+
+    @pytest.mark.parametrize("where", ["after the exit", "before the exit"])
+    def test_a_non_axis_raises_the_full_path_error(self, where, cond2_calls):
+        entry = catalog.build("Albert")
+        alg, law = entry.algebra, entry.laws["J12"]
+        family = list(entry.axis_sets["family"])
+        bad = tuple(2 * c for c in family[0])  # (2a)^2 = 4a: not an idempotent
+        axes = family + [bad] if where == "after the exit" else [family[0], bad] + family[1:]
+        with pytest.raises(ExtensionError) as full:
+            _full_cocycle_space(alg, axes, law)
+        cond2_calls.clear()
+        with pytest.raises(ExtensionError) as got:
+            cocycle_space(alg, axes, law)
+        assert str(got.value) == str(full.value)
+        assert "fails the axis check" in str(got.value)
+        if where == "after the exit":
+            assert len(cond2_calls) < len(family)
 
 
 class TestBuildAndSplit:
