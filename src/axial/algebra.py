@@ -338,17 +338,17 @@ def _sym_columns(n):
 
 
 def _unflatten_sym(v, n, tag):
-    """The symmetric n x n Matrix of an upper-triangle vector given by its
-    nonzero (index, element) pairs in increasing index order."""
+    """The symmetric n x n Matrix of an upper-triangle sparse vector
+    {index: element}."""
     pairs = _sym_pairs(n)
-    rows = [[] for _ in range(n)]
-    for t, a in v:
+    rows = tuple({} for _ in range(n))
+    for t, a in sorted(v.items()):
         # the row-major index order keeps every row column-sorted
         i, j = pairs[t]
-        rows[i].append((j, a))
+        rows[i][j] = a
         if i != j:
-            rows[j].append((i, a))
-    return Matrix.from_sparse_rows(tuple(map(tuple, rows)), n, tag)
+            rows[j][i] = a
+    return Matrix.from_sparse_rows(rows, n, tag)
 
 
 class BilinearForm:
@@ -413,7 +413,7 @@ def radical_axial(algebra, axes):
         # kernel must not change the radical
         for v in extra.rows:
             g2 = gram
-            for t, c in v:
+            for t, c in v.items():
                 g2 = g2 + forms[t].gram.scale(c)
             if BilinearForm(g2, algebra.tag).radical() != rad:
                 raise ValueError("axis-normalized invariant form is not unique")

@@ -498,7 +498,7 @@ def _bundle_monster():
     pattern_ok = True
     basis = [alg.basis_element(k) for k in range(4)]
     for v in cs.space.rows:
-        th = Cocycle([dict(v)], alg.dim, alg.tag)
+        th = Cocycle([v], alg.dim, alg.tag)
         nm = normalize_on_axes(alg, th, entry.axis_sets["all"])
         w = {(i, j): nm.evaluate(basis[i], basis[j])[0]
              for i in range(4) for j in range(i, 4)}
@@ -548,7 +548,7 @@ def _all_basis_cocycles_jordan(alg, axes, law):
     basis = cocycle_space(alg, axes, law).space.rows
     if not basis:
         return True
-    ext, _ = build_extension(alg, Cocycle([dict(v) for v in basis], alg.dim, alg.tag))
+    ext, _ = build_extension(alg, Cocycle(basis, alg.dim, alg.tag))
     return ext.jordan_check() is None
 
 

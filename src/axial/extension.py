@@ -75,7 +75,7 @@ class Cocycle:
     def mats(self):
         """The symmetric n x n Gram matrices, one per coordinate, built on
         each access."""
-        return tuple(_unflatten_sym(sorted(v.items()), self.dim, self.tag)
+        return tuple(_unflatten_sym(v, self.dim, self.tag)
                      for v in self.vectors)
 
     def evaluate(self, x, y):
@@ -116,9 +116,8 @@ def coboundary(algebra, f):
     if f.nrows != n:
         raise DimensionMismatchError("coboundary map has a row count other than dim")
     vectors = [{} for _ in range(f.ncols)]
-    frows = [dict(r) for r in f.sparse_rows]
     for t, (i, j) in enumerate(_sym_pairs(n)):
-        for g, v in sparse_combine(frows, algebra.basis_product(i, j)).items():
+        for g, v in sparse_combine(f.sparse_rows, algebra.basis_product(i, j)).items():
             vectors[g][t] = v
     return Cocycle(vectors, n, algebra.tag)
 
@@ -181,7 +180,7 @@ def condition1_rows(algebra, a, kernel):
     rows = []
     for k in kernel.matrix.num:
         acc = {}
-        _add_pair(acc, cols, sa, dict(k))
+        _add_pair(acc, cols, sa, k)
         rows.append({col: c for col, c in acc.items() if c})
     return rows
 
@@ -281,7 +280,11 @@ def cocycle_space(algebra, axes, law):
     later row can change the row space or its canonical RREF.  From then on
     an axis gets only check_axis, so the errors and their order are those of
     the full path (condition2_rows raises only on an axis that check_axis
-    refuses)."""
+    refuses).
+
+    The function returns only when every axis passes check_axis, and then
+    B <= Z by the same lemma: Z cap B is B itself, and the class reps are
+    the rows of Z's RREF that enlarge the span of B's."""
     idx_len = len(_sym_pairs(algebra.dim))
     cob = coboundary_space(algebra)
     full = idx_len - cob.dim
@@ -303,13 +306,12 @@ def cocycle_space(algebra, axes, law):
         for row in condition2_rows(algebra, a, law, rep.eigen):
             red.add_int_row(row)
     space = Subspace.spanned(red.kernel_basis(), idx_len, algebra.tag)
-    inter = space.intersect(cob)
     rep_red = RowReducer(idx_len, algebra.tag)
-    for b in inter.matrix.num:
-        rep_red.add_int_row(dict(b))
-    reps = [dict(b) for b in space.matrix.num if rep_red.add_int_row(dict(b))]
+    for b in cob.matrix.num:
+        rep_red.add_int_row(b)
+    reps = [b for b in space.matrix.num if rep_red.add_int_row(b)]
     return CocycleSpace(algebra, [tuple(a) for a in axes], law, space, cob,
-                        inter, space.dim - inter.dim,
+                        cob, space.dim - cob.dim,
                         list(Matrix.from_int_rows(reps, space.matrix.den, idx_len,
                                                   algebra.tag).rows))
 
@@ -363,7 +365,7 @@ def is_split(algebra, theta):
         raise DimensionMismatchError("cocycle size differs from algebra dimension")
     red = RowReducer(len(_sym_pairs(n)), algebra.tag)
     for b in coboundary_space(algebra).matrix.num:
-        red.add_int_row(dict(b))
+        red.add_int_row(b)
     if not all(red.add_row(v) for v in theta.vectors):
         return "split"
     ext, _ = build_extension(algebra, theta)
@@ -455,7 +457,7 @@ def decompose_by_annihilator(bigebra, axes=()):
     tag = bigebra.tag
     comp_idx = [j for j in range(n) if j not in ann.pivots]
     # change of basis: complement standard vectors first, then Ann basis
-    basis_rows = tuple(((j, ONE),) for j in comp_idx) + ann.rows
+    basis_rows = tuple({j: ONE} for j in comp_idx) + ann.rows
     bmat = Matrix.from_sparse_rows(basis_rows, n, tag).transpose()
     binv = bmat.inverse()
     m = len(comp_idx)

@@ -281,7 +281,7 @@ def render_algebra_file(bundle):
             lines.append(f"cell {name} {render_scalar(a)} {render_scalar(b)}: {body}")
     for name, th in bundle.cocycles.items():
         for i, row in enumerate(th.mats[0].sparse_rows):
-            for j, v in row:
+            for j, v in row.items():
                 if j >= i:
                     lines.append(f"cocycle {name} {i+1} {j+1}: {render_scalar(v)}")
     return "\n".join(lines) + "\n"

@@ -1,15 +1,15 @@
 """Exact linear algebra: sparse matrices, canonical subspaces, and an
 incremental sparse row reducer for large constraint systems.
 
-A Matrix is its canonical integer form: per row, the column-sorted nonzero
-(column, numerator) pairs, integers or Gaussian integers, over one positive
-denominator, in lowest terms.  Its field-element rows, sparse and dense, are
-views built on demand for rendering and entry lookups.  A vector inside the
-package is sparse, {index: entry} without zero entries.  Field elements are
-bare rationals or Gaussian pairs (see scalars).  Matrix, RowReducer and
-Subspace hold their field tag; a Matrix built from dense rows or columns and
-a Subspace built from dense vectors check their entries against it once,
-when built.
+A vector inside the package is sparse, {index: entry} without zero entries,
+and so is every row of a Matrix: its canonical integer form holds, per row,
+the column-sorted {column: numerator} dict, integers or Gaussian integers,
+over one positive denominator, in lowest terms.  Its field-element rows,
+sparse and dense, are views built on demand.  Rows are shared, never copied
+and never mutated.  Field elements are bare rationals or Gaussian pairs (see
+scalars).  Matrix, RowReducer and Subspace hold their field tag; a Matrix
+built from dense rows or columns and a Subspace built from dense vectors
+check their entries against it once, when built.
 
 The kernels run on integer vectors: sparse_combine, the one sparse linear
 combination of rows, uses only + and *, and RowReducer reduces fraction-free,
@@ -75,15 +75,16 @@ def _checked_sparse(x, tag):
 
 class Matrix:
     """Immutable matrix over a single field, stored as its canonical integer
-    form: ``num``, per row the column-sorted tuple of its nonzero
-    ``(column, numerator)`` pairs (integers or Gaussian integers), over one
-    integer ``den`` > 0 that has gcd 1 with the integer parts of ``num``.
-    Equal matrices have equal forms; equality, hashing and the arithmetic use
-    them.  The field-element views ``sparse_rows`` (column-sorted
-    ``(column, element)`` pairs) and dense ``rows`` are built on first access.
+    form: ``num``, per row the column-sorted dict {column: numerator} of its
+    nonzero entries (integers or Gaussian integers), over one integer
+    ``den`` > 0 that has gcd 1 with the integer parts of ``num``.  Equal
+    matrices have equal forms; equality, hashing and the arithmetic use them.
+    The field-element views ``sparse_rows`` (column-sorted dicts
+    {column: element}) and dense ``rows``, and the hash, are built on first
+    access.  The row dicts are shared and must never be mutated.
     """
 
-    __slots__ = ("nrows", "ncols", "num", "den", "tag", "_sparse", "_rows")
+    __slots__ = ("nrows", "ncols", "num", "den", "tag", "_sparse", "_rows", "_hash")
 
     def __init__(self, rows, tag, ncols=None):
         rows = tuple(tuple(r) for r in rows)
@@ -97,8 +98,8 @@ class Matrix:
                 raise DimensionMismatchError("ragged rows")
             for a in r:
                 check(a)
-        sparse = tuple(tuple((j, a) for j, a in enumerate(r) if a) for r in rows)
-        self._fill(*_form_of(sparse), ncols, tag, sparse, rows)
+        sparse = tuple({j: a for j, a in enumerate(r) if a} for r in rows)
+        self._fill(*common_denominator(sparse), ncols, tag, sparse, rows)
 
     def _fill(self, num, den, ncols, tag, sparse=None, rows=None):
         object.__setattr__(self, "nrows", len(num))
@@ -108,6 +109,7 @@ class Matrix:
         object.__setattr__(self, "tag", tag)
         object.__setattr__(self, "_sparse", sparse)
         object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def _of_form(cls, num, den, ncols, tag, sparse=None):
@@ -119,28 +121,27 @@ class Matrix:
     @classmethod
     def from_sparse_rows(cls, sparse_rows, ncols, tag):
         """A matrix from sparse rows of field elements, each a column-sorted
-        tuple of (column, element) pairs without zero entries, taken as
-        given."""
-        return cls._of_form(*_form_of(sparse_rows), ncols, tag, sparse_rows)
+        dict {column: element} without zero entries, taken as given."""
+        return cls._of_form(*common_denominator(sparse_rows), ncols, tag, sparse_rows)
 
     @classmethod
     def from_int_rows(cls, rows, den, ncols, tag):
         """The matrix rows / den, for sparse rows {column: entry} of integers
         or Gaussian integers without zero entries and an integer den > 0."""
         rows, den = _lowest_terms(rows, den)
-        return cls._of_form(tuple(tuple(sorted(r.items())) for r in rows), den, ncols, tag)
+        return cls._of_form(tuple({j: r[j] for j in sorted(r)} for r in rows), den, ncols, tag)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @property
     def sparse_rows(self):
-        """Per row, the column-sorted (column, element) pairs, built from the
+        """Per row, the column-sorted dict {column: element}, built from the
         form on first access."""
         sparse = self._sparse
         if sparse is None:
             den = self.den
-            sparse = tuple(tuple((j, over(a, den)) for j, a in r) for r in self.num)
+            sparse = tuple({j: over(a, den) for j, a in r.items()} for r in self.num)
             object.__setattr__(self, "_sparse", sparse)
         return sparse
 
@@ -152,7 +153,7 @@ class Matrix:
             dense = []
             for r in self.sparse_rows:
                 row = [ZERO] * self.ncols
-                for j, a in r:
+                for j, a in r.items():
                     row[j] = a
                 dense.append(tuple(row))
             rows = tuple(dense)
@@ -161,11 +162,11 @@ class Matrix:
 
     @classmethod
     def identity(cls, n, tag):
-        return cls._of_form(tuple(((j, 1),) for j in range(n)), 1, n, tag)
+        return cls._of_form(tuple({j: 1} for j in range(n)), 1, n, tag)
 
     @classmethod
     def zero(cls, nrows, ncols, tag):
-        return cls._of_form(((),) * nrows, 1, ncols, tag)
+        return cls._of_form(({},) * nrows, 1, ncols, tag)
 
     @classmethod
     def from_columns(cls, cols, tag, nrows=None):
@@ -174,21 +175,21 @@ class Matrix:
         elif nrows is None:
             raise DimensionMismatchError("empty matrix needs explicit nrows")
         check = tag.check
-        sparse = [[] for _ in range(nrows)]
+        sparse = tuple({} for _ in range(nrows))
         for j, c in enumerate(cols):
             if len(c) != nrows:
                 raise DimensionMismatchError("ragged columns")
             for i, a in enumerate(c):
                 if check(a):
-                    sparse[i].append((j, a))
-        return cls.from_sparse_rows(tuple(map(tuple, sparse)), len(cols), tag)
+                    sparse[i][j] = a
+        return cls.from_sparse_rows(sparse, len(cols), tag)
 
     def transpose(self):
-        cols = [[] for _ in range(self.ncols)]
+        cols = tuple({} for _ in range(self.ncols))
         for i, r in enumerate(self.num):
-            for j, a in r:
-                cols[j].append((i, a))
-        return Matrix._of_form(tuple(map(tuple, cols)), self.den, self.nrows, self.tag)
+            for j, a in r.items():
+                cols[j][i] = a
+        return Matrix._of_form(cols, self.den, self.nrows, self.tag)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -197,7 +198,10 @@ class Matrix:
                 and self.den == other.den and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.num, self.den, self.ncols, self.tag))
+        if self._hash is None:
+            items = tuple(tuple(r.items()) for r in self.num)
+            object.__setattr__(self, "_hash", hash((items, self.den, self.ncols, self.tag)))
+        return self._hash
 
     def __add__(self, other):
         self._shape_check(other, same=True)
@@ -205,8 +209,8 @@ class Matrix:
         s, t = den // self.den, den // other.den
         out = []
         for r, q in zip(self.num, other.num):
-            acc = {j: s * a for j, a in r}
-            for j, b in q:
+            acc = {j: s * a for j, a in r.items()}
+            for j, b in q.items():
                 sparse_add(acc, j, t * b)
             out.append(acc)
         return Matrix.from_int_rows(out, den, self.ncols, self.tag)
@@ -215,7 +219,7 @@ class Matrix:
         if not self.tag.check(c):
             return Matrix.zero(self.nrows, self.ncols, self.tag)
         c, d = c.numerator, c.denominator
-        return Matrix.from_int_rows([{j: c * a for j, a in r} for r in self.num],
+        return Matrix.from_int_rows([{j: c * a for j, a in r.items()} for r in self.num],
                                     d * self.den, self.ncols, self.tag)
 
     def _shape_check(self, other, same=False):
@@ -228,8 +232,7 @@ class Matrix:
         self._shape_check(other)
         if self.ncols != other.nrows:
             raise DimensionMismatchError("inner dimensions differ")
-        orows = [dict(r) for r in other.num]
-        return Matrix.from_int_rows([sparse_combine(orows, dict(r)) for r in self.num],
+        return Matrix.from_int_rows([sparse_combine(other.num, r) for r in self.num],
                                     self.den * other.den, other.ncols, self.tag)
 
     def apply(self, x):
@@ -241,7 +244,7 @@ class Matrix:
         out = []
         for r in self.num:
             s = None
-            for j, a in r:
+            for j, a in r.items():
                 b = sx.get(j)
                 if b is not None:
                     s = a * b if s is None else s + a * b
@@ -251,14 +254,14 @@ class Matrix:
     def _reducer(self):
         red = RowReducer(self.ncols, self.tag)
         for r in self.num:
-            red.add_int_row(dict(r))
+            red.add_int_row(r)
         return red
 
     def rref(self):
         """Reduced row echelon form; returns (Matrix, pivot column tuple)."""
         red = self._reducer()
         form = red.rref_form()
-        return (Matrix._of_form(form.num + ((),) * (self.nrows - form.nrows), form.den,
+        return (Matrix._of_form(form.num + ({},) * (self.nrows - form.nrows), form.den,
                                 self.ncols, self.tag),
                 tuple(red.pivot_columns()))
 
@@ -281,7 +284,7 @@ class Matrix:
         b, db = clear_denominators(_checked_sparse(rhs, self.tag))
         red = RowReducer(n + 1, self.tag)  # [db num | den b], for rhs = b / db
         for i, r in enumerate(self.num):
-            row = {j: db * a for j, a in r}
+            row = {j: db * a for j, a in r.items()}
             if i in b:
                 row[n] = self.den * b[i]
             red.add_int_row(row)
@@ -302,7 +305,7 @@ class Matrix:
             raise DimensionMismatchError("inverse of a non-square matrix")
         red = RowReducer(2 * n, self.tag)
         for i, r in enumerate(self.num):
-            red.add_int_row({**dict(r), n + i: 1})
+            red.add_int_row({**r, n + i: 1})
         if red.pivot_columns() != list(range(n)):
             raise DimensionMismatchError("matrix is singular")
         stored = [red.rows[i] for i in range(n)]
@@ -317,12 +320,6 @@ class Matrix:
     def __repr__(self):
         body = "; ".join(" ".join(str(a) for a in r) for r in self.rows)
         return f"Matrix[{self.nrows}x{self.ncols}]({body})"
-
-
-def _form_of(sparse_rows):
-    """(num, den): the canonical form of sparse rows of field elements."""
-    nums, den = common_denominator([dict(r) for r in sparse_rows])
-    return tuple(tuple(r.items()) for r in nums), den
 
 
 class RowReducer:
@@ -412,8 +409,7 @@ class RowReducer:
         num = []
         for p in pivots:
             row, s = rows[p], den // rows[p][p]
-            num.append(tuple(sorted(row.items() if s == 1
-                                    else ((j, s * a) for j, a in row.items()))))
+            num.append({j: s * row[j] for j in sorted(row)})
         return Matrix._of_form(tuple(num), den, self.ncols, self.tag)
 
     def kernel_basis(self, ncols=None):
@@ -542,7 +538,7 @@ class Subspace:
 
     @property
     def rows(self):
-        """The RREF basis as column-sorted (column, element) pairs."""
+        """The RREF basis as column-sorted dicts {column: element}."""
         return self.matrix.sparse_rows
 
     @property
@@ -552,7 +548,7 @@ class Subspace:
 
     @property
     def pivots(self):
-        return tuple(r[0][0] for r in self.matrix.num)
+        return tuple(next(iter(r)) for r in self.matrix.num)
 
     @property
     def dim(self):
@@ -591,10 +587,9 @@ class Subspace:
         if self.is_zero() or other.is_zero():
             return Subspace.zero_space(self.ambient, self.tag)
         u = self.matrix.num
-        cols = u + tuple(tuple((k, -a) for k, a in r) for r in other.matrix.num)
+        cols = u + tuple({k: -a for k, a in r.items()} for r in other.matrix.num)
         combos = Matrix._of_form(cols, 1, self.ambient, self.tag).transpose()._reducer()
-        rows = [dict(r) for r in u]
-        vecs = [sparse_combine(rows, {t: c for t, c in x.items() if t < self.dim})
+        vecs = [sparse_combine(u, {t: c for t, c in x.items() if t < self.dim})
                 for x in combos.kernel_basis()]
         return Subspace.spanned(vecs, self.ambient, self.tag)
 

@@ -30,7 +30,7 @@ def is_automorphism(algebra, m):
     n = algebra.dim
     if m.nrows != n or m.ncols != n:
         return False
-    cols = [dict(c) for c in m.transpose().num]
+    cols = m.transpose().num
     d = m.den
     red = RowReducer(n, algebra.tag)
     for c in cols:
@@ -111,33 +111,24 @@ def group_closure(generators, cap=200):
     # a repeated generator (an involution is its own inverse) only repeats
     # products already seen
     gens = list(dict.fromkeys(m for pair in pairs for m in pair))
-    ident = Matrix.identity(n, tag)
-    seen = {ident: AutMatrix(ident, "external")}
-    order_list = [seen[ident]]
-    frontier = [ident]
+    # BFS order is insertion order: the list grows while it is walked
+    elements = [Matrix.identity(n, tag)]
+    seen = set(elements)
     completed = True
-    while frontier:
-        nxt = []
-        for m in frontier:
-            for g in gens:
-                prod = m * g
-                if prod in seen:
-                    continue
-                if len(seen) >= cap:
-                    completed = False
-                    nxt = []
-                    frontier = []
-                    break
-                am = seen[prod] = AutMatrix(prod, "external")
-                order_list.append(am)
-                nxt.append(prod)
-            else:
+    for m in elements:
+        for g in gens:
+            prod = m * g
+            if prod in seen:
                 continue
-            break
-        frontier = nxt
+            if len(seen) >= cap:
+                completed = False
+                break
+            seen.add(prod)
+            elements.append(prod)
         if not completed:
             break
-    return GroupClosure(order_list, list(generators), completed, cap)
+    return GroupClosure([AutMatrix(m, "external") for m in elements],
+                        list(generators), completed, cap)
 
 
 @dataclass
@@ -197,11 +188,11 @@ def find_flip(algebra, a1, a2):
         return AutMatrix(Matrix.identity(n, algebra.tag), "flip", (a1, a2))
     span, _ = algebra.direct_sum(algebra).subalgebra_closure([a1 + a2, a2 + a1])
     rows = span.matrix.num
-    if sum(row[0][0] < n for row in rows) < n:
+    if sum(next(iter(row)) < n for row in rows) < n:
         raise AxialError("the two elements do not generate the algebra")
     if len(rows) > n:
         return None
-    images = [{j - n: c for j, c in row if j >= n} for row in rows]
+    images = [{j - n: c for j, c in row.items() if j >= n} for row in rows]
     m = Matrix.from_int_rows(images, span.matrix.den, n, algebra.tag).transpose()
     if not is_automorphism(algebra, m):
         return None

@@ -211,12 +211,12 @@ def clear_denominators(v):
 
 
 def common_denominator(vectors):
-    """(nums, den): the sparse vectors as integer vectors over one common
-    denominator den, vectors[t][k] == nums[t][k] / den."""
+    """(nums, den): the sparse vectors as a tuple of integer vectors over one
+    common denominator den, vectors[t][k] == nums[t][k] / den."""
     cleared = [clear_denominators(v) for v in vectors]
     den = math.lcm(1, *(d for _, d in cleared))
-    return [nums if d == den else {k: a * (den // d) for k, a in nums.items()}
-            for nums, d in cleared], den
+    return tuple(nums if d == den else {k: a * (den // d) for k, a in nums.items()}
+                 for nums, d in cleared), den
 
 
 def sort_key(s):

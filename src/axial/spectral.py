@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import DimensionMismatchError, NotIdempotentError, NotSemisimpleError
 from .fusion import FusionLaw
-from .linalg import Matrix, RowReducer, Subspace, sparse_add, sparse_combine
+from .linalg import Matrix, RowReducer, Subspace, sparse_combine
 from .scalars import (ONE, ZERO, FieldTag, Rat, Scalar, clear_denominators, over,
                       render_scalar, scalar_sqrt, sort_key)
 
@@ -36,17 +36,16 @@ def char_poly(m):
     if m.nrows != m.ncols:
         raise DimensionMismatchError("characteristic polynomial of a non-square matrix")
     n = m.nrows
-    rows, s = [dict(r) for r in m.num], m.den
+    rows, s = m.num, m.den
     coeffs = [ONE]
     mk = rows
     for k in range(1, n + 1):
         ck = -sum(r.get(i, 0) for i, r in enumerate(mk)) // k
         coeffs.append(over(ck, s ** k))
         if k < n:
-            mk = [dict(r) for r in mk]
-            for i, r in enumerate(mk):
-                sparse_add(r, i, ck)
-            mk = [sparse_combine(mk, r) for r in rows]
+            # M_k + c_k I, in new rows: M_1's rows are m's, shared
+            shifted = [{**r, i: r.get(i, 0) + ck} for i, r in enumerate(mk)]
+            mk = [sparse_combine(shifted, r) for r in rows]
     return coeffs
 
 
@@ -127,10 +126,13 @@ def field_roots(coeffs, tag, known=()):
     """Best-effort root finding inside the field tag.
 
     Returns (roots, complete): complete means the polynomial certainly has no
-    further roots in the field.
+    further roots in the field.  Over the rationals the rational root scan
+    finds them all.
     """
+    if tag is FieldTag.QQ:
+        return rational_roots(coeffs), True
     roots = set(rational_roots(coeffs))
-    complete = tag is FieldTag.QQ
+    complete = False
     # deflate by every known root (with multiplicity) to expose small factors
     work = list(coeffs)
     for r in sorted(roots | {k for k in known if not poly_eval(coeffs, k)},
@@ -215,18 +217,18 @@ class Eigenbasis:
         self._products = None
         if not self.semisimple:
             return
-        self.vectors = [dict(r) for _, space in pairs for r in space.rows]  # by position
+        self.vectors = [r for _, space in pairs for r in space.rows]  # by position
         # (nums, den) each; product_den is the denominator of the components
         # in products().  The eigenvectors are the rows of P^T, so row j of
         # its inverse is column j of P^-1, {eigenbasis position: entry}: the
         # eigenbasis coordinates of y sum these over the nonzero y_j.  The
         # integer eigenvectors are the eigenspace forms over their lcm.
         dvec = math.lcm(1, *(space.matrix.den for _, space in pairs))
-        vectors = [{j: a * (dvec // space.matrix.den) for j, a in r}
+        vectors = [{j: a * (dvec // space.matrix.den) for j, a in r.items()}
                    for _, space in pairs for r in space.matrix.num]
         self._int_vectors = vectors, dvec
         inverse = Matrix.from_int_rows(vectors, dvec, algebra.dim, algebra.tag).inverse()
-        self._int_inverse = [dict(r) for r in inverse.num], inverse.den
+        self._int_inverse = inverse.num, inverse.den
         self.product_den = inverse.den * dvec ** 3 * algebra._int_den
         self.owner = []   # position -> index of its eigenvalue in blocks
         self.blocks = []  # (eigenvalue, range of its positions)

@@ -327,6 +327,20 @@ class TestReproduce:
         assert out.encode() == frozen
         assert code == codes[name]
 
+    with open(os.path.join(os.path.dirname(__file__), "data", "cli-pins.json")) as fh:
+        _PINS = json.load(fh)
+
+    @pytest.mark.parametrize("name", sorted(_PINS))
+    def test_pinned_bytes_match_the_frozen_run(self, capsys, name):
+        # stdout, stderr and exit code of runs that read matrix rows:
+        # frobenius and radical on A-I, cocycle class reps, decompose,
+        # table-3 extend and catalog --export, frozen in tests/data
+        pin = self._PINS[name]
+        code, out, err = run(capsys, *pin["argv"])
+        assert out.encode() == pin["stdout"].encode()
+        assert err == pin["stderr"]
+        assert code == pin["code"]
+
     def test_table3_passes(self, capsys):
         code, out, _ = run(capsys, "reproduce", "table3")
         assert code == 0

@@ -6,9 +6,13 @@ from fractions import Fraction
 
 import pytest
 
+from axial import catalog
 from axial.errors import DimensionMismatchError, FieldMismatchError
+from axial.fusion import find_c2_gradings
 from axial.linalg import Matrix, RowReducer, Subspace
+from axial.miyamoto import is_automorphism, tau_automorphism
 from axial.scalars import FieldTag, Rat, Scalar, clear_denominators, sort_key
+from axial.spectral import char_poly, eigen_decompose
 
 
 def q(n, d=1):
@@ -289,7 +293,7 @@ def test_solve_kernel_is_the_kernel(tag):
 
 
 def _sparse_rows(rows):
-    return tuple(tuple((k, a) for k, a in enumerate(r) if a) for r in rows)
+    return tuple({k: a for k, a in enumerate(r) if a} for r in rows)
 
 
 @pytest.mark.parametrize("tag", [FieldTag.QQ, FieldTag.QI])
@@ -587,3 +591,36 @@ def test_mod_p_rank_oracle_on_larger_systems():
         mtx = Matrix(rows, FieldTag.QQ, ncols=n)
         assert mtx.rank() == _rank_mod_p(rows)
         assert mtx.rank() + mtx.kernel().dim == n
+
+
+def _row_state(m):
+    """The rows of m, in order, over both views, and the hash of a matrix
+    built afresh from them, next to m's own."""
+    return ([list(r.items()) for r in m.num], [list(r.items()) for r in m.sparse_rows],
+            hash(m), hash(Matrix.from_int_rows(m.num, m.den, m.ncols, m.tag)))
+
+
+@pytest.mark.parametrize("name,params,key,law_key", [
+    ("B", {}, "X12", "FB"), ("JordanD", {"n": 4}, "family", "J12")])
+def test_operations_never_mutate_rows(name, params, key, law_key):
+    # rows are shared between matrices, subspaces and their readers, never
+    # copied: no operation may change an operand's rows, their order or hash
+    entry = catalog.build(name, params)
+    alg, law = entry.algebra, entry.laws[law_key]
+    tag, n, a = alg.tag, alg.dim, entry.axis_sets[key][0]
+    grading = entry.gradings.get(law_key) or next(
+        g for g in find_c2_gradings(law) if g.minus)
+    rng = random.Random(83)
+    m = alg.left_mult_matrix(a)
+    t = tau_automorphism(alg, a, law, grading).matrix
+    r = Matrix(_dense(rng, 3, n, tag), tag, ncols=n)
+    u, w = (Subspace(_dense(rng, 2, n, tag), n, tag) for _ in range(2))
+    eigen = eigen_decompose(alg, a, hints=law.values)
+    operands = [m, t, r, u.matrix, w.matrix] + [sp.matrix for _, sp in eigen.pairs]
+    before = [_row_state(o) for o in operands]
+    x, rhs = tuple(_entry(rng, tag) for _ in range(n)), tuple(_entry(rng, tag) for _ in range(3))
+    m * t, t * m, m + t, m.scale(Rat(-3, 2)), r.transpose(), r.apply(x), t.inverse()
+    r.rref(), r.rank(), r.kernel(), r.solve(rhs)
+    char_poly(m), is_automorphism(alg, t), eigen.products()
+    u.intersect(w), u.contains_vector(x)
+    assert [_row_state(o) for o in operands] == before

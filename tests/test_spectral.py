@@ -168,7 +168,7 @@ def _field_char_poly(m):
     mk = m
     ident = Matrix.identity(n, m.tag)
     for k in range(1, n + 1):
-        trace = sum((a for i, r in enumerate(mk.sparse_rows) for j, a in r if j == i), ZERO)
+        trace = sum((r.get(i, ZERO) for i, r in enumerate(mk.sparse_rows)), ZERO)
         ck = -(trace * Rat(1, k))
         coeffs.append(ck)
         if k < n:
