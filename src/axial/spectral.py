@@ -1,11 +1,12 @@
 """Eigen-analysis of multiplication operators and axis verification.
 
-Eigenvalue discovery: candidate values from the fusion law plus a rational
-root scan of the characteristic polynomial.  Over the Gaussian rationals the
-scan covers its rational roots and the roots of the linear/quadratic factor
-left after deflating by already-found eigenvalues;
-when the eigenspaces found still do not fill the space, the spectrum is
-reported as undetermined (and the element as not semisimple).
+Eigenvalue discovery: candidate values from the fusion law plus an integer
+root scan of the characteristic polynomial, rescaled to a monic polynomial
+over the (Gaussian) integers.  Over the Gaussian rationals the scan covers
+its rational roots and the roots of the linear/quadratic factor left after
+deflating by already-found eigenvalues; when the eigenspaces found still do
+not fill the space, the spectrum is reported as undetermined (and the element
+as not semisimple).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 from .errors import DimensionMismatchError, NotIdempotentError, NotSemisimpleError
 from .fusion import FusionLaw
 from .linalg import Matrix, RowReducer, Subspace, sparse_combine
-from .scalars import (ONE, ZERO, FieldTag, Rat, Scalar, clear_denominators, over,
+from .scalars import (ONE, FieldTag, Rat, Scalar, clear_denominators, over,
                       render_scalar, scalar_sqrt, sort_key)
 
 
@@ -49,110 +50,137 @@ def char_poly(m):
     return coeffs
 
 
-def poly_eval(coeffs, x):
-    acc = ZERO
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
+def _parts(c):
+    """(re, im) of a field element, an integer or a Gaussian integer."""
+    return (c.re, c.im) if type(c) is Scalar else (c, 0)
 
 
-def poly_deflate(coeffs, root):
-    """Divide by (t - root); returns (quotient, remainder)."""
-    out = []
-    acc = ZERO
-    for c in coeffs:
-        acc = acc * root + c
-        out.append(acc)
-    return out[:-1], out[-1]
+def root_bound(m):
+    """A rational B >= |lam| for every eigenvalue lam of the square matrix m:
+    the largest row sum of |re| + |im| over its entries (Gershgorin)."""
+    return over(max((sum(abs(a) + abs(b) for a, b in map(_parts, r.values()))
+                     for r in m.num), default=0), m.den)
 
 
-def _int_divisors(n):
-    n = abs(int(n))
-    if n == 0:
-        return []
-    out = []
+def _scale_divisors(dens):
+    """The divisors, ascending, of the least t > 0 with dens[k - 1] | t^k
+    for every k, so t is the last: t has each prime q of the lcm of dens,
+    found by trial division, to the power max ceil(v / k) over the q-adic
+    valuations v of dens[k - 1]."""
+    rest = math.lcm(1, *dens)
+    divisors, q = [1], 2
+    while rest > 1:
+        if q * q > rest:
+            q = rest  # the rest is prime
+        if rest % q == 0:
+            while rest % q == 0:
+                rest //= q
+            e = 0
+            for k, d in enumerate(dens, 1):
+                v = 0
+                while d % q == 0:
+                    d //= q
+                    v += 1
+                e = max(e, -(-v // k))
+            divisors = [d * q ** j for j in range(e + 1) for d in divisors]
+        q += 1
+    return sorted(divisors)
+
+
+def _divisors(n, bound):
+    """The divisors d <= bound of the integer n > 0, ascending, in
+    O(min(bound, sqrt n)) steps: a divisor above sqrt n that is at most
+    bound has its cofactor below both."""
+    low, high = [], []
     d = 1
-    while d * d <= n:
+    while d <= bound and d * d <= n:
         if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
+            low.append(d)
+            e = n // d
+            if e != d and e <= bound:
+                high.append(e)
         d += 1
-    return sorted(out)
+    return low + high[::-1]
 
 
-def rational_roots(coeffs):
-    """All rational roots of a polynomial over the rationals or the Gaussian
-    rationals (given high degree first), once each, sorted."""
-    if any(type(c) is Scalar for c in coeffs):
-        # a rational root of P + iQ, P and Q rational, is a common root of P
-        # and Q; Q is nonzero here
-        im = [c.im if type(c) is Scalar else ZERO for c in coeffs]
-        lead = next(k for k, c in enumerate(im) if c)
-        return [r for r in rational_roots(im[lead:]) if not poly_eval(coeffs, r)]
-    # strip trailing zero coefficients: t = 0 is a root
-    roots = set()
-    work = list(coeffs)
-    while len(work) > 1 and not work[-1]:
-        work.pop()
-        roots.add(ZERO)
-    if len(work) <= 1:
-        return sorted(roots, key=sort_key)
-    denoms = math.lcm(*(int(c.denominator) for c in work))
-    ints = [int(c * Rat(denoms)) for c in work]
-    lead, const = ints[0], ints[-1]
-    for p in _int_divisors(const):
-        for q in _int_divisors(lead):
-            for sgn in (1, -1):
-                cand = Rat(sgn * p, q)
-                if cand not in roots and not poly_eval(work, cand):
-                    roots.add(cand)
-    return sorted(roots, key=sort_key)
+def _deflate(re, im, x, y):
+    """Divide P = re + i im (coefficient lists of integers) by t - (x + i y)
+    by Horner's rule: (quotient re, quotient im, whether the remainder
+    P(x + i y) is zero)."""
+    qr, qi = [], []
+    ar = ai = 0
+    for cr, ci in zip(re, im):
+        ar, ai = ar * x - ai * y + cr, ar * y + ai * x + ci
+        qr.append(ar)
+        qi.append(ai)
+    return qr[:-1], qi[:-1], not (qr[-1] or qi[-1])
 
 
-def quadratic_roots(a, b, c, tag):
-    """Roots of a t^2 + b t + c inside the field tag."""
-    disc = b * b - Rat(4) * a * c
-    r = scalar_sqrt(disc, tag)
-    if r is None:
-        return []
-    two_a = ONE / (a + a)
-    r1 = (-b + r) * two_a
-    r2 = (-b - r) * two_a
-    return sorted({r1, r2}, key=sort_key)
+def field_roots(coeffs, bound, tag, known=()):
+    """The roots inside the field tag of the monic polynomial p = [1, a1,
+    ..., an] (high degree first), given a rational bound >= |lam| for every
+    root lam: (roots, complete), the roots once each in sort_key order;
+    complete means p certainly has no further roots in the field.
 
-
-def field_roots(coeffs, tag, known=()):
-    """Best-effort root finding inside the field tag.
-
-    Returns (roots, complete): complete means the polynomial certainly has no
-    further roots in the field.  Over the rationals the rational root scan
-    finds them all.
-    """
-    if tag is FieldTag.QQ:
-        return rational_roots(coeffs), True
-    roots = set(rational_roots(coeffs))
-    complete = False
-    # deflate by every known root (with multiplicity) to expose small factors
-    work = list(coeffs)
-    for r in sorted(roots | {k for k in known if not poly_eval(coeffs, k)},
-                    key=sort_key):
-        while len(work) > 1:
-            quo, rem = poly_deflate(work, r)
-            if rem:
-                break
-            work = quo
-            roots.add(r)
-    if len(work) == 1:
-        complete = True
-    elif len(work) == 2:
-        roots.add(-work[1] / work[0])
-        complete = True
-    elif len(work) == 3:
-        for r in quadratic_roots(*work, tag):
-            roots.add(r)
-        complete = True
-    return sorted(roots, key=sort_key), complete
+    For the least t > 0 that makes a_k t^k integral for every k,
+    P(u) = t^n p(u / t) is monic over Z[i], which is integrally closed: its
+    roots t lam in the field lie in Z[i] (Gauss's lemma).  A rational root
+    lam = p / q in lowest terms has q | t, as t lam is an integer, and p | D
+    a_m for the trailing nonzero coefficient a_m and the lcm D of the
+    denominators of the a_k (the rational root theorem on D p, over Z[i]).
+    The scan tries +-(t / q) p for those q and those p <= t bound, keeping a
+    candidate where the real and the imaginary parts of P both vanish; over
+    the rationals that finds every root.  Over the Gaussian rationals P is
+    then deflated in Z[i] by the roots found and by every known value lam
+    with t lam in Z[i], and a remaining monic linear or quadratic factor is
+    solved there.  Each root is divided by t once, at the end."""
+    dens = [math.lcm(*(a.denominator for a in _parts(c))) for c in coeffs]
+    scales = _scale_divisors(dens[1:])
+    t = scales[-1]
+    re, im = [], []
+    for k, c in enumerate(coeffs):
+        x, y = (a * t ** k for a in _parts(c))
+        re.append(x.numerator)
+        im.append(y.numerator)
+    roots = set()  # (re, im) of the roots of P
+    while len(re) > 1 and not (re[-1] or im[-1]):
+        re.pop()
+        im.pop()
+        roots.add((0, 0))
+    if len(re) > 1:
+        top = bound.numerator * t // bound.denominator  # >= |t lam|
+        last = (a.numerator for a in _parts(coeffs[len(re) - 1] * math.lcm(*dens)))
+        for r in {e * p for p in _divisors(math.gcd(*last), top) for e in scales if e * p <= top}:
+            for x in (r, -r):
+                if _deflate(re, im, x, 0)[2]:
+                    roots.add((x, 0))
+    complete = tag is FieldTag.QQ
+    if not complete:
+        hinted = set()
+        for lam in known:
+            x, y = (a * t for a in _parts(lam))
+            if x.denominator == 1 and y.denominator == 1:
+                hinted.add((x.numerator, y.numerator))
+        for x, y in roots | hinted:
+            while len(re) > 1:
+                qr, qi, exact = _deflate(re, im, x, y)
+                if not exact:
+                    break
+                re, im = qr, qi
+                roots.add((x, y))
+        if len(re) == 2:
+            roots.add((-re[1], -im[1]))
+        elif len(re) == 3:
+            # t^2 + b t + c: its roots (-b +- w) / 2 lie in Z[i], and so does
+            # w, a square root of b^2 - 4c
+            (_, br, cr), (_, bi, ci) = re, im
+            w = scalar_sqrt(Scalar(br * br - bi * bi - 4 * cr, 2 * br * bi - 4 * ci), tag)
+            if w is not None:
+                wr, wi = (a.numerator for a in _parts(w))
+                roots.add(((-br + wr) // 2, (-bi + wi) // 2))
+                roots.add(((-br - wr) // 2, (-bi - wi) // 2))
+        complete = len(re) <= 3
+    return sorted((Scalar(over(x, t), over(y, t)) for x, y in roots), key=sort_key), complete
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +217,8 @@ def eigen_decompose(algebra, x, hints=()):
                 pairs.append((lam, Subspace.spanned(red.kernel_basis(), n, tag)))
         if roots_scanned or sum(space.dim for _, space in pairs) == n:
             break
-        candidates, complete = field_roots(char_poly(algebra.left_mult_matrix(x)), tag,
-                                           known=seen)
+        m = Matrix.from_int_rows(rows, den, n, tag)  # L_x
+        candidates, complete = field_roots(char_poly(m), root_bound(m), tag, known=seen)
     pairs.sort(key=lambda p: sort_key(p[0]))
     return Eigenbasis(algebra, tuple(x), pairs, complete)
 

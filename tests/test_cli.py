@@ -150,6 +150,25 @@ class TestExitCodes:
         assert proc.stderr == f"error: {message}\n"
 
 
+def test_fusion_min_scan_is_bounded(tmp_path):
+    # e1 e1 = e1 and e1 ej = 3 ej for j = 2..41: L_e1 = diag(1, 3, ..., 3),
+    # whose polynomial has constant -3^40.  Trial division up to its square
+    # root is about 3.5e9 steps; the Gershgorin bound 3 leaves three
+    dim = 41
+    path = tmp_path / "d41.alg"
+    path.write_text("\n".join([
+        f"dim {dim}", "basis " + " ".join(f"e{j}" for j in range(1, dim + 1)),
+        "product 1 1: 1 e1", *(f"product 1 {j}: 3 e{j}" for j in range(2, dim + 1)),
+        "set X: e1", ""]))
+    src = os.path.dirname(os.path.dirname(axial.__file__))
+    proc = subprocess.run([sys.executable, "-m", "axial.cli", "fusion-min",
+                           "--file", str(path), "--axes", "X", "--json"],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["law"]["values"] == ["1", "3"]
+
+
 class TestJson:
     def test_byte_identical(self, capsys):
         args = ("cocycles", "--catalog", "Monster4", "--axes", "X01",

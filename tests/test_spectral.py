@@ -1,17 +1,24 @@
 """Eigen-decomposition, axis checks, minimal fusion laws."""
 
+import math
+import os
 import random
+import signal
+import subprocess
+import sys
 
 import pytest
 
-from axial import catalog
+import axial
+from axial import catalog, spectral
 from axial.errors import DimensionMismatchError, FieldMismatchError
 from axial.extension import cocycle_space
 from axial.fusion import FusionLaw, monster_law
-from axial.scalars import ONE, ZERO, FieldTag, Rat, Scalar
+from axial.scalars import ONE, ZERO, FieldTag, Rat, Scalar, scalar_sqrt, sort_key
 from axial.linalg import Matrix, sparse_vector
-from axial.spectral import (char_poly, check_axial_algebra, check_axis, eigen_decompose,
-                            minimal_law)
+from axial.spectral import (_divisors, _parts, _scale_divisors, char_poly,
+                            check_axial_algebra, check_axis, eigen_decompose, field_roots,
+                            minimal_law, root_bound)
 from test_jordan_check import _random_algebra
 
 
@@ -259,3 +266,268 @@ def test_a_hint_outside_the_field_is_refused():
         check_axis(alg, axes[0], law)
     with pytest.raises(FieldMismatchError):
         cocycle_space(alg, axes, law)
+
+
+# ---------------------------------------------------------------------------
+# the integer root scan against the field-arithmetic scan it replaced
+
+def _ref_eval(coeffs, x):
+    acc = ZERO
+    for c in coeffs:
+        acc = acc * x + c
+    return acc
+
+
+def _ref_deflate(coeffs, root):
+    out = []
+    acc = ZERO
+    for c in coeffs:
+        acc = acc * root + c
+        out.append(acc)
+    return out[:-1], out[-1]
+
+
+def _ref_divisors(n):
+    n = abs(int(n))
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out += [d] if d == n // d else [d, n // d]
+        d += 1
+    return sorted(out)
+
+
+def _ref_cleared(coeffs):
+    """The rational polynomial times the lcm of its denominators."""
+    den = math.lcm(*(int(c.denominator) for c in coeffs))
+    return [int(c * den) for c in coeffs]
+
+
+def _ref_rational_roots(coeffs):
+    """The rational root theorem on the field coefficients: candidates p/q
+    for p dividing the cleared constant and q the cleared lead; over the
+    Gaussian rationals, the rational roots of the imaginary part that are
+    roots of the whole."""
+    if any(type(c) is Scalar for c in coeffs):
+        im = [c.im if type(c) is Scalar else ZERO for c in coeffs]
+        lead = next(k for k, c in enumerate(im) if c)
+        return [r for r in _ref_rational_roots(im[lead:]) if not _ref_eval(coeffs, r)]
+    roots = set()
+    work = list(coeffs)
+    while len(work) > 1 and not work[-1]:
+        work.pop()
+        roots.add(ZERO)
+    if len(work) > 1:
+        ints = _ref_cleared(work)
+        for p in _ref_divisors(ints[-1]):
+            for q in _ref_divisors(ints[0]):
+                for sgn in (1, -1):
+                    cand = Rat(sgn * p, q)
+                    if cand not in roots and not _ref_eval(work, cand):
+                        roots.add(cand)
+    return sorted(roots, key=sort_key)
+
+
+def _ref_field_roots(coeffs, tag, known=()):
+    """(roots, complete) in field arithmetic: the rational scan, then over
+    the Gaussian rationals deflation by the roots found and the known values
+    that are roots, and the quadratic formula on a degree-2 remainder."""
+    if tag is FieldTag.QQ:
+        return _ref_rational_roots(coeffs), True
+    roots = set(_ref_rational_roots(coeffs))
+    complete = False
+    work = list(coeffs)
+    for r in sorted(roots | {k for k in known if not _ref_eval(coeffs, k)}, key=sort_key):
+        while len(work) > 1:
+            quo, rem = _ref_deflate(work, r)
+            if rem:
+                break
+            work = quo
+            roots.add(r)
+    if len(work) == 1:
+        complete = True
+    elif len(work) == 2:
+        roots.add(-work[1] / work[0])
+        complete = True
+    elif len(work) == 3:
+        a, b, c = work
+        w = scalar_sqrt(b * b - Rat(4) * a * c, tag)
+        if w is not None:
+            roots.update(((-b + w) / (a + a), (-b - w) / (a + a)))
+        complete = True
+    return sorted(roots, key=sort_key), complete
+
+
+def _ref_steps(coeffs):
+    """The trial divisions of the reference: up to the square roots of the
+    cleared lead and constant of the polynomial it scans (over the Gaussian
+    rationals, the imaginary part when there is one)."""
+    if any(type(c) is Scalar for c in coeffs):
+        coeffs = [c.im if type(c) is Scalar else ZERO for c in coeffs]
+        coeffs = coeffs[next(k for k, c in enumerate(coeffs) if c):]
+    while len(coeffs) > 1 and not coeffs[-1]:
+        coeffs = coeffs[:-1]
+    if len(coeffs) == 1:
+        return 0
+    ints = _ref_cleared(coeffs)
+    return math.isqrt(abs(ints[0])) + math.isqrt(abs(ints[-1]))
+
+
+def _within_the_field_scan(m):
+    """The reference scan of m's characteristic polynomial takes at most
+    10^6 trial divisions.  Many random matrices with denominators near 7919
+    are past it."""
+    return _ref_steps(char_poly(m)) <= 10 ** 6
+
+
+@pytest.fixture
+def within_a_minute():
+    """Fails the test after 60 s where the platform has SIGALRM: a scan
+    slower than the reference on its operators hangs rather than fails."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(*_):
+        pytest.fail("the root scan is still running after 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("tag", [FieldTag.QQ, FieldTag.QI])
+def test_root_scan_matches_the_field_scan_on_char_polys(tag, within_a_minute):
+    # the same roots, in the same order, and the same complete flag as the
+    # reference, bounded by Gershgorin as eigen_decompose scans them
+    rng = random.Random(7919 if tag is FieldTag.QQ else 7907)
+    operators = [m for m in _random_matrices(rng, tag) if _within_the_field_scan(m)]
+    # operators of random algebras at small elements: small entries, and
+    # so more rational eigenvalues
+    for _ in range(40):
+        alg = _random_algebra(rng, rng.randint(1, 6), tag, rng.choice((0.2, 0.35, 0.6)))
+        x = tuple(rng.choice((ZERO, ONE, -ONE, Rat(1, 2), Rat(3, 5))) for _ in range(alg.dim))
+        operators.append(alg.left_mult_matrix(x))
+    found = 0
+    for m in operators:
+        for known in ((), OFF_SPECTRUM[tag]):
+            ref = _ref_field_roots(char_poly(m), tag, known)
+            assert field_roots(char_poly(m), root_bound(m), tag, known) == ref
+        found += bool(ref[0])
+    assert len(operators) > 60 and found > 20
+
+
+def test_root_scan_trial_divides_no_more_than_the_field_scan(monkeypatch):
+    # over the rationals the scan trial-divides min(t B, sqrt |D a_m|) times,
+    # where the reference trial-divides sqrt D + sqrt |D a_m| times; recorded
+    # on every matrix of _random_matrices, those past both scans included,
+    # with the candidates dropped so that nothing is evaluated
+    steps = []
+    monkeypatch.setattr(spectral, "_divisors",
+                        lambda n, bound: steps.append(min(bound, math.isqrt(n))) or [])
+    past = 0
+    for m in _random_matrices(random.Random(7919), FieldTag.QQ):
+        steps.clear()
+        field_roots(char_poly(m), root_bound(m), FieldTag.QQ)
+        assert sum(steps) <= _ref_steps(char_poly(m))
+        past += _ref_steps(char_poly(m)) > 10 ** 6
+    assert past > 10
+
+
+# the matrix at index 15 of _random_matrices(random.Random(7919), QQ): N = s m
+# has s = 179602920 and the Gershgorin bound 78 s, about 1.4e10, but its
+# characteristic polynomial t^3 - 36 t^2 + 3711657247/12828780 t -
+# 256411/641439 leaves few candidates: a scan of the divisors of N's trailing
+# coefficient below that bound takes minutes
+LARGE_SCALE = [["36", "-14", "28"], ["-1/3240", "0", "35/7919"], ["-31/3", "10/7", "0"]]
+
+
+def test_root_scan_at_a_large_scale():
+    code = ("from axial.linalg import Matrix\n"
+            "from axial.scalars import FieldTag, Rat\n"
+            "from axial.spectral import char_poly, field_roots, root_bound\n"
+            f"m = Matrix([[Rat(a) for a in r] for r in {LARGE_SCALE!r}], FieldTag.QQ)\n"
+            "print(field_roots(char_poly(m), root_bound(m), FieldTag.QQ))\n")
+    src = os.path.dirname(os.path.dirname(axial.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    m = Matrix([[Rat(a) for a in r] for r in LARGE_SCALE], FieldTag.QQ)
+    assert _ref_field_roots(char_poly(m), FieldTag.QQ) == ([], True)
+    assert proc.stdout == "([], True)\n"
+
+
+def _poly_from_roots(roots, factor=(ONE,)):
+    """The monic polynomial with the given roots, times the monic factor."""
+    coeffs = list(factor)
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip(coeffs + [ZERO], [ZERO] + coeffs)]
+    return coeffs
+
+
+# monic factors without roots in the field, each with roots of modulus below
+# 2: over QQ t^2 - 2, t^2 + 1 and t^2 + t + 1; over QI t^2 - 2, t^2 - i and
+# t^2 + t + 1; and t^3 - 2, which leaves the spectrum over QI undetermined
+IRREDUCIBLE = {FieldTag.QQ: ([ONE, ZERO, Rat(-2)], [ONE, ZERO, ONE], [ONE, ONE, ONE]),
+               FieldTag.QI: ([ONE, ZERO, Rat(-2)], [ONE, ZERO, -Scalar.i()], [ONE, ONE, ONE])}
+CUBIC = [ONE, ZERO, ZERO, Rat(-2)]
+
+
+@pytest.mark.parametrize("tag", [FieldTag.QQ, FieldTag.QI])
+def test_root_scan_matches_the_field_scan_on_products(tag):
+    # seeded products of (t - r), r rational or Gaussian with small
+    # denominators and multiplicities, with or without a factor that has no
+    # root in the field, and with or without the roots passed as hints; the
+    # scan is bounded by 2 (1 + max |r|) and, as if unbounded, by 10^30,
+    # above every trailing coefficient here
+    rng = random.Random(2022 if tag is FieldTag.QQ else 2023)
+
+    def value():
+        x = Rat(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+        if tag is FieldTag.QI and rng.random() < 0.5:
+            return Scalar(x, Rat(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2))))
+        return x
+
+    outcomes = set()
+    for _ in range(150):
+        roots = [value() for _ in range(rng.randint(0, 4))]
+        roots += roots[:rng.randint(0, 2)]  # repeated roots
+        factor = rng.choice(((ONE,), (ONE,), *IRREDUCIBLE[tag], CUBIC))
+        coeffs = _poly_from_roots(roots, factor)
+        bound = 2 * (1 + max((abs(a) for r in roots for a in _parts(r)), default=ZERO))
+        hints = rng.sample(roots, rng.randint(0, len(roots))) + [value()]
+        for known in ((), hints):
+            ref = _ref_field_roots(coeffs, tag, known)
+            assert field_roots(coeffs, bound, tag, known) == ref
+            assert field_roots(coeffs, Rat(10 ** 30), tag, known) == ref
+            found, complete = ref
+            assert set(found) <= set(roots)
+            outcomes.add((complete, set(found) == set(roots)))
+    # over QI the cubic leaves the scan incomplete, and roots off the real
+    # line are found only from hints or a linear or quadratic remainder
+    assert outcomes == ({(True, True)} if tag is FieldTag.QQ
+                        else {(True, True), (False, True), (False, False)})
+
+
+def test_divisors_up_to_a_bound():
+    for n in range(1, 200):
+        for bound in range(0, n + 2):
+            assert _divisors(n, bound) == [d for d in range(1, bound + 1) if n % d == 0]
+
+
+def test_scale_is_the_least_integral_one():
+    rng = random.Random(5)
+    for _ in range(300):
+        dens = [rng.choice((1, 2, 3, 4, 5, 8, 9, 12, 25, 27)) for _ in range(rng.randint(0, 4))]
+        least = next(t for t in range(1, math.lcm(1, *dens) + 1)
+                     if all(t ** k % d == 0 for k, d in enumerate(dens, 1)))
+        assert _scale_divisors(dens) == [d for d in range(1, least + 1) if least % d == 0]
+    # a large prime, left over from trial division
+    p = 7919
+    cases = ([p], [1, p * p], [1, 1, p], [4 * p, 8 * p ** 3])
+    assert [_scale_divisors(dens)[-1] for dens in cases] == [p, p, p, 4 * p * p]

@@ -143,7 +143,7 @@ def test_eigen_multiplicities(label, alg, x, m, hinted):
         assert lam in roots, label
         geometric = len((sm - lam * sympy.eye(alg.dim)).nullspace())
         assert dim == geometric <= roots[lam]
-    # every rational root is found: rational_roots covers Gaussian
+    # every rational root is found: the integer scan covers Gaussian
     # coefficients, with or without hints
     assert {r for r in roots if sympy.im(r) == 0} <= set(ours), label
     if ed.spectrum_complete:
