@@ -22,7 +22,7 @@ from .fileio import AlgebraFile, parse_algebra_file, render_algebra_file
 from .fusion import find_c2_gradings, jordan_half_law, law_contains, monster_law
 from .linalg import Matrix, Subspace
 from .miyamoto import axis_closure, group_closure
-from .scalars import ONE, ZERO, FieldTag, render_scalar, sort_key
+from .scalars import ONE, ZERO, FieldTag, parse_scalar, render_scalar, sort_key
 from .spectral import check_axial_algebra, eigen_decompose, minimal_law, render_violation
 
 
@@ -92,7 +92,7 @@ def _load(args):
             try:
                 params[key] = int(val)
             except ValueError:
-                params[key] = FieldTag.QQ.parse(val)
+                params[key] = parse_scalar(val, FieldTag.QQ)
         entry = _catalog.build(args.catalog, params)
         bundle = _entry_bundle(entry)
         for key, law in entry.extension_laws.items():

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .algebra import Algebra, _sym_columns, _sym_pairs, _unflatten_sym
 from .errors import DimensionMismatchError, ExtensionError, NotSemisimpleError
 from .linalg import Matrix, RowReducer, Subspace, sparse_add, sparse_combine, sparse_vector
-from .scalars import ONE, ZERO, clear_denominators
+from .scalars import ONE, ZERO, clear_denominators, render_scalar
 from .spectral import check_axis, eigen_decompose, minimal_law, render_violation
 
 
@@ -60,16 +60,6 @@ class Cocycle:
             for vec, a in zip(vectors, vals):
                 vec[cols[i][j]] = a
         return cls(vectors, n, tag)
-
-    @classmethod
-    def from_vectors(cls, vectors, n, tag):
-        """A cocycle from dense upper-triangle vectors, one per coordinate."""
-        sparse = []
-        for v in vectors:
-            if len(v) != len(_sym_pairs(n)):
-                raise DimensionMismatchError("vector length differs from n(n+1)/2")
-            sparse.append(sparse_vector(v))
-        return cls(sparse, n, tag)
 
     @property
     def mats(self):
@@ -217,7 +207,8 @@ def condition2_rows(algebra, a, law, eigen):
                 if bad:
                     raise ExtensionError(
                         f"eigenspace product escapes the law cell "
-                        f"({lam}, {mu}): components at {bad}")
+                        f"({render_scalar(lam)}, {render_scalar(mu)}): components at "
+                        f"[{', '.join(map(render_scalar, bad))}]")
         inverses = {nu: ONE / nu for nu in nus}
         lcm = math.lcm(1, *(inv.denominator for inv in inverses.values()))
         minus_inv = {nu: -(inv.numerator * (lcm // inv.denominator))
@@ -246,8 +237,6 @@ def condition2_rows(algebra, a, law, eigen):
 @dataclass
 class CocycleSpace:
     algebra: Algebra
-    axes: list
-    law: object
     space: Subspace          # Z: relative cocycles (one coordinate)
     coboundaries: Subspace   # B
     intersection: Subspace   # Z cap B
@@ -310,8 +299,7 @@ def cocycle_space(algebra, axes, law):
     for b in cob.matrix.num:
         rep_red.add_int_row(b)
     reps = [b for b in space.matrix.num if rep_red.add_int_row(b)]
-    return CocycleSpace(algebra, [tuple(a) for a in axes], law, space, cob,
-                        cob, space.dim - cob.dim,
+    return CocycleSpace(algebra, space, cob, cob, space.dim - cob.dim,
                         list(Matrix.from_int_rows(reps, space.matrix.den, idx_len,
                                                   algebra.tag).rows))
 
@@ -397,9 +385,10 @@ def extension_axiality(algebra, theta, axes, law):
     theta_in_z says whether theta lies in Z(A, F; axes): every condition (1)
     and (2) row of every axis vanishes on each coordinate of theta.  As for Z
     itself, the axes need not pass the axis check here; each is analysed with
-    the law's values as eigenvalue hints and must be semisimple
-    (NotSemisimpleError) with its eigenvector products inside the law's
-    cells (ExtensionError)."""
+    the law's values as eigenvalue hints and must be semisimple, checked in
+    list order before condition (1) and the induced law ("axis candidate a
+    is not semisimple", NotSemisimpleError), with its eigenvector products
+    inside the law's cells (ExtensionError)."""
     axes = [tuple(a) for a in axes]
     # one decomposition per axis; its 0-eigenspace is ker L_a, since 0 is
     # tried whenever the hinted eigenspaces do not fill the space
@@ -410,6 +399,9 @@ def extension_axiality(algebra, theta, axes, law):
     cond1 = {}
     all_ok = True
     for a, eigen in zip(axes, eigens):
+        if not eigen.semisimple:
+            raise NotSemisimpleError(
+                f"axis candidate {algebra.render_element(a)} is not semisimple")
         kernel = eigen.eigenspace(ZERO) or no_kernel
         ok = _rows_vanish(condition1_rows(algebra, a, kernel), vectors)
         cond1[algebra.render_element(a)] = ok
@@ -419,9 +411,6 @@ def extension_axiality(algebra, theta, axes, law):
         induced = minimal_law(ext, lifted)
     in_z = all_ok
     for a, eigen in zip(axes, eigens):
-        if not eigen.semisimple:
-            raise NotSemisimpleError(
-                f"axis candidate {algebra.render_element(a)} is not semisimple")
         rows = condition2_rows(algebra, a, law, eigen)
         in_z = in_z and _rows_vanish(rows, vectors)
     return ExtensionReport(ext, lifted, cond1, all_ok, induced,

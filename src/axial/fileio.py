@@ -29,7 +29,8 @@ from .errors import AxialError
 from .extension import Cocycle
 from .fusion import FusionLaw, unit_row
 from .linalg import sparse_vector
-from .scalars import ONE, ZERO, FieldTag, ScalarParseError, render_scalar, sort_key
+from .scalars import (ONE, ZERO, FieldTag, ScalarParseError, parse_scalar, render_scalar,
+                      sort_key)
 
 
 class AlgebraFileError(AxialError):
@@ -63,7 +64,7 @@ def _int(text, where):
 
 def _scalar(text, tag, where):
     try:
-        return tag.parse(text)
+        return parse_scalar(text, tag)
     except ScalarParseError as ex:
         raise AlgebraFileError(f"{where}: {ex}") from None
 

@@ -8,8 +8,8 @@ over one positive denominator, in lowest terms.  Its field-element rows,
 sparse and dense, are views built on demand.  Rows are shared, never copied
 and never mutated.  Field elements are bare rationals or Gaussian pairs (see
 scalars).  Matrix, RowReducer and Subspace hold their field tag; a Matrix
-built from dense rows or columns and a Subspace built from dense vectors
-check their entries against it once, when built.
+built from dense rows and a Subspace built from dense vectors check their
+entries against it once, when built.
 
 The kernels run on integer vectors: sparse_combine, the one sparse linear
 combination of rows, uses only + and *, and RowReducer reduces fraction-free,
@@ -168,22 +168,6 @@ class Matrix:
     def zero(cls, nrows, ncols, tag):
         return cls._of_form(({},) * nrows, 1, ncols, tag)
 
-    @classmethod
-    def from_columns(cls, cols, tag, nrows=None):
-        if cols:
-            nrows = len(cols[0])
-        elif nrows is None:
-            raise DimensionMismatchError("empty matrix needs explicit nrows")
-        check = tag.check
-        sparse = tuple({} for _ in range(nrows))
-        for j, c in enumerate(cols):
-            if len(c) != nrows:
-                raise DimensionMismatchError("ragged columns")
-            for i, a in enumerate(c):
-                if check(a):
-                    sparse[i][j] = a
-        return cls.from_sparse_rows(sparse, len(cols), tag)
-
     def transpose(self):
         cols = tuple({} for _ in range(self.ncols))
         for i, r in enumerate(self.num):
@@ -257,17 +241,6 @@ class Matrix:
             red.add_int_row(r)
         return red
 
-    def rref(self):
-        """Reduced row echelon form; returns (Matrix, pivot column tuple)."""
-        red = self._reducer()
-        form = red.rref_form()
-        return (Matrix._of_form(form.num + ({},) * (self.nrows - form.nrows), form.den,
-                                self.ncols, self.tag),
-                tuple(red.pivot_columns()))
-
-    def rank(self):
-        return self._reducer().rank()
-
     def kernel(self):
         """Null space {x : Mx = 0} as a canonical Subspace."""
         return Subspace.spanned(self._reducer().kernel_basis(), self.ncols, self.tag)
@@ -313,9 +286,6 @@ class Matrix:
         return Matrix.from_int_rows(
             [{j - n: a * (self.den * common // r[i]) for j, a in r.items() if j >= n}
              for i, r in enumerate(stored)], common, n, self.tag)
-
-    def is_zero(self):
-        return not any(self.num)
 
     def __repr__(self):
         body = "; ".join(" ".join(str(a) for a in r) for r in self.rows)

@@ -15,8 +15,6 @@ from .spectral import eigen_decompose
 @dataclass(frozen=True)
 class AutMatrix:
     matrix: Matrix
-    kind: str           # "tau" | "flip" | "external"
-    source: tuple = ()  # axis or axis pair the map came from
 
     def apply(self, x):
         return self.matrix.apply(x)
@@ -77,15 +75,13 @@ def tau_automorphism(algebra, a, law, grading):
         raise AxialError(
             "eigenspace sign map is not an automorphism (grading incompatible "
             "with the observed products)")
-    return AutMatrix(m, "tau", (a,))
+    return AutMatrix(m)
 
 
 @dataclass
 class GroupClosure:
     elements: list      # AutMatrix, BFS order, identity first
-    generators: list
     completed: bool
-    cap: int
 
     @property
     def order(self):
@@ -127,15 +123,13 @@ def group_closure(generators, cap=200):
             elements.append(prod)
         if not completed:
             break
-    return GroupClosure([AutMatrix(m, "external") for m in elements],
-                        list(generators), completed, cap)
+    return GroupClosure([AutMatrix(m) for m in elements], completed)
 
 
 @dataclass
 class AxisClosure:
     axes: list
     completed: bool
-    cap: int
     taus: dict  # axis -> its AutMatrix, for every axis whose map was built
 
 
@@ -162,12 +156,12 @@ def axis_closure(algebra, axes, law, grading, cap=200):
                 img = t.apply(a)
                 if img not in seen:
                     if len(seen) >= cap:
-                        return AxisClosure(current, False, cap, taus)
+                        return AxisClosure(current, False, taus)
                     seen.add(img)
                     current.append(img)
                     new.append(img)
         frontier = new
-    return AxisClosure(current, True, cap, taus)
+    return AxisClosure(current, True, taus)
 
 
 def find_flip(algebra, a1, a2):
@@ -185,7 +179,7 @@ def find_flip(algebra, a1, a2):
     a1, a2 = tuple(a1), tuple(a2)
     n = algebra.dim
     if a1 == a2:
-        return AutMatrix(Matrix.identity(n, algebra.tag), "flip", (a1, a2))
+        return AutMatrix(Matrix.identity(n, algebra.tag))
     span, _ = algebra.direct_sum(algebra).subalgebra_closure([a1 + a2, a2 + a1])
     rows = span.matrix.num
     if sum(next(iter(row)) < n for row in rows) < n:
@@ -198,4 +192,4 @@ def find_flip(algebra, a1, a2):
         return None
     if m.apply(a1) != a2 or m.apply(a2) != a1:
         return None
-    return AutMatrix(m, "flip", (a1, a2))
+    return AutMatrix(m)

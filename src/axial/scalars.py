@@ -9,9 +9,11 @@ special cases.
 
 Elements carry no field.  The field is a ``FieldTag`` held once by each
 object built from elements (an algebra, a matrix, a subspace, a fusion law);
-it supplies zero, one, inverse, parse, render, a sort key and the membership
-check, which runs when such an object is built rather than on every
-operation.
+it supplies only the membership check, which runs when such an object is
+built rather than on every operation.  Zero and one are ``ZERO`` and ``ONE``
+in both fields, an inverse is ``ONE / x``, and parsing, rendering and the
+canonical order are ``parse_scalar(text, tag)``, ``render_scalar`` and
+``sort_key``.
 """
 
 from __future__ import annotations
@@ -40,14 +42,6 @@ class FieldTag(enum.Enum):
     def __repr__(self):
         return f"FieldTag.{self.name}"
 
-    @property
-    def zero(self):
-        return ZERO
-
-    @property
-    def one(self):
-        return ONE
-
     def check(self, x):
         """x itself when it is an element of this field in canonical form,
         else FieldMismatchError."""
@@ -58,18 +52,6 @@ class FieldTag(enum.Enum):
         raise FieldMismatchError(
             f"{x!r} ({t.__name__}) is not an element of the {self.value}")
 
-    def inverse(self, x):
-        return ONE / x
-
-    def parse(self, text):
-        return parse_scalar(text, self)
-
-    def render(self, x):
-        return render_scalar(x)
-
-    def sort_key(self, x):
-        return sort_key(x)
-
 
 class Scalar:
     """A Gaussian rational re + im*i with im != 0.
@@ -77,7 +59,7 @@ class Scalar:
     Construct with ``Scalar(re, im)``, which returns a bare Rat when im is
     zero, or with ``Scalar.rational`` and ``Scalar.i``; the arithmetic takes
     Rats and pairs on either side.  The field's zero and one are the Rats
-    ``ZERO`` and ``ONE`` (also ``FieldTag.zero``/``one``).
+    ``ZERO`` and ``ONE``.
     """
 
     __slots__ = ("re", "im")

@@ -220,7 +220,7 @@ def eigen_decompose(algebra, x, hints=()):
         m = Matrix.from_int_rows(rows, den, n, tag)  # L_x
         candidates, complete = field_roots(char_poly(m), root_bound(m), tag, known=seen)
     pairs.sort(key=lambda p: sort_key(p[0]))
-    return Eigenbasis(algebra, tuple(x), pairs, complete)
+    return Eigenbasis(algebra, pairs, complete)
 
 
 class Eigenbasis:
@@ -236,9 +236,8 @@ class Eigenbasis:
     which components() and products() run, so products and splits touch only
     nonzero entries.  products() is computed once, on first use."""
 
-    def __init__(self, algebra, element, pairs, complete):
+    def __init__(self, algebra, pairs, complete):
         self.algebra = algebra
-        self.element = element
         self.pairs = pairs
         self.semisimple = self.total_dim() == algebra.dim
         self.spectrum_complete = complete or self.semisimple
@@ -366,7 +365,6 @@ class Eigenbasis:
 
 @dataclass
 class AxisReport:
-    element: tuple
     idempotent: bool     # a is a nonzero idempotent
     eigen: Eigenbasis
     primitive: bool = False
@@ -407,7 +405,7 @@ def check_axis(algebra, a, law):
                             ("fusion_violation",
                              (lam, mu, nu, algebra.element(eigen.vectors[r]),
                               algebra.element(eigen.vectors[q]))))
-    return AxisReport(a, idem, eigen, primitive, report_violations)
+    return AxisReport(idem, eigen, primitive, report_violations)
 
 
 def render_violation(algebra, violation):

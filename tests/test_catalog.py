@@ -11,7 +11,7 @@ from axial.algebra import MAX_DIM
 from axial.errors import CatalogError
 from axial.fileio import AlgebraFile, parse_algebra_file, render_algebra_file
 from axial.miyamoto import find_flip, group_closure, tau_automorphism
-from axial.scalars import FieldTag, Rat, Scalar
+from axial.scalars import FieldTag, Rat, Scalar, parse_scalar
 from axial.spectral import eigen_decompose
 
 SERIES = ("S", "J", "T", "JordanA", "JordanB", "JordanC", "JordanD")
@@ -139,7 +139,7 @@ def test_monster4_eigenvectors_lie_in_their_eigenspaces(label, value):
     axis = alg.basis_element(alg.labels.index(label))
     vector = entry.expected["eigenvectors"][label][value]
     assert any(vector)
-    space = eigen_decompose(alg, axis).eigenspace(FieldTag.QQ.parse(value))
+    space = eigen_decompose(alg, axis).eigenspace(parse_scalar(value))
     assert space.contains_vector(vector)
 
 

@@ -11,6 +11,7 @@ import axial
 from axial import catalog, cli, miyamoto
 from axial.cli import _all_basis_cocycles_jordan, main
 from axial.extension import Cocycle, build_extension, cocycle_space
+from axial.linalg import sparse_vector
 
 
 def run(capsys, *argv):
@@ -104,6 +105,32 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert "not a nonzero idempotent" in proc.stderr
+
+    @pytest.mark.parametrize("text, line", [
+        # b2 is a 0-eigenvector of b1 with b2 b2 = b2, and the cell 0*0 is empty
+        ("dim 2\nbasis b1 b2\nproduct 1 1: 1 b1\nproduct 2 2: 1 b2\nset X: b1\n"
+         "law F: 1 0\ncocycle t 1 2: 1\n",
+         "error: eigenspace product escapes the law cell (0, 0): components at [0]"),
+        # over Q(i): b2 is an i-eigenvector of b1 with b2 b2 = b2
+        ("field QI\ndim 2\nbasis b1 b2\nproduct 1 1: 1 b1\nproduct 1 2: i b2\n"
+         "product 2 2: 1 b2\nset X: b1\nlaw F: 1 i\ncocycle t 1 2: 1\n",
+         "error: eigenspace product escapes the law cell (i, i): components at [i]"),
+        # b1 b2 = b1 + b2: L_b1 is a Jordan block, and condition (1) holds
+        ("dim 2\nbasis b1 b2\nproduct 1 1: 1 b1\nproduct 1 2: 1 b1, 1 b2\n"
+         "product 2 2: 1 b2\nset X: b1\nlaw F: 1 0\ncocycle t 1 2: 1\n",
+         "error: axis candidate b1 is not semisimple"),
+    ], ids=["escape-qq", "escape-qi", "not-semisimple"])
+    def test_extend_refusals_are_rendered(self, tmp_path, text, line):
+        path = tmp_path / "f.alg"
+        path.write_text(text)
+        src = os.path.dirname(os.path.dirname(axial.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "axial.cli", "extend", "--file",
+                               str(path), "--axes", "X", "--law", "F", "--cocycle", "t"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [line]
 
     def test_zero_axis_is_refused(self, tmp_path):
         # an axis is a nonzero idempotent: the zero element fails the axis
@@ -374,7 +401,7 @@ class TestReproduce:
         entry = catalog.build(name)
         alg, axes, law = entry.algebra, entry.axis_sets[axes], entry.laws[law]
         per_basis = all(
-            build_extension(alg, Cocycle.from_vectors([v], alg.dim, alg.tag))[0]
+            build_extension(alg, Cocycle([sparse_vector(v)], alg.dim, alg.tag))[0]
             .jordan_check() is None
             for v in cocycle_space(alg, axes, law).space.basis)
         assert _all_basis_cocycles_jordan(alg, axes, law) == per_basis

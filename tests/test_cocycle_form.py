@@ -10,7 +10,7 @@ import pytest
 from axial import catalog
 from axial.extension import (Cocycle, aut_action, build_extension, coboundary,
                              cocycle_space, is_split, normalize_on_axes)
-from axial.linalg import Matrix, Subspace
+from axial.linalg import Matrix, Subspace, sparse_vector
 from axial.scalars import ZERO, FieldTag, Rat, Scalar
 
 # (name, params, axis-set key); JordanD is the algebra over Q(i)
@@ -103,7 +103,7 @@ def test_evaluate_mats_and_vectors(case):
     for rng, s, grams in _draws(case):
         theta = _theta(rng, grams, tag)
         assert theta.s == s and _dense(theta.mats) == grams
-        assert theta == Cocycle.from_vectors([_upper(g) for g in grams], n, tag)
+        assert theta == Cocycle([sparse_vector(_upper(g)) for g in grams], n, tag)
         points = [alg.basis_element(k) for k in range(n)]
         points += [_vector(rng, n, tag) for _ in range(4)]
         for x in points:
@@ -143,7 +143,7 @@ def test_aut_action(case):
     for rng, _s, grams in _draws(case):
         while True:
             phi = Matrix(tuple(_vector(rng, n, tag) for _ in range(n)), tag)
-            if phi.rank() == n:
+            if phi.kernel().is_zero():
                 break
         want = [[[_form(g, [r[i] for r in phi.rows], [r[j] for r in phi.rows])
                   for j in range(n)] for i in range(n)] for g in grams]
@@ -157,7 +157,7 @@ def test_normalize_on_axes(case):
     # the axes completed by the standard vectors that raise the rank
     rows = [tuple(a) for a in axes]
     for j in range(n):
-        if Matrix(tuple(rows + [alg.basis_element(j)]), tag).rank() > len(rows):
+        if Subspace(rows + [alg.basis_element(j)], n, tag).dim > len(rows):
             rows.append(alg.basis_element(j))
     rinv = Matrix(tuple(rows), tag).inverse().rows
     for rng, s, grams in _draws(case):
@@ -211,7 +211,7 @@ def test_space_membership(case):
             if kind in (2, 3):
                 f = [[_element(rng, tag)] for _ in range(n)]
                 vec = [v + d for v, d in zip(vec, _upper(_delta(alg, f)[0]))]
-            grams[g] = _dense(Cocycle.from_vectors([vec], n, tag).mats)[0]
+            grams[g] = _dense(Cocycle([sparse_vector(vec)], n, tag).mats)[0]
         theta = _theta(rng, grams, tag)
         in_z = all(cs.space.contains_vector(_upper(g)) for g in grams)
         in_b = all(cs.coboundaries.contains_vector(_upper(g)) for g in grams)

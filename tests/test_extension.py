@@ -11,7 +11,7 @@ from axial.extension import (Cocycle, aut_action, build_extension, coboundary,
                              coboundary_space, cocycle_space, condition1_rows,
                              condition2_rows, decompose_by_annihilator,
                              extension_axiality, is_split, normalize_on_axes)
-from axial.linalg import Matrix, RowReducer, Subspace, sparse_add
+from axial.linalg import Matrix, RowReducer, Subspace, sparse_add, sparse_vector
 from axial.scalars import ZERO, FieldTag, Rat, Scalar
 from axial.spectral import check_axial_algebra, check_axis, render_violation
 
@@ -293,7 +293,7 @@ class TestNormalizeAndAction:
         axes = entry.axis_sets["all"]
         cs = cocycle_space(entry.algebra, entry.axis_sets["X01"],
                            entry.laws["M2half"])
-        th = Cocycle.from_vectors([cs.class_reps[0]], 4, FieldTag.QQ)
+        th = Cocycle([sparse_vector(cs.class_reps[0])], 4, FieldTag.QQ)
         nm = normalize_on_axes(entry.algebra, th, axes)
         for a in axes:
             assert all(not v for v in nm.evaluate(a, a))

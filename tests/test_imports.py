@@ -1,17 +1,27 @@
-"""Every module-level import of the package is used, and every private
-module-level name is read somewhere in the package.
+"""Every module-level import of the package is used, every private
+module-level name is read somewhere in the package, and every class member
+is read by the package or by the benchmark.
 
 No linter runs on the sources, so this parses each module of src/axial and
 fails on an imported name that the module never reads and does not export
-in __all__, and on a module-level _name (function, class or assignment)
-that no module of src/axial reads.
+in __all__, on a module-level _name (function, class or assignment) that no
+module of src/axial reads, and on a class member whose name no module of
+src/axial or bench loads as an attribute and the benchmark does not trace.
 """
 
 import ast
+import dataclasses
 import functools
 from pathlib import Path
 
 import pytest
+
+from axial import catalog
+from axial.extension import Cocycle, CocycleSpace
+from axial.linalg import Matrix
+from axial.miyamoto import AutMatrix, AxisClosure, GroupClosure
+from axial.scalars import FieldTag
+from axial.spectral import AxisReport, eigen_decompose
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "axial").glob("*.py"))
 
@@ -95,3 +105,103 @@ def test_no_dead_private_helpers(path):
     dead = {name: line for name, line in _private_definitions(tree).items()
             if name not in read}
     assert not dead, f"{path.name}: private names no module reads {dead}"
+
+
+# ---------------------------------------------------------------------------
+# class members: each is read by the package or by the benchmark
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+# read by neither, and kept on purpose: {Class.name: reason}
+ALLOWED_UNREAD = {
+    "C2Grading.sigma0": "the benchmark's miyamoto workload builds "
+                        "C2Grading(plus, minus, 1) by position",
+    "ExtensionReport.lifted_axes": "the paper's Y, the lifted axes a + theta(a, a) "
+                                   "that the tests certify as axes of A_theta",
+}
+
+
+def _class_members(tree):
+    """(Class.name, line) of the methods, properties, class and static
+    methods, class-level annotated fields and self.x set in __init__ of
+    every class in the module, dunders aside."""
+    for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+        members = {}
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                members[node.target.id] = node.lineno
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                members[node.name] = node.lineno
+                if node.name != "__init__":
+                    continue
+                for sub in ast.walk(node):
+                    if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                            and isinstance(sub.value, ast.Name) and sub.value.id == "self"):
+                        members[sub.attr] = sub.lineno
+        yield from ((f"{cls.name}.{name}", line) for name, line in members.items()
+                    if not name.startswith("__"))
+
+
+def _span_target_names():
+    """The last part of every dotted name in bench/tracing.SPAN_TARGETS,
+    read from the source without importing it."""
+    tree = ast.parse((BENCH / "tracing.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "SPAN_TARGETS"
+                        for t in node.targets)):
+            return {target.rsplit(".", 1)[-1]
+                    for _layer, target, *_ in ast.literal_eval(node.value)}
+    raise AssertionError("bench/tracing.py defines no SPAN_TARGETS")
+
+
+@functools.lru_cache(maxsize=1)
+def _attribute_reads():
+    """Every attribute name loaded in src/axial or bench, and every traced
+    name of the benchmark."""
+    read = _span_target_names()
+    for path in SOURCES + sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return read
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unread_class_members(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    read = _attribute_reads()
+    unread = {name: line for name, line in _class_members(tree)
+              if name.split(".")[1] not in read and name not in ALLOWED_UNREAD}
+    assert not unread, f"{path.name}: class members nothing reads {unread}"
+
+
+def test_allowed_unread_members_are_unread():
+    # an allowlisted name that gains a reader leaves the list
+    read = _attribute_reads()
+    members = {name for path in SOURCES
+               for name, _ in _class_members(ast.parse(path.read_text(encoding="utf-8")))}
+    for name in ALLOWED_UNREAD:
+        assert name in members and name.split(".")[1] not in read, name
+
+
+def test_deleted_members_stay_deleted():
+    # names shared with a live member (Matrix.rank and RowReducer.rank,
+    # FieldTag.render and the benchmark's own render) escape the liveness
+    # test, so each deleted member is checked on its class
+    methods = {Matrix: ("rref", "from_columns", "rank", "is_zero"),
+               Cocycle: ("from_vectors",),
+               FieldTag: ("zero", "one", "inverse", "render", "sort_key", "parse")}
+    for cls, names in methods.items():
+        for name in names:
+            assert not hasattr(cls, name), f"{cls.__name__}.{name}"
+    fields = {AutMatrix: ("kind", "source"), GroupClosure: ("generators", "cap"),
+              AxisClosure: ("cap",), CocycleSpace: ("axes", "law"),
+              AxisReport: ("element",)}
+    for cls, names in fields.items():
+        present = {f.name for f in dataclasses.fields(cls)}
+        for name in names:
+            assert name not in present, f"{cls.__name__}.{name}"
+    entry = catalog.build("B")
+    eigen = eigen_decompose(entry.algebra, entry.axis_sets["X12"][0])
+    assert not hasattr(eigen, "element")

@@ -9,7 +9,7 @@ from axial import catalog
 from axial.algebra import Algebra
 from axial.extension import Cocycle, build_extension, cocycle_space
 from axial.fusion import jordan_half_law
-from axial.scalars import FieldTag, Scalar
+from axial.scalars import ONE, FieldTag, Scalar
 
 
 def naive_jordan_witness(alg):
@@ -38,7 +38,7 @@ def _random_algebra(rng, n, tag, density):
     basis elements with small coefficients."""
     coeffs = [Scalar.rational(c, d) for c, d in ((1, 1), (-1, 1), (2, 1), (1, 2))]
     if tag is FieldTag.QI:
-        coeffs += [Scalar.i(), Scalar.i() + tag.one]
+        coeffs += [Scalar.i(), Scalar.i() + ONE]
     products = {}
     for i in range(n):
         for j in range(i, n):
@@ -72,7 +72,7 @@ def _extensions_outside_z():
         cs = cocycle_space(alg, entry.axis_sets[key], law)
         for p in range(alg.dim):
             for q in range(p, alg.dim):
-                theta = Cocycle.from_entries(alg.dim, {(p, q): alg.tag.one}, alg.tag)
+                theta = Cocycle.from_entries(alg.dim, {(p, q): ONE}, alg.tag)
                 if not cs.contains(theta):
                     yield build_extension(alg, theta)[0]
 

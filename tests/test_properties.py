@@ -11,9 +11,9 @@ from axial.errors import CatalogError
 from axial.extension import (Cocycle, aut_action, build_extension, coboundary,
                              cocycle_space, decompose_by_annihilator,
                              extension_axiality)
-from axial.linalg import Matrix, sparse_add
+from axial.linalg import Matrix, sparse_add, sparse_vector
 from axial.miyamoto import tau_automorphism
-from axial.scalars import FieldTag, Rat, Scalar
+from axial.scalars import ZERO, FieldTag, Rat, Scalar
 from axial.spectral import check_axis, eigen_decompose
 
 TAG = FieldTag.QQ
@@ -57,7 +57,7 @@ def _naive_condition1(algebra, theta, axes):
 
 
 def _lin_comb(basis, coeffs, n):
-    vec = [TAG.zero] * len(basis[0]) if basis else []
+    vec = [ZERO] * len(basis[0]) if basis else []
     for c, b in zip(coeffs, basis):
         for j in range(len(vec)):
             vec[j] = vec[j] + c * b[j]
@@ -83,8 +83,7 @@ def run_class_invariance(count=100, seed=11):
         n = entry.algebra.dim
         if rng.random() < 0.7 and cs.space.dim:
             coeffs = [q(rng.randint(-4, 4)) for _ in cs.space.basis]
-            theta = Cocycle.from_vectors([_lin_comb(cs.space.basis, coeffs, n)],
-                                         n, TAG)
+            theta = Cocycle([sparse_vector(_lin_comb(cs.space.basis, coeffs, n))], n, TAG)
         else:
             theta = _rand_theta(rng, n)
         f = Matrix(tuple((q(rng.randint(-4, 4)),) for _ in range(n)),
@@ -124,10 +123,10 @@ def run_eigenvalue_lift(count=100, seed=12):
             continue
         for a, lifted in zip(entry.axis_sets[axkey], rep.lifted_axes):
             base = eigen_decompose(entry.algebra, a)
-            hints = base.spectrum() + [TAG.zero]
+            hints = base.spectrum() + [ZERO]
             ext = eigen_decompose(rep.extension, lifted, hints=hints)
             assert ext.semisimple
-            assert set(ext.spectrum()) == set(base.spectrum()) | {TAG.zero}
+            assert set(ext.spectrum()) == set(base.spectrum()) | {ZERO}
         done += 1
     # over Q(i): JordanD, whose axes have imaginary coordinates, with
     # Gaussian cocycles inside Z, outside it, and a Z cocycle plus one entry
@@ -147,7 +146,7 @@ def run_eigenvalue_lift(count=100, seed=12):
             vec[rng.randrange(len(vec))] += Scalar(rng.randint(-3, 3), rng.randint(1, 2))
         if kind == 2:
             vec = [Scalar(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in vec]
-        theta = Cocycle.from_vectors([vec], n, FieldTag.QI)
+        theta = Cocycle([sparse_vector(vec)], n, FieldTag.QI)
         rep = extension_axiality(alg, theta, axes, law)
         assert rep.theta_in_z == cs.contains(theta)
         assert rep.condition1 == _naive_condition1(alg, theta, axes)
@@ -184,7 +183,6 @@ def run_frobenius_lift(count=100, seed=14):
     symmetric cocycle."""
     rng = random.Random(seed)
     pool = [catalog.build(n) for n in ("B", "C", "D", "E", "G", "H", "I")]
-    zero = TAG.zero
     for _ in range(count):
         entry = pool[rng.randrange(len(pool))]
         alg = entry.algebra
@@ -193,7 +191,7 @@ def run_frobenius_lift(count=100, seed=14):
         g = entry.frobenius.gram.rows
 
         def bil(x, y):
-            tot = zero
+            tot = ZERO
             for i in range(alg.dim):
                 for j in range(alg.dim):
                     if g[i][j]:
@@ -285,8 +283,7 @@ def run_stability(count=100, seed=17):
     for _ in range(count):
         entry, taus, cs = setups[rng.randrange(len(setups))]
         coeffs = [q(rng.randint(-5, 5)) for _ in cs.space.basis]
-        theta = Cocycle.from_vectors(
-            [_lin_comb(cs.space.basis, coeffs, 2)], 2, TAG)
+        theta = Cocycle([sparse_vector(_lin_comb(cs.space.basis, coeffs, 2))], 2, TAG)
         g = taus[rng.randrange(len(taus))]
         moved = aut_action(theta, g.matrix)
         assert cs.contains(moved)
