@@ -15,10 +15,10 @@ import math
 from dataclasses import dataclass
 
 from .algebra import Algebra, _sym_columns, _sym_pairs, _unflatten_sym
-from .errors import DimensionMismatchError, ExtensionError, NotSemisimpleError
+from .errors import DimensionMismatchError, ExtensionError
 from .linalg import Matrix, RowReducer, Subspace, sparse_add, sparse_combine, sparse_vector
 from .scalars import ONE, ZERO, clear_denominators, render_scalar
-from .spectral import check_axis, eigen_decompose, minimal_law, render_violation
+from .spectral import axis_eigenbasis, check_axis, minimal_law, render_violation
 
 
 class Cocycle:
@@ -287,10 +287,9 @@ def cocycle_space(algebra, axes, law):
                 f"{algebra.render_element(a)} fails the axis check: {found}")
         if red.rank() == full:
             continue
-        # an axis is semisimple, so ker L_a is its 0-eigenspace, if any
-        kernel = rep.eigen.eigenspace(ZERO) or Subspace.zero_space(algebra.dim, algebra.tag)
-        # the condition rows are integer rows
-        for row in condition1_rows(algebra, a, kernel):
+        # an axis is semisimple, so ker L_a is its 0-eigenspace; the
+        # condition rows are integer rows
+        for row in condition1_rows(algebra, a, rep.eigen.eigenspace(ZERO)):
             red.add_int_row(row)
         for row in condition2_rows(algebra, a, law, rep.eigen):
             red.add_int_row(row)
@@ -344,9 +343,14 @@ def is_split(algebra, theta):
 
     Dependent classes [theta_1..theta_s] modulo coboundaries give a split
     extension.  With independent classes, the extension is non-split when the
-    annihilator of A_theta is exactly the adjoined space; when the base
-    algebra has annihilator of its own the criterion is silent and
-    'indeterminate' is returned.
+    annihilator of A_theta is exactly the adjoined space V = F^s; otherwise
+    the criterion is silent and 'indeterminate' is returned.
+
+    The annihilator is read in A, without building A_theta: x + v, for x in
+    A and v in V, annihilates A_theta iff xy = 0 and theta(x, y) = 0 for
+    every y in A.  So Ann(A_theta) = (Ann(A) cap theta-perp) + V, where
+    theta-perp is the kernel of the stacked Gram matrices of theta, and it is
+    V iff Ann(A) cap theta-perp is zero.
     """
     n = algebra.dim
     if theta.dim != n:
@@ -356,11 +360,12 @@ def is_split(algebra, theta):
         red.add_int_row(b)
     if not all(red.add_row(v) for v in theta.vectors):
         return "split"
-    ext, _ = build_extension(algebra, theta)
-    ann = ext.annihilator()
-    adjoined = Subspace.spanned([{n + g: 1} for g in range(theta.s)],
-                                n + theta.s, algebra.tag)
-    if ann == adjoined:
+    ann = algebra.annihilator()
+    if not ann.is_zero():
+        # theta-perp is built only when A has annihilator of its own
+        ann = ann.intersect(Matrix.from_int_rows(
+            [r for m in theta.mats for r in m.num], 1, n, algebra.tag).kernel())
+    if ann.is_zero():
         return "non_split"
     return "indeterminate"
 
@@ -383,27 +388,21 @@ def extension_axiality(algebra, theta, axes, law):
     relative cocycle.
 
     theta_in_z says whether theta lies in Z(A, F; axes): every condition (1)
-    and (2) row of every axis vanishes on each coordinate of theta.  As for Z
-    itself, the axes need not pass the axis check here; each is analysed with
-    the law's values as eigenvalue hints and must be semisimple, checked in
-    list order before condition (1) and the induced law ("axis candidate a
-    is not semisimple", NotSemisimpleError), with its eigenvector products
-    inside the law's cells (ExtensionError)."""
+    and (2) row of every axis vanishes on each coordinate of theta.  The axes
+    need not pass the axis check here: each passes axis_eigenbasis with the
+    law's values as hints, one at a time in list order before the extension
+    is built (NotIdempotentError, NotSemisimpleError), and must have its
+    eigenvector products inside the law's cells (ExtensionError)."""
     axes = [tuple(a) for a in axes]
     # one decomposition per axis; its 0-eigenspace is ker L_a, since 0 is
     # tried whenever the hinted eigenspaces do not fill the space
-    eigens = [eigen_decompose(algebra, a, hints=law.values) for a in axes]
+    eigens = [axis_eigenbasis(algebra, a, law.values) for a in axes]
     ext, lifted = build_extension(algebra, theta, axes)
     vectors = theta.vectors
-    no_kernel = Subspace.zero_space(algebra.dim, algebra.tag)
     cond1 = {}
     all_ok = True
     for a, eigen in zip(axes, eigens):
-        if not eigen.semisimple:
-            raise NotSemisimpleError(
-                f"axis candidate {algebra.render_element(a)} is not semisimple")
-        kernel = eigen.eigenspace(ZERO) or no_kernel
-        ok = _rows_vanish(condition1_rows(algebra, a, kernel), vectors)
+        ok = _rows_vanish(condition1_rows(algebra, a, eigen.eigenspace(ZERO)), vectors)
         cond1[algebra.render_element(a)] = ok
         all_ok = all_ok and ok
     induced = None

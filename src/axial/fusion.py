@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import AxialError
-from .scalars import ONE, ZERO, FieldTag, Rat, Scalar, sort_key
+from .scalars import ONE, ZERO, FieldTag, Rat, sort_key
 
 
 def _cell_key(lam, mu):
@@ -18,17 +18,14 @@ class FusionLaw:
     """(values, star): star maps unordered value pairs to subsets of values.
 
     table: {(lam, mu): iterable of field elements}; missing cells are empty.
-    The table is symmetrized on construction and membership is validated.
-    Without a field tag, the law is over QI when a value has an imaginary
-    part and over QQ otherwise.
+    The table is symmetrized on construction and membership is validated;
+    each value is checked against the field tag.
     """
 
-    def __init__(self, values, table, tag=None):
+    def __init__(self, values, table, tag):
         values = tuple(sorted(set(values), key=sort_key))
         if not values:
             raise AxialError("fusion law needs at least one value")
-        if tag is None:
-            tag = FieldTag.QI if any(type(v) is Scalar for v in values) else FieldTag.QQ
         for v in values:
             tag.check(v)
         vset = set(values)
@@ -46,7 +43,6 @@ class FusionLaw:
                 raise AxialError(f"asymmetric cells for pair ({key[0]}, {key[1]})")
             canon[key] = cell
         self.values = values
-        self.tag = tag
         self.table = {k: c for k, c in canon.items() if c}
 
     def star(self, lam, mu):

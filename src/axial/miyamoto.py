@@ -6,10 +6,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (AxialError, DimensionMismatchError, FieldMismatchError,
-                     NotIdempotentError, NotSemisimpleError)
+from .errors import AxialError, DimensionMismatchError, FieldMismatchError
 from .linalg import Matrix, RowReducer, sparse_add, sparse_combine
-from .spectral import eigen_decompose
+from .spectral import axis_eigenbasis
 
 
 @dataclass(frozen=True)
@@ -47,18 +46,10 @@ def is_automorphism(algebra, m):
 
 def tau_automorphism(algebra, a, law, grading):
     """The involution acting as +1 on plus-graded and -1 on minus-graded
-    eigenspaces of the axis; verified multiplicative before returning.
-    Raises NotIdempotentError unless a is a nonzero idempotent, as an axis
-    is; the zero element would otherwise give the identity."""
-    a = tuple(a)
-    if not any(a) or not algebra.is_idempotent(a):
-        raise NotIdempotentError(
-            f"{algebra.render_element(a)} is not a nonzero idempotent; "
-            f"no Miyamoto involution")
-    eigen = eigen_decompose(algebra, a, hints=law.values)
-    if not eigen.semisimple:
-        raise NotSemisimpleError(
-            f"{algebra.render_element(a)} is not semisimple; no eigenspace involution")
+    eigenspaces of the axis; verified multiplicative before returning.  The
+    axis passes axis_eigenbasis with the law's values as hints, so the zero
+    element, whose sign map would be the identity, is refused."""
+    eigen = axis_eigenbasis(algebra, a, law.values)
     negative = {lam for lam, _ in eigen.pairs if grading.sign(lam) < 0}
     # column j is tau(e_j): the eigencomponents of e_j with their signs, as
     # integers over dinv * dvec

@@ -268,10 +268,11 @@ class Eigenbasis:
         return [lam for lam, _ in self.pairs]
 
     def eigenspace(self, lam):
+        """The lam-eigenspace; the zero Subspace when lam is no eigenvalue."""
         for mu, space in self.pairs:
             if mu == lam:
                 return space
-        return None
+        return Subspace.zero_space(self.algebra.dim, self.algebra.tag)
 
     def total_dim(self):
         return sum(space.dim for _, space in self.pairs)
@@ -391,8 +392,7 @@ def check_axis(algebra, a, law):
     extra = [lam for lam in eigen.spectrum() if not law.has_value(lam)]
     if extra:
         report_violations.append(("spectrum_outside_law", extra))
-    a1 = eigen.eigenspace(ONE)
-    primitive = eigen.semisimple and a1 is not None and a1.dim == 1
+    primitive = eigen.semisimple and eigen.eigenspace(ONE).dim == 1
     if eigen.semisimple and not extra:
         for lam, mu, nus, items in eigen.products():
             allowed = law.star(lam, mu)
@@ -423,23 +423,30 @@ def render_violation(algebra, violation):
     return [item(x) for x in violation]
 
 
+def axis_eigenbasis(algebra, a, hints=()):
+    """The Eigenbasis of the axis candidate a, from eigen_decompose with the
+    given hints: the one check that raises for a candidate that is not an
+    axis.  Raises NotIdempotentError unless a is a nonzero idempotent, then
+    NotSemisimpleError unless L_a is semisimple."""
+    a = tuple(a)
+    if not any(a) or not algebra.is_idempotent(a):
+        raise NotIdempotentError(
+            f"axis candidate {algebra.render_element(a)} is not a nonzero idempotent")
+    eigen = eigen_decompose(algebra, a, hints)
+    if not eigen.semisimple:
+        raise NotSemisimpleError(
+            f"axis candidate {algebra.render_element(a)} is not semisimple")
+    return eigen
+
+
 def minimal_law(algebra, axes):
     """The smallest fusion law making every member of axes an axis:
-    values = union of spectra, cells = observed product components.  Raises
-    NotIdempotentError unless every member is a nonzero idempotent."""
+    values = union of spectra, cells = observed product components.  Each
+    member passes axis_eigenbasis, without hints, in list order."""
     values = set()
     table = {}
     for a in axes:
-        a = tuple(a)
-        if not any(a) or not algebra.is_idempotent(a):
-            raise NotIdempotentError(
-                f"minimal_law requires idempotents that are nonzero; "
-                f"got {algebra.render_element(a)}")
-        eigen = eigen_decompose(algebra, a)
-        if not eigen.semisimple:
-            raise NotSemisimpleError(
-                f"minimal_law requires semisimple elements; {algebra.render_element(a)} "
-                f"has eigenspace dimension sum {eigen.total_dim()} < {algebra.dim}")
+        eigen = axis_eigenbasis(algebra, a)
         values.update(eigen.spectrum())
         for lam, mu, nus, _items in eigen.products():
             if nus:

@@ -10,6 +10,8 @@ from axial import catalog, cli
 from axial.algebra import MAX_DIM
 from axial.errors import CatalogError
 from axial.fileio import AlgebraFile, parse_algebra_file, render_algebra_file
+from axial.extension import coboundary_space, condition1_rows
+from axial.linalg import RowReducer
 from axial.miyamoto import find_flip, group_closure, tau_automorphism
 from axial.scalars import FieldTag, Rat, Scalar, parse_scalar
 from axial.spectral import eigen_decompose
@@ -104,6 +106,31 @@ def test_miyamoto_order_is_the_order_of_the_tau_maps(name, order):
     closure = group_closure(taus)
     assert closure.completed
     assert closure.order == entry.expected["miyamoto_order"] == order
+
+
+def _admits_extension(algebra, axes):
+    """Does the axis set admit an axial non-split 1-dim extension: is the
+    kernel of the condition (1) rows of its axes larger than B?  (B lies
+    inside it: a coboundary meets condition (1) on every axis.)"""
+    n = algebra.dim
+    red = RowReducer(n * (n + 1) // 2, algebra.tag)
+    for a in axes:
+        for row in condition1_rows(algebra, a, algebra.left_mult_matrix(a).kernel()):
+            red.add_int_row(row)
+    kernel_dim, b_dim = n * (n + 1) // 2 - red.rank(), coboundary_space(algebra).dim
+    assert kernel_dim >= b_dim
+    return kernel_dim > b_dim
+
+
+@pytest.mark.parametrize("name", catalog.TWO_DIM_FAMILIES)
+def test_admits_extension_is_condition_one_beyond_coboundaries(name):
+    entry = catalog.build(name)
+    admits = {key for key, axes in entry.axis_sets.items()
+              if _admits_extension(entry.algebra, axes)}
+    assert bool(admits) == entry.expected["admits_extension"]
+    # every axis set but D's X12 and X26 admits one, when any does
+    expect = set(entry.expected.get("extension_axes", entry.axis_sets))
+    assert admits == (expect if entry.expected["admits_extension"] else set())
 
 
 JORDAN = ("S", "J", "T", "J25", "J53", "J59", "JordanA", "JordanB", "JordanC",

@@ -69,13 +69,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("text, message", [
         ("dim 2\nbasis a b\nproduct 1 1: 1 a\nproduct 2 2: 1 b\n"
-         "element a2: 2 a\nset S: a2\n", "requires idempotents"),
+         "element a2: 2 a\nset S: a2\n", "error: axis candidate (2)a is not a nonzero idempotent"),
         # the zero element is idempotent but not an axis
         ("dim 1\nbasis e\nproduct 1 1: 1 e\nelement z: 0 e\nset S: z\n",
-         "requires idempotents"),
+         "error: axis candidate 0 is not a nonzero idempotent"),
         # a*b = a + b: L_a is a Jordan block with eigenvalue 1
         ("dim 2\nbasis a b\nproduct 1 1: 1 a\nproduct 1 2: 1 a, 1 b\n"
-         "set S: a\n", "requires semisimple"),
+         "set S: a\n", "error: axis candidate a is not semisimple"),
     ])
     def test_fusion_min_non_axis_is_two(self, tmp_path, text, message):
         path = tmp_path / "s.alg"
@@ -119,7 +119,16 @@ class TestExitCodes:
         ("dim 2\nbasis b1 b2\nproduct 1 1: 1 b1\nproduct 1 2: 1 b1, 1 b2\n"
          "product 2 2: 1 b2\nset X: b1\nlaw F: 1 0\ncocycle t 1 2: 1\n",
          "error: axis candidate b1 is not semisimple"),
-    ], ids=["escape-qq", "escape-qi", "not-semisimple"])
+        # b1 b1 = 2 b1 is no idempotent: refused before the extension is
+        # built, whether or not condition (1) holds
+        ("dim 2\nbasis b1 b2\nproduct 1 1: 2 b1\nproduct 2 2: 1 b2\nset X: b1\n"
+         "law F: 2 0\ncell F 0 0: 0\ncocycle t 1 1: 1\n",
+         "error: axis candidate b1 is not a nonzero idempotent"),
+        ("dim 2\nbasis b1 b2\nproduct 1 1: 2 b1\nproduct 2 2: 1 b2\nset X: b1\n"
+         "law F: 2 0\ncell F 0 0: 0\ncocycle t 1 2: 1\n",
+         "error: axis candidate b1 is not a nonzero idempotent"),
+    ], ids=["escape-qq", "escape-qi", "not-semisimple", "not-idempotent-cond1",
+            "not-idempotent-escape"])
     def test_extend_refusals_are_rendered(self, tmp_path, text, line):
         path = tmp_path / "f.alg"
         path.write_text(text)

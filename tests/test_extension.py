@@ -5,7 +5,7 @@ import random
 import pytest
 
 from axial import catalog, extension
-from axial.algebra import _sym_pairs
+from axial.algebra import Algebra, _sym_pairs
 from axial.errors import DimensionMismatchError, ExtensionError, FieldMismatchError
 from axial.extension import (Cocycle, aut_action, build_extension, coboundary,
                              coboundary_space, cocycle_space, condition1_rows,
@@ -102,8 +102,7 @@ def _axis_rows(algebra, a, law):
     rep = check_axis(algebra, a, law)
     if not rep.is_axis:
         return rep, None
-    kernel = rep.eigen.eigenspace(ZERO) or Subspace.zero_space(algebra.dim, algebra.tag)
-    return rep, (condition1_rows(algebra, a, kernel)
+    return rep, (condition1_rows(algebra, a, rep.eigen.eigenspace(ZERO))
                  + condition2_rows(algebra, a, law, rep.eigen))
 
 
@@ -285,6 +284,66 @@ class TestBuildAndSplit:
     def test_decompose_requires_annihilator(self):
         with pytest.raises(ExtensionError):
             decompose_by_annihilator(catalog.build("B").algebra)
+
+
+def _is_split_by_extension(algebra, theta):
+    """The verdict read off A_theta itself: with independent classes, its
+    annihilator against the adjoined space V."""
+    n = algebra.dim
+    red = RowReducer(len(_sym_pairs(n)), algebra.tag)
+    for b in coboundary_space(algebra).matrix.num:
+        red.add_int_row(b)
+    if not all(red.add_row(v) for v in theta.vectors):
+        return "split"
+    ext, _ = build_extension(algebra, theta)
+    adjoined = Subspace.spanned([{n + g: 1} for g in range(theta.s)],
+                                n + theta.s, algebra.tag)
+    return "non_split" if ext.annihilator() == adjoined else "indeterminate"
+
+
+def _random_split_cases(seed, count):
+    """(algebra, theta): sparse random algebras of dim 1-4, a third of them
+    summed with a zero algebra, and cocycles with s = 1 or 2 coordinates,
+    sometimes a coboundary or with repeated coordinates."""
+    rng = random.Random(seed)
+    coeffs = [q(1), q(-1), q(2), q(1, 2)]
+    for _ in range(count):
+        tag = rng.choice((FieldTag.QQ, FieldTag.QI))
+        n = rng.randint(1, 4)
+        products = {}
+        for i in range(n):
+            for j in range(i, n):
+                if rng.random() < 0.4:
+                    products[(i, j)] = {k: rng.choice(coeffs)
+                                        for k in rng.sample(range(n), rng.randint(1, min(2, n)))}
+        alg = Algebra(n, products, tag)
+        if rng.random() < 1 / 3:
+            alg = alg.direct_sum(Algebra(rng.randint(1, 2), {}, tag))
+        n, s = alg.dim, rng.randint(1, 2)
+        pairs = _sym_pairs(n)
+        vectors = [{t: rng.choice(coeffs) for t in rng.sample(range(len(pairs)),
+                                                           rng.randint(1, min(3, len(pairs))))}
+                   for _ in range(s)]
+        shape = rng.random()
+        if shape < 0.15:
+            f = Matrix(tuple(tuple(rng.choice(coeffs + [q(0)]) for _ in range(s))
+                             for _ in range(n)), tag, ncols=s)
+            yield alg, coboundary(alg, f)
+            continue
+        if s == 2 and shape < 0.3:
+            vectors[1] = dict(vectors[0])
+        yield alg, Cocycle(vectors, n, tag)
+
+
+def test_is_split_matches_the_annihilator_of_the_extension():
+    # Ann(A_theta) = (Ann(A) cap theta-perp) + V, read without building A_theta
+    verdicts = {}
+    for alg, theta in _random_split_cases(22, 300):
+        got = is_split(alg, theta)
+        assert got == _is_split_by_extension(alg, theta), (alg.dim, theta.vectors)
+        verdicts[got] = verdicts.get(got, 0) + 1
+    assert set(verdicts) == {"split", "non_split", "indeterminate"}
+    assert min(verdicts.values()) >= 30, verdicts
 
 
 class TestNormalizeAndAction:

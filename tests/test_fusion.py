@@ -3,11 +3,11 @@
 import pytest
 
 from axial import catalog
-from axial.errors import AxialError
+from axial.errors import AxialError, FieldMismatchError
 from axial.fusion import (GRADING_SEARCH_CAP, FusionLaw, find_c2_gradings,
                           grading_is_valid, jordan_half_law, law_contains,
                           monster_law)
-from axial.scalars import FieldTag, Rat
+from axial.scalars import FieldTag, Rat, Scalar
 
 
 def q(n, d=1):
@@ -35,6 +35,15 @@ class TestStandardLaws:
         assert law.star(be, be) == frozenset({one, zero, al})
         assert law.star(zero, al) == frozenset({al})
         assert law.star(zero, be) == frozenset({be})
+
+
+def test_values_are_checked_against_the_required_tag():
+    FusionLaw((q(1), Scalar.i()), {}, FieldTag.QI)
+    for value in (Scalar.i(), 0.5):
+        with pytest.raises(FieldMismatchError):
+            FusionLaw((q(1), value), {}, FieldTag.QQ)
+    with pytest.raises(TypeError):
+        FusionLaw((q(1),), {})
 
 
 class TestContainment:

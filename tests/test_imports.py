@@ -18,6 +18,7 @@ import pytest
 
 from axial import catalog
 from axial.extension import Cocycle, CocycleSpace
+from axial.fusion import jordan_half_law
 from axial.linalg import Matrix
 from axial.miyamoto import AutMatrix, AxisClosure, GroupClosure
 from axial.scalars import FieldTag
@@ -205,3 +206,4 @@ def test_deleted_members_stay_deleted():
     entry = catalog.build("B")
     eigen = eigen_decompose(entry.algebra, entry.axis_sets["X12"][0])
     assert not hasattr(eigen, "element")
+    assert not hasattr(jordan_half_law(), "tag")

@@ -13,7 +13,6 @@ from axial import catalog
 from axial.algebra import _sym_pairs
 from axial.errors import ExtensionError
 from axial.extension import cocycle_space, condition1_rows, condition2_rows
-from axial.linalg import Subspace
 from axial.scalars import ZERO
 from axial.spectral import check_axis
 
@@ -24,8 +23,7 @@ def _condition_rows(algebra, axes, law):
     rows = []
     for a in axes:
         rep = check_axis(algebra, a, law)
-        kernel = rep.eigen.eigenspace(ZERO) or Subspace.zero_space(algebra.dim, algebra.tag)
-        rows += condition1_rows(algebra, a, kernel)
+        rows += condition1_rows(algebra, a, rep.eigen.eigenspace(ZERO))
         rows += condition2_rows(algebra, a, law, rep.eigen)
     return rows
 

@@ -3,6 +3,7 @@
 import math
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -11,12 +12,15 @@ import pytest
 
 import axial
 from axial import catalog, spectral
-from axial.errors import DimensionMismatchError, FieldMismatchError
-from axial.extension import cocycle_space
-from axial.fusion import FusionLaw, monster_law
+from axial.algebra import Algebra
+from axial.errors import (DimensionMismatchError, FieldMismatchError, NotIdempotentError,
+                          NotSemisimpleError)
+from axial.extension import Cocycle, cocycle_space, extension_axiality
+from axial.fusion import FusionLaw, find_c2_gradings, monster_law
 from axial.scalars import ONE, ZERO, FieldTag, Rat, Scalar, scalar_sqrt, sort_key
-from axial.linalg import Matrix, sparse_vector
-from axial.spectral import (_divisors, _parts, _scale_divisors, char_poly,
+from axial.linalg import Matrix, Subspace, sparse_vector
+from axial.miyamoto import tau_automorphism
+from axial.spectral import (_divisors, _parts, _scale_divisors, axis_eigenbasis, char_poly,
                             check_axial_algebra, check_axis, eigen_decompose, field_roots,
                             minimal_law, root_bound)
 from test_jordan_check import _random_algebra
@@ -41,6 +45,8 @@ class TestEigenDecompose:
         assert ed.spectrum() == [q(-1), q(1)]
         assert ed.eigenspace(q(1)).contains_vector((q(1), q(0)))
         assert ed.eigenspace(q(-1)).contains_vector((q(1, 2), q(1)))
+        # a value that is no eigenvalue has the zero eigenspace
+        assert ed.eigenspace(q(0)) == Subspace.zero_space(2, FieldTag.QQ)
 
     def test_monster_axis_eigenvectors(self):
         # Frozen hand oracles for the 4-generated Monster-type algebra.
@@ -112,6 +118,45 @@ class TestCheckAxis:
         law = catalog.build("B").laws["FB"]  # values {1, -1}
         rep = check_axis(entry.algebra, entry.algebra.basis_element(0), law)
         assert any(v[0] == "spectrum_outside_law" for v in rep.violations)
+
+
+class TestAxisEigenbasis:
+    # a b = a + b: L_a is a Jordan block with eigenvalue 1
+    BLOCK = Algebra(2, {(0, 0): {0: q(1)}, (0, 1): {0: q(1), 1: q(1)}}, FieldTag.QQ)
+
+    def test_an_axis_gets_its_hinted_eigenbasis(self):
+        entry = catalog.build("Monster4")
+        a = entry.axis_sets["all"][1]
+        hints = entry.laws["M2half"].values
+        assert (axis_eigenbasis(entry.algebra, a, hints).pairs
+                == eigen_decompose(entry.algebra, a, hints).pairs)
+
+    def test_idempotent_is_checked_before_semisimple(self):
+        alg = self.BLOCK
+        for x in (alg.zero(), (q(2), q(0)), (q(0), q(1))):
+            with pytest.raises(NotIdempotentError,
+                               match=re.escape(f"axis candidate {alg.render_element(x)} "
+                                               f"is not a nonzero idempotent")):
+                axis_eigenbasis(alg, x)
+        with pytest.raises(NotSemisimpleError, match="^axis candidate b1 is not semisimple$"):
+            axis_eigenbasis(alg, alg.basis_element(0))
+
+    @pytest.mark.parametrize("x, error", [((q(2), q(0)), NotIdempotentError),
+                                          ((q(1), q(0)), NotSemisimpleError)])
+    def test_every_caller_raises_the_gate_error(self, x, error):
+        # the first refused axis in list order is the one named
+        alg = self.BLOCK
+        law = FusionLaw((q(0), q(1)), {}, FieldTag.QQ)
+        grading = next(iter(find_c2_gradings(law)))
+        theta = Cocycle.from_entries(2, {(0, 1): q(1)}, FieldTag.QQ)
+        with pytest.raises(error) as gate:
+            axis_eigenbasis(alg, x, law.values)
+        for call in (lambda: minimal_law(alg, [x, alg.zero()]),
+                     lambda: tau_automorphism(alg, x, law, grading),
+                     lambda: extension_axiality(alg, theta, [x, alg.zero()], law)):
+            with pytest.raises(error) as caught:
+                call()
+            assert str(caught.value) == str(gate.value)
 
 
 class TestMinimalLaw:
