@@ -9,6 +9,7 @@ across runs for identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -650,7 +651,9 @@ def _cap(text):
     return value
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; parsing leaves it as is."""
     parser = argparse.ArgumentParser(
         prog="axial",
         description="Exact verification of axial algebras, cocycle spaces, "

@@ -180,30 +180,32 @@ def condition2_rows(algebra, a, law, eigen):
 
     eigen is the Eigenbasis of a; its products() are read.  For each
     eigenvalue pair (lam, mu) with 0 not in lam*mu, each eigenvector pair
-    (x, y) with the components {nu: z_nu} of xy gives the row of
-    theta(x, y) - theta(a, sum nu^-1 z_nu) = 0, if nonzero; a component
-    outside the law cell lam*mu raises ExtensionError.
+    (x, y) with the eigenbasis coordinates {p: c_p} of xy gives the row of
+    theta(x, y) - theta(a, w) = 0, if nonzero, for w = sum nu(p)^-1 c_p
+    vectors[p], nu(p) the eigenvalue of p: the sum of nu^-1 times the
+    nu-components of xy, built in one pass.  A position outside the law
+    cell lam*mu raises ExtensionError.
 
     The rows are integer rows (Gaussian integer rows over QI), each
-    da * D * L times the field row: a is cleared to integers over da, the
-    components are integers over D = eigen.product_den, the eigenvectors
-    over dvec, and L is the lcm of the denominators of the cell's nu^-1,
-    so nu^-1 = q/p is the integer q * L / p over L, once per cell.
-    theta(x, y) of the integer eigenvectors is then scaled by
-    da * D * L / dvec^2."""
+    da * D * dvec * L times the field row: a is cleared to integers over
+    da, the coordinates are integers over D = eigen.product_den, the
+    eigenvectors over dvec, and L is the lcm of the denominators of the
+    cell's nu^-1, so nu^-1 = q/p is the integer q * L / p over L, once per
+    cell.  theta(x, y) of the integer eigenvectors is then scaled by
+    da * D * L / dvec."""
     products = eigen.products()
     cols = _sym_columns(algebra.dim)
     sa, da = clear_denominators(sparse_vector(a))
     vectors, dvec = eigen._int_vectors
-    base = da * eigen.product_den // (dvec * dvec)
+    base = da * eigen.product_den // dvec
     rows = []
     for lam, mu, nus, items in products:
         cell = law.star(lam, mu)
         if ZERO in cell:
             continue
         if not nus <= cell:
-            for _r, _q, comps in items:
-                bad = [nu for nu in comps if nu not in cell]
+            for _r, _q, coords in items:
+                bad = [nu for nu in eigen.eigenvalues_at(coords) if nu not in cell]
                 if bad:
                     raise ExtensionError(
                         f"eigenspace product escapes the law cell "
@@ -211,22 +213,19 @@ def condition2_rows(algebra, a, law, eigen):
                         f"[{', '.join(map(render_scalar, bad))}]")
         inverses = {nu: ONE / nu for nu in nus}
         lcm = math.lcm(1, *(inv.denominator for inv in inverses.values()))
-        minus_inv = {nu: -(inv.numerator * (lcm // inv.denominator))
-                     for nu, inv in inverses.items()}
+        # -nu^-1 * L by the index of nu in eigen.blocks, for nu in nus
+        minus_inv = [-(inv.numerator * (lcm // inv.denominator))
+                     if (inv := inverses.get(nu)) else 0 for nu, _ in eigen.blocks]
         scale = base * lcm
         scaled = {}  # position -> its eigenvector times scale
-        for r, q, comps in items:
+        for r, q, coords in items:
             x = scaled.get(r)
             if x is None:
                 x = scaled[r] = {p: scale * c for p, c in vectors[r].items()}
             acc = {}
             _add_pair(acc, cols, x, vectors[q])
-            w = {}
-            for nu, z in comps.items():
-                s = minus_inv[nu]
-                for k, c in z.items():
-                    v = w.get(k)
-                    w[k] = s * c if v is None else v + s * c
+            w = sparse_combine(vectors, {p: minus_inv[eigen.owner[p]] * c
+                                         for p, c in coords.items()})
             _add_pair(acc, cols, sa, w)
             row = {col: c for col, c in acc.items() if c}
             if row:

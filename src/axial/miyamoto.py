@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AxialError, DimensionMismatchError, FieldMismatchError
-from .linalg import Matrix, RowReducer, sparse_add, sparse_combine
+from .linalg import Matrix, RowReducer, sparse_combine
 from .spectral import axis_eigenbasis
 
 
@@ -50,17 +50,12 @@ def tau_automorphism(algebra, a, law, grading):
     axis passes axis_eigenbasis with the law's values as hints, so the zero
     element, whose sign map would be the identity, is refused."""
     eigen = axis_eigenbasis(algebra, a, law.values)
-    negative = {lam for lam, _ in eigen.pairs if grading.sign(lam) < 0}
-    # column j is tau(e_j): the eigencomponents of e_j with their signs, as
-    # integers over dinv * dvec
+    signs = [grading.sign(lam) for lam, _ in eigen.blocks]
+    # column j is tau(e_j) = sum +-inverse[j][r] vectors[r] over the
+    # coordinates of e_j, signed by r's eigenvalue: integers over dinv * dvec
     (inverse, dinv), (vectors, dvec) = eigen._int_inverse, eigen._int_vectors
-    cols = []
-    for j in range(algebra.dim):
-        col = {}
-        for lam, comp in eigen._split({j: 1}, inverse, vectors).items():
-            for k, c in comp.items():
-                sparse_add(col, k, -c if lam in negative else c)
-        cols.append(col)
+    cols = [sparse_combine(vectors, {r: signs[eigen.owner[r]] * c for r, c in inverse[j].items()})
+            for j in range(algebra.dim)]
     m = Matrix.from_int_rows(cols, dinv * dvec, algebra.dim, algebra.tag).transpose()
     if not is_automorphism(algebra, m):
         raise AxialError(

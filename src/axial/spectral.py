@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .algebra import _accumulate
 from .errors import DimensionMismatchError, NotIdempotentError, NotSemisimpleError
 from .fusion import FusionLaw
 from .linalg import Matrix, RowReducer, Subspace, sparse_combine
@@ -233,8 +234,8 @@ class Eigenbasis:
     When x is semisimple it also keeps the eigenbasis as sparse vectors
     ({index: element}, no zero entries), and the eigenbasis and the columns
     of its inverse each as integer vectors over one common denominator, on
-    which components() and products() run, so products and splits touch only
-    nonzero entries.  products() is computed once, on first use."""
+    which components() and products() run, so products and coordinates touch
+    only nonzero entries.  products() is computed once, on first use."""
 
     def __init__(self, algebra, pairs, complete):
         self.algebra = algebra
@@ -245,7 +246,7 @@ class Eigenbasis:
         if not self.semisimple:
             return
         self.vectors = [r for _, space in pairs for r in space.rows]  # by position
-        # (nums, den) each; product_den is the denominator of the components
+        # (nums, den) each; product_den is the denominator of the coordinates
         # in products().  The eigenvectors are the rows of P^T, so row j of
         # its inverse is column j of P^-1, {eigenbasis position: entry}: the
         # eigenbasis coordinates of y sum these over the nonzero y_j.  The
@@ -256,7 +257,7 @@ class Eigenbasis:
         self._int_vectors = vectors, dvec
         inverse = Matrix.from_int_rows(vectors, dvec, algebra.dim, algebra.tag).inverse()
         self._int_inverse = inverse.num, inverse.den
-        self.product_den = inverse.den * dvec ** 3 * algebra._int_den
+        self.product_den = inverse.den * dvec ** 2 * algebra._int_den
         self.owner = []   # position -> index of its eigenvalue in blocks
         self.blocks = []  # (eigenvalue, range of its positions)
         for t, (lam, space) in enumerate(pairs):
@@ -283,83 +284,71 @@ class Eigenbasis:
 
     def components(self, y):
         """Split the sparse element y; returns {eigenvalue: sparse component}
-        with zero components omitted, in eigenvalue order.  It clears y to
-        integers over dy, runs _split on the integer vectors and builds an
-        element over dinv * dy * dvec for each returned entry only."""
+        with zero components omitted, in eigenvalue order.  With y cleared
+        to integers over dy, its coordinates sum y_j inverse[j], and each
+        component sums coords[r] vectors[r] over the positions r of its
+        eigenvalue, integers over dinv * dy * dvec."""
         self._require_semisimple()
         (inverse, dinv), (vectors, dvec) = self._int_inverse, self._int_vectors
         y, dy = clear_denominators(y)
-        den = dinv * dy * dvec
-        return {lam: {k: over(v, den) for k, v in comp.items()}
-                for lam, comp in self._split(y, inverse, vectors).items()}
-
-    def _split(self, y, inverse, vectors):
-        """The kernel of components: y's eigenbasis coordinates are the sums
-        of inverse[j] over its entries y_j, and each eigenvalue's component
-        sums coordinate times vectors[r] over its positions r.  With integer
-        y over dy, inverse over dinv and vectors over dvec, the components
-        are integers over dinv * dy * dvec."""
-        coords = {}
-        for j, b in y.items():
-            for r, a in inverse[j].items():
-                v = coords.get(r)
-                coords[r] = a * b if v is None else v + a * b
-        accs = {}  # filled in eigenvalue order: owner grows with the position
-        for r in sorted(coords):
-            c = coords[r]
-            if not c:
-                continue
-            acc = accs.setdefault(self.owner[r], {})
-            for k, b in vectors[r].items():
-                v = acc.get(k)
-                acc[k] = c * b if v is None else v + c * b
+        coords = sparse_combine(inverse, y)
         out = {}
-        for t, acc in accs.items():
-            comp = {k: v for k, v in acc.items() if v}
+        for lam, rs in self.blocks:
+            comp = sparse_combine(vectors, {r: coords[r] for r in rs if r in coords})
             if comp:
-                out[self.blocks[t][0]] = comp
+                out[lam] = {k: over(v, dinv * dy * dvec) for k, v in comp.items()}
         return out
 
-    def products(self):
-        """[(lam, mu, nus, [(r, q, comps)])]: one entry per eigenvalue pair
-        lam <= mu in eigenvalue order, listing every pair of eigenbasis
-        positions r of lam and q of mu (the eigenvectors vectors[r] and
-        vectors[q]) with comps, the components {nu: sparse vector} of their
-        product over the denominator product_den; nus is the frozenset of
-        eigenvalues occurring in those components.
+    def eigenvalues_at(self, coords):
+        """The eigenvalues of the positions of coords, once each and in
+        eigenvalue order: by the lemma of products(), the components that
+        the vector with these eigenbasis coordinates has."""
+        return [self.blocks[t][0] for t in sorted({self.owner[r] for r in coords})]
 
-        The components are integers (Gaussian integers over QI), computed by
-        product_int and _split on the integer eigenvectors and inverse
-        columns, over product_den = dinv * dvec^3 * _int_den (the
-        eigenvectors are over dvec, their product over dvec^2 * _int_den).
-        The product is commutative, so within a block lam = mu each
-        unordered pair is computed once and both orders share its
-        components.  Computed on first call and kept."""
+    def products(self):
+        """[(lam, mu, nus, [(r, q, coords)])]: one entry per eigenvalue pair
+        lam <= mu in eigenvalue order, listing every pair of eigenbasis
+        positions r of lam and q of mu with coords, the eigenbasis
+        coordinates of vectors[r] vectors[q]: the zero-free integer dict
+        {p: c} (Gaussian integers over QI) with the product equal to
+        sum c vectors[p] / product_den.  nus is the frozenset of the
+        eigenvalues of the positions that occur.
+
+        Lemma: the eigenvectors are independent, so the nu-component of the
+        product, sum c vectors[p] over the positions p of nu, is nonzero iff
+        some coordinate at a position of nu is nonzero.  So the components
+        that occur are read off owner[p], and only condition2_rows rebuilds
+        component vectors.
+
+        coords sums p_k inverse[k] over the integer product p of the integer
+        eigenvectors (over dvec), left with its cancelled entries by
+        _accumulate, and the inverse rows are over dinv, so product_den =
+        dinv * dvec^2 * _int_den.  (Spreading each term of p over inverse[k]
+        at once would save p, but costs dim^4 per pair on a dense algebra,
+        where this costs dim^3.)  The product is commutative, so within a
+        block lam = mu each unordered pair is computed once and both orders
+        share its dict.  Computed on first call and kept."""
         self._require_semisimple()
         if self._products is not None:
             return self._products
-        (inverse, _), (vectors, _) = self._int_inverse, self._int_vectors
-        product = self.algebra.product_int
-        split = self._split
+        rows, inverse, vectors = self.algebra._int_rows, self._int_inverse[0], self._int_vectors[0]
         out = []
         for s, (lam, rs) in enumerate(self.blocks):
             for mu, qs in self.blocks[s:]:
                 items = []
-                seen = {}  # (r, q) -> components, when lam = mu
+                seen = {}  # (r, q) -> coords, when lam = mu
                 same = mu == lam
                 for r in rs:
                     x = vectors[r]
                     for q in qs:
-                        if same and q < r:  # the pair (q, r), split already
-                            comps = seen[(q, r)]
+                        if same and q < r:  # the pair (q, r), computed already
+                            coords = seen[(q, r)]
                         else:
-                            comps = seen[(r, q)] = split(product(x, vectors[q]),
-                                                         inverse, vectors)
-                        items.append((r, q, comps))
-                nus = set()
-                for _r, _q, comps in items:
-                    nus.update(comps)  # reuses the dicts' stored hashes
-                out.append((lam, mu, frozenset(nus), items))
+                            coords = seen[(r, q)] = sparse_combine(
+                                inverse, _accumulate(rows, x, vectors[q]))
+                        items.append((r, q, coords))
+                positions = set().union(*(coords for *_, coords in items))
+                out.append((lam, mu, frozenset(self.eigenvalues_at(positions)), items))
         self._products = out
         return out
 
@@ -398,8 +387,8 @@ def check_axis(algebra, a, law):
             allowed = law.star(lam, mu)
             if nus <= allowed:
                 continue
-            for r, q, comps in items:
-                for nu in comps:
+            for r, q, coords in items:
+                for nu in eigen.eigenvalues_at(coords):
                     if nu not in allowed:
                         report_violations.append(
                             ("fusion_violation",

@@ -205,6 +205,26 @@ def test_fusion_min_scan_is_bounded(tmp_path):
     assert json.loads(proc.stdout)["law"]["values"] == ["1", "3"]
 
 
+def test_cached_parser_survives_a_usage_error(capsys):
+    # one parser serves every main call in a process: a run after a failed
+    # parse prints what a fresh process prints, and so does the failed run
+    src = os.path.dirname(os.path.dirname(axial.__file__))
+
+    def fresh(argv):
+        proc = subprocess.run([sys.executable, "-m", "axial.cli", *argv],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=60)
+        return proc.returncode, proc.stdout, proc.stderr
+
+    bad = ["miyamoto", "--catalog", "B", "--axes", "X12", "--law", "FB", "--cap", "0"]
+    good = ["spectrum", "--catalog", "B", "--axes", "X12", "--law", "FB", "--json"]
+    cli.build_parser.cache_clear()
+    in_process = [run(capsys, *bad), run(capsys, *good)]
+    assert cli.build_parser() is cli.build_parser()
+    assert in_process[0][0] == 2 and in_process[1][0] == 0
+    assert in_process == [fresh(bad), fresh(good)]
+
+
 class TestJson:
     def test_byte_identical(self, capsys):
         args = ("cocycles", "--catalog", "Monster4", "--axes", "X01",

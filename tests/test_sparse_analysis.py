@@ -1,9 +1,11 @@
 """The sparse per-axis analysis against a naive dense reference: eigenvector
-products split with Matrix.apply by the eigenbasis inverse, dense constraint
+products split with Matrix.apply by the eigenbasis inverse (the components
+rebuilt from the coordinates that products() returns), dense constraint
 rows (the integer rows, Gaussian integer rows over QI, are positive
 multiples of them), and the Miyamoto map as the signed sum of dense
-eigencomponents; products() also against a full double loop over the pairs
-of eigenbasis positions."""
+eigencomponents; products() also against a double loop over the pairs of
+eigenbasis positions that spreads each term of a product over the inverse
+rows at once."""
 
 import math
 import random
@@ -12,12 +14,13 @@ import pytest
 
 from axial import catalog
 from axial.algebra import Algebra, _sym_pairs
+from axial.errors import ExtensionError
 from axial.extension import condition1_rows, condition2_rows
 from axial.fusion import FusionLaw, find_c2_gradings
 from axial.linalg import Matrix, Subspace
 from axial.miyamoto import tau_automorphism
-from axial.scalars import ONE, ZERO, FieldTag, Rat, Scalar, over, sort_key
-from axial.spectral import Eigenbasis, check_axis, eigen_decompose
+from axial.scalars import ONE, ZERO, FieldTag, Rat, Scalar, over, render_scalar, sort_key
+from axial.spectral import Eigenbasis, check_axis, eigen_decompose, minimal_law
 
 
 # dense vector arithmetic for the reference
@@ -99,22 +102,67 @@ def _canonical(a):
     return type(a) is Rat or (type(a) is Scalar and type(a.re) is Rat and type(a.im) is Rat)
 
 
-def _flatten(algebra, eigen):
-    """eigen.products() as dense (lam, mu, x, y, {nu: z}), after checking
-    each pair's nus against its components, which are integers (Gaussian
-    integers over QI) over eigen.product_den."""
+def _rebuild(algebra, eigen, products):
+    """products, as eigen.products() returns them, as dense
+    (lam, mu, x, y, {nu: z}) in eigenvalue order: z sums c vectors[p] over
+    the coordinates c at the positions p of nu, as field elements over
+    eigen.product_den, and is kept even when it is zero."""
     den = eigen.product_den
     out = []
-    for lam, mu, nus, items in eigen.products():
-        assert nus == frozenset(nu for _r, _q, comps in items for nu in comps)
-        for r, q, comps in items:
-            assert all(v for comp in comps.values() for v in comp.values())
-            assert all(_integral(v) for comp in comps.values() for v in comp.values())
-            comps = {nu: {k: over(v, den) for k, v in z.items()} for nu, z in comps.items()}
+    for lam, mu, _nus, items in products:
+        for r, q, coords in items:
+            comps = {}
+            for p in sorted(coords):
+                nu = eigen.blocks[eigen.owner[p]][0]
+                c = over(coords[p], den)
+                comps[nu] = vec_add(comps.get(nu, algebra.zero()),
+                                    vec_scale(c, algebra.element(eigen.vectors[p])))
             out.append((lam, mu, algebra.element(eigen.vectors[r]),
-                        algebra.element(eigen.vectors[q]),
-                        {nu: algebra.element(z) for nu, z in comps.items()}))
+                        algebra.element(eigen.vectors[q]), comps))
     return out
+
+
+def _flatten(algebra, eigen):
+    """eigen.products() rebuilt as by _rebuild, after checking that each
+    coordinate dict is zero-free with integer entries (Gaussian integers
+    over QI) and that each pair's nus are the eigenvalues of the positions
+    that occur."""
+    products = eigen.products()
+    for _lam, _mu, nus, items in products:
+        assert nus == frozenset(eigen.blocks[eigen.owner[p]][0]
+                                for _r, _q, coords in items for p in coords)
+        for _r, _q, coords in items:
+            assert all(coords.values())
+            assert all(_integral(c) for c in coords.values())
+    return _rebuild(algebra, eigen, products)
+
+
+def _drop_one_coordinate(products):
+    """A copy of products with one coordinate removed from the first item
+    that has one; the original dicts are left as they are."""
+    out = []
+    dropped = False
+    for lam, mu, nus, items in products:
+        copied = []
+        for r, q, coords in items:
+            if coords and not dropped:
+                coords = dict(coords)
+                del coords[next(iter(coords))]
+                dropped = True
+            copied.append((r, q, coords))
+        out.append((lam, mu, nus, copied))
+    assert dropped
+    return out
+
+
+def _assert_matches_dense_reference(algebra, eigen, ref):
+    """products() rebuilt equals the dense reference, components in the
+    same order, and one dropped coordinate makes them differ."""
+    flat = _flatten(algebra, eigen)
+    assert flat == ref
+    assert [list(comps) for *_, comps in flat] == [list(c) for *_, c in ref]
+    if any(comps for *_, comps in ref):
+        assert _rebuild(algebra, eigen, _drop_one_coordinate(eigen.products())) != ref
 
 
 def _dense_condition2_rows(algebra, a, law, ref):
@@ -151,29 +199,45 @@ def _assert_positive_multiples(algebra, rows, expect):
         assert dense == tuple(factor * c for c in ref)
 
 
+def _fused_coords(eigen, x, y):
+    """The eigenbasis coordinates of x * y for integer x and y, with each
+    term x_i y_j C_ijk spread over the inverse row k at once: no product
+    vector in between."""
+    rows, inverse = eigen.algebra._int_rows, eigen._int_inverse[0]
+    acc = {}
+    for i, a in x.items():
+        for j, b in y.items():
+            for k, c in rows[i][j].items():
+                for p, d in inverse[k].items():
+                    acc[p] = acc.get(p, 0) + a * b * c * d
+    return {p: v for p, v in acc.items() if v}
+
+
 def _full_double_loop(eigen):
     """eigen.products() recomputed with every ordered pair of positions
-    multiplied and split on its own, by the same kernels."""
-    (inverse, _), (vectors, _) = eigen._int_inverse, eigen._int_vectors
-    product = eigen.algebra.product_int
+    multiplied on its own, by _fused_coords."""
+    vectors = eigen._int_vectors[0]
     out = []
     for s, (lam, rs) in enumerate(eigen.blocks):
         for mu, qs in eigen.blocks[s:]:
-            items = [(r, q, eigen._split(product(vectors[r], vectors[q]), inverse, vectors))
+            items = [(r, q, _fused_coords(eigen, vectors[r], vectors[q]))
                      for r in rs for q in qs]
-            out.append((lam, mu, frozenset(nu for *_, comps in items for nu in comps), items))
+            nus = frozenset(eigen.blocks[eigen.owner[p]][0] for *_, c in items for p in c)
+            out.append((lam, mu, nus, items))
     return out
 
 
 def _assert_deduplicated(eigen):
     """products() equals the full double loop, and within each block
-    lam = mu both orders of a pair share one components dict."""
+    lam = mu both orders of a pair share one coordinates dict."""
     products = eigen.products()
     assert products == _full_double_loop(eigen)
     for lam, mu, _nus, items in products:
         if lam == mu:
+            by_pair = {(r, q): coords for r, q, coords in items}
+            assert all(by_pair[(q, r)] is coords for (r, q), coords in by_pair.items())
             size = math.isqrt(len(items))
-            assert len({id(comps) for *_, comps in items}) == size * (size + 1) // 2
+            assert len({id(coords) for *_, coords in items}) == size * (size + 1) // 2
 
 
 @pytest.mark.parametrize("name,params,axes,law", CASES)
@@ -185,9 +249,7 @@ def test_products_and_rows_match_dense_reference(name, params, axes, law):
     for a in entry.axis_sets[axes]:
         eigen = eigen_decompose(alg, a, hints=law.values)
         ref = DenseReference(alg, eigen).products()
-        flat = _flatten(alg, eigen)
-        assert flat == ref
-        assert [list(comps) for *_, comps in flat] == [list(c) for *_, c in ref]
+        _assert_matches_dense_reference(alg, eigen, ref)
         _assert_deduplicated(eigen)
         # condition (1): theta(a, k) for the kernel basis of L_a, which is
         # the 0-eigenspace on the axis report that cocycle_space passes
@@ -211,7 +273,7 @@ def test_integer_rows_match_dense_reference_on_an_albert_axis():
     assert any(c.denominator == 2 for c in a)
     eigen = eigen_decompose(alg, a, hints=law.values)
     ref = DenseReference(alg, eigen).products()
-    assert _flatten(alg, eigen) == ref
+    _assert_matches_dense_reference(alg, eigen, ref)
     _assert_deduplicated(eigen)
     ker = eigen.eigenspace(ZERO)
     _assert_positive_multiples(alg, condition1_rows(alg, a, ker),
@@ -344,7 +406,7 @@ def _components_match_dense_reference(tag, seed):
             assert {lam: alg.element(z) for lam, z in comps.items()} == ref.split(y)
             assert list(comps) == list(ref.split(y))
             assert all(_canonical(a) for z in comps.values() for a in z.values())
-        assert _flatten(alg, eigen) == ref.products()
+        _assert_matches_dense_reference(alg, eigen, ref.products())
         _assert_deduplicated(eigen)
 
 
@@ -393,3 +455,126 @@ def test_integer_rows_match_dense_reference_on_random_qi_algebras():
     values = sorted([Scalar(1, 1), Scalar(0, -2), Scalar(Rat(3, 2), Rat(-1, 2)),
                      Scalar(Rat(2, 3), Rat(6, 5)), Rat(-5, 7), Rat(10)], key=sort_key)
     assert _integer_rows_match_dense_reference(FieldTag.QI, 84, values) > 100
+
+
+# ---------------------------------------------------------------------------
+# the violation path against a dense reference that splits each eigenvector
+# product by solving P c = xy, P the eigenvectors as columns
+
+AXIS_VALUES = {FieldTag.QQ: [ZERO, ONE, Rat(1, 2), Rat(1, 4), Rat(-1), Rat(2)],
+               FieldTag.QI: [ZERO, ONE, Rat(1, 2), Scalar(0, 1), Scalar(1, -1)]}
+
+
+def _random_axis_algebra(rng, tag):
+    """(algebra, a): a random 3- to 5-dim commutative algebra with the
+    idempotent a.  In a hidden basis e, e0 e0 = e0, e0 ej = lam_j ej with
+    lam_j from AXIS_VALUES (at most two of them non-real, so the root scan
+    without hints finds them all) and the other products random; the
+    algebra is given in the basis f_i = sum_k T_ik e_k for a random
+    invertible T, so its eigenvectors are not basis vectors."""
+    dim = rng.randint(3, 5)
+    entry = ENTRIES[tag]
+    while True:
+        lams = [ONE] + [rng.choice(AXIS_VALUES[tag]) for _ in range(dim - 1)]
+        if sum(type(lam) is Scalar and lam.im != 0 for lam in lams) <= 2:
+            break
+    hidden = {(0, j): {j: lams[j]} for j in range(dim) if lams[j]}
+    for i in range(1, dim):
+        for j in range(i, dim):
+            if rng.random() < 0.6:
+                hidden[(i, j)] = {k: c for k in range(dim) if (c := entry(rng))}
+    e = Algebra(dim, hidden, tag)
+    while True:
+        t = [[entry(rng) for _ in range(dim)] for _ in range(dim)]
+        if Matrix(t, tag).kernel().is_zero():
+            break
+    to_f = Matrix(t, tag).inverse().transpose()  # e-coordinates -> f-coordinates
+    products = {}
+    for i in range(dim):
+        for j in range(i, dim):
+            v = {k: c for k, c in enumerate(to_f.apply(e.product(t[i], t[j]))) if c}
+            if v:
+                products[(i, j)] = v
+    return Algebra(dim, products, tag), to_f.apply(e.basis_element(0))
+
+
+def _random_law(rng, spectrum, tag):
+    """A law on the spectrum whose cells are random subsets of it."""
+    table = {}
+    for s, lam in enumerate(spectrum):
+        for mu in spectrum[s:]:
+            table[(lam, mu)] = [nu for nu in spectrum if rng.random() < 0.6]
+    return FusionLaw(spectrum, table, tag)
+
+
+def _dense_split_products(algebra, eigen):
+    """[(lam, mu, x, y, nus)] in the order of products(): nus the eigenvalues,
+    in eigenvalue order, whose positions carry a nonzero entry of the
+    solution c of P c = xy."""
+    basis = [b for _, space in eigen.pairs for b in space.basis]
+    p = Matrix(basis, algebra.tag).transpose()
+    ranges, start = [], 0
+    for lam, space in eigen.pairs:
+        ranges.append((lam, range(start, start + space.dim)))
+        start += space.dim
+    out = []
+    for s, (lam, vspace) in enumerate(eigen.pairs):
+        for mu, wspace in eigen.pairs[s:]:
+            for x in vspace.basis:
+                for y in wspace.basis:
+                    c, _kernel = p.solve(algebra.product(x, y))
+                    nus = [nu for nu, rs in ranges if any(c[r] for r in rs)]
+                    out.append((lam, mu, x, y, nus))
+    return out
+
+
+def _dense_violations(law, split):
+    return [("fusion_violation", (lam, mu, nu, x, y))
+            for lam, mu, x, y, nus in split for nu in nus if nu not in law.star(lam, mu)]
+
+
+def _dense_escape(law, split):
+    """The text condition2_rows raises on the first product, in products()
+    order, that escapes a cell without 0; None when there is none."""
+    for lam, mu, _x, _y, nus in split:
+        cell = law.star(lam, mu)
+        bad = [nu for nu in nus if nu not in cell]
+        if ZERO not in cell and bad:
+            return (f"eigenspace product escapes the law cell ({render_scalar(lam)}, "
+                    f"{render_scalar(mu)}): components at "
+                    f"[{', '.join(map(render_scalar, bad))}]")
+    return None
+
+
+def _dense_minimal_law(algebra, eigen, split):
+    table = {}
+    for lam, mu, _x, _y, nus in split:
+        if nus:
+            table[(lam, mu)] = table.get((lam, mu), frozenset()).union(nus)
+    return FusionLaw(eigen.spectrum(), table, algebra.tag)
+
+
+@pytest.mark.parametrize("tag,seed", [(FieldTag.QQ, 91), (FieldTag.QI, 92)])
+def test_violation_path_matches_dense_reference(tag, seed):
+    rng = random.Random(seed)
+    seen = {"violations": 0, "clean": 0, "escape": 0}
+    for _ in range(25):
+        alg, a = _random_axis_algebra(rng, tag)
+        plain = eigen_decompose(alg, a)
+        assert plain.semisimple
+        assert minimal_law(alg, [a]) == _dense_minimal_law(
+            alg, plain, _dense_split_products(alg, plain))
+        law = _random_law(rng, plain.spectrum(), tag)
+        rep = check_axis(alg, a, law)
+        split = _dense_split_products(alg, rep.eigen)
+        assert rep.violations == _dense_violations(law, split)
+        seen["violations" if rep.violations else "clean"] += 1
+        escape = _dense_escape(law, split)
+        if escape is None:
+            condition2_rows(alg, a, law, rep.eigen)
+        else:
+            with pytest.raises(ExtensionError) as info:
+                condition2_rows(alg, a, law, rep.eigen)
+            assert str(info.value) == escape
+            seen["escape"] += 1
+    assert all(seen.values()), seen
