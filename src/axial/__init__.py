@@ -3,15 +3,15 @@ axis/fusion-law verification, cocycle spaces, one-dimensional central
 extensions and their classification, invariant bilinear forms, Miyamoto
 groups, and a catalog of benchmark algebras."""
 
-from .algebra import Algebra, BilinearForm, radical_axial
+from .algebra import Algebra, BilinearForm, Cocycle, radical_axial
 from .catalog import CatalogEntry, build, default_params, list_catalog
 from .errors import (AxialError, CatalogError, DimensionMismatchError,
                      ExtensionError, FieldMismatchError, NotIdempotentError,
                      NotSemisimpleError, ScalarParseError)
-from .extension import (Cocycle, CocycleSpace, ExtensionReport, aut_action,
-                        build_extension, coboundary, coboundary_space,
-                        cocycle_space, decompose_by_annihilator,
-                        extension_axiality, is_split, normalize_on_axes)
+from .extension import (CocycleSpace, ExtensionReport, aut_action, build_extension,
+                        coboundary, coboundary_space, cocycle_space,
+                        decompose_by_annihilator, extension_axiality, is_split,
+                        normalize_on_axes)
 from .fusion import (C2Grading, FusionLaw, find_c2_gradings, grading_is_valid,
                      jordan_half_law, law_contains, monster_law)
 from .linalg import Matrix, RowReducer, Subspace

@@ -1,7 +1,9 @@
 """Commutative algebras given by structure constants, with the exact
 invariants needed downstream: annihilator, generated subalgebras and ideals,
 the space of invariant (Frobenius) bilinear forms, and a Jordan-identity
-checker based on full linearization.
+checker based on full linearization.  Symmetric bilinear maps (Cocycle, and
+BilinearForm, its one-coordinate case) are stored by their upper-triangle
+coordinates (_sym_pairs).
 
 Elements are tuples of field elements (see scalars) in the fixed basis of
 the algebra.
@@ -11,7 +13,7 @@ from __future__ import annotations
 
 import functools
 
-from .errors import DimensionMismatchError, FieldMismatchError
+from .errors import DimensionMismatchError, ExtensionError, FieldMismatchError
 from .linalg import Matrix, RowReducer, Subspace, sparse_add, sparse_combine
 from .scalars import ONE, ZERO, clear_denominators, common_denominator, over
 
@@ -199,7 +201,8 @@ class Algebra:
 
     def frobenius_space(self):
         """All symmetric bilinear forms with (xy, z) = (x, yz), as a list of
-        BilinearForm, from the RREF basis of the solution space."""
+        BilinearForm: the RREF basis of the solution space, each row the
+        upper-triangle vector of one form, without building Gram matrices."""
         n = self.dim
         cols = _sym_columns(n)
         size = len(_sym_pairs(n))
@@ -217,8 +220,7 @@ class Algebra:
                     if row:
                         red.add_int_row(row)
         space = Subspace.spanned(red.kernel_basis(), size, self.tag)
-        return [BilinearForm(_unflatten_sym(v, n, self.tag), self.tag)
-                for v in space.rows]
+        return [BilinearForm([v], n, self.tag) for v in space.rows]
 
     def jordan_check(self):
         """Check the Jordan identity (xy)x^2 = x(yx^2) by full linearization.
@@ -351,43 +353,107 @@ def _unflatten_sym(v, n, tag):
     return Matrix.from_sparse_rows(rows, n, tag)
 
 
-class BilinearForm:
-    """Symmetric bilinear form stored by its Gram matrix."""
+class Cocycle:
+    """Symmetric bilinear map A x A -> F^s on an n-dimensional algebra.
 
-    def __init__(self, gram, tag):
-        if gram.nrows != gram.ncols:
-            raise DimensionMismatchError("Gram matrix must be square")
-        if gram != gram.transpose():
-            raise DimensionMismatchError("Gram matrix must be symmetric")
-        self.gram = gram
+    Coordinate g is stored as vectors[g], the sparse upper-triangle vector
+    {t: theta_g(b_i, b_j)} over the pairs i <= j in _sym_pairs order, without
+    zero entries.  The constructor checks each index and each entry's field.
+    radical() is theta-perp, which is_split and radical_axial both read.
+    """
+
+    def __init__(self, vectors, n, tag):
+        size = len(_sym_pairs(n))
+        check = tag.check
+        out = []
+        for v in vectors:
+            for t in v:
+                if not 0 <= t < size:
+                    raise DimensionMismatchError(f"cocycle index {t} out of range")
+            out.append({t: check(a) for t, a in v.items() if a})
+        if not out:
+            raise ExtensionError("a cocycle needs at least one coordinate")
+        self.vectors = tuple(out)
+        self.dim = n
+        self.s = len(out)
         self.tag = tag
 
+    @classmethod
+    def from_entries(cls, n, entries, tag, s=1):
+        """entries: {(i, j): element} or {(i, j): tuple of s elements}, in
+        either index order; a later entry for the same pair wins."""
+        cols = _sym_columns(n)
+        vectors = [{} for _ in range(s)]
+        for (i, j), val in entries.items():
+            vals = tuple(val) if isinstance(val, (tuple, list)) else (val,)
+            if len(vals) != s:
+                raise DimensionMismatchError("entry arity differs from coordinate count")
+            if not (0 <= i < n and 0 <= j < n):
+                raise DimensionMismatchError(f"cocycle entry {(i, j)} outside dim {n}")
+            for vec, a in zip(vectors, vals):
+                vec[cols[i][j]] = a
+        return cls(vectors, n, tag)
+
+    @property
+    def mats(self):
+        """The symmetric n x n Gram matrices, one per coordinate, built on
+        each access."""
+        return tuple(_unflatten_sym(v, self.dim, self.tag)
+                     for v in self.vectors)
+
     def evaluate(self, x, y):
-        s = ZERO
-        for a, row in zip(x, self.gram.rows):
-            if not a:
-                continue
-            for b, g in zip(y, row):
-                if b and g:
-                    s = s + a * b * g
-        return s
+        """theta(x, y) as a tuple of s elements."""
+        n = self.dim
+        if len(x) != n or len(y) != n:
+            raise DimensionMismatchError("vector length mismatch")
+        cols = _sym_columns(n)
+        terms = [(cols[p][q], a * b)
+                 for p, a in enumerate(x) if a for q, b in enumerate(y) if b]
+        out = []
+        for v in self.vectors:
+            acc = ZERO
+            for t, ab in terms:
+                g = v.get(t)
+                if g is not None:
+                    acc = acc + ab * g
+            out.append(acc)
+        return tuple(out)
 
     def radical(self):
-        """{x : (x, A) = 0}."""
-        return self.gram.kernel()
+        """theta-perp = {x : theta(x, A) = 0}, as a Subspace: the kernel of
+        the Gram rows of all s coordinates, stacked."""
+        return Matrix.from_int_rows([r for m in self.mats for r in m.num], 1,
+                                    self.dim, self.tag).kernel()
+
+    def is_zero(self):
+        return not any(self.vectors)
 
     def __eq__(self, other):
-        if not isinstance(other, BilinearForm):
+        if not isinstance(other, Cocycle):
             return NotImplemented
-        return self.gram == other.gram
+        return (self.tag is other.tag and self.dim == other.dim
+                and self.vectors == other.vectors)
 
     def __repr__(self):
-        return f"BilinearForm({self.gram!r})"
+        return f"{type(self).__name__}(dim={self.dim}, s={self.s})"
+
+
+class BilinearForm(Cocycle):
+    """A symmetric bilinear form: the Cocycle with s = 1.  evaluate returns
+    a 1-tuple, and radical() is {x : (x, A) = 0}."""
+
+    @property
+    def gram(self):
+        """The Gram matrix, built on each access."""
+        return self.mats[0]
 
 
 def radical_axial(algebra, axes):
     """Radical with respect to an axis set: the radical of the unique
     invariant form normalized to (a, a) = 1 on every axis.
+
+    The forms of frobenius_space are combined as upper-triangle vectors,
+    and the radical is BilinearForm.radical(), as theta-perp in is_split.
 
     Returns (subspace, form).  Raises ValueError when no invariant form is
     nonzero on every axis or the normalized form is not unique.
@@ -395,28 +461,23 @@ def radical_axial(algebra, axes):
     forms = algebra.frobenius_space()
     if not forms:
         raise ValueError("no nonzero invariant bilinear form exists")
+    n, tag = algebra.dim, algebra.tag
+    vectors = [f.vectors[0] for f in forms]
     axes = [tuple(a) for a in axes]
     # solve for a combination with (a, a) = 1 on each axis
-    rows = [tuple(f.evaluate(a, a) for f in forms) for a in axes]
-    m = Matrix(tuple(rows), algebra.tag, ncols=len(forms))
+    rows = [tuple(f.evaluate(a, a)[0] for f in forms) for a in axes]
+    m = Matrix(tuple(rows), tag, ncols=len(forms))
     sol, extra = m.solve(tuple(ONE for _ in axes))
     if sol is None:
         raise ValueError("no invariant form takes value 1 on every axis")
-    gram = Matrix.zero(algebra.dim, algebra.dim, algebra.tag)
-    for c, f in zip(sol, forms):
-        if c:
-            gram = gram + f.gram.scale(c)
-    form = BilinearForm(gram, algebra.tag)
+    form = BilinearForm([sparse_combine(vectors, dict(enumerate(sol)))], n, tag)
     rad = form.radical()
-    if not extra.is_zero():
-        # projectively unique normalization required: combinations in the
-        # kernel must not change the radical
-        for v in extra.rows:
-            g2 = gram
-            for t, c in v.items():
-                g2 = g2 + forms[t].gram.scale(c)
-            if BilinearForm(g2, algebra.tag).radical() != rad:
-                raise ValueError("axis-normalized invariant form is not unique")
+    # projectively unique normalization required: combinations in the
+    # kernel must not change the radical
+    for v in extra.rows:
+        shifted = {t: c + v.get(t, ZERO) for t, c in enumerate(sol)}
+        if BilinearForm([sparse_combine(vectors, shifted)], n, tag).radical() != rad:
+            raise ValueError("axis-normalized invariant form is not unique")
     for a in axes:
         if rad.contains_vector(a):
             raise ValueError("an axis lies in the radical of its own form")

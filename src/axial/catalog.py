@@ -16,11 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import MAX_DIM, Algebra, BilinearForm
+from .algebra import MAX_DIM, Algebra, BilinearForm, Cocycle
 from .errors import CatalogError
-from .extension import Cocycle
 from .fusion import C2Grading, FusionLaw, jordan_half_law, monster_law, unit_row
-from .linalg import Matrix
 from .scalars import ONE, ZERO, FieldTag, Rat, Scalar
 
 QQ = FieldTag.QQ
@@ -70,8 +68,8 @@ def _jordan_entry(name, params, alg, axis_sets, **expected):
         expected={"jordan": True, **expected})
 
 
-def _two_dim(c1, c2, tag=QQ):
-    """Two-dimensional commutative algebra: e1*e1 = e1, e2*e2 = e2,
+def _two_dim(c1, c2):
+    """Two-dimensional commutative algebra over QQ: e1*e1 = e1, e2*e2 = e2,
     e1*e2 = c1*e1 + c2*e2."""
     prods = {(0, 0): {0: ONE}, (1, 1): {1: ONE}}
     entry = {}
@@ -81,17 +79,17 @@ def _two_dim(c1, c2, tag=QQ):
         entry[1] = c2
     if entry:
         prods[(0, 1)] = entry
-    return Algebra(2, prods, tag, ("e1", "e2"))
+    return Algebra(2, prods, QQ, ("e1", "e2"))
 
 
-def _gram(entries, tag=QQ):
-    ((a, b), (c, d)) = entries
-    return BilinearForm(Matrix(((a, b), (c, d)), tag), tag)
+def _gram(g11, g12, g22):
+    """The form over QQ with (e1, e1) = g11, (e1, e2) = g12, (e2, e2) = g22."""
+    return BilinearForm.from_entries(2, {(0, 0): g11, (0, 1): g12, (1, 1): g22}, QQ)
 
 
-def _theta_e1e2(tag=QQ):
+def _theta_e1e2():
     """The canonical cocycle with value 1 on (e1, e2) and 0 on the diagonal."""
-    return Cocycle.from_entries(2, {(0, 1): ONE}, tag)
+    return Cocycle.from_entries(2, {(0, 1): ONE}, QQ)
 
 
 def _as_scalar(v):
@@ -117,7 +115,7 @@ def _build_A():
         axis_sets={"X12": (e1, e2), "X13": (e1, a3), "X23": (e2, a3)},
         laws={"FA": law},
         axis_laws={"X12": "FA", "X13": "FA", "X23": "FA"},
-        frobenius=_gram(((one, zero), (zero, one))),
+        frobenius=_gram(one, zero, one),
         expected={
             "symmetric": {"X12": True, "X13": False, "X23": False},
             "primitive": {"X12": True, "X13": False, "X23": False},
@@ -141,7 +139,7 @@ def _build_B():
         axis_laws={"X12": "FB", "X14": "FB", "X24": "FB"},
         extension_laws={"X12": ext, "X14": ext, "X24": ext},
         cocycle=_theta_e1e2(),
-        frobenius=_gram(((_q(-2), one), (one, _q(-2)))),
+        frobenius=_gram(_q(-2), one, _q(-2)),
         gradings={"FB": grad},
         expected={
             "symmetric": {"X12": True, "X14": True, "X24": True},
@@ -176,7 +174,7 @@ def _build_C(alpha):
         axis_laws={"X12": "FC1", "X15": "FC2", "X25": "FC2"},
         extension_laws={"X12": ext1, "X15": ext2, "X25": ext2},
         cocycle=_theta_e1e2(),
-        frobenius=_gram(((gram_d, one), (one, gram_d))),
+        frobenius=_gram(gram_d, one, gram_d),
         gradings={"FC2": grad},
         expected={
             "symmetric": {"X12": True, "X15": False, "X25": False},
@@ -211,7 +209,7 @@ def _build_D(beta):
         axis_laws={"X12": "FD1", "X16": "FD2", "X26": "FD3"},
         extension_laws={"X16": ext2},
         cocycle=_theta_e1e2(),
-        frobenius=_gram(((one, zero), (zero, zero))),
+        frobenius=_gram(one, zero, zero),
         expected={
             "symmetric": {"X12": False, "X16": False, "X26": False},
             "primitive": {"X12": True, "X16": True, "X26": True},
@@ -255,7 +253,7 @@ def _build_E(alpha, beta):
         axis_laws={"X12": "FE12", "X17": "FE17", "X27": "FE27"},
         extension_laws={"X12": ext12, "X17": ext17, "X27": ext27},
         cocycle=_theta_e1e2(),
-        frobenius=_gram((((one - beta) / alpha, one), (one, (one - alpha) / beta))),
+        frobenius=_gram((one - beta) / alpha, one, (one - alpha) / beta),
         expected={
             "symmetric": {"X12": False, "X17": False, "X27": False},
             "primitive": {"X12": True, "X17": True, "X27": True},
@@ -275,7 +273,7 @@ def _build_F():
         axis_sets={"X12": (e1, e2)},
         laws={"FF": law},
         axis_laws={"X12": "FF"},
-        frobenius=_gram(((zero, zero), (zero, one))),
+        frobenius=_gram(zero, zero, one),
         expected={
             "symmetric": {"X12": False},
             "primitive": {"X12": True},
@@ -302,7 +300,7 @@ def _build_G(beta):
         axis_laws={"X12": "FG"},
         extension_laws={"X12": ext},
         cocycle=_theta_e1e2(),
-        frobenius=_gram(((two * (one - beta), one), (one, ONE / (two * beta)))),
+        frobenius=_gram(two * (one - beta), one, ONE / (two * beta)),
         expected={
             "symmetric": {"X12": False},
             "primitive": {"X12": True},
@@ -337,7 +335,7 @@ def _build_H(gamma):
         axis_laws={"X12": "FH"},
         extension_laws={"X12": ext},
         cocycle=_theta_e1e2(),
-        frobenius=_gram(((g11, one), (one, g22))),
+        frobenius=_gram(g11, one, g22),
         expected={
             "symmetric": {"X12": gamma == -one},
             "primitive": {"X12": True},
@@ -369,7 +367,7 @@ def _build_I(alpha, beta):
         axis_laws={"Xab": "FI"},
         extension_laws={"Xab": ext},
         cocycle=_theta_e1e2(),
-        frobenius=_gram(((one, one), (one, one))),
+        frobenius=_gram(one, one, one),
         gradings={"FI": grad},
         expected={
             # with n = e1 - e2, e1 -> e1 + (t1 + t2) n, n -> -n swaps the

@@ -14,11 +14,10 @@ import json
 import sys
 
 from . import catalog as _catalog
-from .algebra import radical_axial
+from .algebra import Cocycle, radical_axial
 from .errors import AxialError
-from .extension import (Cocycle, build_extension, cocycle_space,
-                        decompose_by_annihilator, extension_axiality,
-                        is_split, normalize_on_axes)
+from .extension import (build_extension, cocycle_space, decompose_by_annihilator,
+                        extension_axiality, is_split, normalize_on_axes)
 from .fileio import AlgebraFile, parse_algebra_file, render_algebra_file
 from .fusion import find_c2_gradings, jordan_half_law, law_contains, monster_law
 from .linalg import Matrix, Subspace

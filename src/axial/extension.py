@@ -5,8 +5,9 @@ fusion law of an extension, and the inverse decomposition of an algebra with
 nonzero annihilator.
 
 Symmetric forms on an n-dimensional algebra are vectorized by the n(n+1)/2
-upper-triangle entries in row-major order (see _sym_pairs): a cocycle
-coordinate, a vector of Z or B, and a constraint row all index them alike.
+upper-triangle entries in row-major order (see algebra._sym_pairs): a
+cocycle coordinate (algebra.Cocycle), a vector of Z or B, and a constraint
+row all index them alike.
 """
 
 from __future__ import annotations
@@ -14,89 +15,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .algebra import Algebra, _sym_columns, _sym_pairs, _unflatten_sym
+from .algebra import Algebra, Cocycle, _sym_columns, _sym_pairs
 from .errors import DimensionMismatchError, ExtensionError
-from .linalg import Matrix, RowReducer, Subspace, sparse_add, sparse_combine, sparse_vector
+from .linalg import (Matrix, RowReducer, Subspace, _checked_sparse, sparse_add, sparse_combine,
+                     sparse_vector)
 from .scalars import ONE, ZERO, clear_denominators, render_scalar
 from .spectral import axis_eigenbasis, check_axis, minimal_law, render_violation
-
-
-class Cocycle:
-    """Symmetric bilinear map A x A -> F^s on an n-dimensional algebra.
-
-    Coordinate g is stored as vectors[g], the sparse upper-triangle vector
-    {t: theta_g(b_i, b_j)} over the pairs i <= j in _sym_pairs order, without
-    zero entries.  The constructor checks each index and each entry's field.
-    """
-
-    def __init__(self, vectors, n, tag):
-        size = len(_sym_pairs(n))
-        check = tag.check
-        out = []
-        for v in vectors:
-            for t in v:
-                if not 0 <= t < size:
-                    raise DimensionMismatchError(f"cocycle index {t} out of range")
-            out.append({t: check(a) for t, a in v.items() if a})
-        if not out:
-            raise ExtensionError("a cocycle needs at least one coordinate")
-        self.vectors = tuple(out)
-        self.dim = n
-        self.s = len(out)
-        self.tag = tag
-
-    @classmethod
-    def from_entries(cls, n, entries, tag, s=1):
-        """entries: {(i, j): element} or {(i, j): tuple of s elements}, in
-        either index order; a later entry for the same pair wins."""
-        cols = _sym_columns(n)
-        vectors = [{} for _ in range(s)]
-        for (i, j), val in entries.items():
-            vals = tuple(val) if isinstance(val, (tuple, list)) else (val,)
-            if len(vals) != s:
-                raise DimensionMismatchError("entry arity differs from coordinate count")
-            if not (0 <= i < n and 0 <= j < n):
-                raise DimensionMismatchError(f"cocycle entry {(i, j)} outside dim {n}")
-            for vec, a in zip(vectors, vals):
-                vec[cols[i][j]] = a
-        return cls(vectors, n, tag)
-
-    @property
-    def mats(self):
-        """The symmetric n x n Gram matrices, one per coordinate, built on
-        each access."""
-        return tuple(_unflatten_sym(v, self.dim, self.tag)
-                     for v in self.vectors)
-
-    def evaluate(self, x, y):
-        """theta(x, y) as a tuple of s elements."""
-        n = self.dim
-        if len(x) != n or len(y) != n:
-            raise DimensionMismatchError("vector length mismatch")
-        cols = _sym_columns(n)
-        terms = [(cols[p][q], a * b)
-                 for p, a in enumerate(x) if a for q, b in enumerate(y) if b]
-        out = []
-        for v in self.vectors:
-            acc = ZERO
-            for t, ab in terms:
-                g = v.get(t)
-                if g is not None:
-                    acc = acc + ab * g
-            out.append(acc)
-        return tuple(out)
-
-    def is_zero(self):
-        return not any(self.vectors)
-
-    def __eq__(self, other):
-        if not isinstance(other, Cocycle):
-            return NotImplemented
-        return (self.tag is other.tag and self.dim == other.dim
-                and self.vectors == other.vectors)
-
-    def __repr__(self):
-        return f"Cocycle(dim={self.dim}, s={self.s})"
 
 
 def coboundary(algebra, f):
@@ -348,8 +272,8 @@ def is_split(algebra, theta):
     The annihilator is read in A, without building A_theta: x + v, for x in
     A and v in V, annihilates A_theta iff xy = 0 and theta(x, y) = 0 for
     every y in A.  So Ann(A_theta) = (Ann(A) cap theta-perp) + V, where
-    theta-perp is the kernel of the stacked Gram matrices of theta, and it is
-    V iff Ann(A) cap theta-perp is zero.
+    theta-perp is theta.radical(), and it is V iff Ann(A) cap theta-perp is
+    zero.
     """
     n = algebra.dim
     if theta.dim != n:
@@ -362,8 +286,7 @@ def is_split(algebra, theta):
     ann = algebra.annihilator()
     if not ann.is_zero():
         # theta-perp is built only when A has annihilator of its own
-        ann = ann.intersect(Matrix.from_int_rows(
-            [r for m in theta.mats for r in m.num], 1, n, algebra.tag).kernel())
+        ann = ann.intersect(theta.radical())
     if ann.is_zero():
         return "non_split"
     return "indeterminate"
@@ -436,43 +359,47 @@ def decompose_by_annihilator(bigebra, axes=()):
     complement of Ann(B), theta the component of the product falling in
     Ann(B) (coordinates in its RREF basis), X the projections of the given
     axes.  Raises when the annihilator is zero.
+
+    Lemma: every RREF row r_g of Ann(B) is 1 at its own pivot p_g and 0 at
+    the other pivots, and the complement basis vectors are 0 at every pivot.
+    So x = sum_a y_a b_a + sum_g z_g r_g, a over the complement, has
+    z_g = x[p_g], and its complement part is x - sum_g x[p_g] r_g, read
+    at the complement indices.
     """
     ann = bigebra.annihilator()
     if ann.is_zero():
         raise ExtensionError("annihilator is zero; nothing to split off")
-    n = bigebra.dim
     tag = bigebra.tag
-    comp_idx = [j for j in range(n) if j not in ann.pivots]
-    # change of basis: complement standard vectors first, then Ann basis
-    basis_rows = tuple({j: ONE} for j in comp_idx) + ann.rows
-    bmat = Matrix.from_sparse_rows(basis_rows, n, tag).transpose()
-    binv = bmat.inverse()
-    m = len(comp_idx)
-    s = ann.dim
+    pivots = ann.pivots
+    comp_idx = [j for j in range(bigebra.dim) if j not in pivots]
+    position = {j: a for a, j in enumerate(comp_idx)}
 
     def split_coords(x):
-        coords = binv.apply(x)
-        return coords[:m], coords[m:]
+        """(complement part as {a: element}, Ann(B) coordinates) of sparse x."""
+        annc = tuple(x.get(p, ZERO) for p in pivots)
+        comp = dict(x)
+        for c, r in zip(annc, ann.rows):
+            for j, v in r.items():
+                sparse_add(comp, j, -c * v)
+        return {position[j]: v for j, v in comp.items()}, annc
 
+    m = len(comp_idx)
     products = {}
     theta_entries = {}
     for a in range(m):
         for b in range(a, m):
-            p = bigebra.product(bigebra.basis_element(comp_idx[a]),
-                                bigebra.basis_element(comp_idx[b]))
-            comp, annc = split_coords(p)
-            entry = sparse_vector(comp)
-            if entry:
-                products[(a, b)] = entry
-            if any(annc):
-                theta_entries[(a, b)] = tuple(annc)
+            # both constructors drop the zero entries
+            products[(a, b)], theta_entries[(a, b)] = split_coords(
+                bigebra.basis_product(comp_idx[a], comp_idx[b]))
     labels = tuple(bigebra.labels[j] for j in comp_idx)
     small = Algebra(m, products, tag, labels)
-    theta = Cocycle.from_entries(m, theta_entries, tag, s=s)
+    theta = Cocycle.from_entries(m, theta_entries, tag, s=ann.dim)
     projected = []
     for y in axes:
-        comp, _annc = split_coords(tuple(y))
-        projected.append(tuple(comp))
+        if len(y) != bigebra.dim:
+            raise DimensionMismatchError("vector length mismatch")
+        comp, _annc = split_coords(_checked_sparse(y, tag))
+        projected.append(tuple(comp.get(a, ZERO) for a in range(m)))
     return small, theta, projected
 
 

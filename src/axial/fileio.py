@@ -24,9 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import MAX_DIM, Algebra
+from .algebra import MAX_DIM, Algebra, Cocycle
 from .errors import AxialError
-from .extension import Cocycle
 from .fusion import FusionLaw, unit_row
 from .linalg import sparse_vector
 from .scalars import (ONE, ZERO, FieldTag, ScalarParseError, parse_scalar, render_scalar,

@@ -14,7 +14,7 @@ entries against it once, when built.
 The kernels run on integer vectors: sparse_combine, the one sparse linear
 combination of rows, uses only + and *, and RowReducer reduces fraction-free,
 so add_int_row takes integer rows with nothing to clear.  Matrix products,
-sums, inverses and row reduction, the kernel bases and the eigen-analysis
+inverses and row reduction, the kernel bases and the eigen-analysis
 (spectral) all run on such rows.
 
 Conventions fixed for reproducibility:
@@ -164,10 +164,6 @@ class Matrix:
     def identity(cls, n, tag):
         return cls._of_form(tuple({j: 1} for j in range(n)), 1, n, tag)
 
-    @classmethod
-    def zero(cls, nrows, ncols, tag):
-        return cls._of_form(({},) * nrows, 1, ncols, tag)
-
     def transpose(self):
         cols = tuple({} for _ in range(self.ncols))
         for i, r in enumerate(self.num):
@@ -187,30 +183,9 @@ class Matrix:
             object.__setattr__(self, "_hash", hash((items, self.den, self.ncols, self.tag)))
         return self._hash
 
-    def __add__(self, other):
-        self._shape_check(other, same=True)
-        den = lcm(self.den, other.den)
-        s, t = den // self.den, den // other.den
-        out = []
-        for r, q in zip(self.num, other.num):
-            acc = {j: s * a for j, a in r.items()}
-            for j, b in q.items():
-                sparse_add(acc, j, t * b)
-            out.append(acc)
-        return Matrix.from_int_rows(out, den, self.ncols, self.tag)
-
-    def scale(self, c):
-        if not self.tag.check(c):
-            return Matrix.zero(self.nrows, self.ncols, self.tag)
-        c, d = c.numerator, c.denominator
-        return Matrix.from_int_rows([{j: c * a for j, a in r.items()} for r in self.num],
-                                    d * self.den, self.ncols, self.tag)
-
-    def _shape_check(self, other, same=False):
+    def _shape_check(self, other):
         if self.tag is not other.tag:
             raise FieldMismatchError("matrices over different fields")
-        if same and (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionMismatchError("shape mismatch")
 
     def __mul__(self, other):
         self._shape_check(other)

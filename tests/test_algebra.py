@@ -1,10 +1,14 @@
 """Structure-constant algebras: products, operators, forms, radical."""
 
+import itertools
+import random
+
 import pytest
 
 from axial import catalog
-from axial.algebra import Algebra, radical_axial
-from axial.scalars import FieldTag, Rat
+from axial.algebra import Algebra, BilinearForm, Cocycle, radical_axial
+from axial.errors import CatalogError
+from axial.scalars import ONE, ZERO, FieldTag, Rat
 
 
 def q(n, d=1):
@@ -85,6 +89,154 @@ class TestRadical:
         entry = catalog.build("F")
         with pytest.raises(ValueError):
             radical_axial(entry.algebra, entry.axis_sets["X12"])
+
+
+def test_a_bilinear_form_is_the_one_coordinate_cocycle():
+    assert BilinearForm.__bases__ == (Cocycle,)
+    assert {name for name in vars(BilinearForm) if not name.startswith("__")} == {"gram"}
+    form = catalog.build("B").frobenius
+    assert form.s == 1 and form.gram == form.mats[0]
+    assert form.evaluate((q(1), q(0)), (q(1), q(1))) == (q(-1),)
+
+
+# ---------------------------------------------------------------------------
+# radical_axial against a dense reference on plain lists: the invariant
+# forms as Gram matrices, solved for (a, a) = 1 on every axis, summed, and
+# every kernel shift of the solution tested for the same radical
+
+def _rref(rows, ncols):
+    """(rows, pivots): the nonzero rows of the reduced row echelon form, with
+    unit pivots, and their pivot columns."""
+    todo = [list(r) for r in rows]
+    out, pivots = [], []
+    for col in range(ncols):
+        piv = next((r for r in todo if r[col]), None)
+        if piv is None:
+            continue
+        todo.remove(piv)
+        inv = ONE / piv[col]
+        piv = [x * inv for x in piv]
+        todo = [[x - r[col] * y for x, y in zip(r, piv)] for r in todo]
+        out = [[x - r[col] * y for x, y in zip(r, piv)] for r in out]
+        out.append(piv)
+        pivots.append(col)
+    return out, pivots
+
+
+def _kernel(rows, ncols):
+    """The RREF basis of {x : r . x = 0 for every row r}."""
+    red, pivots = _rref(rows, ncols)
+    basis = []
+    for f in (j for j in range(ncols) if j not in pivots):
+        v = [ZERO] * ncols
+        v[f] = ONE
+        for row, p in zip(red, pivots):
+            v[p] = -row[f]
+        basis.append(v)
+    return _rref(basis, ncols)[0]
+
+
+def _ref_frobenius(alg):
+    """The invariant forms as Gram matrices: the RREF basis of the solutions
+    of (b_i b_j, b_k) = (b_i, b_j b_k) in the upper-triangle entries."""
+    n = alg.dim
+    pairs = list(itertools.combinations_with_replacement(range(n), 2))
+    col = {}
+    for t, (i, j) in enumerate(pairs):
+        col[(i, j)] = col[(j, i)] = t
+    eqs = []
+    for i, j, k in itertools.product(range(n), repeat=3):
+        row = [ZERO] * len(pairs)
+        for m, c in alg.basis_product(j, k).items():
+            row[col[(i, m)]] += c
+        for m, c in alg.basis_product(i, j).items():
+            row[col[(m, k)]] -= c
+        eqs.append(row)
+    return [[[v[col[(i, j)]] for j in range(n)] for i in range(n)]
+            for v in _kernel(eqs, len(pairs))]
+
+
+def _bilinear(g, x, y):
+    return sum((x[i] * g[i][j] * y[j] for i in range(len(x)) for j in range(len(y))), ZERO)
+
+
+def _combined(grams, coeffs):
+    n = len(grams[0])
+    return [[sum((c * g[i][j] for c, g in zip(coeffs, grams)), ZERO) for j in range(n)]
+            for i in range(n)]
+
+
+def _ref_radical_axial(alg, axes):
+    """(radical basis, Gram rows) or ValueError, by the dense algorithm."""
+    n = alg.dim
+    grams = _ref_frobenius(alg)
+    if not grams:
+        raise ValueError("no nonzero invariant bilinear form exists")
+    k = len(grams)
+    red, pivots = _rref([[_bilinear(g, a, a) for g in grams] + [ONE] for a in axes], k + 1)
+    if k in pivots:
+        raise ValueError("no invariant form takes value 1 on every axis")
+    sol = [ZERO] * k
+    for row, p in zip(red, pivots):
+        sol[p] = row[k]
+    gram = _combined(grams, sol)
+    rad = _kernel(gram, n)
+    for v in _kernel([r[:k] for r in red], k):
+        if _kernel(_combined(grams, [c + d for c, d in zip(sol, v)]), n) != rad:
+            raise ValueError("axis-normalized invariant form is not unique")
+    for a in axes:
+        if len(_rref(rad + [list(a)], n)[0]) == len(rad):
+            raise ValueError("an axis lies in the radical of its own form")
+    return rad, gram
+
+
+def _radical_cases():
+    """(label, algebra, axes): every axis set of A-I at the default and two
+    seeded parameter draws (drawn as the paper-suite benchmark draws them),
+    of J25, S n=4 and JordanB n=3, and per entry the empty axis list and
+    the first axis repeated."""
+    rng = random.Random(24)
+    entries = []
+    for name in "ABCDEFGHI":
+        entries.append((name, catalog.build(name)))
+        slots = catalog.default_params(name)
+        accepted = 0
+        while slots and accepted < 2:
+            params = {slot: Rat(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+                      for slot in slots}
+            try:
+                entries.append((f"{name}{params}", catalog.build(name, params)))
+            except CatalogError:
+                continue
+            accepted += 1
+    entries += [(name, catalog.build(name, params)) for name, params in
+                (("J25", {}), ("S", {"n": 4}), ("JordanB", {"n": 3}))]
+    for label, entry in entries:
+        sets = dict(entry.axis_sets)
+        first = next(iter(sets.values()))[0]
+        sets.update({"none": (), "repeated": (first, first)})
+        for key, axes in sets.items():
+            yield f"{label} {key}", entry.algebra, axes
+
+
+def test_radical_axial_matches_the_dense_reference():
+    outcomes = set()
+    for label, alg, axes in _radical_cases():
+        forms = [[list(r) for r in f.gram.rows] for f in alg.frobenius_space()]
+        assert forms == _ref_frobenius(alg), label
+        try:
+            want = _ref_radical_axial(alg, axes)
+        except ValueError as ex:
+            with pytest.raises(ValueError) as got:
+                radical_axial(alg, axes)
+            assert str(got.value) == str(ex), label
+            outcomes.add(str(ex))
+            continue
+        rad, form = radical_axial(alg, axes)
+        assert ([list(b) for b in rad.basis], [list(r) for r in form.gram.rows]) == want, label
+        outcomes.add("answer")
+    assert {"answer", "no invariant form takes value 1 on every axis",
+            "axis-normalized invariant form is not unique"} <= outcomes, outcomes
 
 
 class TestJordanCheck:

@@ -150,6 +150,39 @@ def test_aut_action(case):
         assert _dense(aut_action(_theta(rng, grams, tag), phi).mats) == want
 
 
+def _degenerate(rng, grams):
+    """Copies of the Gram matrices, each with the rows and columns of a
+    random set of indices zeroed: those basis vectors lie in its radical."""
+    n = len(grams[0])
+    out = []
+    for g in grams:
+        dead = set(rng.sample(range(n), rng.randint(0, n)))
+        out.append([[ZERO if i in dead or j in dead else x for j, x in enumerate(r)]
+                    for i, r in enumerate(g)])
+    return out
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_radical(case):
+    # theta-perp by its definition: the x with theta_g(x, b_j) = 0 for every
+    # coordinate g and basis vector b_j, one equation in x per (g, j)
+    alg = _entry(case)[0]
+    n, tag = alg.dim, alg.tag
+    basis = [alg.basis_element(k) for k in range(n)]
+    first_only_differs = 0
+    for rng, s, grams in _draws(case):
+        for gs in (grams, _degenerate(rng, grams), _degenerate(rng, grams)):
+            rows = [[_form(g, e, b) for e in basis] for g in gs for b in basis]
+            want = Matrix(rows, tag).kernel()
+            got = _theta(rng, gs, tag).radical()
+            assert got == want
+            for x in got.basis:
+                assert all(not _form(g, x, b) for g in gs for b in basis)
+            first_only_differs += Matrix(rows[:n], tag).kernel() != want
+    # a radical of the first coordinate alone would fail here
+    assert first_only_differs
+
+
 @pytest.mark.parametrize("case", CASES, ids=IDS)
 def test_normalize_on_axes(case):
     alg, axes, _law = _entry(case)

@@ -285,6 +285,15 @@ class TestBuildAndSplit:
         with pytest.raises(ExtensionError):
             decompose_by_annihilator(catalog.build("B").algebra)
 
+    def test_decompose_checks_each_axis(self):
+        ext, (lifted,) = build_extension(catalog.build("B").algebra, theta12(),
+                                         [(q(1), q(0))])
+        for bad in (lifted[:2], lifted + (q(0),)):
+            with pytest.raises(DimensionMismatchError, match="vector length mismatch"):
+                decompose_by_annihilator(ext, [bad])
+        with pytest.raises(FieldMismatchError):
+            decompose_by_annihilator(ext, [(Scalar(q(1), q(1)),) + lifted[1:]])
+
 
 def _is_split_by_extension(algebra, theta):
     """The verdict read off A_theta itself: with independent classes, its

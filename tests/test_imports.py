@@ -190,7 +190,7 @@ def test_deleted_members_stay_deleted():
     # names shared with a live member (Matrix.rank and RowReducer.rank,
     # FieldTag.render and the benchmark's own render) escape the liveness
     # test, so each deleted member is checked on its class
-    methods = {Matrix: ("rref", "from_columns", "rank", "is_zero"),
+    methods = {Matrix: ("rref", "from_columns", "rank", "is_zero", "__add__", "scale", "zero"),
                Cocycle: ("from_vectors",),
                FieldTag: ("zero", "one", "inverse", "render", "sort_key", "parse")}
     for cls, names in methods.items():

@@ -147,6 +147,11 @@ def _dense(rng, nrows, ncols, tag):
     return rows
 
 
+def _scalar_matrix(n, c, tag):
+    """c I as an n x n Matrix, built from its entries."""
+    return Matrix([[c if i == j else ZERO for j in range(n)] for i in range(n)], tag)
+
+
 def _naive_mul(a, b, tag):
     out = []
     for i in range(len(a)):
@@ -217,13 +222,10 @@ def test_sparse_matrix_matches_dense_reference(tag):
         assert (ma * mb).rows == tuple(map(tuple, _naive_mul(a, b, tag)))
         x = tuple(_entry(rng, tag) for _ in range(k))
         assert ma.apply(x) == tuple(r[0] for r in _naive_mul(a, [[v] for v in x], tag))
-        assert (ma + mc).rows == tuple(tuple(u + v for u, v in zip(r, s))
-                                       for r, s in zip(a, c))
-        assert (ma + mc.scale(-ONE)).rows == tuple(tuple(u - v for u, v in zip(r, s))
-                                                   for r, s in zip(a, c))
-        assert ma + ma.scale(-ONE) == Matrix.zero(n, k, tag)
+        assert (ma == mc) == (a == c)
         s = _entry(rng, tag)
-        assert ma.scale(s).rows == tuple(tuple(s * v for v in r) for r in a)
+        assert (_scalar_matrix(n, s, tag) * ma).rows == tuple(tuple(s * v for v in r)
+                                                              for r in a)
         # rref and kernel
         red, pivots = _naive_rref(a, k, tag)
         reducer = reducer_of(ma)
@@ -267,9 +269,8 @@ def test_equal_matrices_from_different_routes(tag):
             ma.transpose().transpose(),
             ma * Matrix.identity(k, tag),
             Matrix.identity(n, tag) * ma,
-            ma + Matrix.zero(n, k, tag),
-            ma.scale(ONE),
-            (ma + ma) + ma.scale(-ONE),
+            _scalar_matrix(n, ONE, tag) * ma,
+            _scalar_matrix(n, Rat(2), tag) * ma * _scalar_matrix(k, Rat(1, 2), tag),
             Matrix(ma.rows, tag, ncols=k),
         ]
         for other in routes:
@@ -628,7 +629,7 @@ def test_operations_never_mutate_rows(name, params, key, law_key):
     operands = [m, t, r, u.matrix, w.matrix] + [sp.matrix for _, sp in eigen.pairs]
     before = [_row_state(o) for o in operands]
     x, rhs = tuple(_entry(rng, tag) for _ in range(n)), tuple(_entry(rng, tag) for _ in range(3))
-    m * t, t * m, m + t, m.scale(Rat(-3, 2)), r.transpose(), r.apply(x), t.inverse()
+    m * t, t * m, m * _scalar_matrix(n, Rat(-3, 2), tag), r.transpose(), r.apply(x), t.inverse()
     reducer_of(r).rref_form(), r.kernel(), r.solve(rhs)
     char_poly(m), is_automorphism(alg, t), eigen.products()
     u.intersect(w), u.contains_vector(x)

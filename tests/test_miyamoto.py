@@ -12,12 +12,22 @@ from axial.fusion import find_c2_gradings
 from axial.linalg import Matrix
 from axial.miyamoto import (AutMatrix, axis_closure, find_flip, group_closure,
                             is_automorphism, tau_automorphism)
-from axial.scalars import ONE, FieldTag, Rat, Scalar
+from axial.scalars import ONE, ZERO, FieldTag, Rat, Scalar
 from axial.spectral import Eigenbasis
 
 
 def q(n, d=1):
     return Rat(n, d)
+
+
+def _scaled(m, c):
+    """c m, built from the entries of m."""
+    return Matrix([[c * a for a in r] for r in m.rows], m.tag)
+
+
+def _zero(nrows, ncols, tag):
+    """The nrows x ncols zero Matrix, built from its entries."""
+    return Matrix([[ZERO] * ncols for _ in range(nrows)], tag)
 
 
 def _taus(entry, axes_key, law_key):
@@ -52,9 +62,9 @@ class TestTau:
         ident = Matrix.identity(2, FieldTag.QQ)
         assert is_automorphism(alg, ident)
         # invertible, but m(xy) = 2xy while m(x)m(y) = 4xy
-        assert not is_automorphism(alg, ident.scale(q(2)))
+        assert not is_automorphism(alg, _scaled(ident, q(2)))
         # the zero map is multiplicative; only invertibility rejects it
-        assert not is_automorphism(alg, Matrix.zero(2, 2, FieldTag.QQ))
+        assert not is_automorphism(alg, _zero(2, 2, FieldTag.QQ))
 
     def test_rejects_non_axes(self):
         # JordanC n=2 under J12 with the grading {0, 1} | {1/2}: the zero
@@ -272,15 +282,15 @@ def test_is_automorphism_matches_the_rat_definition():
     for alg, law, grading, axes in _tau_cases(1500):
         n, tag = alg.dim, alg.tag
         ident = Matrix.identity(n, tag)
-        mats = [ident, ident.scale(q(2)), Matrix.zero(n, n, tag),
-                Matrix.zero(n, n + 1, tag), Matrix.zero(n + 1, n, tag),
+        mats = [ident, _scaled(ident, q(2)), _zero(n, n, tag),
+                _zero(n, n + 1, tag), _zero(n + 1, n, tag),
                 Matrix.identity(n + 1, tag)]
         for a in axes:
             t = tau_automorphism(alg, a, law, grading).matrix
             rows = [list(r) for r in t.rows]
             flipped = [r[:1] + [-r[1]] + r[2:] for r in rows]   # column 1 negated
             copied = [r[:1] + [r[0]] + r[2:] for r in rows]     # singular
-            mats += [t, t.scale(q(2)), Matrix(flipped, tag), Matrix(copied, tag),
+            mats += [t, _scaled(t, q(2)), Matrix(flipped, tag), Matrix(copied, tag),
                      Matrix(_random_invertible(rng, n, tag)[0], tag)]
         for m in mats:
             expect = _rat_is_automorphism(alg, m)
@@ -350,14 +360,14 @@ class TestGroupClosureErrors:
 
     def test_mixed_fields(self):
         qq = self._tau("JordanC", {"n": 2}, "family", "J12")
-        qi = AutMatrix(Matrix.identity(6, FieldTag.QI).scale(Scalar(0, 1)))
+        qi = AutMatrix(_scaled(Matrix.identity(6, FieldTag.QI), Scalar(0, 1)))
         with pytest.raises(FieldMismatchError, match="different fields"):
             group_closure([qq, qi])
 
     def test_singular_and_non_square(self):
         tau = self._tau("B", {}, "X12", "FB")
         singular = AutMatrix(Matrix([[q(1), q(1)], [q(1), q(1)]], FieldTag.QQ))
-        wide = AutMatrix(Matrix.zero(2, 3, FieldTag.QQ))
+        wide = AutMatrix(_zero(2, 3, FieldTag.QQ))
         with pytest.raises(DimensionMismatchError, match="singular"):
             group_closure([tau, singular])
         with pytest.raises(DimensionMismatchError, match="non-square"):

@@ -6,14 +6,14 @@ import random
 import pytest
 
 from axial import catalog
-from axial.algebra import radical_axial
+from axial.algebra import Algebra, radical_axial
 from axial.errors import CatalogError
 from axial.extension import (Cocycle, aut_action, build_extension, coboundary,
                              cocycle_space, decompose_by_annihilator,
                              extension_axiality)
 from axial.linalg import Matrix, sparse_add, sparse_vector
 from axial.miyamoto import tau_automorphism
-from axial.scalars import ZERO, FieldTag, Rat, Scalar
+from axial.scalars import ONE, ZERO, FieldTag, Rat, Scalar
 from axial.spectral import check_axis, eigen_decompose
 
 TAG = FieldTag.QQ
@@ -154,20 +154,122 @@ def run_eigenvalue_lift(count=100, seed=12):
     assert 0 < axial < count // 4
 
 
+def _rand_cocycle(rng, n, s, tag, density=1.0):
+    """A random cocycle with s coordinates, each entry drawn with the given
+    probability, with non-real entries over QI."""
+    vectors = []
+    for _ in range(s):
+        v = {}
+        for t in range(n * (n + 1) // 2):
+            c = q(rng.randint(-4, 4)) if rng.random() < density else ZERO
+            if tag is FieldTag.QI and rng.random() < 0.5:
+                c = Scalar(c, q(rng.randint(-2, 2)))
+            if c:
+                v[t] = c
+        vectors.append(v)
+    return Cocycle(vectors, n, tag)
+
+
+def _with_radical_in_zero(rng, theta, base):
+    """theta on A + 0, dim A = base, with a vector of 0 in its radical: the
+    entries at one index d of 0 cleared, then, when 0 has a second index z,
+    pulled back along e_d -> e_d + c e_z, which puts e_d - c e_z there."""
+    n = theta.dim
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    d = rng.randrange(base, n)
+    theta = Cocycle([{t: c for t, c in v.items() if d not in pairs[t]} for v in theta.vectors],
+                    n, theta.tag)
+    if n - base < 2:
+        return theta
+    z = base + n - 1 - d
+    c = q(rng.choice([1, -2, 3]))
+    phi = Matrix([[c if (i, j) == (z, d) else ONE if i == j else ZERO for j in range(n)]
+                  for i in range(n)], theta.tag)
+    return aut_action(theta, phi)
+
+
+def _assert_split_basis(big, axes):
+    """Read decompose_by_annihilator(big, axes) back: build_extension(small,
+    theta2) is big in the split basis (the complement basis vectors of
+    Ann(big), then its RREF rows), and each axis is its projection plus a
+    vector of Ann(big).  Returns dim Ann(big)."""
+    small, theta2, proj = decompose_by_annihilator(big, axes)
+    ann = big.annihilator()
+    comp = [j for j in range(big.dim) if j not in ann.pivots]
+    rebuilt, _ = build_extension(small, theta2)
+    images = [{j: ONE} for j in comp] + [dict(r) for r in ann.rows]
+    assert rebuilt.dim == big.dim
+    for i in range(rebuilt.dim):
+        for j in range(i, rebuilt.dim):
+            want = {}
+            for k, c in rebuilt.basis_product(i, j).items():
+                for col, v in images[k].items():
+                    sparse_add(want, col, c * v)
+            assert big.product_sparse(images[i], images[j]) == want, (i, j)
+    for y, p in zip(axes, proj):
+        rest = list(y)
+        for a, j in enumerate(comp):
+            rest[j] -= p[a]
+        assert ann.contains_vector(tuple(rest))
+    return ann.dim
+
+
+def _rebased(rng, alg, axes):
+    """alg and the axes in the basis of the columns of a random upper
+    unitriangular matrix."""
+    n = alg.dim
+    cols = [{k: q(rng.randint(-2, 2)) for k in range(i)} | {i: ONE} for i in range(n)]
+    cols = [{k: c for k, c in col.items() if c} for col in cols]
+
+    def coords(x):
+        # back-substitution: the last entry of x comes from the last column
+        x, y = dict(x), {}
+        for k in reversed(range(n)):
+            c = x.get(k)
+            if c:
+                y[k] = c
+                for m, v in cols[k].items():
+                    sparse_add(x, m, -c * v)
+        return y
+
+    products = {(i, j): coords(alg.product_sparse(cols[i], cols[j]))
+                for i in range(n) for j in range(i, n)}
+    return (Algebra(n, products, alg.tag),
+            [alg.element(coords(sparse_vector(a))) for a in axes])
+
+
 def run_round_trip(count=100, seed=13):
-    """decompose_by_annihilator inverts build_extension exactly."""
+    """decompose_by_annihilator inverts build_extension exactly, for s = 1
+    and 2 and over QI.  On A + 0, a sum with a zero algebra, Ann(B) may
+    exceed the adjoined space V; there, and in a random basis of B,
+    build_extension(small, theta2) reproduces every product of B in the
+    split basis."""
     rng = random.Random(seed)
     pool = [catalog.build(n) for n in ("A", "B", "C", "D", "E", "F", "G",
                                        "H", "I")]
-    pool += [catalog.build("S", {"n": 3}), catalog.build("J", {"n": 3})]
+    pool += [catalog.build("S", {"n": 3}), catalog.build("J", {"n": 3}),
+             catalog.build("JordanD", {"n": 3})]
+    larger = 0
     for _ in range(count):
         entry = pool[rng.randrange(len(pool))]
         alg = entry.algebra
-        theta = _rand_theta(rng, alg.dim)
+        axes = entry.axis_sets[sorted(entry.axis_sets)[0]]
+        summed = rng.random() < 1 / 3
+        if summed:
+            alg = alg.direct_sum(Algebra(rng.randint(1, 2), {}, alg.tag))
+            axes = [tuple(a) + (ZERO,) * (alg.dim - len(a)) for a in axes]
+        s = rng.randint(1, 2)
+        # sparse on A + 0, so that some vectors of 0 stay in Ann(B)
+        theta = _rand_cocycle(rng, alg.dim, s, alg.tag, 0.3 if summed else 1.0)
+        if summed and rng.random() < 2 / 3:
+            theta = _with_radical_in_zero(rng, theta, entry.algebra.dim)
         if theta.is_zero():
             continue
-        axes = entry.axis_sets[sorted(entry.axis_sets)[0]]
         ext, lifted = build_extension(alg, theta, axes)
+        if summed:
+            larger += _assert_split_basis(ext, lifted) > s
+            _assert_split_basis(*_rebased(rng, ext, lifted))
+            continue
         small, theta2, proj = decompose_by_annihilator(ext, lifted)
         assert small.dim == alg.dim
         for i in range(alg.dim):
@@ -175,6 +277,7 @@ def run_round_trip(count=100, seed=13):
                 assert small.basis_product(i, j) == alg.basis_product(i, j)
         assert theta2 == theta
         assert [tuple(p) for p in proj] == [tuple(a) for a in axes]
+    assert larger > 5
 
 
 def run_frobenius_lift(count=100, seed=14):

@@ -211,6 +211,12 @@ def test_hints_do_not_change_a_complete_decomposition(name):
 # ---------------------------------------------------------------------------
 # the integer eigen-analysis against field arithmetic
 
+def _shifted(m, c):
+    """m + c I for a square Matrix m, built from its entries."""
+    return Matrix([[a + c if i == j else a for j, a in enumerate(r)]
+                   for i, r in enumerate(m.rows)], m.tag)
+
+
 def _field_char_poly(m):
     """The Faddeev-LeVerrier recursion in field arithmetic on Matrix
     objects, c_k = -tr(M_k) / k and M_(k+1) = m (M_k + c_k I): the reference
@@ -218,13 +224,12 @@ def _field_char_poly(m):
     n = m.nrows
     coeffs = [ONE]
     mk = m
-    ident = Matrix.identity(n, m.tag)
     for k in range(1, n + 1):
         trace = sum((r.get(i, ZERO) for i, r in enumerate(mk.sparse_rows)), ZERO)
         ck = -(trace * Rat(1, k))
         coeffs.append(ck)
         if k < n:
-            mk = m * (mk + ident.scale(ck))
+            mk = m * _shifted(mk, ck)
     return coeffs
 
 
@@ -244,7 +249,7 @@ def _random_matrices(rng, tag):
     for n in range(1, 9):
         for _ in range(4):
             yield Matrix([[entry() for _ in range(n)] for _ in range(n)], tag)
-        yield Matrix.zero(n, n, tag)
+        yield Matrix([[ZERO] * n for _ in range(n)], tag)
         yield Matrix([[entry() if j > i else ZERO for j in range(n)] for i in range(n)], tag)
 
 
@@ -265,11 +270,10 @@ def assert_eigenspaces_are_field_kernels(alg, x, hints):
     eigenvalue it reports, exactly the kernel of L_x - lam I taken in field
     arithmetic, the same canonical subspace; returns the number of nonzero
     eigenspaces compared."""
-    n, tag = alg.dim, alg.tag
     lmat = alg.left_mult_matrix(x)
     found = dict(eigen_decompose(alg, x, hints=hints).pairs)
     for lam in set(hints) | set(found):
-        ref = (lmat + Matrix.identity(n, tag).scale(-lam)).kernel()
+        ref = _shifted(lmat, -lam).kernel()
         if ref.is_zero():
             assert lam not in found
         else:
