@@ -339,18 +339,16 @@ def _sym_columns(n):
     return tuple(map(tuple, cols))
 
 
-def _unflatten_sym(v, n, tag):
-    """The symmetric n x n Matrix of an upper-triangle sparse vector
-    {index: element}."""
+def _gram_rows(v, n):
+    """The rows {i: v(b_i, b_j)} of the symmetric n x n matrix of an
+    upper-triangle sparse vector {index: element}, each column-sorted."""
     pairs = _sym_pairs(n)
     rows = tuple({} for _ in range(n))
     for t, a in sorted(v.items()):
         # the row-major index order keeps every row column-sorted
         i, j = pairs[t]
-        rows[i][j] = a
-        if i != j:
-            rows[j][i] = a
-    return Matrix.from_sparse_rows(rows, n, tag)
+        rows[i][j] = rows[j][i] = a
+    return rows
 
 
 class Cocycle:
@@ -398,7 +396,7 @@ class Cocycle:
     def mats(self):
         """The symmetric n x n Gram matrices, one per coordinate, built on
         each access."""
-        return tuple(_unflatten_sym(v, self.dim, self.tag)
+        return tuple(Matrix.from_sparse_rows(_gram_rows(v, self.dim), self.dim, self.tag)
                      for v in self.vectors)
 
     def evaluate(self, x, y):
@@ -421,9 +419,10 @@ class Cocycle:
 
     def radical(self):
         """theta-perp = {x : theta(x, A) = 0}, as a Subspace: the kernel of
-        the Gram rows of all s coordinates, stacked."""
-        return Matrix.from_int_rows([r for m in self.mats for r in m.num], 1,
-                                    self.dim, self.tag).kernel()
+        the Gram rows of all s coordinates, stacked.  Row j of coordinate g
+        is {i: theta_g(b_i, b_j)}, cleared of denominators."""
+        rows = [clear_denominators(r)[0] for v in self.vectors for r in _gram_rows(v, self.dim)]
+        return Matrix.from_int_rows(rows, 1, self.dim, self.tag).kernel()
 
     def is_zero(self):
         return not any(self.vectors)

@@ -16,11 +16,11 @@ import math
 from dataclasses import dataclass
 
 from .algebra import Algebra, Cocycle, _sym_columns, _sym_pairs
-from .errors import DimensionMismatchError, ExtensionError
+from .errors import DimensionMismatchError, ExtensionError, FieldMismatchError
 from .linalg import (Matrix, RowReducer, Subspace, _checked_sparse, sparse_add, sparse_combine,
                      sparse_vector)
 from .scalars import ONE, ZERO, clear_denominators, render_scalar
-from .spectral import axis_eigenbasis, check_axis, minimal_law, render_violation
+from .spectral import axis_eigenbasis, check_axis, law_violations, minimal_law, render_violation
 
 
 def coboundary(algebra, f):
@@ -49,11 +49,18 @@ def coboundary_space(algebra):
     return Subspace.spanned(vectors, len(_sym_pairs(n)), algebra.tag)
 
 
+def _require_on(algebra, theta):
+    """The one check that theta lives on algebra, in dimension and field."""
+    if theta.dim != algebra.dim:
+        raise DimensionMismatchError("cocycle size differs from algebra dimension")
+    if theta.tag is not algebra.tag:
+        raise FieldMismatchError("cocycle and algebra over different fields")
+
+
 def build_extension(algebra, theta, axes=()):
     """The extension A + F^s with product xy + theta(x,y); returns
     (extension, Y) where Y lifts the given axes to a + theta(a,a)."""
-    if theta.dim != algebra.dim:
-        raise DimensionMismatchError("cocycle size differs from algebra dimension")
+    _require_on(algebra, theta)
     n = algebra.dim
     pairs = _sym_pairs(n)
     products = {p: dict(algebra.basis_product(*p)) for p in pairs}
@@ -102,13 +109,15 @@ def condition1_rows(algebra, a, kernel):
 def condition2_rows(algebra, a, law, eigen):
     """Sparse rows of the eigenspace compatibility condition for axis a.
 
+    Precondition, which both callers meet: a passed the axis check for law
+    (law_violations of eigen is empty), so every nu below lies in lam*mu.
+
     eigen is the Eigenbasis of a; its products() are read.  For each
     eigenvalue pair (lam, mu) with 0 not in lam*mu, each eigenvector pair
     (x, y) with the eigenbasis coordinates {p: c_p} of xy gives the row of
     theta(x, y) - theta(a, w) = 0, if nonzero, for w = sum nu(p)^-1 c_p
     vectors[p], nu(p) the eigenvalue of p: the sum of nu^-1 times the
-    nu-components of xy, built in one pass.  A position outside the law
-    cell lam*mu raises ExtensionError.
+    nu-components of xy, built in one pass.
 
     The rows are integer rows (Gaussian integer rows over QI), each
     da * D * dvec * L times the field row: a is cleared to integers over
@@ -124,17 +133,8 @@ def condition2_rows(algebra, a, law, eigen):
     base = da * eigen.product_den // dvec
     rows = []
     for lam, mu, nus, items in products:
-        cell = law.star(lam, mu)
-        if ZERO in cell:
+        if ZERO in law.star(lam, mu):
             continue
-        if not nus <= cell:
-            for _r, _q, coords in items:
-                bad = [nu for nu in eigen.eigenvalues_at(coords) if nu not in cell]
-                if bad:
-                    raise ExtensionError(
-                        f"eigenspace product escapes the law cell "
-                        f"({render_scalar(lam)}, {render_scalar(mu)}): components at "
-                        f"[{', '.join(map(render_scalar, bad))}]")
         inverses = {nu: ONE / nu for nu in nus}
         lcm = math.lcm(1, *(inv.denominator for inv in inverses.values()))
         # -nu^-1 * L by the index of nu in eigen.blocks, for nu in nus
@@ -162,21 +162,21 @@ class CocycleSpace:
     algebra: Algebra
     space: Subspace          # Z: relative cocycles (one coordinate)
     coboundaries: Subspace   # B
-    intersection: Subspace   # Z cap B
     quotient_dim: int
     class_reps: list         # vectors of Z spanning a complement of Z cap B in Z
 
+    @property
+    def intersection(self):  # Z cap B, which is B (see cocycle_space)
+        return self.coboundaries
+
     def contains(self, theta):
         """Is every coordinate of theta a relative cocycle?"""
-        return self._holds_all(self.space, theta)
+        _require_on(self.algebra, theta)
+        return all(map(self.space.contains_sparse, theta.vectors))
 
     def class_is_zero(self, theta):
-        return self._holds_all(self.coboundaries, theta)
-
-    def _holds_all(self, subspace, theta):
-        if theta.dim != self.algebra.dim:
-            raise DimensionMismatchError("cocycle size differs from algebra dimension")
-        return all(subspace.contains_sparse(v) for v in theta.vectors)
+        _require_on(self.algebra, theta)
+        return all(map(self.coboundaries.contains_sparse, theta.vectors))
 
 
 def cocycle_space(algebra, axes, law):
@@ -191,8 +191,7 @@ def cocycle_space(algebra, axes, law):
     N - dim B, N = n(n+1)/2, both ends have dimension dim B: Z = B, and no
     later row can change the row space or its canonical RREF.  From then on
     an axis gets only check_axis, so the errors and their order are those of
-    the full path (condition2_rows raises only on an axis that check_axis
-    refuses).
+    the full path.
 
     The function returns only when every axis passes check_axis, and then
     B <= Z by the same lemma: Z cap B is B itself, and the class reps are
@@ -221,7 +220,7 @@ def cocycle_space(algebra, axes, law):
     for b in cob.matrix.num:
         rep_red.add_int_row(b)
     reps = [b for b in space.matrix.num if rep_red.add_int_row(b)]
-    return CocycleSpace(algebra, space, cob, cob, space.dim - cob.dim,
+    return CocycleSpace(algebra, space, cob, space.dim - cob.dim,
                         list(Matrix.from_int_rows(reps, space.matrix.den, idx_len,
                                                   algebra.tag).rows))
 
@@ -229,6 +228,7 @@ def cocycle_space(algebra, axes, law):
 def normalize_on_axes(algebra, theta, axes):
     """Subtract a coboundary so the result vanishes on (a, a) for each given
     axis; the class is unchanged.  Requires the axes to be independent."""
+    _require_on(algebra, theta)
     axes = [tuple(a) for a in axes]
     n = algebra.dim
     if not axes:
@@ -275,10 +275,8 @@ def is_split(algebra, theta):
     theta-perp is theta.radical(), and it is V iff Ann(A) cap theta-perp is
     zero.
     """
-    n = algebra.dim
-    if theta.dim != n:
-        raise DimensionMismatchError("cocycle size differs from algebra dimension")
-    red = RowReducer(len(_sym_pairs(n)), algebra.tag)
+    _require_on(algebra, theta)
+    red = RowReducer(len(_sym_pairs(algebra.dim)), algebra.tag)
     for b in coboundary_space(algebra).matrix.num:
         red.add_int_row(b)
     if not all(red.add_row(v) for v in theta.vectors):
@@ -310,46 +308,48 @@ def extension_axiality(algebra, theta, axes, law):
     relative cocycle.
 
     theta_in_z says whether theta lies in Z(A, F; axes): every condition (1)
-    and (2) row of every axis vanishes on each coordinate of theta.  The axes
-    need not pass the axis check here: each passes axis_eigenbasis with the
-    law's values as hints, one at a time in list order before the extension
-    is built (NotIdempotentError, NotSemisimpleError), and must have its
-    eigenvector products inside the law's cells (ExtensionError)."""
+    and (2) row of every axis vanishes on each coordinate of theta.  Z is
+    defined for F-axes only, so the axes pass the axis check here, one at a
+    time in list order before the extension is built: axis_eigenbasis with
+    the law's values as hints (NotIdempotentError, NotSemisimpleError), then
+    law_violations on that Eigenbasis, whose first violation raises
+    ExtensionError."""
     axes = [tuple(a) for a in axes]
     # one decomposition per axis; its 0-eigenspace is ker L_a, since 0 is
     # tried whenever the hinted eigenspaces do not fill the space
-    eigens = [axis_eigenbasis(algebra, a, law.values) for a in axes]
+    eigens = []
+    for a in axes:
+        eigens.append(axis_eigenbasis(algebra, a, law.values))
+        if found := law_violations(eigens[-1], law):
+            raise ExtensionError(_refusal(algebra, a, found))
     ext, lifted = build_extension(algebra, theta, axes)
     vectors = theta.vectors
-    cond1 = {}
-    all_ok = True
-    for a, eigen in zip(axes, eigens):
-        ok = _rows_vanish(condition1_rows(algebra, a, eigen.eigenspace(ZERO)), vectors)
-        cond1[algebra.render_element(a)] = ok
-        all_ok = all_ok and ok
-    induced = None
-    if all_ok:
-        induced = minimal_law(ext, lifted)
-    in_z = all_ok
-    for a, eigen in zip(axes, eigens):
-        rows = condition2_rows(algebra, a, law, eigen)
-        in_z = in_z and _rows_vanish(rows, vectors)
-    return ExtensionReport(ext, lifted, cond1, all_ok, induced,
-                           is_split(algebra, theta), in_z)
+    cond1 = {algebra.render_element(a): _rows_vanish(
+        condition1_rows(algebra, a, eigen.eigenspace(ZERO)), vectors)
+        for a, eigen in zip(axes, eigens)}
+    all_ok = all(cond1.values())
+    in_z = all_ok and all(_rows_vanish(condition2_rows(algebra, a, law, eigen), vectors)
+                          for a, eigen in zip(axes, eigens))
+    induced = minimal_law(ext, lifted) if all_ok else None
+    return ExtensionReport(ext, lifted, cond1, all_ok, induced, is_split(algebra, theta), in_z)
+
+
+def _refusal(algebra, a, violations):
+    """The text of an axis's first law violation; for an escape, it names
+    every component of that product outside the cell."""
+    kind, found = violations[0]
+    if kind == "spectrum_outside_law":
+        return (f"axis {algebra.render_element(a)} has eigenvalues outside the law: "
+                f"[{', '.join(map(render_scalar, found))}]")
+    bad = [v[2] for _, v in violations if v[:2] + v[3:] == found[:2] + found[3:]]
+    return (f"eigenspace product escapes the law cell ({render_scalar(found[0])}, "
+            f"{render_scalar(found[1])}): components at [{', '.join(map(render_scalar, bad))}]")
 
 
 def _rows_vanish(rows, vectors):
     """Does every sparse row vanish on every sparse vector?"""
-    for v in vectors:
-        for row in rows:
-            acc = ZERO
-            for col, c in row.items():
-                a = v.get(col)
-                if a is not None:
-                    acc = acc + c * a
-            if acc:
-                return False
-    return True
+    return not any(sum((c * v[col] for col, c in row.items() if col in v), ZERO)
+                   for v in vectors for row in rows)
 
 
 def decompose_by_annihilator(bigebra, axes=()):

@@ -17,6 +17,9 @@ A file is a sequence of directives; blank lines and `#` comments are skipped.
                                  overrides the filled-in unit row
     cocycle th 1 2: 1           symmetric cocycle entries, 1-based, i <= j
 
+A product pair, a cocycle entry, and an element, set or law name may each
+appear once; a cell line may repeat, and the last one wins.
+
 Scalars use the grammar of render_scalar / parse_scalar ('3', '-1/2', '1+2i').
 """
 
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .algebra import MAX_DIM, Algebra, Cocycle
+from .algebra import MAX_DIM, Algebra, Cocycle, _sym_pairs
 from .errors import AxialError
 from .fusion import FusionLaw, unit_row
 from .linalg import sparse_vector
@@ -92,12 +95,11 @@ def parse_algebra_file(text):
     dim = None
     labels = None
     products = {}
-    raw_elements = []   # (name, combo text, line no)
-    raw_sets = []
-    raw_laws = []       # (name, values text)
+    # element, set and law: {name: (text after the colon, line)}
+    raw_named = {"element": {}, "set": {}, "law": {}}
     raw_cells = []      # (law, a, b, contents)
     raw_cocycles = {}   # name -> {(i, j): field element}
-    declared = set()    # field, dim and basis may each appear once
+    declared = {}       # field, dim and basis may each appear once
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -107,9 +109,7 @@ def parse_algebra_file(text):
         head, _, rest = line.partition(" ")
         rest = rest.strip()
         if head in ("field", "dim", "basis"):
-            if head in declared:
-                raise AlgebraFileError(f"{where}: repeated {head!r} directive")
-            declared.add(head)
+            _put(declared, head, rest, where, f"{head!r} directive")
         if head == "field":
             if rest == "QQ":
                 tag = FieldTag.QQ
@@ -135,18 +135,11 @@ def parse_algebra_file(text):
                 raise AlgebraFileError(f"{where}: product wants two indices")
             if not (1 <= i <= j <= dim):
                 raise AlgebraFileError(f"{where}: product indices out of range")
-            entry = _parse_combo(combo, labels, tag, where)
-            if entry:
-                products[(i - 1, j - 1)] = entry
-        elif head == "element":
-            name, _, combo = rest.partition(":")
-            raw_elements.append((name.strip(), combo, where))
-        elif head == "set":
-            name, _, members = rest.partition(":")
-            raw_sets.append((name.strip(), members.split(), where))
-        elif head == "law":
-            name, _, values = rest.partition(":")
-            raw_laws.append((name.strip(), values.split(), where))
+            _put(products, (i - 1, j - 1), _parse_combo(combo, labels, tag, where), where,
+                 f"product {i} {j}")
+        elif head in raw_named:
+            name, _, body = rest.partition(":")
+            _put(raw_named[head], name.strip(), (body, where), where, f"{head} {name.strip()!r}")
         elif head == "cell":
             spec, _, contents = rest.partition(":")
             bits = spec.split()
@@ -161,8 +154,8 @@ def parse_algebra_file(text):
             name, i, j = bits[0], _int(bits[1], where), _int(bits[2], where)
             if dim is None or not (1 <= i <= j <= dim):
                 raise AlgebraFileError(f"{where}: cocycle indices out of range")
-            raw_cocycles.setdefault(name, {})[(i - 1, j - 1)] = \
-                _scalar(value.strip(), tag, where)
+            _put(raw_cocycles.setdefault(name, {}), (i - 1, j - 1),
+                 _scalar(value.strip(), tag, where), where, f"cocycle {name} {i} {j}")
         else:
             raise AlgebraFileError(f"{where}: unknown directive {head!r}")
 
@@ -175,13 +168,12 @@ def parse_algebra_file(text):
     algebra = Algebra(dim, products, tag, labels)
 
     out = AlgebraFile(algebra)
-    for name, combo, where in raw_elements:
-        entry = _parse_combo(combo, labels, tag, where)
-        out.elements[name] = algebra.element(entry)
-    for name, members, where in raw_sets:
-        out.sets[name] = tuple(out.resolve(m) for m in members)
-    for name, values, where in raw_laws:
-        vals = [_scalar(v, tag, where) for v in values]
+    for name, (combo, where) in raw_named["element"].items():
+        out.elements[name] = algebra.element(_parse_combo(combo, labels, tag, where))
+    for name, (members, where) in raw_named["set"].items():
+        out.sets[name] = tuple(out.resolve(m) for m in members.split())
+    for name, (values, where) in raw_named["law"].items():
+        vals = [_scalar(v, tag, where) for v in values.split()]
         out.laws[name] = _law(vals, unit_row(vals), tag, where)
     for law_name, a, b, contents, where in raw_cells:
         if law_name not in out.laws:
@@ -196,6 +188,13 @@ def parse_algebra_file(text):
     for name, entries in raw_cocycles.items():
         out.cocycles[name] = Cocycle.from_entries(dim, entries, tag)
     return out
+
+
+def _put(table, key, value, where, what):
+    """table[key] = value, refusing a key that an earlier line gave."""
+    if key in table:
+        raise AlgebraFileError(f"{where}: repeated {what}")
+    table[key] = value
 
 
 def _law(values, table, tag, where):
@@ -279,9 +278,9 @@ def render_algebra_file(bundle):
                 continue  # implied by the law line
             body = " ".join(render_scalar(v) for v in sorted(cell, key=sort_key))
             lines.append(f"cell {name} {render_scalar(a)} {render_scalar(b)}: {body}")
+    pairs = _sym_pairs(alg.dim)
     for name, th in bundle.cocycles.items():
-        for i, row in enumerate(th.mats[0].sparse_rows):
-            for j, v in row.items():
-                if j >= i:
-                    lines.append(f"cocycle {name} {i+1} {j+1}: {render_scalar(v)}")
+        for t, v in sorted(th.vectors[0].items()):
+            i, j = pairs[t]
+            lines.append(f"cocycle {name} {i+1} {j+1}: {render_scalar(v)}")
     return "\n".join(lines) + "\n"

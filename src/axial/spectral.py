@@ -368,7 +368,7 @@ class AxisReport:
 def check_axis(algebra, a, law):
     """Verify that a is an axis for the law: a nonzero idempotent (the zero
     element is recorded as not_idempotent), semisimple, Spec inside the law
-    values, and eigenspace products inside star cells."""
+    values, and eigenspace products inside star cells (law_violations)."""
     a = tuple(a)
     report_violations = []
     idem = any(a) and algebra.is_idempotent(a)
@@ -378,23 +378,23 @@ def check_axis(algebra, a, law):
     if not eigen.semisimple:
         kind = "spectrum_undetermined" if not eigen.spectrum_complete else "not_semisimple"
         report_violations.append((kind, eigen.total_dim()))
-    extra = [lam for lam in eigen.spectrum() if not law.has_value(lam)]
-    if extra:
-        report_violations.append(("spectrum_outside_law", extra))
     primitive = eigen.semisimple and eigen.eigenspace(ONE).dim == 1
-    if eigen.semisimple and not extra:
-        for lam, mu, nus, items in eigen.products():
-            allowed = law.star(lam, mu)
-            if nus <= allowed:
-                continue
-            for r, q, coords in items:
-                for nu in eigen.eigenvalues_at(coords):
-                    if nu not in allowed:
-                        report_violations.append(
-                            ("fusion_violation",
-                             (lam, mu, nu, algebra.element(eigen.vectors[r]),
-                              algebra.element(eigen.vectors[q]))))
-    return AxisReport(idem, eigen, primitive, report_violations)
+    return AxisReport(idem, eigen, primitive, report_violations + law_violations(eigen, law))
+
+
+def law_violations(eigen, law):
+    """The law verdict on an Eigenbasis, which check_axis reports and
+    extension_axiality refuses on: spectrum_outside_law, else one
+    fusion_violation (lam, mu, nu, x, y) per component nu of an eigenvector
+    product xy outside lam*mu, in products() order."""
+    extra = [lam for lam in eigen.spectrum() if not law.has_value(lam)]
+    if extra or not eigen.semisimple:
+        return [("spectrum_outside_law", extra)] if extra else []
+    element = eigen.algebra.element
+    return [("fusion_violation",
+             (lam, mu, nu, element(eigen.vectors[r]), element(eigen.vectors[q])))
+            for lam, mu, nus, items in eigen.products() if not nus <= (cell := law.star(lam, mu))
+            for r, q, coords in items for nu in eigen.eigenvalues_at(coords) if nu not in cell]
 
 
 def render_violation(algebra, violation):

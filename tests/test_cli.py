@@ -14,6 +14,16 @@ from axial.extension import Cocycle, build_extension, cocycle_space
 from axial.linalg import sparse_vector
 
 
+# e1 + (2/3)e2 is a 3-eigenvector of e1 whose square has a 3-component,
+# outside the cell 3*3 = {1, 0}: an escape from a cell that holds 0
+ESCAPE_ZERO_CELL = ("dim 2\nbasis e1 e2\nproduct 1 1: 1 e1\nproduct 1 2: 3 e1, 3 e2\n"
+                    "product 2 2: 1 e2\nset X: e1 e2\nlaw F: 1 3 0\ncell F 3 3: 1 0\n"
+                    "cell F 0 0: 0\ncocycle t 1 2: 1\n")
+# b2 b2 = 0 puts 0 in the spectrum of b1, and 0 is no value of the law
+SPECTRUM_OUTSIDE = ("dim 2\nbasis b1 b2\nproduct 1 1: 1 b1\nset X: b1\nlaw F: 1\n"
+                    "cocycle t 1 2: 1\n")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -53,6 +63,7 @@ class TestExitCodes:
         "dim x\n",
         "dim 2\nbasis a b\ncocycle th a b: 1\n",
         "dim 1\nbasis a\nproduct 1 1: 1/0 a\n",
+        "dim 1\nbasis a\nproduct 1 1: 1 a\nproduct 1 1: 2 a\n",
     ])
     def test_bad_algebra_file_is_two(self, tmp_path, text):
         path = tmp_path / "bad.alg"
@@ -127,8 +138,11 @@ class TestExitCodes:
         ("dim 2\nbasis b1 b2\nproduct 1 1: 2 b1\nproduct 2 2: 1 b2\nset X: b1\n"
          "law F: 2 0\ncell F 0 0: 0\ncocycle t 1 2: 1\n",
          "error: axis candidate b1 is not a nonzero idempotent"),
+        (ESCAPE_ZERO_CELL, "error: eigenspace product escapes the law cell (3, 3): "
+                           "components at [3]"),
+        (SPECTRUM_OUTSIDE, "error: axis b1 has eigenvalues outside the law: [0]"),
     ], ids=["escape-qq", "escape-qi", "not-semisimple", "not-idempotent-cond1",
-            "not-idempotent-escape"])
+            "not-idempotent-escape", "escape-zero-cell", "spectrum-outside"])
     def test_extend_refusals_are_rendered(self, tmp_path, text, line):
         path = tmp_path / "f.alg"
         path.write_text(text)
@@ -139,6 +153,22 @@ class TestExitCodes:
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == [line]
+
+    @pytest.mark.parametrize("text, line", [
+        (ESCAPE_ZERO_CELL, "error: e1 fails the axis check: fusion_violation "
+                           "[3, 3, 3, e1 + (2/3)e2, e1 + (2/3)e2]"),
+        (SPECTRUM_OUTSIDE, "error: b1 fails the axis check: spectrum_outside_law [0]"),
+    ], ids=["escape-zero-cell", "spectrum-outside"])
+    def test_cocycles_refuses_what_extend_refuses(self, tmp_path, text, line):
+        path = tmp_path / "f.alg"
+        path.write_text(text)
+        src = os.path.dirname(os.path.dirname(axial.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "axial.cli", "cocycles", "--file",
+                               str(path), "--axes", "X", "--law", "F"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 2
         assert proc.stderr.splitlines() == [line]
 
     def test_zero_axis_is_refused(self, tmp_path):

@@ -258,9 +258,30 @@ class TestBuildAndSplit:
         cs = cocycle_space(alg, entry.axis_sets["X12"], entry.law_for("X12"))
         th = Cocycle.from_entries(3, {}, FieldTag.QQ)
         for call in (lambda: is_split(alg, th), lambda: build_extension(alg, th),
-                     lambda: cs.contains(th), lambda: cs.class_is_zero(th)):
-            with pytest.raises(DimensionMismatchError):
+                     lambda: cs.contains(th), lambda: cs.class_is_zero(th),
+                     lambda: normalize_on_axes(alg, th, entry.axis_sets["X12"])):
+            with pytest.raises(DimensionMismatchError,
+                               match="^cocycle size differs from algebra dimension$"):
                 call()
+
+    def test_cocycle_of_another_field_is_refused(self):
+        # a theta over Q(i) on an algebra over Q, and the other way round
+        for name in ("B", "JordanD"):
+            entry = catalog.build(name, {"n": 4} if name == "JordanD" else {})
+            alg = entry.algebra
+            key = "X12" if name == "B" else "family"
+            cs = cocycle_space(alg, entry.axis_sets[key], entry.law_for(key))
+            other = FieldTag.QI if alg.tag is FieldTag.QQ else FieldTag.QQ
+            th = Cocycle.from_entries(alg.dim, {(0, 1): Scalar(0, 1) if other is FieldTag.QI
+                                                else q(1)}, other)
+            for call in (lambda: is_split(alg, th), lambda: build_extension(alg, th),
+                         lambda: cs.contains(th), lambda: cs.class_is_zero(th),
+                         lambda: normalize_on_axes(alg, th, entry.axis_sets[key]),
+                         lambda: extension_axiality(alg, th, entry.axis_sets[key],
+                                                    entry.law_for(key))):
+                with pytest.raises(FieldMismatchError,
+                                   match="^cocycle and algebra over different fields$"):
+                    call()
 
     def test_coboundary_is_split(self):
         alg = catalog.build("B").algebra

@@ -11,7 +11,7 @@ from axial import catalog, fileio
 from axial.extension import Cocycle
 from axial.fileio import (AlgebraFile, AlgebraFileError, parse_algebra_file,
                           render_algebra_file)
-from axial.scalars import FieldTag, Rat
+from axial.scalars import ONE, ZERO, FieldTag, Rat
 
 
 def q(n, d=1):
@@ -217,6 +217,17 @@ def test_token_soup_parses_or_file_error(pieces):
 
 
 # texts whose directives contradict each other or a law's value set
+REPEATED_TEXTS = (
+    ("dim 1\nbasis e\nproduct 1 1: 1 e\nproduct 1 1: 2 e\n", "line 4: repeated product 1 1"),
+    ("dim 1\nbasis e\nproduct 1 1:\nproduct 1 1: 1 e\n", "line 4: repeated product 1 1"),
+    ("dim 2\nbasis a b\ncocycle th 1 2: 1\ncocycle th 1 2: 2\n",
+     "line 4: repeated cocycle th 1 2"),
+    ("dim 1\nbasis a\nelement x: 1 a\nelement x: 2 a\n", "line 4: repeated element 'x'"),
+    ("dim 1\nbasis a\nset S: a\nset S: a\n", "line 4: repeated set 'S'"),
+    ("dim 1\nbasis a\nlaw L: 1\n\nlaw L: 1 0\n", "line 5: repeated law 'L'"),
+)
+
+
 INCONSISTENT_TEXTS = (
     "dim 2\nbasis a b\ncocycle th 2 2: 1\ndim 1\nbasis a\n",
     "dim 2\nbasis a b\nproduct 2 2: 1 b\ndim 1\nbasis a\n",
@@ -224,6 +235,9 @@ INCONSISTENT_TEXTS = (
     "dim 1\nbasis a\nlaw L:\n",
     "dim 1\nbasis a\nlaw L: 1\ncell L 2 2: 1\n",
     "dim 1\nbasis a\nlaw L: 1 2\ncell L 2 2: 3\n",
+    # a directive that names a product pair, a cocycle entry, or an
+    # element, set or law a second time; the last line used to win
+    *(text for text, _ in REPEATED_TEXTS),
 )
 
 
@@ -231,6 +245,23 @@ INCONSISTENT_TEXTS = (
 def test_inconsistent_directives_are_file_errors(text):
     with pytest.raises(AlgebraFileError, match="line "):
         parse_algebra_file(text)
+
+
+@pytest.mark.parametrize("text, message", REPEATED_TEXTS)
+def test_repeated_entries_are_refused(text, message):
+    with pytest.raises(AlgebraFileError) as info:
+        parse_algebra_file(text)
+    assert str(info.value) == message
+
+
+def test_cells_and_distinct_names_may_share_a_line_kind():
+    # a cell line overrides the filled-in unit row, and one cocycle entry
+    # per name and pair is no repeat
+    bundle = parse_algebra_file(
+        "dim 2\nbasis a b\nlaw L: 1 0\ncell L 1 0: 0\n"
+        "cocycle s 1 2: 1\ncocycle t 1 2: 2\n")
+    assert bundle.laws["L"].star(ONE, ZERO) == frozenset({ZERO})
+    assert set(bundle.cocycles) == {"s", "t"}
 
 
 @st.composite

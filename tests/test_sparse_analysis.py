@@ -13,9 +13,11 @@ import random
 import pytest
 
 from axial import catalog
-from axial.algebra import Algebra, _sym_pairs
+from axial.algebra import Algebra, Cocycle, _sym_pairs
 from axial.errors import ExtensionError
-from axial.extension import condition1_rows, condition2_rows
+from axial.extension import (condition1_rows, condition2_rows, cocycle_space,
+                             extension_axiality)
+from axial.fileio import parse_algebra_file
 from axial.fusion import FusionLaw, find_c2_gradings
 from axial.linalg import Matrix, Subspace
 from axial.miyamoto import tau_automorphism
@@ -534,12 +536,12 @@ def _dense_violations(law, split):
 
 
 def _dense_escape(law, split):
-    """The text condition2_rows raises on the first product, in products()
-    order, that escapes a cell without 0; None when there is none."""
+    """The text extension_axiality raises on the first product, in
+    products() order, that escapes its cell; None when there is none."""
     for lam, mu, _x, _y, nus in split:
         cell = law.star(lam, mu)
         bad = [nu for nu in nus if nu not in cell]
-        if ZERO not in cell and bad:
+        if bad:
             return (f"eigenspace product escapes the law cell ({render_scalar(lam)}, "
                     f"{render_scalar(mu)}): components at "
                     f"[{', '.join(map(render_scalar, bad))}]")
@@ -570,11 +572,116 @@ def test_violation_path_matches_dense_reference(tag, seed):
         assert rep.violations == _dense_violations(law, split)
         seen["violations" if rep.violations else "clean"] += 1
         escape = _dense_escape(law, split)
+        theta = Cocycle.from_entries(alg.dim, {(0, 1): ONE}, tag)
         if escape is None:
-            condition2_rows(alg, a, law, rep.eigen)
+            extension_axiality(alg, theta, [a], law)
         else:
             with pytest.raises(ExtensionError) as info:
-                condition2_rows(alg, a, law, rep.eigen)
+                extension_axiality(alg, theta, [a], law)
             assert str(info.value) == escape
             seen["escape"] += 1
+    assert all(seen.values()), seen
+
+
+# ---------------------------------------------------------------------------
+# the extension layer reads one law verdict: extension_axiality and
+# cocycle_space refuse exactly the axis sets that check_axis refuses
+
+# e1 + (2/3)e2 is a 3-eigenvector of e1 whose square escapes the cell
+# 3*3 = {1, 0}, a cell that holds 0; and an axis b1 whose spectrum holds 0,
+# which is no value of the law
+MOTIVATING_FILES = (
+    "dim 2\nbasis e1 e2\nproduct 1 1: 1 e1\nproduct 1 2: 3 e1, 3 e2\nproduct 2 2: 1 e2\n"
+    "set X: e1 e2\nlaw F: 1 3 0\ncell F 3 3: 1 0\ncell F 0 0: 0\ncocycle t 1 2: 1\n",
+    "dim 2\nbasis b1 b2\nproduct 1 1: 1 b1\nset X: b1\nlaw F: 1\ncocycle t 1 2: 1\n",
+)
+
+
+def _random_axis_set(rng, tag):
+    """(algebra, axes): a random axis algebra with its axis, or the direct
+    sum of two, with both axes embedded."""
+    alg, a = _random_axis_algebra(rng, tag)
+    if rng.random() < 0.5:
+        return alg, [a]
+    other, b = _random_axis_algebra(rng, tag)
+    return alg.direct_sum(other), [a + other.zero(), alg.zero() + b]
+
+
+def _random_axis_law(rng, alg, axes, tag):
+    """A law for the axes: the minimal law with random cells added, which
+    every axis passes; a random law on the joint spectrum; or a random law
+    on the spectrum less one value."""
+    spectrum = sorted(minimal_law(alg, axes).values, key=sort_key)
+    kind = rng.randrange(3)
+    if kind == 2 and len(spectrum) > 1:
+        spectrum.remove(rng.choice(spectrum))
+    law = _random_law(rng, spectrum, tag)
+    if kind:
+        return law
+    least = minimal_law(alg, axes)
+    return FusionLaw(spectrum, {(lam, mu): least.star(lam, mu) | law.star(lam, mu)
+                                for lam in spectrum for mu in spectrum}, tag)
+
+
+def _random_theta(rng, alg, axes, law):
+    """A random cocycle on alg, or, when the axes pass, a random element of
+    Z(alg, law; axes)."""
+    tag = alg.tag
+    n = alg.dim
+    if rng.random() < 0.5:
+        try:
+            space = cocycle_space(alg, axes, law).space
+        except ExtensionError:
+            space = None
+        if space is not None and space.dim:
+            coeffs = {k: ENTRIES[tag](rng) for k in range(space.dim)}
+            v = {}
+            for k, row in enumerate(space.rows):
+                for t, c in row.items():
+                    v[t] = v.get(t, ZERO) + coeffs[k] * c
+            return Cocycle([v], n, tag)
+    entries = {(i, j): ENTRIES[tag](rng) for i in range(n) for j in range(i, n)
+               if rng.random() < 0.5}
+    return Cocycle.from_entries(n, entries, tag)
+
+
+def _assert_one_law_verdict(alg, axes, law, theta):
+    """extension_axiality and cocycle_space refuse exactly when check_axis
+    reports a violation on some axis, and name its first one; otherwise
+    theta_in_z is the membership of theta in Z.  Returns what was seen."""
+    refused = next(((a, rep.violations[0][0]) for a in axes
+                    if (rep := check_axis(alg, a, law)).violations), None)
+    if refused is None:
+        rep = extension_axiality(alg, theta, axes, law)
+        assert rep.theta_in_z == cocycle_space(alg, axes, law).contains(theta)
+        return "in_z" if rep.theta_in_z else "outside_z"
+    a, kind = refused
+    with pytest.raises(ExtensionError) as info:
+        extension_axiality(alg, theta, axes, law)
+    expect = {"spectrum_outside_law": f"axis {alg.render_element(a)} has eigenvalues "
+                                      f"outside the law: [",
+              "fusion_violation": "eigenspace product escapes the law cell ("}[kind]
+    assert str(info.value).startswith(expect)
+    with pytest.raises(ExtensionError) as info:
+        cocycle_space(alg, axes, law)
+    assert str(info.value).startswith(f"{alg.render_element(a)} fails the axis check: {kind}")
+    return kind
+
+
+@pytest.mark.parametrize("text", MOTIVATING_FILES, ids=["escape-zero-cell", "spectrum-outside"])
+def test_motivating_files_are_refused_by_both(text):
+    bundle = parse_algebra_file(text)
+    seen = _assert_one_law_verdict(bundle.algebra, list(bundle.sets["X"]), bundle.laws["F"],
+                                   bundle.cocycles["t"])
+    assert seen in ("fusion_violation", "spectrum_outside_law")
+
+
+@pytest.mark.parametrize("tag,seed", [(FieldTag.QQ, 93), (FieldTag.QI, 94)])
+def test_extension_layer_reads_the_axis_check(tag, seed):
+    rng = random.Random(seed)
+    seen = {"in_z": 0, "outside_z": 0, "fusion_violation": 0, "spectrum_outside_law": 0}
+    for _ in range(24):
+        alg, axes = _random_axis_set(rng, tag)
+        law = _random_axis_law(rng, alg, axes, tag)
+        seen[_assert_one_law_verdict(alg, axes, law, _random_theta(rng, alg, axes, law))] += 1
     assert all(seen.values()), seen
