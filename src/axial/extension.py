@@ -20,7 +20,7 @@ from .errors import DimensionMismatchError, ExtensionError, FieldMismatchError
 from .linalg import (Matrix, RowReducer, Subspace, _checked_sparse, sparse_add, sparse_combine,
                      sparse_vector)
 from .scalars import ONE, ZERO, clear_denominators, render_scalar
-from .spectral import axis_eigenbasis, check_axis, law_violations, minimal_law, render_violation
+from .spectral import axis_eigenbasis, law_violations, minimal_law
 
 
 def coboundary(algebra, f):
@@ -181,8 +181,8 @@ class CocycleSpace:
 
 def cocycle_space(algebra, axes, law):
     """Z(A, F; axes) for one output coordinate, with coboundary comparison.
-    Each axis is analysed once: check_axis first, then its constraint rows
-    from the Eigenbasis on the report.
+    Each axis is analysed once: _f_axis first, then its constraint rows from
+    the Eigenbasis it returns.
 
     Every coboundary theta = delta f meets both conditions on every axis a:
     theta(a, k) = f(ak) = f(0) = 0 for k in ker L_a, and when 0 is not in
@@ -190,10 +190,10 @@ def cocycle_space(algebra, axes, law):
     So B <= Z <= ker(rows so far), and once the rank of the rows reaches
     N - dim B, N = n(n+1)/2, both ends have dimension dim B: Z = B, and no
     later row can change the row space or its canonical RREF.  From then on
-    an axis gets only check_axis, so the errors and their order are those of
-    the full path.
+    an axis gets only _f_axis, so the errors and their order are those of
+    the full path, and those of extension_axiality.
 
-    The function returns only when every axis passes check_axis, and then
+    The function returns only when every axis passes _f_axis, and then
     B <= Z by the same lemma: Z cap B is B itself, and the class reps are
     the rows of Z's RREF that enlarge the span of B's."""
     idx_len = len(_sym_pairs(algebra.dim))
@@ -201,19 +201,14 @@ def cocycle_space(algebra, axes, law):
     full = idx_len - cob.dim
     red = RowReducer(idx_len, algebra.tag)
     for a in axes:
-        rep = check_axis(algebra, a, law)
-        if not rep.is_axis:
-            found = "; ".join(" ".join(render_violation(algebra, v))
-                              for v in rep.violations)
-            raise ExtensionError(
-                f"{algebra.render_element(a)} fails the axis check: {found}")
+        eigen = _f_axis(algebra, a, law)
         if red.rank() == full:
             continue
         # an axis is semisimple, so ker L_a is its 0-eigenspace; the
         # condition rows are integer rows
-        for row in condition1_rows(algebra, a, rep.eigen.eigenspace(ZERO)):
+        for row in condition1_rows(algebra, a, eigen.eigenspace(ZERO)):
             red.add_int_row(row)
-        for row in condition2_rows(algebra, a, law, rep.eigen):
+        for row in condition2_rows(algebra, a, law, eigen):
             red.add_int_row(row)
     space = Subspace.spanned(red.kernel_basis(), idx_len, algebra.tag)
     rep_red = RowReducer(idx_len, algebra.tag)
@@ -309,19 +304,10 @@ def extension_axiality(algebra, theta, axes, law):
 
     theta_in_z says whether theta lies in Z(A, F; axes): every condition (1)
     and (2) row of every axis vanishes on each coordinate of theta.  Z is
-    defined for F-axes only, so the axes pass the axis check here, one at a
-    time in list order before the extension is built: axis_eigenbasis with
-    the law's values as hints (NotIdempotentError, NotSemisimpleError), then
-    law_violations on that Eigenbasis, whose first violation raises
-    ExtensionError."""
+    defined for F-axes only, so the axes pass _f_axis, one at a time in list
+    order, before the extension is built."""
     axes = [tuple(a) for a in axes]
-    # one decomposition per axis; its 0-eigenspace is ker L_a, since 0 is
-    # tried whenever the hinted eigenspaces do not fill the space
-    eigens = []
-    for a in axes:
-        eigens.append(axis_eigenbasis(algebra, a, law.values))
-        if found := law_violations(eigens[-1], law):
-            raise ExtensionError(_refusal(algebra, a, found))
+    eigens = [_f_axis(algebra, a, law) for a in axes]
     ext, lifted = build_extension(algebra, theta, axes)
     vectors = theta.vectors
     cond1 = {algebra.render_element(a): _rows_vanish(
@@ -334,16 +320,25 @@ def extension_axiality(algebra, theta, axes, law):
     return ExtensionReport(ext, lifted, cond1, all_ok, induced, is_split(algebra, theta), in_z)
 
 
-def _refusal(algebra, a, violations):
-    """The text of an axis's first law violation; for an escape, it names
-    every component of that product outside the cell."""
+def _f_axis(algebra, a, law):
+    """The Eigenbasis of a, or a refusal unless a is an axis for law: the one
+    gate of cocycle_space and extension_axiality.  axis_eigenbasis with the
+    law's values as hints raises NotIdempotentError, before L_a is
+    decomposed, or NotSemisimpleError; then the first entry of law_violations
+    raises ExtensionError.  The 0-eigenspace of the Eigenbasis is ker L_a,
+    since 0 is tried whenever the hinted eigenspaces do not fill the space."""
+    eigen = axis_eigenbasis(algebra, a, law.values)
+    if not (violations := law_violations(eigen, law)):
+        return eigen
     kind, found = violations[0]
     if kind == "spectrum_outside_law":
-        return (f"axis {algebra.render_element(a)} has eigenvalues outside the law: "
-                f"[{', '.join(map(render_scalar, found))}]")
+        raise ExtensionError(f"axis {algebra.render_element(a)} has eigenvalues outside the "
+                             f"law: [{', '.join(map(render_scalar, found))}]")
+    # an escape names every component of that product outside the cell
     bad = [v[2] for _, v in violations if v[:2] + v[3:] == found[:2] + found[3:]]
-    return (f"eigenspace product escapes the law cell ({render_scalar(found[0])}, "
-            f"{render_scalar(found[1])}): components at [{', '.join(map(render_scalar, bad))}]")
+    raise ExtensionError(
+        f"eigenspace product escapes the law cell ({render_scalar(found[0])}, "
+        f"{render_scalar(found[1])}): components at [{', '.join(map(render_scalar, bad))}]")
 
 
 def _rows_vanish(rows, vectors):

@@ -17,8 +17,8 @@ A file is a sequence of directives; blank lines and `#` comments are skipped.
                                  overrides the filled-in unit row
     cocycle th 1 2: 1           symmetric cocycle entries, 1-based, i <= j
 
-A product pair, a cocycle entry, and an element, set or law name may each
-appear once; a cell line may repeat, and the last one wins.
+A product pair, a cocycle entry, an element, set or law name, and a cell of
+a law (an unordered pair of values) may each appear once.
 
 Scalars use the grammar of render_scalar / parse_scalar ('3', '-1/2', '1+2i').
 """
@@ -175,11 +175,13 @@ def parse_algebra_file(text):
     for name, (values, where) in raw_named["law"].items():
         vals = [_scalar(v, tag, where) for v in values.split()]
         out.laws[name] = _law(vals, unit_row(vals), tag, where)
+    cells = {}
     for law_name, a, b, contents, where in raw_cells:
         if law_name not in out.laws:
             raise AlgebraFileError(f"{where}: unknown law {law_name!r}")
         law = out.laws[law_name]
         va, vb = _scalar(a, tag, where), _scalar(b, tag, where)
+        _put(cells, (law_name, frozenset((va, vb))), None, where, f"cell {law_name} {a} {b}")
         cell = {_scalar(c, tag, where) for c in contents}
         table = {k: set(v) for k, v in law.table.items()}
         key = (va, vb) if (va, vb) in table or (vb, va) not in table else (vb, va)

@@ -23,6 +23,42 @@ ESCAPE_ZERO_CELL = ("dim 2\nbasis e1 e2\nproduct 1 1: 1 e1\nproduct 1 2: 3 e1, 3
 SPECTRUM_OUTSIDE = ("dim 2\nbasis b1 b2\nproduct 1 1: 1 b1\nset X: b1\nlaw F: 1\n"
                     "cocycle t 1 2: 1\n")
 
+# (id, file, line) of the refusals of extend and cocycles on X under F
+EXTENSION_REFUSALS = [
+    # b2 is a 0-eigenvector of b1 with b2 b2 = b2, and the cell 0*0 is empty
+    ("escape-qq", "dim 2\nbasis b1 b2\nproduct 1 1: 1 b1\nproduct 2 2: 1 b2\nset X: b1\n"
+     "law F: 1 0\ncocycle t 1 2: 1\n",
+     "error: eigenspace product escapes the law cell (0, 0): components at [0]"),
+    # over Q(i): b2 is an i-eigenvector of b1 with b2 b2 = b2
+    ("escape-qi", "field QI\ndim 2\nbasis b1 b2\nproduct 1 1: 1 b1\nproduct 1 2: i b2\n"
+     "product 2 2: 1 b2\nset X: b1\nlaw F: 1 i\ncocycle t 1 2: 1\n",
+     "error: eigenspace product escapes the law cell (i, i): components at [i]"),
+    # b1 b2 = b1 + b2: L_b1 is a Jordan block, and condition (1) holds
+    ("not-semisimple", "dim 2\nbasis b1 b2\nproduct 1 1: 1 b1\nproduct 1 2: 1 b1, 1 b2\n"
+     "product 2 2: 1 b2\nset X: b1\nlaw F: 1 0\ncocycle t 1 2: 1\n",
+     "error: axis candidate b1 is not semisimple"),
+    # b1 b1 = 2 b1 is no idempotent: refused before the extension is
+    # built, whether or not condition (1) holds
+    ("not-idempotent-cond1", "dim 2\nbasis b1 b2\nproduct 1 1: 2 b1\nproduct 2 2: 1 b2\n"
+     "set X: b1\nlaw F: 2 0\ncell F 0 0: 0\ncocycle t 1 1: 1\n",
+     "error: axis candidate b1 is not a nonzero idempotent"),
+    ("not-idempotent-escape", "dim 2\nbasis b1 b2\nproduct 1 1: 2 b1\nproduct 2 2: 1 b2\n"
+     "set X: b1\nlaw F: 2 0\ncell F 0 0: 0\ncocycle t 1 2: 1\n",
+     "error: axis candidate b1 is not a nonzero idempotent"),
+    ("escape-zero-cell", ESCAPE_ZERO_CELL,
+     "error: eigenspace product escapes the law cell (3, 3): components at [3]"),
+    ("spectrum-outside", SPECTRUM_OUTSIDE, "error: axis b1 has eigenvalues outside the law: [0]"),
+    # e1 is no idempotent, and the rational root scan of the characteristic
+    # polynomial of L_e1 needs over 10^8 trial divisions: the candidate is
+    # refused before L_e1 is decomposed
+    ("stalling-candidate",
+     "dim 4\nbasis e1 e2 e3 e4\nproduct 1 1: 26/7 e2, -9/2 e3, -37 e4\n"
+     "product 1 2: 1/5611 e1, 13 e2, 26/7919 e3, 3/7919 e4\n"
+     "product 1 3: 1/427 e1, 33 e2, 1/7919 e4\nproduct 1 4: -2 e1, -6 e2, -15/7 e3, 36 e4\n"
+     "set X: e1\nlaw F: 1 0 1/2\ncocycle t 1 2: 1\n",
+     "error: axis candidate e1 is not a nonzero idempotent"),
+]
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -117,63 +153,37 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert "not a nonzero idempotent" in proc.stderr
 
-    @pytest.mark.parametrize("text, line", [
-        # b2 is a 0-eigenvector of b1 with b2 b2 = b2, and the cell 0*0 is empty
-        ("dim 2\nbasis b1 b2\nproduct 1 1: 1 b1\nproduct 2 2: 1 b2\nset X: b1\n"
-         "law F: 1 0\ncocycle t 1 2: 1\n",
-         "error: eigenspace product escapes the law cell (0, 0): components at [0]"),
-        # over Q(i): b2 is an i-eigenvector of b1 with b2 b2 = b2
-        ("field QI\ndim 2\nbasis b1 b2\nproduct 1 1: 1 b1\nproduct 1 2: i b2\n"
-         "product 2 2: 1 b2\nset X: b1\nlaw F: 1 i\ncocycle t 1 2: 1\n",
-         "error: eigenspace product escapes the law cell (i, i): components at [i]"),
-        # b1 b2 = b1 + b2: L_b1 is a Jordan block, and condition (1) holds
-        ("dim 2\nbasis b1 b2\nproduct 1 1: 1 b1\nproduct 1 2: 1 b1, 1 b2\n"
-         "product 2 2: 1 b2\nset X: b1\nlaw F: 1 0\ncocycle t 1 2: 1\n",
-         "error: axis candidate b1 is not semisimple"),
-        # b1 b1 = 2 b1 is no idempotent: refused before the extension is
-        # built, whether or not condition (1) holds
-        ("dim 2\nbasis b1 b2\nproduct 1 1: 2 b1\nproduct 2 2: 1 b2\nset X: b1\n"
-         "law F: 2 0\ncell F 0 0: 0\ncocycle t 1 1: 1\n",
-         "error: axis candidate b1 is not a nonzero idempotent"),
-        ("dim 2\nbasis b1 b2\nproduct 1 1: 2 b1\nproduct 2 2: 1 b2\nset X: b1\n"
-         "law F: 2 0\ncell F 0 0: 0\ncocycle t 1 2: 1\n",
-         "error: axis candidate b1 is not a nonzero idempotent"),
-        (ESCAPE_ZERO_CELL, "error: eigenspace product escapes the law cell (3, 3): "
-                           "components at [3]"),
-        (SPECTRUM_OUTSIDE, "error: axis b1 has eigenvalues outside the law: [0]"),
-    ], ids=["escape-qq", "escape-qi", "not-semisimple", "not-idempotent-cond1",
-            "not-idempotent-escape", "escape-zero-cell", "spectrum-outside"])
-    def test_extend_refusals_are_rendered(self, tmp_path, text, line):
-        path = tmp_path / "f.alg"
-        path.write_text(text)
+    @pytest.mark.parametrize("argv, text, line", [
+        # extend and cocycles pass each axis through one gate, so they refuse
+        # the same files with the same line; the ids of extend's cases are
+        # the bare names
+        *(pytest.param(argv, text, line, id=prefix + name)
+          for prefix, argv in [("", ("extend", "--cocycle", "t")), ("cocycles-", ("cocycles",))]
+          for name, text, line in EXTENSION_REFUSALS),
+        # the two refusals of the Miyamoto map: a law value that the
+        # grading does not name, and a sign map that is not multiplicative
+        pytest.param(("miyamoto", "--catalog", "B", "--axes", "X12", "--law", "J12"), None,
+                     "error: value -1 not covered by the grading", id="miyamoto-uncovered"),
+        pytest.param(("miyamoto",), ESCAPE_ZERO_CELL,
+                     "error: eigenspace sign map is not an automorphism (grading "
+                     "incompatible with the observed products)", id="miyamoto-sign-map"),
+    ])
+    def test_extend_refusals_are_rendered(self, tmp_path, argv, text, line):
+        if text is not None:
+            path = tmp_path / "f.alg"
+            path.write_text(text)
+            argv += ("--file", str(path), "--axes", "X", "--law", "F")
         src = os.path.dirname(os.path.dirname(axial.__file__))
         env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-m", "axial.cli", "extend", "--file",
-                               str(path), "--axes", "X", "--law", "F", "--cocycle", "t"],
-                              capture_output=True, text=True, env=env)
+        proc = subprocess.run([sys.executable, "-m", "axial.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=20)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert proc.stderr.splitlines() == [line]
 
-    @pytest.mark.parametrize("text, line", [
-        (ESCAPE_ZERO_CELL, "error: e1 fails the axis check: fusion_violation "
-                           "[3, 3, 3, e1 + (2/3)e2, e1 + (2/3)e2]"),
-        (SPECTRUM_OUTSIDE, "error: b1 fails the axis check: spectrum_outside_law [0]"),
-    ], ids=["escape-zero-cell", "spectrum-outside"])
-    def test_cocycles_refuses_what_extend_refuses(self, tmp_path, text, line):
-        path = tmp_path / "f.alg"
-        path.write_text(text)
-        src = os.path.dirname(os.path.dirname(axial.__file__))
-        env = dict(os.environ, PYTHONPATH=src)
-        proc = subprocess.run([sys.executable, "-m", "axial.cli", "cocycles", "--file",
-                               str(path), "--axes", "X", "--law", "F"],
-                              capture_output=True, text=True, env=env)
-        assert proc.returncode == 2
-        assert proc.stderr.splitlines() == [line]
-
     def test_zero_axis_is_refused(self, tmp_path):
-        # an axis is a nonzero idempotent: the zero element fails the axis
-        # check, so cocycles refuses it and check-axial reports it
+        # an axis is a nonzero idempotent: cocycles refuses the zero element
+        # at the axis gate, and check-axial reports it
         path = tmp_path / "z.alg"
         path.write_text(
             "dim 1\nbasis e\nproduct 1 1: 1 e\nelement z: 0 e\nset S: z\n"
@@ -190,7 +200,7 @@ class TestExitCodes:
         proc = axial_cli("cocycles")
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
-        assert "0 fails the axis check: not_idempotent 0" in proc.stderr
+        assert proc.stderr.splitlines() == ["error: axis candidate 0 is not a nonzero idempotent"]
         proc = axial_cli("check-axial", "--json")
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr

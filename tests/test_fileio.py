@@ -225,6 +225,11 @@ REPEATED_TEXTS = (
     ("dim 1\nbasis a\nelement x: 1 a\nelement x: 2 a\n", "line 4: repeated element 'x'"),
     ("dim 1\nbasis a\nset S: a\nset S: a\n", "line 4: repeated set 'S'"),
     ("dim 1\nbasis a\nlaw L: 1\n\nlaw L: 1 0\n", "line 5: repeated law 'L'"),
+    # the last line used to leave an empty 0*0 cell
+    ("dim 1\nbasis a\nlaw L: 1 0\ncell L 0 0: 0\ncell L 0 0:\n", "line 5: repeated cell L 0 0"),
+    # one cell, however its values are written
+    ("dim 1\nbasis a\nlaw L: 1 0 1/2\ncell L 0 1/2: 1/2\ncell L 2/4 0:\n",
+     "line 5: repeated cell L 2/4 0"),
 )
 
 
@@ -235,8 +240,8 @@ INCONSISTENT_TEXTS = (
     "dim 1\nbasis a\nlaw L:\n",
     "dim 1\nbasis a\nlaw L: 1\ncell L 2 2: 1\n",
     "dim 1\nbasis a\nlaw L: 1 2\ncell L 2 2: 3\n",
-    # a directive that names a product pair, a cocycle entry, or an
-    # element, set or law a second time; the last line used to win
+    # a directive that names a product pair, a cocycle entry, an element,
+    # set or law, or a cell of a law a second time; the last line used to win
     *(text for text, _ in REPEATED_TEXTS),
 )
 

@@ -1,12 +1,15 @@
 """Every module-level import of the package is used, every private
-module-level name is read somewhere in the package, and every class member
-is read by the package or by the benchmark.
+module-level name is read somewhere in the package, and every public
+module-level name and every class member is read by the package or by the
+benchmark.
 
 No linter runs on the sources, so this parses each module of src/axial and
 fails on an imported name that the module never reads and does not export
 in __all__, on a module-level _name (function, class or assignment) that no
-module of src/axial reads, and on a class member whose name no module of
+module of src/axial reads, on a public module-level name that no module of
+src/axial or bench loads, and on a class member whose name no module of
 src/axial or bench loads as an attribute and the benchmark does not trace.
+An import, __init__'s re-export included, is no read.
 """
 
 import ast
@@ -67,9 +70,9 @@ def test_no_unused_module_imports(path):
     assert not unused, f"{path.name}: unused imports {unused}"
 
 
-def _private_definitions(tree):
+def _definitions(tree):
     """{name: line} of the module-level functions, classes and assigned
-    names that start with one underscore."""
+    names, dunders aside."""
     names = {}
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -80,9 +83,7 @@ def _private_definitions(tree):
             targets = [node.target.id]
         else:
             continue
-        for name in targets:
-            if name.startswith("_") and not name.startswith("__"):
-                names[name] = node.lineno
+        names.update((name, node.lineno) for name in targets if not name.startswith("__"))
     return names
 
 
@@ -103,15 +104,28 @@ def _package_reads():
 def test_no_dead_private_helpers(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     read = _package_reads()
-    dead = {name: line for name, line in _private_definitions(tree).items()
-            if name not in read}
+    dead = {name: line for name, line in _definitions(tree).items()
+            if name.startswith("_") and name not in read}
     assert not dead, f"{path.name}: private names no module reads {dead}"
 
 
 # ---------------------------------------------------------------------------
-# class members: each is read by the package or by the benchmark
+# public module-level names and class members: each is read by the package
+# or by the benchmark
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+# public module-level names read by neither, and kept on purpose:
+# {module.name: reason}
+ALLOWED_UNREAD_NAMES = {
+    "catalog.default_params": "the README's way to read an entry's parameter "
+                              "defaults, beside build and list_catalog",
+    "extension.aut_action": "the pullback of a cocycle along an automorphism: the "
+                            "action of Aut(A, X) on H^2 that the Skjelbred-Sund "
+                            "orbit step needs",
+    "miyamoto.find_flip": "the swap of two axes by the graph lemma, which the "
+                          "Skjelbred-Sund orbit step is to replace",
+}
 
 # read by neither, and kept on purpose: {Class.name: reason}
 ALLOWED_UNREAD = {
@@ -157,15 +171,23 @@ def _span_target_names():
 
 
 @functools.lru_cache(maxsize=1)
+def _loads():
+    """(names, attribute names) loaded in src/axial or bench."""
+    names, attributes = set(), set()
+    for path in SOURCES + sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attributes.add(node.attr)
+    return names, attributes
+
+
+@functools.lru_cache(maxsize=1)
 def _attribute_reads():
     """Every attribute name loaded in src/axial or bench, and every traced
     name of the benchmark."""
-    read = _span_target_names()
-    for path in SOURCES + sorted(BENCH.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                read.add(node.attr)
-    return read
+    return _span_target_names() | _loads()[1]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -175,6 +197,28 @@ def test_no_unread_class_members(path):
     unread = {name: line for name, line in _class_members(tree)
               if name.split(".")[1] not in read and name not in ALLOWED_UNREAD}
     assert not unread, f"{path.name}: class members nothing reads {unread}"
+
+
+def _public_definitions(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    return {f"{path.stem}.{name}": line for name, line in _definitions(tree).items()
+            if not name.startswith("_")}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unread_public_names(path):
+    read = set().union(*_loads())
+    unread = {name: line for name, line in _public_definitions(path).items()
+              if name.split(".")[1] not in read and name not in ALLOWED_UNREAD_NAMES}
+    assert not unread, f"{path.name}: public names nothing reads {unread}"
+
+
+def test_allowed_unread_names_are_unread():
+    # an allowlisted name that gains a reader leaves the list
+    read = set().union(*_loads())
+    defined = {name for path in SOURCES for name in _public_definitions(path)}
+    for name in ALLOWED_UNREAD_NAMES:
+        assert name in defined and name.split(".")[1] not in read, name
 
 
 def test_allowed_unread_members_are_unread():
