@@ -29,9 +29,10 @@ class Algebra:
 
     products: dict mapping (i, j) with i <= j to a sparse dict {k: element};
     missing pairs multiply to zero.  Every structure constant must be an
-    element of the field tag.  The structure constants are also kept as
-    integers (Gaussian integers over QI) over one common denominator, for
-    product_sparse.
+    element of the field tag.  The constants are stored once, as integers
+    (Gaussian integers over QI) over one common denominator: _int_rows[i][j]
+    is {k: numerator} over _int_den, the one table every kernel reads.
+    basis_product builds the field entries of one pair per call.
     """
 
     def __init__(self, dim, products, tag, labels=None):
@@ -40,7 +41,7 @@ class Algebra:
         self.labels = tuple(labels) if labels else tuple(f"b{k+1}" for k in range(dim))
         if len(self.labels) != dim:
             raise DimensionMismatchError("label count differs from dimension")
-        rows = [[None] * dim for _ in range(dim)]
+        entries = {}  # (lo, hi) -> {k: element}, lo <= hi
         check = tag.check
         for (i, j), entry in products.items():
             if not (0 <= i < dim and 0 <= j < dim):
@@ -50,20 +51,12 @@ class Algebra:
                 if not (0 <= k < dim):
                     raise DimensionMismatchError(f"target index {k} out of range")
             lo, hi = min(i, j), max(i, j)
-            if rows[lo][hi] is not None and rows[lo][hi] != entry:
+            if entries.setdefault((lo, hi), entry) != entry:
                 raise DimensionMismatchError(
                     f"conflicting products for basis pair ({lo}, {hi})")
-            rows[lo][hi] = entry
-            rows[hi][lo] = entry
+        pairs = [p for p, entry in entries.items() if entry]
+        nums, self._int_den = common_denominator([entries[p] for p in pairs])
         empty = {}
-        for i in range(dim):
-            for j in range(dim):
-                if rows[i][j] is None:
-                    rows[i][j] = empty
-        self._rows = rows
-        # [i][j] -> {k: integer numerator}, over the common denominator _int_den
-        pairs = [(i, j) for i in range(dim) for j in range(i, dim) if rows[i][j]]
-        nums, self._int_den = common_denominator([rows[i][j] for i, j in pairs])
         irows = [[empty] * dim for _ in range(dim)]
         for (i, j), num in zip(pairs, nums):
             irows[i][j] = irows[j][i] = num
@@ -72,8 +65,10 @@ class Algebra:
     # -- products -----------------------------------------------------------
 
     def basis_product(self, i, j):
-        """Sparse product of two basis elements: dict {k: element}."""
-        return self._rows[i][j]
+        """Sparse product of two basis elements: a fresh dict {k: element},
+        built from the integer table on each call."""
+        den = self._int_den
+        return {k: over(c, den) for k, c in self._int_rows[i][j].items()}
 
     def basis_element(self, k):
         return tuple(ONE if j == k else ZERO for j in range(self.dim))
@@ -273,17 +268,10 @@ class Algebra:
         if self.tag is not other.tag:
             raise FieldMismatchError("direct sum over different fields")
         n = self.dim
-        products = {}
-        for i in range(n):
-            for j in range(i, n):
-                entry = self._rows[i][j]
-                if entry:
-                    products[(i, j)] = dict(entry)
+        products = {(i, j): self.basis_product(i, j) for i in range(n) for j in range(i, n)}
         for i in range(other.dim):
             for j in range(i, other.dim):
-                entry = other._rows[i][j]
-                if entry:
-                    products[(n + i, n + j)] = {n + k: c for k, c in entry.items()}
+                products[(n + i, n + j)] = {n + k: c for k, c in other.basis_product(i, j).items()}
         labels = self.labels + tuple(f"{lab}'" for lab in other.labels)
         return Algebra(n + other.dim, products, self.tag, labels)
 

@@ -18,7 +18,7 @@ from .algebra import Cocycle, radical_axial
 from .errors import AxialError
 from .extension import (build_extension, cocycle_space, decompose_by_annihilator,
                         extension_axiality, is_split, normalize_on_axes)
-from .fileio import AlgebraFile, parse_algebra_file, render_algebra_file
+from .fileio import AlgebraFile, _basis_label, parse_algebra_file, render_algebra_file
 from .fusion import find_c2_gradings, jordan_half_law, law_contains, monster_law
 from .linalg import Matrix, Subspace
 from .miyamoto import axis_closure, group_closure
@@ -305,7 +305,7 @@ def _cmd_extend(args):
            "axial": rep.axial,
            "induced_law": None if rep.induced_law is None else _rlaw(rep.induced_law),
            "split": rep.split_verdict, "theta_in_Z": rep.theta_in_z,
-           "extension_dim": rep.extension.dim if rep.extension else None}
+           "extension_dim": rep.extension.dim}
     lines = [f"extend {desc} axes={args.axes} law={args.law}",
              f"  condition (1) on every axis: {all(rep.condition1.values())}",
              f"  axial: {rep.axial}",
@@ -384,10 +384,8 @@ def _cmd_catalog(args):
         named = {}
         for key, members in list(bundle.sets.items()):
             for t, m in enumerate(members):
-                nz = [(j, c) for j, c in enumerate(m) if c]
-                if len(nz) == 1 and nz[0][1] == ONE:
-                    continue
-                named.setdefault(tuple(m), f"{key}_{t+1}")
+                if _basis_label(bundle.algebra, m) is None:
+                    named.setdefault(tuple(m), f"{key}_{t+1}")
         bundle.elements = {name: list(vec) for vec, name in named.items()}
         sys.stdout.write(render_algebra_file(bundle))
         return 0

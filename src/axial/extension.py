@@ -19,20 +19,22 @@ from .algebra import Algebra, Cocycle, _sym_columns, _sym_pairs
 from .errors import DimensionMismatchError, ExtensionError, FieldMismatchError
 from .linalg import (Matrix, RowReducer, Subspace, _checked_sparse, sparse_add, sparse_combine,
                      sparse_vector)
-from .scalars import ONE, ZERO, clear_denominators, render_scalar
+from .scalars import ONE, ZERO, clear_denominators, over, render_scalar
 from .spectral import axis_eigenbasis, law_violations, minimal_law
 
 
 def coboundary(algebra, f):
     """delta f for a linear map f: A -> F^s given as an n x s matrix
-    (rows = values on basis elements): delta f(x, y) = f(xy)."""
+    (rows = values on basis elements): delta f(x, y) = f(xy), built from
+    the integer forms of f and of the structure constants."""
     n = algebra.dim
     if f.nrows != n:
         raise DimensionMismatchError("coboundary map has a row count other than dim")
     vectors = [{} for _ in range(f.ncols)]
+    rows, den = algebra._int_rows, f.den * algebra._int_den
     for t, (i, j) in enumerate(_sym_pairs(n)):
-        for g, v in sparse_combine(f.sparse_rows, algebra.basis_product(i, j)).items():
-            vectors[g][t] = v
+        for g, v in sparse_combine(f.num, rows[i][j]).items():
+            vectors[g][t] = over(v, den)
     return Cocycle(vectors, n, algebra.tag)
 
 
@@ -63,7 +65,7 @@ def build_extension(algebra, theta, axes=()):
     _require_on(algebra, theta)
     n = algebra.dim
     pairs = _sym_pairs(n)
-    products = {p: dict(algebra.basis_product(*p)) for p in pairs}
+    products = {p: algebra.basis_product(*p) for p in pairs}
     for g, v in enumerate(theta.vectors):
         for t, c in v.items():
             products[pairs[t]][n + g] = c

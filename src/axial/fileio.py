@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 from .algebra import MAX_DIM, Algebra, Cocycle, _sym_pairs
 from .errors import AxialError
-from .fusion import FusionLaw, unit_row
+from .fusion import FusionLaw, _cell_key, unit_row
 from .linalg import sparse_vector
 from .scalars import (ONE, ZERO, FieldTag, ScalarParseError, parse_scalar, render_scalar,
                       sort_key)
@@ -184,8 +184,7 @@ def parse_algebra_file(text):
         _put(cells, (law_name, frozenset((va, vb))), None, where, f"cell {law_name} {a} {b}")
         cell = {_scalar(c, tag, where) for c in contents}
         table = {k: set(v) for k, v in law.table.items()}
-        key = (va, vb) if (va, vb) in table or (vb, va) not in table else (vb, va)
-        table[key] = cell
+        table[_cell_key(va, vb)] = cell
         out.laws[law_name] = _law(law.values, table, tag, where)
     for name, entries in raw_cocycles.items():
         out.cocycles[name] = Cocycle.from_entries(dim, entries, tag)
@@ -216,6 +215,13 @@ def _check_names(kind, names):
                 f"{kind} name {name!r} cannot be written: names must be distinct, "
                 f"nonempty and free of whitespace, ',', ':' and '#'")
         seen.add(name)
+
+
+def _basis_label(algebra, vector):
+    """The label of b_k when vector is the basis element b_k, else None: a
+    set member is written by a basis label exactly then."""
+    nz = [j for j, c in enumerate(vector) if c]
+    return algebra.labels[nz[0]] if len(nz) == 1 and vector[nz[0]] == ONE else None
 
 
 def render_algebra_file(bundle):
@@ -257,9 +263,7 @@ def render_algebra_file(bundle):
                     label = ename
                     break
             if label is None:
-                nz = [(j, c) for j, c in enumerate(m) if c]
-                if len(nz) == 1 and nz[0][1] == ONE:
-                    label = alg.labels[nz[0][0]]
+                label = _basis_label(alg, m)
             if label is None:
                 raise AlgebraFileError(
                     f"set {name!r} member has no name; add an 'element' entry")
@@ -268,9 +272,8 @@ def render_algebra_file(bundle):
     for name, law in bundle.laws.items():
         vals = sorted(law.values, key=sort_key)
         lines.append(f"law {name}: " + " ".join(render_scalar(v) for v in vals))
-        implied = {}  # the filled-in unit row, keyed like law.table
-        for (a, b), cell in unit_row(law.values).items():
-            implied[(a, b) if sort_key(a) <= sort_key(b) else (b, a)] = cell
+        # the filled-in unit row, keyed like law.table
+        implied = {_cell_key(a, b): cell for (a, b), cell in unit_row(law.values).items()}
         # an empty cell needs no line unless it overrides the unit row
         cells = {key: frozenset() for key in implied}
         cells.update(law.table)

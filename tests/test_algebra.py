@@ -7,7 +7,7 @@ import pytest
 
 from axial import catalog
 from axial.algebra import Algebra, BilinearForm, Cocycle, radical_axial
-from axial.errors import CatalogError
+from axial.errors import CatalogError, DimensionMismatchError
 from axial.scalars import ONE, ZERO, FieldTag, Rat
 
 
@@ -46,6 +46,22 @@ class TestProducts:
         x = s.basis_element(0)
         y = s.basis_element(3)
         assert all(not c for c in s.product(x, y))
+
+    @pytest.mark.parametrize("products, labels, message", [
+        ({(0, 2): {0: ONE}}, None, "basis index out of range in pair (0, 2)"),
+        ({(0, 1): {2: ONE}}, None, "target index 2 out of range"),
+        ({(0, 1): {0: ONE}, (1, 0): {1: ONE}}, None,
+         "conflicting products for basis pair (0, 1)"),
+        ({}, ("e1",), "label count differs from dimension"),
+    ], ids=["pair-index", "target-index", "conflicting-pair", "label-count"])
+    def test_malformed_products_are_refused(self, products, labels, message):
+        with pytest.raises(DimensionMismatchError) as ex:
+            Algebra(2, products, FieldTag.QQ, labels)
+        assert str(ex.value) == message
+
+    def test_a_pair_given_in_both_orders_alike_is_accepted(self):
+        alg = Algebra(2, {(0, 1): {1: q(1, 2)}, (1, 0): {1: q(1, 2)}}, FieldTag.QQ)
+        assert alg.basis_product(1, 0) == alg.basis_product(0, 1) == {1: q(1, 2)}
 
 
 class TestFrobenius:
