@@ -230,24 +230,32 @@ class Algebra:
         straight into the accumulator by _accumulate.  Each
         inner product b_l (b_b b_c) is computed once per call.
 
+        The loops run only over the live indices x, ascending: those whose
+        b_x does not annihilate A.  Lemma: a tuple holding an x with
+        b_x A = 0 sums to zero.  As l, b_a b_x and b_x (b_b b_c) vanish.  As
+        one of i, j, k, each term has x in b_b b_c, which is zero, or a = x,
+        and then both its products vanish.  So the witness does not change,
+        and on A_theta, whose adjoined central vectors annihilate it, the
+        check costs about what it costs on A.
+
         Returns None when the identity holds, else the witness (i, j, k, l)
         of 0-based basis indices that fails first in the loop order: triples
         i <= j <= k lexicographically, then l ascending.
         """
-        n = self.dim
         # the integer constants, D times the field ones: every term has
         # degree 3 in them, so the sums are D^3 times the field sums and
         # vanish exactly when those do
         rows = self._int_rows
+        live = [x for x, row in enumerate(rows) if any(row)]
         inner = {}  # (l, b, c) -> b_l (b_b b_c)
-        for i in range(n):
-            for j in range(i, n):
-                for k in range(j, n):
+        for p, i in enumerate(live):
+            for q, j in enumerate(live[p:], p):
+                for k in live[q:]:
                     terms = [(a, b, c, rows[b][c])
                              for a, b, c in ((i, j, k), (j, i, k), (k, i, j)) if rows[b][c]]
                     if not terms:
                         continue
-                    for l in range(n):
+                    for l in live:
                         acc = {}
                         for a, b, c, pbc in terms:
                             _accumulate(rows, rows[a][l], pbc, acc)

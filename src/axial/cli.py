@@ -539,11 +539,11 @@ def _sum_axes(a, b):
     return tuple(axes)
 
 
-def _all_basis_cocycles_jordan(alg, axes, law):
-    """Is A_theta Jordan for every theta in Z(A, F; axes)?  The central part
-    of the Jordan identity is linear in theta and taken coordinatewise, so
-    the one extension by a basis of Z (dim Z coordinates) decides it."""
-    basis = cocycle_space(alg, axes, law).space.rows
+def _all_basis_cocycles_jordan(cs):
+    """Is A_theta Jordan for every theta in the cocycle space Z?  The central
+    part of the Jordan identity is linear in theta and taken coordinatewise,
+    so the one extension by a basis of Z (dim Z coordinates) decides it."""
+    basis, alg = cs.space.rows, cs.algebra
     if not basis:
         return True
     ext, _ = build_extension(alg, Cocycle(basis, alg.dim, alg.tag))
@@ -559,17 +559,16 @@ def _bundle_jordan_small():
         checks.append((f"S n={n} quotient 0", cs.quotient_dim == 0))
     law = jordan_half_law(FieldTag.QQ)
     for name in ("J", "T"):
-        for n in range(2, 6):
-            entry = _catalog.build(name, {"n": n})
-            ok = _all_basis_cocycles_jordan(entry.algebra,
-                                            entry.axis_sets["standard"], law)
+        entries = {n: _catalog.build(name, {"n": n}) for n in range(2, 6)}
+        for n, entry in entries.items():
+            ok = _all_basis_cocycles_jordan(
+                cocycle_space(entry.algebra, entry.axis_sets["standard"], law))
             checks.append((f"{name} n={n} basis cocycle extensions jordan", ok))
         for n in range(2, 4):
             for m in range(2, 4):
-                a = _catalog.build(name, {"n": n})
-                b = _catalog.build(name, {"n": m})
+                a, b = entries[n], entries[m]
                 alg = a.algebra.direct_sum(b.algebra)
-                ok = _all_basis_cocycles_jordan(alg, _sum_axes(a, b), law)
+                ok = _all_basis_cocycles_jordan(cocycle_space(alg, _sum_axes(a, b), law))
                 checks.append((f"{name}{n} + {name}{m} basis cocycle "
                                "extensions jordan", ok))
     return checks
@@ -580,18 +579,16 @@ def _bundle_jordan_dim4():
     law = jordan_half_law(FieldTag.QQ)
     j25 = _catalog.build("J25")
     for key in ("with_unity", "no_unity"):
-        ok = _all_basis_cocycles_jordan(j25.algebra, j25.axis_sets[key], law)
+        ok = _all_basis_cocycles_jordan(cocycle_space(j25.algebra, j25.axis_sets[key], law))
         checks.append((f"J25 {key} cocycle extensions jordan", ok))
     j53 = _catalog.build("J53")
     cs = cocycle_space(j53.algebra, j53.axis_sets["standard"], law)
     checks.append(("J53 quotient 0", cs.quotient_dim == 0))
-    checks.append(("J53 cocycle extensions jordan",
-                   _all_basis_cocycles_jordan(j53.algebra,
-                                              j53.axis_sets["standard"], law)))
+    checks.append(("J53 cocycle extensions jordan", _all_basis_cocycles_jordan(cs)))
     j59 = _catalog.build("J59")
     checks.append(("J59 cocycle extensions jordan",
-                   _all_basis_cocycles_jordan(j59.algebra,
-                                              j59.axis_sets["standard"], law)))
+                   _all_basis_cocycles_jordan(
+                       cocycle_space(j59.algebra, j59.axis_sets["standard"], law))))
     return checks
 
 

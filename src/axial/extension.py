@@ -19,8 +19,8 @@ from .algebra import Algebra, Cocycle, _sym_columns, _sym_pairs
 from .errors import DimensionMismatchError, ExtensionError, FieldMismatchError
 from .linalg import (Matrix, RowReducer, Subspace, _checked_sparse, sparse_add, sparse_combine,
                      sparse_vector)
-from .scalars import ONE, ZERO, clear_denominators, over, render_scalar
-from .spectral import axis_eigenbasis, law_violations, minimal_law
+from .scalars import ONE, ZERO, clear_denominators, over
+from .spectral import axis_eigenbasis, law_refusal, minimal_law
 
 
 def coboundary(algebra, f):
@@ -326,21 +326,13 @@ def _f_axis(algebra, a, law):
     """The Eigenbasis of a, or a refusal unless a is an axis for law: the one
     gate of cocycle_space and extension_axiality.  axis_eigenbasis with the
     law's values as hints raises NotIdempotentError, before L_a is
-    decomposed, or NotSemisimpleError; then the first entry of law_violations
-    raises ExtensionError.  The 0-eigenspace of the Eigenbasis is ker L_a,
-    since 0 is tried whenever the hinted eigenspaces do not fill the space."""
+    decomposed, or NotSemisimpleError; then law_refusal raises
+    ExtensionError.  The 0-eigenspace of the Eigenbasis is ker L_a, since 0
+    is tried whenever the hinted eigenspaces do not fill the space."""
     eigen = axis_eigenbasis(algebra, a, law.values)
-    if not (violations := law_violations(eigen, law)):
-        return eigen
-    kind, found = violations[0]
-    if kind == "spectrum_outside_law":
-        raise ExtensionError(f"axis {algebra.render_element(a)} has eigenvalues outside the "
-                             f"law: [{', '.join(map(render_scalar, found))}]")
-    # an escape names every component of that product outside the cell
-    bad = [v[2] for _, v in violations if v[:2] + v[3:] == found[:2] + found[3:]]
-    raise ExtensionError(
-        f"eigenspace product escapes the law cell ({render_scalar(found[0])}, "
-        f"{render_scalar(found[1])}): components at [{', '.join(map(render_scalar, bad))}]")
+    if refusal := law_refusal(eigen, a, law):
+        raise ExtensionError(refusal)
+    return eigen
 
 
 def _rows_vanish(rows, vectors):

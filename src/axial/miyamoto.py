@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .errors import AxialError, DimensionMismatchError, FieldMismatchError
 from .linalg import Matrix, RowReducer, sparse_combine
-from .spectral import axis_eigenbasis
+from .spectral import axis_eigenbasis, law_refusal
 
 
 @dataclass(frozen=True)
@@ -58,9 +58,11 @@ def tau_automorphism(algebra, a, law, grading):
             for j in range(algebra.dim)]
     m = Matrix.from_int_rows(cols, dinv * dvec, algebra.dim, algebra.tag).transpose()
     if not is_automorphism(algebra, m):
-        raise AxialError(
-            "eigenspace sign map is not an automorphism (grading incompatible "
-            "with the observed products)")
+        # an axis that fails the law is refused as the cocycle gate refuses
+        # it; otherwise the grading is invalid for the law
+        raise AxialError(law_refusal(eigen, a, law) or
+                         "eigenspace sign map is not an automorphism (grading "
+                         "incompatible with the observed products)")
     return AutMatrix(m)
 
 

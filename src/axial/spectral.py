@@ -397,6 +397,21 @@ def law_violations(eigen, law):
             for r, q, coords in items for nu in eigen.eigenvalues_at(coords) if nu not in cell]
 
 
+def law_refusal(eigen, a, law):
+    """The refusal of the axis a on the first entry of law_violations, or
+    None: its eigenvalues outside the law, or the cell that an eigenspace
+    product escapes, with every component of that product outside it."""
+    if not (violations := law_violations(eigen, law)):
+        return None
+    kind, found = violations[0]
+    if kind == "spectrum_outside_law":
+        return (f"axis {eigen.algebra.render_element(a)} has eigenvalues outside the "
+                f"law: [{', '.join(map(render_scalar, found))}]")
+    bad = [v[2] for _, v in violations if v[:2] + v[3:] == found[:2] + found[3:]]
+    return (f"eigenspace product escapes the law cell ({render_scalar(found[0])}, "
+            f"{render_scalar(found[1])}): components at [{', '.join(map(render_scalar, bad))}]")
+
+
 def render_violation(algebra, violation):
     """A violation tuple as a list of strings: scalars by render_scalar,
     algebra elements by render_element, other lists and tuples bracketed."""

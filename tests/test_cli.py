@@ -160,13 +160,14 @@ class TestExitCodes:
         *(pytest.param(argv, text, line, id=prefix + name)
           for prefix, argv in [("", ("extend", "--cocycle", "t")), ("cocycles-", ("cocycles",))]
           for name, text, line in EXTENSION_REFUSALS),
-        # the two refusals of the Miyamoto map: a law value that the
-        # grading does not name, and a sign map that is not multiplicative
+        # the refusals of the Miyamoto map: a law value that the grading
+        # does not name, and a sign map that is not multiplicative because
+        # the axis escapes a law cell, named by the line of the gate
         pytest.param(("miyamoto", "--catalog", "B", "--axes", "X12", "--law", "J12"), None,
                      "error: value -1 not covered by the grading", id="miyamoto-uncovered"),
         pytest.param(("miyamoto",), ESCAPE_ZERO_CELL,
-                     "error: eigenspace sign map is not an automorphism (grading "
-                     "incompatible with the observed products)", id="miyamoto-sign-map"),
+                     "error: eigenspace product escapes the law cell (3, 3): components at [3]",
+                     id="miyamoto-sign-map"),
     ])
     def test_extend_refusals_are_rendered(self, tmp_path, argv, text, line):
         if text is not None:
@@ -469,9 +470,10 @@ class TestReproduce:
         # cocycle; B and Monster4 have a non-Jordan extension
         entry = catalog.build(name)
         alg, axes, law = entry.algebra, entry.axis_sets[axes], entry.laws[law]
+        cs = cocycle_space(alg, axes, law)
         per_basis = all(
             build_extension(alg, Cocycle([sparse_vector(v)], alg.dim, alg.tag))[0]
             .jordan_check() is None
-            for v in cocycle_space(alg, axes, law).space.basis)
-        assert _all_basis_cocycles_jordan(alg, axes, law) == per_basis
+            for v in cs.space.basis)
+        assert _all_basis_cocycles_jordan(cs) == per_basis
         assert per_basis == (name not in ("B", "Monster4"))

@@ -1,5 +1,7 @@
 """Algebra.jordan_check against a naive reference: the full linearization
-evaluated with dense Algebra.product on every quadruple, in the same order."""
+evaluated with dense Algebra.product on every quadruple, in the same order.
+The reference visits the basis elements that annihilate the algebra, which
+jordan_check skips."""
 
 import random
 
@@ -106,3 +108,46 @@ def test_extensions_by_non_cocycles_match_reference():
 def test_catalog_entries_match_reference(name, params):
     alg = catalog.build(name, params).algebra
     assert alg.jordan_check() == naive_jordan_witness(alg)
+
+
+def _with_annihilating(alg, zeros):
+    """alg with basis elements that annihilate it inserted at the indices
+    zeros of the larger basis."""
+    n = alg.dim + len(zeros)
+    pos = [x for x in range(n) if x not in zeros]
+    products = {(pos[i], pos[j]): {pos[k]: c for k, c in alg.basis_product(i, j).items()}
+                for i in range(alg.dim) for j in range(i, alg.dim)}
+    return Algebra(n, products, alg.tag)
+
+
+@pytest.mark.parametrize("name,params,key", EXTENDED)
+def test_extensions_by_a_basis_of_z_match_reference(name, params, key):
+    # s = dim Z central vectors adjoined after the basis of A
+    entry = catalog.build(name, params)
+    alg = entry.algebra
+    cs = cocycle_space(alg, entry.axis_sets[key], jordan_half_law(FieldTag.QQ))
+    ext, _ = build_extension(alg, Cocycle(cs.space.rows, alg.dim, alg.tag))
+    assert ext.dim == alg.dim + cs.space.dim > alg.dim + 1
+    assert ext.jordan_check() == naive_jordan_witness(ext)
+
+
+@pytest.mark.parametrize("zeros,witness", [((0,), (1, 1, 2, 1)), ((1,), (0, 0, 2, 0)),
+                                           ((0, 2), (1, 1, 3, 1))])
+def test_annihilating_elements_below_the_witness(zeros, witness):
+    # B fails first at (0, 0, 1, 0); each annihilating element lies below
+    # some index of the witness in the loop order
+    alg = _with_annihilating(catalog.build("B").algebra, zeros)
+    assert alg.jordan_check() == naive_jordan_witness(alg) == witness
+
+
+@pytest.mark.parametrize("seed", [4, 5])
+def test_random_algebras_with_annihilating_elements_match_reference(seed):
+    rng = random.Random(seed)
+    witnesses = []
+    for alg in _random_algebras(seed, 25):
+        big = _with_annihilating(alg, sorted(rng.sample(range(alg.dim + 2), 2)))
+        w = big.jordan_check()
+        assert w == naive_jordan_witness(big), big
+        witnesses.append(w)
+    assert None in witnesses
+    assert any(w and w[0] > 0 for w in witnesses)

@@ -8,7 +8,7 @@ from axial import catalog
 from axial.algebra import Algebra
 from axial.errors import (AxialError, CatalogError, DimensionMismatchError,
                           FieldMismatchError, NotIdempotentError)
-from axial.fusion import find_c2_gradings
+from axial.fusion import C2Grading, find_c2_gradings
 from axial.linalg import Matrix
 from axial.miyamoto import (AutMatrix, axis_closure, find_flip, group_closure,
                             is_automorphism, tau_automorphism)
@@ -77,6 +77,17 @@ class TestTau:
         for x in (alg.zero(), half_unit):
             with pytest.raises(NotIdempotentError, match="nonzero idempotent"):
                 tau_automorphism(alg, x, law, grading)
+
+    def test_a_grading_invalid_for_the_law_keeps_its_refusal(self):
+        # JordanC n=2 under J12 with {0, 1/2} | {1}: the axis passes the law,
+        # but 1/2 * 1/2 reaches 1, so the sign map is not multiplicative
+        entry = catalog.build("JordanC", {"n": 2})
+        law = entry.laws["J12"]
+        grading = C2Grading(frozenset((q(0), q(1, 2))), frozenset((q(1),)), 1)
+        with pytest.raises(AxialError) as info:
+            tau_automorphism(entry.algebra, entry.axis_sets["family"][0], law, grading)
+        assert str(info.value) == ("eigenspace sign map is not an automorphism (grading "
+                                   "incompatible with the observed products)")
 
     def test_b_group_s3(self):
         entry = catalog.build("B")
