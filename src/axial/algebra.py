@@ -375,24 +375,32 @@ class Cocycle:
     @classmethod
     def from_entries(cls, n, entries, tag, s=1):
         """entries: {(i, j): element} or {(i, j): tuple of s elements}, in
-        either index order; a later entry for the same pair wins."""
+        either index order; a pair given in both orders must have equal
+        values (else DimensionMismatchError)."""
         cols = _sym_columns(n)
         vectors = [{} for _ in range(s)]
+        given = {}  # position in _sym_pairs -> the values of its pair
         for (i, j), val in entries.items():
             vals = tuple(val) if isinstance(val, (tuple, list)) else (val,)
             if len(vals) != s:
                 raise DimensionMismatchError("entry arity differs from coordinate count")
             if not (0 <= i < n and 0 <= j < n):
                 raise DimensionMismatchError(f"cocycle entry {(i, j)} outside dim {n}")
+            t = cols[i][j]
+            if given.setdefault(t, vals) != vals:
+                raise DimensionMismatchError(
+                    f"conflicting entries for basis pair ({min(i, j)}, {max(i, j)})")
             for vec, a in zip(vectors, vals):
-                vec[cols[i][j]] = a
+                vec[t] = a
         return cls(vectors, n, tag)
 
     @property
     def mats(self):
         """The symmetric n x n Gram matrices, one per coordinate, built on
-        each access."""
-        return tuple(Matrix.from_sparse_rows(_gram_rows(v, self.dim), self.dim, self.tag)
+        each access.  The lcm L of the entries' denominators has gcd 1 with
+        the numerators scaled to L, so from_int_rows keeps that form."""
+        return tuple(Matrix.from_int_rows(*common_denominator(_gram_rows(v, self.dim)),
+                                          self.dim, self.tag)
                      for v in self.vectors)
 
     def evaluate(self, x, y):
@@ -419,9 +427,6 @@ class Cocycle:
         is {i: theta_g(b_i, b_j)}, cleared of denominators."""
         rows = [clear_denominators(r)[0] for v in self.vectors for r in _gram_rows(v, self.dim)]
         return Matrix.from_int_rows(rows, 1, self.dim, self.tag).kernel()
-
-    def is_zero(self):
-        return not any(self.vectors)
 
     def __eq__(self, other):
         if not isinstance(other, Cocycle):

@@ -403,18 +403,12 @@ def _cmd_catalog(args):
 # reproduce bundles
 
 
-def _two_dim_cases(second_pair=True):
-    cases = []
-    for name in _catalog.TWO_DIM_FAMILIES:
-        cases.append((name, {}))
-    if second_pair:
-        cases.append(("C", {"alpha": 4}))
-        cases.append(("D", {"beta": 3}))
-        cases.append(("E", {"alpha": 2, "beta": 3}))
-        cases.append(("G", {"beta": 3}))
-        cases.append(("H", {"gamma": 4}))
-        cases.append(("I", {"alpha": 3, "beta": -1}))
-    return cases
+def _two_dim_cases():
+    """The nine families at their defaults, in catalog order, then six at
+    other parameters."""
+    return [(name, {}) for name in _catalog.TWO_DIM_FAMILIES] + [
+        ("C", {"alpha": 4}), ("D", {"beta": 3}), ("E", {"alpha": 2, "beta": 3}),
+        ("G", {"beta": 3}), ("H", {"gamma": 4}), ("I", {"alpha": 3, "beta": -1})]
 
 
 def _desc(name, params):
@@ -425,8 +419,11 @@ def _desc(name, params):
 
 def _bundle_table1():
     checks = []
+    defaults = {}  # name -> its entry at the default parameters
     for name, params in _two_dim_cases():
         entry = _catalog.build(name, params)
+        if not params:
+            defaults[name] = entry
         for key, axes in entry.axis_sets.items():
             cert = check_axial_algebra(entry.algebra, axes, entry.law_for(key))
             checks.append((f"{_desc(name, params)} {key} axial", cert.certified))
@@ -434,16 +431,15 @@ def _bundle_table1():
             expect_prim = entry.expected["primitive"][key]
             checks.append((f"{_desc(name, params)} {key} primitivity", prim == expect_prim))
     # radical facts
-    d = _catalog.build("D")
+    d = defaults["D"]
     sub, _ = radical_axial(d.algebra, d.axis_sets["X16"])
     checks.append(("D(5) radical = <e2>",
                    sub.basis == ((ZERO, ONE),)))
-    i_e = _catalog.build("I")
+    i_e = defaults["I"]
     sub2, _ = radical_axial(i_e.algebra, i_e.axis_sets["Xab"])
     checks.append(("I radical = <e1 - e2>", sub2.basis == ((ONE, -ONE),)))
     # Frobenius membership
-    for name, params in _two_dim_cases(second_pair=False):
-        entry = _catalog.build(name, params)
+    for name, entry in defaults.items():
         forms = entry.algebra.frobenius_space()
         vecs = [tuple(x for row in f.gram.rows for x in row) for f in forms]
         target = tuple(x for row in entry.frobenius.gram.rows for x in row)

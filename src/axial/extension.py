@@ -118,20 +118,20 @@ def condition2_rows(algebra, a, law, eigen):
     eigenvalue pair (lam, mu) with 0 not in lam*mu, each eigenvector pair
     (x, y) with the eigenbasis coordinates {p: c_p} of xy gives the row of
     theta(x, y) - theta(a, w) = 0, if nonzero, for w = sum nu(p)^-1 c_p
-    vectors[p], nu(p) the eigenvalue of p: the sum of nu^-1 times the
-    nu-components of xy, built in one pass.
+    v_p, v_p the eigenvector at position p and nu(p) its eigenvalue: the sum
+    of nu^-1 times the nu-components of xy, built in one pass.
 
     The rows are integer rows (Gaussian integer rows over QI), each
     da * D * dvec * L times the field row: a is cleared to integers over
     da, the coordinates are integers over D = eigen.product_den, the
-    eigenvectors over dvec, and L is the lcm of the denominators of the
-    cell's nu^-1, so nu^-1 = q/p is the integer q * L / p over L, once per
-    cell.  theta(x, y) of the integer eigenvectors is then scaled by
-    da * D * L / dvec."""
+    integer rows of eigen.eigenvectors are over its denominator dvec, and L
+    is the lcm of the denominators of the cell's nu^-1, so nu^-1 = q/p is
+    the integer q * L / p over L, once per cell.  theta(x, y) of the
+    integer eigenvectors is then scaled by da * D * L / dvec."""
     products = eigen.products()
     cols = _sym_columns(algebra.dim)
     sa, da = clear_denominators(sparse_vector(a))
-    vectors, dvec = eigen._int_vectors
+    vectors, dvec = eigen.eigenvectors.num, eigen.eigenvectors.den
     base = da * eigen.product_den // dvec
     rows = []
     for lam, mu, nus, items in products:

@@ -112,17 +112,11 @@ class Matrix:
         object.__setattr__(self, "_hash", None)
 
     @classmethod
-    def _of_form(cls, num, den, ncols, tag, sparse=None):
+    def _of_form(cls, num, den, ncols, tag):
         """The matrix whose canonical form is (num, den), taken as given."""
         self = object.__new__(cls)
-        self._fill(num, den, ncols, tag, sparse)
+        self._fill(num, den, ncols, tag)
         return self
-
-    @classmethod
-    def from_sparse_rows(cls, sparse_rows, ncols, tag):
-        """A matrix from sparse rows of field elements, each a column-sorted
-        dict {column: element} without zero entries, taken as given."""
-        return cls._of_form(*common_denominator(sparse_rows), ncols, tag, sparse_rows)
 
     @classmethod
     def from_int_rows(cls, rows, den, ncols, tag):

@@ -51,12 +51,13 @@ def tau_automorphism(algebra, a, law, grading):
     element, whose sign map would be the identity, is refused."""
     eigen = axis_eigenbasis(algebra, a, law.values)
     signs = [grading.sign(lam) for lam, _ in eigen.blocks]
-    # column j is tau(e_j) = sum +-inverse[j][r] vectors[r] over the
-    # coordinates of e_j, signed by r's eigenvalue: integers over dinv * dvec
-    (inverse, dinv), (vectors, dvec) = eigen._int_inverse, eigen._int_vectors
-    cols = [sparse_combine(vectors, {r: signs[eigen.owner[r]] * c for r, c in inverse[j].items()})
-            for j in range(algebra.dim)]
-    m = Matrix.from_int_rows(cols, dinv * dvec, algebra.dim, algebra.tag).transpose()
+    # column j is tau(e_j) = sum +-c_r eigenvectors[r] over the coordinates
+    # c_r of e_j, row j of coordinates, signed by r's eigenvalue: integers
+    # over the two denominators
+    vectors, inverse = eigen.eigenvectors, eigen.coordinates
+    cols = [sparse_combine(vectors.num, {r: signs[eigen.owner[r]] * c for r, c in row.items()})
+            for row in inverse.num]
+    m = Matrix.from_int_rows(cols, inverse.den * vectors.den, algebra.dim, algebra.tag).transpose()
     if not is_automorphism(algebra, m):
         # an axis that fails the law is refused as the cocycle gate refuses
         # it; otherwise the grading is invalid for the law
@@ -133,12 +134,11 @@ def axis_closure(algebra, axes, law, grading, cap=200):
             seen.add(a)
             current.append(a)
     taus = {}
-    frontier = list(current)
-    while frontier:
-        for a in list(current):
-            if a not in taus:
-                taus[a] = tau_automorphism(algebra, a, law, grading)
-        new = []
+    # a round starts while some axis has no map: the axes of current keep
+    # their order, so those are the last len(current) - len(taus)
+    while len(taus) < len(current):
+        for a in current[len(taus):]:
+            taus[a] = tau_automorphism(algebra, a, law, grading)
         for a in current:
             for t in taus.values():
                 img = t.apply(a)
@@ -147,8 +147,6 @@ def axis_closure(algebra, axes, law, grading, cap=200):
                         return AxisClosure(current, False, taus)
                     seen.add(img)
                     current.append(img)
-                    new.append(img)
-        frontier = new
     return AxisClosure(current, True, taus)
 
 

@@ -231,11 +231,16 @@ class Eigenbasis:
     order.  spectrum_complete is False when root finding over the Gaussian
     rationals may have missed values.
 
-    When x is semisimple it also keeps the eigenbasis as sparse vectors
-    ({index: element}, no zero entries), and the eigenbasis and the columns
-    of its inverse each as integer vectors over one common denominator, on
-    which components() and products() run, so products and coordinates touch
-    only nonzero entries.  products() is computed once, on first use."""
+    When x is semisimple it also keeps two Matrix objects, on whose integer
+    forms components(), products() and the Miyamoto map run, touching only
+    nonzero entries: eigenvectors, whose row r is the eigenvector v_r at
+    eigenbasis position r, and its inverse coordinates, whose row j holds
+    the eigenbasis coordinates of b_j.  eigenvectors is built from the
+    eigenspace forms over their lcm; should lowest terms divide those by
+    g > 1, every coordinate of products() and every condition (2) row scales
+    by one positive constant, so no position and no answer changes.  The
+    field view eigenvectors.sparse_rows is built only for a law violation.
+    products() is computed once, on first use."""
 
     def __init__(self, algebra, pairs, complete):
         self.algebra = algebra
@@ -245,19 +250,12 @@ class Eigenbasis:
         self._products = None
         if not self.semisimple:
             return
-        self.vectors = [r for _, space in pairs for r in space.rows]  # by position
-        # (nums, den) each; product_den is the denominator of the coordinates
-        # in products().  The eigenvectors are the rows of P^T, so row j of
-        # its inverse is column j of P^-1, {eigenbasis position: entry}: the
-        # eigenbasis coordinates of y sum these over the nonzero y_j.  The
-        # integer eigenvectors are the eigenspace forms over their lcm.
         dvec = math.lcm(1, *(space.matrix.den for _, space in pairs))
-        vectors = [{j: a * (dvec // space.matrix.den) for j, a in r.items()}
-                   for _, space in pairs for r in space.matrix.num]
-        self._int_vectors = vectors, dvec
-        inverse = Matrix.from_int_rows(vectors, dvec, algebra.dim, algebra.tag).inverse()
-        self._int_inverse = inverse.num, inverse.den
-        self.product_den = inverse.den * dvec ** 2 * algebra._int_den
+        vectors = self.eigenvectors = Matrix.from_int_rows(
+            [{j: a * (dvec // space.matrix.den) for j, a in r.items()}
+             for _, space in pairs for r in space.matrix.num], dvec, algebra.dim, algebra.tag)
+        inverse = self.coordinates = vectors.inverse()
+        self.product_den = inverse.den * vectors.den ** 2 * algebra._int_den
         self.owner = []   # position -> index of its eigenvalue in blocks
         self.blocks = []  # (eigenvalue, range of its positions)
         for t, (lam, space) in enumerate(pairs):
@@ -285,18 +283,19 @@ class Eigenbasis:
     def components(self, y):
         """Split the sparse element y; returns {eigenvalue: sparse component}
         with zero components omitted, in eigenvalue order.  With y cleared
-        to integers over dy, its coordinates sum y_j inverse[j], and each
-        component sums coords[r] vectors[r] over the positions r of its
-        eigenvalue, integers over dinv * dy * dvec."""
+        to integers over dy, its coordinates sum y_j coordinates[j], and each
+        component sums coords[r] eigenvectors[r] over the positions r of its
+        eigenvalue, integers over dy and the two denominators."""
         self._require_semisimple()
-        (inverse, dinv), (vectors, dvec) = self._int_inverse, self._int_vectors
+        vectors, inverse = self.eigenvectors, self.coordinates
         y, dy = clear_denominators(y)
-        coords = sparse_combine(inverse, y)
+        coords = sparse_combine(inverse.num, y)
+        den = inverse.den * dy * vectors.den
         out = {}
         for lam, rs in self.blocks:
-            comp = sparse_combine(vectors, {r: coords[r] for r in rs if r in coords})
+            comp = sparse_combine(vectors.num, {r: coords[r] for r in rs if r in coords})
             if comp:
-                out[lam] = {k: over(v, dinv * dy * dvec) for k, v in comp.items()}
+                out[lam] = {k: over(v, den) for k, v in comp.items()}
         return out
 
     def eigenvalues_at(self, coords):
@@ -309,29 +308,29 @@ class Eigenbasis:
         """[(lam, mu, nus, [(r, q, coords)])]: one entry per eigenvalue pair
         lam <= mu in eigenvalue order, listing every pair of eigenbasis
         positions r of lam and q of mu with coords, the eigenbasis
-        coordinates of vectors[r] vectors[q]: the zero-free integer dict
-        {p: c} (Gaussian integers over QI) with the product equal to
-        sum c vectors[p] / product_den.  nus is the frozenset of the
-        eigenvalues of the positions that occur.
+        coordinates of v_r v_q: the zero-free integer dict {p: c} (Gaussian
+        integers over QI) with the product equal to sum c v_p / product_den.
+        nus is the frozenset of the eigenvalues of the positions that occur.
 
         Lemma: the eigenvectors are independent, so the nu-component of the
-        product, sum c vectors[p] over the positions p of nu, is nonzero iff
+        product, sum c v_p over the positions p of nu, is nonzero iff
         some coordinate at a position of nu is nonzero.  So the components
         that occur are read off owner[p], and only condition2_rows rebuilds
         component vectors.
 
-        coords sums p_k inverse[k] over the integer product p of the integer
-        eigenvectors (over dvec), left with its cancelled entries by
-        _accumulate, and the inverse rows are over dinv, so product_den =
-        dinv * dvec^2 * _int_den.  (Spreading each term of p over inverse[k]
-        at once would save p, but costs dim^4 per pair on a dense algebra,
-        where this costs dim^3.)  The product is commutative, so within a
-        block lam = mu each unordered pair is computed once and both orders
-        share its dict.  Computed on first call and kept."""
+        coords sums p_k coordinates[k] over the integer product p of the
+        integer eigenvectors, left with its cancelled entries by _accumulate,
+        so product_den is the coordinates' denominator times the square of
+        the eigenvectors' times _int_den.  (Spreading each term of p over
+        coordinates[k] at once would save p, but costs dim^4 per pair on a
+        dense algebra, where this costs dim^3.)  The product is commutative,
+        so within a block lam = mu each unordered pair is computed once and
+        both orders share its dict.  Computed on first call and kept."""
         self._require_semisimple()
         if self._products is not None:
             return self._products
-        rows, inverse, vectors = self.algebra._int_rows, self._int_inverse[0], self._int_vectors[0]
+        rows, vectors = self.algebra._int_rows, self.eigenvectors.num
+        inverse = self.coordinates.num
         out = []
         for s, (lam, rs) in enumerate(self.blocks):
             for mu, qs in self.blocks[s:]:
@@ -390,11 +389,14 @@ def law_violations(eigen, law):
     extra = [lam for lam in eigen.spectrum() if not law.has_value(lam)]
     if extra or not eigen.semisimple:
         return [("spectrum_outside_law", extra)] if extra else []
-    element = eigen.algebra.element
-    return [("fusion_violation",
-             (lam, mu, nu, element(eigen.vectors[r]), element(eigen.vectors[q])))
-            for lam, mu, nus, items in eigen.products() if not nus <= (cell := law.star(lam, mu))
-            for r, q, coords in items for nu in eigen.eigenvalues_at(coords) if nu not in cell]
+    found = [(lam, mu, nu, r, q) for lam, mu, nus, items in eigen.products()
+             if not nus <= (cell := law.star(lam, mu))
+             for r, q, coords in items for nu in eigen.eigenvalues_at(coords) if nu not in cell]
+    if not found:  # a passing axis builds no field view of its eigenvectors
+        return []
+    vectors, element = eigen.eigenvectors.sparse_rows, eigen.algebra.element
+    return [("fusion_violation", (lam, mu, nu, element(vectors[r]), element(vectors[q])))
+            for lam, mu, nu, r, q in found]
 
 
 def law_refusal(eigen, a, law):

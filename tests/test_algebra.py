@@ -63,6 +63,22 @@ class TestProducts:
         alg = Algebra(2, {(0, 1): {1: q(1, 2)}, (1, 0): {1: q(1, 2)}}, FieldTag.QQ)
         assert alg.basis_product(1, 0) == alg.basis_product(0, 1) == {1: q(1, 2)}
 
+    @pytest.mark.parametrize("entries, s, message", [
+        ({(0, 1): ONE, (1, 0): q(2)}, 1, "conflicting entries for basis pair (0, 1)"),
+        ({(2, 1): (ONE, ZERO), (1, 2): (ONE, ONE)}, 2,
+         "conflicting entries for basis pair (1, 2)"),
+    ], ids=["one-coordinate", "two-coordinates"])
+    def test_a_cocycle_pair_given_in_both_orders_differently_is_refused(self, entries, s,
+                                                                         message):
+        with pytest.raises(DimensionMismatchError) as ex:
+            Cocycle.from_entries(3, entries, FieldTag.QQ, s)
+        assert str(ex.value) == message
+
+    def test_a_cocycle_pair_given_in_both_orders_alike_is_accepted(self):
+        theta = Cocycle.from_entries(2, {(0, 1): q(1, 2), (1, 0): q(1, 2)}, FieldTag.QQ)
+        assert theta == Cocycle.from_entries(2, {(1, 0): q(1, 2)}, FieldTag.QQ)
+        assert theta.evaluate((ONE, ZERO), (ZERO, ONE)) == (q(1, 2),)
+
 
 class TestFrobenius:
     def test_space_dimensions(self):

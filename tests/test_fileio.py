@@ -403,7 +403,7 @@ def test_render_parse_render_is_identical(bundle):
     assert again.sets == bundle.sets
     assert again.laws == bundle.laws
     for name, th in bundle.cocycles.items():
-        if not th.is_zero():
+        if any(th.vectors):
             assert again.cocycles[name] == th
     # every element read back is canonical: a Rat, or a pair with im != 0
     for i in range(alg.dim):

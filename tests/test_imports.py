@@ -234,8 +234,10 @@ def test_deleted_members_stay_deleted():
     # names shared with a live member (Matrix.rank and RowReducer.rank,
     # FieldTag.render and the benchmark's own render) escape the liveness
     # test, so each deleted member is checked on its class
-    methods = {Matrix: ("rref", "from_columns", "rank", "is_zero", "__add__", "scale", "zero"),
-               Cocycle: ("from_vectors",),
+    # Cocycle.is_zero is shadowed the same way, by Subspace.is_zero
+    methods = {Matrix: ("rref", "from_columns", "rank", "is_zero", "__add__", "scale", "zero",
+                        "from_sparse_rows"),
+               Cocycle: ("from_vectors", "is_zero"),
                FieldTag: ("zero", "one", "inverse", "render", "sort_key", "parse")}
     for cls, names in methods.items():
         for name in names:
@@ -253,4 +255,8 @@ def test_deleted_members_stay_deleted():
     assert not hasattr(entry.algebra, "_rows")
     eigen = eigen_decompose(entry.algebra, entry.axis_sets["X12"][0])
     assert not hasattr(eigen, "element")
+    # the eigenvectors and their inverse are the two Matrix attributes
+    # eigenvectors and coordinates; no field copy or integer pair beside them
+    for name in ("vectors", "_int_vectors", "_int_inverse"):
+        assert not hasattr(eigen, name), f"Eigenbasis.{name}"
     assert not hasattr(jordan_half_law(), "tag")

@@ -11,7 +11,8 @@ from axial.errors import DimensionMismatchError, FieldMismatchError
 from axial.fusion import find_c2_gradings
 from axial.linalg import Matrix, RowReducer, Subspace
 from axial.miyamoto import is_automorphism, tau_automorphism
-from axial.scalars import ONE, ZERO, FieldTag, Rat, Scalar, clear_denominators, sort_key
+from axial.scalars import (ONE, ZERO, FieldTag, Rat, Scalar, clear_denominators,
+                           common_denominator, sort_key)
 from axial.spectral import char_poly, eigen_decompose
 
 
@@ -203,7 +204,7 @@ def test_sparse_matrix_matches_dense_reference(tag):
                    for j, x in enumerate(r) if x} for r in a]
         cols = [tuple(r[j] for r in a) for j in range(k)]
         for other in (Matrix(cols, tag, ncols=n).transpose(),
-                      Matrix.from_sparse_rows(_sparse_rows(a), k, tag),
+                      Matrix.from_int_rows(*common_denominator(_sparse_rows(a)), k, tag),
                       Matrix.from_int_rows(scaled, factor * den, k, tag)):
             assert other == ma and hash(other) == hash(ma) and other.rows == ma.rows
         # the integer kernel basis: integral, positive at its own free column,

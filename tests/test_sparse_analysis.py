@@ -106,10 +106,12 @@ def _canonical(a):
 
 def _rebuild(algebra, eigen, products):
     """products, as eigen.products() returns them, as dense
-    (lam, mu, x, y, {nu: z}) in eigenvalue order: z sums c vectors[p] over
-    the coordinates c at the positions p of nu, as field elements over
-    eigen.product_den, and is kept even when it is zero."""
+    (lam, mu, x, y, {nu: z}) in eigenvalue order: z sums c v_p over the
+    coordinates c at the positions p of nu, v_p row p of eigen.eigenvectors,
+    as field elements over eigen.product_den, and is kept even when it is
+    zero."""
     den = eigen.product_den
+    vectors = eigen.eigenvectors.sparse_rows
     out = []
     for lam, mu, _nus, items in products:
         for r, q, coords in items:
@@ -118,9 +120,9 @@ def _rebuild(algebra, eigen, products):
                 nu = eigen.blocks[eigen.owner[p]][0]
                 c = over(coords[p], den)
                 comps[nu] = vec_add(comps.get(nu, algebra.zero()),
-                                    vec_scale(c, algebra.element(eigen.vectors[p])))
-            out.append((lam, mu, algebra.element(eigen.vectors[r]),
-                        algebra.element(eigen.vectors[q]), comps))
+                                    vec_scale(c, algebra.element(vectors[p])))
+            out.append((lam, mu, algebra.element(vectors[r]),
+                        algebra.element(vectors[q]), comps))
     return out
 
 
@@ -203,9 +205,9 @@ def _assert_positive_multiples(algebra, rows, expect):
 
 def _fused_coords(eigen, x, y):
     """The eigenbasis coordinates of x * y for integer x and y, with each
-    term x_i y_j C_ijk spread over the inverse row k at once: no product
-    vector in between."""
-    rows, inverse = eigen.algebra._int_rows, eigen._int_inverse[0]
+    term x_i y_j C_ijk spread over row k of eigen.coordinates at once: no
+    product vector in between."""
+    rows, inverse = eigen.algebra._int_rows, eigen.coordinates.num
     acc = {}
     for i, a in x.items():
         for j, b in y.items():
@@ -218,7 +220,7 @@ def _fused_coords(eigen, x, y):
 def _full_double_loop(eigen):
     """eigen.products() recomputed with every ordered pair of positions
     multiplied on its own, by _fused_coords."""
-    vectors = eigen._int_vectors[0]
+    vectors = eigen.eigenvectors.num
     out = []
     for s, (lam, rs) in enumerate(eigen.blocks):
         for mu, qs in eigen.blocks[s:]:
@@ -301,6 +303,24 @@ def test_tau_matches_dense_reference(name, params, axes, law):
             cols.append(col)
         tau = tau_automorphism(alg, a, law, grading)
         assert list(tau.matrix.transpose().rows) == cols
+
+
+@pytest.mark.parametrize("name,params,axes,law", CASES)
+def test_eigenvectors_and_coordinates_are_inverse(name, params, axes, law):
+    # coordinates * eigenvectors is the identity, and row r of eigenvectors
+    # is an eigenvector of L_a for the eigenvalue of r's block
+    entry = catalog.build(name, params)
+    alg, law = entry.algebra, entry.laws[law]
+    for a in entry.axis_sets[axes]:
+        eigen = eigen_decompose(alg, a, hints=law.values)
+        vectors = eigen.eigenvectors
+        assert eigen.coordinates * vectors == Matrix.identity(alg.dim, alg.tag)
+        for lam, rs in eigen.blocks:
+            assert len(rs) == eigen.eigenspace(lam).dim
+            for r in rs:
+                v = vectors.rows[r]
+                assert any(v) and alg.product(a, v) == vec_scale(lam, v)
+                assert eigen.eigenspace(lam).contains_vector(v)
 
 
 def test_cases_cover_both_fields_and_kernels():
@@ -675,6 +695,20 @@ def test_motivating_files_are_refused_by_both(text):
     seen = _assert_one_law_verdict(bundle.algebra, list(bundle.sets["X"]), bundle.laws["F"],
                                    bundle.cocycles["t"])
     assert seen in ("fusion_violation", "spectrum_outside_law")
+
+
+def test_only_a_violation_builds_the_field_view_of_the_eigenvectors():
+    # law_violations reads eigenvectors.sparse_rows only to report a
+    # violation: a passing axis keeps its eigenvectors in integer form only
+    for name, params, axes, law in CASES:
+        entry = catalog.build(name, params)
+        for a in entry.axis_sets[axes]:
+            rep = check_axis(entry.algebra, a, entry.laws[law])
+            assert rep.is_axis and rep.eigen.eigenvectors._sparse is None
+    bundle = parse_algebra_file(MOTIVATING_FILES[0])
+    escapes = [check_axis(bundle.algebra, a, bundle.laws["F"]) for a in bundle.sets["X"]]
+    escapes = [rep for rep in escapes if rep.violations]
+    assert escapes and all(rep.eigen.eigenvectors._sparse is not None for rep in escapes)
 
 
 @pytest.mark.parametrize("tag,seed", [(FieldTag.QQ, 93), (FieldTag.QI, 94)])
