@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 
 from .errors import DimensionMismatchError, ExtensionError, FieldMismatchError
-from .linalg import Matrix, RowReducer, Subspace, sparse_add, sparse_combine
+from .linalg import Matrix, RowReducer, Subspace, _checked_sparse, sparse_add, sparse_combine
 from .scalars import ONE, ZERO, clear_denominators, common_denominator, over
 
 # The largest dimension an algebra file may declare or a catalog series may
@@ -153,7 +153,7 @@ class Algebra:
                         row[i] = c
                 if row:
                     constraints.add_int_row(row)
-        return Subspace.spanned(constraints.kernel_basis(), self.dim, self.tag)
+        return constraints.kernel()
 
     def _span_is_closed(self, red):
         basis = list(red.rows.values())
@@ -214,7 +214,7 @@ class Algebra:
                         sparse_add(row, cols[l][k], -c)
                     if row:
                         red.add_int_row(row)
-        space = Subspace.spanned(red.kernel_basis(), size, self.tag)
+        space = red.kernel()
         return [BilinearForm([v], n, self.tag) for v in space.rows]
 
     def jordan_check(self):
@@ -404,13 +404,14 @@ class Cocycle:
                      for v in self.vectors)
 
     def evaluate(self, x, y):
-        """theta(x, y) as a tuple of s elements."""
+        """theta(x, y) as a tuple of s elements, for vectors x and y of field
+        elements (else FieldMismatchError)."""
         n = self.dim
         if len(x) != n or len(y) != n:
             raise DimensionMismatchError("vector length mismatch")
         cols = _sym_columns(n)
-        terms = [(cols[p][q], a * b)
-                 for p, a in enumerate(x) if a for q, b in enumerate(y) if b]
+        x, y = _checked_sparse(x, self.tag), _checked_sparse(y, self.tag)
+        terms = [(cols[p][q], a * b) for p, a in x.items() for q, b in y.items()]
         out = []
         for v in self.vectors:
             acc = ZERO
@@ -455,26 +456,39 @@ def radical_axial(algebra, axes):
     The forms of frobenius_space are combined as upper-triangle vectors,
     and the radical is BilinearForm.radical(), as theta-perp in is_split.
 
+    The combination is read off one kernel.  With k forms, a RowReducer on
+    k + 1 columns takes the row [(a, a)_f for each form f | -1] of each
+    axis, so (x, t) lies in its kernel iff sum_f x_f (a, a)_f = t on every
+    axis: a combination with (a, a) = 1 on every axis exists iff column k
+    is free.  Then the last kernel_basis() vector, at free column k, is L
+    at k and -c_p L / p_p at each pivot p; over L it is the solution x that
+    is 0 at the other free columns.  Column k is no pivot, so the vectors
+    at the free columns below k have no entry at k: they span the kernel
+    of the (a, a) rows, the shifts that keep (a, a) = 1.
+
     Returns (subspace, form).  Raises ValueError when no invariant form is
     nonzero on every axis or the normalized form is not unique.
     """
     forms = algebra.frobenius_space()
     if not forms:
         raise ValueError("no nonzero invariant bilinear form exists")
-    n, tag = algebra.dim, algebra.tag
+    n, tag, k = algebra.dim, algebra.tag, len(forms)
     vectors = [f.vectors[0] for f in forms]
     axes = [tuple(a) for a in axes]
-    # solve for a combination with (a, a) = 1 on each axis
-    rows = [tuple(f.evaluate(a, a)[0] for f in forms) for a in axes]
-    m = Matrix(tuple(rows), tag, ncols=len(forms))
-    sol, extra = m.solve(tuple(ONE for _ in axes))
-    if sol is None:
+    red = RowReducer(k + 1, tag)
+    for a in axes:  # evaluate checks the axis against the field
+        row = dict(enumerate(f.evaluate(a, a)[0] for f in forms))
+        row[k] = -ONE
+        red.add_row(row)
+    if k in red.rows:
         raise ValueError("no invariant form takes value 1 on every axis")
+    *shifts, last = red.kernel_basis()
+    sol = tuple(over(last.get(f, 0), last[k]) for f in range(k))
     form = BilinearForm([sparse_combine(vectors, dict(enumerate(sol)))], n, tag)
     rad = form.radical()
     # projectively unique normalization required: combinations in the
     # kernel must not change the radical
-    for v in extra.rows:
+    for v in Subspace.spanned(shifts, k, tag).rows:
         shifted = {t: c + v.get(t, ZERO) for t, c in enumerate(sol)}
         if BilinearForm([sparse_combine(vectors, shifted)], n, tag).radical() != rad:
             raise ValueError("axis-normalized invariant form is not unique")

@@ -212,7 +212,7 @@ def cocycle_space(algebra, axes, law):
             red.add_int_row(row)
         for row in condition2_rows(algebra, a, law, eigen):
             red.add_int_row(row)
-    space = Subspace.spanned(red.kernel_basis(), idx_len, algebra.tag)
+    space = red.kernel()
     rep_red = RowReducer(idx_len, algebra.tag)
     for b in cob.matrix.num:
         rep_red.add_int_row(b)
@@ -233,7 +233,7 @@ def normalize_on_axes(algebra, theta, axes):
     # complete axes to a basis with standard vectors on non-pivot coordinates
     red = RowReducer(n, algebra.tag)
     for a in axes:
-        if not red.add_row(sparse_vector(a)):
+        if not red.add_row(_checked_sparse(a, algebra.tag)):
             raise ExtensionError("normalize_on_axes requires independent axes")
     basis_rows = list(axes)
     for j in range(n):

@@ -19,7 +19,8 @@ class FusionLaw:
 
     table: {(lam, mu): iterable of field elements}; missing cells are empty.
     The table is symmetrized on construction and membership is validated;
-    each value is checked against the field tag.
+    each value is checked against the field tag.  value_set is the values
+    as a frozenset, built once.
     """
 
     def __init__(self, values, table, tag):
@@ -28,7 +29,7 @@ class FusionLaw:
             raise AxialError("fusion law needs at least one value")
         for v in values:
             tag.check(v)
-        vset = set(values)
+        vset = frozenset(values)
         canon = {}
         for (lam, mu), cell in table.items():
             if lam not in vset or mu not in vset:
@@ -43,16 +44,11 @@ class FusionLaw:
                 raise AxialError(f"asymmetric cells for pair ({key[0]}, {key[1]})")
             canon[key] = cell
         self.values = values
+        self.value_set = vset
         self.table = {k: c for k, c in canon.items() if c}
 
     def star(self, lam, mu):
         return self.table.get(_cell_key(lam, mu), frozenset())
-
-    def value_set(self):
-        return frozenset(self.values)
-
-    def has_value(self, v):
-        return v in self.value_set()
 
     def __eq__(self, other):
         if not isinstance(other, FusionLaw):
@@ -69,7 +65,7 @@ class FusionLaw:
 
 def law_contains(small, big):
     """True iff small's values and every star cell sit inside big's."""
-    if not small.value_set() <= big.value_set():
+    if not small.value_set <= big.value_set:
         return False
     return all(cell <= big.star(*key) for key, cell in small.table.items())
 
@@ -118,7 +114,7 @@ def find_c2_gradings(law):
                 continue
             if grading_is_valid(law, plus, minus):
                 sigma0 = None
-                if law.has_value(ZERO):
+                if ZERO in law.value_set:
                     sigma0 = 1 if ZERO in plus else -1
                 out.append(C2Grading(plus, minus, sigma0))
     return out

@@ -15,14 +15,17 @@ The kernels run on integer vectors: sparse_combine, the one sparse linear
 combination of rows, uses only + and *, and RowReducer reduces fraction-free,
 so add_int_row takes integer rows with nothing to clear.  Matrix products,
 inverses and row reduction, the kernel bases and the eigen-analysis
-(spectral) all run on such rows.
+(spectral) all run on such rows.  A kernel is read as RowReducer.kernel(),
+the canonical Subspace of the reducer's kernel_basis(); a Subspace stores
+only its RREF Matrix and reduces a vector against that matrix's rows to
+test membership.
 
 Conventions fixed for reproducibility:
   * reduced row echelon form picks, for each column left to right, the first
     row with a nonzero entry in that column;
   * kernel bases enumerate free columns in increasing order;
-  * a Subspace is stored as the RREF Matrix of its span, so equal subspaces
-    have equal matrices.
+  * a Subspace is stored as the RREF Matrix of its span, and as nothing
+    else, so equal subspaces have equal matrices.
 """
 
 from __future__ import annotations
@@ -212,31 +215,7 @@ class Matrix:
 
     def kernel(self):
         """Null space {x : Mx = 0} as a canonical Subspace."""
-        return Subspace.spanned(self._reducer().kernel_basis(), self.ncols, self.tag)
-
-    def solve(self, rhs):
-        """Solve M x = rhs for a single right-hand-side vector.
-
-        Returns (particular, kernel) or (None, witness_row) when inconsistent;
-        the witness is the reduced augmented row asserting 0 = nonzero.
-        """
-        if len(rhs) != self.nrows:
-            raise DimensionMismatchError("rhs length mismatch")
-        n = self.ncols
-        b, db = clear_denominators(_checked_sparse(rhs, self.tag))
-        red = RowReducer(n + 1, self.tag)  # [db num | den b], for rhs = b / db
-        for i, r in enumerate(self.num):
-            row = {j: db * a for j, a in r.items()}
-            if i in b:
-                row[n] = self.den * b[i]
-            red.add_int_row(row)
-        rows = red.rows
-        if n in rows:
-            return None, tuple(over(rows[n].get(j, 0), rows[n][n]) for j in range(n + 1))
-        x = tuple(over(rows[j].get(n, 0), rows[j][j]) if j in rows else ZERO
-                  for j in range(n))
-        # left of the rhs column the pivot rows are the RREF of M
-        return x, Subspace.spanned(red.kernel_basis(n), n, self.tag)
+        return self._reducer().kernel()
 
     def inverse(self):
         """The inverse; DimensionMismatchError when singular.  The stored row
@@ -278,28 +257,10 @@ class RowReducer:
         self.tag = tag
         self.rows = {}  # pivot column -> stored row, see the class docstring
 
-    def _eliminate(self, row):
-        """The sparse integer (Gaussian-integer) row reduced by the current
-        pivots to a multiple of its residue, with zero entries dropped.
-
-        Every pivot column occurring in the row is eliminated, not just the
-        leading one; pivot rows contain no pivot columns other than their own,
-        so elimination only ever introduces free-column entries and one pass
-        suffices."""
-        rows = self.rows
-        row = {j: a for j, a in row.items() if a}
-        for lead in [j for j in sorted(row) if j in rows]:
-            _eliminate_step(row, lead, rows[lead])
-        return row
-
-    def contains(self, row):
-        """Is the sparse row of field elements in the span of the rows added
-        so far?"""
-        return self.contains_int(clear_denominators(row)[0])
-
     def contains_int(self, row):
-        """contains for a sparse row of integers or Gaussian integers."""
-        return not self._eliminate(row)
+        """Is the sparse row of integers or Gaussian integers in the span of
+        the rows added so far?"""
+        return not _eliminate(row, self.rows)
 
     def add_row(self, row):
         """Reduce and insert a sparse row of field elements; returns True
@@ -310,7 +271,7 @@ class RowReducer:
         """add_row for a sparse row of integers or Gaussian integers.  Any
         nonzero multiple of a row adds the same stored row, since what is
         stored is made primitive."""
-        return self._insert(self._eliminate(row))
+        return self._insert(_eliminate(row, self.rows))
 
     def _insert(self, row):
         """Insert the residue row, back-substituting into the pivot rows."""
@@ -351,14 +312,12 @@ class RowReducer:
             num.append({j: s * row[j] for j in sorted(row)})
         return Matrix._of_form(tuple(num), den, self.ncols, self.tag)
 
-    def kernel_basis(self, ncols=None):
+    def kernel_basis(self):
         """Basis of the solution space of (rows)x = 0 as sparse integer vectors,
         one per free column f in increasing order: L at f and -c L / p at the
         pivot of each row with entry c at f and pivot entry p, L the lcm of
-        those p.  With ncols, of the rows cut to their first ncols columns,
-        which must hold every pivot."""
-        ncols = self.ncols if ncols is None else ncols
-        holders = {f: {} for f in self.free_columns() if f < ncols}
+        those p."""
+        holders = {f: {} for f in self.free_columns()}
         for p, row in self.rows.items():
             for f in row:
                 if f in holders:
@@ -369,6 +328,10 @@ class RowReducer:
             basis.append({f: m} | {p: -row[f] * (m // row[p]) for p, row in rows.items()})
         return basis
 
+    def kernel(self):
+        """The solution space of (rows)x = 0 as a canonical Subspace."""
+        return Subspace.spanned(self.kernel_basis(), self.ncols, self.tag)
+
 
 def _lowest_terms(rows, den):
     """rows / den with den and the entries divided by the gcd of den and
@@ -377,6 +340,22 @@ def _lowest_terms(rows, den):
     if g == 1:
         return rows, den
     return [{j: a // g for j, a in r.items()} for r in rows], den // g
+
+
+def _eliminate(row, pivots):
+    """The sparse integer (Gaussian-integer) row reduced by the pivot rows
+    {pivot column: row} to a multiple of its residue, with zero entries
+    dropped; the row handed in is not changed.
+
+    Every pivot column occurring in the row is eliminated, not just the
+    leading one; a pivot row contains no pivot column other than its own,
+    so elimination only ever introduces free-column entries and one pass
+    suffices.  The stored rows of a RowReducer and the rows of an RREF
+    Matrix keyed by their pivots are both such pivot rows."""
+    row = {j: a for j, a in row.items() if a}
+    for lead in [j for j in sorted(row) if j in pivots]:
+        _eliminate_step(row, lead, pivots[lead])
+    return row
 
 
 def _eliminate_step(row, lead, piv):
@@ -424,10 +403,9 @@ def _primitive(row, lead):
 class Subspace:
     """A subspace of tag^ambient, stored as the canonical RREF of its span: a
     Matrix whose rows are the unit-pivot rows in pivot order (see
-    RowReducer.rref_form).  The RowReducer that built it is kept for
-    membership tests."""
+    RowReducer.rref_form).  Membership reduces against these rows."""
 
-    __slots__ = ("matrix", "_reducer")
+    __slots__ = ("matrix",)
 
     def __init__(self, vectors, ambient, tag):
         """The span of dense vectors of field elements, checked against
@@ -437,18 +415,14 @@ class Subspace:
             if len(v) != ambient:
                 raise DimensionMismatchError("vector length differs from ambient dimension")
             red.add_row(_checked_sparse(v, tag))
-        self._wrap(red)
-
-    def _wrap(self, red):
         object.__setattr__(self, "matrix", red.rref_form())
-        object.__setattr__(self, "_reducer", red)
 
     @classmethod
     def of(cls, reducer):
-        """The span of the rows of a RowReducer, which the subspace keeps:
-        no row may be added to it afterwards."""
+        """The span of the rows of a RowReducer as they stand; rows added to
+        the reducer later do not change the subspace."""
         self = object.__new__(cls)
-        self._wrap(reducer)
+        object.__setattr__(self, "matrix", reducer.rref_form())
         return self
 
     @classmethod
@@ -501,8 +475,10 @@ class Subspace:
 
     def contains_sparse(self, v):
         """Is the sparse vector {index: element} in the subspace?  It is
-        reduced against the kept RowReducer, taken as given."""
-        return self._reducer.contains(v)
+        cleared of denominators, taken as given, and reduced against the
+        rows of the RREF keyed by their pivots."""
+        pivots = dict(zip(self.pivots, self.matrix.num))
+        return not _eliminate(clear_denominators(v)[0], pivots)
 
     def contains_vector(self, v):
         """Is the dense vector v, of field elements, in the subspace?"""

@@ -215,7 +215,7 @@ def eigen_decompose(algebra, x, hints=()):
                 row[k] = row.get(k, 0) - shift
                 red.add_int_row(row)
             if red.rank() < n:
-                pairs.append((lam, Subspace.spanned(red.kernel_basis(), n, tag)))
+                pairs.append((lam, red.kernel()))
         if roots_scanned or sum(space.dim for _, space in pairs) == n:
             break
         m = Matrix.from_int_rows(rows, den, n, tag)  # L_x
@@ -386,7 +386,7 @@ def law_violations(eigen, law):
     extension_axiality refuses on: spectrum_outside_law, else one
     fusion_violation (lam, mu, nu, x, y) per component nu of an eigenvector
     product xy outside lam*mu, in products() order."""
-    extra = [lam for lam in eigen.spectrum() if not law.has_value(lam)]
+    extra = [lam for lam in eigen.spectrum() if lam not in law.value_set]
     if extra or not eigen.semisimple:
         return [("spectrum_outside_law", extra)] if extra else []
     found = [(lam, mu, nu, r, q) for lam, mu, nus, items in eigen.products()

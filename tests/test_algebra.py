@@ -225,8 +225,8 @@ def _ref_radical_axial(alg, axes):
 def _radical_cases():
     """(label, algebra, axes): every axis set of A-I at the default and two
     seeded parameter draws (drawn as the paper-suite benchmark draws them),
-    of J25, S n=4 and JordanB n=3, and per entry the empty axis list and
-    the first axis repeated."""
+    of J25, S n=4, JordanB n=3 and JordanD n=4 (over Q(i)), and per entry
+    the empty axis list and the first axis repeated."""
     rng = random.Random(24)
     entries = []
     for name in "ABCDEFGHI":
@@ -242,7 +242,8 @@ def _radical_cases():
                 continue
             accepted += 1
     entries += [(name, catalog.build(name, params)) for name, params in
-                (("J25", {}), ("S", {"n": 4}), ("JordanB", {"n": 3}))]
+                (("J25", {}), ("S", {"n": 4}), ("JordanB", {"n": 3}),
+                 ("JordanD", {"n": 4}))]
     for label, entry in entries:
         sets = dict(entry.axis_sets)
         first = next(iter(sets.values()))[0]

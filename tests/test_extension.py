@@ -5,7 +5,7 @@ import random
 import pytest
 
 from axial import catalog, extension
-from axial.algebra import Algebra, _sym_pairs
+from axial.algebra import Algebra, _sym_pairs, radical_axial
 from axial.errors import (AxialError, DimensionMismatchError, ExtensionError, FieldMismatchError,
                           NotIdempotentError)
 from axial.extension import (Cocycle, aut_action, build_extension, coboundary,
@@ -277,6 +277,22 @@ class TestBuildAndSplit:
                 with pytest.raises(FieldMismatchError,
                                    match="^cocycle and algebra over different fields$"):
                     call()
+
+    @pytest.mark.parametrize("axis,error", [
+        ((0.5, q(0), q(0), q(0)), FieldMismatchError),
+        ((Scalar(q(1), q(1)), q(0), q(0), q(0)), FieldMismatchError),
+        ((1, 0, 0, 0), FieldMismatchError),
+        ((q(1), q(0), q(0)), DimensionMismatchError)])
+    def test_axes_from_outside_are_checked(self, axis, error):
+        # a float, a Gaussian entry over Q, plain ints, and a short axis,
+        # each given to the 4-dimensional Monster4 algebra over Q
+        alg = catalog.build("Monster4").algebra
+        th = Cocycle.from_entries(4, {(0, 1): q(1)}, FieldTag.QQ)
+        for call in (lambda: build_extension(alg, th, [axis]),
+                     lambda: normalize_on_axes(alg, th, [axis]),
+                     lambda: radical_axial(alg, [axis])):
+            with pytest.raises(error):
+                call()
 
     def test_coboundary_is_split(self):
         alg = catalog.build("B").algebra

@@ -21,8 +21,8 @@ import pytest
 
 from axial import catalog
 from axial.extension import Cocycle, CocycleSpace
-from axial.fusion import jordan_half_law
-from axial.linalg import Matrix
+from axial.fusion import FusionLaw, jordan_half_law
+from axial.linalg import Matrix, RowReducer
 from axial.miyamoto import AutMatrix, AxisClosure, GroupClosure
 from axial.scalars import FieldTag
 from axial.spectral import AxisReport, eigen_decompose
@@ -234,10 +234,13 @@ def test_deleted_members_stay_deleted():
     # names shared with a live member (Matrix.rank and RowReducer.rank,
     # FieldTag.render and the benchmark's own render) escape the liveness
     # test, so each deleted member is checked on its class
-    # Cocycle.is_zero is shadowed the same way, by Subspace.is_zero
+    # Cocycle.is_zero is shadowed the same way, by Subspace.is_zero, and
+    # RowReducer.contains by CocycleSpace.contains
     methods = {Matrix: ("rref", "from_columns", "rank", "is_zero", "__add__", "scale", "zero",
-                        "from_sparse_rows"),
+                        "from_sparse_rows", "solve"),
+               RowReducer: ("contains",),
                Cocycle: ("from_vectors", "is_zero"),
+               FusionLaw: ("has_value",),
                FieldTag: ("zero", "one", "inverse", "render", "sort_key", "parse")}
     for cls, names in methods.items():
         for name in names:
@@ -260,3 +263,5 @@ def test_deleted_members_stay_deleted():
     for name in ("vectors", "_int_vectors", "_int_inverse"):
         assert not hasattr(eigen, name), f"Eigenbasis.{name}"
     assert not hasattr(jordan_half_law(), "tag")
+    # a Subspace is its RREF matrix alone; membership reads its rows
+    assert not hasattr(eigen.eigenspace(eigen.spectrum()[0]), "_reducer")

@@ -529,12 +529,27 @@ def _random_law(rng, spectrum, tag):
     return FusionLaw(spectrum, table, tag)
 
 
+def _dense_solve(rows, b):
+    """The solution c of rows c = b, for square nonsingular dense rows, by
+    Gauss-Jordan elimination on the augmented rows."""
+    n = len(rows)
+    aug = [list(r) + [x] for r, x in zip(rows, b, strict=True)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = vec_scale(ONE / aug[col][col], aug[col])
+        for r in range(n):
+            if r != col and aug[r][col]:
+                aug[r] = vec_add(aug[r], vec_scale(-aug[r][col], aug[col]))
+    return [r[n] for r in aug]
+
+
 def _dense_split_products(algebra, eigen):
     """[(lam, mu, x, y, nus)] in the order of products(): nus the eigenvalues,
     in eigenvalue order, whose positions carry a nonzero entry of the
-    solution c of P c = xy."""
+    solution c of P c = xy, P the eigenbasis as columns."""
     basis = [b for _, space in eigen.pairs for b in space.basis]
-    p = Matrix(basis, algebra.tag).transpose()
+    p = list(zip(*basis))
     ranges, start = [], 0
     for lam, space in eigen.pairs:
         ranges.append((lam, range(start, start + space.dim)))
@@ -544,7 +559,7 @@ def _dense_split_products(algebra, eigen):
         for mu, wspace in eigen.pairs[s:]:
             for x in vspace.basis:
                 for y in wspace.basis:
-                    c, _kernel = p.solve(algebra.product(x, y))
+                    c = _dense_solve(p, algebra.product(x, y))
                     nus = [nu for nu, rs in ranges if any(c[r] for r in rs)]
                     out.append((lam, mu, x, y, nus))
     return out
