@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 
-from .errors import DimensionMismatchError, ExtensionError, FieldMismatchError
+from .errors import AxialError, DimensionMismatchError, ExtensionError, FieldMismatchError
 from .linalg import Matrix, RowReducer, Subspace, _checked_sparse, sparse_add, sparse_combine
 from .scalars import ONE, ZERO, clear_denominators, common_denominator, over
 
@@ -33,14 +33,28 @@ class Algebra:
     (Gaussian integers over QI) over one common denominator: _int_rows[i][j]
     is {k: numerator} over _int_den, the one table every kernel reads.
     basis_product builds the field entries of one pair per call.
+
+    symmetry: generators of a group of automorphisms, each a signed
+    permutation of the basis given as the pairs (pi(j), s_j), s_j = +-1,
+    with b_j -> s_j b_pi(j).  The constructor checks only their shape;
+    orbit_firsts verifies them before it reads them.
     """
 
-    def __init__(self, dim, products, tag, labels=None):
+    def __init__(self, dim, products, tag, labels=None, symmetry=()):
         self.dim = dim
         self.tag = tag
         self.labels = tuple(labels) if labels else tuple(f"b{k+1}" for k in range(dim))
         if len(self.labels) != dim:
             raise DimensionMismatchError("label count differs from dimension")
+        try:
+            self.symmetry = tuple(tuple((k, s) for k, s in g) for g in symmetry)
+            signed = all(len(g) == dim and sorted(k for k, _ in g) == list(range(dim))
+                         and all(s in (1, -1) for _, s in g) for g in self.symmetry)
+        except (TypeError, ValueError):  # not pairs, or indices that do not sort
+            signed = False
+        if not signed:
+            raise DimensionMismatchError(
+                "a symmetry generator is not a signed permutation of the basis")
         entries = {}  # (lo, hi) -> {k: element}, lo <= hi
         check = tag.check
         for (i, j), entry in products.items():
@@ -136,6 +150,63 @@ class Algebra:
 
     def is_idempotent(self, x):
         return self.product(x, x) == tuple(x)
+
+    def orbit_firsts(self, axes):
+        """Per member of the list axes: is it the first of its orbit, in list
+        order?  First every symmetry generator passes is_automorphism, else
+        AxialError.  Then union-find joins two members when one is exactly a
+        generator's image of the other, or equal to it.
+
+        Lemma: an automorphism g with g(a) = b conjugates L_a to L_b and maps
+        eigenvectors of a and their products to those of b.  So a and b have
+        the same spectrum, eigenspace dimensions and observed cells, and pass
+        or fail every axis check alike, with the same exception type.  A
+        caller that analyses the first member of each orbit, and reaches a
+        later member only after that one passed, may skip the later one: its
+        errors and their order do not change.
+
+        A member that fails the length or field check of _sparse, or raises
+        anything else there, joins nothing, so its caller refuses it where
+        the full path would.  The others are compared as canonical dense
+        vectors: an int or float entry, which equals and hashes like its
+        Rat, never gets that far.  With no generators every member is
+        first."""
+        if not self.symmetry:
+            return [True] * len(axes)
+        n, tag = self.dim, self.tag
+        for k, g in enumerate(self.symmetry, 1):
+            cols = [{t: s} for t, s in g]
+            if not is_automorphism(self, Matrix.from_int_rows(cols, 1, n, tag).transpose()):
+                raise AxialError(f"symmetry generator {k} is not an automorphism")
+        parent = list(range(len(axes)))
+
+        def root(t):
+            while parent[t] != t:
+                parent[t] = t = parent[parent[t]]
+            return t
+
+        def union(t, u):
+            t, u = root(t), root(u)
+            parent[max(t, u)] = min(t, u)
+
+        members, index = [], {}  # index: canonical vector -> its first position
+        for t, a in enumerate(axes):
+            try:
+                x = self._sparse(a)
+            except Exception:  # the caller refuses it, at its place in the list
+                continue
+            members.append((t, x))
+            union(t, index.setdefault(self.element(x), t))
+        for t, x in members:
+            for g in self.symmetry:
+                image = {}
+                for j, c in x.items():
+                    k, s = g[j]
+                    image[k] = c if s > 0 else -c
+                u = index.get(self.element(image))
+                if u is not None:
+                    union(t, u)
+        return [root(t) == t for t in range(len(axes))]
 
     # -- invariants ----------------------------------------------------------
 
@@ -299,6 +370,31 @@ class Algebra:
 
     def __repr__(self):
         return f"Algebra(dim={self.dim}, field={self.tag.value})"
+
+
+def is_automorphism(algebra, m):
+    """Exact check of invertibility plus m(b_i b_j) = m(b_i) m(b_j) on every
+    basis pair i <= j: on the integer columns cols of m over d, rank n and
+    d * sum_k C_ijk cols[k] == cols[i] cols[j] (product_int), for the
+    integer structure constants C."""
+    n = algebra.dim
+    if m.nrows != n or m.ncols != n:
+        return False
+    cols = m.transpose().num
+    d = m.den
+    red = RowReducer(n, algebra.tag)
+    for c in cols:
+        red.add_int_row(c)
+    if red.rank() < n:
+        return False
+    rows = algebra._int_rows
+    product = algebra.product_int
+    for i in range(n):
+        for j in range(i, n):
+            lhs = sparse_combine(cols, rows[i][j])
+            if {k: d * v for k, v in lhs.items()} != product(cols[i], cols[j]):
+                return False
+    return True
 
 
 def _accumulate(rows, x, y, acc=None):

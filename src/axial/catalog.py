@@ -553,9 +553,41 @@ def _unit_table():
 _UNITS = _unit_table()
 
 
-def matrix_model(basis, labels):
+def _cycle_gens(n):
+    """The transposition (0 1) and the n-cycle k -> k + 1 mod n, as tuples
+    of images, each once; none for n < 2.  They generate the symmetric
+    group on range(n)."""
+    if n < 2:
+        return ()
+    return tuple(dict.fromkeys([(1, 0, *range(2, n)), (*range(1, n), 0)]))
+
+
+def _signed_images(basis, move):
+    """The signed permutation [(k, s)] of the basis matrices under the
+    entrywise map move(row, col, unit) -> (row, col, unit): basis[j] moves
+    onto s * basis[k]; raises when it lands on no signed basis matrix."""
+    owner = {key: k for k, x in enumerate(basis) for key in x}
+    out = []
+    for x in basis:
+        image = {move(*key): a for key, a in x.items()}
+        lead, a = next(iter(image.items()))
+        k = owner.get(lead)
+        # the entries are +-1, so a / basis[k][lead] = a * basis[k][lead]
+        s = 0 if k is None else a * basis[k][lead]
+        if not s or image != {key: s * b for key, b in basis[k].items()}:
+            raise CatalogError("a basis symmetry does not permute the basis matrices")
+        out.append((k, s))
+    return out
+
+
+def matrix_model(basis, labels, moves=()):
     """Commutative algebra on a basis of matrices over the reals or the
     octonions, with the product (XY + YX)/2.
+
+    moves are entrywise maps (row, col, unit) -> (row, col, unit) that
+    permute the basis matrices up to sign, such as X -> PXP^T for a
+    permutation matrix P; they become the symmetry of the algebra
+    (_signed_images), verified where they are read.
 
     A basis matrix is a sparse dict {(row, col, unit): coefficient} with
     integer or rational coefficients; unit 0 is the real unit and units 1..7
@@ -613,7 +645,13 @@ def matrix_model(basis, labels):
                 raise CatalogError("matrix basis is not closed under the product")
             if coords:
                 products[(i, j)] = dict(sorted(coords.items()))
-    return Algebra(len(basis), products, QQ, labels)
+    return Algebra(len(basis), products, QQ, labels,
+                   symmetry=[_signed_images(basis, move) for move in moves])
+
+
+def _conjugations(perms):
+    """The moves X -> PXP^T of the row and column permutations perms."""
+    return [lambda i, j, q, p=p: (p[i], p[j], q) for p in perms]
 
 
 def _pair_label(kind, i, j, n):
@@ -629,7 +667,7 @@ def _build_jordan_full(n):
         raise CatalogError("matrix algebras need n >= 1")
     basis = [{(i, j, 0): 1} for i in range(n) for j in range(n)]
     labels = [_pair_label("E", i, j, n) for i in range(n) for j in range(n)]
-    alg = matrix_model(basis, labels)
+    alg = matrix_model(basis, labels, _conjugations(_cycle_gens(n)))
     fam = []
     for i in range(n):
         fam.append(alg.element({i * n + i: ONE}))
@@ -657,7 +695,7 @@ def _build_jordan_sym(n):
             index[(i, j)] = len(basis)
             basis.append({(i, j, 0): 1, (j, i, 0): 1})
             labels.append(_pair_label("F", i, j, n))
-    alg = matrix_model(basis, labels)
+    alg = matrix_model(basis, labels, _conjugations(_cycle_gens(n)))
     one, half = ONE, Rat(1, 2)
     fam = [alg.element({index[(i, i)]: one}) for i in range(n)]
     for i in range(n):
@@ -702,7 +740,10 @@ def _build_jordan_skew(n):
             labels.append(_pair_label("L", i, j, n))
     if any(_skew_mirror(x, n) != x for x in basis):
         raise CatalogError("skew-fixed basis matrix fails the defining identity")
-    alg = matrix_model(basis, labels)
+    # diag(P, P) commutes with J, so it permutes the skew-fixed matrices; a
+    # U or L unit whose pair P reverses moves onto minus its mirror
+    alg = matrix_model(basis, labels, _conjugations(
+        p + tuple(n + k for k in p) for p in _cycle_gens(n)))
     # Diagonal idempotents a_i, then for each ordered pair (i, j) the
     # idempotents a_i + D_ij +/- (upper or lower skew unit); both the upper
     # and the mirrored lower variant are needed to pin the cocycle space down
@@ -747,7 +788,9 @@ def _build_jordan_form(n):
             entry = {k: c for k, c in entry.items() if c}
             if entry:
                 prods[(i, j)] = entry
-    alg = Algebra(n, prods, QI, tuple(f"e{i+1}" for i in range(n)))
+    # the permutations of e_1 .. e_(n-1) keep x^T e_n and x^T y
+    alg = Algebra(n, prods, QI, tuple(f"e{i+1}" for i in range(n)),
+                  symmetry=[[(k, 1) for k in p + (last,)] for p in _cycle_gens(last)])
     half = Rat(1, 2)
     imag = Scalar.i()
     fam = [alg.element({i: half * imag, last: half}) for i in range(n - 1)]
@@ -769,7 +812,13 @@ def _build_albert():
         for q in range(8):
             basis.append({(i, j, q): 1, (j, i, q): 1 if q == 0 else -1})
             labels.append(f"F{q}_{i+1}{j+1}")
-    alg = matrix_model(basis, labels)
+    # X -> PXP^T, which moves a unit q > 0 onto minus the conjugate slot
+    # when P reverses its pair, and the octonion automorphism that permutes
+    # the imaginary units along 1 2 4 5 7 3 6, mapping each triple of
+    # _OCT_TRIPLES onto a cyclic shift of one, on every entry
+    unit = (0, 2, 4, 6, 5, 7, 1, 3)
+    alg = matrix_model(basis, labels, _conjugations(_cycle_gens(3))
+                       + [lambda i, j, q: (i, j, unit[q])])
     half = _q(1, 2)
     fam = [alg.element({i: ONE}) for i in range(3)]
     offset = {pair: 3 + 8 * t for t, pair in enumerate(pairs)}

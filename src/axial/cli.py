@@ -525,7 +525,8 @@ def _bundle_jordan_simple(extended=False):
         cs = cocycle_space(entry.algebra, entry.axis_sets["family"],
                            entry.laws["J12"])
         label = name if n is None else f"{name} n={n}"
-        checks.append((f"{label} quotient 0", cs.quotient_dim == 0))
+        expected = entry.expected["quotient_dim"]
+        checks.append((f"{label} quotient {expected}", cs.quotient_dim == expected))
     return checks
 
 

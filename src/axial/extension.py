@@ -192,20 +192,26 @@ def cocycle_space(algebra, axes, law):
     So B <= Z <= ker(rows so far), and once the rank of the rows reaches
     N - dim B, N = n(n+1)/2, both ends have dimension dim B: Z = B, and no
     later row can change the row space or its canonical RREF.  From then on
-    an axis gets only _f_axis, so the errors and their order are those of
-    the full path, and those of extension_axiality.
+    an axis gets only _f_axis, and only when it is the first of its orbit
+    under algebra.symmetry (Algebra.orbit_firsts): a later member of an
+    orbit passes exactly when its first member did.  So the errors and their
+    order are those of the full path, and those of extension_axiality.
 
     The function returns only when every axis passes _f_axis, and then
     B <= Z by the same lemma: Z cap B is B itself, and the class reps are
     the rows of Z's RREF that enlarge the span of B's."""
+    axes = list(axes)
+    firsts = algebra.orbit_firsts(axes)
     idx_len = len(_sym_pairs(algebra.dim))
     cob = coboundary_space(algebra)
     full = idx_len - cob.dim
     red = RowReducer(idx_len, algebra.tag)
-    for a in axes:
-        eigen = _f_axis(algebra, a, law)
+    for a, first in zip(axes, firsts):
         if red.rank() == full:
+            if first:
+                _f_axis(algebra, a, law)
             continue
+        eigen = _f_axis(algebra, a, law)
         # an axis is semisimple, so ker L_a is its 0-eigenspace; the
         # condition rows are integer rows
         for row in condition1_rows(algebra, a, eigen.eigenspace(ZERO)):

@@ -6,8 +6,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .algebra import is_automorphism
 from .errors import AxialError, DimensionMismatchError, FieldMismatchError
-from .linalg import Matrix, RowReducer, sparse_combine
+from .linalg import Matrix, sparse_combine
 from .spectral import axis_eigenbasis, law_refusal
 
 
@@ -17,31 +18,6 @@ class AutMatrix:
 
     def apply(self, x):
         return self.matrix.apply(x)
-
-
-def is_automorphism(algebra, m):
-    """Exact check of invertibility plus m(b_i b_j) = m(b_i) m(b_j) on every
-    basis pair i <= j: on the integer columns cols of m over d, rank n and
-    d * sum_k C_ijk cols[k] == cols[i] cols[j] (product_int), for the
-    integer structure constants C."""
-    n = algebra.dim
-    if m.nrows != n or m.ncols != n:
-        return False
-    cols = m.transpose().num
-    d = m.den
-    red = RowReducer(n, algebra.tag)
-    for c in cols:
-        red.add_int_row(c)
-    if red.rank() < n:
-        return False
-    rows = algebra._int_rows
-    product = algebra.product_int
-    for i in range(n):
-        for j in range(i, n):
-            lhs = sparse_combine(cols, rows[i][j])
-            if {k: d * v for k, v in lhs.items()} != product(cols[i], cols[j]):
-                return False
-    return True
 
 
 def tau_automorphism(algebra, a, law, grading):

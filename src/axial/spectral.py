@@ -447,11 +447,17 @@ def axis_eigenbasis(algebra, a, hints=()):
 
 def minimal_law(algebra, axes):
     """The smallest fusion law making every member of axes an axis:
-    values = union of spectra, cells = observed product components.  Each
-    member passes axis_eigenbasis, without hints, in list order."""
+    values = union of spectra, cells = observed product components.  The
+    first member of each orbit under algebra.symmetry passes
+    axis_eigenbasis, without hints, in list order; by the lemma of
+    Algebra.orbit_firsts the other members add no value and no cell, and
+    raise nothing that their first member did not."""
     values = set()
     table = {}
-    for a in axes:
+    axes = list(axes)
+    for a, first in zip(axes, algebra.orbit_firsts(axes)):
+        if not first:
+            continue
         eigen = axis_eigenbasis(algebra, a)
         values.update(eigen.spectrum())
         for lam, mu, nus, _items in eigen.products():
