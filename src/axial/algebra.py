@@ -41,6 +41,8 @@ class Algebra:
     """
 
     def __init__(self, dim, products, tag, labels=None, symmetry=()):
+        if dim < 0:
+            raise DimensionMismatchError(f"dimension must be nonnegative, got {dim}")
         self.dim = dim
         self.tag = tag
         self.labels = tuple(labels) if labels else tuple(f"b{k+1}" for k in range(dim))
@@ -263,7 +265,7 @@ class Algebra:
             layers.append(new_layer)
             if new_layer:
                 m = d
-        return Subspace.of(red), m
+        return red.rref_form(), m
 
     def frobenius_space(self):
         """All symmetric bilinear forms with (xy, z) = (x, yz), as a list of
@@ -286,7 +288,7 @@ class Algebra:
                     if row:
                         red.add_int_row(row)
         space = red.kernel()
-        return [BilinearForm([v], n, self.tag) for v in space.rows]
+        return [BilinearForm([v], n, self.tag) for v in space.sparse_rows]
 
     def jordan_check(self):
         """Check the Jordan identity (xy)x^2 = x(yx^2) by full linearization.
@@ -584,7 +586,7 @@ def radical_axial(algebra, axes):
     rad = form.radical()
     # projectively unique normalization required: combinations in the
     # kernel must not change the radical
-    for v in Subspace.spanned(shifts, k, tag).rows:
+    for v in Subspace.spanned(shifts, k, tag).sparse_rows:
         shifted = {t: c + v.get(t, ZERO) for t, c in enumerate(sol)}
         if BilinearForm([sparse_combine(vectors, shifted)], n, tag).radical() != rad:
             raise ValueError("axis-normalized invariant form is not unique")

@@ -491,7 +491,7 @@ def _bundle_monster():
     cs = cocycle_space(alg, entry.axis_sets["X01"], law)
     pattern_ok = True
     basis = [alg.basis_element(k) for k in range(4)]
-    for v in cs.space.rows:
+    for v in cs.space.sparse_rows:
         th = Cocycle([v], alg.dim, alg.tag)
         nm = normalize_on_axes(alg, th, entry.axis_sets["all"])
         w = {(i, j): nm.evaluate(basis[i], basis[j])[0]
@@ -540,7 +540,7 @@ def _all_basis_cocycles_jordan(cs):
     """Is A_theta Jordan for every theta in the cocycle space Z?  The central
     part of the Jordan identity is linear in theta and taken coordinatewise,
     so the one extension by a basis of Z (dim Z coordinates) decides it."""
-    basis, alg = cs.space.rows, cs.algebra
+    basis, alg = cs.space.sparse_rows, cs.algebra
     if not basis:
         return True
     ext, _ = build_extension(alg, Cocycle(basis, alg.dim, alg.tag))

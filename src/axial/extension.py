@@ -101,7 +101,7 @@ def condition1_rows(algebra, a, kernel):
     cols = _sym_columns(algebra.dim)
     sa = clear_denominators(sparse_vector(a))[0]
     rows = []
-    for k in kernel.matrix.num:
+    for k in kernel.num:
         acc = {}
         _add_pair(acc, cols, sa, k)
         rows.append({col: c for col, c in acc.items() if c})
@@ -220,11 +220,11 @@ def cocycle_space(algebra, axes, law):
             red.add_int_row(row)
     space = red.kernel()
     rep_red = RowReducer(idx_len, algebra.tag)
-    for b in cob.matrix.num:
+    for b in cob.num:
         rep_red.add_int_row(b)
-    reps = [b for b in space.matrix.num if rep_red.add_int_row(b)]
+    reps = [b for b in space.num if rep_red.add_int_row(b)]
     return CocycleSpace(algebra, space, cob, space.dim - cob.dim,
-                        list(Matrix.from_int_rows(reps, space.matrix.den, idx_len,
+                        list(Matrix.from_int_rows(reps, space.den, idx_len,
                                                   algebra.tag).rows))
 
 
@@ -280,7 +280,7 @@ def is_split(algebra, theta):
     """
     _require_on(algebra, theta)
     red = RowReducer(len(_sym_pairs(algebra.dim)), algebra.tag)
-    for b in coboundary_space(algebra).matrix.num:
+    for b in coboundary_space(algebra).num:
         red.add_int_row(b)
     if not all(red.add_row(v) for v in theta.vectors):
         return "split"
@@ -373,7 +373,7 @@ def decompose_by_annihilator(bigebra, axes=()):
         """(complement part as {a: element}, Ann(B) coordinates) of sparse x."""
         annc = tuple(x.get(p, ZERO) for p in pivots)
         comp = dict(x)
-        for c, r in zip(annc, ann.rows):
+        for c, r in zip(annc, ann.sparse_rows):
             for j, v in r.items():
                 sparse_add(comp, j, -c * v)
         return {position[j]: v for j, v in comp.items()}, annc

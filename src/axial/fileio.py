@@ -119,6 +119,8 @@ def parse_algebra_file(text):
                 raise AlgebraFileError(f"{where}: unknown field tag {rest!r}")
         elif head == "dim":
             dim = _int(rest, where)
+            if dim < 0:
+                raise AlgebraFileError(f"{where}: dim must be nonnegative, got {dim}")
             if dim > MAX_DIM:
                 raise AlgebraFileError(f"{where}: dim {dim} exceeds the limit {MAX_DIM}")
         elif head == "basis":

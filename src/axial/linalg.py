@@ -7,25 +7,25 @@ the column-sorted {column: numerator} dict, integers or Gaussian integers,
 over one positive denominator, in lowest terms.  Its field-element rows,
 sparse and dense, are views built on demand.  Rows are shared, never copied
 and never mutated.  Field elements are bare rationals or Gaussian pairs (see
-scalars).  Matrix, RowReducer and Subspace hold their field tag; a Matrix
-built from dense rows and a Subspace built from dense vectors check their
-entries against it once, when built.
+scalars).  Matrix and RowReducer hold their field tag; a Matrix built from
+dense rows and a Subspace built from dense vectors check their entries
+against it once, when built.
 
 The kernels run on integer vectors: sparse_combine, the one sparse linear
 combination of rows, uses only + and *, and RowReducer reduces fraction-free,
 so add_int_row takes integer rows with nothing to clear.  Matrix products,
 inverses and row reduction, the kernel bases and the eigen-analysis
 (spectral) all run on such rows.  A kernel is read as RowReducer.kernel(),
-the canonical Subspace of the reducer's kernel_basis(); a Subspace stores
-only its RREF Matrix and reduces a vector against that matrix's rows to
-test membership.
+the canonical Subspace of the reducer's kernel_basis().  A Subspace is the
+Matrix of the RREF of its span, a subclass with no state of its own, and
+reduces a vector against its rows to test membership.
 
 Conventions fixed for reproducibility:
   * reduced row echelon form picks, for each column left to right, the first
     row with a nonzero entry in that column;
   * kernel bases enumerate free columns in increasing order;
-  * a Subspace is stored as the RREF Matrix of its span, and as nothing
-    else, so equal subspaces have equal matrices.
+  * a Subspace is the RREF Matrix of its span, so equal subspaces are equal
+    matrices.
 """
 
 from __future__ import annotations
@@ -300,7 +300,7 @@ class RowReducer:
         return [j for j in range(self.ncols) if j not in self.rows]
 
     def rref_form(self):
-        """The RREF as a Matrix: the unit-pivot rows in pivot order, the stored
+        """The RREF as a Subspace: the unit-pivot rows in pivot order, the stored
         rows times L / p over L, p the pivot entry and L their lcm.  The rows
         are primitive, so the contents L / p have gcd 1: lowest terms."""
         rows = self.rows
@@ -310,7 +310,7 @@ class RowReducer:
         for p in pivots:
             row, s = rows[p], den // rows[p][p]
             num.append({j: s * row[j] for j in sorted(row)})
-        return Matrix._of_form(tuple(num), den, self.ncols, self.tag)
+        return Subspace._of_form(tuple(num), den, self.ncols, self.tag)
 
     def kernel_basis(self):
         """Basis of the solution space of (rows)x = 0 as sparse integer vectors,
@@ -400,12 +400,14 @@ def _primitive(row, lead):
     return {j: a // g for j, a in row.items()}
 
 
-class Subspace:
-    """A subspace of tag^ambient, stored as the canonical RREF of its span: a
-    Matrix whose rows are the unit-pivot rows in pivot order (see
-    RowReducer.rref_form).  Membership reduces against these rows."""
+class Subspace(Matrix):
+    """A subspace of tag^ambient: the Matrix of the canonical RREF of its
+    span, the unit-pivot rows in pivot order (see RowReducer.rref_form), so
+    it equals and hashes like any Matrix of that form.  The inherited
+    from_int_rows and identity would build a Subspace never checked to be in
+    RREF; no code calls them on Subspace."""
 
-    __slots__ = ("matrix",)
+    __slots__ = ()
 
     def __init__(self, vectors, ambient, tag):
         """The span of dense vectors of field elements, checked against
@@ -415,15 +417,8 @@ class Subspace:
             if len(v) != ambient:
                 raise DimensionMismatchError("vector length differs from ambient dimension")
             red.add_row(_checked_sparse(v, tag))
-        object.__setattr__(self, "matrix", red.rref_form())
-
-    @classmethod
-    def of(cls, reducer):
-        """The span of the rows of a RowReducer as they stand; rows added to
-        the reducer later do not change the subspace."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "matrix", reducer.rref_form())
-        return self
+        form = red.rref_form()
+        self._fill(form.num, form.den, ambient, tag)
 
     @classmethod
     def spanned(cls, vectors, ambient, tag):
@@ -432,40 +427,28 @@ class Subspace:
         red = RowReducer(ambient, tag)
         for v in vectors:
             red.add_int_row(v)
-        return cls.of(red)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
+        return red.rref_form()
 
     @classmethod
     def zero_space(cls, ambient, tag):
-        return cls.of(RowReducer(ambient, tag))
+        return RowReducer(ambient, tag).rref_form()
 
     @property
     def ambient(self):
-        return self.matrix.ncols
-
-    @property
-    def tag(self):
-        return self.matrix.tag
-
-    @property
-    def rows(self):
-        """The RREF basis as column-sorted dicts {column: element}."""
-        return self.matrix.sparse_rows
+        return self.ncols
 
     @property
     def basis(self):
-        """The RREF basis as dense tuples, built on first access."""
-        return self.matrix.rows
+        """The RREF basis as dense tuples: the rows."""
+        return self.rows
 
     @property
     def pivots(self):
-        return tuple(next(iter(r)) for r in self.matrix.num)
+        return tuple(next(iter(r)) for r in self.num)
 
     @property
     def dim(self):
-        return self.matrix.nrows
+        return self.nrows
 
     def is_zero(self):
         return not self.dim
@@ -477,7 +460,7 @@ class Subspace:
         """Is the sparse vector {index: element} in the subspace?  It is
         cleared of denominators, taken as given, and reduced against the
         rows of the RREF keyed by their pivots."""
-        pivots = dict(zip(self.pivots, self.matrix.num))
+        pivots = dict(zip(self.pivots, self.num))
         return not _eliminate(clear_denominators(v)[0], pivots)
 
     def contains_vector(self, v):
@@ -486,33 +469,22 @@ class Subspace:
             raise DimensionMismatchError("vector length mismatch")
         return self.contains_sparse(_checked_sparse(v, self.tag))
 
-    def __eq__(self, other):
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return self.matrix == other.matrix
-
-    def __hash__(self):
-        return hash(self.matrix)
-
     def intersect(self, other):
         """U cap W via the kernel of [U^T | -W^T], on the integer forms: the
         first dim U coordinates of a kernel vector combine the rows of U's
         form into a multiple of a vector of U cap W."""
-        self._compat(other)
-        if self.is_zero() or other.is_zero():
-            return Subspace.zero_space(self.ambient, self.tag)
-        u = self.matrix.num
-        cols = u + tuple({k: -a for k, a in r.items()} for r in other.matrix.num)
-        combos = Matrix._of_form(cols, 1, self.ambient, self.tag).transpose()._reducer()
-        vecs = [sparse_combine(u, {t: c for t, c in x.items() if t < self.dim})
-                for x in combos.kernel_basis()]
-        return Subspace.spanned(vecs, self.ambient, self.tag)
-
-    def _compat(self, other):
         if self.tag is not other.tag:
             raise FieldMismatchError("subspaces over different fields")
         if self.ambient != other.ambient:
             raise DimensionMismatchError("ambient dimensions differ")
+        if self.is_zero() or other.is_zero():
+            return Subspace.zero_space(self.ambient, self.tag)
+        u = self.num
+        cols = u + tuple({k: -a for k, a in r.items()} for r in other.num)
+        combos = Matrix._of_form(cols, 1, self.ambient, self.tag).transpose()._reducer()
+        vecs = [sparse_combine(u, {t: c for t, c in x.items() if t < self.dim})
+                for x in combos.kernel_basis()]
+        return Subspace.spanned(vecs, self.ambient, self.tag)
 
     def __repr__(self):
         rows = "; ".join(" ".join(str(a) for a in b) for b in self.basis)

@@ -16,9 +16,6 @@ from .spectral import axis_eigenbasis, law_refusal
 class AutMatrix:
     matrix: Matrix
 
-    def apply(self, x):
-        return self.matrix.apply(x)
-
 
 def tau_automorphism(algebra, a, law, grading):
     """The involution acting as +1 on plus-graded and -1 on minus-graded
@@ -117,7 +114,7 @@ def axis_closure(algebra, axes, law, grading, cap=200):
             taus[a] = tau_automorphism(algebra, a, law, grading)
         for a in current:
             for t in taus.values():
-                img = t.apply(a)
+                img = t.matrix.apply(a)
                 if img not in seen:
                     if len(seen) >= cap:
                         return AxisClosure(current, False, taus)
@@ -143,13 +140,13 @@ def find_flip(algebra, a1, a2):
     if a1 == a2:
         return AutMatrix(Matrix.identity(n, algebra.tag))
     span, _ = algebra.direct_sum(algebra).subalgebra_closure([a1 + a2, a2 + a1])
-    rows = span.matrix.num
+    rows = span.num
     if sum(next(iter(row)) < n for row in rows) < n:
         raise AxialError("the two elements do not generate the algebra")
     if len(rows) > n:
         return None
     images = [{j - n: c for j, c in row.items() if j >= n} for row in rows]
-    m = Matrix.from_int_rows(images, span.matrix.den, n, algebra.tag).transpose()
+    m = Matrix.from_int_rows(images, span.den, n, algebra.tag).transpose()
     if not is_automorphism(algebra, m):
         return None
     if m.apply(a1) != a2 or m.apply(a2) != a1:

@@ -228,8 +228,9 @@ class Eigenbasis:
     """The one analysis of an element x that the axis check, the minimal
     law, the cocycle conditions and the Miyamoto map share: x's eigenvalues
     with their eigenspaces, pairs = [(eigenvalue, Subspace)] in eigenvalue
-    order.  spectrum_complete is False when root finding over the Gaussian
-    rationals may have missed values.
+    order, each eigenspace the Matrix of its RREF.  spectrum_complete is
+    False when root finding over the Gaussian rationals may have missed
+    values.
 
     When x is semisimple it also keeps two Matrix objects, on whose integer
     forms components(), products() and the Miyamoto map run, touching only
@@ -250,10 +251,10 @@ class Eigenbasis:
         self._products = None
         if not self.semisimple:
             return
-        dvec = math.lcm(1, *(space.matrix.den for _, space in pairs))
+        dvec = math.lcm(1, *(space.den for _, space in pairs))
         vectors = self.eigenvectors = Matrix.from_int_rows(
-            [{j: a * (dvec // space.matrix.den) for j, a in r.items()}
-             for _, space in pairs for r in space.matrix.num], dvec, algebra.dim, algebra.tag)
+            [{j: a * (dvec // space.den) for j, a in r.items()}
+             for _, space in pairs for r in space.num], dvec, algebra.dim, algebra.tag)
         inverse = self.coordinates = vectors.inverse()
         self.product_den = inverse.den * vectors.den ** 2 * algebra._int_den
         self.owner = []   # position -> index of its eigenvalue in blocks

@@ -59,6 +59,13 @@ class TestProducts:
             Algebra(2, products, FieldTag.QQ, labels)
         assert str(ex.value) == message
 
+    @pytest.mark.parametrize("labels", [None, ()])
+    def test_a_negative_dimension_is_refused_by_name(self, labels):
+        with pytest.raises(DimensionMismatchError) as ex:
+            Algebra(-1, {}, FieldTag.QQ, labels)
+        assert str(ex.value) == "dimension must be nonnegative, got -1"
+        assert Algebra(0, {}, FieldTag.QQ).dim == 0
+
     def test_a_pair_given_in_both_orders_alike_is_accepted(self):
         alg = Algebra(2, {(0, 1): {1: q(1, 2)}, (1, 0): {1: q(1, 2)}}, FieldTag.QQ)
         assert alg.basis_product(1, 0) == alg.basis_product(0, 1) == {1: q(1, 2)}

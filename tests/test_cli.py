@@ -114,6 +114,17 @@ class TestExitCodes:
         assert "line " in proc.stderr
 
 
+    def test_negative_dim_is_two_by_name(self, tmp_path):
+        path = tmp_path / "neg.alg"
+        path.write_text("dim -3\n")
+        src = os.path.dirname(os.path.dirname(axial.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "axial.cli", "jordan",
+                               "--file", str(path)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 2
+        assert proc.stderr == "error: line 1: dim must be nonnegative, got -3\n"
+
     @pytest.mark.parametrize("text, message", [
         ("dim 2\nbasis a b\nproduct 1 1: 1 a\nproduct 2 2: 1 b\n"
          "element a2: 2 a\nset S: a2\n", "error: axis candidate (2)a is not a nonzero idempotent"),

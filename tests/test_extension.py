@@ -118,11 +118,11 @@ def _full_cocycle_space(algebra, axes, law):
     cob = coboundary_space(algebra)
     inter = space.intersect(cob)
     rep_red = RowReducer(idx_len, algebra.tag)
-    for b in inter.matrix.num:
+    for b in inter.num:
         rep_red.add_int_row(dict(b))
-    reps = [dict(b) for b in space.matrix.num if rep_red.add_int_row(dict(b))]
+    reps = [dict(b) for b in space.num if rep_red.add_int_row(dict(b))]
     return (space, cob, inter, space.dim - inter.dim,
-            list(Matrix.from_int_rows(reps, space.matrix.den, idx_len,
+            list(Matrix.from_int_rows(reps, space.den, idx_len,
                                       algebra.tag).rows))
 
 
@@ -151,7 +151,7 @@ class TestCoboundariesMeetTheConditions:
         # f(sum z_nu) = 0 when 0 is not in lam*mu
         entry = catalog.build(name)
         alg = entry.algebra
-        cob = [dict(b) for b in coboundary_space(alg).matrix.num]
+        cob = [dict(b) for b in coboundary_space(alg).num]
         covered = 0
         for key, axes in entry.axis_sets.items():
             for law in _laws(entry, key).values():
@@ -332,7 +332,7 @@ def _is_split_by_extension(algebra, theta):
     annihilator against the adjoined space V."""
     n = algebra.dim
     red = RowReducer(len(_sym_pairs(n)), algebra.tag)
-    for b in coboundary_space(algebra).matrix.num:
+    for b in coboundary_space(algebra).num:
         red.add_int_row(b)
     if not all(red.add_row(v) for v in theta.vectors):
         return "split"

@@ -111,6 +111,12 @@ class TestParse:
         with pytest.raises(AlgebraFileError, match="limit 3"):
             render_algebra_file(AlgebraFile(catalog.build("Monster4").algebra))
 
+    def test_negative_dim_is_refused_by_name(self):
+        assert parse_algebra_file("dim 0\n").algebra.dim == 0
+        with pytest.raises(AlgebraFileError) as ex:
+            parse_algebra_file("field QQ\ndim -3\n")
+        assert str(ex.value) == "line 2: dim must be nonnegative, got -3"
+
     @pytest.mark.parametrize("dim", ["1025", "3000", "1000000000"])
     def test_oversized_dim_exits_two(self, tmp_path, dim):
         # refused before the algebra's product table is allocated

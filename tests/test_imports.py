@@ -22,7 +22,7 @@ import pytest
 from axial import catalog
 from axial.extension import Cocycle, CocycleSpace
 from axial.fusion import FusionLaw, jordan_half_law
-from axial.linalg import Matrix, RowReducer
+from axial.linalg import Matrix, RowReducer, Subspace
 from axial.miyamoto import AutMatrix, AxisClosure, GroupClosure
 from axial.scalars import FieldTag
 from axial.spectral import AxisReport, eigen_decompose
@@ -239,6 +239,8 @@ def test_deleted_members_stay_deleted():
     methods = {Matrix: ("rref", "from_columns", "rank", "is_zero", "__add__", "scale", "zero",
                         "from_sparse_rows", "solve"),
                RowReducer: ("contains",),
+               Subspace: ("of", "matrix", "_compat"),
+               AutMatrix: ("apply",),
                Cocycle: ("from_vectors", "is_zero"),
                FusionLaw: ("has_value",),
                FieldTag: ("zero", "one", "inverse", "render", "sort_key", "parse")}
@@ -263,5 +265,5 @@ def test_deleted_members_stay_deleted():
     for name in ("vectors", "_int_vectors", "_int_inverse"):
         assert not hasattr(eigen, name), f"Eigenbasis.{name}"
     assert not hasattr(jordan_half_law(), "tag")
-    # a Subspace is its RREF matrix alone; membership reads its rows
-    assert not hasattr(eigen.eigenspace(eigen.spectrum()[0]), "_reducer")
+    # a Subspace is the Matrix of its RREF, with no state of its own
+    assert Subspace.__slots__ == () and Subspace.__bases__ == (Matrix,)

@@ -126,7 +126,7 @@ def test_extensions_by_a_basis_of_z_match_reference(name, params, key):
     entry = catalog.build(name, params)
     alg = entry.algebra
     cs = cocycle_space(alg, entry.axis_sets[key], jordan_half_law(FieldTag.QQ))
-    ext, _ = build_extension(alg, Cocycle(cs.space.rows, alg.dim, alg.tag))
+    ext, _ = build_extension(alg, Cocycle(cs.space.sparse_rows, alg.dim, alg.tag))
     assert ext.dim == alg.dim + cs.space.dim > alg.dim + 1
     assert ext.jordan_check() == naive_jordan_witness(ext)
 

@@ -7,7 +7,9 @@ from fractions import Fraction
 import pytest
 
 from axial import catalog
-from axial.errors import DimensionMismatchError, FieldMismatchError
+from axial.algebra import Cocycle
+from axial.errors import AxialError, DimensionMismatchError, FieldMismatchError
+from axial.extension import cocycle_space
 from axial.fusion import find_c2_gradings
 from axial.linalg import Matrix, RowReducer, Subspace
 from axial.miyamoto import is_automorphism, tau_automorphism
@@ -338,7 +340,7 @@ def test_subspace_matches_dense_reference(tag):
                                   n, tag)
         for s in (su, sparse):
             assert s.basis == tuple(map(tuple, red))
-            assert s.rows == _sparse_rows(red)
+            assert s.sparse_rows == _sparse_rows(red)
             assert s.pivots == tuple(pivots)
             assert s.dim == len(red) and s.ambient == n and s.tag is tag
         assert su == sparse and hash(su) == hash(sparse)
@@ -525,7 +527,7 @@ def _reducer_matches_dense_reference(tag):
             assert type(row[p]) is not Scalar and row[p] > 0
             assert all(b == int(b) for b in parts)
             assert math.gcd(*(int(b) for b in parts)) == 1
-        assert Subspace.of(reducer).rows == _sparse_rows(red)
+        assert reducer.rref_form().sparse_rows == _sparse_rows(red)
         # membership: combinations of the rows are members; x is one exactly
         # when its residue, x less x_p times the unit pivot row p, vanishes
         span = Subspace(rows, n, tag)
@@ -641,7 +643,7 @@ def test_operations_never_mutate_rows(name, params, key, law_key):
     r = Matrix(_dense(rng, 3, n, tag), tag, ncols=n)
     u, w = (Subspace(_dense(rng, 2, n, tag), n, tag) for _ in range(2))
     eigen = eigen_decompose(alg, a, hints=law.values)
-    operands = [m, t, r, u.matrix, w.matrix] + [sp.matrix for _, sp in eigen.pairs]
+    operands = [m, t, r, u, w] + [sp for _, sp in eigen.pairs]
     before = [_row_state(o) for o in operands]
     x = tuple(_entry(rng, tag) for _ in range(n))
     m * t, t * m, m * _scalar_matrix(n, Rat(-3, 2), tag), r.transpose(), r.apply(x), t.inverse()
@@ -649,3 +651,47 @@ def test_operations_never_mutate_rows(name, params, key, law_key):
     char_poly(m), is_automorphism(alg, t), eigen.products()
     u.intersect(w), u.contains_vector(x)
     assert [_row_state(o) for o in operands] == before
+
+
+def _assert_canonical(s):
+    """s is a Subspace in canonical RREF: unit pivots in increasing columns,
+    zero above and below each, and equal to the span of its own basis."""
+    assert type(s) is Subspace
+    pivots = s.pivots
+    assert list(pivots) == sorted(set(pivots))
+    for row, p in zip(s.basis, pivots):
+        assert row[p] == ONE and not any(row[:p])
+        assert not any(row[q] for q in pivots if q != p)
+    assert s == Subspace(s.basis, s.ambient, s.tag)
+
+
+CANONICAL_CASES = [pytest.param(item["name"], {}, id=item["name"])
+                   for item in catalog.list_catalog() if not item["stub"]]
+CANONICAL_CASES.append(pytest.param("JordanD", {"n": 6}, id="JordanD-n6"))
+
+
+@pytest.mark.parametrize("name,params", CANONICAL_CASES)
+def test_every_returned_subspace_is_canonical(name, params):
+    # every route into Subspace the package takes builds the canonical RREF
+    entry = catalog.build(name, params)
+    alg = entry.algebra
+    assert alg.dim <= 27
+    ann = alg.annihilator()
+    spaces = [ann]
+    for form in alg.frobenius_space():
+        spaces += [form.radical(), ann.intersect(form.radical())]
+    for key, axes in entry.axis_sets.items():
+        spaces.append(alg.subalgebra_closure(axes)[0])
+        for a in axes:
+            spaces.append(alg.left_mult_matrix(a).kernel())
+            spaces += [sp for _, sp in eigen_decompose(alg, a).pairs]
+        for law in entry.laws.values():
+            try:
+                cs = cocycle_space(alg, axes, law)
+            except AxialError:
+                continue
+            spaces += [cs.space, cs.coboundaries, cs.space.intersect(cs.coboundaries)]
+            spaces += [Cocycle([v], alg.dim, alg.tag).radical() for v in cs.space.sparse_rows]
+    assert any(not s.is_zero() for s in spaces)
+    for s in spaces:
+        _assert_canonical(s)

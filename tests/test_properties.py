@@ -197,7 +197,7 @@ def _assert_split_basis(big, axes):
     ann = big.annihilator()
     comp = [j for j in range(big.dim) if j not in ann.pivots]
     rebuilt, _ = build_extension(small, theta2)
-    images = [{j: ONE} for j in comp] + [dict(r) for r in ann.rows]
+    images = [{j: ONE} for j in comp] + [dict(r) for r in ann.sparse_rows]
     assert rebuilt.dim == big.dim
     for i in range(rebuilt.dim):
         for j in range(i, rebuilt.dim):

@@ -671,7 +671,7 @@ def _random_theta(rng, alg, axes, law):
         if space is not None and space.dim:
             coeffs = {k: ENTRIES[tag](rng) for k in range(space.dim)}
             v = {}
-            for k, row in enumerate(space.rows):
+            for k, row in enumerate(space.sparse_rows):
                 for t, c in row.items():
                     v[t] = v.get(t, ZERO) + coeffs[k] * c
             return Cocycle([v], n, tag)
