@@ -22,7 +22,7 @@ from .fileio import AlgebraFile, _basis_label, parse_algebra_file, render_algebr
 from .fusion import find_c2_gradings, jordan_half_law, law_contains, monster_law
 from .linalg import Matrix, Subspace
 from .miyamoto import axis_closure, group_closure
-from .scalars import ONE, ZERO, FieldTag, parse_scalar, render_scalar, sort_key
+from .scalars import ONE, FieldTag, parse_scalar, render_scalar, sort_key
 from .spectral import check_axial_algebra, eigen_decompose, minimal_law, render_violation
 
 
@@ -196,23 +196,19 @@ def _cmd_spectrum(args):
         hints = _law_of(bundle, args).values
     out = []
     lines = [f"spectrum {desc} axes={args.axes}"]
-    complete_all = True
     for a in axes:
         ed = eigen_decompose(bundle.algebra, a, hints=hints)
         rec = {"element": bundle.algebra.render_element(a),
                "semisimple": ed.semisimple,
-               "spectrum_complete": ed.spectrum_complete,
                "eigenvalues": [{"value": _r(lam), "dim": sp.dim}
                                for lam, sp in ed.pairs]}
         out.append(rec)
-        complete_all = complete_all and ed.spectrum_complete
         eig = ", ".join(f"{_r(lam)} (dim {sp.dim})" for lam, sp in ed.pairs)
-        lines.append(f"  {rec['element']}: {eig}; semisimple={ed.semisimple}"
-                     + ("" if ed.spectrum_complete else "; spectrum undetermined"))
+        lines.append(f"  {rec['element']}: {eig}; semisimple={ed.semisimple}")
     doc = {"command": "spectrum", "input": desc, "axes": args.axes,
            "elements": out}
     _emit(args, doc, lines)
-    return 0 if complete_all else 1
+    return 0
 
 
 def _cmd_fusion_min(args):
@@ -430,14 +426,12 @@ def _bundle_table1():
             prim = all(r.primitive for r in cert.reports)
             expect_prim = entry.expected["primitive"][key]
             checks.append((f"{_desc(name, params)} {key} primitivity", prim == expect_prim))
-    # radical facts
-    d = defaults["D"]
-    sub, _ = radical_axial(d.algebra, d.axis_sets["X16"])
-    checks.append(("D(5) radical = <e2>",
-                   sub.basis == ((ZERO, ONE),)))
-    i_e = defaults["I"]
-    sub2, _ = radical_axial(i_e.algebra, i_e.axis_sets["Xab"])
-    checks.append(("I radical = <e1 - e2>", sub2.basis == ((ONE, -ONE),)))
+    # the radicals the catalog records as vectors
+    for check, name, key in (("D(5) radical = <e2>", "D", "X16"),
+                             ("I radical = <e1 - e2>", "I", "Xab")):
+        entry = defaults[name]
+        sub, _ = radical_axial(entry.algebra, entry.axis_sets[key])
+        checks.append((check, sub.basis == (entry.expected["radical"][key],)))
     # Frobenius membership
     for name, entry in defaults.items():
         forms = entry.algebra.frobenius_space()

@@ -268,42 +268,3 @@ def render_scalar(s):
         return f"{s.re}-{str(-s.im) if s.im != -1 else ''}i"
     return f"{s.re}+{im}i"
 
-
-def _rat_sqrt(x):
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    if x < 0:
-        return None
-    num, den = x.numerator, x.denominator
-    rn, rd = math.isqrt(int(num)), math.isqrt(int(den))
-    if rn * rn != num or rd * rd != den:
-        return None
-    return Rat(rn, rd)
-
-
-def scalar_sqrt(s, tag):
-    """A square root of s inside the field tag, or None.
-
-    Over QQ only perfect squares have roots.  Over QI, s = a+bi has a root
-    c+di exactly when sqrt(a^2+b^2) is rational and the resulting c^2, d^2
-    are perfect rational squares.
-    """
-    if not s:
-        return ZERO
-    if type(s) is not Scalar:
-        r = _rat_sqrt(s)
-        if r is not None:
-            return r
-        if tag is FieldTag.QI:
-            r = _rat_sqrt(-s)
-            if r is not None:
-                return _pair(ZERO, r)
-        return None
-    # s.im != 0, so the field is QI.  Want (c+di)^2 = a+bi.
-    nrm = _rat_sqrt(s.re * s.re + s.im * s.im)
-    if nrm is None:
-        return None
-    c2 = (nrm + s.re) / 2
-    c = _rat_sqrt(c2)
-    if c is None or c == 0:
-        return None
-    return _pair(c, s.im / (2 * c))

@@ -1,16 +1,18 @@
 """Eigen-analysis of multiplication operators and axis verification.
 
-Eigenvalue discovery: candidate values from the fusion law plus an integer
-root scan of the characteristic polynomial, rescaled to a monic polynomial
-over the (Gaussian) integers.  Over the Gaussian rationals the scan covers
-its rational roots and the roots of the linear/quadratic factor left after
-deflating by already-found eigenvalues; when the eigenspaces found still do
-not fill the space, the spectrum is reported as undetermined (and the element
-as not semisimple).
+Eigenvalue discovery: candidate values from the fusion law and, when their
+eigenspaces do not fill the space, every root in the base field of the
+characteristic polynomial, rescaled to a monic polynomial over the
+(Gaussian) integers: its roots modulo one Proth prime above twice a bound on
+them give candidates, each tested exactly (field_roots).  An element whose
+eigenspaces do not fill the space is not semisimple.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -19,11 +21,11 @@ from .errors import DimensionMismatchError, NotIdempotentError, NotSemisimpleErr
 from .fusion import FusionLaw
 from .linalg import Matrix, RowReducer, Subspace, sparse_combine
 from .scalars import (ONE, FieldTag, Rat, Scalar, clear_denominators, over,
-                      render_scalar, scalar_sqrt, sort_key)
+                      render_scalar, sort_key)
 
 
 # ---------------------------------------------------------------------------
-# characteristic polynomial and root scans
+# characteristic polynomial and its roots in the field
 
 def char_poly(m):
     """Monic characteristic polynomial of a square matrix via the
@@ -63,125 +65,144 @@ def root_bound(m):
                      for r in m.num), default=0), m.den)
 
 
-def _scale_divisors(dens):
-    """The divisors, ascending, of the least t > 0 with dens[k - 1] | t^k
-    for every k, so t is the last: t has each prime q of the lcm of dens,
-    found by trial division, to the power max ceil(v / k) over the q-adic
-    valuations v of dens[k - 1]."""
-    rest = math.lcm(1, *dens)
-    divisors, q = [1], 2
-    while rest > 1:
-        if q * q > rest:
-            q = rest  # the rest is prime
-        if rest % q == 0:
-            while rest % q == 0:
-                rest //= q
-            e = 0
-            for k, d in enumerate(dens, 1):
-                v = 0
-                while d % q == 0:
-                    d //= q
-                    v += 1
-                e = max(e, -(-v // k))
-            divisors = [d * q ** j for j in range(e + 1) for d in divisors]
-        q += 1
-    return sorted(divisors)
+def _trim(a):
+    """a without its top zero coefficients (lists lowest degree first)."""
+    while a and not a[-1]:
+        a.pop()
+    return a
 
 
-def _divisors(n, bound):
-    """The divisors d <= bound of the integer n > 0, ascending, in
-    O(min(bound, sqrt n)) steps: a divisor above sqrt n that is at most
-    bound has its cofactor below both."""
-    low, high = [], []
-    d = 1
-    while d <= bound and d * d <= n:
-        if n % d == 0:
-            low.append(d)
-            e = n // d
-            if e != d and e <= bound:
-                high.append(e)
-        d += 1
-    return low + high[::-1]
+def _divmod(a, g, p):
+    """(quotient, remainder) of the integer coefficient list a by the monic g
+    over F_p, lists lowest degree first, both reduced mod p."""
+    a, d = a[:], len(g) - 1
+    quotient = []
+    for k in range(len(a) - d - 1, -1, -1):
+        c = a.pop() % p
+        quotient.append(c)
+        if c:
+            for j in range(d):
+                a[k + j] -= c * g[j]
+    return quotient[::-1], [c % p for c in a]
 
 
-def _deflate(re, im, x, y):
-    """Divide P = re + i im (coefficient lists of integers) by t - (x + i y)
-    by Horner's rule: (quotient re, quotient im, whether the remainder
-    P(x + i y) is zero)."""
-    qr, qi = [], []
+def _mulmod(a, b, g, p):
+    """a b mod the monic g over F_p."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _divmod(out, g, p)[1]
+
+
+def _powmod(d, e, g, p):
+    """(x + d)^e mod the monic g over F_p, for e >= 1: left to right, each
+    step a square and, on a set bit, a product with x + d."""
+    out = _divmod([d, 1], g, p)[1]
+    for bit in bin(e)[3:]:
+        out = _mulmod(out, out, g, p)
+        if bit == "1":
+            out = _divmod([a + d * b for a, b in zip([0] + out, out + [0])], g, p)[1]
+    return out
+
+
+def _gcd(a, b, p):
+    """The monic gcd over F_p of the monic a and of b, with no top zeros."""
+    while b:
+        inv = pow(b[-1], -1, p)
+        b = [c * inv % p for c in b]
+        a, b = b, _trim(_divmod(a, b, p)[1])
+    return a
+
+
+def _split(g, p):
+    """The roots in F_p of the monic g, a product of distinct linear factors:
+    h = gcd(g, (x + d)^((p - 1) / 2) - 1) holds the roots r with r + d a
+    nonzero square, and two distinct roots are separated by (p - 1) / 2 of
+    the values of d, so some d = 1, 2, ... splits g."""
+    if len(g) < 3:
+        return [-g[0] % p] if len(g) == 2 else []
+    for d in itertools.count(1):
+        w = _powmod(d, p >> 1, g, p)
+        w[0] = (w[0] - 1) % p
+        h = _gcd(g, _trim(w), p)
+        if 1 < len(h) < len(g):
+            return _split(h, p) + _split(_divmod(g, h, p)[0], p)
+
+
+def _roots_mod(f, p):
+    """The distinct roots in F_p of the monic f, those of gcd(x^p - x, f):
+    x^p - x = x (w - 1) (w + 1) for w = x^((p - 1) / 2), so they are 0 when
+    f(0) = 0 and the roots of gcd(f, w - 1) and of gcd(f, w + 1)."""
+    w = _powmod(0, p >> 1, f, p) or [0]  # [] when f = 1
+    roots = [] if f[0] else [0]
+    for c in (1, -1):
+        roots += _split(_gcd(f, _trim([(w[0] - c) % p, *w[1:]]), p), p)
+    return roots
+
+
+@functools.lru_cache(maxsize=128)
+def _proth_prime(bound):
+    """(p, iota): the least prime p > bound of the form k 2^e + 1 with k odd,
+    k < 2^e and e >= 2, and iota with iota^2 = -1 mod p.  Proth's theorem:
+    such a p is prime when a^((p - 1) / 2) = -1 mod p for some a, and then
+    iota = a^((p - 1) / 4).  A prime p has such an a, a quadratic
+    non-residue; for a composite p the least prime factor a of p leaves
+    a^((p - 1) / 2) neither 1 nor -1, which ends the witness loop."""
+    lo = bound + 1
+    for p in heapq.merge(*(range(lo + ((1 << e) + 1 - lo) % (2 << e), 1 << 2 * e, 2 << e)
+                           for e in range(2, lo.bit_length() + 2))):
+        for a in itertools.count(2):
+            r = pow(a, p >> 1, p)
+            if r == p - 1:
+                return p, pow(a, p >> 2, p)
+            if r != 1:
+                break
+
+
+def _is_root(coeffs, x, y):
+    """Whether x + iy is a root of the polynomial with Gaussian-integer
+    coefficients (re, im), high degree first: Horner in Z[i]."""
     ar = ai = 0
-    for cr, ci in zip(re, im):
+    for cr, ci in coeffs:
         ar, ai = ar * x - ai * y + cr, ar * y + ai * x + ci
-        qr.append(ar)
-        qi.append(ai)
-    return qr[:-1], qi[:-1], not (qr[-1] or qi[-1])
+    return not (ar or ai)
 
 
-def field_roots(coeffs, bound, tag, known=()):
-    """The roots inside the field tag of the monic polynomial p = [1, a1,
-    ..., an] (high degree first), given a rational bound >= |lam| for every
-    root lam: (roots, complete), the roots once each in sort_key order;
-    complete means p certainly has no further roots in the field.
+def field_roots(m):
+    """The roots in the field m.tag of char_poly(m), once each in sort_key
+    order.
 
-    For the least t > 0 that makes a_k t^k integral for every k,
-    P(u) = t^n p(u / t) is monic over Z[i], which is integrally closed: its
-    roots t lam in the field lie in Z[i] (Gauss's lemma).  A rational root
-    lam = p / q in lowest terms has q | t, as t lam is an integer, and p | D
-    a_m for the trailing nonzero coefficient a_m and the lcm D of the
-    denominators of the a_k (the rational root theorem on D p, over Z[i]).
-    The scan tries +-(t / q) p for those q and those p <= t bound, keeping a
-    candidate where the real and the imaginary parts of P both vanish; over
-    the rationals that finds every root.  Over the Gaussian rationals P is
-    then deflated in Z[i] by the roots found and by every known value lam
-    with t lam in Z[i], and a remaining monic linear or quadratic factor is
-    solved there.  Each root is divided by t once, at the end."""
-    dens = [math.lcm(*(a.denominator for a in _parts(c))) for c in coeffs]
-    scales = _scale_divisors(dens[1:])
-    t = scales[-1]
-    re, im = [], []
-    for k, c in enumerate(coeffs):
-        x, y = (a * t ** k for a in _parts(c))
-        re.append(x.numerator)
-        im.append(y.numerator)
-    roots = set()  # (re, im) of the roots of P
-    while len(re) > 1 and not (re[-1] or im[-1]):
-        re.pop()
-        im.pop()
-        roots.add((0, 0))
-    if len(re) > 1:
-        top = bound.numerator * t // bound.denominator  # >= |t lam|
-        last = (a.numerator for a in _parts(coeffs[len(re) - 1] * math.lcm(*dens)))
-        for r in {e * p for p in _divisors(math.gcd(*last), top) for e in scales if e * p <= top}:
-            for x in (r, -r):
-                if _deflate(re, im, x, 0)[2]:
-                    roots.add((x, 0))
-    complete = tag is FieldTag.QQ
-    if not complete:
-        hinted = set()
-        for lam in known:
-            x, y = (a * t for a in _parts(lam))
-            if x.denominator == 1 and y.denominator == 1:
-                hinted.add((x.numerator, y.numerator))
-        for x, y in roots | hinted:
-            while len(re) > 1:
-                qr, qi, exact = _deflate(re, im, x, y)
-                if not exact:
-                    break
-                re, im = qr, qi
-                roots.add((x, y))
-        if len(re) == 2:
-            roots.add((-re[1], -im[1]))
-        elif len(re) == 3:
-            # t^2 + b t + c: its roots (-b +- w) / 2 lie in Z[i], and so does
-            # w, a square root of b^2 - 4c
-            (_, br, cr), (_, bi, ci) = re, im
-            w = scalar_sqrt(Scalar(br * br - bi * bi - 4 * cr, 2 * br * bi - 4 * ci), tag)
-            if w is not None:
-                wr, wi = (a.numerator for a in _parts(w))
-                roots.add(((-br + wr) // 2, (-bi + wi) // 2))
-                roots.add(((-br - wr) // 2, (-bi - wi) // 2))
-        complete = len(re) <= 3
-    return sorted((Scalar(over(x, t), over(y, t)) for x, y in roots), key=sort_key), complete
+    Lemma.  With s = m.den, P(u) = s^n p(u / s) = sum c_k u^(n - k) is monic
+    over Z[i], its coefficients the integers (Gaussian integers) c_k of
+    char_poly's recursion.  Z[i] is integrally closed, so every root of P in
+    the field is a Gaussian integer x + iy, s times a root of p, with
+    |x|, |y| <= M = s B for the Gershgorin bound B = root_bound(m).  Let p be
+    the prime of _proth_prime above 2M + 1 and iota^2 = -1 mod p.  The ring
+    maps Z[i] -> F_p that send i to iota and to -iota take x + iy to
+    r1 = x + iota y and r2 = x - iota y, roots of the images P_iota and
+    P_-iota, so x = (r1 + r2) / 2 and y = (r1 - r2) / (2 iota) mod p; as
+    |x|, |y| < p / 2 they are the residues of least absolute value.  So the
+    candidates read so from every pair of distinct roots of P_iota and
+    P_-iota mod p hold every root, and those that are roots of P in Z[i]
+    are all of them.  Over the rationals y = 0 and r1 = r2 = x: each root
+    of P mod p is one candidate.  Each root is divided by s once."""
+    s = m.den
+    coeffs = [(int(a.numerator * (s ** k // a.denominator)),
+               int(b.numerator * (s ** k // b.denominator)))
+              for k, (a, b) in enumerate(map(_parts, char_poly(m)))]
+    p, iota = _proth_prime(2 * int(root_bound(m) * s) + 1)
+    p_iota, p_minus_iota = ([(a + j * b) % p for a, b in reversed(coeffs)] for j in (iota, -iota))
+    firsts = _roots_mod(p_iota, p)
+    pairs = (zip(firsts, firsts) if m.tag is FieldTag.QQ
+             else itertools.product(firsts, _roots_mod(p_minus_iota, p)))
+    half, half_iota, h = pow(2, -1, p), pow(2 * iota, -1, p), p // 2
+    roots = []
+    for r1, r2 in pairs:
+        x, y = ((r1 + r2) * half + h) % p - h, ((r1 - r2) * half_iota + h) % p - h
+        if _is_root(coeffs, x, y):
+            roots.append(Scalar(over(x, s), over(y, s)) if y else over(x, s))
+    return sorted(roots, key=sort_key)
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +210,8 @@ def field_roots(coeffs, bound, tag, known=()):
 def eigen_decompose(algebra, x, hints=()):
     """The Eigenbasis of the multiplication operator of x.
 
-    Candidates: hints, then (if they do not already fill the space) all roots
-    of the characteristic polynomial discoverable in the base field.
+    Candidates: hints, then (if they do not already fill the space) every
+    root of the characteristic polynomial in the base field.
     """
     n = algebra.dim
     tag = algebra.tag
@@ -198,15 +219,12 @@ def eigen_decompose(algebra, x, hints=()):
     # q N_k - p den e_k
     xs, dx = clear_denominators(algebra._sparse(x))
     rows, den = algebra.left_mult_int(xs), dx * algebra._int_den
-    pairs = []
-    seen = set()
-    complete = True
+    spaces = {}
     candidates = sorted(set(hints), key=sort_key)
-    for roots_scanned in (False, True):
+    for roots_found in (False, True):
         for lam in candidates:
-            if lam in seen:
+            if lam in spaces:  # a root that was a hint
                 continue
-            seen.add(lam)
             tag.check(lam)
             q, shift = lam.denominator, lam.numerator * den
             red = RowReducer(n, tag)
@@ -215,22 +233,18 @@ def eigen_decompose(algebra, x, hints=()):
                 row[k] = row.get(k, 0) - shift
                 red.add_int_row(row)
             if red.rank() < n:
-                pairs.append((lam, red.kernel()))
-        if roots_scanned or sum(space.dim for _, space in pairs) == n:
+                spaces[lam] = red.kernel()
+        if roots_found or sum(space.dim for space in spaces.values()) == n:
             break
-        m = Matrix.from_int_rows(rows, den, n, tag)  # L_x
-        candidates, complete = field_roots(char_poly(m), root_bound(m), tag, known=seen)
-    pairs.sort(key=lambda p: sort_key(p[0]))
-    return Eigenbasis(algebra, pairs, complete)
+        candidates = field_roots(Matrix.from_int_rows(rows, den, n, tag))  # L_x
+    return Eigenbasis(algebra, sorted(spaces.items(), key=lambda p: sort_key(p[0])))
 
 
 class Eigenbasis:
     """The one analysis of an element x that the axis check, the minimal
     law, the cocycle conditions and the Miyamoto map share: x's eigenvalues
     with their eigenspaces, pairs = [(eigenvalue, Subspace)] in eigenvalue
-    order, each eigenspace the Matrix of its RREF.  spectrum_complete is
-    False when root finding over the Gaussian rationals may have missed
-    values.
+    order, each eigenspace the Matrix of its RREF.
 
     When x is semisimple it also keeps two Matrix objects, on whose integer
     forms components(), products() and the Miyamoto map run, touching only
@@ -243,11 +257,10 @@ class Eigenbasis:
     field view eigenvectors.sparse_rows is built only for a law violation.
     products() is computed once, on first use."""
 
-    def __init__(self, algebra, pairs, complete):
+    def __init__(self, algebra, pairs):
         self.algebra = algebra
         self.pairs = pairs
         self.semisimple = self.total_dim() == algebra.dim
-        self.spectrum_complete = complete or self.semisimple
         self._products = None
         if not self.semisimple:
             return
@@ -376,8 +389,7 @@ def check_axis(algebra, a, law):
         report_violations.append(("not_idempotent", a))
     eigen = eigen_decompose(algebra, a, hints=law.values)
     if not eigen.semisimple:
-        kind = "spectrum_undetermined" if not eigen.spectrum_complete else "not_semisimple"
-        report_violations.append((kind, eigen.total_dim()))
+        report_violations.append(("not_semisimple", eigen.total_dim()))
     primitive = eigen.semisimple and eigen.eigenspace(ONE).dim == 1
     return AxisReport(idem, eigen, primitive, report_violations + law_violations(eigen, law))
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from axial import catalog
+from axial import catalog, scalars, spectral
 from axial.extension import Cocycle, CocycleSpace
 from axial.fusion import FusionLaw, jordan_half_law
 from axial.linalg import Matrix, RowReducer, Subspace
@@ -262,8 +262,13 @@ def test_deleted_members_stay_deleted():
     assert not hasattr(eigen, "element")
     # the eigenvectors and their inverse are the two Matrix attributes
     # eigenvectors and coordinates; no field copy or integer pair beside them
-    for name in ("vectors", "_int_vectors", "_int_inverse"):
+    for name in ("vectors", "_int_vectors", "_int_inverse", "spectrum_complete"):
         assert not hasattr(eigen, name), f"Eigenbasis.{name}"
+    # field_roots finds every root modulo one prime: no divisor scan, and
+    # no square root for a quadratic remainder
+    for module, name in ((spectral, "_divisors"), (spectral, "_scale_divisors"),
+                         (scalars, "scalar_sqrt"), (scalars, "_rat_sqrt")):
+        assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert not hasattr(jordan_half_law(), "tag")
     # a Subspace is the Matrix of its RREF, with no state of its own
     assert Subspace.__slots__ == () and Subspace.__bases__ == (Matrix,)

@@ -384,7 +384,7 @@ def _random_eigenbasis(rng, alg, values=None):
     groups = [vecs[a:b] for a, b in zip([0] + cuts, cuts + [dim])]
     pairs = [(values[t] if values else Rat(t - 1, 2), Subspace(g, dim, tag))
              for t, g in enumerate(groups)]
-    return Eigenbasis(alg, pairs, True)
+    return Eigenbasis(alg, pairs)
 
 
 def _product_sparse_matches_naive_product(tag, seed):
