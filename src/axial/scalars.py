@@ -102,8 +102,8 @@ class Scalar:
             a, b, c, d = self.re, self.im, other.re, other.im
             im = a * d + b * c
             return _pair(a * c - b * d, im) if im else a * c - b * d
-        if not other:
-            return ZERO
+        if not other:  # the zero of other's kind: an integer 0 keeps a kernel integral
+            return other
         return _pair(self.re * other, self.im * other)
 
     __rmul__ = __mul__

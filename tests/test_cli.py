@@ -48,9 +48,8 @@ EXTENSION_REFUSALS = [
     ("escape-zero-cell", ESCAPE_ZERO_CELL,
      "error: eigenspace product escapes the law cell (3, 3): components at [3]"),
     ("spectrum-outside", SPECTRUM_OUTSIDE, "error: axis b1 has eigenvalues outside the law: [0]"),
-    # e1 is no idempotent, and the rational root scan of the characteristic
-    # polynomial of L_e1 needs over 10^8 trial divisions: the candidate is
-    # refused before L_e1 is decomposed
+    # e1 is no idempotent: the candidate is refused before L_e1, with
+    # denominators up to 7919, is decomposed
     ("stalling-candidate",
      "dim 4\nbasis e1 e2 e3 e4\nproduct 1 1: 26/7 e2, -9/2 e3, -37 e4\n"
      "product 1 2: 1/5611 e1, 13 e2, 26/7919 e3, 3/7919 e4\n"

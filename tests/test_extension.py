@@ -14,7 +14,8 @@ from axial.extension import (Cocycle, aut_action, build_extension, coboundary,
                              extension_axiality, is_split, normalize_on_axes)
 from axial.linalg import Matrix, RowReducer, Subspace, sparse_add, sparse_vector
 from axial.scalars import ZERO, FieldTag, Rat, Scalar
-from axial.spectral import check_axial_algebra
+from axial.fileio import parse_algebra_file
+from axial.spectral import axis_eigenbasis, check_axial_algebra
 
 
 def q(n, d=1):
@@ -40,6 +41,27 @@ class TestCondition1:
         assert condition1_rows(alg, a, alg.left_mult_matrix(a).kernel()) == []
 
 
+# a 3-dim algebra over QI whose axis a has the spectrum {1/2, 1}: some of
+# its eigenvector products cancel in a coordinate, and that integer 0 times
+# a Gaussian-integer entry of the inverse eigenbasis must stay an integer
+CANCELLING_PRODUCTS = """\
+field QI
+dim 3
+basis b1 b2 b3
+product 1 1: -1180169/54495+1678427/54495i b1, -16/15+8/135i b2, 2714438/54495-4129241/54495i b3
+product 1 2: -2766541/326970-180011/46710i b1, -4/45-52/405i b2, 3037991/163485+28453/65394i b3
+product 1 3: -267206/32697+1596341/98091i b1, -676/1215+146/1215i b2, 970666/54495-4046159/98091i b3
+product 2 2: -161219/72660-31651/24220i b1, -227/45i b2, 24967/5190+54491/24220i b3
+product 2 3: -899006/163485+30503/163485i b1, -2/27-31/405i b2, 1893707/163485-102803/23355i b3
+product 3 3: -627373/163485+4111007/490455i b1, -368/1215+124/1215i b2, 1185866/163485-2138869/98091i b3
+element a: -6/1211+1167/12110i b1, 1/5i b2, 534/6055-240/1211i b3
+set X: a
+law F: 1/2 1
+cell F 1/2 1: 1/2 1
+cell F 1 1: 1/2 1
+"""
+
+
 class TestCocycleSpaceOracles:
     def test_b_space_is_sum_zero_plane(self):
         # Hand derivation: with v = e1/2 + e2 the (-1,-1) cell constraint
@@ -63,6 +85,16 @@ class TestCocycleSpaceOracles:
                 cs.intersection.dim, cs.quotient_dim) == (5, 4, 4, 1)
         assert cs.contains(entry.cocycle)
         assert not cs.class_is_zero(entry.cocycle)
+
+    def test_gaussian_rows_stay_integral_when_a_product_cancels(self):
+        bundle = parse_algebra_file(CANCELLING_PRODUCTS)
+        alg, axes, law = bundle.algebra, list(bundle.sets["X"]), bundle.laws["F"]
+        eigen = axis_eigenbasis(alg, axes[0], law.values)
+        rows = condition2_rows(alg, axes[0], law, eigen)
+        assert rows and all(type(part) is not Rat for row in rows for c in row.values()
+                            for part in ((c.re, c.im) if type(c) is Scalar else (c,)))
+        cs = cocycle_space(alg, axes, law)
+        assert cs.quotient_dim == 0 and cs.space == cs.coboundaries
 
     def test_axis_verification_guard(self):
         entry = catalog.build("B")

@@ -490,8 +490,8 @@ AXIS_VALUES = {FieldTag.QQ: [ZERO, ONE, Rat(1, 2), Rat(1, 4), Rat(-1), Rat(2)],
 def _random_axis_algebra(rng, tag):
     """(algebra, a): a random 3- to 5-dim commutative algebra with the
     idempotent a.  In a hidden basis e, e0 e0 = e0, e0 ej = lam_j ej with
-    lam_j from AXIS_VALUES (at most two of them non-real, so the root scan
-    without hints finds them all) and the other products random; the
+    lam_j from AXIS_VALUES (at most two of them non-real, which leaves
+    random laws that the axis passes) and the other products random; the
     algebra is given in the basis f_i = sum_k T_ik e_k for a random
     invertible T, so its eigenvectors are not basis vectors."""
     dim = rng.randint(3, 5)
