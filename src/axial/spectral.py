@@ -10,7 +10,6 @@ eigenspaces do not fill the space is not semisimple.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 import math
@@ -56,13 +55,6 @@ def char_poly(m):
 def _parts(c):
     """(re, im) of a field element, an integer or a Gaussian integer."""
     return (c.re, c.im) if type(c) is Scalar else (c, 0)
-
-
-def root_bound(m):
-    """A rational B >= |lam| for every eigenvalue lam of the square matrix m:
-    the largest row sum of |re| + |im| over its entries (Gershgorin)."""
-    return over(max((sum(abs(a) + abs(b) for a, b in map(_parts, r.values()))
-                     for r in m.num), default=0), m.den)
 
 
 def _trim(a):
@@ -141,7 +133,6 @@ def _roots_mod(f, p):
     return roots
 
 
-@functools.lru_cache(maxsize=128)
 def _proth_prime(bound):
     """(p, iota): the least prime p > bound of the form k 2^e + 1 with k odd,
     k < 2^e and e >= 2, and iota with iota^2 = -1 mod p.  Proth's theorem:
@@ -177,21 +168,24 @@ def field_roots(m):
     over Z[i], its coefficients the integers (Gaussian integers) c_k of
     char_poly's recursion.  Z[i] is integrally closed, so every root of P in
     the field is a Gaussian integer x + iy, s times a root of p, with
-    |x|, |y| <= M = s B for the Gershgorin bound B = root_bound(m).  Let p be
-    the prime of _proth_prime above 2M + 1 and iota^2 = -1 mod p.  The ring
-    maps Z[i] -> F_p that send i to iota and to -iota take x + iy to
-    r1 = x + iota y and r2 = x - iota y, roots of the images P_iota and
-    P_-iota, so x = (r1 + r2) / 2 and y = (r1 - r2) / (2 iota) mod p; as
-    |x|, |y| < p / 2 they are the residues of least absolute value.  So the
-    candidates read so from every pair of distinct roots of P_iota and
-    P_-iota mod p hold every root, and those that are roots of P in Z[i]
-    are all of them.  Over the rationals y = 0 and r1 = r2 = x: each root
-    of P mod p is one candidate.  Each root is divided by s once."""
+    |x|, |y| <= M, the largest row sum of |re| + |im| over the entries of
+    N = s m (Gershgorin).  Let p be the prime of _proth_prime above 2M + 1
+    and iota^2 = -1 mod p.  The ring maps Z[i] -> F_p that send i to iota
+    and to -iota take x + iy to r1 = x + iota y and r2 = x - iota y, roots
+    of the images P_iota and P_-iota, so x = (r1 + r2) / 2 and
+    y = (r1 - r2) / (2 iota) mod p; as |x|, |y| < p / 2 they are the
+    residues of least absolute value.  So the candidates read so from every
+    pair of distinct roots of P_iota and P_-iota mod p hold every root, and
+    those that are roots of P in Z[i] are all of them.  Over the rationals
+    y = 0 and r1 = r2 = x: each root of P mod p is one candidate.  Each
+    root is divided by s once."""
     s = m.den
     coeffs = [(int(a.numerator * (s ** k // a.denominator)),
                int(b.numerator * (s ** k // b.denominator)))
               for k, (a, b) in enumerate(map(_parts, char_poly(m)))]
-    p, iota = _proth_prime(2 * int(root_bound(m) * s) + 1)
+    bound = max((sum(abs(a) + abs(b) for a, b in map(_parts, r.values())) for r in m.num),
+                default=0)
+    p, iota = _proth_prime(2 * int(bound) + 1)
     p_iota, p_minus_iota = ([(a + j * b) % p for a, b in reversed(coeffs)] for j in (iota, -iota))
     firsts = _roots_mod(p_iota, p)
     pairs = (zip(firsts, firsts) if m.tag is FieldTag.QQ

@@ -264,10 +264,11 @@ def test_deleted_members_stay_deleted():
     # eigenvectors and coordinates; no field copy or integer pair beside them
     for name in ("vectors", "_int_vectors", "_int_inverse", "spectrum_complete"):
         assert not hasattr(eigen, name), f"Eigenbasis.{name}"
-    # field_roots finds every root modulo one prime: no divisor scan, and
-    # no square root for a quadratic remainder
+    # field_roots finds every root modulo one prime: no divisor scan, no
+    # square root for a quadratic remainder, and the bound taken in place
     for module, name in ((spectral, "_divisors"), (spectral, "_scale_divisors"),
-                         (scalars, "scalar_sqrt"), (scalars, "_rat_sqrt")):
+                         (spectral, "root_bound"), (scalars, "scalar_sqrt"),
+                         (scalars, "_rat_sqrt")):
         assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert not hasattr(jordan_half_law(), "tag")
     # a Subspace is the Matrix of its RREF, with no state of its own
