@@ -37,7 +37,7 @@ class Algebra:
     symmetry: generators of a group of automorphisms, each a signed
     permutation of the basis given as the pairs (pi(j), s_j), s_j = +-1,
     with b_j -> s_j b_pi(j).  The constructor checks only their shape;
-    orbit_firsts verifies them before it reads them.
+    orbit_maps verifies them before it reads them.
     """
 
     def __init__(self, dim, products, tag, labels=None, symmetry=()):
@@ -153,10 +153,14 @@ class Algebra:
     def is_idempotent(self, x):
         return self.product(x, x) == tuple(x)
 
-    def orbit_firsts(self, axes):
-        """Per member of the list axes: is it the first of its orbit, in list
-        order?  First every symmetry generator passes is_automorphism, else
-        AxialError.  Then union-find joins two members when one is exactly a
+    def orbit_maps(self, axes):
+        """Per member of the list axes: None when it is the first of its
+        orbit in list order, else (r, g), r the position of that first member
+        and g a signed permutation, in the generators' (pi(j), s_j) shape,
+        with g(axes[r]) = axes[t].  First every symmetry generator passes
+        is_automorphism, else AxialError.  Then a breadth-first search from
+        each first member walks the generator and inverse-generator images
+        that are members: two members share an orbit when one is exactly a
         generator's image of the other, or equal to it.
 
         Lemma: an automorphism g with g(a) = b conjugates L_a to L_b and maps
@@ -173,42 +177,51 @@ class Algebra:
         vectors: an int or float entry, which equals and hashes like its
         Rat, never gets that far.  With no generators every member is
         first."""
+        maps = [None] * len(axes)
         if not self.symmetry:
-            return [True] * len(axes)
+            return maps
         n, tag = self.dim, self.tag
+        moves = []  # each generator and its inverse, b_pi(j) -> s_j b_j
         for k, g in enumerate(self.symmetry, 1):
             cols = [{t: s} for t, s in g]
             if not is_automorphism(self, Matrix.from_int_rows(cols, 1, n, tag).transpose()):
                 raise AxialError(f"symmetry generator {k} is not an automorphism")
-        parent = list(range(len(axes)))
-
-        def root(t):
-            while parent[t] != t:
-                parent[t] = t = parent[parent[t]]
-            return t
-
-        def union(t, u):
-            t, u = root(t), root(u)
-            parent[max(t, u)] = min(t, u)
-
-        members, index = [], {}  # index: canonical vector -> its first position
+            inverse = [None] * n
+            for j, (t, s) in enumerate(g):
+                inverse[t] = (j, s)
+            moves += [g, tuple(inverse)]
+        members = {}  # canonical vector -> (sparse vector, its positions)
         for t, a in enumerate(axes):
             try:
                 x = self._sparse(a)
             except Exception:  # the caller refuses it, at its place in the list
                 continue
-            members.append((t, x))
-            union(t, index.setdefault(self.element(x), t))
-        for t, x in members:
-            for g in self.symmetry:
-                image = {}
-                for j, c in x.items():
-                    k, s = g[j]
-                    image[k] = c if s > 0 else -c
-                u = index.get(self.element(image))
-                if u is not None:
-                    union(t, u)
-        return [root(t) == t for t in range(len(axes))]
+            members.setdefault(self.element(x), (x, []))[1].append(t)
+        # the members are met in order of first position, so the search
+        # starts at the first member of each orbit
+        reached = set()
+        for first, (_, positions) in members.items():
+            if first in reached:
+                continue
+            reached.add(first)
+            r = positions[0]
+            queue = [(first, tuple((j, 1) for j in range(n)))]
+            for v, h in queue:
+                x, equal = members[v]
+                for t in equal:
+                    if t != r:
+                        maps[t] = (r, h)
+                for g in moves:
+                    image = {}
+                    for j, c in x.items():
+                        k, s = g[j]
+                        image[k] = c if s > 0 else -c
+                    w = self.element(image)
+                    if w in members and w not in reached:
+                        reached.add(w)
+                        # g after h sends b_j to s_j g(b_k), for h(b_j) = s_j b_k
+                        queue.append((w, tuple((g[k][0], s * g[k][1]) for k, s in h)))
+        return maps
 
     # -- invariants ----------------------------------------------------------
 

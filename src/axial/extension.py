@@ -193,7 +193,7 @@ def cocycle_space(algebra, axes, law):
     N - dim B, N = n(n+1)/2, both ends have dimension dim B: Z = B, and no
     later row can change the row space or its canonical RREF.  From then on
     an axis gets only _f_axis, and only when it is the first of its orbit
-    under algebra.symmetry (Algebra.orbit_firsts): a later member of an
+    under algebra.symmetry (Algebra.orbit_maps): a later member of an
     orbit passes exactly when its first member did.  So the errors and their
     order are those of the full path, and those of extension_axiality.
 
@@ -201,14 +201,14 @@ def cocycle_space(algebra, axes, law):
     B <= Z by the same lemma: Z cap B is B itself, and the class reps are
     the rows of Z's RREF that enlarge the span of B's."""
     axes = list(axes)
-    firsts = algebra.orbit_firsts(axes)
+    maps = algebra.orbit_maps(axes)
     idx_len = len(_sym_pairs(algebra.dim))
     cob = coboundary_space(algebra)
     full = idx_len - cob.dim
     red = RowReducer(idx_len, algebra.tag)
-    for a, first in zip(axes, firsts):
+    for a, orbit in zip(axes, maps):
         if red.rank() == full:
-            if first:
+            if orbit is None:
                 _f_axis(algebra, a, law)
             continue
         eigen = _f_axis(algebra, a, law)

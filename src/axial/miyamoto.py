@@ -98,7 +98,19 @@ class AxisClosure:
 def axis_closure(algebra, axes, law, grading, cap=200):
     """Repeatedly apply the Miyamoto maps of the current axes to the current
     axes until stable, or report cap_exceeded with the partial set.  The
-    maps of the given axes are built first, in list order."""
+    maps are built in the order of the axes, the given axes first.
+
+    Lemma: an automorphism g carries the maps along.  L_g(a) = g L_a g^-1,
+    so g maps the lambda-eigenspace of a onto that of g(a), and
+    tau_g(a) = g tau_a g^-1.  So tau_automorphism runs only on the first
+    given axis of each orbit (Algebra.orbit_maps).  A later member g(a) of
+    an orbit gets g tau_a g^-1, g a signed permutation, and a closure image
+    tau_c(a) gets tau_c tau_a tau_c, tau_c being an involution.  Each map
+    is a product of automorphisms already verified: the generators, checked
+    on every call, and the maps of tau_automorphism.  It equals the map
+    tau_automorphism would build, and a member is reached only after its
+    first member passed, so the answers, the refusals and their order are
+    those of building every map directly."""
     current = []
     seen = set()
     for a in axes:
@@ -106,21 +118,43 @@ def axis_closure(algebra, axes, law, grading, cap=200):
         if a not in seen:
             seen.add(a)
             current.append(a)
+    orbits = algebra.orbit_maps(current)
+    # every axis past the given ones is a closure image: image -> (c, a),
+    # with tau_c(a) the image
+    carried = {}
     taus = {}
     # a round starts while some axis has no map: the axes of current keep
     # their order, so those are the last len(current) - len(taus)
     while len(taus) < len(current):
-        for a in current[len(taus):]:
-            taus[a] = tau_automorphism(algebra, a, law, grading)
+        for t in range(len(taus), len(current)):
+            b = current[t]
+            if b in carried:
+                c, a = (taus[x].matrix for x in carried[b])
+                taus[b] = AutMatrix(c * a * c)
+            elif orbits[t] is not None:
+                r, g = orbits[t]
+                taus[b] = AutMatrix(_conjugate(taus[current[r]].matrix, g))
+            else:
+                taus[b] = tau_automorphism(algebra, b, law, grading)
         for a in current:
-            for t in taus.values():
-                img = t.matrix.apply(a)
+            for c, tau in taus.items():
+                img = tau.matrix.apply(a)
                 if img not in seen:
                     if len(seen) >= cap:
                         return AxisClosure(current, False, taus)
                     seen.add(img)
                     current.append(img)
+                    carried[img] = (c, a)
     return AxisClosure(current, True, taus)
+
+
+def _conjugate(m, g):
+    """g m g^-1 for the signed permutation g, b_j -> s_j b_pi(j), on the
+    integer form: entry [pi(i)][pi(j)] is s_i s_j m[i][j]."""
+    rows = [None] * m.nrows
+    for (pi, si), row in zip(g, m.num):
+        rows[pi] = {g[j][0]: v if si * g[j][1] > 0 else -v for j, v in row.items()}
+    return Matrix.from_int_rows(rows, m.den, m.ncols, m.tag)
 
 
 def find_flip(algebra, a1, a2):

@@ -457,13 +457,13 @@ def minimal_law(algebra, axes):
     values = union of spectra, cells = observed product components.  The
     first member of each orbit under algebra.symmetry passes
     axis_eigenbasis, without hints, in list order; by the lemma of
-    Algebra.orbit_firsts the other members add no value and no cell, and
+    Algebra.orbit_maps the other members add no value and no cell, and
     raise nothing that their first member did not."""
     values = set()
     table = {}
     axes = list(axes)
-    for a, first in zip(axes, algebra.orbit_firsts(axes)):
-        if not first:
+    for a, orbit in zip(axes, algebra.orbit_maps(axes)):
+        if orbit is not None:
             continue
         eigen = axis_eigenbasis(algebra, a)
         values.update(eigen.spectrum())

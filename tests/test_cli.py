@@ -354,8 +354,11 @@ class TestCap:
         ("JordanC", {"n": 3}, "family", "J12", 20), ("I", None, "Xab", "FI", 50)])
     def test_each_tau_map_is_built_once(self, capsys, monkeypatch, name, params, key,
                                         law, cap):
-        # the generators of the group are the closure's own maps: one
-        # tau_automorphism call per closure axis, the given axes first
+        # the generators of the group are the closure's own maps:
+        # tau_automorphism runs on the first given axis of each symmetry
+        # orbit, in list order, and on no later member and no closure image,
+        # whose maps are conjugates.  JordanC n = 3 has 5 orbits of its 27
+        # family axes; I has no symmetry, so both of its axes
         built = []
         real = miyamoto.tau_automorphism
 
@@ -369,9 +372,11 @@ class TestCap:
             argv += ["--param", ",".join(f"{k}={v}" for k, v in params.items())]
         code, out, _ = run(capsys, "miyamoto", *argv, "--json")
         assert code == 0
-        given = list(dict.fromkeys(map(tuple, catalog.build(name, params).axis_sets[key])))
-        assert len(built) == len(set(built)) <= json.loads(out)["axis_count"]
-        assert built[:len(given)] == given
+        entry = catalog.build(name, params)
+        given = list(dict.fromkeys(map(tuple, entry.axis_sets[key])))
+        firsts = [a for a, orbit in zip(given, entry.algebra.orbit_maps(given)) if orbit is None]
+        assert built == firsts
+        assert len(built) == {"JordanC": 5, "I": 2}[name] < json.loads(out)["axis_count"]
 
     @pytest.mark.parametrize("cap", ["0", "-5"])
     def test_cap_below_one_is_usage_error(self, capsys, cap):

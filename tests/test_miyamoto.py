@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from axial import catalog
+from axial import catalog, miyamoto
 from axial.algebra import Algebra
 from axial.errors import (AxialError, CatalogError, DimensionMismatchError,
                           FieldMismatchError, NotIdempotentError)
@@ -122,6 +122,65 @@ class TestAxisClosure:
                           entry.laws["FI"], entry.gradings["FI"], cap=50)
         assert not ac.completed
         assert len(ac.axes) >= 50
+
+
+# (entry, parameters, axis set, law, cap).  The simple Jordan algebras carry
+# symmetry generators, so their later orbit members get conjugated maps; the
+# closures of Albert at cap 200 and of B X12 take a second round, whose
+# images get tau_c tau_a tau_c.
+CLOSURES = ([(name, {"n": n}, "family", "J12", 200)
+             for name in ("JordanA", "JordanB", "JordanC") for n in (1, 2, 3)]
+            + [("JordanD", {"n": 5}, "family", "J12", 200),
+               ("Albert", {}, "family", "J12", 200),
+               ("B", {}, "X12", "FB", 50), ("C", {}, "X12", "FC2", 50),
+               ("I", {}, "Xab", "FI", 50)])
+
+
+def _wrong_maps(name, params, key, law_key, cap):
+    """The axes whose map in axis_closure differs from the one
+    tau_automorphism builds for them, lazily, in the closure's order."""
+    entry = catalog.build(name, params)
+    alg, law = entry.algebra, entry.laws[law_key]
+    grading = entry.gradings.get(law_key) or next(
+        g for g in find_c2_gradings(law) if g.minus)
+    ac = axis_closure(alg, entry.axis_sets[key], law, grading, cap=cap)
+    return (a for a, tau in ac.taus.items()
+            if tau != tau_automorphism(alg, a, law, grading))
+
+
+def _conjugate_dropping_s_i(m, g):
+    """The conjugation with the sign s_i of the row left out."""
+    rows = [None] * m.nrows
+    for (pi, _), row in zip(g, m.num):
+        rows[pi] = {g[j][0]: g[j][1] * v for j, v in row.items()}
+    return Matrix.from_int_rows(rows, m.den, m.ncols, m.tag)
+
+
+def _conjugate_by_g_inverse(m, g):
+    """g^-1 m g in place of g m g^-1."""
+    inverse = [None] * len(g)
+    for j, (k, s) in enumerate(g):
+        inverse[k] = (j, s)
+    rows = [None] * m.nrows
+    for (pi, si), row in zip(inverse, m.num):
+        rows[pi] = {inverse[j][0]: si * inverse[j][1] * v for j, v in row.items()}
+    return Matrix.from_int_rows(rows, m.den, m.ncols, m.tag)
+
+
+class TestTransportedMaps:
+    """Every map of axis_closure, conjugated from its orbit's first member or
+    carried by tau_c, equals the one tau_automorphism builds for the axis."""
+
+    @pytest.mark.parametrize("case", CLOSURES,
+                             ids=[f"{c[0]}{c[1].get('n', '')}-{c[2]}" for c in CLOSURES])
+    def test_every_map_equals_the_direct_one(self, case):
+        assert next(_wrong_maps(*case), None) is None
+
+    @pytest.mark.parametrize("mutant", [_conjugate_dropping_s_i, _conjugate_by_g_inverse],
+                             ids=["drops s_i", "by g^-1"])
+    def test_a_wrong_conjugation_is_caught(self, monkeypatch, mutant):
+        monkeypatch.setattr(miyamoto, "_conjugate", mutant)
+        assert any(next(_wrong_maps(*case), None) is not None for case in CLOSURES)
 
 
 class TestFlips:

@@ -1,8 +1,10 @@
 """Symmetry generators of the catalog's simple Jordan algebras and the
-orbit-reduced axis analysis of cocycle_space and minimal_law: every declared
-generator is an automorphism, the family axis sets fall into the stated
-orbits, answers and refusals equal those of the same algebra without
-generators, and a generator that is not an automorphism is refused."""
+orbit-reduced axis analysis of cocycle_space, minimal_law and axis_closure:
+every declared generator is an automorphism, the family axis sets fall into
+the stated orbits, each later member is the image of its first member under
+the returned map, answers and refusals equal those of the same algebra
+without generators, and a generator that is not an automorphism is
+refused."""
 
 import random
 
@@ -14,7 +16,9 @@ from axial.errors import (AxialError, DimensionMismatchError, FieldMismatchError
                           NotIdempotentError)
 from axial.extension import build_extension, cocycle_space, decompose_by_annihilator
 from axial.fileio import AlgebraFile, parse_algebra_file, render_algebra_file
+from axial.fusion import find_c2_gradings
 from axial.linalg import Matrix
+from axial.miyamoto import axis_closure
 from axial.scalars import ONE
 from axial.spectral import minimal_law
 
@@ -59,20 +63,27 @@ class TestCatalogGenerators:
         assert len(alg.symmetry) == gens
         for g in alg.symmetry:
             assert is_automorphism(alg, _matrix(alg, g))
-        assert sum(alg.orbit_firsts(family)) == orbits
+        maps = alg.orbit_maps(family)
+        assert maps.count(None) == orbits
+        for t, orbit in enumerate(maps):
+            if orbit is not None:
+                r, g = orbit
+                assert r < t and maps[r] is None
+                assert _matrix(alg, g).apply(family[r]) == family[t]
+                assert is_automorphism(alg, _matrix(alg, g))
 
     def test_albert_orbits_are_the_diagonal_the_real_and_the_imaginary_axes(self):
         entry = catalog.build("Albert")
         family = list(entry.axis_sets["family"])
-        firsts = entry.algebra.orbit_firsts(family)
+        maps = entry.algebra.orbit_maps(family)
         # catalog order: D1, D2, D3, then per pair F0 .. F7
-        assert [t for t, first in enumerate(firsts) if first] == [0, 3, 4]
+        assert [t for t, orbit in enumerate(maps) if orbit is None] == [0, 3, 4]
 
     def test_albert_diagonal_maps_alone_give_nine_orbits(self):
         alg = catalog.build("Albert").algebra
         diagonal = _rebuilt(alg, alg.symmetry[:2])
         family = list(catalog.build("Albert").axis_sets["family"])
-        assert sum(diagonal.orbit_firsts(family)) == 9
+        assert diagonal.orbit_maps(family).count(None) == 9
 
     @pytest.mark.parametrize("make", [
         lambda jordan: catalog.build("Monster4").algebra,
@@ -141,6 +152,8 @@ class TestDifferential:
             cocycle_space(bad, axes, law)
         with pytest.raises(AxialError, match=message):
             minimal_law(bad, axes)
+        with pytest.raises(AxialError, match=message):
+            axis_closure(bad, axes, law, next(g for g in find_c2_gradings(law) if g.minus))
 
 
 def _int_copy(a):
@@ -169,7 +182,7 @@ class TestRefusalsAreNeverSkipped:
         assert cocycle_space(alg, family, law).quotient_dim == 0
         # the last axis with an integer entry, a later member of its orbit
         a = next(a for a in reversed(family) if any(c and c.denominator == 1 for c in a))
-        assert not alg.orbit_firsts(family)[family.index(a)]
+        assert alg.orbit_maps(family)[family.index(a)] is not None
         extra = {"int copy": _int_copy(a), "float copy": _float_copy(a),
                  "short copy": a[:-1], "not idempotent": tuple(2 * c for c in a)}[kind]
         if kind in ("int copy", "float copy"):
