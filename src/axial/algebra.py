@@ -173,10 +173,10 @@ class Algebra:
 
         A member that fails the length or field check of _sparse, or raises
         anything else there, joins nothing, so its caller refuses it where
-        the full path would.  The others are compared as canonical dense
-        vectors: an int or float entry, which equals and hashes like its
-        Rat, never gets that far.  With no generators every member is
-        first."""
+        the full path would.  The others are compared by their nonzero
+        entries, in index order: an int or float entry, which equals and
+        hashes like its Rat, never gets that far.  With no generators every
+        member is first."""
         maps = [None] * len(axes)
         if not self.symmetry:
             return maps
@@ -190,37 +190,33 @@ class Algebra:
             for j, (t, s) in enumerate(g):
                 inverse[t] = (j, s)
             moves += [g, tuple(inverse)]
-        members = {}  # canonical vector -> (sparse vector, its positions)
+        members = {}  # (index, entry) pairs of the nonzero entries -> positions
         for t, a in enumerate(axes):
             try:
                 x = self._sparse(a)
             except Exception:  # the caller refuses it, at its place in the list
                 continue
-            members.setdefault(self.element(x), (x, []))[1].append(t)
+            members.setdefault(tuple(x.items()), []).append(t)
         # the members are met in order of first position, so the search
-        # starts at the first member of each orbit
-        reached = set()
-        for first, (_, positions) in members.items():
-            if first in reached:
+        # starts at the first member of each orbit; left holds the members
+        # not reached yet
+        left = dict(members)
+        for first in members:
+            positions = left.pop(first, None)
+            if positions is None:
                 continue
-            reached.add(first)
             r = positions[0]
-            queue = [(first, tuple((j, 1) for j in range(n)))]
-            for v, h in queue:
-                x, equal = members[v]
+            queue = [(first, positions, tuple((j, 1) for j in range(n)))]
+            for v, equal, h in queue:
                 for t in equal:
                     if t != r:
                         maps[t] = (r, h)
                 for g in moves:
-                    image = {}
-                    for j, c in x.items():
-                        k, s = g[j]
-                        image[k] = c if s > 0 else -c
-                    w = self.element(image)
-                    if w in members and w not in reached:
-                        reached.add(w)
+                    w = tuple(sorted((g[j][0], c if g[j][1] > 0 else -c) for j, c in v))
+                    found = left.pop(w, None)
+                    if found is not None:
                         # g after h sends b_j to s_j g(b_k), for h(b_j) = s_j b_k
-                        queue.append((w, tuple((g[k][0], s * g[k][1]) for k, s in h)))
+                        queue.append((w, found, tuple((g[k][0], s * g[k][1]) for k, s in h)))
         return maps
 
     # -- invariants ----------------------------------------------------------
