@@ -35,9 +35,20 @@ class Algebra:
     basis_product builds the field entries of one pair per call.
 
     symmetry: generators of a group of automorphisms, each a signed
-    permutation of the basis given as the pairs (pi(j), s_j), s_j = +-1,
-    with b_j -> s_j b_pi(j).  The constructor checks only their shape;
-    orbit_maps verifies them before it reads them.
+    permutation of the basis given as the pairs (pi(j), s_j) of ints,
+    s_j = +-1, with b_j -> s_j b_pi(j).  The constructor checks their shape
+    (else DimensionMismatchError) and then that each is an automorphism
+    (else AxialError), on the integer table, so every reader may rely on
+    both.
+
+    Lemma: a signed permutation g is an automorphism iff every nonzero
+    stored pair i <= j has _int_rows[pi(i)][pi(j)] equal to
+    {pi(k): s_i s_j s_k c} over the entries k: c of _int_rows[i][j].  That
+    is g(b_i b_j) = g(b_i) g(b_j) on the pair.  g permutes the unordered
+    pairs, and the check sends each nonzero pair onto a nonzero pair, so
+    the nonzero pairs map onto the nonzero pairs and the zero pairs need no
+    check.  g is invertible by its shape.  The cost is one pass over the
+    nonzero constants per generator, with no products and no rank.
     """
 
     def __init__(self, dim, products, tag, labels=None, symmetry=()):
@@ -50,8 +61,10 @@ class Algebra:
             raise DimensionMismatchError("label count differs from dimension")
         try:
             self.symmetry = tuple(tuple((k, s) for k, s in g) for g in symmetry)
-            signed = all(len(g) == dim and sorted(k for k, _ in g) == list(range(dim))
-                         and all(s in (1, -1) for _, s in g) for g in self.symmetry)
+            signed = all(len(g) == dim
+                         and all(type(k) is type(s) is int and s in (1, -1) for k, s in g)
+                         and sorted(k for k, _ in g) == list(range(dim))
+                         for g in self.symmetry)
         except (TypeError, ValueError):  # not pairs, or indices that do not sort
             signed = False
         if not signed:
@@ -77,6 +90,12 @@ class Algebra:
         for (i, j), num in zip(pairs, nums):
             irows[i][j] = irows[j][i] = num
         self._int_rows = irows
+        for t, g in enumerate(self.symmetry, 1):
+            for (i, j), num in zip(pairs, nums):
+                (pi, si), (pj, sj) = g[i], g[j]
+                image = {g[k][0]: c if si * sj * g[k][1] > 0 else -c for k, c in num.items()}
+                if irows[pi][pj] != image:
+                    raise AxialError(f"symmetry generator {t} is not an automorphism")
 
     # -- products -----------------------------------------------------------
 
@@ -157,11 +176,11 @@ class Algebra:
         """Per member of the list axes: None when it is the first of its
         orbit in list order, else (r, g), r the position of that first member
         and g a signed permutation, in the generators' (pi(j), s_j) shape,
-        with g(axes[r]) = axes[t].  First every symmetry generator passes
-        is_automorphism, else AxialError.  Then a breadth-first search from
-        each first member walks the generator and inverse-generator images
-        that are members: two members share an orbit when one is exactly a
-        generator's image of the other, or equal to it.
+        with g(axes[r]) = axes[t].  The generators were verified when the
+        algebra was built.  A breadth-first search from each first member
+        walks the generator and inverse-generator images that are members:
+        two members share an orbit when one is exactly a generator's image
+        of the other, or equal to it.
 
         Lemma: an automorphism g with g(a) = b conjugates L_a to L_b and maps
         eigenvectors of a and their products to those of b.  So a and b have
@@ -180,12 +199,9 @@ class Algebra:
         maps = [None] * len(axes)
         if not self.symmetry:
             return maps
-        n, tag = self.dim, self.tag
+        n = self.dim
         moves = []  # each generator and its inverse, b_pi(j) -> s_j b_j
-        for k, g in enumerate(self.symmetry, 1):
-            cols = [{t: s} for t, s in g]
-            if not is_automorphism(self, Matrix.from_int_rows(cols, 1, n, tag).transpose()):
-                raise AxialError(f"symmetry generator {k} is not an automorphism")
+        for g in self.symmetry:
             inverse = [None] * n
             for j, (t, s) in enumerate(g):
                 inverse[t] = (j, s)

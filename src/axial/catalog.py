@@ -587,7 +587,7 @@ def matrix_model(basis, labels, moves=()):
     moves are entrywise maps (row, col, unit) -> (row, col, unit) that
     permute the basis matrices up to sign, such as X -> PXP^T for a
     permutation matrix P; they become the symmetry of the algebra
-    (_signed_images), verified where they are read.
+    (_signed_images), verified by the Algebra constructor.
 
     A basis matrix is a sparse dict {(row, col, unit): coefficient} with
     integer or rational coefficients; unit 0 is the real unit and units 1..7

@@ -106,11 +106,11 @@ def axis_closure(algebra, axes, law, grading, cap=200):
     given axis of each orbit (Algebra.orbit_maps).  A later member g(a) of
     an orbit gets g tau_a g^-1, g a signed permutation, and a closure image
     tau_c(a) gets tau_c tau_a tau_c, tau_c being an involution.  Each map
-    is a product of automorphisms already verified: the generators, checked
-    on every call, and the maps of tau_automorphism.  It equals the map
-    tau_automorphism would build, and a member is reached only after its
-    first member passed, so the answers, the refusals and their order are
-    those of building every map directly."""
+    is a product of automorphisms already verified: the generators, verified
+    when the algebra was built, and the maps of tau_automorphism.  It equals
+    the map tau_automorphism would build, and a member is reached only after
+    its first member passed, so the answers, the refusals and their order
+    are those of building every map directly."""
     current = []
     seen = set()
     for a in axes:

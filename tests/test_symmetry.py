@@ -1,11 +1,12 @@
 """Symmetry generators of the catalog's simple Jordan algebras and the
-orbit-reduced axis analysis of cocycle_space, minimal_law and axis_closure:
+orbit-reduced axis analysis of cocycle_space and minimal_law:
 every declared generator is an automorphism, the family axis sets fall into
 the stated orbits, each later member is the image of its first member under
 the returned map, answers and refusals equal those of the same algebra
-without generators, and a generator that is not an automorphism is
-refused."""
+without generators, and the constructor refuses a generator that is not an
+automorphism, as is_automorphism judges it."""
 
+import itertools
 import random
 
 import pytest
@@ -16,9 +17,7 @@ from axial.errors import (AxialError, DimensionMismatchError, FieldMismatchError
                           NotIdempotentError)
 from axial.extension import build_extension, cocycle_space, decompose_by_annihilator
 from axial.fileio import AlgebraFile, parse_algebra_file, render_algebra_file
-from axial.fusion import find_c2_gradings
 from axial.linalg import Matrix
-from axial.miyamoto import axis_closure
 from axial.scalars import ONE
 from axial.spectral import minimal_law
 
@@ -104,6 +103,8 @@ class TestCatalogGenerators:
         [[(1, 1), (0, 1), (2,)]],         # not a pair
         [(1, 0, 2)],                      # a bare permutation
         [[(1, 1), ("0", 1), (2, 1)]],     # indices that do not sort
+        [[(1.0, 1), (0, 1), (2, 1)]],     # a float index
+        [[(1, 1), (0, 1), (2, 1.0)]],     # a float sign
     ])
     def test_constructor_checks_the_shape(self, symmetry):
         alg = catalog.build("JordanB", {"n": 2}).algebra
@@ -138,22 +139,52 @@ class TestDifferential:
     @pytest.mark.parametrize("name, n", [(name, n) for name, n in DECLARING
                                          if _build(name, n).algebra.symmetry])
     def test_a_generator_with_one_sign_flipped_is_refused(self, name, n):
-        entry = _build(name, n)
-        alg, law = entry.algebra, entry.laws["J12"]
+        alg = _build(name, n).algebra
         # an idempotent basis element moves onto minus one, which is none
         j = next(j for j in range(alg.dim) if alg.basis_product(j, j) == {j: ONE})
         last = len(alg.symmetry)
         g = list(alg.symmetry[-1])
         g[j] = (g[j][0], -g[j][1])
-        bad = _rebuilt(alg, alg.symmetry[:-1] + (g,))
-        axes = entry.axis_sets["family"]
-        message = f"symmetry generator {last} is not an automorphism"
-        with pytest.raises(AxialError, match=message):
-            cocycle_space(bad, axes, law)
-        with pytest.raises(AxialError, match=message):
-            minimal_law(bad, axes)
-        with pytest.raises(AxialError, match=message):
-            axis_closure(bad, axes, law, next(g for g in find_c2_gradings(law) if g.minus))
+        with pytest.raises(AxialError, match=f"symmetry generator {last} is not an automorphism"):
+            _rebuilt(alg, alg.symmetry[:-1] + (g,))
+
+    @pytest.mark.parametrize("name, n", [("JordanA", 3), ("Albert", None)])
+    def test_the_readers_do_not_verify_the_generators_again(self, name, n, monkeypatch):
+        entry = _build(name, n)
+        alg, law = entry.algebra, entry.laws["J12"]
+        axes = list(entry.axis_sets["family"])
+        expected = _answers(alg, axes, law), alg.orbit_maps(axes)
+
+        def refuse(*args):
+            raise AssertionError("a symmetry generator was verified again")
+
+        monkeypatch.setattr("axial.algebra.is_automorphism", refuse)
+        assert (_answers(alg, axes, law), alg.orbit_maps(axes)) == expected
+
+
+# every signed permutation of each algebra, 1,640 in all: (entry, params,
+# how many the constructor accepts)
+SIGNED = [("B", {}, 2), ("JordanB", {"n": 2}, 4), ("JordanD", {"n": 3}, 8),
+          ("Monster4", {}, 2), ("JordanA", {"n": 2}, 8), ("J25", {}, 2), ("J59", {}, 2)]
+
+
+@pytest.mark.parametrize("name, params, accepted", SIGNED)
+def test_the_constructor_accepts_exactly_the_automorphisms(name, params, accepted):
+    alg = catalog.build(name, params).algebra
+    n = alg.dim
+    verdicts = []
+    for perm in itertools.permutations(range(n)):
+        for signs in itertools.product((1, -1), repeat=n):
+            g = list(zip(perm, signs))
+            try:
+                _rebuilt(alg, [g])
+            except AxialError as e:
+                assert str(e) == "symmetry generator 1 is not an automorphism"
+                verdicts.append(False)
+            else:
+                verdicts.append(True)
+            assert verdicts[-1] == is_automorphism(alg, _matrix(alg, g)), g
+    assert sum(verdicts) == accepted
 
 
 def _int_copy(a):
