@@ -183,19 +183,26 @@ class CocycleSpace:
 
 def cocycle_space(algebra, axes, law):
     """Z(A, F; axes) for one output coordinate, with coboundary comparison.
-    Each axis is analysed once: _f_axis first, then its constraint rows from
-    the Eigenbasis it returns.
 
     Every coboundary theta = delta f meets both conditions on every axis a:
     theta(a, k) = f(ak) = f(0) = 0 for k in ker L_a, and when 0 is not in
     lam*mu, theta(x, y) - theta(a, sum nu^-1 z_nu) = f(xy) - f(sum z_nu) = 0.
     So B <= Z <= ker(rows so far), and once the rank of the rows reaches
     N - dim B, N = n(n+1)/2, both ends have dimension dim B: Z = B, and no
-    later row can change the row space or its canonical RREF.  From then on
-    an axis gets only _f_axis, and only when it is the first of its orbit
-    under algebra.symmetry (Algebra.orbit_maps): a later member of an
-    orbit passes exactly when its first member did.  So the errors and their
-    order are those of the full path, and those of extension_axiality.
+    later row can change the row space or its canonical RREF.
+
+    Before that exit the rows of each axis come from _orbit_rows: the first
+    member of each orbit under algebra.symmetry (Algebra.orbit_maps) passes
+    _f_axis and builds its rows, and a later member gets the rows of its
+    first member moved by the carrying automorphism, which span its own
+    rows (the transport lemma of _orbit_rows).  So the reducer sees the row
+    space of the full path after every axis: the exit fires at the same
+    axis, and the RREF is the same.  The rows are kept for first members
+    only, and only until the exit.  From then on an axis gets only _f_axis,
+    and only when it is a first member.  A later member is reached only
+    after its first member passed, and passes exactly when it did, so the
+    errors and their order are those of the full path, and those of
+    extension_axiality.
 
     The function returns only when every axis passes _f_axis, and then
     B <= Z by the same lemma: Z cap B is B itself, and the class reps are
@@ -206,18 +213,19 @@ def cocycle_space(algebra, axes, law):
     cob = coboundary_space(algebra)
     full = idx_len - cob.dim
     red = RowReducer(idx_len, algebra.tag)
-    for a, orbit in zip(axes, maps):
+    kept = {}  # position of a first member -> its rows, until the exit
+    for t, (a, orbit) in enumerate(zip(axes, maps)):
         if red.rank() == full:
+            kept.clear()
             if orbit is None:
                 _f_axis(algebra, a, law)
             continue
-        eigen = _f_axis(algebra, a, law)
-        # an axis is semisimple, so ker L_a is its 0-eigenspace; the
-        # condition rows are integer rows
-        for row in condition1_rows(algebra, a, eigen.eigenspace(ZERO)):
-            red.add_int_row(row)
-        for row in condition2_rows(algebra, a, law, eigen):
-            red.add_int_row(row)
+        rows = _orbit_rows(algebra, a, law, orbit, kept)
+        if orbit is None:
+            kept[t] = rows
+        for part in rows:
+            for row in part:
+                red.add_int_row(row)
     space = red.kernel()
     rep_red = RowReducer(idx_len, algebra.tag)
     for b in cob.num:
@@ -226,6 +234,50 @@ def cocycle_space(algebra, axes, law):
     return CocycleSpace(algebra, space, cob, space.dim - cob.dim,
                         list(Matrix.from_int_rows(reps, space.den, idx_len,
                                                   algebra.tag).rows))
+
+
+def _orbit_rows(algebra, a, law, orbit, kept):
+    """The condition (1) rows and the condition (2) rows of the axis a, as a
+    pair of lists, for its entry orbit of Algebra.orbit_maps.  A first
+    member (orbit None) passes _f_axis, and its rows are built from the
+    Eigenbasis; an axis is semisimple, so ker L_a is its 0-eigenspace.  A
+    later member, orbit (r, g), gets no _f_axis: its rows are kept[r], the
+    rows of its first member, moved by g.
+
+    Transport lemma: let g be an automorphism with g(a) = b.  Then
+    g(x)g(y) = g(xy) and V_lam(b) = g V_lam(a) for every lam, ker L_b among
+    them, so the nu-component of g(z) for b is g of the nu-component of z
+    for a.  So theta meets (1) and (2) at b iff g*theta, (g*theta)(x, y) =
+    theta(gx, gy), meets them at a.  Row by row: the row R of a for a kernel
+    vector k, or for an eigenvector pair (x, y), gives the row
+    theta -> R(g*theta), which is the row of b for gk, or for (gx, gy).
+    These span the rows of b, part by part.  For g(b_j) = s_j b_pi(j),
+    (g*theta)(b_i, b_j) = s_i s_j theta(b_pi(i), b_pi(j)), the column map
+    of _moved_rows."""
+    if orbit is None:
+        eigen = _f_axis(algebra, a, law)
+        return (condition1_rows(algebra, a, eigen.eigenspace(ZERO)),
+                condition2_rows(algebra, a, law, eigen))
+    r, g = orbit
+    return tuple(_moved_rows(part, g, algebra.dim) for part in kept[r])
+
+
+def _moved_rows(rows, g, n):
+    """The rows theta -> R(g*theta) of the rows R, for the signed
+    permutation g, b_j -> s_j b_pi(j), of an n-dimensional algebra: the
+    entry c at cols[i][j] moves to cols[pi(i)][pi(j)] as s_i s_j c.  g
+    permutes the pairs, so integer rows without zeros stay so, at O(nnz)
+    per row."""
+    pairs, cols = _sym_pairs(n), _sym_columns(n)
+    moved = []
+    for row in rows:
+        image = {}
+        for t, c in row.items():
+            i, j = pairs[t]
+            (pi, si), (pj, sj) = g[i], g[j]
+            image[cols[pi][pj]] = c if si == sj else -c
+        moved.append(image)
+    return moved
 
 
 def normalize_on_axes(algebra, theta, axes):
@@ -313,17 +365,20 @@ def extension_axiality(algebra, theta, axes, law):
     theta_in_z says whether theta lies in Z(A, F; axes): every condition (1)
     and (2) row of every axis vanishes on each coordinate of theta.  Z is
     defined for F-axes only, so the axes pass _f_axis, one at a time in list
-    order, before the extension is built."""
+    order, before the extension is built.  The rows are those of
+    _orbit_rows, as in cocycle_space: a later orbit member gets the moved
+    rows of its first member, which span its own rows part by part, so each
+    verdict and the errors and their order are those of the full path."""
     axes = [tuple(a) for a in axes]
-    eigens = [_f_axis(algebra, a, law) for a in axes]
+    rows = []
+    for a, orbit in zip(axes, algebra.orbit_maps(axes)):
+        rows.append(_orbit_rows(algebra, a, law, orbit, rows))
     ext, lifted = build_extension(algebra, theta, axes)
     vectors = theta.vectors
-    cond1 = {algebra.render_element(a): _rows_vanish(
-        condition1_rows(algebra, a, eigen.eigenspace(ZERO)), vectors)
-        for a, eigen in zip(axes, eigens)}
+    cond1 = {algebra.render_element(a): _rows_vanish(part1, vectors)
+             for a, (part1, _) in zip(axes, rows)}
     all_ok = all(cond1.values())
-    in_z = all_ok and all(_rows_vanish(condition2_rows(algebra, a, law, eigen), vectors)
-                          for a, eigen in zip(axes, eigens))
+    in_z = all_ok and all(_rows_vanish(part2, vectors) for _, part2 in rows)
     induced = minimal_law(ext, lifted) if all_ok else None
     return ExtensionReport(ext, lifted, cond1, all_ok, induced, is_split(algebra, theta), in_z)
 

@@ -126,7 +126,11 @@ def axis_closure(algebra, axes, law, grading, cap=200):
     # a round starts while some axis has no map: the axes of current keep
     # their order, so those are the last len(current) - len(taus)
     while len(taus) < len(current):
-        for t in range(len(taus), len(current)):
+        # the last round applied the maps of current[:old] to every axis of
+        # current[:met]; the image of such a pair is in seen, so a round
+        # applies only the pairs whose map or axis is new, in the same order
+        old, met = len(taus), len(current)
+        for t in range(old, met):
             b = current[t]
             if b in carried:
                 c, a = (taus[x].matrix for x in carried[b])
@@ -136,8 +140,9 @@ def axis_closure(algebra, axes, law, grading, cap=200):
                 taus[b] = AutMatrix(_conjugate(taus[current[r]].matrix, g))
             else:
                 taus[b] = tau_automorphism(algebra, b, law, grading)
-        for a in current:
-            for c, tau in taus.items():
+        maps = list(taus.items())
+        for t, a in enumerate(current):
+            for c, tau in maps[old if t < met else 0:]:
                 img = tau.matrix.apply(a)
                 if img not in seen:
                     if len(seen) >= cap:

@@ -1,5 +1,7 @@
 """Sign-flip automorphisms, group and axis closures, axis-swap maps."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -12,7 +14,7 @@ from axial.fusion import C2Grading, find_c2_gradings
 from axial.linalg import Matrix
 from axial.miyamoto import (AutMatrix, axis_closure, find_flip, group_closure,
                             is_automorphism, tau_automorphism)
-from axial.scalars import ONE, ZERO, FieldTag, Rat, Scalar
+from axial.scalars import ONE, ZERO, FieldTag, Rat, Scalar, render_scalar
 from axial.spectral import Eigenbasis
 
 
@@ -181,6 +183,38 @@ class TestTransportedMaps:
     def test_a_wrong_conjugation_is_caught(self, monkeypatch, mutant):
         monkeypatch.setattr(miyamoto, "_conjugate", mutant)
         assert any(next(_wrong_maps(*case), None) is not None for case in CLOSURES)
+
+
+# sha256 of the rendered axes, maps and completed flag of the Albert family
+# closure at cap 200, taken when every round applied every map to every axis
+ALBERT_CLOSURE_DIGEST = "0419f5b119fbe772b5f6f5ef8407f543780e264fbd57759190db0e5c3a987453"
+
+
+def test_axis_closure_applies_each_pair_once(monkeypatch):
+    """The Albert family closure takes two rounds.  The second applies only
+    the pairs whose map or axis is new: 2601 distinct (map, axis) pairs, each
+    applied once (3978 applications when a round re-applied the first
+    round's pairs), with the same axes, maps and completed flag."""
+    applied = []
+    apply = Matrix.apply
+
+    def counted(m, v):
+        applied.append((m, tuple(v)))
+        return apply(m, v)
+
+    monkeypatch.setattr(Matrix, "apply", counted)
+    entry = catalog.build("Albert")
+    law = entry.laws["J12"]
+    grading = next(g for g in find_c2_gradings(law) if g.minus)
+    ac = axis_closure(entry.algebra, entry.axis_sets["family"], law, grading, cap=200)
+    assert len(applied) == len(set(applied)) == 2601
+    doc = {"axes": [[render_scalar(c) for c in a] for a in ac.axes],
+           "taus": [[[render_scalar(c) for c in a],
+                     [sorted((j, str(v)) for j, v in r.items()) for r in t.matrix.num],
+                     str(t.matrix.den)] for a, t in ac.taus.items()],
+           "completed": ac.completed}
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    assert digest == ALBERT_CLOSURE_DIGEST
 
 
 class TestFlips:

@@ -13,6 +13,7 @@ from axial import catalog
 from axial.algebra import _sym_pairs
 from axial.errors import ExtensionError
 from axial.extension import cocycle_space, condition1_rows, condition2_rows
+from axial.linalg import RowReducer
 from axial.scalars import ZERO
 from axial.spectral import check_axis
 
@@ -57,3 +58,31 @@ def test_cocycle_and_coboundary_dims_match_mod_p_ranks(name):
             assert unknowns - _rank_mod_p(rows) == cs.space.dim
             assert b_rank == cs.coboundaries.dim
     assert covered
+
+
+# the series past their catalog defaults, and Albert
+SERIES = ([("JordanA", n) for n in range(1, 6)] + [("JordanB", n) for n in range(1, 6)]
+          + [("JordanC", n) for n in range(1, 4)] + [("JordanD", n) for n in range(2, 9)]
+          + [("Albert", None)])
+
+
+@pytest.mark.parametrize("name, n", SERIES)
+def test_every_axis_with_its_own_rows_gives_the_cocycle_dimension(name, n):
+    """The rows of every family axis, each built from its own Eigenbasis,
+    with no Z = B exit and no orbit transport: dim Z mod p equals that of
+    cocycle_space.  A rank mod p never exceeds the exact rank, so on a
+    mismatch the exact rank of the same rows tells whether cocycle_space or
+    the prime is at fault."""
+    entry = catalog.build(name, {} if n is None else {"n": n})
+    alg, law = entry.algebra, entry.laws["J12"]
+    axes = entry.axis_sets["family"]
+    unknowns = len(_sym_pairs(alg.dim))
+    rows = _condition_rows(alg, axes, law)
+    dim_z = cocycle_space(alg, axes, law).space.dim
+    got = unknowns - _rank_mod_p(rows)
+    if got != dim_z:
+        red = RowReducer(unknowns, alg.tag)
+        for row in rows:
+            red.add_int_row(row)
+        culprit = "the prime" if unknowns - red.rank() == dim_z else "cocycle_space"
+        pytest.fail(f"dim Z is {got} mod p and {dim_z} by cocycle_space: {culprit} is at fault")

@@ -11,13 +11,14 @@ import random
 
 import pytest
 
-from axial import catalog, cli
-from axial.algebra import Algebra, Cocycle, is_automorphism
+from axial import catalog, cli, extension
+from axial.algebra import Algebra, Cocycle, _sym_columns, _sym_pairs, is_automorphism
 from axial.errors import (AxialError, DimensionMismatchError, FieldMismatchError,
                           NotIdempotentError)
-from axial.extension import build_extension, cocycle_space, decompose_by_annihilator
+from axial.extension import (build_extension, cocycle_space, decompose_by_annihilator,
+                             extension_axiality)
 from axial.fileio import AlgebraFile, parse_algebra_file, render_algebra_file
-from axial.linalg import Matrix
+from axial.linalg import Matrix, RowReducer
 from axial.scalars import ONE
 from axial.spectral import minimal_law
 
@@ -136,6 +137,37 @@ class TestDifferential:
             random.Random(seed).shuffle(axes)
             assert _answers(alg, axes, law) == _answers(plain, axes, law)
 
+    @pytest.mark.parametrize("name, n", [("JordanA", 3), ("JordanB", 3), ("JordanC", 2),
+                                         ("JordanD", 5), ("Albert", None)])
+    def test_extension_axiality_equals_that_without_generators(self, name, n):
+        entry = _build(name, n)
+        alg, law = entry.algebra, entry.laws["J12"]
+        plain = _rebuilt(alg)
+        axes = list(entry.axis_sets["family"])
+        random.Random(n).shuffle(axes)
+        # a coboundary, a map that meets condition (1) on every axis and not
+        # (2), and the single entry at the pair (0, 1)
+        cond1 = RowReducer(len(_sym_pairs(alg.dim)), alg.tag)
+        for a in axes:
+            for row in extension._orbit_rows(plain, a, law, None, None)[0]:
+                cond1.add_int_row(row)
+        space = cocycle_space(alg, axes, law).space
+        only1 = next(v for v in cond1.kernel().sparse_rows if not space.contains_sparse(v))
+        thetas = [Cocycle([space.sparse_rows[-1]], alg.dim, alg.tag),
+                  Cocycle([only1], alg.dim, alg.tag), _theta(alg)]
+        verdicts = []
+        for theta in thetas:
+            got, want = (extension_axiality(a, theta, axes, law) for a in (alg, plain))
+            verdicts.append((got.axial, got.theta_in_z))
+            assert (got.condition1, got.axial, got.theta_in_z, got.split_verdict,
+                    got.lifted_axes) == (want.condition1, want.axial, want.theta_in_z,
+                                         want.split_verdict, want.lifted_axes)
+            assert (got.induced_law is None) == (want.induced_law is None)
+            if got.induced_law is not None:
+                assert ((got.induced_law.values, got.induced_law.table)
+                        == (want.induced_law.values, want.induced_law.table))
+        assert verdicts[:2] == [(True, True), (True, False)]
+
     @pytest.mark.parametrize("name, n", [(name, n) for name, n in DECLARING
                                          if _build(name, n).algebra.symmetry])
     def test_a_generator_with_one_sign_flipped_is_refused(self, name, n):
@@ -160,6 +192,61 @@ class TestDifferential:
 
         monkeypatch.setattr("axial.algebra.is_automorphism", refuse)
         assert (_answers(alg, axes, law), alg.orbit_maps(axes)) == expected
+
+
+# JordanC and Albert carry generators with minus signs
+TRANSPORTED = ([(name, n) for name in ("JordanA", "JordanB", "JordanC") for n in range(1, 5)]
+               + [("JordanD", 5), ("Albert", None)])
+
+
+def _row_space(rows, alg):
+    """The canonical RREF of the integer rows: the stored rows of a
+    RowReducer, keyed by their pivots."""
+    red = RowReducer(len(_sym_pairs(alg.dim)), alg.tag)
+    for row in rows:
+        red.add_int_row(row)
+    return red.rows
+
+
+def _mistransported(name, n):
+    """(the later members of the family's orbits, the positions of those
+    whose moved condition (1) or (2) rows span another row space than the
+    rows built from their own Eigenbasis)."""
+    entry = _build(name, n)
+    alg, law = entry.algebra, entry.laws["J12"]
+    axes = list(entry.axis_sets["family"])
+    direct = [extension._orbit_rows(alg, a, law, None, None) for a in axes]
+    later, wrong = 0, []
+    for t, orbit in enumerate(alg.orbit_maps(axes)):
+        if orbit is not None:
+            later += 1
+            moved = extension._orbit_rows(alg, axes[t], law, orbit, direct)
+            if any(_row_space(m, alg) != _row_space(d, alg) for m, d in zip(moved, direct[t])):
+                wrong.append(t)
+    return later, wrong
+
+
+def _moved_rows_unsigned(rows, g, n):
+    """The column map with the sign s_i s_j left out."""
+    pairs, cols = _sym_pairs(n), _sym_columns(n)
+    return [{cols[g[pairs[t][0]][0]][g[pairs[t][1]][0]]: c for t, c in row.items()}
+            for row in rows]
+
+
+class TestTransportedRows:
+    """The condition rows of a later orbit member, moved from its first
+    member's, span the rows built from its own Eigenbasis, part by part."""
+
+    @pytest.mark.parametrize("name, n", TRANSPORTED)
+    def test_moved_rows_span_the_direct_rows(self, name, n):
+        later, wrong = _mistransported(name, n)
+        assert later or not _build(name, n).algebra.symmetry
+        assert wrong == []
+
+    def test_a_dropped_sign_is_caught(self, monkeypatch):
+        monkeypatch.setattr(extension, "_moved_rows", _moved_rows_unsigned)
+        caught = [(name, n) for name, n in TRANSPORTED if _mistransported(name, n)[1]]
+        assert ("Albert", None) in caught and ("JordanC", 3) in caught
 
 
 # every signed permutation of each algebra, 1,640 in all: (entry, params,
@@ -219,7 +306,8 @@ class TestRefusalsAreNeverSkipped:
         if kind in ("int copy", "float copy"):
             assert extra == a and hash(extra) == hash(a)
         axes = family + [extra]
-        for run in (cocycle_space, lambda alg, axes, law: minimal_law(alg, axes)):
+        for run in (cocycle_space, lambda alg, axes, law: minimal_law(alg, axes),
+                    lambda alg, axes, law: extension_axiality(alg, _theta(alg), axes, law)):
             with pytest.raises(error) as plain:
                 run(_rebuilt(alg), axes, law)
             with pytest.raises(error) as got:
