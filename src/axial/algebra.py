@@ -228,7 +228,7 @@ class Algebra:
                     if t != r:
                         maps[t] = (r, h)
                 for g in moves:
-                    w = tuple(sorted((g[j][0], c if g[j][1] > 0 else -c) for j, c in v))
+                    w = tuple(sorted(_signed_image(v, g).items()))
                     found = left.pop(w, None)
                     if found is not None:
                         # g after h sends b_j to s_j g(b_k), for h(b_j) = s_j b_k
@@ -438,6 +438,12 @@ def _accumulate(rows, x, y, acc=None):
                 v = acc.get(k)
                 acc[k] = ab * c if v is None else v + ab * c
     return acc
+
+
+def _signed_image(pairs, g):
+    """The image {pi(j): s_j c} of the sparse vector with these (j, c)
+    pairs under the signed permutation g, b_j -> s_j b_pi(j)."""
+    return {g[j][0]: c if g[j][1] > 0 else -c for j, c in pairs}
 
 
 @functools.lru_cache(maxsize=8)

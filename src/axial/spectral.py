@@ -15,7 +15,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .algebra import _accumulate
+from .algebra import _accumulate, _signed_image
 from .errors import DimensionMismatchError, NotIdempotentError, NotSemisimpleError
 from .fusion import FusionLaw
 from .linalg import Matrix, RowReducer, Subspace, sparse_combine
@@ -487,8 +487,29 @@ class AxialCertificate:
 
 def check_axial_algebra(algebra, axes, law):
     """Full certification: every axis passes check_axis and the axes generate
-    the whole algebra."""
-    reports = [check_axis(algebra, a, law) for a in axes]
+    the whole algebra.  axes is read once.
+
+    The first member of each orbit under algebra.symmetry (orbit_maps)
+    goes through check_axis, in list order.  A later member g(a) whose first
+    member a passed gets a's report moved by g: by the lemma of
+    Algebra.orbit_maps it passes alike, primitive as a is, and
+    V_lam(g a) = g V_lam(a), so each eigenspace is the span of the RREF rows
+    of a's moved by g, b_j -> s_j b_pi(j).  Spanned again, those are the
+    canonical RREFs of check_axis, and so are the eigenvectors and
+    coordinates built on them; products() is left to first use.  A member
+    whose first member failed goes through check_axis itself, so every
+    violation is that of the full path."""
+    axes = list(axes)
+    n, tag = algebra.dim, algebra.tag
+    reports = []
+    for a, orbit in zip(axes, algebra.orbit_maps(axes)):
+        if orbit is None or not (first := reports[orbit[0]]).is_axis:
+            reports.append(check_axis(algebra, a, law))
+            continue
+        moved = [(lam, Subspace.spanned([_signed_image(r.items(), orbit[1]) for r in space.num],
+                                        n, tag))
+                 for lam, space in first.eigen.pairs]
+        reports.append(AxisReport(True, Eigenbasis(algebra, moved), first.primitive))
     violations = []
     for a, rep in zip(axes, reports):
         for v in rep.violations:

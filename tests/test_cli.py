@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import axial
-from axial import catalog, cli, miyamoto
+from axial import catalog, cli, miyamoto, spectral
 from axial.cli import _all_basis_cocycles_jordan, main
 from axial.extension import Cocycle, build_extension, cocycle_space
 from axial.linalg import sparse_vector
@@ -377,6 +377,33 @@ class TestCap:
         firsts = [a for a, orbit in zip(given, entry.algebra.orbit_maps(given)) if orbit is None]
         assert built == firsts
         assert len(built) == {"JordanC": 5, "I": 2}[name] < json.loads(out)["axis_count"]
+
+    @pytest.mark.parametrize("name,params,firsts,count", [
+        ("JordanD", {"n": 16}, 1, 15), ("Albert", None, 3, 27), ("JordanA", {"n": 3}, 2, 9),
+        ("JordanC", {"n": 3}, 5, 27)])
+    def test_each_orbit_is_checked_once(self, capsys, monkeypatch, name, params, firsts,
+                                        count):
+        # check_axis runs on the first axis of each symmetry orbit, in list
+        # order; every later member passes with the moved report
+        checked = []
+        real = spectral.check_axis
+
+        def counting(algebra, a, law):
+            checked.append(tuple(a))
+            return real(algebra, a, law)
+        monkeypatch.setattr(spectral, "check_axis", counting)
+        argv = ["--catalog", name, "--axes", "family", "--law", "J12"]
+        if params:
+            argv += ["--param", ",".join(f"{k}={v}" for k, v in params.items())]
+        code, out, _ = run(capsys, "check-axial", *argv, "--json")
+        assert code == 0
+        entry = catalog.build(name, params)
+        given = list(entry.axis_sets["family"])
+        assert checked == [a for a, orbit in zip(given, entry.algebra.orbit_maps(given))
+                           if orbit is None]
+        reports = json.loads(out)["axes_report"]
+        assert (len(checked), len(reports)) == (firsts, count)
+        assert all(r["is_axis"] and r["primitive"] for r in reports)
 
     @pytest.mark.parametrize("cap", ["0", "-5"])
     def test_cap_below_one_is_usage_error(self, capsys, cap):

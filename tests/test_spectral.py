@@ -188,6 +188,22 @@ class TestMinimalLaw:
         assert not cert.certified
         assert any(v[0] == "generation_fails" for v in cert.violations)
 
+    @pytest.mark.parametrize("name, params, key", [("C", None, "X12"),
+                                                   ("JordanA", {"n": 3}, "family")])
+    def test_certificate_reads_the_axes_once(self, name, params, key):
+        # an iterator of the axes certifies as the list and the tuple do
+        entry = catalog.build(name, params)
+        axes = entry.axis_sets[key]
+
+        def summary(cert):
+            return (cert.violations, cert.closure_dim, cert.max_word_length,
+                    [(r.idempotent, r.primitive, r.violations, r.eigen.pairs)
+                     for r in cert.reports])
+        got = [summary(check_axial_algebra(entry.algebra, given, entry.law_for(key)))
+               for given in (iter(axes), list(axes), tuple(axes))]
+        assert got[0] == got[1] == got[2]
+        assert got[0][0] == [] and got[0][1] == entry.algebra.dim
+
 
 @pytest.mark.parametrize("name", [
     pytest.param(item["name"], marks=pytest.mark.slow) if item["name"] == "Albert"

@@ -1,5 +1,6 @@
 """Symmetry generators of the catalog's simple Jordan algebras and the
-orbit-reduced axis analysis of cocycle_space and minimal_law:
+orbit-reduced axis analysis of cocycle_space, minimal_law and
+check_axial_algebra:
 every declared generator is an automorphism, the family axis sets fall into
 the stated orbits, each later member is the image of its first member under
 the returned map, answers and refusals equal those of the same algebra
@@ -11,16 +12,17 @@ import random
 
 import pytest
 
-from axial import catalog, cli, extension
+from axial import catalog, cli, extension, spectral
 from axial.algebra import Algebra, Cocycle, _sym_columns, _sym_pairs, is_automorphism
 from axial.errors import (AxialError, DimensionMismatchError, FieldMismatchError,
                           NotIdempotentError)
 from axial.extension import (build_extension, cocycle_space, decompose_by_annihilator,
                              extension_axiality)
 from axial.fileio import AlgebraFile, parse_algebra_file, render_algebra_file
+from axial.fusion import FusionLaw
 from axial.linalg import Matrix, RowReducer
-from axial.scalars import ONE
-from axial.spectral import minimal_law
+from axial.scalars import ONE, Rat
+from axial.spectral import check_axial_algebra, check_axis, minimal_law
 
 
 def _rebuilt(alg, symmetry=()):
@@ -249,6 +251,83 @@ class TestTransportedRows:
         assert ("Albert", None) in caught and ("JordanC", 3) in caught
 
 
+def _report(rep):
+    """What check_axial_algebra's report of an axis holds: the verdicts, the
+    eigenspaces and, on a semisimple axis, the two matrices and products()."""
+    eigen = rep.eigen
+    out = (rep.idempotent, rep.primitive, rep.violations, eigen.semisimple, eigen.pairs)
+    if eigen.semisimple:
+        out += (eigen.eigenvectors, eigen.coordinates, eigen.products())
+    return out
+
+
+def _misreported(alg, axes, law):
+    """The positions whose report in check_axial_algebra differs from
+    check_axis's, and the certificate's violations."""
+    cert = check_axial_algebra(alg, axes, law)
+    assert len(cert.reports) == len(axes)
+    wrong = [t for t, (rep, a) in enumerate(zip(cert.reports, axes))
+             if _report(rep) != _report(check_axis(alg, a, law))]
+    return wrong, cert.violations
+
+
+def _signed_image_unsigned(pairs, g):
+    """The move with the sign s_j left out."""
+    return {g[j][0]: c for j, c in pairs}
+
+
+class TestTransportedReports:
+    """The report of a later orbit member, its first member's eigenspaces
+    moved by the carrying signed permutation, equals check_axis's, field by
+    field; where the first member fails, the member is checked itself."""
+
+    @pytest.mark.parametrize("name, n", TRANSPORTED + [("JordanD", 16)])
+    def test_reports_equal_those_of_check_axis(self, name, n):
+        entry = _build(name, n)
+        alg, axes = entry.algebra, list(entry.axis_sets["family"])
+        wrong, violations = _misreported(alg, axes, entry.laws["J12"])
+        assert wrong == [] and violations == []
+
+    def test_a_duplicated_axis(self):
+        entry = _build("JordanC", 3)
+        family = list(entry.axis_sets["family"])
+        axes = family[4:] + family[:6]
+        assert _misreported(entry.algebra, axes, entry.laws["J12"]) == ([], [])
+
+    @pytest.mark.parametrize("name, n, count", [("JordanA", 3, 90), ("Albert", None, 3888)])
+    def test_a_failing_first_member_leaves_every_member_checked(self, name, n, count):
+        # with 1/2 * 1/2 = {1}, every 0-component of a product of two
+        # 1/2-eigenvectors is a fusion_violation
+        entry = _build(name, n)
+        alg, axes, j12 = entry.algebra, list(entry.axis_sets["family"]), entry.laws["J12"]
+        half = Rat(1, 2)
+        law = FusionLaw(j12.values, {**j12.table, (half, half): {ONE}}, alg.tag)
+        wrong, violations = _misreported(alg, axes, law)
+        assert wrong == []
+        direct = [(alg.render_element(a), *v) for a in axes
+                  for v in check_axis(alg, a, law).violations]
+        assert violations == direct
+        assert [v[1] for v in violations] == ["fusion_violation"] * count
+
+    @pytest.mark.parametrize("name, n", [("JordanA", 3), ("Albert", None)])
+    def test_a_spectrum_outside_the_law(self, name, n):
+        entry = _build(name, n)
+        alg, axes = entry.algebra, list(entry.axis_sets["family"])
+        wrong, violations = _misreported(alg, axes, catalog.build("B").laws["FB"])
+        assert wrong == []
+        assert [v[1] for v in violations] == ["spectrum_outside_law"] * len(axes)
+
+    def test_a_dropped_sign_is_caught(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_signed_image", _signed_image_unsigned)
+        caught = []
+        for name, n in TRANSPORTED:
+            entry = _build(name, n)
+            axes = list(entry.axis_sets["family"])
+            if _misreported(entry.algebra, axes, entry.laws["J12"])[0]:
+                caught.append((name, n))
+        assert ("Albert", None) in caught and ("JordanC", 3) in caught
+
+
 # every signed permutation of each algebra, 1,640 in all: (entry, params,
 # how many the constructor accepts)
 SIGNED = [("B", {}, 2), ("JordanB", {"n": 2}, 4), ("JordanD", {"n": 3}, 8),
@@ -284,8 +363,10 @@ def _float_copy(a):
 
 class TestRefusalsAreNeverSkipped:
     """An axis after the Z = B exit that fails the length or field check, or
-    is no idempotent, raises as it does without generators.  The int and
-    float copies compare and hash equal to the family axis they copy."""
+    is no idempotent, raises as it does without generators, and
+    check_axial_algebra records the one that is no idempotent alike.  The
+    int and float copies compare and hash equal to the family axis they
+    copy."""
 
     @pytest.mark.parametrize("name, n", [("JordanA", 3), ("Albert", None)])
     @pytest.mark.parametrize("kind, error", [
@@ -306,13 +387,22 @@ class TestRefusalsAreNeverSkipped:
         if kind in ("int copy", "float copy"):
             assert extra == a and hash(extra) == hash(a)
         axes = family + [extra]
-        for run in (cocycle_space, lambda alg, axes, law: minimal_law(alg, axes),
-                    lambda alg, axes, law: extension_axiality(alg, _theta(alg), axes, law)):
+        runs = [cocycle_space, lambda alg, axes, law: minimal_law(alg, axes),
+                lambda alg, axes, law: extension_axiality(alg, _theta(alg), axes, law)]
+        if kind != "not idempotent":
+            runs.append(check_axial_algebra)
+        for run in runs:
             with pytest.raises(error) as plain:
                 run(_rebuilt(alg), axes, law)
             with pytest.raises(error) as got:
                 run(alg, axes, law)
             assert str(got.value) == str(plain.value)
+        if kind == "not idempotent":
+            # check_axial_algebra records what the others refuse
+            got, plain = (check_axial_algebra(b, axes, law) for b in (alg, _rebuilt(alg)))
+            assert got.violations == plain.violations
+            assert got.violations[0] == (alg.render_element(extra), "not_idempotent", extra)
+            assert list(map(_report, got.reports)) == list(map(_report, plain.reports))
 
 
 def test_jordan_simple_reads_the_expected_quotient(monkeypatch):
